@@ -41,8 +41,9 @@
 //! kind pair.
 
 use crate::cardinality::{SummaryCardinality, SummaryEstimator};
+use crate::context::SummaryContext;
 use crate::incremental::WeakDelta;
-use crate::summary::SummaryKind;
+use crate::summary::{Summary, SummaryKind};
 use rdf_model::{Graph, PrefixMap, Term};
 use rdf_query::{explain_with, parse_query, Evaluator};
 use rdf_store::{Fingerprint, TripleStore};
@@ -50,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 
 /// One cached summary: the serialized output plus its headline figures,
 /// and the query-serving companions (the summary as an indexed store for
@@ -194,15 +195,30 @@ pub struct UpdateOutcome {
     pub rebuilt: usize,
 }
 
-/// A resident graph: the warm store plus its precomputed fingerprint and,
-/// once the graph has seen an insert batch, the incremental weak-summary
-/// scan state that lets `UPDATE` patch cached weak summaries instead of
-/// rebuilding. Deletes drop the state (quotient summaries are not
-/// decremental — see [`crate::incremental`]).
+/// A resident graph's content: the warm store plus its precomputed
+/// fingerprint and — while the graph builds through the lean
+/// single-summary path and has seen an insert batch — the incremental
+/// weak-summary scan state that lets `UPDATE` patch cached weak summaries
+/// instead of rebuilding. Deletes drop the state (quotient summaries are
+/// not decremental — see [`crate::incremental`]), and so does any batch
+/// that leaves the graph above the shard threshold, where patching is
+/// never sound and the state would never be read.
 struct GraphEntry {
     store: TripleStore,
     fingerprint: Fingerprint,
     delta: Option<WeakDelta>,
+}
+
+/// One name's binding in the service: the content behind its reader/writer
+/// lock, and the gate that admits one `UPDATE` at a time.
+struct ResidentGraph {
+    /// Serialises writers *before* they touch `entry`. `std`'s `RwLock`
+    /// prefers writers: a second writer queued on it would turn away every
+    /// new reader for as long as the first writer's shared-mode carry
+    /// holds its read guard. Queued here instead, it is invisible to
+    /// readers. Guards no data, so a poisoned gate is simply re-entered.
+    writer_gate: Mutex<()>,
+    entry: RwLock<GraphEntry>,
 }
 
 /// Cache slot state for one `(fingerprint, kind)` key.
@@ -258,14 +274,21 @@ const PRUNE_CACHE_CAP: usize = 65_536;
 
 /// The long-running summarization service. See the module docs.
 ///
-/// Lock order (outer to inner): the `graphs` map mutex, then one entry's
-/// `RwLock`, then the `cache`/`prune_verdicts` mutexes. No path acquires
-/// the map mutex while holding an entry lock, and no path locks two
-/// entries at once — the discipline that keeps `UPDATE`'s write path
-/// deadlock-free against concurrent readers and `STATS` listings.
+/// Lock order (outer to inner): one graph's `writer_gate`, then the
+/// `graphs` map mutex, then one entry's `RwLock`, then the
+/// `cache`/`prune_verdicts` mutexes. Only `UPDATE` takes a gate or an
+/// entry's lock exclusively, and it holds the lock exclusively for the
+/// store merge, the fingerprint switch and the claim of the carried
+/// cache slots only; it then downgrades (atomically — no second writer
+/// can slip in) and rebuilds those summaries under the *shared* lock,
+/// beside the readers. No path acquires the map mutex while holding an
+/// entry lock, none locks two entries at once, and a thread holding an
+/// entry's read guard never read-locks that entry again — the discipline
+/// that keeps `UPDATE` deadlock-free against concurrent readers and
+/// `STATS` listings.
 pub struct SummaryService {
     threads: usize,
-    graphs: Mutex<HashMap<String, Arc<RwLock<GraphEntry>>>>,
+    graphs: Mutex<HashMap<String, Arc<ResidentGraph>>>,
     cache: Mutex<CacheState>,
     /// Byte budget for Ready cache entries; `None` = unbounded.
     cache_budget: Option<usize>,
@@ -289,14 +312,58 @@ pub struct SummaryService {
     patch_fallbacks: AtomicU64,
     persist_hits: AtomicU64,
     persist_writes: AtomicU64,
+    /// Test seam: called under the shared lock before each carried kind
+    /// of an `UPDATE` is re-established (to park or unwind a carry).
+    #[cfg(test)]
+    carry_hook: Mutex<Option<CarryHook>>,
 }
 
-/// Removes the `Building` marker if the build unwinds, so waiters retry
-/// (one of them becomes the new builder) instead of sleeping forever.
+#[cfg(test)]
+type CarryHook = Arc<dyn Fn(SummaryKind) + Send + Sync>;
+
+/// The fixed order in which kinds are preferred for pruning a `QUERY`
+/// that named none — and therefore the order an `UPDATE` re-establishes
+/// the cached kinds in, so the query-facing one is ready first.
+const PREFERENCE: [SummaryKind; 6] = [
+    SummaryKind::Weak,
+    SummaryKind::TypedWeak,
+    SummaryKind::Strong,
+    SummaryKind::TypedStrong,
+    SummaryKind::TypeBased,
+    SummaryKind::Bisimulation,
+];
+
+/// One claimed `Building` slot. Dropping it un-installed — the build
+/// unwound — removes the marker, so waiters retry (one of them becomes
+/// the new builder) instead of sleeping forever.
 struct BuildGuard<'a> {
     service: &'a SummaryService,
     key: (Fingerprint, SummaryKind),
     armed: bool,
+}
+
+impl BuildGuard<'_> {
+    /// Replaces the claimed marker with the finished artifact and wakes
+    /// the slot's waiters.
+    fn install(mut self, artifact: &Arc<SummaryArtifact>) {
+        let mut cache = self.service.cache.lock().unwrap();
+        let bytes = artifact.ntriples.len();
+        cache.clock += 1;
+        let stamp = cache.clock;
+        cache.slots.insert(
+            self.key,
+            Slot::Ready {
+                artifact: Arc::clone(artifact),
+                bytes,
+                last_used: stamp,
+            },
+        );
+        cache.total_bytes += bytes;
+        self.service.enforce_budget(&mut cache);
+        drop(cache);
+        self.armed = false;
+        self.service.slot_done.notify_all();
+    }
 }
 
 impl Drop for BuildGuard<'_> {
@@ -348,6 +415,8 @@ impl SummaryService {
             patch_fallbacks: AtomicU64::new(0),
             persist_hits: AtomicU64::new(0),
             persist_writes: AtomicU64::new(0),
+            #[cfg(test)]
+            carry_hook: Mutex::new(None),
         }
     }
 
@@ -392,11 +461,14 @@ impl SummaryService {
         };
         let fingerprint = store.fingerprint();
         let triples = store.len();
-        let entry = Arc::new(RwLock::new(GraphEntry {
-            store,
-            fingerprint,
-            delta: None,
-        }));
+        let entry = Arc::new(ResidentGraph {
+            writer_gate: Mutex::new(()),
+            entry: RwLock::new(GraphEntry {
+                store,
+                fingerprint,
+                delta: None,
+            }),
+        });
         let replaced = self
             .graphs
             .lock()
@@ -414,7 +486,7 @@ impl SummaryService {
     pub fn graph_info(&self, name: &str) -> Option<(Fingerprint, usize)> {
         let graphs = self.graphs.lock().unwrap();
         graphs.get(name).map(|e| {
-            let e = e.read().unwrap();
+            let e = e.entry.read().unwrap();
             (e.fingerprint, e.store.len())
         })
     }
@@ -426,7 +498,7 @@ impl SummaryService {
         let mut v: Vec<_> = graphs
             .iter()
             .map(|(n, e)| {
-                let e = e.read().unwrap();
+                let e = e.entry.read().unwrap();
                 (n.clone(), e.fingerprint, e.store.len())
             })
             .collect();
@@ -446,15 +518,19 @@ impl SummaryService {
         name: &str,
         kind: SummaryKind,
     ) -> Result<(Arc<SummaryArtifact>, bool), ServiceError> {
-        let entry = self
-            .graphs
+        let graph = self.resident(name)?;
+        let entry = graph.entry.read().unwrap();
+        Ok(self.summarize_entry(&entry, kind))
+    }
+
+    /// The binding of `name`, if a graph is loaded under it.
+    fn resident(&self, name: &str) -> Result<Arc<ResidentGraph>, ServiceError> {
+        self.graphs
             .lock()
             .unwrap()
             .get(name)
             .cloned()
-            .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))?;
-        let entry = entry.read().unwrap();
-        Ok(self.summarize_entry(&entry, kind))
+            .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))
     }
 
     /// [`Self::summarize`] against an already-resolved graph entry — the
@@ -493,7 +569,7 @@ impl SummaryService {
             }
         }
         // This thread won the build; everyone else for this key now waits.
-        let mut guard = BuildGuard {
+        let guard = BuildGuard {
             service: self,
             key,
             armed: true,
@@ -503,39 +579,20 @@ impl SummaryService {
         // failure of any sort is just a miss.
         if let Some(artifact) = self.probe_persisted(entry, kind) {
             let artifact = Arc::new(artifact);
-            self.install_built(key, &artifact);
-            guard.armed = false;
-            self.slot_done.notify_all();
+            guard.install(&artifact);
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.persist_hits.fetch_add(1, Ordering::Relaxed);
             return (artifact, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let artifact = Arc::new(self.build_artifact(entry, kind));
-        self.persist_artifact(&artifact, entry.store.graph());
-        self.install_built(key, &artifact);
-        guard.armed = false;
-        self.slot_done.notify_all();
+        let g = entry.store.graph();
+        // The context is a temporary of this statement: it is freed before
+        // the summary is serialized and indexed.
+        let summary = self.build_summary(g, kind, self.sharded_context(g).as_ref());
+        let artifact = Arc::new(Self::package(entry, kind, summary));
+        self.persist_artifact(&artifact, g);
+        guard.install(&artifact);
         (artifact, false)
-    }
-
-    /// Replaces this key's `Building` marker with the finished artifact
-    /// (the build-winner's installation step).
-    fn install_built(&self, key: (Fingerprint, SummaryKind), artifact: &Arc<SummaryArtifact>) {
-        let mut cache = self.cache.lock().unwrap();
-        let bytes = artifact.ntriples.len();
-        cache.clock += 1;
-        let stamp = cache.clock;
-        cache.slots.insert(
-            key,
-            Slot::Ready {
-                artifact: Arc::clone(artifact),
-                bytes,
-                last_used: stamp,
-            },
-        );
-        cache.total_bytes += bytes;
-        self.enforce_budget(&mut cache);
     }
 
     /// Probes the persist dir for this slot's artifact. `None` — missing
@@ -597,18 +654,33 @@ impl SummaryService {
         }
     }
 
-    /// One real summary build + serialization (the cache-miss work).
-    fn build_artifact(&self, entry: &GraphEntry, kind: SummaryKind) -> SummaryArtifact {
+    /// The sharded substrate of `g` when a build of it would actually
+    /// shard, `None` when it takes the classic lean path — the decision
+    /// `rdfsummary summarize --kind` makes, so served bytes mirror the
+    /// CLI's. Every kind derives from one such context, so an `UPDATE`
+    /// carrying several kinds builds it once.
+    fn sharded_context<'g>(&self, g: &'g Graph) -> Option<SummaryContext<'g>> {
+        (crate::parallel::shard_count(g.data().len(), self.threads) > 1)
+            .then(|| SummaryContext::sharded(g, self.threads))
+    }
+
+    /// One real summary build (the cache-miss work), from
+    /// [`Self::sharded_context`]'s answer for `g`.
+    fn build_summary(
+        &self,
+        g: &Graph,
+        kind: SummaryKind,
+        context: Option<&SummaryContext<'_>>,
+    ) -> Summary {
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let g = entry.store.graph();
-        // Mirror `rdfsummary summarize --kind` byte for byte: the sharded
-        // substrate only when the build would actually shard, the classic
-        // lean path otherwise.
-        let summary = if crate::parallel::shard_count(g.data().len(), self.threads) > 1 {
-            crate::context::SummaryContext::sharded(g, self.threads).summarize(kind)
-        } else {
-            crate::builder::summarize(g, kind)
-        };
+        match context {
+            Some(context) => context.summarize(kind),
+            None => crate::builder::summarize(g, kind),
+        }
+    }
+
+    /// Serializes `summary` and derives its query-serving companions.
+    fn package(entry: &GraphEntry, kind: SummaryKind, summary: Summary) -> SummaryArtifact {
         let stats = summary.stats();
         let cardinality = SummaryCardinality::new(&entry.store, &summary);
         let ntriples = rdf_io::write_graph(&summary.graph);
@@ -618,7 +690,7 @@ impl SummaryService {
             ntriples,
             summary_nodes: stats.all_nodes,
             summary_edges: stats.all_edges,
-            input_triples: g.len(),
+            input_triples: entry.store.graph().len(),
             summary_store: TripleStore::new(summary.graph),
             cardinality,
         }
@@ -628,20 +700,37 @@ impl SummaryService {
     /// `insert == true` adds triples, `false` removes them — and carries
     /// the cached summaries across the fingerprint transition.
     ///
-    /// The store absorbs the batch in O(delta + merge) (incremental
-    /// fingerprint, merged indices — no rebuild; see
+    /// The store absorbs the batch in O(delta · log n) plus one in-place
+    /// shift per index (incremental fingerprint, no rebuild; see
     /// [`TripleStore::insert_batch`]). Every summary kind cached for the
-    /// *old* fingerprint is re-established under the new one:
+    /// *old* fingerprint is then re-established under the new one, unless
+    /// the new content's slot is already present (the content is shared
+    /// with another resident name that got there first):
     ///
-    /// * **patch** — weak summaries after insert-only history are
-    ///   materialized from the maintained [`WeakDelta`] scan state,
-    ///   byte-identical to a fresh build but skipping the full input
-    ///   re-scan (and not counted in `builds`);
+    /// * **patch** — weak summaries after insert-only history, while the
+    ///   graph builds through the lean path, are materialized from the
+    ///   maintained [`WeakDelta`] scan state, byte-identical to a fresh
+    ///   build but skipping the full input re-scan (and not counted in
+    ///   `builds`);
     /// * **rebuild fallback** — every other kind (their quotients are not
     ///   soundly patchable: type/property insertions can split their
-    ///   equivalence classes, which union–find cannot undo), and every
-    ///   kind after a delete. Counted in both `builds` and
-    ///   `patch_fallbacks`, keeping `builds == patch_fallbacks + misses`.
+    ///   equivalence classes, which union–find cannot undo), every kind
+    ///   after a delete, and every kind above the shard threshold, where
+    ///   all of them derive from one shared sharded substrate. Counted in
+    ///   both `builds` and `patch_fallbacks`, keeping `builds ==
+    ///   patch_fallbacks + misses`.
+    ///
+    /// **What a concurrent reader observes.** Writers to one graph queue
+    /// on its gate, out of the readers' way. The graph's lock is held
+    /// exclusively for the store merge only; within that section the
+    /// fingerprint switches and every carried kind's slot is claimed as
+    /// in-flight under the new fingerprint. The lock is then downgraded
+    /// and the kinds are re-established under the *shared* lock, the kind
+    /// `QUERY` prefers first, each waking its waiters as it lands. So a
+    /// reader sees the new content at once; a `QUERY` that names no kind
+    /// waits for its preferred kind only (never answers un-pruned or from
+    /// the old summary), and `SUMMARIZE k` waits for `k`. The call
+    /// returns once every carried kind is installed.
     ///
     /// Old-fingerprint cache lines and memoized prune verdicts are then
     /// dropped unless another resident graph still has that content.
@@ -653,14 +742,12 @@ impl SummaryService {
         insert: bool,
         triples: &[(Term, Term, Term)],
     ) -> Result<UpdateOutcome, ServiceError> {
-        let entry_arc = self
-            .graphs
+        let graph = self.resident(name)?;
+        let _writer = graph
+            .writer_gate
             .lock()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))?;
-        let mut entry = entry_arc.write().unwrap();
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut entry = graph.entry.write().unwrap();
         let previous = entry.fingerprint;
         let batch = if insert {
             entry
@@ -684,50 +771,80 @@ impl SummaryService {
         let fingerprint = batch.fingerprint;
         let e = &mut *entry;
         e.fingerprint = fingerprint;
-        if insert {
+        // The patch path must reproduce what a fresh build would emit;
+        // above the shard threshold the builder switches to the sharded
+        // substrate, so the scan state is kept in the lean regime only. It
+        // re-primes (one full scan) on the first insert batch after a
+        // delete or a spell above the threshold.
+        let lean = crate::parallel::shard_count(e.store.graph().data().len(), self.threads) <= 1;
+        if insert && lean {
             match e.delta.as_mut() {
                 Some(d) => d.apply_inserts(e.store.graph(), &batch.applied),
                 None => e.delta = Some(WeakDelta::from_graph(e.store.graph())),
             }
         } else {
-            // Quotient summaries are not decremental: drop the scan state;
-            // it re-primes (one full scan) on the next insert batch.
             e.delta = None;
         }
-        // Carry every Ready line of the old fingerprint to the new one.
-        let cached_kinds: Vec<SummaryKind> = {
-            let cache = self.cache.lock().unwrap();
-            cache
-                .slots
-                .iter()
-                .filter_map(|((fp, kind), slot)| {
-                    (*fp == previous && matches!(slot, Slot::Ready { .. })).then_some(*kind)
+        // Claim, while still exclusive, the new-fingerprint slot of every
+        // kind Ready under the old one: a reader admitted after the
+        // downgrade finds them in flight and waits instead of building.
+        let claims: Vec<BuildGuard<'_>> = {
+            let mut cache = self.cache.lock().unwrap();
+            PREFERENCE
+                .into_iter()
+                .filter_map(|kind| {
+                    let key = (fingerprint, kind);
+                    let carried =
+                        matches!(cache.slots.get(&(previous, kind)), Some(Slot::Ready { .. }))
+                            && !cache.slots.contains_key(&key);
+                    carried.then(|| {
+                        cache.slots.insert(key, Slot::Building);
+                        BuildGuard {
+                            service: self,
+                            key,
+                            armed: true,
+                        }
+                    })
                 })
                 .collect()
         };
-        // The patch path must reproduce what a fresh build would emit;
-        // above the shard threshold the builder switches to the sharded
-        // substrate, so patching is gated to the lean-build regime.
-        let can_patch = e.delta.is_some()
-            && crate::parallel::shard_count(e.store.graph().data().len(), self.threads) <= 1;
+        let entry = RwLockWriteGuard::downgrade(entry);
+        let g = entry.store.graph();
+        let context = if claims.is_empty() {
+            None
+        } else {
+            self.sharded_context(g)
+        };
         let (mut patched, mut rebuilt) = (0usize, 0usize);
-        for kind in cached_kinds {
-            let artifact = if kind == SummaryKind::Weak && can_patch {
-                patched += 1;
-                self.patches.fetch_add(1, Ordering::Relaxed);
-                Arc::new(self.patch_artifact(e))
-            } else {
-                rebuilt += 1;
-                self.patch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                Arc::new(self.build_artifact(e, kind))
+        for claim in claims {
+            let kind = claim.key.1;
+            #[cfg(test)]
+            self.run_carry_hook(kind);
+            let summary = match entry.delta.as_ref() {
+                // Materialized from the scan state: byte-identical to the
+                // fresh build by [`WeakDelta`]'s contract, and not a build.
+                Some(delta) if kind == SummaryKind::Weak => {
+                    patched += 1;
+                    self.patches.fetch_add(1, Ordering::Relaxed);
+                    delta.summary(g)
+                }
+                _ => {
+                    rebuilt += 1;
+                    self.patch_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    self.build_summary(g, kind, context.as_ref())
+                }
             };
+            let artifact = Arc::new(Self::package(&entry, kind, summary));
+            claim.install(&artifact);
             // Re-key the on-disk slot along with the in-memory line (the
-            // old fingerprint's files go with `drop_fingerprint_lines`).
-            self.persist_artifact(&artifact, e.store.graph());
-            self.insert_ready((fingerprint, kind), artifact);
+            // old fingerprint's files go with `drop_fingerprint_lines`) —
+            // after the install, so no waiter sits out the file write.
+            self.persist_artifact(&artifact, g);
         }
-        // Release the entry before the sharing scan: fingerprint_shared
-        // read-locks every entry, including this one.
+        // Release the entry (and the context borrowing it) before the
+        // sharing scan: fingerprint_shared read-locks every entry,
+        // including this one.
+        drop(context);
         drop(entry);
         if !self.fingerprint_shared(previous) {
             self.drop_fingerprint_lines(previous);
@@ -741,55 +858,14 @@ impl SummaryService {
         })
     }
 
-    /// Packages the delta-materialized weak summary into an artifact — the
-    /// same fields [`Self::build_artifact`] fills, minus the summary
-    /// construction itself (and minus the `builds` increment: nothing was
-    /// rebuilt). Byte-identical to the fresh build by [`WeakDelta`]'s
-    /// contract.
-    fn patch_artifact(&self, entry: &GraphEntry) -> SummaryArtifact {
-        let g = entry.store.graph();
-        let summary = entry
-            .delta
-            .as_ref()
-            .expect("patching requires the delta state")
-            .summary(g);
-        let stats = summary.stats();
-        let cardinality = SummaryCardinality::new(&entry.store, &summary);
-        let ntriples = rdf_io::write_graph(&summary.graph);
-        SummaryArtifact {
-            kind: SummaryKind::Weak,
-            fingerprint: entry.fingerprint,
-            ntriples,
-            summary_nodes: stats.all_nodes,
-            summary_edges: stats.all_edges,
-            input_triples: g.len(),
-            summary_store: TripleStore::new(summary.graph),
-            cardinality,
+    /// Runs the installed carry hook, if any (outside its mutex, so a
+    /// hook may park or panic).
+    #[cfg(test)]
+    fn run_carry_hook(&self, kind: SummaryKind) {
+        let hook = self.carry_hook.lock().unwrap().clone();
+        if let Some(hook) = hook {
+            hook(kind);
         }
-    }
-
-    /// Installs a finished artifact as a Ready cache line, unless the key
-    /// is already occupied: an in-flight Building slot will land identical
-    /// content (content-addressed key), and racing it on the slot would
-    /// corrupt the byte accounting.
-    fn insert_ready(&self, key: (Fingerprint, SummaryKind), artifact: Arc<SummaryArtifact>) {
-        let mut cache = self.cache.lock().unwrap();
-        if cache.slots.contains_key(&key) {
-            return;
-        }
-        let bytes = artifact.ntriples.len();
-        cache.clock += 1;
-        let stamp = cache.clock;
-        cache.slots.insert(
-            key,
-            Slot::Ready {
-                artifact,
-                bytes,
-                last_used: stamp,
-            },
-        );
-        cache.total_bytes += bytes;
-        self.enforce_budget(&mut cache);
     }
 
     /// Evaluates a BGP query (paper notation, e.g. `q(?x) :- ?x <p> ?y`)
@@ -818,17 +894,11 @@ impl SummaryService {
         kind: Option<SummaryKind>,
         limit: usize,
     ) -> Result<QueryOutcome, ServiceError> {
-        let entry = self
-            .graphs
-            .lock()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))?;
+        let graph = self.resident(name)?;
         // Hold the read lock for the whole evaluation: the summary pruned
         // with and the store joined against stay one content snapshot,
         // even under concurrent UPDATEs.
-        let entry = entry.read().unwrap();
+        let entry = graph.entry.read().unwrap();
         let spec = parse_query(text, &PrefixMap::with_defaults())
             .map_err(|e| ServiceError::BadQuery(e.to_string()))?;
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -921,22 +991,23 @@ impl SummaryService {
     }
 
     /// The summary kind to consult when the caller expressed no
-    /// preference: an already-cached Ready kind for this fingerprint (in
-    /// a fixed preference order, so the choice is deterministic), else
-    /// [`SummaryKind::Weak`].
+    /// preference: an already-cached Ready kind for this fingerprint,
+    /// else a kind in flight for it (an `UPDATE` carrying it over, or
+    /// another request building it — waiting for that build beats
+    /// starting a second one inline), each in the fixed [`PREFERENCE`]
+    /// order so the choice is deterministic; else [`SummaryKind::Weak`].
     fn preferred_kind(&self, fingerprint: Fingerprint) -> SummaryKind {
-        const PREFERENCE: [SummaryKind; 6] = [
-            SummaryKind::Weak,
-            SummaryKind::TypedWeak,
-            SummaryKind::Strong,
-            SummaryKind::TypedStrong,
-            SummaryKind::TypeBased,
-            SummaryKind::Bisimulation,
-        ];
         let cache = self.cache.lock().unwrap();
-        PREFERENCE
-            .into_iter()
-            .find(|&k| matches!(cache.slots.get(&(fingerprint, k)), Some(Slot::Ready { .. })))
+        let first = |ready: bool| {
+            PREFERENCE.into_iter().find(|&k| {
+                cache
+                    .slots
+                    .get(&(fingerprint, k))
+                    .is_some_and(|slot| matches!(slot, Slot::Ready { .. }) == ready)
+            })
+        };
+        first(true)
+            .or_else(|| first(false))
             .unwrap_or(SummaryKind::Weak)
     }
 
@@ -947,8 +1018,8 @@ impl SummaryService {
     /// Returns the number of cache entries dropped, or `None` if no such
     /// graph was loaded.
     pub fn evict(&self, name: &str) -> Option<usize> {
-        let entry = self.graphs.lock().unwrap().remove(name)?;
-        let fingerprint = entry.read().unwrap().fingerprint;
+        let graph = self.graphs.lock().unwrap().remove(name)?;
+        let fingerprint = graph.entry.read().unwrap().fingerprint;
         if self.fingerprint_shared(fingerprint) {
             return Some(0);
         }
@@ -961,7 +1032,7 @@ impl SummaryService {
             .lock()
             .unwrap()
             .values()
-            .any(|e| e.read().unwrap().fingerprint == fingerprint)
+            .any(|e| e.entry.read().unwrap().fingerprint == fingerprint)
     }
 
     /// Drops every Ready cache line and memoized prune verdict keyed by
@@ -1232,9 +1303,22 @@ mod tests {
         assert_eq!(svc.stats().pruned, 1);
     }
 
+    type RowSet = std::collections::BTreeSet<Vec<String>>;
+
+    /// The answer set of `text` on `store` by the un-pruned evaluator.
+    fn oracle_rows(store: &rdf_store::TripleStore, text: &str) -> RowSet {
+        let spec = rdf_query::parse_query(text, &PrefixMap::with_defaults()).unwrap();
+        let q = rdf_query::compile(&spec, store.graph()).unwrap();
+        rdf_query::Evaluator::new(store)
+            .select(&q)
+            .decode(store)
+            .into_iter()
+            .map(|row| row.into_iter().map(|t| t.to_string()).collect())
+            .collect()
+    }
+
     #[test]
     fn query_agrees_with_unpruned_evaluator() {
-        use rdf_model::PrefixMap;
         let g = fixtures::sample_graph();
         let svc = SummaryService::new(1);
         svc.load_graph("g", g.clone());
@@ -1244,18 +1328,10 @@ mod tests {
             "q(?x) :- ?x a ?c",
             "q(?x) :- ?x ?p ?y, ?y ?q ?z",
         ] {
-            let spec = rdf_query::parse_query(text, &PrefixMap::with_defaults()).unwrap();
-            let q = rdf_query::compile(&spec, store.graph()).unwrap();
-            let expect: std::collections::BTreeSet<Vec<String>> = rdf_query::Evaluator::new(&store)
-                .select(&q)
-                .decode(&store)
-                .into_iter()
-                .map(|row| row.into_iter().map(|t| t.to_string()).collect())
-                .collect();
+            let expect = oracle_rows(&store, text);
             for kind in SummaryKind::ALL {
                 let out = svc.query("g", text, Some(kind), usize::MAX).unwrap();
-                let got: std::collections::BTreeSet<Vec<String>> =
-                    out.rows.iter().cloned().collect();
+                let got: RowSet = out.rows.iter().cloned().collect();
                 assert_eq!(got, expect, "query `{text}` under {kind}");
             }
         }
@@ -1642,6 +1718,353 @@ mod tests {
         // `b` still holds the old content: its cache line must survive.
         let (_, hit) = svc.summarize("b", SummaryKind::Weak).unwrap();
         assert!(hit, "shared old-fingerprint line must survive the update");
+    }
+
+    /// Two names bound to one content: the second name's transition finds
+    /// the new content's slot already present and is skipped *before* any
+    /// rebuild — nothing is built and thrown away, and `rebuilt` says so.
+    #[test]
+    fn update_skips_kinds_the_new_content_already_has() {
+        let svc = SummaryService::new(1);
+        svc.load_graph("a", fixtures::sample_graph());
+        svc.load_graph("b", fixtures::sample_graph());
+        svc.summarize("a", SummaryKind::Strong).unwrap();
+        let batch = vec![u("urn:u:s", "urn:u:p", "urn:u:o")];
+        let first = svc.update("a", true, &batch).unwrap();
+        assert_eq!((first.patched, first.rebuilt), (0, 1));
+        let before = svc.stats();
+        // `b` still pins the old content's line, so `b` carries it too —
+        // onto a slot `a` has already filled.
+        let second = svc.update("b", true, &batch).unwrap();
+        assert_eq!(second.fingerprint, first.fingerprint);
+        assert_eq!((second.patched, second.rebuilt), (0, 0));
+        let after = svc.stats();
+        assert_eq!(
+            (after.builds, after.patch_fallbacks, after.patches),
+            (before.builds, before.patch_fallbacks, before.patches),
+            "a transition onto present content must not build"
+        );
+        assert_eq!(after.builds, after.patch_fallbacks + after.misses);
+        let (_, hit) = svc.summarize("b", SummaryKind::Strong).unwrap();
+        assert!(hit);
+    }
+
+    /// Parks or unwinds the carry of the next `UPDATE`s: `hook(kind)` runs
+    /// under the shared lock before `kind` is re-established.
+    fn set_carry_hook(svc: &SummaryService, hook: Option<CarryHook>) {
+        *svc.carry_hook.lock().unwrap() = hook;
+    }
+
+    /// A hook that, the first time a carry reaches `at`, reports on the
+    /// returned receiver and holds the carry there until the returned
+    /// sender yields. Later carries pass straight through.
+    fn parking_hook(
+        at: SummaryKind,
+    ) -> (
+        CarryHook,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let channels = Mutex::new(Some((parked_tx, release_rx)));
+        let hook: CarryHook = Arc::new(move |kind| {
+            if kind != at {
+                return;
+            }
+            let taken = channels.lock().unwrap().take();
+            if let Some((parked, release)) = taken {
+                parked.send(()).unwrap();
+                release.recv().unwrap();
+            }
+        });
+        (hook, parked_rx, release_tx)
+    }
+
+    /// With only `tw` warm, a `QUERY` arriving mid-carry must follow the
+    /// in-flight `tw` slot of the new fingerprint — not resolve to `w`,
+    /// find it absent and start a second, inline build.
+    #[test]
+    fn query_follows_the_kind_an_update_is_carrying() {
+        let svc = SummaryService::new(1);
+        let loaded = svc.load_graph("g", fixtures::sample_graph());
+        svc.summarize("g", SummaryKind::TypedWeak).unwrap();
+        let (hook, parked, release) = parking_hook(SummaryKind::TypedWeak);
+        set_carry_hook(&svc, Some(hook));
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                svc.update("g", true, &[u("urn:u:s", "urn:u:p", "urn:u:o")])
+                    .unwrap()
+            });
+            parked.recv().unwrap();
+            // The carry is parked under the shared lock: readers already
+            // see the new content, and its `tw` slot is in flight.
+            let (fingerprint, _) = svc.graph_info("g").unwrap();
+            assert_ne!(fingerprint, loaded.fingerprint);
+            assert_eq!(svc.preferred_kind(fingerprint), SummaryKind::TypedWeak);
+            let reader = scope.spawn(|| {
+                svc.query("g", "q(?x, ?y) :- ?x <urn:u:p> ?y", None, usize::MAX)
+                    .unwrap()
+            });
+            release.send(()).unwrap();
+            let out = reader.join().unwrap();
+            assert_eq!(out.kind, SummaryKind::TypedWeak);
+            assert_eq!(out.rows.len(), 1, "the answer is the new content's");
+            assert_eq!(writer.join().unwrap().rebuilt, 1);
+        });
+        let st = svc.stats();
+        assert_eq!(st.builds, 2, "the cold `tw` and its carry — no inline `w`");
+        assert_eq!(st.builds, st.patch_fallbacks + st.misses);
+    }
+
+    /// A Ready kind still wins over a more-preferred kind in flight: a
+    /// cold build by another request never makes `QUERY` wait.
+    #[test]
+    fn query_prefers_a_ready_kind_over_one_in_flight() {
+        let svc = SummaryService::new(1);
+        let fp = svc.load_graph("g", fixtures::sample_graph()).fingerprint;
+        svc.summarize("g", SummaryKind::TypedStrong).unwrap();
+        let in_flight = (fp, SummaryKind::Weak);
+        svc.cache
+            .lock()
+            .unwrap()
+            .slots
+            .insert(in_flight, Slot::Building);
+        assert_eq!(svc.preferred_kind(fp), SummaryKind::TypedStrong);
+    }
+
+    /// A carry that unwinds releases every slot it had claimed and both
+    /// locks: no `Building` marker stays behind, the next `SUMMARIZE`
+    /// rebuilds from the new content, and the graph still takes updates.
+    #[test]
+    fn unwinding_carry_leaves_no_building_marker() {
+        let svc = SummaryService::new(1);
+        svc.load_graph("g", fixtures::sample_graph());
+        svc.summarize("g", SummaryKind::Weak).unwrap();
+        svc.summarize("g", SummaryKind::Strong).unwrap();
+        set_carry_hook(
+            &svc,
+            Some(Arc::new(|kind| {
+                assert!(kind != SummaryKind::Strong, "injected carry failure")
+            })),
+        );
+        let batch = vec![u("urn:u:s", "urn:u:p", "urn:u:o")];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.update("g", true, &batch)
+        }));
+        assert!(unwound.is_err(), "the hook must have unwound the carry");
+        set_carry_hook(&svc, None);
+        {
+            let cache = svc.cache.lock().unwrap();
+            assert!(
+                cache
+                    .slots
+                    .values()
+                    .all(|s| matches!(s, Slot::Ready { .. })),
+                "an abandoned claim must not stay behind as a Building marker"
+            );
+        }
+        // `w` landed before the unwind; `s` was abandoned and rebuilds.
+        let st = mutated_store(fixtures::sample_graph(), &[(true, batch.clone())]);
+        for (kind, expect_hit) in [(SummaryKind::Weak, true), (SummaryKind::Strong, false)] {
+            let (artifact, hit) = svc.summarize("g", kind).unwrap();
+            assert_eq!(hit, expect_hit, "{kind}");
+            assert_eq!(artifact.fingerprint, st.fingerprint());
+            let direct = crate::builder::summarize(st.graph(), kind);
+            assert_eq!(artifact.ntriples, rdf_io::write_graph(&direct.graph));
+        }
+        // The writer gate was poisoned by the unwind; it guards no data.
+        let out = svc
+            .update("g", true, &[u("urn:u:s2", "urn:u:p", "urn:u:o")])
+            .unwrap();
+        assert_eq!((out.applied, out.patched, out.rebuilt), (1, 1, 1));
+        let stats = svc.stats();
+        assert_eq!(stats.builds, stats.patch_fallbacks + stats.misses);
+    }
+
+    /// A BSBM graph large enough that two-thread builds shard, so every
+    /// transition is a rebuild of all carried kinds from one context.
+    fn sharding_graph() -> Graph {
+        let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(900));
+        assert!(crate::parallel::shard_count(g.data().len(), 2) > 1);
+        g
+    }
+
+    /// The `i`-th 8-triple batch of the concurrency tests: four `p` edges
+    /// into a hub shared by all batches and four `q` edges out of it, so
+    /// the `p`–`q` join's answer depends on exactly which batches are live.
+    fn hub_batch(i: usize) -> Vec<(Term, Term, Term)> {
+        (0..4)
+            .flat_map(|j| {
+                [
+                    u(&format!("urn:u:a{i}_{j}"), "urn:u:p", "urn:u:hub"),
+                    u("urn:u:hub", "urn:u:q", &format!("urn:u:z{i}_{j}")),
+                ]
+            })
+            .collect()
+    }
+
+    const HUB_POINT: &str = "q(?y) :- <urn:u:a1_0> <urn:u:p> ?y";
+    const HUB_JOIN: &str = "q(?x, ?z) :- ?x <urn:u:p> ?y, ?y <urn:u:q> ?z";
+    const PROVABLY_EMPTY: &str = "q(?x) :- ?x <urn:no-such-property> ?y";
+
+    /// What a cold two-thread build serves for `store`'s content.
+    fn cold_bytes(store: &rdf_store::TripleStore, kind: SummaryKind) -> String {
+        rdf_io::write_graph(
+            &SummaryContext::sharded(store.graph(), 2)
+                .summarize(kind)
+                .graph,
+        )
+    }
+
+    /// Readers race a writer on a graph whose builds shard (`threads = 2`):
+    /// every query answer is the un-pruned evaluator's on a content the
+    /// graph held while the query ran, every artifact is byte-equal to a
+    /// cold build of the fingerprint it carries, and the accounting closes.
+    #[test]
+    fn readers_race_a_writer_above_the_shard_threshold() {
+        const KINDS: [SummaryKind; 2] = [SummaryKind::Weak, SummaryKind::TypedWeak];
+        let base = sharding_graph();
+        let graph_point = {
+            let s = base.dict().decode(base.data()[0].s).to_string();
+            format!("q(?p, ?o) :- {s} ?p ?o")
+        };
+        let queries = [HUB_POINT, HUB_JOIN, graph_point.as_str(), PROVABLY_EMPTY];
+        // Live batches per step: {} {0} {0,1} {1} {1,2} {2} — no content,
+        // hence no fingerprint, repeats.
+        let ops: Vec<UpdateOp> = vec![
+            (true, hub_batch(0)),
+            (true, hub_batch(1)),
+            (false, hub_batch(0)),
+            (true, hub_batch(2)),
+            (false, hub_batch(1)),
+        ];
+        // The model: per step, the fingerprint, each query's answer and
+        // each kind's cold bytes.
+        struct Step {
+            fingerprint: Fingerprint,
+            answers: Vec<RowSet>,
+            bytes: Vec<String>,
+        }
+        let mut model = rdf_store::TripleStore::new(base.clone());
+        let mut steps = Vec::new();
+        for op in std::iter::once(None).chain(ops.iter().map(Some)) {
+            match op {
+                Some((true, batch)) => drop(model.insert_batch(batch).unwrap()),
+                Some((false, batch)) => drop(model.delete_batch(batch)),
+                None => {}
+            }
+            steps.push(Step {
+                fingerprint: model.fingerprint(),
+                answers: queries.iter().map(|q| oracle_rows(&model, q)).collect(),
+                bytes: KINDS.iter().map(|&k| cold_bytes(&model, k)).collect(),
+            });
+        }
+        let step_of = |fp: Fingerprint| {
+            steps
+                .iter()
+                .position(|s| s.fingerprint == fp)
+                .expect("a fingerprint the writer never produced")
+        };
+
+        let svc = SummaryService::new(2);
+        svc.load_graph("g", base);
+        for kind in KINDS {
+            svc.summarize("g", kind).unwrap();
+        }
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let current = || step_of(svc.graph_info("g").unwrap().0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (insert, batch) in &ops {
+                    let out = svc.update("g", *insert, batch).unwrap();
+                    assert_eq!((out.applied, out.patched, out.rebuilt), (8, 0, 2));
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut rounds = 0;
+                    while !done.load(Ordering::SeqCst) || rounds < 2 {
+                        rounds += 1;
+                        for (qi, text) in queries.iter().enumerate() {
+                            let lo = current();
+                            let out = svc.query("g", text, None, usize::MAX).unwrap();
+                            let hi = current();
+                            let got: RowSet = out.rows.iter().cloned().collect();
+                            assert!(
+                                (lo..=hi).any(|i| steps[i].answers[qi] == got),
+                                "`{text}` matched no content of steps {lo}..={hi}"
+                            );
+                            assert!(out.pruned || *text != PROVABLY_EMPTY, "`{text}`");
+                        }
+                        for (ki, kind) in KINDS.into_iter().enumerate() {
+                            let lo = current();
+                            let (artifact, _) = svc.summarize("g", kind).unwrap();
+                            let hi = current();
+                            let at = step_of(artifact.fingerprint);
+                            assert!(
+                                (lo..=hi).contains(&at),
+                                "{kind}: step {at} outside {lo}..={hi}"
+                            );
+                            assert!(
+                                artifact.ntriples == steps[at].bytes[ki],
+                                "{kind} of step {at} differs from its cold build"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        let st = svc.stats();
+        assert_eq!(st.updates, ops.len() as u64);
+        assert_eq!(st.builds, st.patch_fallbacks + st.misses);
+    }
+
+    /// While one writer's carry runs under the shared lock, a second
+    /// writer queued behind it must not turn readers away (`std`'s lock
+    /// prefers writers, so it has to queue on the gate, not on the lock).
+    #[test]
+    fn queued_writer_does_not_stop_readers() {
+        let base = sharding_graph();
+        let mut model = rdf_store::TripleStore::new(base.clone());
+        model.insert_batch(&hub_batch(1)).unwrap();
+        let expect = oracle_rows(&model, HUB_JOIN);
+        let svc = &SummaryService::new(2);
+        svc.load_graph("g", base);
+        svc.summarize("g", SummaryKind::Weak).unwrap();
+        svc.summarize("g", SummaryKind::TypedWeak).unwrap();
+        // Park the first carry after `w` has landed, before `tw`.
+        let (hook, parked, release) = parking_hook(SummaryKind::TypedWeak);
+        set_carry_hook(svc, Some(hook));
+        let resident = svc.resident("g").unwrap();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| svc.update("g", true, &hub_batch(1)).unwrap());
+            parked.recv().unwrap();
+            let second = scope.spawn(|| svc.update("g", true, &hub_batch(2)).unwrap());
+            // The second writer holds a handle on the binding from the
+            // instruction before it queues: the map's, the first writer's
+            // and this thread's make three.
+            while Arc::strong_count(&resident) < 4 {
+                std::thread::yield_now();
+            }
+            let (answer_tx, answer_rx) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let out = svc.query("g", HUB_JOIN, None, usize::MAX).unwrap();
+                let _ = answer_tx.send(out);
+            });
+            let answered = answer_rx.recv_timeout(std::time::Duration::from_secs(60));
+            let second_was_queued = !second.is_finished();
+            release.send(()).unwrap();
+            let out = answered.expect("a reader stalled behind the queued writer");
+            assert_eq!(out.kind, SummaryKind::Weak, "`w` is carried first");
+            assert_eq!(out.rows.iter().cloned().collect::<RowSet>(), expect);
+            assert!(second_was_queued);
+            let first = first.join().unwrap();
+            assert_eq!(second.join().unwrap().previous, first.fingerprint);
+        });
+        let st = svc.stats();
+        assert_eq!(st.builds, st.patch_fallbacks + st.misses);
     }
 
     /// Interleaved UPDATE/QUERY chaos from several threads: the service

@@ -76,9 +76,10 @@ impl SortedIndex {
                 let mut iter = runs.into_iter();
                 while let Some(a) = iter.next() {
                     let b = iter.next();
-                    handles.push(scope.spawn(move || match b {
-                        Some(b) => merge_dedup(order, &a, &b),
-                        None => a,
+                    handles.push(scope.spawn(move || {
+                        let mut merged = SortedIndex { order, triples: a };
+                        merged.insert_sorted(&b.unwrap_or_default());
+                        merged.triples
                     }));
                 }
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -187,40 +188,81 @@ impl SortedIndex {
         }
     }
 
-    /// Merges a batch of additions into the index in one linear pass:
-    /// `O(d log d + n)` for `d` additions over `n` indexed triples, versus
-    /// the `O((n + d) log (n + d))` full rebuild. Additions may arrive in
-    /// any order and may duplicate each other or existing triples — the
-    /// result is exactly a fresh [`SortedIndex::build`] over the union.
+    /// Merges a batch of additions into the index **in place**: each
+    /// addition's slot is found by a galloping binary search, then one
+    /// back-to-front `copy_within` sweep opens the slots, moving every
+    /// indexed triple at most once and allocating nothing beyond the
+    /// vector's own growth — `O(d log n)` comparisons plus one `memmove`
+    /// of the suffix behind the first slot, versus a full copy of the
+    /// index. Additions may arrive in any order and may duplicate each
+    /// other or existing triples — the result is exactly a fresh
+    /// [`SortedIndex::build`] over the union.
     pub fn insert_merge(&mut self, additions: &[Triple]) {
-        if additions.is_empty() {
-            return;
-        }
         let mut add = additions.to_vec();
         add.sort_unstable_by_key(|&t| key(self.order, t));
         add.dedup();
-        self.triples = merge_dedup(self.order, &self.triples, &add);
+        self.insert_sorted(&add);
     }
 
-    /// Removes a batch of triples in one filtering merge pass
-    /// (`O(d log d + n)`). Triples not present are ignored, so the result
-    /// is exactly a fresh build over the set difference.
-    pub fn remove_merge(&mut self, removals: &[Triple]) {
-        if removals.is_empty() {
-            return;
-        }
-        let mut rem = removals.to_vec();
-        rem.sort_unstable_by_key(|&t| key(self.order, t));
-        rem.dedup();
+    /// [`SortedIndex::insert_merge`] for additions already sorted in this
+    /// index's order and deduplicated.
+    fn insert_sorted(&mut self, add: &[Triple]) {
         let order = self.order;
-        let mut j = 0;
-        self.triples.retain(|&t| {
-            let k = key(order, t);
-            while j < rem.len() && key(order, rem[j]) < k {
-                j += 1;
+        // (slot, triple) of every genuinely new addition, ascending: the
+        // position in the *current* vector it must land in front of.
+        let mut fresh: Vec<(usize, Triple)> = Vec::with_capacity(add.len());
+        let mut from = 0;
+        for &t in add {
+            from = lower_bound_from(order, &self.triples, from, key(order, t));
+            if self.triples.get(from) != Some(&t) {
+                fresh.push((from, t));
             }
-            !(j < rem.len() && key(order, rem[j]) == k)
-        });
+        }
+        let Some(&(_, filler)) = fresh.first() else {
+            return;
+        };
+        let mut end = self.triples.len();
+        self.triples.resize(end + fresh.len(), filler);
+        // Back to front: the block between two slots shifts right by the
+        // number of additions in front of it, straight to its final place.
+        for (ahead, &(slot, t)) in fresh.iter().enumerate().rev() {
+            self.triples.copy_within(slot..end, slot + ahead + 1);
+            self.triples[slot + ahead] = t;
+            end = slot;
+        }
+    }
+
+    /// Removes a batch of triples **in place**: each removal is located
+    /// by a galloping binary search, then one front-to-back `copy_within`
+    /// sweep closes the gaps, moving every surviving triple at most once.
+    /// Triples not present are ignored, so the result is exactly a fresh
+    /// build over the set difference.
+    pub fn remove_merge(&mut self, removals: &[Triple]) {
+        let order = self.order;
+        let mut rem = removals.to_vec();
+        rem.sort_unstable_by_key(|&t| key(order, t));
+        rem.dedup();
+        let mut gone: Vec<usize> = Vec::with_capacity(rem.len());
+        let mut from = 0;
+        for &t in &rem {
+            from = lower_bound_from(order, &self.triples, from, key(order, t));
+            if self.triples.get(from) == Some(&t) {
+                gone.push(from);
+            }
+        }
+        let Some(&first) = gone.first() else {
+            return;
+        };
+        let len = self.triples.len();
+        // Front to back: the block behind each removed position shifts
+        // left onto the write cursor, straight to its final place.
+        let mut write = first;
+        for (i, &pos) in gone.iter().enumerate() {
+            let next = gone.get(i + 1).copied().unwrap_or(len);
+            self.triples.copy_within(pos + 1..next, write);
+            write += next - pos - 1;
+        }
+        self.triples.truncate(write);
     }
 
     /// Is the exact triple present? (Binary search on the full key.)
@@ -238,31 +280,26 @@ impl SortedIndex {
     }
 }
 
-/// Merges two sorted, deduplicated triple runs into one, dropping
-/// duplicates (keys are full permutations, so key-equal means equal).
-fn merge_dedup(order: Order, a: &[Triple], b: &[Triple]) -> Vec<Triple> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match key(order, a[i]).cmp(&key(order, b[j])) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+/// `v.partition_point(pred)` by a galloping search from the front: probe
+/// 1, 2, 4, … elements in, then bisect the last octave — `O(log answer)`
+/// instead of `O(log v.len())`, for answers expected near the front.
+fn gallop(v: &[Triple], pred: impl Fn(Triple) -> bool) -> usize {
+    let mut hi = 1;
+    while hi <= v.len() && pred(v[hi - 1]) {
+        hi <<= 1;
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    let lo = hi >> 1;
+    let hi = (hi - 1).min(v.len());
+    lo + v[lo..hi].partition_point(|&t| pred(t))
+}
+
+/// The first position at or after `from` whose key is `>= k`. A batch's
+/// slots are visited in ascending order, so galloping from the previous
+/// one costs `O(log gap)` — a handful of probes for a small batch spread
+/// over a large index, and `O(1)` amortized when two equal-sized runs
+/// interleave (the chunk merge of [`SortedIndex::build_threaded`]).
+fn lower_bound_from(order: Order, v: &[Triple], from: usize, k: (u32, u32, u32)) -> usize {
+    from + gallop(&v[from..], |t| key(order, t) < k)
 }
 
 /// Iterator over the maximal first-key-component runs of a [`SortedIndex`].
@@ -281,18 +318,12 @@ impl<'a> Iterator for Runs1<'a> {
         let k1 = key(self.order, first).0;
         // Galloping search for the run boundary: runs are one subject's
         // (or object's) triples, so they are typically tiny relative to
-        // the remaining slice — probe 1, 2, 4, … from the front and
-        // bisect only the last octave, making each boundary
-        // `O(log run_len)` instead of `O(log remaining)`. The shard scan
-        // of the sharded substrate build iterates every run of every
-        // shard, so the per-run cost is what its scan phase is made of.
-        let mut hi = 1;
-        while hi < self.rest.len() && key(self.order, self.rest[hi]).0 <= k1 {
-            hi <<= 1;
-        }
-        let lo = hi >> 1;
-        let hi = hi.min(self.rest.len());
-        let end = lo + self.rest[lo..hi].partition_point(|&t| key(self.order, t).0 <= k1);
+        // the remaining slice, making each boundary `O(log run_len)`
+        // instead of `O(log remaining)`. The shard scan of the sharded
+        // substrate build iterates every run of every shard, so the
+        // per-run cost is what its scan phase is made of.
+        let order = self.order;
+        let end = gallop(self.rest, |t| key(order, t).0 <= k1);
         let (run, rest) = self.rest.split_at(end);
         self.rest = rest;
         Some(run)
@@ -516,6 +547,77 @@ mod tests {
                 assert_eq!(idx.as_slice(), fresh.as_slice(), "{order:?} round {round}");
                 assert!(idx.check_invariants());
             }
+        }
+    }
+
+    /// The in-place merges against a fresh build over the same set, on an
+    /// index large enough that slots are far apart: batch sizes 0–16 mixing
+    /// fresh triples, triples already indexed and in-batch duplicates;
+    /// removals of absent triples; the first and last positions; and one
+    /// batch larger than the index itself, in every order.
+    #[test]
+    fn in_place_merges_match_fresh_build_on_a_large_index() {
+        use std::collections::BTreeSet;
+        let mut rng = rdf_model::SplitMix64::new(0x1D3A);
+        let random = |rng: &mut rdf_model::SplitMix64| {
+            t(
+                1 + rng.index(500) as u32,
+                1 + rng.index(8) as u32,
+                1 + rng.index(500) as u32,
+            )
+        };
+        for order in [Order::Spo, Order::Pos, Order::Osp] {
+            let mut live: BTreeSet<Triple> = (0..6_000).map(|_| random(&mut rng)).collect();
+            assert!(live.len() >= 5_000);
+            let all = |live: &BTreeSet<Triple>| live.iter().copied().collect::<Vec<_>>();
+            let mut idx = SortedIndex::build(order, &all(&live));
+            let check = |idx: &SortedIndex, live: &BTreeSet<Triple>, what: &str| {
+                let fresh = SortedIndex::build(order, &all(live));
+                assert_eq!(idx.as_slice(), fresh.as_slice(), "{order:?} {what}");
+            };
+            for round in 0..68 {
+                let size = round % 17;
+                let mut batch: Vec<Triple> = (0..size)
+                    .map(|i| match i % 3 {
+                        0 => random(&mut rng),                  // mostly absent from the index
+                        1 => all(&live)[rng.index(live.len())], // indexed
+                        _ => t(7, 1 + (round % 8) as u32, 7),   // repeats in-batch
+                    })
+                    .collect();
+                if size > 4 {
+                    batch.push(batch[0]);
+                }
+                if round % 2 == 0 {
+                    idx.insert_merge(&batch);
+                    live.extend(batch.iter().copied());
+                } else {
+                    idx.remove_merge(&batch);
+                    for b in &batch {
+                        live.remove(b);
+                    }
+                }
+                check(&idx, &live, &format!("round {round}"));
+            }
+            // The extreme keys of every order: slot 0 and slot `len`.
+            let ends = [t(0, 0, 0), t(u32::MAX, u32::MAX, u32::MAX)];
+            idx.insert_merge(&ends);
+            live.extend(ends);
+            check(&idx, &live, "insert at both ends");
+            assert_eq!(idx.as_slice()[0], ends[0]);
+            assert_eq!(idx.as_slice()[idx.len() - 1], ends[1]);
+            idx.remove_merge(&ends);
+            live.remove(&ends[0]);
+            live.remove(&ends[1]);
+            check(&idx, &live, "remove at both ends");
+            // A batch larger than the index, interleaving with it.
+            let big: Vec<Triple> = (0..2 * idx.len()).map(|_| random(&mut rng)).collect();
+            idx.insert_merge(&big);
+            live.extend(big.iter().copied());
+            check(&idx, &live, "insert a batch larger than the index");
+            let mut everything = all(&live);
+            everything.extend((0..64).map(|_| random(&mut rng)));
+            idx.remove_merge(&everything);
+            assert!(idx.is_empty(), "{order:?}: removing a superset empties it");
         }
     }
 

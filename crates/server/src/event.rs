@@ -25,7 +25,12 @@
 //!     seconds (cold builds, or an update whose summary re-keying falls
 //!     back to a rebuild) — are handed to the **executor**, a fixed pool of
 //!     [`rdfsum_core::Executor`] workers, so a cold build can never
-//!     stall keep-alive traffic on other connections;
+//!     stall keep-alive traffic on other connections. An inline `QUERY`
+//!     on a graph an `UPDATE` is working on does block this thread, but
+//!     only for the store merge (exclusive) and then until the one
+//!     summary kind it prunes with is back — the update re-establishes
+//!     that kind first and the rest beside the readers, under the
+//!     graph's shared lock;
 //! * **completions** of offloaded requests come back over a
 //!   mutex-guarded vector plus a [`WakeSignal`] (a loopback socket pair;
 //!   one coalesced byte per batch), are appended to the connection's
@@ -641,8 +646,9 @@ fn queue_err(c: &mut Conn, err: &ProtocolError) {
 /// Which verbs go to the executor instead of running on the event
 /// thread: the ones that can take seconds cold (graph parse, summary
 /// build, and `UPDATE`'s summary re-keying, whose fallback path is a
-/// full rebuild). Everything else — including warm `QUERY` — is μs-scale
-/// and runs inline, where batching keeps the hot path free of handoffs.
+/// full rebuild per cached kind). Everything else — including warm
+/// `QUERY` — is μs-scale and runs inline, where batching keeps the hot
+/// path free of handoffs.
 fn offloads(req: &crate::protocol::Request) -> bool {
     use crate::protocol::Request;
     matches!(

@@ -7,7 +7,11 @@
 //! dispatch inline on the event thread; the seconds-scale ones (`LOAD`,
 //! cold `SUMMARIZE`, `UPDATE` — whose summary re-keying can rebuild) run
 //! on a bounded executor of `workers` threads so a cold build never
-//! stalls keep-alive traffic. `workers` therefore caps
+//! stalls keep-alive traffic. An `UPDATE` keeps inline readers of its
+//! graph out for the store merge only: the cached summaries are
+//! re-established under the graph's *shared* lock, and an inline `QUERY`
+//! waits just for the one kind it prunes with, which is carried first.
+//! `workers` therefore caps
 //! concurrent *heavy* request execution — connections are not limited by
 //! it; thousands of idle keep-alive clients cost one fd and a small
 //! state struct each.
