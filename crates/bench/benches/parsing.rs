@@ -1,25 +1,57 @@
 //! N-Triples load path throughput (the paper's §6 `COPY` + encode + split
 //! pipeline equivalent).
+//!
+//! Three inputs: BSBM-100 (the historical `_10k` rows), BSBM-2000 (≈ 200 k
+//! triples — half the size the repo benchmark's `build_restart` loads, where
+//! the dictionary no longer fits in cache and ~90 % of term occurrences are
+//! already interned), and an escape-heavy graph in which every literal and
+//! every IRI needs unescaping on the way in and escaping on the way out, so
+//! the codec's scratch-buffer slow path has a number of its own.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rdf_model::{Graph, Term};
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn bench_parse(c: &mut Criterion) {
-    let g = rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(100));
-    let text = rdf_io::write_graph(&g);
-    let n = g.len() as u64;
+/// `triples` triples whose literals carry `\t \n \" \\` and a non-ASCII
+/// character, and whose IRIs contain a space and a `>` (written as `\u0020`
+/// / `\u003E`): no term takes the parser's borrowed-slice fast path or the
+/// writer's single-copy one.
+fn escape_heavy(triples: usize) -> Graph {
+    let mut g = Graph::new();
+    for i in 0..triples {
+        g.insert(
+            Term::iri(format!("http://x/subject {}>", i / 4)),
+            Term::iri(format!("http://x/property {}", i % 7)),
+            Term::typed_literal(
+                format!("line {i}\n\t\"quoted\" back\\slash é"),
+                format!("http://x/data type {}", i % 3),
+            ),
+        )
+        .expect("well-formed triple");
+    }
+    g
+}
 
+fn bench_codec(c: &mut Criterion, g: &Graph, suffix: &str) {
+    let text = rdf_io::write_graph(g);
     let mut group = c.benchmark_group("ntriples");
-    group.throughput(Throughput::Elements(n));
-    group.bench_function("parse_graph_10k", |b| {
+    group.throughput(Throughput::Elements(g.len() as u64));
+    group.bench_function(format!("parse_graph_{suffix}"), |b| {
         b.iter(|| black_box(rdf_io::parse_graph(&text).unwrap()))
     });
-    group.bench_function("write_graph_10k", |b| {
-        b.iter(|| black_box(rdf_io::write_graph(&g)))
+    group.bench_function(format!("write_graph_{suffix}"), |b| {
+        b.iter(|| black_box(rdf_io::write_graph(g)))
     });
     group.finish();
+}
+
+fn bench_parse(c: &mut Criterion) {
+    let bsbm = |products| rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(products));
+    bench_codec(c, &bsbm(100), "10k");
+    bench_codec(c, &bsbm(2000), "bsbm2000");
+    bench_codec(c, &escape_heavy(50_000), "escaped_50k");
 }
 
 criterion_group! {

@@ -5,25 +5,73 @@
 //! verbatim (characters outside the IRI production would have been rejected
 //! at parse time; writers receiving hand-built terms escape the forbidden
 //! ASCII range with `\u` escapes).
+//!
+//! # Appenders
+//!
+//! The writer is a set of appenders onto one `String`: [`push_term`] and
+//! [`push_triple`] write into the caller's buffer and allocate nothing of
+//! their own. Every character that needs an escape is ASCII, so escaping
+//! scans bytes and copies each clean run with one `push_str`; a term with
+//! nothing to escape is a single copy. [`write_graph`] sizes its buffer
+//! before the first triple (one length per dictionary term, summed over the
+//! triples), so a document is one allocation however large;
+//! [`write_term`] / [`write_triple`] / [`save_path`] are thin wrappers.
 
+use crate::ntriples::{byte_set, IRI_SPECIAL};
 use rdf_model::{Graph, LiteralKind, Term, Triple};
-use std::fmt::Write as _;
+
+/// The bytes [`push_escaped_literal`] replaces.
+static LITERAL_ESCAPED: [bool; 256] = byte_set(b"\\\"\n\r\t\x08\x0c");
+
+/// Appends `s`, handing each byte of `special` to `escape` and copying the
+/// clean runs between them whole. `special` holds ASCII bytes only, so
+/// every split is on a character boundary.
+fn push_escaped(
+    out: &mut String,
+    s: &str,
+    special: &[bool; 256],
+    escape: impl Fn(&mut String, u8),
+) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    while let Some(n) = bytes[run..].iter().position(|&b| special[b as usize]) {
+        out.push_str(&s[run..run + n]);
+        escape(out, bytes[run + n]);
+        run += n + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends a literal's lexical form, escaped for N-Triples output.
+fn push_escaped_literal(out: &mut String, s: &str) {
+    push_escaped(out, s, &LITERAL_ESCAPED, |out, b| {
+        out.push('\\');
+        out.push(match b {
+            b'\n' => 'n',
+            b'\r' => 'r',
+            b'\t' => 't',
+            0x8 => 'b',
+            0xc => 'f',
+            quote_or_backslash => quote_or_backslash as char,
+        });
+    });
+}
+
+/// Appends an IRI, with `\u00XX` escapes for the (ASCII) characters the
+/// IRIREF production forbids.
+fn push_escaped_iri(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    push_escaped(out, s, &IRI_SPECIAL, |out, b| {
+        out.push_str("\\u00");
+        out.push(HEX[usize::from(b >> 4)] as char);
+        out.push(HEX[usize::from(b & 0xf)] as char);
+    });
+}
 
 /// Escapes a literal's lexical form for N-Triples output.
 pub fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c => out.push(c),
-        }
-    }
+    push_escaped_literal(&mut out, s);
     out
 }
 
@@ -31,50 +79,100 @@ pub fn escape_literal(s: &str) -> String {
 /// IRIREF production forbids).
 pub fn escape_iri(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if (c as u32) <= 0x20 || "<>\"{}|^`\\".contains(c) {
-            let _ = write!(out, "\\u{:04X}", c as u32);
-        } else {
-            out.push(c);
-        }
-    }
+    push_escaped_iri(&mut out, s);
     out
 }
 
-/// Serializes one term in N-Triples syntax.
-pub fn write_term(term: &Term) -> String {
+fn push_iri_ref(out: &mut String, iri: &str) {
+    out.push('<');
+    push_escaped_iri(out, iri);
+    out.push('>');
+}
+
+/// Appends one term in N-Triples syntax.
+pub fn push_term(out: &mut String, term: &Term) {
     match term {
-        Term::Iri(iri) => format!("<{}>", escape_iri(iri)),
-        Term::Minted(m) => format!("<{}>", escape_iri(m.uri())),
-        Term::Blank(label) => format!("_:{label}"),
+        Term::Iri(iri) => push_iri_ref(out, iri),
+        Term::Minted(m) => push_iri_ref(out, m.uri()),
+        Term::Blank(label) => {
+            out.push_str("_:");
+            out.push_str(label);
+        }
         Term::Literal { lexical, kind } => {
-            let body = escape_literal(lexical);
+            out.push('"');
+            push_escaped_literal(out, lexical);
+            out.push('"');
             match kind {
-                LiteralKind::Simple => format!("\"{body}\""),
-                LiteralKind::Lang(tag) => format!("\"{body}\"@{tag}"),
-                LiteralKind::Typed(dt) => format!("\"{body}\"^^<{}>", escape_iri(dt)),
+                LiteralKind::Simple => {}
+                LiteralKind::Lang(tag) => {
+                    out.push('@');
+                    out.push_str(tag);
+                }
+                LiteralKind::Typed(dt) => {
+                    out.push_str("^^");
+                    push_iri_ref(out, dt);
+                }
             }
         }
     }
 }
 
+/// Appends one encoded triple of `g` as an N-Triples line (no newline).
+pub fn push_triple(out: &mut String, g: &Graph, t: Triple) {
+    let d = g.dict();
+    push_term(out, d.decode(t.s));
+    out.push(' ');
+    push_term(out, d.decode(t.p));
+    out.push(' ');
+    push_term(out, d.decode(t.o));
+    out.push_str(" .");
+}
+
+/// The bytes [`push_term`] writes for `term` when nothing needs an escape
+/// (a lower bound otherwise).
+fn unescaped_len(term: &Term) -> usize {
+    match term {
+        Term::Iri(iri) => iri.len() + 2,
+        Term::Minted(m) => m.uri().len() + 2,
+        Term::Blank(label) => label.len() + 2,
+        Term::Literal { lexical, kind } => {
+            lexical.len()
+                + 2
+                + match kind {
+                    LiteralKind::Simple => 0,
+                    LiteralKind::Lang(tag) => tag.len() + 1,
+                    LiteralKind::Typed(dt) => dt.len() + 4,
+                }
+        }
+    }
+}
+
+/// Serializes one term in N-Triples syntax.
+pub fn write_term(term: &Term) -> String {
+    let mut out = String::with_capacity(unescaped_len(term));
+    push_term(&mut out, term);
+    out
+}
+
 /// Serializes one encoded triple of `g` as an N-Triples line (no newline).
 pub fn write_triple(g: &Graph, t: Triple) -> String {
-    let d = g.dict();
-    format!(
-        "{} {} {} .",
-        write_term(d.decode(t.s)),
-        write_term(d.decode(t.p)),
-        write_term(d.decode(t.o))
-    )
+    let mut out = String::new();
+    push_triple(&mut out, g, t);
+    out
 }
 
 /// Serializes a whole graph as an N-Triples document (data, then type, then
 /// schema triples, each in insertion order).
 pub fn write_graph(g: &Graph) -> String {
-    let mut out = String::new();
+    let len: Vec<usize> = g.dict().iter().map(|(_, t)| unescaped_len(t)).collect();
+    // Per line: three terms, two spaces, ` .` and the newline.
+    let size = g
+        .iter()
+        .map(|t| len[t.s.index()] + len[t.p.index()] + len[t.o.index()] + 5)
+        .sum();
+    let mut out = String::with_capacity(size);
     for t in g.iter() {
-        out.push_str(&write_triple(g, t));
+        push_triple(&mut out, g, t);
         out.push('\n');
     }
     out

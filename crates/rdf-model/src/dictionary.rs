@@ -7,16 +7,68 @@
 //! processing time and memory." Here the dictionary is an in-memory interner;
 //! ids are dense (`0..len`), assigned in first-seen order, so algorithms can
 //! allocate `Vec`-based side tables indexed by id.
+//!
+//! **One map, one probe.** The reverse side is a single hash map keyed by
+//! the shared terms themselves. Every lookup — owned ([`Dictionary::encode`],
+//! [`Dictionary::encode_shared`], [`Dictionary::lookup`]) or borrowed
+//! ([`Dictionary::encode_ref`], [`Dictionary::lookup_ref`]) — probes it with
+//! a [`TermRef`] view, which hashes and compares exactly like the [`Term`] it
+//! views. A loader can thus ask "is this slice of my input line already
+//! interned?" without building a `Term`: a hit allocates nothing, a miss
+//! builds the owned term once and stores it.
 
 use crate::hash::FxHashMap;
 use crate::ids::TermId;
-use crate::term::{SharedTerm, Term};
+use crate::term::{SharedTerm, Term, TermRef};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// What the reverse map's keys and its probes have in common: a [`TermRef`]
+/// view. `HashMap::get` accepts any `Q` its key type can be borrowed as, so
+/// borrowing a stored `Arc<Term>` as `dyn Viewed` lets a bare `TermRef` — which
+/// is not a reference into any `Term` — act as the lookup key.
+trait Viewed {
+    fn view(&self) -> TermRef<'_>;
+}
+
+impl Viewed for Term {
+    fn view(&self) -> TermRef<'_> {
+        self.as_term_ref()
+    }
+}
+
+impl Viewed for TermRef<'_> {
+    fn view(&self) -> TermRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn Viewed + 'a> for SharedTerm {
+    fn borrow(&self) -> &(dyn Viewed + 'a) {
+        &**self
+    }
+}
+
+impl Hash for dyn Viewed + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+impl PartialEq for dyn Viewed + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn Viewed + '_ {}
 
 /// Interns RDF terms, assigning each distinct term a dense [`TermId`].
 #[derive(Default, Clone, Debug)]
 pub struct Dictionary {
     forward: Vec<SharedTerm>,
+    /// The one reverse index. Its keys are the `Arc`s of `forward`.
     reverse: FxHashMap<SharedTerm, TermId>,
 }
 
@@ -34,17 +86,32 @@ impl Dictionary {
         }
     }
 
+    /// Appends a term [`Dictionary::lookup_ref`] did not find.
+    fn push(&mut self, term: SharedTerm) -> TermId {
+        let id = TermId::from_index(self.forward.len());
+        self.forward.push(Arc::clone(&term));
+        self.reverse.insert(term, id);
+        id
+    }
+
     /// Interns `term`, returning its id (allocating a fresh id for unseen
     /// terms). The term's string data is stored once and shared.
     pub fn encode(&mut self, term: Term) -> TermId {
-        if let Some(&id) = self.reverse.get(&term) {
-            return id;
+        match self.lookup_ref(term.as_term_ref()) {
+            Some(id) => id,
+            None => self.push(Arc::new(term)),
         }
-        let id = TermId::from_index(self.forward.len());
-        let shared: SharedTerm = Arc::new(term);
-        self.forward.push(Arc::clone(&shared));
-        self.reverse.insert(shared, id);
-        id
+    }
+
+    /// Interns the term a borrowed view describes. A term already interned
+    /// costs one hash and one comparison and allocates nothing; an unseen
+    /// one is built ([`TermRef::to_term`]) exactly once. Ids are the same
+    /// as [`Dictionary::encode`] of the equal owned term would assign.
+    pub fn encode_ref(&mut self, term: TermRef<'_>) -> TermId {
+        match self.lookup_ref(term) {
+            Some(id) => id,
+            None => self.push(Arc::new(term.to_term())),
+        }
     }
 
     /// Interns an already-shared term, returning its id. Unlike
@@ -52,13 +119,10 @@ impl Dictionary {
     /// the `Arc` itself is stored — which is how summary emission
     /// transfers constants between dictionaries without string round-trips.
     pub fn encode_shared(&mut self, term: SharedTerm) -> TermId {
-        if let Some(&id) = self.reverse.get(&term) {
-            return id;
+        match self.lookup_ref(term.as_term_ref()) {
+            Some(id) => id,
+            None => self.push(term),
         }
-        let id = TermId::from_index(self.forward.len());
-        self.forward.push(Arc::clone(&term));
-        self.reverse.insert(term, id);
-        id
     }
 
     /// Looks up a term's id without interning it.
@@ -72,7 +136,15 @@ impl Dictionary {
     /// rendered strings (`Term::as_iri`) or go through a serialization
     /// round-trip, which re-materializes plain IRIs.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.reverse.get(term).copied()
+        self.lookup_ref(term.as_term_ref())
+    }
+
+    /// [`Dictionary::lookup`] for a borrowed view: same identity, same
+    /// answer, no `Term` needed. This is the single reverse-map probe every
+    /// other lookup goes through.
+    #[inline]
+    pub fn lookup_ref(&self, term: TermRef<'_>) -> Option<TermId> {
+        self.reverse.get(&term as &dyn Viewed).copied()
     }
 
     /// The shared handle of an interned term, for zero-copy transfer into
@@ -206,6 +278,82 @@ mod tests {
         assert_ne!(f1, f2);
         assert_ne!(d.decode(f1), &Term::iri("sum:n1"));
         assert!(d.decode(f1).as_iri().unwrap().starts_with("sum:n"));
+    }
+
+    /// One term of every shape, minted keys included.
+    fn every_shape() -> Vec<Term> {
+        use crate::minted::MintedTerm;
+        let shared = |s: &str| -> SharedTerm { Arc::new(Term::iri(s)) };
+        let set =
+            |names: &[&str]| -> Arc<[SharedTerm]> { names.iter().map(|n| shared(n)).collect() };
+        vec![
+            Term::iri("http://x/a"),
+            Term::iri(""),
+            Term::blank("http://x/a"),
+            Term::literal("http://x/a"),
+            Term::literal(""),
+            Term::lang_literal("chat", "fr"),
+            Term::lang_literal("chat", "fr-CA"),
+            Term::typed_literal("chat", "fr"),
+            Term::typed_literal("1", "http://www.w3.org/2001/XMLSchema#int"),
+            Term::literal("multi-byte é日😀 and \"quotes\""),
+            Term::Minted(MintedTerm::n_tau()),
+            Term::Minted(MintedTerm::node(set(&["p:in"]), set(&["p:out", "p:out2"]))),
+            Term::Minted(MintedTerm::node(set(&["p:in"]), set(&[]))),
+            Term::Minted(MintedTerm::class_set(set(&["c:A", "c:B"]))),
+        ]
+    }
+
+    #[test]
+    fn borrowed_and_owned_probes_agree_for_every_shape() {
+        use crate::hash::FxBuildHasher;
+        use std::hash::BuildHasher;
+        let terms = every_shape();
+        let mut owned = Dictionary::new();
+        let mut borrowed = Dictionary::new();
+        let mut shared = Dictionary::new();
+        for t in &terms {
+            // A view hashes and compares like the term it views.
+            let hasher = FxBuildHasher::default();
+            assert_eq!(hasher.hash_one(t), hasher.hash_one(t.as_term_ref()));
+            assert_eq!(t.as_term_ref().to_term(), *t);
+            // Absent everywhere, by either probe.
+            assert_eq!(owned.lookup(t), None);
+            assert_eq!(owned.lookup_ref(t.as_term_ref()), None);
+            // The three ways in assign the same id.
+            let id = owned.encode(t.clone());
+            assert_eq!(borrowed.encode_ref(t.as_term_ref()), id);
+            assert_eq!(shared.encode_shared(Arc::new(t.clone())), id);
+        }
+        assert_eq!(owned.len(), terms.len(), "every shape is a distinct term");
+        for d in [&mut owned, &mut borrowed, &mut shared] {
+            for (i, t) in terms.iter().enumerate() {
+                let id = TermId::from_index(i);
+                assert_eq!(d.decode(id), t);
+                assert_eq!(d.lookup(t), Some(id));
+                assert_eq!(d.lookup_ref(t.as_term_ref()), Some(id));
+                // Re-interning by any route finds the entry, never a new id.
+                assert_eq!(d.encode(t.clone()), id);
+                assert_eq!(d.encode_ref(t.as_term_ref()), id);
+                assert_eq!(d.encode_shared(Arc::new(t.clone())), id);
+            }
+            assert_eq!(d.len(), terms.len());
+        }
+    }
+
+    #[test]
+    fn minted_identity_is_the_key_not_the_rendered_uri() {
+        let terms = every_shape();
+        let mut d = Dictionary::new();
+        for t in &terms {
+            d.encode_ref(t.as_term_ref());
+        }
+        let minted = terms.iter().filter(|t| matches!(t, Term::Minted(_)));
+        for t in minted {
+            let rendered = Term::iri(t.as_iri().unwrap());
+            assert_eq!(d.lookup(&rendered), None);
+            assert_eq!(d.lookup_ref(rendered.as_term_ref()), None);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::dictionary::Dictionary;
 use crate::error::ModelError;
 use crate::hash::FxHashSet;
 use crate::ids::TermId;
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use crate::triple::Triple;
 use crate::vocab;
 
@@ -81,15 +81,22 @@ impl WellKnown {
 /// classes for `rdf:type` objects. Batch mutation paths use this to
 /// pre-validate a whole batch so it can be applied atomically.
 pub fn check_triple(s: &Term, p: &Term, o: &Term) -> Result<(), ModelError> {
-    if !s.valid_subject() {
-        return Err(ModelError::LiteralSubject(s.clone()));
+    check_triple_ref(s.as_term_ref(), p.as_term_ref(), o.as_term_ref())
+}
+
+/// [`check_triple`] over borrowed views — the one statement of the rules;
+/// an owned term is built only for the error it is reported in.
+pub fn check_triple_ref(s: TermRef<'_>, p: TermRef<'_>, o: TermRef<'_>) -> Result<(), ModelError> {
+    if s.is_literal() {
+        return Err(ModelError::LiteralSubject(s.to_term()));
     }
-    if !p.valid_property() {
-        return Err(ModelError::NonIriProperty(p.clone()));
+    if !p.is_iri() {
+        return Err(ModelError::NonIriProperty(p.to_term()));
     }
-    let is_type = p.as_iri().is_some_and(vocab::is_type_property);
+    // A minted URI lives under `urn:rdfsummary:` and is never `rdf:type`.
+    let is_type = matches!(p, TermRef::Iri(iri) if vocab::is_type_property(iri));
     if is_type && !o.is_iri() {
-        return Err(ModelError::NonIriClass(o.clone()));
+        return Err(ModelError::NonIriClass(o.to_term()));
     }
     Ok(())
 }
@@ -170,6 +177,23 @@ impl Graph {
         let s = self.dict.encode(s);
         let p = self.dict.encode(p);
         let o = self.dict.encode(o);
+        Ok(self.insert_encoded(Triple::new(s, p, o)))
+    }
+
+    /// [`Graph::insert`] for a triple given as borrowed views: the same
+    /// rules, the same ids (interned in `s`, `p`, `o` order), but a term
+    /// the dictionary already holds is never built (see
+    /// [`Dictionary::encode_ref`]). This is the loader's entry point.
+    pub fn insert_ref(
+        &mut self,
+        s: TermRef<'_>,
+        p: TermRef<'_>,
+        o: TermRef<'_>,
+    ) -> Result<(Triple, Component), ModelError> {
+        check_triple_ref(s, p, o)?;
+        let s = self.dict.encode_ref(s);
+        let p = self.dict.encode_ref(p);
+        let o = self.dict.encode_ref(o);
         Ok(self.insert_encoded(Triple::new(s, p, o)))
     }
 

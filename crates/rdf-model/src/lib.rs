@@ -6,7 +6,8 @@
 //!
 //! Provides:
 //!
-//! * [`Term`] — IRIs, literals, blank nodes (RDF 1.1 abstract syntax);
+//! * [`Term`] — IRIs, literals, blank nodes (RDF 1.1 abstract syntax) — and
+//!   [`TermRef`], its borrowed view with the same identity;
 //! * [`Dictionary`] — dense integer encoding of terms ([`TermId`]), mirroring
 //!   the paper's Postgres dictionary table;
 //! * [`Triple`] — a 12-byte encoded triple;
@@ -38,7 +39,7 @@ pub mod vocab;
 
 pub use dictionary::Dictionary;
 pub use error::ModelError;
-pub use graph::{check_triple, Component, Graph, WellKnown};
+pub use graph::{check_triple, check_triple_ref, Component, Graph, WellKnown};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{DenseIdMap, TermId, NO_DENSE_ID};
 pub use minted::{MintedKey, MintedTerm, N_TAU_URI, SUMMARY_NS};
@@ -46,7 +47,7 @@ pub use namespaces::PrefixMap;
 pub use profile::{Profile, PropertyUsage};
 pub use rng::SplitMix64;
 pub use stats::{distinct_counts, distinct_counts_dense, DistinctCounts, GraphStats};
-pub use term::{LiteralKind, SharedTerm, Term};
+pub use term::{LiteralKind, LiteralKindRef, SharedTerm, Term, TermRef};
 pub use triple::Triple;
 
 #[cfg(test)]

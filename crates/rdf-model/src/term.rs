@@ -6,6 +6,7 @@
 //! positional discipline is enforced by the graph layer, not here.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The kind of an RDF literal.
@@ -33,7 +34,11 @@ pub enum LiteralKind {
 /// expected ([`Term::is_iri`], [`Term::as_iri`], `Display`, serialization),
 /// but its equality/hash identity is the interned key, not the rendered
 /// string.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+///
+/// `Hash` is "hash of the [`TermRef`] view" rather than derived, so an owned
+/// term and a borrowed view of the same term hash alike by construction —
+/// the property [`crate::Dictionary`]'s borrowed probe rests on.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Term {
     /// An IRI (we keep the common "URI" terminology of the paper in docs).
     Iri(String),
@@ -120,6 +125,94 @@ impl Term {
     /// May this term legally appear in property position? (IRIs only.)
     pub fn valid_property(&self) -> bool {
         self.is_iri()
+    }
+
+    /// A borrowed view of this term (no allocation, no rendering).
+    pub fn as_term_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(s) => TermRef::Iri(s),
+            Term::Blank(l) => TermRef::Blank(l),
+            Term::Literal { lexical, kind } => TermRef::Literal {
+                lexical,
+                kind: match kind {
+                    LiteralKind::Simple => LiteralKindRef::Simple,
+                    LiteralKind::Lang(tag) => LiteralKindRef::Lang(tag),
+                    LiteralKind::Typed(dt) => LiteralKindRef::Typed(dt),
+                },
+            },
+            Term::Minted(m) => TermRef::Minted(m),
+        }
+    }
+}
+
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_term_ref().hash(state);
+    }
+}
+
+/// The borrowed counterpart of [`LiteralKind`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum LiteralKindRef<'a> {
+    /// A simple literal.
+    Simple,
+    /// A language-tagged string; the payload is the tag.
+    Lang(&'a str),
+    /// A typed literal; the payload is the datatype IRI.
+    Typed(&'a str),
+}
+
+/// A borrowed view of a [`Term`]: the same variants over `&str` slices, with
+/// the same structural identity — `a.as_term_ref() == b.as_term_ref()` iff `a == b`,
+/// and a view hashes exactly like the term it views ([`Term`]'s `Hash` *is*
+/// this type's). A parser can therefore describe a term as slices of its
+/// input, ask a [`crate::Dictionary`] whether it is already interned, and
+/// build the owned [`Term`] ([`TermRef::to_term`]) only when it is not.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum TermRef<'a> {
+    /// An IRI.
+    Iri(&'a str),
+    /// A blank node label (without the `_:` prefix).
+    Blank(&'a str),
+    /// A literal value.
+    Literal {
+        /// The lexical form, unescaped.
+        lexical: &'a str,
+        /// Simple, language-tagged, or datatyped.
+        kind: LiteralKindRef<'a>,
+    },
+    /// A minted summary node; identity is the interned key (see
+    /// [`crate::minted`]), never the rendered URI.
+    Minted(&'a crate::minted::MintedTerm),
+}
+
+impl TermRef<'_> {
+    /// Is the viewed term an IRI (minted terms included)?
+    pub fn is_iri(&self) -> bool {
+        matches!(self, TermRef::Iri(_) | TermRef::Minted(_))
+    }
+
+    /// Is the viewed term a literal?
+    pub fn is_literal(&self) -> bool {
+        matches!(self, TermRef::Literal { .. })
+    }
+
+    /// Builds the owned term: one `String` per slice, the minted key's
+    /// `Arc`s cloned.
+    pub fn to_term(&self) -> Term {
+        match *self {
+            TermRef::Iri(s) => Term::Iri(s.to_owned()),
+            TermRef::Blank(l) => Term::Blank(l.to_owned()),
+            TermRef::Literal { lexical, kind } => Term::Literal {
+                lexical: lexical.to_owned(),
+                kind: match kind {
+                    LiteralKindRef::Simple => LiteralKind::Simple,
+                    LiteralKindRef::Lang(tag) => LiteralKind::Lang(tag.to_owned()),
+                    LiteralKindRef::Typed(dt) => LiteralKind::Typed(dt.to_owned()),
+                },
+            },
+            TermRef::Minted(m) => Term::Minted(m.clone()),
+        }
     }
 }
 

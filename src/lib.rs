@@ -49,6 +49,27 @@
 //! assert!(rdfsum_core::can_prune(&summary, &q));
 //! ```
 //!
+//! ## Loading
+//!
+//! `LOAD`, the CLI and [`rdf_io::load_path`] all run one N-Triples codec
+//! ([`rdf_io::ntriples`], [`rdf_io::writer`]). The file is read in 8 MiB
+//! blocks into one reused line buffer — memory beside the graph is a block
+//! and the longest line, not the file. Each line is scanned once, at byte
+//! level, into *borrowed* term views ([`rdf_model::TermRef`]: slices of
+//! the line, or of a reused scratch buffer when the term has an escape)
+//! and handed to [`rdf_model::Graph::insert_ref`], which validates the
+//! triple and probes the dictionary with the views themselves: a term
+//! already interned (about nine occurrences in ten on BSBM) allocates
+//! nothing, a new one is built once. Ids are first-seen in `s`, `p`, `o`
+//! order per line, so fingerprints, snapshots and summary bodies do not
+//! depend on which entry point loaded the graph. [`rdf_io::parse_line`],
+//! [`rdf_io::parse_str`] and [`rdf_io::parse_statements`] (the `UPDATE`
+//! payload) run the same cursor and build owned terms from the same
+//! views; every error carries its line and a 1-based *character* column.
+//! Output goes the other way through appenders onto one pre-sized
+//! `String` ([`rdf_io::writer::push_triple`]) — the body of every
+//! `SUMMARIZE`, persisted artifact and `--out` file.
+//!
 //! ## Building & testing
 //!
 //! The workspace is hermetic: it builds offline with a stock Rust
