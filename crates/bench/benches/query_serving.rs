@@ -12,6 +12,13 @@
 //! Both paths parse the query text per request (that is what serving
 //! costs); the service's summary is primed before measuring, exactly the
 //! warm-store regime the server runs in.
+//!
+//! `query_large_answers` is the other end of the path: one request whose
+//! answer is cut at the server's 10 000-row limit, on the benchmark's
+//! `scan` graph (BSBM, 2 000 products) with the `scan` workload's texts —
+//! `service.query` end to end, wire body included. `scan_10k_rows` and
+//! `join_10k_rows` project every body variable (no distinct set),
+//! `project_distinct` drops one (rows pass through the set).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdf_model::{Graph, PrefixMap};
@@ -190,7 +197,7 @@ fn bench_query_serving(c: &mut Criterion) {
                         let mut rows = 0usize;
                         for text in mix {
                             let out = service.query("g", text, None, LIMIT).unwrap();
-                            rows += out.rows.len() + usize::from(out.ask);
+                            rows += out.row_count + usize::from(out.ask);
                         }
                         black_box(rows)
                     })
@@ -233,12 +240,45 @@ fn bench_query_serving(c: &mut Criterion) {
     }
 }
 
+fn bench_large_answers(c: &mut Criterion) {
+    use rdfsum_workloads::bsbm::BSBM_NS;
+    let service = SummaryService::new(1);
+    service.load_graph(
+        "g",
+        rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(2000)),
+    );
+    service.summarize("g", SummaryKind::Weak).unwrap();
+    let mut group = c.benchmark_group("query_large_answers");
+    for (row, text) in [
+        (
+            "scan_10k_rows",
+            format!("q(?x,?y) :- ?x <{BSBM_NS}price> ?y"),
+        ),
+        (
+            "join_10k_rows",
+            format!("q(?o,?p,?y) :- ?o <{BSBM_NS}product> ?p, ?o <{BSBM_NS}price> ?y"),
+        ),
+        (
+            "project_distinct",
+            format!("q(?x) :- ?x <{BSBM_NS}price> ?y"),
+        ),
+    ] {
+        let out = service.query("g", &text, None, LIMIT).unwrap();
+        assert!(out.truncated && out.row_count == LIMIT, "{row}: {text}");
+        group.throughput(Throughput::Bytes(out.body.len() as u64));
+        group.bench_function(row, |b| {
+            b.iter(|| black_box(service.query("g", &text, None, LIMIT).unwrap().body.len()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_query_serving
+    targets = bench_query_serving, bench_large_answers
 }
 criterion_main!(benches);

@@ -44,8 +44,9 @@ use crate::cardinality::{SummaryCardinality, SummaryEstimator};
 use crate::context::SummaryContext;
 use crate::incremental::WeakDelta;
 use crate::summary::{Summary, SummaryKind};
+use rdf_io::writer::push_term;
 use rdf_model::{Graph, PrefixMap, Term};
-use rdf_query::{explain_with, parse_query, Evaluator};
+use rdf_query::{explain_with, parse_query, ControlFlow, Evaluator};
 use rdf_store::{Fingerprint, TripleStore};
 use std::collections::HashMap;
 use std::fmt;
@@ -163,9 +164,14 @@ impl std::error::Error for ServiceError {}
 pub struct QueryOutcome {
     /// Head variable names, in projection order (empty for ASK queries).
     pub columns: Vec<String>,
-    /// Distinct answer rows, each term rendered in N-Triples syntax.
-    /// ASK queries report no rows — see [`QueryOutcome::ask`].
-    pub rows: Vec<Vec<String>>,
+    /// The answer in the `QUERY` wire format, every line LF-terminated.
+    /// A query with a head: the TAB-joined column names, then one line
+    /// per distinct answer row in join order, its cells TAB-separated
+    /// terms in N-Triples syntax (escaped by [`rdf_io::writer::push_term`],
+    /// so no cell holds a raw TAB or LF). An ASK query: `true` or `false`.
+    pub body: String,
+    /// Answer rows in `body` (0 for ASK queries — see [`QueryOutcome::ask`]).
+    pub row_count: usize,
     /// Did the query have at least one embedding?
     pub ask: bool,
     /// True when the summary proved emptiness and graph evaluation was
@@ -177,6 +183,14 @@ pub struct QueryOutcome {
     pub kind: SummaryKind,
     /// True when the row limit cut off the enumeration.
     pub truncated: bool,
+}
+
+impl QueryOutcome {
+    /// The answer rows of `body`, each split into its cells (still in
+    /// N-Triples syntax). Empty for ASK queries.
+    pub fn rows(&self) -> impl Iterator<Item = Vec<&str>> {
+        self.body.lines().skip(1).map(|l| l.split('\t').collect())
+    }
 }
 
 /// Outcome of [`SummaryService::update`].
@@ -906,88 +920,84 @@ impl SummaryService {
         let store = &entry.store;
         let q = rdf_query::compile(&spec, store.graph())
             .map_err(|e| ServiceError::BadQuery(e.to_string()))?;
-        let columns: Vec<String> = spec.head.clone();
+        // Starts out as what a query without answers reports: the header
+        // line alone, or the ASK verdict.
+        let mut out = QueryOutcome {
+            columns: spec.head.clone(),
+            body: if spec.is_boolean() {
+                String::from("false\n")
+            } else {
+                spec.head.join("\t") + "\n"
+            },
+            row_count: 0,
+            ask: false,
+            pruned: false,
+            cache_hit: true,
+            kind,
+            truncated: false,
+        };
         // Consult the prune-verdict memo before the summary cache: a
         // known-empty shape answers without materializing any artifact.
         let prune_key: PruneKey = (entry.fingerprint, kind, rdf_query::prune_shape_key(&spec));
         let memoized = self.prune_verdicts.lock().unwrap().get(&prune_key).copied();
-        if memoized == Some(true) {
+        if memoized.is_some() {
             self.prune_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        if memoized == Some(true) {
             self.pruned.fetch_add(1, Ordering::Relaxed);
-            return Ok(QueryOutcome {
-                columns,
-                rows: Vec::new(),
-                ask: false,
-                pruned: true,
-                cache_hit: true,
-                kind,
-                truncated: false,
-            });
+            out.pruned = true;
+            return Ok(out);
         }
         let (artifact, cache_hit) = self.summarize_entry(&entry, kind);
-        let empty = match memoized {
-            Some(verdict) => {
-                self.prune_hits.fetch_add(1, Ordering::Relaxed);
-                verdict
-            }
-            None => {
-                let verdict = rdf_query::empty_on_summary(&artifact.summary_store, &spec);
-                // An empty body never prunes and its shape key is the
-                // degenerate empty string — not worth a memo slot.
-                if !spec.body.is_empty() {
-                    let mut memo = self.prune_verdicts.lock().unwrap();
-                    if memo.len() >= PRUNE_CACHE_CAP && !memo.contains_key(&prune_key) {
-                        memo.clear();
-                    }
-                    memo.insert(prune_key, verdict);
+        (out.cache_hit, out.kind) = (cache_hit, artifact.kind);
+        let empty = memoized.unwrap_or_else(|| {
+            let verdict = rdf_query::empty_on_summary(&artifact.summary_store, &spec);
+            // An empty body never prunes and its shape key is the
+            // degenerate empty string — not worth a memo slot.
+            if !spec.body.is_empty() {
+                let mut memo = self.prune_verdicts.lock().unwrap();
+                if memo.len() >= PRUNE_CACHE_CAP && !memo.contains_key(&prune_key) {
+                    memo.clear();
                 }
-                verdict
+                memo.insert(prune_key, verdict);
             }
-        };
+            verdict
+        });
         if empty {
             self.pruned.fetch_add(1, Ordering::Relaxed);
-            return Ok(QueryOutcome {
-                columns,
-                rows: Vec::new(),
-                ask: false,
-                pruned: true,
-                cache_hit,
-                kind: artifact.kind,
-                truncated: false,
-            });
+            out.pruned = true;
+            return Ok(out);
         }
         let estimator = SummaryEstimator::new(store, &artifact.cardinality);
-        let plan = explain_with(&q, &estimator);
+        let order = explain_with(&q, &estimator).order();
         let ev = Evaluator::new(store);
-        let (rows, ask, truncated) = if spec.is_boolean() {
-            let ask = ev.ask_ordered(&q, &plan.order());
-            (Vec::new(), ask, false)
-        } else {
-            // Probe one row past the limit: an answer set of *exactly*
-            // `limit` rows is complete, not truncated — only an overflow
-            // row proves the cut. (`usize::MAX` saturates; never cut.)
-            let mut rs = ev.select_limit_ordered(&q, &plan.order(), limit.saturating_add(1));
-            let truncated = rs.rows.len() > limit;
-            if truncated {
-                rs.rows.truncate(limit);
+        if spec.is_boolean() {
+            out.ask = ev.ask_ordered(&q, &order);
+            out.body = format!("{}\n", out.ask);
+            return Ok(out);
+        }
+        // Each accepted row goes straight from the index to the wire
+        // body. A row arriving past the limit proves the cut and is not
+        // rendered: an answer set of *exactly* `limit` rows is complete,
+        // not truncated. (`usize::MAX` is never reached; never cut.)
+        let dict = store.graph().dict();
+        ev.for_each_row(&q, &order, |row| {
+            if out.row_count == limit {
+                out.truncated = true;
+                return ControlFlow::Stop;
             }
-            let rows: Vec<Vec<String>> = rs
-                .decode(store)
-                .into_iter()
-                .map(|row| row.into_iter().map(|t| t.to_string()).collect())
-                .collect();
-            let ask = !rows.is_empty();
-            (rows, ask, truncated)
-        };
-        Ok(QueryOutcome {
-            columns,
-            rows,
-            ask,
-            pruned: false,
-            cache_hit,
-            kind: artifact.kind,
-            truncated,
-        })
+            for (i, &id) in row.iter().enumerate() {
+                if i > 0 {
+                    out.body.push('\t');
+                }
+                push_term(&mut out.body, dict.decode(id));
+            }
+            out.body.push('\n');
+            out.row_count += 1;
+            ControlFlow::Continue
+        });
+        out.ask = out.row_count > 0;
+        Ok(out)
     }
 
     /// The summary kind to consult when the caller expressed no
@@ -1271,7 +1281,7 @@ mod tests {
         assert_eq!(out.columns, vec!["x", "y"]);
         assert!(out.ask);
         assert!(!out.pruned);
-        assert!(!out.rows.is_empty());
+        assert!(out.row_count > 0);
         assert!(!out.truncated);
         let st = svc.stats();
         assert_eq!((st.queries, st.pruned), (1, 0));
@@ -1281,7 +1291,7 @@ mod tests {
             .query("g", "q(?x, ?y) :- ?x ?p ?y", None, usize::MAX)
             .unwrap();
         assert!(out2.cache_hit);
-        assert_eq!(out2.rows, out.rows);
+        assert_eq!(out2.body, out.body);
     }
 
     #[test]
@@ -1299,7 +1309,7 @@ mod tests {
             .unwrap();
         assert!(out.pruned);
         assert!(!out.ask);
-        assert!(out.rows.is_empty());
+        assert_eq!(out.row_count, 0);
         assert_eq!(svc.stats().pruned, 1);
     }
 
@@ -1313,7 +1323,14 @@ mod tests {
             .select(&q)
             .decode(store)
             .into_iter()
-            .map(|row| row.into_iter().map(|t| t.to_string()).collect())
+            .map(|row| row.into_iter().map(rdf_io::writer::write_term).collect())
+            .collect()
+    }
+
+    /// The rows of a served answer, as a set.
+    fn row_set(out: &QueryOutcome) -> RowSet {
+        out.rows()
+            .map(|row| row.into_iter().map(String::from).collect())
             .collect()
     }
 
@@ -1331,7 +1348,7 @@ mod tests {
             let expect = oracle_rows(&store, text);
             for kind in SummaryKind::ALL {
                 let out = svc.query("g", text, Some(kind), usize::MAX).unwrap();
-                let got: RowSet = out.rows.iter().cloned().collect();
+                let got = row_set(&out);
                 assert_eq!(got, expect, "query `{text}` under {kind}");
             }
         }
@@ -1342,7 +1359,7 @@ mod tests {
         let svc = SummaryService::new(1);
         svc.load_graph("g", fixtures::sample_graph());
         let out = svc.query("g", "q(?x, ?y) :- ?x ?p ?y", None, 2).unwrap();
-        assert_eq!(out.rows.len(), 2);
+        assert_eq!(out.row_count, 2);
         assert!(out.truncated);
     }
 
@@ -1353,7 +1370,7 @@ mod tests {
         let out = svc.query("g", "q() :- ?x ?p ?y", None, usize::MAX).unwrap();
         assert!(out.ask);
         assert!(out.columns.is_empty());
-        assert!(out.rows.is_empty());
+        assert_eq!(out.row_count, 0);
     }
 
     #[test]
@@ -1473,7 +1490,7 @@ mod tests {
             .query("g", "q(?x, ?y) :- ?x ?p ?y", None, usize::MAX)
             .unwrap();
         assert!(!b.pruned);
-        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.body, b.body);
         assert_eq!(svc.stats().prune_hits, 2);
     }
 
@@ -1809,7 +1826,7 @@ mod tests {
             release.send(()).unwrap();
             let out = reader.join().unwrap();
             assert_eq!(out.kind, SummaryKind::TypedWeak);
-            assert_eq!(out.rows.len(), 1, "the answer is the new content's");
+            assert_eq!(out.row_count, 1, "the answer is the new content's");
             assert_eq!(writer.join().unwrap().rebuilt, 1);
         });
         let st = svc.stats();
@@ -1991,7 +2008,7 @@ mod tests {
                             let lo = current();
                             let out = svc.query("g", text, None, usize::MAX).unwrap();
                             let hi = current();
-                            let got: RowSet = out.rows.iter().cloned().collect();
+                            let got = row_set(&out);
                             assert!(
                                 (lo..=hi).any(|i| steps[i].answers[qi] == got),
                                 "`{text}` matched no content of steps {lo}..={hi}"
@@ -2058,7 +2075,7 @@ mod tests {
             release.send(()).unwrap();
             let out = answered.expect("a reader stalled behind the queued writer");
             assert_eq!(out.kind, SummaryKind::Weak, "`w` is carried first");
-            assert_eq!(out.rows.iter().cloned().collect::<RowSet>(), expect);
+            assert_eq!(row_set(&out), expect);
             assert!(second_was_queued);
             let first = first.join().unwrap();
             assert_eq!(second.join().unwrap().previous, first.fingerprint);
@@ -2131,15 +2148,15 @@ mod tests {
         let svc = SummaryService::new(1);
         svc.load_graph("g", fixtures::sample_graph());
         let text = "q(?x, ?y) :- ?x ?p ?y";
-        let n = svc.query("g", text, None, usize::MAX).unwrap().rows.len();
+        let n = svc.query("g", text, None, usize::MAX).unwrap().row_count;
         assert!(n > 1, "fixture must yield several rows");
         // Exactly-full result set: complete, not truncated.
         let exact = svc.query("g", text, None, n).unwrap();
-        assert_eq!(exact.rows.len(), n);
+        assert_eq!(exact.row_count, n);
         assert!(!exact.truncated, "exact-fit misreported as truncated");
         // One below: genuinely cut.
         let cut = svc.query("g", text, None, n - 1).unwrap();
-        assert_eq!(cut.rows.len(), n - 1);
+        assert_eq!(cut.row_count, n - 1);
         assert!(cut.truncated);
     }
 

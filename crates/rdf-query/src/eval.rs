@@ -1,15 +1,36 @@
 //! BGP evaluation over a [`TripleStore`].
 //!
-//! The engine is a backtracking index-nested-loop join with *dynamic*
-//! pattern ordering: at every step it evaluates the not-yet-joined pattern
-//! with the fewest matching triples under the current partial binding
-//! (an exact selectivity measure — [`TripleStore::count`] is two binary
-//! searches). Boolean (`ask`) evaluation stops at the first embedding,
-//! which is what the paper's representativeness criterion needs:
-//! `q(G∞) ≠ ∅`.
+//! **One** backtracking index-nested-loop search serves every entry
+//! point: [`Evaluator::ask`] stops it at the first embedding (what the
+//! paper's representativeness criterion needs: `q(G∞) ≠ ∅`),
+//! [`Evaluator::for_each_row`] streams the distinct head projections to a
+//! visitor, and the `select*` family collects that stream into a
+//! [`ResultSet`]. Patterns are joined in a caller's static order,
+//! validated once, or — when the order is not a permutation of the body,
+//! `&[]` for instance — *dynamically*: at every step the unjoined
+//! pattern with the fewest matches under the current partial binding
+//! ([`TripleStore::count`], an exact selectivity measure). A candidate
+//! triple binds at most three variables, so the undo list is a fixed
+//! array: past the per-query buffers, nothing is allocated per
+//! candidate, per depth or per row.
+//!
+//! **When the distinct set is skipped.** An embedding is a total
+//! assignment of the body's variables, and the search reaches each one
+//! once: under a full assignment every pattern is ground, so it matches
+//! exactly one (deduplicated) index triple, and two different choices of
+//! triples differ in a variable position. When the head projects *every*
+//! body variable, two embeddings therefore differ in a projected column:
+//! rows are pairwise distinct by construction and no set is consulted.
+//! Only a head that drops a body variable can repeat a row; then rows
+//! pass through a hash set, probed by slice so a repeat allocates
+//! nothing.
+//!
+//! The search is total over hand-built [`CompiledQuery`] values: an
+//! absent constant (`Atom::Const(None)`) matches nothing, and a head
+//! variable no embedding binds yields no row.
 
 use crate::bgp::{Atom, CompiledPattern, CompiledQuery};
-use rdf_model::{FxHashSet, Term, TermId};
+use rdf_model::{FxHashSet, Term, TermId, Triple};
 use rdf_store::{TriplePattern, TripleStore};
 
 /// The answer rows of a `select` evaluation (distinct head projections).
@@ -45,57 +66,94 @@ impl ResultSet {
     }
 }
 
-/// Binds `atom` under the partial binding, producing a pattern slot.
+/// The variables one candidate triple newly bound: at most three.
+type Bound = ([usize; 3], usize);
+
+/// Extends `binding` with the matches of `p` against a concrete triple;
+/// `None` — with the binding left as it was — when the triple conflicts
+/// with the binding or a constant.
 #[inline]
-fn slot(atom: Atom, binding: &[Option<TermId>]) -> Option<TermId> {
-    match atom {
-        Atom::Var(v) => binding[v],
-        Atom::Const(c) => c, // None cannot occur: always_empty() was checked
-    }
-}
-
-fn to_store_pattern(p: &CompiledPattern, binding: &[Option<TermId>]) -> TriplePattern {
-    TriplePattern::new(slot(p.s, binding), slot(p.p, binding), slot(p.o, binding))
-}
-
-/// Extends `binding` with the matches of `pattern` against a concrete
-/// triple; returns the variable ids that were newly bound, or `None` when
-/// the triple conflicts with the binding.
-fn try_bind(
-    p: &CompiledPattern,
-    t: rdf_model::Triple,
-    binding: &mut [Option<TermId>],
-) -> Option<Vec<usize>> {
-    let mut newly = Vec::new();
+fn try_bind(p: &CompiledPattern, t: Triple, binding: &mut [Option<TermId>]) -> Option<Bound> {
+    let mut newly = ([0; 3], 0);
     for (atom, val) in [(p.s, t.s), (p.p, t.p), (p.o, t.o)] {
-        match atom {
-            Atom::Const(Some(c)) => {
-                if c != val {
-                    // Cannot happen for index-driven scans, but keep the
-                    // check for safety with filtered scans.
-                    for v in newly {
-                        binding[v] = None;
-                    }
-                    return None;
-                }
-            }
-            Atom::Const(None) => unreachable!("always_empty queries are rejected earlier"),
+        let agrees = match atom {
+            Atom::Const(c) => c == Some(val), // an absent constant equals no term
             Atom::Var(v) => match binding[v] {
-                Some(bound) if bound != val => {
-                    for v in newly {
-                        binding[v] = None;
-                    }
-                    return None;
-                }
-                Some(_) => {}
+                Some(bound) => bound == val,
                 None => {
                     binding[v] = Some(val);
-                    newly.push(v);
+                    newly.0[newly.1] = v;
+                    newly.1 += 1;
+                    true
                 }
             },
+        };
+        if !agrees {
+            unbind(newly, binding);
+            return None;
         }
     }
     Some(newly)
+}
+
+#[inline]
+fn unbind((vars, n): Bound, binding: &mut [Option<TermId>]) {
+    for &v in &vars[..n] {
+        binding[v] = None;
+    }
+}
+
+/// The state of one run of the search.
+struct Search<'q, F> {
+    store: &'q TripleStore,
+    body: &'q [CompiledPattern],
+    /// A permutation of the body indices, or `None` for dynamic ordering.
+    order: Option<&'q [usize]>,
+    binding: Vec<Option<TermId>>,
+    /// The patterns already joined.
+    used: Vec<bool>,
+    on_embedding: F,
+}
+
+impl<F: FnMut(&[Option<TermId>]) -> ControlFlow> Search<'_, F> {
+    fn pattern(&self, p: &CompiledPattern) -> TriplePattern {
+        let slot = |atom| match atom {
+            Atom::Var(v) => self.binding[v],
+            Atom::Const(c) => c, // never `None`: `search` checked
+        };
+        TriplePattern::new(slot(p.s), slot(p.p), slot(p.o))
+    }
+
+    /// Joins the patterns not yet joined, `depth` of them being done.
+    /// [`ControlFlow::Stop`] — from the visitor — unwinds every level.
+    fn descend(&mut self, depth: usize) -> ControlFlow {
+        if depth == self.body.len() {
+            return (self.on_embedding)(&self.binding);
+        }
+        // The fixed order's next entry, or the unused pattern with the
+        // fewest matches right now (there is one: `depth < body.len()`).
+        let idx = match self.order {
+            Some(order) => order[depth],
+            None => (0..self.body.len())
+                .filter(|&i| !self.used[i])
+                .min_by_key(|&i| self.store.count(self.pattern(&self.body[i])))
+                .expect("fewer patterns joined than the body holds"),
+        };
+        self.used[idx] = true;
+        let (p, store) = (self.body[idx], self.store);
+        let mut flow = ControlFlow::Continue;
+        for &t in store.scan(self.pattern(&p)) {
+            if let Some(newly) = try_bind(&p, t, &mut self.binding) {
+                flow = self.descend(depth + 1);
+                unbind(newly, &mut self.binding);
+                if flow == ControlFlow::Stop {
+                    break;
+                }
+            }
+        }
+        self.used[idx] = false;
+        flow
+    }
 }
 
 /// Evaluates BGP queries against one store.
@@ -109,9 +167,74 @@ impl<'a> Evaluator<'a> {
         Evaluator { store }
     }
 
+    /// The one search: hands `on_embedding` the full binding of every
+    /// embedding of `q`'s body, until it says [`ControlFlow::Stop`].
+    fn search(
+        &self,
+        q: &CompiledQuery,
+        order: &[usize],
+        on_embedding: impl FnMut(&[Option<TermId>]) -> ControlFlow,
+    ) {
+        if q.always_empty() {
+            return;
+        }
+        let n = q.body.len();
+        let mut seen = vec![false; n];
+        let is_permutation = order.len() == n
+            && order
+                .iter()
+                .all(|&i| i < n && !std::mem::replace(&mut seen[i], true));
+        // Room for every variable the body names, whatever `var_names`
+        // says: a hand-built query must not index out of bounds.
+        let body_vars = q.body.iter().flat_map(CompiledPattern::vars);
+        let n_vars = body_vars.fold(q.n_vars(), |n, v| n.max(v + 1));
+        Search {
+            store: self.store,
+            body: &q.body,
+            order: is_permutation.then_some(order),
+            binding: vec![None; n_vars],
+            used: vec![false; n],
+            on_embedding,
+        }
+        .descend(0);
+    }
+
+    /// Streams the distinct head projections of `q` to `visit`, in join
+    /// order, until it says [`ControlFlow::Stop`]; the slice is valid
+    /// during the call only. `order` fixes the join order (e.g.
+    /// [`crate::plan::Plan::order`]); one that is not a permutation of
+    /// the body indices means dynamic ordering — never a panic. The
+    /// module docs say when rows need a distinct set.
+    pub fn for_each_row(
+        &self,
+        q: &CompiledQuery,
+        order: &[usize],
+        mut visit: impl FnMut(&[TermId]) -> ControlFlow,
+    ) {
+        let mut body_vars = q.body.iter().flat_map(CompiledPattern::vars);
+        let head_drops_a_variable = body_vars.any(|v| !q.head.contains(&v));
+        let mut seen: FxHashSet<Box<[TermId]>> = FxHashSet::default();
+        let mut row: Vec<TermId> = Vec::with_capacity(q.head.len());
+        self.search(q, order, |binding| {
+            row.clear();
+            let bound = |&v: &usize| binding.get(v).copied().flatten();
+            row.extend(q.head.iter().map_while(bound));
+            if row.len() < q.head.len() {
+                return ControlFlow::Continue; // a head variable nothing binds
+            }
+            if head_drops_a_variable {
+                if seen.contains(&row[..]) {
+                    return ControlFlow::Continue;
+                }
+                seen.insert(row.as_slice().into());
+            }
+            visit(&row)
+        });
+    }
+
     /// Boolean evaluation: does the query have at least one embedding?
     pub fn ask(&self, q: &CompiledQuery) -> bool {
-        self.ask_impl(q, None)
+        self.ask_ordered(q, &[])
     }
 
     /// Like [`Self::ask`] but joins the body patterns in the fixed `order`
@@ -119,18 +242,12 @@ impl<'a> Evaluator<'a> {
     /// every step. An `order` that is not a permutation of the body
     /// indices falls back to dynamic ordering — never a panic.
     pub fn ask_ordered(&self, q: &CompiledQuery, order: &[usize]) -> bool {
-        self.ask_impl(q, checked_order(q, order))
-    }
-
-    fn ask_impl(&self, q: &CompiledQuery, order: Option<&[usize]>) -> bool {
-        if q.always_empty() {
-            return false;
-        }
-        let mut binding = vec![None; q.n_vars()];
-        let mut used = vec![false; q.body.len()];
-        self.search(q, order, 0, &mut binding, &mut used, &mut |_| {
+        let mut found = false;
+        self.search(q, order, |_| {
+            found = true;
             ControlFlow::Stop
-        })
+        });
+        found
     }
 
     /// Full evaluation with distinct projection on the head variables.
@@ -140,7 +257,7 @@ impl<'a> Evaluator<'a> {
 
     /// Like [`Self::select`] but stops after `limit` distinct rows.
     pub fn select_limit(&self, q: &CompiledQuery, limit: usize) -> ResultSet {
-        self.select_impl(q, None, limit)
+        self.select_limit_ordered(q, &[], limit)
     }
 
     /// Like [`Self::select_limit`] but joins the body patterns in the
@@ -151,137 +268,23 @@ impl<'a> Evaluator<'a> {
         order: &[usize],
         limit: usize,
     ) -> ResultSet {
-        self.select_impl(q, checked_order(q, order), limit)
-    }
-
-    fn select_impl(&self, q: &CompiledQuery, order: Option<&[usize]>, limit: usize) -> ResultSet {
-        let columns: Vec<String> = q.head.iter().map(|&v| q.var_names[v].clone()).collect();
-        let mut seen: FxHashSet<Vec<TermId>> = FxHashSet::default();
+        let name = |&v: &usize| q.var_names.get(v).cloned().unwrap_or_default();
         let mut rows: Vec<Vec<TermId>> = Vec::new();
-        if !q.always_empty() && limit > 0 {
-            let mut binding = vec![None; q.n_vars()];
-            let mut used = vec![false; q.body.len()];
-            self.search(
-                q,
-                order,
-                0,
-                &mut binding,
-                &mut used,
-                &mut |b: &[Option<TermId>]| {
-                    let row: Vec<TermId> = q
-                        .head
-                        .iter()
-                        .map(|&v| b[v].expect("head variable bound in full embedding"))
-                        .collect();
-                    if seen.insert(row.clone()) {
-                        rows.push(row);
-                    }
-                    if rows.len() >= limit {
-                        ControlFlow::Stop
-                    } else {
-                        ControlFlow::Continue
-                    }
-                },
-            );
-        }
-        ResultSet { columns, rows }
-    }
-
-    /// Counts distinct head projections (up to `limit`).
-    pub fn count_distinct(&self, q: &CompiledQuery, limit: usize) -> usize {
-        self.select_limit(q, limit).len()
-    }
-
-    /// Backtracking search. `on_solution` is called for every full
-    /// embedding; returning [`ControlFlow::Stop`] ends the search. The
-    /// function's return value is `true` iff at least one embedding was
-    /// found. With `order = Some(_)` the pattern joined at each `depth` is
-    /// fixed up front (the order was validated as a permutation by
-    /// [`checked_order`]); otherwise it is re-chosen dynamically.
-    fn search(
-        &self,
-        q: &CompiledQuery,
-        order: Option<&[usize]>,
-        depth: usize,
-        binding: &mut Vec<Option<TermId>>,
-        used: &mut Vec<bool>,
-        on_solution: &mut dyn FnMut(&[Option<TermId>]) -> ControlFlow,
-    ) -> bool {
-        // All patterns joined → full embedding.
-        if used.iter().all(|&u| u) {
-            let _ = on_solution(binding);
-            return true;
-        }
-        // Pick the pattern to join: the fixed order's next entry, or the
-        // unused pattern with the fewest matches right now.
-        let chosen = match order {
-            Some(ord) => ord.get(depth).copied().filter(|&i| !used[i]),
-            None => q
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !used[*i])
-                .map(|(i, p)| (i, self.store.count(to_store_pattern(p, binding))))
-                .min_by_key(|&(_, c)| c)
-                .map(|(i, _)| i),
-        };
-        // The all-used early return above guarantees an unused pattern
-        // exists, and `checked_order` guarantees fixed orders are
-        // permutations — but keep selection total so a broken invariant
-        // degrades to "no embeddings", never a panicked server worker.
-        let Some(idx) = chosen else {
-            debug_assert!(false, "pattern selection found no unused pattern");
-            return false;
-        };
-        used[idx] = true;
-        let pattern = q.body[idx];
-        // Materialize the candidate slice (it borrows the store, and the
-        // recursion below also borrows the store immutably — fine — but the
-        // binding updates need no copy).
-        let candidates = self.store.scan(to_store_pattern(&pattern, binding));
-        let mut found = false;
-        for &t in candidates {
-            if let Some(newly) = try_bind(&pattern, t, binding) {
-                // Recurse; wrap on_solution so Stop propagates up through
-                // every level's candidate loop.
-                let mut local_stop = false;
-                let sub_found = self.search(q, order, depth + 1, binding, used, &mut |b| {
-                    let flow = on_solution(b);
-                    if matches!(flow, ControlFlow::Stop) {
-                        local_stop = true;
-                    }
-                    flow
-                });
-                found |= sub_found;
-                for v in newly {
-                    binding[v] = None;
+        if limit > 0 {
+            self.for_each_row(q, order, |row| {
+                rows.push(row.to_vec());
+                if rows.len() < limit {
+                    ControlFlow::Continue
+                } else {
+                    ControlFlow::Stop
                 }
-                if local_stop {
-                    break;
-                }
-            }
+            });
         }
-        used[idx] = false;
-        found
-    }
-}
-
-/// Validates a caller-supplied join order: it must be a permutation of
-/// the body pattern indices. Anything else returns `None`, which makes
-/// the `*_ordered` entry points fall back to dynamic ordering.
-fn checked_order<'o>(q: &CompiledQuery, order: &'o [usize]) -> Option<&'o [usize]> {
-    let n = q.body.len();
-    if order.len() != n {
-        return None;
-    }
-    let mut seen = vec![false; n];
-    for &i in order {
-        if i >= n || seen[i] {
-            return None;
+        ResultSet {
+            columns: q.head.iter().map(name).collect(),
+            rows,
         }
-        seen[i] = true;
     }
-    Some(order)
 }
 
 /// Search control for solution callbacks.
@@ -481,6 +484,81 @@ mod tests {
         let rs = ev.select(&q);
         assert_eq!(rs.len(), 1);
         assert!(rs.columns.is_empty());
+    }
+
+    /// `CompiledQuery`'s fields are public: an absent constant in a
+    /// hand-built query matches nothing, under every entry point.
+    #[test]
+    fn absent_constant_matches_nothing() {
+        let st = library_store();
+        let author = st.graph().dict().lookup(&Term::iri("author"));
+        assert!(author.is_some());
+        for absent in [
+            CompiledPattern {
+                s: Atom::Const(None),
+                p: Atom::Const(author),
+                o: Atom::Var(0),
+            },
+            CompiledPattern {
+                s: Atom::Var(0),
+                p: Atom::Const(None),
+                o: Atom::Const(None),
+            },
+        ] {
+            let matching = CompiledPattern {
+                s: Atom::Var(1),
+                p: Atom::Const(author),
+                o: Atom::Var(0),
+            };
+            let q = CompiledQuery {
+                var_names: vec!["x".into(), "y".into()],
+                head: vec![0],
+                body: vec![matching, absent],
+            };
+            let ev = Evaluator::new(&st);
+            assert!(!ev.ask(&q));
+            assert!(!ev.ask_ordered(&q, &[1, 0]));
+            assert!(ev.select(&q).is_empty());
+            assert!(ev.select_limit_ordered(&q, &[0, 1], 5).is_empty());
+        }
+    }
+
+    /// A head variable no embedding binds — out of range, or named but
+    /// absent from the body — yields no row; so does a body variable past
+    /// `var_names`. Never a panic.
+    #[test]
+    fn unbound_head_variable_yields_no_row() {
+        let st = library_store();
+        let author = st.graph().dict().lookup(&Term::iri("author"));
+        let body = vec![CompiledPattern {
+            s: Atom::Var(0),
+            p: Atom::Const(author),
+            o: Atom::Var(1),
+        }];
+        let ev = Evaluator::new(&st);
+        for (var_names, head) in [
+            (vec!["x".to_string(), "y".to_string()], vec![0, 7]),
+            (vec!["x".into(), "y".into(), "z".into()], vec![2]),
+            (vec![], vec![5]),
+        ] {
+            let q = CompiledQuery {
+                var_names,
+                head,
+                body: body.clone(),
+            };
+            assert!(ev.ask(&q), "the body still has embeddings");
+            let rs = ev.select(&q);
+            assert!(rs.is_empty(), "{q:?}");
+            assert_eq!(rs.columns.len(), q.head.len());
+            assert!(ev.select_limit_ordered(&q, &[0], 3).is_empty());
+        }
+        // Undeclared body variables alone are harmless.
+        let q = CompiledQuery {
+            var_names: Vec::new(),
+            head: vec![1],
+            body,
+        };
+        assert_eq!(ev.select(&q).len(), 2);
     }
 
     #[test]

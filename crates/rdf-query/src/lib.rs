@@ -5,8 +5,9 @@
 //!
 //! * a per-graph compiler ([`compile`]) so the *same* surface query can be
 //!   evaluated on a graph and on its summary;
-//! * a backtracking join [`Evaluator`] with dynamic selectivity-based
-//!   pattern ordering and early-exit boolean evaluation;
+//! * a backtracking join [`Evaluator`] — one search behind early-exit
+//!   boolean evaluation, streamed rows ([`Evaluator::for_each_row`]) and
+//!   collected ones — with dynamic selectivity-based pattern ordering;
 //! * RBGP validation ([`validate_rbgp`], Definition 3) — the fragment for
 //!   which summaries are representative and accurate;
 //! * a paper-notation query [`parser`];
@@ -48,6 +49,7 @@ mod proptests {
     use proptest::prelude::*;
     use rdf_model::Graph;
     use rdf_store::TripleStore;
+    use std::collections::BTreeSet;
 
     /// Builds a random graph with a small random RDFS schema.
     fn schema_graph(
@@ -130,6 +132,165 @@ mod proptests {
             }
             if n == 0 {
                 return false;
+            }
+        }
+    }
+
+    /// The distinct head projections of `spec` on `g` by nested loops
+    /// over `g.iter()` — one loop level per body pattern, variables held
+    /// by name, constants looked up as written: nothing shared with
+    /// [`compile`] or the [`Evaluator`].
+    fn oracle_rows(g: &Graph, spec: &QuerySpec) -> BTreeSet<Vec<rdf_model::TermId>> {
+        fn extend<'s>(
+            g: &Graph,
+            spec: &'s QuerySpec,
+            depth: usize,
+            env: &mut Vec<(&'s str, rdf_model::TermId)>,
+            rows: &mut BTreeSet<Vec<rdf_model::TermId>>,
+        ) {
+            let Some(pat) = spec.body.get(depth) else {
+                let value = |name: &String| env.iter().find(|(n, _)| n == name).unwrap().1;
+                rows.insert(spec.head.iter().map(value).collect());
+                return;
+            };
+            for t in g.iter() {
+                let before = env.len();
+                let fits = [(&pat.s, t.s), (&pat.p, t.p), (&pat.o, t.o)]
+                    .into_iter()
+                    .all(|(term, id)| match term {
+                        SpecTerm::Const(c) => g.dict().lookup(c) == Some(id),
+                        SpecTerm::Var(v) => match env.iter().find(|(n, _)| n == v) {
+                            Some(&(_, bound)) => bound == id,
+                            None => {
+                                env.push((v, id));
+                                true
+                            }
+                        },
+                    });
+                if fits {
+                    extend(g, spec, depth + 1, env, rows);
+                }
+                env.truncate(before);
+            }
+        }
+        let mut rows = BTreeSet::new();
+        extend(g, spec, 0, &mut Vec::new(), &mut rows);
+        rows
+    }
+
+    /// Every permutation of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        permutations(n - 1)
+            .into_iter()
+            .flat_map(|p| {
+                (0..n).map(move |at| {
+                    let mut q = p.clone();
+                    q.insert(at, n - 1);
+                    q
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+        /// The one search against the nested-loop oracle, through every
+        /// entry point: streamed rows are the oracle's set and pairwise
+        /// distinct, a limit yields exactly `min(limit, |answers|)` of
+        /// them, every valid join order gives the same set and every
+        /// invalid one falls back. Atom codes: `0..3` a variable of a
+        /// pool shared by all positions (so `?x <p> ?x`, a variable in
+        /// property position, and repeats across patterns all occur), then
+        /// the graph's own terms, then a constant the graph lacks. Head
+        /// entries pick among the body's variables with repeats — heads
+        /// that drop variables, keep all of them, or name one twice.
+        #[test]
+        fn search_matches_nested_loop_oracle(
+            triples in proptest::collection::vec((0u8..4, 0u8..3, 0u8..4), 1..12),
+            body in proptest::collection::vec((0u8..8, 0u8..7, 0u8..8), 1..4),
+            head in proptest::collection::vec(0usize..6, 0..4),
+            repeat_first: bool,
+        ) {
+            // Node 3 is also property 0, so a variable can join the two.
+            let node = |i: u8| if i == 3 { "p0".to_string() } else { format!("n{i}") };
+            let mut g = Graph::new();
+            for &(s, p, o) in &triples {
+                g.add_iri_triple(&node(s), &format!("p{p}"), &node(o));
+            }
+            let atom = |code: u8, constants: u8, name: &dyn Fn(u8) -> String| match code {
+                0..=2 => SpecTerm::var(format!("v{code}")),
+                c if c - 3 < constants => SpecTerm::iri(name(c - 3)),
+                _ => SpecTerm::iri("absent"),
+            };
+            let mut patterns: Vec<(SpecTerm, SpecTerm, SpecTerm)> = body
+                .iter()
+                .map(|&(s, p, o)| (
+                    atom(s, 4, &node),
+                    atom(p, 3, &|i| format!("p{i}")),
+                    atom(o, 4, &node),
+                ))
+                .collect();
+            if repeat_first {
+                patterns.push(patterns[0].clone());
+            }
+            let mut vars: Vec<String> = Vec::new();
+            for (s, p, o) in &patterns {
+                for term in [s, p, o] {
+                    if let SpecTerm::Var(v) = term {
+                        if !vars.contains(v) {
+                            vars.push(v.clone());
+                        }
+                    }
+                }
+            }
+            let head: Vec<String> = if vars.is_empty() {
+                Vec::new()
+            } else {
+                head.iter().map(|&h| vars[h % vars.len()].clone()).collect()
+            };
+            let spec = QuerySpec::new(head, patterns);
+            let expect = oracle_rows(&g, &spec);
+            let n = expect.len();
+            let q = compile(&spec, &g).unwrap();
+            let st = TripleStore::new(g);
+            let ev = Evaluator::new(&st);
+
+            let all = ev.select(&q).rows;
+            prop_assert_eq!(all.len(), n, "repeated rows: {}", spec);
+            prop_assert_eq!(&all.iter().cloned().collect::<BTreeSet<_>>(), &expect, "{}", spec);
+            prop_assert_eq!(ev.ask(&q), n > 0, "{}", spec);
+
+            for limit in [0, 1, n.saturating_sub(1), n, n + 1, usize::MAX] {
+                let cut = ev.select_limit(&q, limit).rows;
+                prop_assert_eq!(cut.len(), limit.min(n), "limit {} of {}", limit, spec);
+                let distinct: BTreeSet<_> = cut.iter().cloned().collect();
+                prop_assert_eq!(distinct.len(), cut.len(), "limit {} of {}", limit, spec);
+                prop_assert!(distinct.is_subset(&expect), "limit {} of {}", limit, spec);
+            }
+
+            let len = q.body.len();
+            let invalid = [vec![0; len], vec![0; len + 1], vec![len; len], Vec::new()];
+            for order in permutations(len).iter().chain(&invalid) {
+                let mut streamed = Vec::new();
+                ev.for_each_row(&q, order, |row| {
+                    streamed.push(row.to_vec());
+                    ControlFlow::Continue
+                });
+                prop_assert_eq!(streamed.len(), n, "order {:?} of {}", order, spec);
+                prop_assert_eq!(
+                    &streamed.into_iter().collect::<BTreeSet<_>>(),
+                    &expect,
+                    "order {:?} of {}", order, spec
+                );
+                prop_assert_eq!(
+                    ev.select_limit_ordered(&q, order, 1).len(),
+                    n.min(1),
+                    "order {:?} of {}", order, spec
+                );
+                prop_assert_eq!(ev.ask_ordered(&q, order), n > 0, "order {:?} of {}", order, spec);
             }
         }
     }

@@ -113,24 +113,25 @@ impl SortedIndex {
 
     /// The contiguous range of triples whose first key component equals `k1`.
     pub fn range1(&self, k1: u32) -> &[Triple] {
-        let lo = self.triples.partition_point(|&t| key(self.order, t).0 < k1);
-        let hi = self
-            .triples
-            .partition_point(|&t| key(self.order, t).0 <= k1);
-        &self.triples[lo..hi]
+        self.range_by(|k| k.0.cmp(&k1))
     }
 
     /// The contiguous range whose first two key components equal `(k1, k2)`.
     pub fn range2(&self, k1: u32, k2: u32) -> &[Triple] {
-        let lo = self.triples.partition_point(|&t| {
-            let k = key(self.order, t);
-            (k.0, k.1) < (k1, k2)
-        });
-        let hi = self.triples.partition_point(|&t| {
-            let k = key(self.order, t);
-            (k.0, k.1) <= (k1, k2)
-        });
-        &self.triples[lo..hi]
+        self.range_by(|k| (k.0, k.1).cmp(&(k1, k2)))
+    }
+
+    /// The contiguous range of keys that `cmp` (monotone over the index
+    /// order) calls `Equal`: one binary search for the lower bound, then a
+    /// [`gallop`] from it for the upper one — `O(log n + log run)`, and a
+    /// join probe's run is a handful of triples.
+    fn range_by(&self, cmp: impl Fn((u32, u32, u32)) -> std::cmp::Ordering) -> &[Triple] {
+        let order = self.order;
+        let lo = self
+            .triples
+            .partition_point(|&t| cmp(key(order, t)).is_lt());
+        let rest = &self.triples[lo..];
+        &rest[..gallop(rest, |t| cmp(key(order, t)).is_le())]
     }
 
     /// Iterates the maximal runs of triples sharing their first key
@@ -375,6 +376,47 @@ mod tests {
         let r = idx.range1(1);
         assert_eq!(r.len(), 3); // objects equal to 1
         assert!(r.iter().all(|t| t.o == TermId(1)));
+    }
+
+    proptest::proptest! {
+        /// `range1` / `range2` (binary-searched lower bound, galloped
+        /// upper bound) equal a linear filter of the index, in all three
+        /// orders, for every key of a table that holds the smallest and
+        /// the largest `u32` — each one present in some indexes and
+        /// absent from others — and for keys that are never present,
+        /// between and beyond them.
+        #[test]
+        fn ranges_match_linear_filter(
+            raw in proptest::collection::vec((0usize..6, 0usize..6, 0usize..6), 0..80),
+        ) {
+            const PRESENT: [u32; 6] = [0, 1, 2, 5, 9, u32::MAX];
+            const ABSENT: [u32; 3] = [3, 7, u32::MAX - 1];
+            let triples: Vec<Triple> = raw
+                .iter()
+                .map(|&(s, p, o)| t(PRESENT[s], PRESENT[p], PRESENT[o]))
+                .collect();
+            let probes = || PRESENT.into_iter().chain(ABSENT);
+            for order in [Order::Spo, Order::Pos, Order::Osp] {
+                let idx = SortedIndex::build(order, &triples);
+                let filter = |keep: &dyn Fn((u32, u32, u32)) -> bool| -> Vec<Triple> {
+                    idx.as_slice().iter().copied().filter(|&u| keep(key(order, u))).collect()
+                };
+                for k1 in probes() {
+                    proptest::prop_assert_eq!(
+                        idx.range1(k1),
+                        filter(&|k| k.0 == k1),
+                        "{:?} range1({})", order, k1
+                    );
+                    for k2 in probes() {
+                        proptest::prop_assert_eq!(
+                            idx.range2(k1, k2),
+                            filter(&|k| (k.0, k.1) == (k1, k2)),
+                            "{:?} range2({}, {})", order, k1, k2
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

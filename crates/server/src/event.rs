@@ -639,8 +639,7 @@ fn drain_readable(c: &mut Conn) -> bool {
 
 /// Appends an `ERR <category>: <msg>` line to the connection's output.
 fn queue_err(c: &mut Conn, err: &ProtocolError) {
-    // Writing into a Vec cannot fail.
-    let _ = crate::server::write_err(&mut c.out, "protocol", err);
+    crate::server::write_err(&mut c.out, "protocol", err);
 }
 
 /// Which verbs go to the executor instead of running on the event
@@ -666,12 +665,11 @@ fn dispatch_inline(c: &mut Conn, req: crate::protocol::Request, ctx: &LoopCtx) {
     match catch_unwind(AssertUnwindSafe(|| {
         crate::server::dispatch(service, req, &mut c.out)
     })) {
-        Ok(Ok(true)) => {}
-        Ok(Ok(false)) => c.close_after_flush = true, // QUIT
-        Ok(Err(_)) => c.close_after_flush = true,    // unreachable: Vec writes are infallible
+        Ok(true) => {}
+        Ok(false) => c.close_after_flush = true, // QUIT
         Err(_) => {
             c.out.truncate(before); // drop any half-written response
-            let _ = crate::server::write_err(&mut c.out, "internal", &"request handler panicked");
+            crate::server::write_err(&mut c.out, "internal", &"request handler panicked");
             c.close_after_flush = true;
         }
     }
@@ -688,15 +686,13 @@ fn submit(req: crate::protocol::Request, token: u64, ctx: &LoopCtx) {
         let close = match catch_unwind(AssertUnwindSafe(|| {
             crate::server::dispatch(&service, req, &mut bytes)
         })) {
-            Ok(Ok(keep)) => !keep,
-            Ok(Err(_)) => true, // unreachable: Vec writes are infallible
+            Ok(keep) => !keep,
             Err(_) => {
                 // A panicking handler answers like any other server-side
                 // failure and drops the connection, instead of leaving it
                 // waiting forever on a completion.
                 bytes.clear();
-                let _ =
-                    crate::server::write_err(&mut bytes, "internal", &"request handler panicked");
+                crate::server::write_err(&mut bytes, "internal", &"request handler panicked");
                 true
             }
         };

@@ -61,10 +61,29 @@
 //! bytes=<n>`: `pruned=1` means the summary proved the answer empty and
 //! graph evaluation was skipped entirely; `cached` says whether the
 //! pruning summary was already warm; `kind` is the summary kind consulted
-//! (the service prefers one that is already cached); `truncated=1` means
-//! the row set hit the server-side limit. The body is tab-separated
-//! UTF-8: for a SELECT query, a header line of column names then one line
-//! per row; for a boolean (ASK) query, a single `true` or `false` line.
+//! (the service prefers one that is already cached); `rows` counts the
+//! answer rows in the body. `truncated=1` means an answer row exists
+//! beyond the [`crate::QUERY_ROW_LIMIT`] rows sent; an answer of exactly
+//! that many rows is complete and says `truncated=0`.
+//!
+//! The `QUERY` body is UTF-8, every line LF-terminated:
+//!
+//! ```text
+//! <column>\t<column>…\n      header: the head's variable names
+//! <cell>\t<cell>…\n          one line per distinct answer row
+//! ```
+//!
+//! or, for a boolean (ASK) query, the single line `true` or `false`. A
+//! cell is a term in N-Triples syntax as the N-Triples writer escapes it
+//! (`rdf_io::writer::push_term` — the same rendering `SUMMARIZE` bodies
+//! use): TAB, LF, CR, `"` and `\` inside a literal arrive as `\t`, `\n`,
+//! `\r`, `\"`, `\\`, so no cell holds a raw TAB or LF. The body
+//! therefore has exactly `rows + 1` lines of as many cells as the
+//! header, and a cell parses back to the stored term with `rdf_io`.
+//! Rows are in join order (the plan's pattern order, each pattern's
+//! matches in index order): deterministic for a given content and
+//! summary kind, not sorted; a truncated answer holds the first
+//! `QUERY_ROW_LIMIT` rows of that order.
 //! Query errors (unknown graph, malformed query text) answer
 //! `ERR query: …` and keep the connection open.
 //!

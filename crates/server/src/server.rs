@@ -36,7 +36,7 @@
 use crate::protocol::{is_fatal, parse_request, ProtocolError, Request};
 use rdfsum_core::{ServiceError, SummaryService};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -123,28 +123,26 @@ fn read_frame(reader: &mut impl BufRead, max: usize) -> io::Result<Frame> {
     }
 }
 
-/// Writes an `OK` status line with no body.
-fn write_ok(w: &mut impl Write, fields: &str) -> io::Result<()> {
-    writeln!(w, "OK {fields}")?;
-    w.flush()
+/// Appends an `OK` status line with no body.
+fn write_ok(out: &mut Vec<u8>, fields: &str) {
+    out.extend_from_slice(b"OK ");
+    out.extend_from_slice(fields.as_bytes());
+    out.push(b'\n');
 }
 
-/// Writes an `OK` status line whose final field is `bytes=<n>`, followed
-/// by the `n`-byte body.
-fn write_ok_body(w: &mut impl Write, fields: &str, body: &[u8]) -> io::Result<()> {
-    writeln!(w, "OK {fields} bytes={}", body.len())?;
-    w.write_all(body)?;
-    w.flush()
+/// Appends an `OK` status line whose final field is `bytes=<n>`, followed
+/// by the `n`-byte body: the buffer grows once, to the response's size,
+/// however large the body.
+fn write_ok_body(out: &mut Vec<u8>, fields: &str, body: &[u8]) {
+    let status = format!("OK {fields} bytes={}\n", body.len());
+    out.reserve(status.len() + body.len());
+    out.extend_from_slice(status.as_bytes());
+    out.extend_from_slice(body);
 }
 
-/// Writes an `ERR` status line.
-pub(crate) fn write_err(
-    w: &mut impl Write,
-    category: &str,
-    msg: &dyn std::fmt::Display,
-) -> io::Result<()> {
-    writeln!(w, "ERR {category}: {msg}")?;
-    w.flush()
+/// Appends an `ERR` status line.
+pub(crate) fn write_err(out: &mut Vec<u8>, category: &str, msg: &dyn std::fmt::Display) {
+    out.extend_from_slice(format!("ERR {category}: {msg}\n").as_bytes());
 }
 
 /// Loads a graph file: `.snap` through the binary snapshot reader,
@@ -160,17 +158,14 @@ pub fn load_graph_file(path: &str) -> Result<rdf_model::Graph, String> {
     }
 }
 
-/// Serves one request; `Ok(false)` means the connection should close.
-pub(crate) fn dispatch(
-    service: &SummaryService,
-    req: Request,
-    w: &mut impl Write,
-) -> io::Result<bool> {
+/// Serves one request, appending the response to `w`; `false` means the
+/// connection should close once it is sent.
+pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) -> bool {
     match req {
-        Request::Ping => write_ok(w, "pong")?,
+        Request::Ping => write_ok(w, "pong"),
         Request::Quit => {
-            write_ok(w, "bye")?;
-            return Ok(false);
+            write_ok(w, "bye");
+            return false;
         }
         Request::Load { path } => match load_graph_file(&path) {
             Ok(g) => {
@@ -183,9 +178,9 @@ pub(crate) fn dispatch(
                         info.triples,
                         u8::from(info.replaced)
                     ),
-                )?;
+                );
             }
-            Err(msg) => write_err(w, "load", &msg)?,
+            Err(msg) => write_err(w, "load", &msg),
         },
         Request::Summarize { kind, graph } => match service.summarize(&graph, kind) {
             Ok((artifact, hit)) => {
@@ -198,36 +193,24 @@ pub(crate) fn dispatch(
                     artifact.summary_edges,
                     artifact.input_triples
                 );
-                write_ok_body(w, &fields, artifact.ntriples.as_bytes())?;
+                write_ok_body(w, &fields, artifact.ntriples.as_bytes());
             }
-            Err(err) => write_err(w, "summarize", &err)?,
+            Err(err) => write_err(w, "summarize", &err),
         },
         Request::Query { graph, query } => {
             match service.query(&graph, &query, None, QUERY_ROW_LIMIT) {
                 Ok(out) => {
-                    let mut body = String::new();
-                    if out.columns.is_empty() {
-                        // Boolean (ASK) form: the body is the verdict.
-                        body.push_str(if out.ask { "true\n" } else { "false\n" });
-                    } else {
-                        body.push_str(&out.columns.join("\t"));
-                        body.push('\n');
-                        for row in &out.rows {
-                            body.push_str(&row.join("\t"));
-                            body.push('\n');
-                        }
-                    }
                     let fields = format!(
                         "query rows={} pruned={} cached={} kind={} truncated={}",
-                        out.rows.len(),
+                        out.row_count,
                         u8::from(out.pruned),
                         u8::from(out.cache_hit),
                         crate::protocol::kind_token(out.kind),
                         u8::from(out.truncated)
                     );
-                    write_ok_body(w, &fields, body.as_bytes())?;
+                    write_ok_body(w, &fields, out.body.as_bytes());
                 }
-                Err(err) => write_err(w, "query", &err)?,
+                Err(err) => write_err(w, "query", &err),
             }
         }
         Request::Update {
@@ -242,10 +225,10 @@ pub(crate) fn dispatch(
                         "update fp={} applied={} patched={} rebuilt={}",
                         out.fingerprint, out.applied, out.patched, out.rebuilt
                     ),
-                )?,
-                Err(err) => write_err(w, "update", &err)?,
+                ),
+                Err(err) => write_err(w, "update", &err),
             },
-            Err(err) => write_err(w, "update", &err)?,
+            Err(err) => write_err(w, "update", &err),
         },
         Request::Stats => {
             let st = service.stats();
@@ -271,18 +254,18 @@ pub(crate) fn dispatch(
                 st.persist_hits,
                 st.persist_writes
             );
-            write_ok_body(w, &fields, body.as_bytes())?;
+            write_ok_body(w, &fields, body.as_bytes());
         }
         Request::Evict { graph: Some(name) } => match service.evict(&name) {
-            Some(entries) => write_ok(w, &format!("evicted graphs=1 entries={entries}"))?,
-            None => write_err(w, "evict", &ServiceError::UnknownGraph(name))?,
+            Some(entries) => write_ok(w, &format!("evicted graphs=1 entries={entries}")),
+            None => write_err(w, "evict", &ServiceError::UnknownGraph(name)),
         },
         Request::Evict { graph: None } => {
             let (graphs, entries) = service.evict_all();
-            write_ok(w, &format!("evicted graphs={graphs} entries={entries}"))?;
+            write_ok(w, &format!("evicted graphs={graphs} entries={entries}"));
         }
     }
-    Ok(true)
+    true
 }
 
 /// After a fatal framing error, read and discard the rest of the broken
@@ -313,14 +296,15 @@ fn drain_broken_line(reader: &mut impl BufRead, budget: usize) {
 
 /// Serves one client connection until QUIT, EOF, or a fatal framing
 /// error. Recoverable protocol errors answer `ERR` and keep going.
-fn handle_connection(service: &SummaryService, stream: TcpStream) -> io::Result<()> {
+fn handle_connection(service: &SummaryService, mut stream: TcpStream) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     loop {
+        let mut out = Vec::new();
         match read_frame(&mut reader, crate::protocol::MAX_REQUEST_BYTES)? {
             Frame::Eof => return Ok(()),
             Frame::Broken { err, line_open } => {
-                write_err(&mut writer, "protocol", &err)?;
+                write_err(&mut out, "protocol", &err);
+                stream.write_all(&out)?;
                 if line_open {
                     // Swallow what remains of the oversized line (bounded)
                     // so the close doesn't RST the ERR out of the send
@@ -329,19 +313,19 @@ fn handle_connection(service: &SummaryService, stream: TcpStream) -> io::Result<
                 }
                 return Ok(());
             }
-            Frame::Line(raw) => match parse_request(&raw) {
-                Ok(req) => {
-                    if !dispatch(service, req, &mut writer)? {
-                        return Ok(());
+            Frame::Line(raw) => {
+                let keep = match parse_request(&raw) {
+                    Ok(req) => dispatch(service, req, &mut out),
+                    Err(err) => {
+                        write_err(&mut out, "protocol", &err);
+                        !is_fatal(&err)
                     }
+                };
+                stream.write_all(&out)?;
+                if !keep {
+                    return Ok(());
                 }
-                Err(err) => {
-                    write_err(&mut writer, "protocol", &err)?;
-                    if is_fatal(&err) {
-                        return Ok(());
-                    }
-                }
-            },
+            }
         }
     }
 }

@@ -348,6 +348,98 @@ fn backpressure_case(backend: PollerBackend) {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A reader that takes a few KiB at a time and pauses between reads, so
+/// the server's send queue stays full for the whole response.
+struct SlowReader(TcpStream);
+
+impl Read for SlowReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(1));
+        let n = buf.len().min(4096);
+        self.0.read(&mut buf[..n])
+    }
+}
+
+/// A > 1 MB `QUERY`, a `PING` and the same `QUERY` again, pipelined by
+/// a client that then reads slowly: three well-framed responses in
+/// order (`bytes=` is the body's length, `rows=` its line count − 1),
+/// while the server's other connection keeps getting `PING`s answered.
+#[test]
+fn large_answers_to_a_slow_reader_stay_framed_and_do_not_stall_others() {
+    for_each_backend(slow_reader_case);
+}
+
+fn slow_reader_case(backend: PollerBackend) {
+    let (handle, _svc) = start(2, backend);
+    // 10 000 rows of two ~70-byte IRIs: the answer is ~1.4 MB.
+    let pad = "x".repeat(40);
+    let path = std::env::temp_dir().join(format!(
+        "rdfsummary_event_loop_{}_slow_{backend:?}.nt",
+        std::process::id()
+    ));
+    let doc: String = (0..10_000)
+        .map(|i| {
+            format!(
+                "<http://example.org/{pad}/s/{i}> <http://example.org/p> <http://example.org/{pad}/o/{i}> .\n"
+            )
+        })
+        .collect();
+    std::fs::write(&path, doc).unwrap();
+    let name = path.to_str().unwrap();
+    let mut other = Client::connect(handle.addr()).unwrap();
+    assert!(other.load(name).unwrap().is_ok());
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let query = format!("QUERY {name} q(?x, ?y) :- ?x <http://example.org/p> ?y\n");
+    stream
+        .write_all(format!("{query}PING\n{query}").as_bytes())
+        .unwrap();
+    let reader = std::thread::spawn(move || {
+        let mut reader = BufReader::with_capacity(4096, SlowReader(stream));
+        let mut read_response = || {
+            let mut status = String::new();
+            reader.read_line(&mut status).unwrap();
+            let status = status.trim_end().to_string();
+            let mut body = Vec::new();
+            if let Some(bytes) = status.rsplit(' ').next().unwrap().strip_prefix("bytes=") {
+                body.resize(bytes.parse().unwrap(), 0);
+                reader.read_exact(&mut body).unwrap();
+            }
+            (status, body)
+        };
+        [read_response(), read_response(), read_response()]
+    });
+
+    let mut pings_meanwhile = 0;
+    while !reader.is_finished() {
+        let t0 = Instant::now();
+        assert_eq!(other.ping().unwrap().status, "OK pong");
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "PING stalled behind a slow reader's backlog ({backend:?})"
+        );
+        pings_meanwhile += 1;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(pings_meanwhile > 10, "{pings_meanwhile} ({backend:?})");
+
+    let [(first, first_body), (pong, pong_body), (second, second_body)] = reader.join().unwrap();
+    assert_eq!(pong, "OK pong", "({backend:?})");
+    assert!(pong_body.is_empty());
+    for (status, body) in [(&first, &first_body), (&second, &second_body)] {
+        assert!(
+            status.starts_with("OK query rows=10000 ") && status.contains(" truncated=0 "),
+            "{status} ({backend:?})"
+        );
+        assert!(body.len() > 1_000_000, "{} bytes", body.len());
+        assert_eq!(body.last(), Some(&b'\n'));
+        assert_eq!(body.iter().filter(|&&b| b == b'\n').count(), 10_001);
+    }
+    assert_eq!(first_body, second_body);
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Seconds-scale verbs (`LOAD`, cold `SUMMARIZE`) run on the executor,
 /// not the event thread: while a width-1 executor is occupied parsing a
 /// large graph with a summary build queued behind it, fresh connections

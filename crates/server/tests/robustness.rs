@@ -277,6 +277,72 @@ fn query_roundtrip_over_the_wire() {
     handle.shutdown();
 }
 
+/// A literal holding TAB, LF, CR, `"` or `\` cannot forge rows or cells:
+/// `QUERY` cells are N-Triples-escaped, so the body splits back into
+/// `rows + 1` lines of `columns` cells, and every cell parses back to
+/// the stored term.
+#[test]
+fn query_cells_with_control_characters_are_escaped() {
+    use rdf_model::{Graph, Term};
+    use std::collections::BTreeSet;
+    let says = "http://x/says";
+    let mut stored: BTreeSet<(Term, Term)> = BTreeSet::new();
+    let mut g = Graph::new();
+    let lexicals = [
+        "tab\there",
+        "line one\nline two",
+        "carriage\rreturn",
+        "she said \"hi\"",
+        "back\\slash",
+        "\t\n\r\"\\ all of them \\\"\r\n\t",
+        "\n",
+        "plain",
+    ];
+    for (i, lexical) in lexicals.into_iter().enumerate() {
+        let s = Term::iri(format!("http://x/s{i}"));
+        for o in [
+            Term::literal(lexical),
+            Term::lang_literal(lexical, "en"),
+            Term::typed_literal(lexical, "http://x/dt"),
+        ] {
+            g.insert(s.clone(), Term::iri(says), o.clone()).unwrap();
+            stored.insert((s.clone(), o));
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("rdfsum_server_esc_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("says.nt");
+    rdf_io::save_path(&g, &path).unwrap();
+    let name = path.to_str().unwrap();
+    let (handle, _svc) = start();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert!(client.load(name).unwrap().is_ok());
+
+    let resp = client
+        .query(name, &format!("q(?x, ?y) :- ?x <{says}> ?y"))
+        .unwrap();
+    assert!(resp.is_ok(), "{}", resp.status);
+    let rows: usize = resp.field("rows").unwrap().parse().unwrap();
+    assert_eq!(rows, stored.len());
+    let body = resp.body_str().unwrap();
+    let lines: Vec<&str> = body.split_terminator('\n').collect();
+    assert_eq!(lines.len(), rows + 1, "a cell forged a line:\n{body}");
+    assert_eq!(lines[0], "x\ty");
+    let mut served = BTreeSet::new();
+    for line in &lines[1..] {
+        let cells: Vec<&str> = line.split('\t').collect();
+        assert_eq!(cells.len(), 2, "a cell forged a column: {line:?}");
+        assert!(!line.contains('\r'), "{line:?}");
+        let (s, _, o) = rdf_io::parse_line(&format!("{} <{says}> {} .", cells[0], cells[1]), 1)
+            .unwrap_or_else(|e| panic!("cells do not parse back: {line:?}: {e}"))
+            .unwrap();
+        served.insert((s, o));
+    }
+    assert_eq!(served, stored);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quit_and_eof_both_close_cleanly() {
     let (handle, _svc) = start();

@@ -190,8 +190,27 @@
 //! among already-cached kinds for the graph's fingerprint, then among
 //! kinds in flight for it (an `UPDATE` carrying them over), falling back
 //! to weak, so pruning never costs a summary rebuild in the warm
-//! regime. The body is tab-separated: a column-name header plus one line
-//! per row for SELECT, a bare `true`/`false` for ASK.
+//! regime.
+//!
+//! The `QUERY` body, every line LF-terminated: for a query with a head,
+//! a header line of the TAB-joined column names, then one line per
+//! distinct answer row; for an ASK (`q() :- …`), the single line `true`
+//! or `false`. A row's cells are TAB-separated terms in N-Triples
+//! syntax, escaped by the one N-Triples writer
+//! ([`rdf_io::writer::push_term`]): a literal's TAB, LF, CR, `"` and `\`
+//! arrive as `\t \n \r \" \\`, so the body always splits into `rows=` + 1
+//! lines of as many cells as columns, and each cell parses back with
+//! [`rdf_io`] to the stored term. Rows come in **join order** — the
+//! static plan's pattern order, each pattern's matches in index order —
+//! which is deterministic for a given content and summary kind but is
+//! not a sort. At most 10 000 rows are sent: `truncated=1` says an
+//! answer row exists beyond the ones sent (an answer of exactly 10 000
+//! rows is complete, `truncated=0`); which rows a truncated answer holds
+//! follows from the join order. An answer is one pass: the search
+//! ([`rdf_query::Evaluator::for_each_row`]) hands each accepted row's
+//! ids to the service, which renders them straight into the body
+//! ([`rdfsum_core::QueryOutcome::body`]); the server appends status line
+//! and body to the connection's buffer with one growth.
 //!
 //! **Warm restarts.** `--persist-dir DIR` makes the summary cache survive
 //! the process: every built (or update-carried) artifact is also written

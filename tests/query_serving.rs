@@ -118,7 +118,11 @@ fn reference_rows(store: &TripleStore, text: &str) -> (BTreeSet<Vec<String>>, bo
         .select(&q)
         .decode(store)
         .into_iter()
-        .map(|row| row.into_iter().map(|t| t.to_string()).collect())
+        .map(|row| {
+            row.into_iter()
+                .map(rdfsummary::rdf_io::writer::write_term)
+                .collect()
+        })
         .collect();
     let ask = !rows.is_empty();
     (rows, ask)
@@ -140,7 +144,10 @@ fn query_serving_matches_unpruned_evaluation_on_all_fixtures() {
                     .query(name, text, Some(kind), usize::MAX)
                     .unwrap_or_else(|e| panic!("{name}/{kind:?}/{text}: {e}"));
                 let (want_rows, want_ask) = reference_rows(&reference, text);
-                let got_rows: BTreeSet<Vec<String>> = out.rows.iter().cloned().collect();
+                let got_rows: BTreeSet<Vec<String>> = out
+                    .rows()
+                    .map(|row| row.into_iter().map(String::from).collect())
+                    .collect();
                 assert_eq!(
                     got_rows, want_rows,
                     "{name} × {kind:?}: rows diverged for `{text}`"
