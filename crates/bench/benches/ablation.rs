@@ -2,13 +2,12 @@
 //!
 //! * batch (clique-based) vs streaming (Algorithms 1–3) weak construction;
 //! * typed-summary semantics: implementation (Figure 7) vs literal
-//!   Definition 13;
-//! * sequential vs parallel clique scan.
+//!   Definition 13.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rdfsum_core::{
-    parallel_weak_summary, streaming_typed_weak_summary, streaming_weak_summary, summarize_with,
-    SummarizeOptions, SummaryKind, TypedSemantics,
+    streaming_typed_weak_summary, streaming_weak_summary, summarize_with, SummarizeOptions,
+    SummaryKind, TypedSemantics,
 };
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
@@ -29,11 +28,6 @@ fn bench_builders(c: &mut Criterion) {
     group.bench_function("streaming", |b| {
         b.iter(|| black_box(streaming_weak_summary(&g)))
     });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| black_box(parallel_weak_summary(&g, t)))
-        });
-    }
     group.finish();
 }
 

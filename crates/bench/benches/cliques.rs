@@ -3,8 +3,8 @@
 //! for the weak ones, this is not needed" makes clique cost the key
 //! difference between the W and S build paths.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdfsum_core::{parallel_cliques, parallel_cliques_forced, CliqueScope, Cliques};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rdfsum_core::{CliqueScope, Cliques};
 use rdfsum_workloads::{shapes, BsbmConfig};
 use std::hint::black_box;
 use std::time::Duration;
@@ -19,24 +19,11 @@ fn bench_cliques(c: &mut Criterion) {
     group.bench_function("untyped_only", |b| {
         b.iter(|| black_box(Cliques::compute(&g, CliqueScope::UntypedOnly)))
     });
-    // `parallel` is the production entry point: at this scale it
-    // auto-falls back to the sequential scan, so it must track
-    // `all_nodes`. `parallel_forced` measures the true split-scan cost.
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| black_box(parallel_cliques(&g, CliqueScope::AllNodes, t)))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("parallel_forced", threads),
-            &threads,
-            |b, &t| b.iter(|| black_box(parallel_cliques_forced(&g, CliqueScope::AllNodes, t))),
-        );
-    }
     group.finish();
 }
 
-/// The crossover scale: where the forced parallel scan starts beating the
-/// sequential one (BSBM ~160k data triples, above the auto threshold).
+/// The sequential scan at the scale the sharded substrate takes over
+/// (BSBM ~160k data triples; its shard-count rows are in `sharded`).
 fn bench_cliques_large(c: &mut Criterion) {
     let g = rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(2_000));
     let mut group = c.benchmark_group("cliques_bsbm_200k");
@@ -44,11 +31,6 @@ fn bench_cliques_large(c: &mut Criterion) {
     group.bench_function("all_nodes", |b| {
         b.iter(|| black_box(Cliques::compute(&g, CliqueScope::AllNodes)))
     });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| black_box(parallel_cliques(&g, CliqueScope::AllNodes, t)))
-        });
-    }
     group.finish();
 }
 

@@ -3,13 +3,10 @@
 //! at forced shard counts 1/2/4, graph- and store-driven, on BSBM at two
 //! scales. Shard count 1 is the sequential single-shard path, so the
 //! `*/1` rows double as the auto-fallback cost a single-core host pays.
-//! The `merge_tree`/`merge_fold` rows isolate the reduction strategies
-//! head to head at S = 2/4/8/16 — the crossover evidence for the
-//! tree-merge default past S = 8.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdf_store::TripleStore;
-use rdfsum_core::{CliqueScope, MergeStrategy, SummaryContext};
+use rdfsum_core::{CliqueScope, SummaryContext};
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
 use std::time::Duration;
@@ -60,35 +57,12 @@ fn bench_sharded_from_store(c: &mut Criterion) {
     group.finish();
 }
 
-/// Tree-merged vs fold-merged reduction, head to head at the same shard
-/// counts (substrate build only — no clique sweep — so the merge is the
-/// largest timed slice these rows can see).
-fn bench_merge_strategies(c: &mut Criterion) {
-    let g = rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(2_000));
-    let mut group = c.benchmark_group("sharded_substrate");
-    group.throughput(Throughput::Elements(g.len() as u64));
-    for (label, strategy) in [
-        ("merge_tree", MergeStrategy::Tree),
-        ("merge_fold", MergeStrategy::Fold),
-    ] {
-        for shards in [2usize, 4, 8, 16] {
-            group.bench_with_input(BenchmarkId::new(label, shards), &shards, |b, &shards| {
-                b.iter(|| {
-                    let (ctx, _) = SummaryContext::sharded_forced_with(&g, shards, strategy);
-                    black_box(ctx.data_nodes().len())
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_sharded_substrate, bench_sharded_from_store, bench_merge_strategies
+    targets = bench_sharded_substrate, bench_sharded_from_store
 }
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Reproduces **Figure 13** of the paper: summarization time (seconds) for
 //! the four summaries across BSBM dataset sizes, plus our streaming and
-//! parallel weak builders for comparison.
+//! sharded weak builds for comparison.
 //!
 //! ```text
 //! cargo run --release -p rdfsum-bench --bin fig13_time
@@ -29,11 +29,11 @@ fn main() {
         let streaming = t0.elapsed().as_secs_f64();
         std::hint::black_box(&s);
         let t0 = Instant::now();
-        let s = rdfsum_core::parallel_weak_summary(&g, 2);
+        let s = rdfsum_core::SummaryContext::sharded(&g, 2).weak_summary();
         let par2 = t0.elapsed().as_secs_f64();
         std::hint::black_box(&s);
         let t0 = Instant::now();
-        let s = rdfsum_core::parallel_weak_summary(&g, 8);
+        let s = rdfsum_core::SummaryContext::sharded(&g, 8).weak_summary();
         let par8 = t0.elapsed().as_secs_f64();
         std::hint::black_box(&s);
         extra.push((p, streaming, par2, par8));

@@ -10,8 +10,13 @@
 //! | `representativeness` | Prop. 1 / Definition 1 on sampled RBGP workloads |
 //! | `completeness` | Props. 5, 7, 8, 10 — completeness checks and counter-examples |
 //!
-//! Criterion micro-benchmarks live in `benches/`. This library holds the
-//! shared sweep/reporting machinery so binaries stay thin.
+//! Serving performance is measured by the repository benchmark
+//! (`src/bin/benchmark/`, declared by the root `BENCHMARK.json`; see its
+//! README). The criterion groups in `benches/` each time one function
+//! that benchmark cannot see in isolation: `parsing`, `query_serving`,
+//! `query_eval`, `quotient_h`, `saturation`, `summarize`, `ablation`,
+//! `cliques`, `sharded`. This library holds the shared sweep/reporting
+//! machinery so binaries stay thin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

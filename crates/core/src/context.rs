@@ -47,31 +47,25 @@
 //! substrates, one per contiguous input shard, merged after a parallel
 //! scan. Three observations make the merge exact (not merely equivalent):
 //!
-//! 1. **First-seen numbering remaps preserve determinism — and reduce as
-//!    a tree.** Each shard numbers the nodes/properties of its chunk with
-//!    a *local* [`DenseIdMap`] in local first-seen order. First-seen order
-//!    over a concatenation of chunks is the in-order merge of the
-//!    per-chunk first-seen orders, so absorbing the shard maps into one
-//!    global map *in shard order* ([`DenseIdMap::absorb`]) assigns every
-//!    node the exact dense id the sequential pass would have. Crucially
-//!    the argument is *associative*: absorbing chunk `B` into chunk `A`
-//!    yields the first-seen numbering of the concatenation `A·B`, which is
-//!    itself a chunk — so the S partials need not be folded left-to-right
-//!    on one thread. [`MergeStrategy::Tree`] (the default) reduces them as
-//!    an **ordered binary tree**: ⌈log₂ S⌉ pairwise rounds whose pairs
-//!    absorb concurrently, each combined unit keeping one remap table per
-//!    covered leaf. An absorb only ever *appends* to the left unit's
-//!    numbering, so the left leaves' tables survive unchanged and only the
-//!    right unit's tables are rewritten, through
-//!    [`DenseIdMap::compose_remaps`]. Degrees, typed-subject lists, and
-//!    the per-leaf tables ride along in the same rounds, and the final
-//!    unit's numbering — every table included — is byte-identical to the
-//!    serial fold's (pinned per round shape by the forced-shard suites at
-//!    S up to 64 and the remap-composition proptest in `rdf-model`). The
-//!    per-shard CSR entries are then rewritten through the final tables in
-//!    one parallel post-pass. Numbering, and hence every downstream
-//!    artifact, is deterministic, shard-count-invariant, and
-//!    merge-strategy-invariant.
+//! 1. **First-seen numbering remaps preserve determinism.** Each shard
+//!    numbers the nodes/properties of its chunk with a *local*
+//!    [`DenseIdMap`] in local first-seen order. First-seen order over a
+//!    concatenation of chunks is the in-order merge of the per-chunk
+//!    first-seen orders, so absorbing the shard maps into one global map
+//!    *in shard order* ([`DenseIdMap::absorb`]) assigns every node the
+//!    exact dense id the sequential pass would have. The S partials are
+//!    folded left to right on the calling thread: an absorb only ever
+//!    *appends* to the accumulated numbering, so the tables of the leaves
+//!    already folded in survive unchanged and each new leaf contributes
+//!    one `local → global` remap table. Degrees and typed-subject lists
+//!    ride along in the same pass, and the per-shard CSR entries are then
+//!    rewritten through the tables in one parallel post-pass. Numbering,
+//!    and hence every downstream artifact, is deterministic and
+//!    shard-count-invariant (pinned by the forced-shard suites at S up to
+//!    64). The fold is the survivor of a measured pair: an ordered binary
+//!    tree of concurrent pairwise absorbs lost to it on 12 of 12
+//!    alternating runs at S = 8 and never won 9 of 10 at S = 2 or 4
+//!    (CHANGES.md, PR 16).
 //! 2. **CSR stitching is an order-preserving concatenation.** A shard's
 //!    remapped `(row, property)` entries keep their chunk-scan order, and
 //!    shard concatenation order equals global scan order, so handing the
@@ -80,13 +74,12 @@
 //! 3. **Clique union–finds are mergeable.** Property-relatedness is a
 //!    union of per-row co-occurrence constraints, so partial union–finds
 //!    over disjoint row ranges merge by unioning each element with its
-//!    partial root — exactly how [`crate::parallel::parallel_cliques`]
-//!    combines its chunk partials. [`SummaryContext::cliques`] computes
-//!    the sweep that way: row ranges (balanced by CSR entry count) feed
-//!    per-worker union–finds plus range-local representative tables, and
-//!    the merge unions `np` roots per worker and scatters the
-//!    representatives — identical output to the sequential sweep because
-//!    every row is owned by exactly one worker.
+//!    partial root. [`SummaryContext::cliques`] computes the sweep that
+//!    way: row ranges (balanced by CSR entry count) feed per-worker
+//!    union–finds plus range-local representative tables, and the merge
+//!    unions `np` roots per worker and scatters the representatives —
+//!    identical output to the sequential sweep because every row is owned
+//!    by exactly one worker.
 //!
 //! The store-driven sharded path additionally relies on
 //! [`rdf_store::SortedIndex::shards`] cutting only at subject (object)
@@ -107,7 +100,6 @@ use crate::weak::class_property_sets;
 use rdf_model::{Component, DenseIdMap, FxHashMap, Graph, Term, TermId, NO_DENSE_ID};
 use rdf_store::TripleStore;
 use std::cell::OnceCell;
-use std::time::{Duration, Instant};
 
 /// The canonical class sets of the typed resources, interned densely.
 #[derive(Clone, Debug)]
@@ -206,50 +198,6 @@ struct ShardPart {
     typed: Vec<u32>,
 }
 
-/// How a sharded build reduces its shard partials into the global
-/// substrate. Both strategies produce byte-identical substrates (module
-/// docs, observation 1); they differ only in wall-clock shape.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MergeStrategy {
-    /// Left fold: absorb the partials one by one, in shard order, on the
-    /// calling thread — `O(S)` sequential absorbs. The PR 4 merge; kept as
-    /// the crossover-measurement baseline of the `sharded_substrate`
-    /// bench.
-    Fold,
-    /// Ordered binary tree: `⌈log₂ S⌉` pairwise rounds whose pairs absorb
-    /// concurrently, composing the right unit's leaf remap tables through
-    /// [`DenseIdMap::compose_remaps`].
-    #[default]
-    Tree,
-}
-
-/// Wall-clock breakdown of one sharded merge — the measurement seam the
-/// `profile_substrate` bin prints so merge-threshold tuning is measured,
-/// not guessed. Collecting it costs a few `Instant` reads per round.
-#[derive(Clone, Debug, Default)]
-pub struct MergeProfile {
-    /// One entry per pairwise reduction round (a single entry for a fold).
-    pub rounds: Vec<MergeRound>,
-    /// Type-triple interning after the data merge (graph path only).
-    pub types: Duration,
-    /// Substrate emission after the merge: entry remap + both CSR fills.
-    pub emission: Duration,
-}
-
-/// One reduction round of a [`MergeProfile`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MergeRound {
-    /// Pair absorbs in the round (concurrent under
-    /// [`MergeStrategy::Tree`], sequential under [`MergeStrategy::Fold`]).
-    pub pairs: usize,
-    /// Summed [`DenseIdMap::absorb`] time across the round's pairs.
-    pub absorb: Duration,
-    /// Summed degree/typed accumulation + remap-composition time.
-    pub degrees: Duration,
-    /// Wall-clock time of the whole round.
-    pub wall: Duration,
-}
-
 /// One numbering unit of the merge reduction: an already-merged run of
 /// *consecutive* leaves, carrying the combined numbering plus one
 /// `local → unit` remap table per covered leaf (in leaf order).
@@ -287,13 +235,10 @@ impl MergeUnit {
     /// leaves: extends the numbering, folds degrees and typed ids through
     /// the absorb remap, and composes `right`'s leaf tables into the
     /// combined numbering (this unit's tables stay valid — absorb only
-    /// appends). Returns `(absorb time, degree/compose time)` for the
-    /// profile.
-    fn absorb(&mut self, right: MergeUnit) -> (Duration, Duration) {
-        let t0 = Instant::now();
+    /// appends).
+    fn absorb(&mut self, right: MergeUnit) {
         let node_remap = self.node_map.absorb(&right.node_map);
         let prop_remap = self.prop_map.absorb(&right.prop_map);
-        let t1 = Instant::now();
         let n = self.node_map.len();
         self.out_deg.resize(n, 0);
         self.in_deg.resize(n, 0);
@@ -317,80 +262,18 @@ impl MergeUnit {
             DenseIdMap::compose_remaps(&prop_remap, &mut leaf);
             self.prop_remaps.push(leaf);
         }
-        (t1 - t0, t1.elapsed())
     }
 }
 
-/// Reduces the shard partials into one global numbering unit under
-/// `strategy`, recording per-round timings into `profile`. The result —
-/// numbering, degree sums, typed ids, and the per-leaf remap tables — is
-/// identical for both strategies.
-fn merge_shard_parts(
-    parts: &mut [ShardPart],
-    strategy: MergeStrategy,
-    profile: &mut MergeProfile,
-) -> MergeUnit {
-    let mut units: Vec<MergeUnit> = parts.iter_mut().map(MergeUnit::leaf).collect();
-    match strategy {
-        MergeStrategy::Fold => {
-            let round_start = Instant::now();
-            let mut round = MergeRound::default();
-            let mut iter = units.into_iter();
-            let mut acc = iter.next().expect("at least one shard partial");
-            for right in iter {
-                let (absorb, degrees) = acc.absorb(right);
-                round.pairs += 1;
-                round.absorb += absorb;
-                round.degrees += degrees;
-            }
-            round.wall = round_start.elapsed();
-            profile.rounds.push(round);
-            acc
-        }
-        MergeStrategy::Tree => {
-            while units.len() > 1 {
-                let round_start = Instant::now();
-                let mut round = MergeRound {
-                    pairs: units.len() / 2,
-                    ..MergeRound::default()
-                };
-                // Pair up consecutive units — (0,1), (2,3), … — keeping
-                // unit order; an odd trailing unit carries over unmerged.
-                units = std::thread::scope(|ts| {
-                    enum Slot<'s> {
-                        Merged(std::thread::ScopedJoinHandle<'s, (MergeUnit, Duration, Duration)>),
-                        Carried(MergeUnit),
-                    }
-                    let mut slots = Vec::with_capacity(units.len().div_ceil(2));
-                    let mut iter = units.into_iter();
-                    while let Some(mut left) = iter.next() {
-                        match iter.next() {
-                            Some(right) => slots.push(Slot::Merged(ts.spawn(move || {
-                                let (absorb, degrees) = left.absorb(right);
-                                (left, absorb, degrees)
-                            }))),
-                            None => slots.push(Slot::Carried(left)),
-                        }
-                    }
-                    slots
-                        .into_iter()
-                        .map(|slot| match slot {
-                            Slot::Merged(handle) => {
-                                let (unit, absorb, degrees) = handle.join().unwrap();
-                                round.absorb += absorb;
-                                round.degrees += degrees;
-                                unit
-                            }
-                            Slot::Carried(unit) => unit,
-                        })
-                        .collect()
-                });
-                round.wall = round_start.elapsed();
-                profile.rounds.push(round);
-            }
-            units.pop().expect("at least one shard partial")
-        }
+/// Folds the shard partials, in shard order, into one global numbering
+/// unit: numbering, degree sums, typed ids, and the per-leaf remap tables.
+fn merge_shard_parts(parts: &mut [ShardPart]) -> MergeUnit {
+    let mut units = parts.iter_mut().map(MergeUnit::leaf);
+    let mut merged = units.next().expect("at least one shard partial");
+    for right in units {
+        merged.absorb(right);
     }
+    merged
 }
 
 impl<'g> SummaryContext<'g> {
@@ -512,21 +395,9 @@ impl<'g> SummaryContext<'g> {
     /// since the auto path shards only above the threshold. Prefer
     /// [`SummaryContext::sharded`].
     pub fn sharded_forced(g: &'g Graph, shards: usize) -> Self {
-        Self::sharded_forced_with(g, shards, MergeStrategy::default()).0
-    }
-
-    /// [`SummaryContext::sharded_forced`] with an explicit
-    /// [`MergeStrategy`], returning the per-round [`MergeProfile`] — the
-    /// tree-vs-fold bench seam and the `profile_substrate` measurement
-    /// hook. Both strategies build byte-identical substrates.
-    pub fn sharded_forced_with(
-        g: &'g Graph,
-        shards: usize,
-        strategy: MergeStrategy,
-    ) -> (Self, MergeProfile) {
         let shards = shards.clamp(1, 256);
         if shards <= 1 {
-            return (Self::new(g), MergeProfile::default());
+            return Self::new(g);
         }
         let n_terms = g.dict().len();
         let data = g.data();
@@ -569,13 +440,10 @@ impl<'g> SummaryContext<'g> {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // Merge: reducing the shard numberings in shard order — pairwise
-        // rounds or a fold, identically — reproduces the global first-seen
-        // numbering; types are numbered after all data nodes, exactly like
-        // the sequential pass.
-        let mut profile = MergeProfile::default();
-        let mut merged = merge_shard_parts(&mut parts, strategy, &mut profile);
-        let types_start = Instant::now();
+        // Merge: folding the shard numberings in shard order reproduces
+        // the global first-seen numbering; types are numbered after all
+        // data nodes, exactly like the sequential pass.
+        let mut merged = merge_shard_parts(&mut parts);
         let mut typed_nodes = Vec::new();
         for t in g.types() {
             typed_nodes.push(merged.node_map.intern(t.s) as usize);
@@ -587,14 +455,11 @@ impl<'g> SummaryContext<'g> {
         for v in typed_nodes {
             typed[v] = true;
         }
-        profile.types = types_start.elapsed();
-        let emission_start = Instant::now();
         let (out_entries, in_entries) =
             remap_entries(&parts, &merged.node_remaps, &merged.prop_remaps);
         let (out_offsets, out_props) = fill_csr_threaded(&merged.out_deg, &out_entries, shards);
         let (in_offsets, in_props) = fill_csr_threaded(&merged.in_deg, &in_entries, shards);
-        profile.emission = emission_start.elapsed();
-        let ctx = SummaryContext {
+        SummaryContext {
             g,
             nodes: merged.node_map.into_parts().1,
             props: merged.prop_map.into_parts().1,
@@ -607,8 +472,7 @@ impl<'g> SummaryContext<'g> {
             all_cliques: OnceCell::new(),
             untyped_cliques: OnceCell::new(),
             class_sets: OnceCell::new(),
-        };
-        (ctx, profile)
+        }
     }
 
     /// Builds the context from a [`TripleStore`]'s sorted permutation
@@ -721,25 +585,14 @@ impl<'g> SummaryContext<'g> {
 
     /// [`SummaryContext::sharded_from_store`] without the size-threshold
     /// fallback — the forced-shard test/bench seam. Prefer
-    /// [`SummaryContext::sharded_from_store`].
+    /// [`SummaryContext::sharded_from_store`]. The store's SPO shard
+    /// partials followed by its OSP shard partials form `2S` ordered merge
+    /// leaves — their concatenation order *is* the sequential index-scan
+    /// order, so the same fold applies unchanged.
     pub fn sharded_from_store_forced(store: &'g TripleStore, shards: usize) -> Self {
-        Self::sharded_from_store_forced_with(store, shards, MergeStrategy::default()).0
-    }
-
-    /// [`SummaryContext::sharded_from_store_forced`] with an explicit
-    /// [`MergeStrategy`] and the per-round [`MergeProfile`]. The store's
-    /// SPO shard partials followed by its OSP shard partials form `2S`
-    /// ordered merge leaves — their concatenation order *is* the
-    /// sequential index-scan order, so the same reduction algebra applies
-    /// unchanged.
-    pub fn sharded_from_store_forced_with(
-        store: &'g TripleStore,
-        shards: usize,
-        strategy: MergeStrategy,
-    ) -> (Self, MergeProfile) {
         let shards = shards.clamp(1, 256);
         if shards <= 1 {
-            return (Self::from_store(store), MergeProfile::default());
+            return Self::from_store(store);
         }
         let g = store.graph();
         let n_terms = g.dict().len();
@@ -816,14 +669,13 @@ impl<'g> SummaryContext<'g> {
         });
         // Merge in the sequential scan order: all SPO shards (subjects
         // ascending), then all OSP shards (object-only nodes after every
-        // subject) — flattened into 2S ordered leaves for the reduction.
+        // subject) — flattened into 2S ordered leaves for the fold.
         // OSP prop absorbs are no-ops — every data property already
         // appeared in some SPO run.
         let (spo_parts, osp_parts): (Vec<ShardPart>, Vec<ShardPart>) = parts.into_iter().unzip();
         let mut leaves: Vec<ShardPart> = spo_parts;
         leaves.extend(osp_parts);
-        let mut profile = MergeProfile::default();
-        let mut merged = merge_shard_parts(&mut leaves, strategy, &mut profile);
+        let mut merged = merge_shard_parts(&mut leaves);
         let n = merged.node_map.len();
         merged.out_deg.resize(n, 0);
         merged.in_deg.resize(n, 0);
@@ -831,7 +683,6 @@ impl<'g> SummaryContext<'g> {
         for &v in &merged.typed {
             typed[v as usize] = true;
         }
-        let emission_start = Instant::now();
         let spo_refs: Vec<&ShardPart> = leaves[..shards].iter().collect();
         let osp_refs: Vec<&ShardPart> = leaves[shards..].iter().collect();
         let out_entries = remap_side(
@@ -848,8 +699,7 @@ impl<'g> SummaryContext<'g> {
         );
         let (out_offsets, out_props) = fill_csr_threaded(&merged.out_deg, &out_entries, shards);
         let (in_offsets, in_props) = fill_csr_threaded(&merged.in_deg, &in_entries, shards);
-        profile.emission = emission_start.elapsed();
-        let ctx = SummaryContext {
+        SummaryContext {
             g,
             nodes: merged.node_map.into_parts().1,
             props: merged.prop_map.into_parts().1,
@@ -862,8 +712,7 @@ impl<'g> SummaryContext<'g> {
             all_cliques: OnceCell::new(),
             untyped_cliques: OnceCell::new(),
             class_sets: OnceCell::new(),
-        };
-        (ctx, profile)
+        }
     }
 
     /// The summarized graph.
@@ -905,11 +754,10 @@ impl<'g> SummaryContext<'g> {
 
     /// The cliques of `G` under `scope`, computed on first use and cached.
     ///
-    /// The sweep is the clique-partial merge machinery of
-    /// [`crate::parallel`] ported onto the CSR rows: above
-    /// [`crate::parallel::PARALLEL_CLIQUE_THRESHOLD`] data triples (or
-    /// always, for sharded contexts) contiguous row ranges feed per-worker
-    /// union–find partials that merge into the sequential result exactly.
+    /// Above [`crate::parallel::PARALLEL_CLIQUE_THRESHOLD`] data triples
+    /// (or always, for sharded contexts) contiguous row ranges feed
+    /// per-worker union–find partials that merge into the sequential
+    /// result exactly.
     pub fn cliques(&self, scope: CliqueScope) -> &Cliques {
         let cell = match scope {
             CliqueScope::AllNodes => &self.all_cliques,
@@ -939,10 +787,10 @@ impl<'g> SummaryContext<'g> {
     /// the target one, no hash lookups); more workers split the rows into
     /// contiguous ranges balanced by entry count, scan each range into a
     /// union–find partial plus range-local representative tables, and
-    /// merge exactly like [`crate::parallel::parallel_cliques_forced`]
-    /// merges its chunk partials. Every row is owned by one worker, so
-    /// the representative tables scatter without reconciliation and the
-    /// result — including clique numbering — equals the sequential sweep.
+    /// merge by unioning every element with its partial root. Every row
+    /// is owned by one worker, so the representative tables scatter
+    /// without reconciliation and the result — including clique numbering
+    /// — equals the sequential sweep.
     pub(crate) fn compute_cliques_threaded(&self, scope: CliqueScope, threads: usize) -> Cliques {
         let np = self.props.len();
         let n = self.nodes.len();
@@ -1032,10 +880,9 @@ impl<'g> SummaryContext<'g> {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // Merge: union each partial's elements with their partial roots
-        // (the parallel.rs combine step), then scatter the range-local
-        // representatives into the term-indexed tables — disjoint rows, so
-        // plain overwrites.
+        // Merge: union each partial's elements with their partial roots,
+        // then scatter the range-local representatives into the
+        // term-indexed tables — disjoint rows, so plain overwrites.
         for (w, mut part) in partials.into_iter().enumerate() {
             for i in 0..np {
                 let r = part.src_uf.find(i);
@@ -1841,8 +1688,8 @@ mod tests {
 
     /// Shard counts past the old S = 8 frontier — 16/32/64, with 64
     /// exceeding the small fixture's triple count so trailing shards are
-    /// empty — reproduce the sequential build *byte for byte* under both
-    /// merge strategies: the substrate arrays, each summary's serialized
+    /// empty — reproduce the sequential build *byte for byte*: the
+    /// substrate arrays, each summary's serialized
     /// triples in emission order (no canonical re-sort), and the dr/rd
     /// correspondence tables. The forced context carries its shard count
     /// into `threads`, so this also pins the parallel quotient emission
@@ -1883,25 +1730,23 @@ mod tests {
                 }
             };
             for shards in [16, 32, 64] {
-                for strategy in [MergeStrategy::Tree, MergeStrategy::Fold] {
-                    let (sh, _) = SummaryContext::sharded_forced_with(&g, shards, strategy);
-                    let tag = format!("{shards} shards/{strategy:?}");
-                    assert_eq!(sh.nodes, seq.nodes, "{tag}");
-                    assert_eq!(sh.props, seq.props, "{tag}");
-                    assert_eq!(sh.out_offsets, seq.out_offsets, "{tag}");
-                    assert_eq!(sh.out_props, seq.out_props, "{tag}");
-                    assert_eq!(sh.in_offsets, seq.in_offsets, "{tag}");
-                    assert_eq!(sh.in_props, seq.in_props, "{tag}");
-                    assert_eq!(sh.typed, seq.typed, "{tag}");
-                    for (i, &kind) in SummaryKind::ALL.iter().enumerate() {
-                        assert_same(&sh.summarize(kind), &seq_sums[i], &format!("{tag}/{kind}"));
-                    }
-                    assert_same(
-                        &sh.type_summary(),
-                        seq_sums.last().unwrap(),
-                        &format!("{tag}/type-based"),
-                    );
+                let sh = SummaryContext::sharded_forced(&g, shards);
+                let tag = format!("{shards} shards");
+                assert_eq!(sh.nodes, seq.nodes, "{tag}");
+                assert_eq!(sh.props, seq.props, "{tag}");
+                assert_eq!(sh.out_offsets, seq.out_offsets, "{tag}");
+                assert_eq!(sh.out_props, seq.out_props, "{tag}");
+                assert_eq!(sh.in_offsets, seq.in_offsets, "{tag}");
+                assert_eq!(sh.in_props, seq.in_props, "{tag}");
+                assert_eq!(sh.typed, seq.typed, "{tag}");
+                for (i, &kind) in SummaryKind::ALL.iter().enumerate() {
+                    assert_same(&sh.summarize(kind), &seq_sums[i], &format!("{tag}/{kind}"));
                 }
+                assert_same(
+                    &sh.type_summary(),
+                    seq_sums.last().unwrap(),
+                    &format!("{tag}/type-based"),
+                );
             }
         }
     }

@@ -1,40 +1,25 @@
 //! Incremental weak summarization: maintaining `W_G` under triple
 //! insertions without rebuilding.
 //!
-//! The paper's streaming algorithms (§6.2) are one-pass and
-//! insertion-order-insensitive, which makes them natural *online*
-//! maintenance procedures — the direction the authors later developed into
-//! incremental quotient summaries. [`IncrementalWeak`] keeps the streaming
-//! state (union–find over summary nodes, the per-property `dpSrc`/`dpTarg`
-//! slots, `rd`, and class sets) alive between insertions; a consistent
-//! [`crate::Summary`] can be materialized at any point, and is always
-//! identical (up to minted-URI naming, which is property-set-derived and
-//! thus equal) to the batch weak summary of the triples inserted so far.
+//! The weak summary's two-pass scan is insertion-order-stable — appended
+//! triples land at the end of their component tables — which makes its
+//! intermediate state a natural *online* maintenance structure.
+//! [`WeakDelta`] is the serving layer's patch state: it mirrors the exact
+//! scan state of [`crate::weak::weak_summary`] over a graph owned
+//! elsewhere (a [`rdf_store::TripleStore`]), advances it in O(1) per
+//! inserted triple, and materializes summaries **byte-identical** to a
+//! from-scratch rebuild — so a cached summary can be patched in place of
+//! rebuilding without disturbing content-addressed caching.
 //!
 //! Deletions are *not* supported: quotient summaries are not decremental
-//! (removing a triple can split cliques, which union–find cannot undo);
-//! rebuild for that — still cheap, as summarization is linear.
-//!
-//! Two maintainers live here, for two call sites:
-//!
-//! * [`IncrementalWeak`] — a self-contained online summarizer that owns its
-//!   graph; materializations are *isomorphic* to the batch result (same
-//!   structure and property-set-derived names, but node/edge emission
-//!   order may differ).
-//! * [`WeakDelta`] — the serving layer's patch state. It mirrors the exact
-//!   scan state of [`crate::weak::weak_summary`] over a graph owned
-//!   elsewhere (a [`rdf_store::TripleStore`]), advances it in O(1) per
-//!   inserted triple, and materializes summaries **byte-identical** to a
-//!   from-scratch rebuild — so a cached summary can be patched in place of
-//!   rebuilding without disturbing content-addressed caching. Deletions
-//!   invalidate the state (drop it and rebuild).
+//! (removing a triple can split cliques, which union–find cannot undo).
+//! Deletions invalidate the state (drop it and rebuild — still cheap, as
+//! summarization is linear).
 
 use crate::cliques::Cliques;
-use crate::naming::n_term;
-use crate::summary::{Summary, SummaryKind};
+use crate::summary::Summary;
 use crate::unionfind::UnionFind;
-use rdf_model::{Component, DenseIdMap, FxHashMap, Graph, Term, TermId, Triple, NO_DENSE_ID};
-use std::sync::Arc;
+use rdf_model::{Component, DenseIdMap, Graph, Triple, NO_DENSE_ID};
 
 /// Patchable weak-summary state: the exact intermediate products of
 /// [`crate::weak::weak_summary`]'s two-pass scan, kept alive so that an
@@ -170,339 +155,13 @@ impl WeakDelta {
     }
 }
 
-/// An online weak summarizer.
-#[derive(Debug)]
-pub struct IncrementalWeak {
-    /// The accumulated input graph (owned; also the dictionary).
-    graph: Graph,
-    /// Union–find over summary node ids.
-    uf: UnionFind,
-    /// `rd`: G node → summary node id.
-    rd: FxHashMap<TermId, usize>,
-    /// `dpSrc` / `dpTarg`: per-property source/target summary node.
-    dp_src: FxHashMap<TermId, usize>,
-    dp_targ: FxHashMap<TermId, usize>,
-    /// `dtp`: property → current (source, target) summary ids.
-    dtp: FxHashMap<TermId, (usize, usize)>,
-    /// Classes per summary node id (`dcls`).
-    dcls: FxHashMap<usize, Vec<TermId>>,
-    /// Number of insertions processed (for instrumentation).
-    inserted: usize,
-}
-
-impl Default for IncrementalWeak {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IncrementalWeak {
-    /// An empty summarizer.
-    pub fn new() -> Self {
-        IncrementalWeak {
-            graph: Graph::new(),
-            uf: UnionFind::new(0),
-            rd: FxHashMap::default(),
-            dp_src: FxHashMap::default(),
-            dp_targ: FxHashMap::default(),
-            dtp: FxHashMap::default(),
-            dcls: FxHashMap::default(),
-            inserted: 0,
-        }
-    }
-
-    /// Starts from an existing graph (bulk phase), then stays incremental.
-    pub fn from_graph(g: &Graph) -> Self {
-        let mut inc = Self::new();
-        for t in g.iter() {
-            let s = g.dict().decode(t.s).clone();
-            let p = g.dict().decode(t.p).clone();
-            let o = g.dict().decode(t.o).clone();
-            inc.insert(s, p, o).expect("re-inserting a valid graph");
-        }
-        inc
-    }
-
-    /// The accumulated input graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// Number of triples inserted so far (including duplicates).
-    pub fn inserted(&self) -> usize {
-        self.inserted
-    }
-
-    fn get(&mut self, r: TermId, p: TermId, source_side: bool) -> usize {
-        let dp = if source_side {
-            &mut self.dp_src
-        } else {
-            &mut self.dp_targ
-        };
-        let slot = dp.get(&p).map(|&d| self.uf.find(d));
-        let node = self.rd.get(&r).copied().map(|d| self.uf.find(d));
-        match (slot, node) {
-            (None, None) => {
-                let d = self.uf.push();
-                self.rd.insert(r, d);
-                dp.insert(p, d);
-                d
-            }
-            (Some(du), None) => {
-                self.rd.insert(r, du);
-                du
-            }
-            (None, Some(ds)) => {
-                dp.insert(p, ds);
-                ds
-            }
-            (Some(du), Some(ds)) => {
-                if du == ds {
-                    ds
-                } else {
-                    let survivor = self.uf.union(du, ds);
-                    // Merge class sets of the fused nodes.
-                    let loser = if survivor == du { ds } else { du };
-                    if let Some(mut classes) = self.dcls.remove(&loser) {
-                        let into = self.dcls.entry(survivor).or_default();
-                        classes.retain(|c| !into.contains(c));
-                        into.append(&mut classes);
-                    }
-                    survivor
-                }
-            }
-        }
-    }
-
-    /// Inserts one triple (any component), updating the summary state.
-    pub fn insert(&mut self, s: Term, p: Term, o: Term) -> Result<(), rdf_model::ModelError> {
-        self.inserted += 1;
-        let before = self.graph.len();
-        let (t, comp) = self.graph.insert(s, p, o)?;
-        if self.graph.len() == before {
-            return Ok(()); // duplicate
-        }
-        match comp {
-            Component::Schema => { /* copied verbatim at materialization */ }
-            Component::Data => {
-                let _ = self.get(t.s, t.p, true);
-                let _ = self.get(t.o, t.p, false);
-                let src = self.get(t.s, t.p, true);
-                let targ = self.get(t.o, t.p, false);
-                let src = self.uf.find(src);
-                let targ = self.uf.find(targ);
-                self.dtp.insert(t.p, (src, targ));
-            }
-            Component::Type => {
-                // A typed-only subject gets its *own* union–find node; the
-                // Nτ coalescing happens only at materialization. Eagerly
-                // sharing one node would be wrong: a later data triple can
-                // split one typed-only resource away from the others, and
-                // union–find cannot un-merge.
-                let d = match self.rd.get(&t.s).copied() {
-                    Some(d) => self.uf.find(d),
-                    None => {
-                        let d = self.uf.push();
-                        self.rd.insert(t.s, d);
-                        d
-                    }
-                };
-                let v = self.dcls.entry(d).or_default();
-                if !v.contains(&t.o) {
-                    v.push(t.o);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes the current weak summary.
-    ///
-    /// Equal (same URIs and triples) to `weak_summary(self.graph())`.
-    pub fn summary(&mut self) -> Summary {
-        // Per-root in/out property sets from the dp slots.
-        let mut in_props: FxHashMap<usize, Vec<TermId>> = FxHashMap::default();
-        let mut out_props: FxHashMap<usize, Vec<TermId>> = FxHashMap::default();
-        let dp_targ: Vec<(TermId, usize)> = self.dp_targ.iter().map(|(&p, &d)| (p, d)).collect();
-        for (p, d) in dp_targ {
-            in_props.entry(self.uf.find(d)).or_default().push(p);
-        }
-        let dp_src: Vec<(TermId, usize)> = self.dp_src.iter().map(|(&p, &d)| (p, d)).collect();
-        for (p, d) in dp_src {
-            out_props.entry(self.uf.find(d)).or_default().push(p);
-        }
-
-        let mut h = Graph::new();
-        let mut h_node: FxHashMap<usize, TermId> = FxHashMap::default();
-        let mut roots: Vec<usize> = self.rd.values().map(|&d| self.uf.find_const(d)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        for root in roots {
-            // Prop-less roots are exactly the typed-only resources; they
-            // all coalesce onto Nτ here: `n_term(∅, ∅)` normalizes to the
-            // structurally-equal Nτ key, so every such root encodes to
-            // one summary node. Names mint symbolically (shared `Arc`
-            // set keys, lazily rendered) and each root mints once, so
-            // pointer-identity coincides with name identity — rendered
-            // output is byte-identical to the old eager strings.
-            let tc = in_props.get(&root).cloned().unwrap_or_default();
-            let sc = out_props.get(&root).cloned().unwrap_or_default();
-            let name = n_term(self.graph.dict(), &tc, &sc);
-            h_node.insert(root, h.dict_mut().encode(name));
-        }
-
-        // Constants transfer dictionary-to-dictionary as shared `Arc`s.
-        let dict = self.graph.dict();
-        let transfer =
-            |h: &mut Graph, id: TermId| h.dict_mut().encode_shared(Arc::clone(dict.shared(id)));
-        for t in self.graph.schema() {
-            let s = transfer(&mut h, t.s);
-            let p = transfer(&mut h, t.p);
-            let o = transfer(&mut h, t.o);
-            h.insert_encoded(Triple::new(s, p, o));
-        }
-        for (&p, &(s, o)) in &self.dtp {
-            let s = h_node[&self.uf.find_const(s)];
-            let o = h_node[&self.uf.find_const(o)];
-            let p = transfer(&mut h, p);
-            h.insert_encoded(Triple::new(s, p, o));
-        }
-        let tau = h.rdf_type();
-        for (&d, classes) in &self.dcls {
-            let s = h_node[&self.uf.find_const(d)];
-            for &c in classes {
-                let c = transfer(&mut h, c);
-                h.insert_encoded(Triple::new(s, tau, c));
-            }
-        }
-
-        let node_map: FxHashMap<TermId, TermId> = self
-            .rd
-            .iter()
-            .map(|(&r, &d)| (r, h_node[&self.uf.find_const(d)]))
-            .collect();
-        Summary::new(SummaryKind::Weak, h, node_map)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::sample_graph;
-    use crate::iso::summary_isomorphic;
     use crate::weak::weak_summary;
     use rdf_io::write_graph;
-
-    fn canonical(g: &Graph) -> Vec<String> {
-        let mut v: Vec<String> = write_graph(g).lines().map(String::from).collect();
-        v.sort();
-        v
-    }
-
-    #[test]
-    fn matches_batch_after_bulk_load() {
-        let g = sample_graph();
-        let mut inc = IncrementalWeak::from_graph(&g);
-        let batch = weak_summary(&g);
-        assert_eq!(canonical(&inc.summary().graph), canonical(&batch.graph));
-    }
-
-    #[test]
-    fn matches_batch_at_every_prefix() {
-        let g = sample_graph();
-        let triples: Vec<(Term, Term, Term)> = g
-            .iter()
-            .map(|t| {
-                (
-                    g.dict().decode(t.s).clone(),
-                    g.dict().decode(t.p).clone(),
-                    g.dict().decode(t.o).clone(),
-                )
-            })
-            .collect();
-        let mut inc = IncrementalWeak::new();
-        let mut prefix = Graph::new();
-        for (s, p, o) in triples {
-            inc.insert(s.clone(), p.clone(), o.clone()).unwrap();
-            prefix.insert(s, p, o).unwrap();
-            let batch = weak_summary(&prefix);
-            assert!(
-                summary_isomorphic(&inc.summary().graph, &batch.graph),
-                "diverged at {} triples",
-                prefix.len()
-            );
-        }
-    }
-
-    #[test]
-    fn duplicates_are_noops() {
-        let mut inc = IncrementalWeak::new();
-        for _ in 0..3 {
-            inc.insert(Term::iri("a"), Term::iri("p"), Term::iri("b"))
-                .unwrap();
-        }
-        assert_eq!(inc.graph().len(), 1);
-        assert_eq!(inc.inserted(), 3);
-        assert_eq!(inc.summary().graph.data().len(), 1);
-    }
-
-    #[test]
-    fn typed_only_then_data_promotion() {
-        // A node first seen typed-only (on Nτ) later gains a data property:
-        // the summary must re-home it, matching the batch result.
-        let mut inc = IncrementalWeak::new();
-        inc.insert(
-            Term::iri("x"),
-            Term::iri(rdf_model::vocab::RDF_TYPE),
-            Term::iri("C"),
-        )
-        .unwrap();
-        let s1 = inc.summary();
-        assert_eq!(s1.graph.types().len(), 1);
-        inc.insert(Term::iri("x"), Term::iri("p"), Term::iri("y"))
-            .unwrap();
-        let batch = weak_summary(inc.graph());
-        assert!(summary_isomorphic(&inc.summary().graph, &batch.graph));
-    }
-
-    #[test]
-    fn two_typed_only_nodes_share_ntau_until_data_arrives() {
-        let mut inc = IncrementalWeak::new();
-        let tau = Term::iri(rdf_model::vocab::RDF_TYPE);
-        inc.insert(Term::iri("x"), tau.clone(), Term::iri("C"))
-            .unwrap();
-        inc.insert(Term::iri("y"), tau.clone(), Term::iri("D"))
-            .unwrap();
-        let s = inc.summary();
-        assert_eq!(s.n_summary_nodes(), 1); // both on Nτ
-        assert_eq!(s.graph.types().len(), 2);
-        // Now x gets data: x leaves Nτ… but in weak semantics Nτ merging
-        // happens through rd, so the batch comparison is authoritative.
-        inc.insert(Term::iri("x"), Term::iri("p"), Term::iri("v"))
-            .unwrap();
-        let batch = weak_summary(inc.graph());
-        assert!(summary_isomorphic(&inc.summary().graph, &batch.graph));
-    }
-
-    #[test]
-    fn schema_triples_pass_through() {
-        let mut inc = IncrementalWeak::new();
-        inc.insert(
-            Term::iri("A"),
-            Term::iri(rdf_model::vocab::RDFS_SUBCLASSOF),
-            Term::iri("B"),
-        )
-        .unwrap();
-        assert_eq!(inc.summary().graph.schema().len(), 1);
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        let mut inc = IncrementalWeak::new();
-        assert!(inc
-            .insert(Term::literal("L"), Term::iri("p"), Term::iri("o"))
-            .is_err());
-    }
+    use rdf_model::Term;
 
     /// [`WeakDelta`] materializations are byte-identical (not merely
     /// isomorphic) to a fresh `weak_summary` of the same graph, at every

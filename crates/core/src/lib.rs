@@ -18,9 +18,10 @@
 //! plus the type-based summary `T_G` (Definition 12). Supporting machinery:
 //! property [`cliques`] (Definition 5), property [`distance`] (Definition
 //! 6), node [`equivalence`] partitions, the generic [`quotient`] operator,
-//! the paper's streaming Algorithms 1–3 ([`streaming`]), a parallel clique
-//! scan ([`parallel`]), summary [`iso`]morphism, and [`checks`] for the
-//! paper's formal properties (fixpoint, completeness, representativeness).
+//! the paper's streaming Algorithms 1–3 ([`streaming`]), the substrate's
+//! thread policy ([`parallel`]), summary [`iso`]morphism, and [`checks`]
+//! for the paper's formal properties (fixpoint, completeness,
+//! representativeness).
 //!
 //! ## The dense pipeline: [`SummaryContext`]
 //!
@@ -48,18 +49,14 @@
 //! The substrate is **shard-mergeable**:
 //! [`context::SummaryContext::sharded`] (and `sharded_from_store`, fed by
 //! the store's subject-range index shards) builds S independent partial
-//! substrates concurrently and reduces them in an **ordered binary
-//! tree** ([`context::MergeStrategy`]): `⌈log₂ S⌉` pairwise rounds whose
-//! absorbs run concurrently, leaf remap tables composed through
-//! [`rdf_model::DenseIdMap::compose_remaps`] so the result reproduces
-//! global first-seen numbering exactly — the *identical* substrate the
+//! substrates concurrently and folds them in shard order
+//! ([`rdf_model::DenseIdMap::absorb`]), so the result reproduces global
+//! first-seen numbering exactly — the *identical* substrate the
 //! sequential pass builds, CSR stitched in shard order, clique
-//! union–finds merged like the parallel clique partials. All five
-//! summaries therefore come out triple-for-triple, naming-identical at
-//! any shard count (pinned up to S = 64, empty shards included). Small
-//! graphs and single-core hosts auto-fall back to the sequential S = 1
-//! path; [`context::MergeProfile`] exposes the per-round wall-clock the
-//! `profile_substrate` bin prints.
+//! union–finds merged from row-range partials. All five summaries
+//! therefore come out triple-for-triple, naming-identical at any shard
+//! count (pinned up to S = 64, empty shards included). Small graphs and
+//! single-core hosts auto-fall back to the sequential S = 1 path.
 //!
 //! ## Symbolic minted names
 //!
@@ -140,14 +137,13 @@ pub use checks::{
     CompletenessCheck, RepresentativenessReport,
 };
 pub use cliques::{CliqueId, CliqueScope, Cliques};
-pub use context::{ClassSets, MergeProfile, MergeRound, MergeStrategy, SummaryContext};
+pub use context::{ClassSets, SummaryContext};
 pub use equivalence::Partition;
 pub use executor::Executor;
-pub use incremental::{IncrementalWeak, WeakDelta};
+pub use incremental::WeakDelta;
 pub use inflate::{inflate, InflateConfig};
 pub use iso::summary_isomorphic;
 pub use parallel::{
-    effective_threads, parallel_cliques, parallel_cliques_forced, parallel_weak_summary,
     sort_dedup_packed, sort_dedup_packed_forced, substrate_threads, PARALLEL_CLIQUE_THRESHOLD,
     PARALLEL_CSR_THRESHOLD, PARALLEL_SORT_THRESHOLD,
 };
@@ -167,9 +163,9 @@ pub use weak::weak_summary;
 #[cfg(test)]
 mod proptests {
     use super::{
-        check_representativeness, completeness_check, fixpoint_holds, parallel_weak_summary,
-        streaming_typed_weak_summary, streaming_weak_summary, strong_summary, summarize,
-        summary_isomorphic, typed_strong_summary, typed_weak_summary, weak_summary, SummaryKind,
+        check_representativeness, completeness_check, fixpoint_holds, streaming_typed_weak_summary,
+        streaming_weak_summary, strong_summary, summarize, summary_isomorphic,
+        typed_strong_summary, typed_weak_summary, weak_summary, SummaryContext, SummaryKind,
     };
     use proptest::prelude::*;
     use rdf_model::{vocab, Graph};
@@ -333,22 +329,24 @@ mod proptests {
             prop_assert!(summary_isomorphic(&tw_a.graph, &tw_b.graph));
         }
 
-        /// Parallel weak equals sequential weak on random graphs.
+        /// The weak summary of a forced-shard context equals the
+        /// sequential one on random graphs, at every shard count.
         #[test]
-        fn parallel_equals_sequential(g in arb_graph()) {
+        fn parallel_equals_sequential(g in arb_graph(), threads in 2usize..6) {
             let a = weak_summary(&g);
-            let b = parallel_weak_summary(&g, 4);
+            let b = SummaryContext::sharded_forced(&g, threads).weak_summary();
             prop_assert!(summary_isomorphic(&a.graph, &b.graph));
         }
 
-        /// The forced (no-fallback) parallel clique scan matches the
-        /// sequential one exactly — same cliques, same numbering — on
-        /// random graphs, for every scope.
+        /// A forced-shard context's row-range clique sweep matches the
+        /// sequential triple scan exactly — same cliques, same numbering —
+        /// on random graphs, for every scope.
         #[test]
-        fn forced_parallel_cliques_equal_sequential(g in arb_graph(), threads in 2usize..6) {
+        fn sharded_cliques_equal_sequential(g in arb_graph(), threads in 2usize..6) {
             use crate::cliques::{CliqueScope, Cliques};
+            let ctx = SummaryContext::sharded_forced(&g, threads);
             for scope in [CliqueScope::AllNodes, CliqueScope::UntypedOnly] {
-                let par = crate::parallel::parallel_cliques_forced(&g, scope, threads);
+                let par = ctx.cliques(scope);
                 let seq = Cliques::compute(&g, scope);
                 prop_assert_eq!(&par.source_cliques, &seq.source_cliques);
                 prop_assert_eq!(&par.target_cliques, &seq.target_cliques);
@@ -379,29 +377,6 @@ mod proptests {
                 let oracle = reference_summary(&g, kind);
                 prop_assert_eq!(canon(&dense), canon(&oracle), "{}", kind);
             }
-        }
-
-        /// The incremental weak summarizer matches the batch builder on
-        /// random graphs inserted in arbitrary (shuffled) orders.
-        #[test]
-        fn incremental_equals_batch(g in arb_graph(), shuffle_seed in 0u64..1000) {
-            use rdf_model::SplitMix64;
-            let mut triples: Vec<_> = g.iter().collect();
-            // Fisher–Yates with the deterministic RNG.
-            let mut rng = SplitMix64::new(shuffle_seed);
-            for i in (1..triples.len()).rev() {
-                triples.swap(i, rng.index(i + 1));
-            }
-            let mut inc = crate::incremental::IncrementalWeak::new();
-            for t in triples {
-                inc.insert(
-                    g.dict().decode(t.s).clone(),
-                    g.dict().decode(t.p).clone(),
-                    g.dict().decode(t.o).clone(),
-                ).unwrap();
-            }
-            let batch = weak_summary(&g);
-            prop_assert!(summary_isomorphic(&inc.summary().graph, &batch.graph));
         }
 
         /// Strong refines weak; typed strong refines typed weak.

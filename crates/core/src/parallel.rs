@@ -1,74 +1,36 @@
-//! Parallel clique computation and weak summarization, on the dense
-//! layout.
+//! The thread policy of the dense substrate, and the sort/merge helpers
+//! it calls.
 //!
 //! The paper's future work: "improving scalability by leveraging a
-//! massively parallel platform such as Spark". Property-clique computation
-//! is embarrassingly parallel in the scan and cheap to combine. Each
-//! worker scans a chunk of D_G into *fixed-size* dense structures — a
-//! union–find over the (precomputed) dense property numbering and two
-//! `Vec<u32>` representative tables indexed by the dictionary id — so the
-//! combine step is a pair of linear array merges: union each worker's
-//! union–find into the global one (`np` finds per worker), then reconcile
-//! the per-resource representatives slot by slot. No hash maps are built
-//! or merged anywhere. The result is identical to the sequential
-//! [`Cliques::compute`], including clique numbering.
-//!
-//! Thread spawning and the per-worker tables have a fixed cost, so below
-//! [`PARALLEL_CLIQUE_THRESHOLD`] data triples the scan is not worth
-//! splitting: [`parallel_cliques`] then *automatically falls back* to the
-//! sequential path ([`effective_threads`] returns 1). Benchmarks showed
-//! the pre-dense parallel path losing to the sequential scan at BSBM-30k
-//! precisely because it paid hash-map partials plus thread overhead on a
-//! sub-millisecond job; the fallback makes the auto-selected path never
-//! slower than sequential at small scales, while [`parallel_cliques_forced`]
-//! remains available to measure the true parallel crossover.
-//!
-//! The same measured-threshold discipline covers the two remaining serial
-//! substrate stages: the chunked CSR adjacency fill of
-//! [`crate::context::SummaryContext`] (gated on
-//! [`PARALLEL_CSR_THRESHOLD`] / [`substrate_threads`]) and the quotient's
-//! packed-triple sort-dedup ([`sort_dedup_packed`], gated on
-//! [`PARALLEL_SORT_THRESHOLD`]). Both fall back to the sequential code
-//! below their thresholds and produce bit-identical results either way.
+//! massively parallel platform such as Spark". Every stage of
+//! [`crate::context::SummaryContext`] and of the quotient is
+//! embarrassingly parallel in its scan and cheap to combine, but thread
+//! spawning and per-worker tables have a fixed cost, so each stage goes
+//! parallel only above a measured threshold and runs the sequential code
+//! below it, with bit-identical results either way: the clique sweep
+//! ([`PARALLEL_CLIQUE_THRESHOLD`]), the sharded substrate build
+//! ([`PARALLEL_SHARD_THRESHOLD`] / [`shard_count`]), the chunked CSR
+//! adjacency fill ([`PARALLEL_CSR_THRESHOLD`]), the class-set scan
+//! ([`PARALLEL_CLASS_THRESHOLD`]), and the quotient's packed-triple
+//! emission and sort-dedup ([`PARALLEL_EMIT_THRESHOLD`],
+//! [`sort_dedup_packed`], gated on [`PARALLEL_SORT_THRESHOLD`]). Worker
+//! counts come from [`substrate_threads`].
 
-use crate::cliques::{CliqueScope, Cliques};
-use crate::equivalence::{data_nodes_ordered, weak_partition};
-use crate::naming::n_term;
-use crate::quotient::quotient_summary;
-use crate::summary::{Summary, SummaryKind};
-use crate::unionfind::UnionFind;
-use crate::weak::class_property_sets;
-use rdf_model::{DenseIdMap, Graph, NO_DENSE_ID};
-
-/// Below this many data triples, the parallel clique scan's fixed costs
-/// (thread spawn + per-worker dense tables + merge) outweigh the split
-/// scan, and [`parallel_cliques`] runs sequentially instead. Measured
-/// with the dense layout on BSBM scales (see the `cliques_bsbm_*` benches
-/// and `profile_crossover`): two workers start beating the sequential
-/// scan at roughly this size and win consistently above it (e.g. ~375 µs
-/// vs ~480 µs at BSBM-30k's 25 k data triples).
+/// Below this many data triples, the row-range clique sweep's fixed costs
+/// (thread spawn + per-worker union–finds + merge) outweigh the split
+/// scan, and [`crate::context::SummaryContext::cliques`] sweeps
+/// sequentially instead. Measured on BSBM scales (CHANGES.md, PR 2): two
+/// workers start beating the sequential scan at roughly this size and win
+/// consistently above it (e.g. ~375 µs vs ~480 µs at BSBM-30k's 25 k data
+/// triples).
 pub const PARALLEL_CLIQUE_THRESHOLD: usize = 8_192;
 
-/// Sizes the worker cap above the threshold: the cap is
-/// `max(2, n_data_triples / TRIPLES_PER_EXTRA_WORKER)`. The combine step
-/// costs `O(workers × dictionary size)`, so worker counts must grow much
-/// more slowly than the scan: at every measured scale up to ~170 k
+/// Sizes the worker count above a threshold: [`substrate_threads`] grants
+/// 2 workers plus one more per this many work items. The combine steps
+/// cost `O(workers × dictionary size)`, so worker counts must grow much
+/// more slowly than the scans: at every measured scale up to ~170 k
 /// triples, 2 workers beat 4 and 8.
 const TRIPLES_PER_EXTRA_WORKER: usize = 65_536;
-
-/// The worker count [`parallel_cliques`] actually uses for a graph with
-/// `n_data_triples`: `1` (sequential fallback) below
-/// [`PARALLEL_CLIQUE_THRESHOLD`]; otherwise the requested count, capped by
-/// the measured scaling limit of
-/// `max(2, n_data_triples / TRIPLES_PER_EXTRA_WORKER)` workers.
-pub fn effective_threads(n_data_triples: usize, requested: usize) -> usize {
-    if n_data_triples < PARALLEL_CLIQUE_THRESHOLD {
-        1
-    } else {
-        let cap = 2.max(n_data_triples / TRIPLES_PER_EXTRA_WORKER);
-        requested.max(1).min(cap)
-    }
-}
 
 /// Below this many data triples, the shard-parallel substrate build of
 /// [`crate::context::SummaryContext::sharded`] is not worth its fixed
@@ -95,13 +57,25 @@ pub fn shard_count(n_data_triples: usize, requested: usize) -> usize {
     }
 }
 
+/// Whether a build of `g` on `threads` workers goes through the sharded
+/// substrate ([`crate::context::SummaryContext::sharded`]) rather than
+/// the lean single-summary builders ([`crate::builder::summarize`]). The
+/// CLI's `summarize --kind`, the service's cache-miss builds and its
+/// `UPDATE` patch regime all ask here — that is what keeps served bytes,
+/// and which batches may patch, in step with the CLI. It answers without
+/// building anything because `UPDATE` asks while it holds the graph
+/// exclusively.
+pub fn builds_sharded(g: &rdf_model::Graph, threads: usize) -> bool {
+    shard_count(g.data().len(), threads) > 1
+}
+
 /// Below this many CSR entries (one per data triple and direction), the
 /// chunked parallel adjacency fill of
 /// [`crate::context::SummaryContext::new`] loses to the single-threaded
 /// cursor sweep: the parallel path pays the row-range bucketing pass and
 /// `2 × workers` thread spawns, each worth thousands of plain cursor
-/// writes. Measured with `profile_substrate` on BSBM scales (where the
-/// 30k scale's ~25 k entries sit comfortably below break-even).
+/// writes. Measured on BSBM scales (CHANGES.md, PR 3), where the 30k
+/// scale's ~25 k entries sit comfortably below break-even.
 pub const PARALLEL_CSR_THRESHOLD: usize = 65_536;
 
 /// Below this many packed quotient keys, `sort_unstable` + `dedup` on one
@@ -134,11 +108,11 @@ pub const PARALLEL_CLASS_THRESHOLD: usize = 65_536;
 /// The worker count the substrate stages (CSR fill, packed sort, quotient
 /// emission) use for `n` work items with the given threshold: `1` below
 /// it; otherwise 2 workers plus one more per [`TRIPLES_PER_EXTRA_WORKER`]
-/// items. Unlike the clique scan's [`effective_threads`], this also caps
-/// at the worker-pool ceiling ([`available_workers`]: `RDFSUM_THREADS`
-/// or the machine's available parallelism) — the substrate stages are
-/// pure throughput splits with no algorithmic win from oversubscription,
-/// so a single-core host always runs them sequentially.
+/// items, capped at the worker-pool ceiling ([`available_workers`]:
+/// `RDFSUM_THREADS` or the machine's available parallelism) — the
+/// substrate stages are pure throughput splits with no algorithmic win
+/// from oversubscription, so a single-core host always runs them
+/// sequentially.
 pub fn substrate_threads(n: usize, threshold: usize) -> usize {
     if n < threshold {
         1
@@ -208,13 +182,11 @@ pub fn sort_dedup_packed_forced(keys: &mut Vec<u64>, threads: usize) {
 
 /// Reduces sorted, deduplicated runs to one by pairwise merge-dedup
 /// rounds, merging the pairs of each round on their own threads. Pairing
-/// is positional — (0,1), (2,3), … with an odd tail carried — so the
-/// result is order-independent anyway (merging is commutative on sets)
-/// but the work tree matches the shard tree of
-/// [`crate::context::SummaryContext::sharded`], keeping round counts and
-/// profiles comparable. Dedup inside every merge keeps intermediate runs
-/// minimal; the final run equals sorting and deduplicating the
-/// concatenation of all inputs. Single-pair rounds skip the spawn.
+/// is positional — (0,1), (2,3), … with an odd tail carried — and the
+/// result is order-independent anyway (merging is commutative on sets).
+/// Dedup inside every merge keeps intermediate runs minimal; the final
+/// run equals sorting and deduplicating the concatenation of all inputs.
+/// Single-pair rounds skip the spawn.
 pub fn merge_dedup_runs(mut runs: Vec<Vec<u64>>) -> Vec<u64> {
     while runs.len() > 2 {
         enum Slot<'s> {
@@ -275,150 +247,14 @@ fn merge_dedup(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Computes [`Cliques`] using up to `threads` workers, falling back to the
-/// sequential scan below [`PARALLEL_CLIQUE_THRESHOLD`] data triples.
-/// Results are identical to [`Cliques::compute`] either way.
-pub fn parallel_cliques(g: &Graph, scope: CliqueScope, threads: usize) -> Cliques {
-    match effective_threads(g.data().len(), threads) {
-        0 | 1 => Cliques::compute(g, scope),
-        t => parallel_cliques_forced(g, scope, t),
-    }
-}
-
-/// The parallel clique scan without the size-threshold fallback — for
-/// benchmarks and crossover measurements. Prefer [`parallel_cliques`].
-pub fn parallel_cliques_forced(g: &Graph, scope: CliqueScope, threads: usize) -> Cliques {
-    let threads = threads.max(1);
-    let n_terms = g.dict().len();
-
-    // Dense property numbering, one sequential pass (cheap relative to the
-    // scan, and it fixes the clique ids to match the sequential path).
-    let mut prop_map = DenseIdMap::with_capacity(n_terms);
-    for t in g.data() {
-        prop_map.intern(t.p);
-    }
-    let (prop_of_term, props) = prop_map.into_parts();
-    let np = props.len();
-
-    // Typed-resource flags for the untyped-only scope (term-indexed).
-    let mut typed = vec![false; n_terms];
-    if scope == CliqueScope::UntypedOnly {
-        for t in g.types() {
-            typed[t.s.index()] = true;
-        }
-    }
-
-    /// Per-worker partial: fixed-size dense structures only.
-    struct Partial {
-        src_uf: UnionFind,
-        tgt_uf: UnionFind,
-        /// Term-indexed: first dense property seen per subject.
-        subj_repr: Vec<u32>,
-        /// Term-indexed: first dense property seen per object.
-        obj_repr: Vec<u32>,
-    }
-
-    let data = g.data();
-    let chunk_size = data.len().div_ceil(threads).max(1);
-    let partials: Vec<Partial> = std::thread::scope(|scope_| {
-        let prop_of_term = &prop_of_term;
-        let typed = &typed;
-        let handles: Vec<_> = data
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope_.spawn(move || {
-                    let mut part = Partial {
-                        src_uf: UnionFind::new(np),
-                        tgt_uf: UnionFind::new(np),
-                        subj_repr: vec![NO_DENSE_ID; n_terms],
-                        obj_repr: vec![NO_DENSE_ID; n_terms],
-                    };
-                    for t in chunk {
-                        let pi = prop_of_term[t.p.index()];
-                        if !typed[t.s.index()] {
-                            let slot = &mut part.subj_repr[t.s.index()];
-                            if *slot == NO_DENSE_ID {
-                                *slot = pi;
-                            } else {
-                                part.src_uf.union(pi as usize, *slot as usize);
-                            }
-                        }
-                        if !typed[t.o.index()] {
-                            let slot = &mut part.obj_repr[t.o.index()];
-                            if *slot == NO_DENSE_ID {
-                                *slot = pi;
-                            } else {
-                                part.tgt_uf.union(pi as usize, *slot as usize);
-                            }
-                        }
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // ---- Combine: linear merges of fixed-size arrays ----
-    let mut src_uf = UnionFind::new(np);
-    let mut tgt_uf = UnionFind::new(np);
-    let mut subj_repr = vec![NO_DENSE_ID; n_terms];
-    let mut obj_repr = vec![NO_DENSE_ID; n_terms];
-    for mut part in partials {
-        // Union-find merge: every element unions with its chunk-local root.
-        for i in 0..np {
-            let r = part.src_uf.find(i);
-            if r != i {
-                src_uf.union(i, r);
-            }
-            let r = part.tgt_uf.find(i);
-            if r != i {
-                tgt_uf.union(i, r);
-            }
-        }
-        // Cross-chunk reconciliation: a resource seen in several chunks
-        // forces its chunk representatives into one clique.
-        for idx in 0..n_terms {
-            let pr = part.subj_repr[idx];
-            if pr != NO_DENSE_ID {
-                let slot = &mut subj_repr[idx];
-                if *slot == NO_DENSE_ID {
-                    *slot = pr;
-                } else {
-                    src_uf.union(pr as usize, *slot as usize);
-                }
-            }
-            let pr = part.obj_repr[idx];
-            if pr != NO_DENSE_ID {
-                let slot = &mut obj_repr[idx];
-                if *slot == NO_DENSE_ID {
-                    *slot = pr;
-                } else {
-                    tgt_uf.union(pr as usize, *slot as usize);
-                }
-            }
-        }
-    }
-    Cliques::from_parts(&props, src_uf, tgt_uf, subj_repr, obj_repr)
-}
-
-/// The weak summary built with the (auto-selected) parallel clique scan.
-/// Produces the same summary as [`crate::weak::weak_summary`].
-pub fn parallel_weak_summary(g: &Graph, threads: usize) -> Summary {
-    let cliques = parallel_cliques(g, CliqueScope::AllNodes, threads);
-    let nodes = data_nodes_ordered(g);
-    let partition = weak_partition(&cliques, &nodes);
-    quotient_summary(g, SummaryKind::Weak, &partition, |_, members| {
-        let (tc, sc) = class_property_sets(&cliques, members);
-        n_term(g.dict(), &tc, &sc)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cliques::{CliqueScope, Cliques};
+    use crate::context::SummaryContext;
     use crate::fixtures::sample_graph;
     use rdf_io::write_graph;
+    use rdf_model::Graph;
 
     fn canonical(g: &Graph) -> Vec<String> {
         let mut v: Vec<String> = write_graph(g).lines().map(String::from).collect();
@@ -426,57 +262,17 @@ mod tests {
         v
     }
 
-    /// The auto-selection: below the measured threshold (where the split
-    /// scan loses to the sequential one) the scan runs sequentially; above
-    /// it the requested worker count is honored up to the measured scaling
-    /// cap — at BSBM-30k that means two workers, the configuration that
-    /// beats the sequential scan there.
-    #[test]
-    fn auto_fallback_chooses_sequential_below_threshold() {
-        // Small graphs: always sequential, whatever was requested.
-        assert_eq!(effective_threads(PARALLEL_CLIQUE_THRESHOLD - 1, 4), 1);
-        assert_eq!(effective_threads(100, 8), 1);
-        // BSBM-30k has ~25k data triples: two workers win there; asking
-        // for 8 must not regress below the sequential scan.
-        assert_eq!(effective_threads(25_227, 8), 2);
-        assert_eq!(effective_threads(25_227, 2), 2);
-        // The cap relaxes as the scan grows.
-        assert_eq!(effective_threads(4 * TRIPLES_PER_EXTRA_WORKER, 8), 4);
-        // Requests below the cap are honored as-is.
-        assert_eq!(effective_threads(4 * TRIPLES_PER_EXTRA_WORKER, 3), 3);
-        assert_eq!(effective_threads(PARALLEL_CLIQUE_THRESHOLD, 0), 1);
-    }
-
-    #[test]
-    fn forced_parallel_cliques_match_sequential_exactly() {
-        let g = sample_graph();
-        for threads in [1, 2, 3, 8] {
-            let par = parallel_cliques_forced(&g, CliqueScope::AllNodes, threads);
-            let seq = Cliques::compute(&g, CliqueScope::AllNodes);
-            // The dense merge preserves even the clique numbering.
-            assert_eq!(par.source_cliques, seq.source_cliques);
-            assert_eq!(par.target_cliques, seq.target_cliques);
-            assert!(par.check_partition_invariant(&g));
-        }
-    }
-
-    #[test]
-    fn parallel_cliques_match_sequential() {
-        let g = sample_graph();
-        for threads in [1, 2, 3, 8] {
-            let par = parallel_cliques(&g, CliqueScope::AllNodes, threads);
-            let seq = Cliques::compute(&g, CliqueScope::AllNodes);
-            assert_eq!(par.source_cliques, seq.source_cliques);
-            assert_eq!(par.target_cliques, seq.target_cliques);
-            assert!(par.check_partition_invariant(&g));
-        }
-    }
+    // The next two tests and `more_threads_than_triples` pinned the
+    // standalone parallel clique scan and weak builder; they now pin the
+    // one parallel sweep there is — a sharded context's — against the same
+    // independent oracles (`Cliques::compute`'s triple scan, the free
+    // `weak_summary`).
 
     #[test]
     fn parallel_weak_equals_sequential_weak() {
         let g = sample_graph();
         for threads in [1, 2, 4] {
-            let par = parallel_weak_summary(&g, threads);
+            let par = SummaryContext::sharded_forced(&g, threads).weak_summary();
             let seq = crate::weak::weak_summary(&g);
             assert_eq!(canonical(&par.graph), canonical(&seq.graph));
         }
@@ -485,7 +281,8 @@ mod tests {
     #[test]
     fn untyped_scope_parallel() {
         let g = sample_graph();
-        let par = parallel_cliques_forced(&g, CliqueScope::UntypedOnly, 3);
+        let ctx = SummaryContext::sharded_forced(&g, 3);
+        let par = ctx.cliques(CliqueScope::UntypedOnly);
         let seq = Cliques::compute(&g, CliqueScope::UntypedOnly);
         assert_eq!(par.source_cliques, seq.source_cliques);
         assert_eq!(par.target_cliques, seq.target_cliques);
@@ -567,9 +364,8 @@ mod tests {
     fn more_threads_than_triples() {
         let mut g = Graph::new();
         g.add_iri_triple("a", "p", "b");
-        let s = parallel_weak_summary(&g, 64);
-        assert_eq!(s.graph.data().len(), 1);
-        let cq = parallel_cliques_forced(&g, CliqueScope::AllNodes, 64);
-        assert_eq!(cq.source_cliques.len(), 1);
+        let ctx = SummaryContext::sharded_forced(&g, 64);
+        assert_eq!(ctx.weak_summary().graph.data().len(), 1);
+        assert_eq!(ctx.cliques(CliqueScope::AllNodes).source_cliques.len(), 1);
     }
 }

@@ -669,12 +669,11 @@ impl SummaryService {
     }
 
     /// The sharded substrate of `g` when a build of it would actually
-    /// shard, `None` when it takes the classic lean path — the decision
-    /// `rdfsummary summarize --kind` makes, so served bytes mirror the
-    /// CLI's. Every kind derives from one such context, so an `UPDATE`
-    /// carrying several kinds builds it once.
+    /// shard, `None` when it takes the classic lean path
+    /// ([`crate::parallel::builds_sharded`]). Every kind derives from one
+    /// such context, so an `UPDATE` carrying several kinds builds it once.
     fn sharded_context<'g>(&self, g: &'g Graph) -> Option<SummaryContext<'g>> {
-        (crate::parallel::shard_count(g.data().len(), self.threads) > 1)
+        crate::parallel::builds_sharded(g, self.threads)
             .then(|| SummaryContext::sharded(g, self.threads))
     }
 
@@ -790,8 +789,7 @@ impl SummaryService {
         // substrate, so the scan state is kept in the lean regime only. It
         // re-primes (one full scan) on the first insert batch after a
         // delete or a spell above the threshold.
-        let lean = crate::parallel::shard_count(e.store.graph().data().len(), self.threads) <= 1;
-        if insert && lean {
+        if insert && !crate::parallel::builds_sharded(e.store.graph(), self.threads) {
             match e.delta.as_mut() {
                 Some(d) => d.apply_inserts(e.store.graph(), &batch.applied),
                 None => e.delta = Some(WeakDelta::from_graph(e.store.graph())),
@@ -1903,7 +1901,7 @@ mod tests {
     /// transition is a rebuild of all carried kinds from one context.
     fn sharding_graph() -> Graph {
         let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(900));
-        assert!(crate::parallel::shard_count(g.data().len(), 2) > 1);
+        assert!(crate::parallel::builds_sharded(&g, 2));
         g
     }
 

@@ -6,7 +6,7 @@
 //! as id triples. Loading is a single sequential read with no string
 //! parsing beyond the dictionary.
 //!
-//! Two format versions exist. **v2** (the current writer) is
+//! The format (**v2**, `RDFSNAP2`) is
 //!
 //! ```text
 //! magic  "RDFSNAP2"                        8 bytes
@@ -24,41 +24,38 @@
 //! checksum       u64 (FNV-1a over every preceding byte)
 //! ```
 //!
-//! v2 preserves minted summary terms *symbolically*: tags 5–7 store the
+//! Minted summary terms are preserved *symbolically*: tags 5–7 store the
 //! [`MintedKey`](rdf_model::MintedKey) member sets as pool indices, so a
 //! decoded summary graph holds real [`Term::Minted`] terms (identical key
-//! members, identical rendered URI) instead of the flattened IRI the **v1**
-//! format degraded them to. v1 (`RDFSNAP1`: u64 counts, u32-length
-//! strings, raw u32 triple ids, no checksum) is still read behind the
-//! magic/version gate — minted terms load as plain IRIs, as they always
-//! did — but no longer written.
+//! members, identical rendered URI). The retired v1 layout (`RDFSNAP1`,
+//! not written since PR 10) is recognised by its magic and refused with
+//! [`SnapshotError::BadVersion`].
 //!
-//! Both formats preserve term ids, so snapshots round-trip graphs
+//! Term ids are preserved, so snapshots round-trip graphs
 //! *bit-identically* (insertion order of each component included).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rdf_model::{Graph, LiteralKind, MintedKey, MintedTerm, SharedTerm, Term, Triple};
 use std::fmt;
 use std::sync::Arc;
 
-/// Magic header bytes of the legacy v1 format.
-pub const MAGIC: &[u8; 8] = b"RDFSNAP1";
+/// Magic header bytes of the retired v1 format, kept only to tell a v1
+/// image from garbage.
+const MAGIC_V1: &[u8; 8] = b"RDFSNAP1";
 
-/// Magic header bytes of the current v2 format.
+/// Magic header bytes of the format.
 pub const MAGIC_V2: &[u8; 8] = b"RDFSNAP2";
 
 /// Format version written after [`MAGIC_V2`].
 pub const VERSION: u16 = 2;
-
-/// Longest string a v1 snapshot can hold (u32 length prefix).
-const V1_MAX_STR: usize = u32::MAX as usize;
 
 /// Errors from snapshot encoding/decoding.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Missing or wrong magic header.
     BadMagic,
-    /// A v2 header with an unsupported format version.
+    /// A header with an unsupported format version (a v1 image reads as
+    /// version 1).
     BadVersion(u16),
     /// The checksum trailer does not match the body.
     BadChecksum,
@@ -72,8 +69,6 @@ pub enum SnapshotError {
     DanglingId(u32),
     /// A triple was routed to the wrong component table.
     WrongComponent,
-    /// A term too long for the target format's length prefix.
-    TermTooLong,
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -91,7 +86,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::WrongComponent => {
                 write!(f, "triple stored in the wrong component table")
             }
-            SnapshotError::TermTooLong => write!(f, "term too long for the snapshot format"),
             SnapshotError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
@@ -139,89 +133,7 @@ fn put_varint_str(buf: &mut BytesMut, s: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 writer (kept for the compatibility gate and size comparisons)
-// ---------------------------------------------------------------------------
-
-/// Writes a u32-length-prefixed string, rejecting lengths the prefix
-/// cannot represent. The cap is a parameter purely so the error path is
-/// testable without allocating a 4 GiB string.
-fn put_str_capped(buf: &mut BytesMut, s: &str, cap: usize) -> Result<(), SnapshotError> {
-    if s.len() > cap {
-        return Err(SnapshotError::TermTooLong);
-    }
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), SnapshotError> {
-    put_str_capped(buf, s, V1_MAX_STR)
-}
-
-fn put_term_v1(buf: &mut BytesMut, t: &Term) -> Result<(), SnapshotError> {
-    match t {
-        Term::Iri(iri) => {
-            buf.put_u8(0);
-            put_str(buf, iri)?;
-        }
-        // v1 persists minted terms as their rendered IRI — the lossy
-        // legacy encoding (decodes as a plain `Term::Iri`).
-        Term::Minted(m) => {
-            buf.put_u8(0);
-            put_str(buf, m.uri())?;
-        }
-        Term::Blank(label) => {
-            buf.put_u8(1);
-            put_str(buf, label)?;
-        }
-        Term::Literal { lexical, kind } => match kind {
-            LiteralKind::Simple => {
-                buf.put_u8(2);
-                put_str(buf, lexical)?;
-            }
-            LiteralKind::Lang(tag) => {
-                buf.put_u8(3);
-                put_str(buf, lexical)?;
-                put_str(buf, tag)?;
-            }
-            LiteralKind::Typed(dt) => {
-                buf.put_u8(4);
-                put_str(buf, lexical)?;
-                put_str(buf, dt)?;
-            }
-        },
-    }
-    Ok(())
-}
-
-/// Serializes a graph in the legacy v1 layout (minted terms flattened to
-/// rendered IRIs). Kept so tests can exercise the version gate and the
-/// benches can compare artifact sizes; new snapshots use [`encode`].
-pub fn encode_v1(g: &Graph) -> Result<Bytes, SnapshotError> {
-    let mut buf = BytesMut::with_capacity(64 + g.dict().len() * 24 + g.len() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(g.dict().len() as u64);
-    buf.put_u64_le(g.data().len() as u64);
-    buf.put_u64_le(g.types().len() as u64);
-    buf.put_u64_le(g.schema().len() as u64);
-    for (_, term) in g.dict().iter() {
-        put_term_v1(&mut buf, term)?;
-    }
-    for t in g
-        .data()
-        .iter()
-        .chain(g.types().iter())
-        .chain(g.schema().iter())
-    {
-        buf.put_u32_le(t.s.0);
-        buf.put_u32_le(t.p.0);
-        buf.put_u32_le(t.o.0);
-    }
-    Ok(buf.freeze())
-}
-
-// ---------------------------------------------------------------------------
-// v2 writer
+// writer
 // ---------------------------------------------------------------------------
 
 /// The deduplicated minted-member string pool, built in one dictionary
@@ -347,101 +259,7 @@ pub fn encode(g: &Graph) -> Result<Bytes, SnapshotError> {
 }
 
 // ---------------------------------------------------------------------------
-// v1 reader
-// ---------------------------------------------------------------------------
-
-fn get_str(buf: &mut Bytes) -> Result<String, SnapshotError> {
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(SnapshotError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| SnapshotError::BadUtf8)
-}
-
-fn get_term(buf: &mut Bytes) -> Result<Term, SnapshotError> {
-    if buf.remaining() < 1 {
-        return Err(SnapshotError::Truncated);
-    }
-    match buf.get_u8() {
-        0 => Ok(Term::Iri(get_str(buf)?)),
-        1 => Ok(Term::Blank(get_str(buf)?)),
-        2 => Ok(Term::literal(get_str(buf)?)),
-        3 => {
-            let lexical = get_str(buf)?;
-            let tag = get_str(buf)?;
-            Ok(Term::lang_literal(lexical, tag))
-        }
-        4 => {
-            let lexical = get_str(buf)?;
-            let dt = get_str(buf)?;
-            Ok(Term::typed_literal(lexical, dt))
-        }
-        t => Err(SnapshotError::BadTag(t)),
-    }
-}
-
-fn decode_v1(mut buf: Bytes) -> Result<Graph, SnapshotError> {
-    if buf.remaining() < 32 {
-        return Err(SnapshotError::Truncated);
-    }
-    let n_terms = buf.get_u64_le() as usize;
-    let n_data = buf.get_u64_le() as usize;
-    let n_type = buf.get_u64_le() as usize;
-    let n_schema = buf.get_u64_le() as usize;
-
-    let mut g = Graph::new();
-    // The graph pre-interns the five well-known ids (0..=4); the snapshot
-    // dictionary starts with the same five (every Graph does), so encoding
-    // in order preserves ids. Verify as we go.
-    for i in 0..n_terms {
-        let term = get_term(&mut buf)?;
-        let id = g.dict_mut().encode(term);
-        if id.index() != i {
-            // Duplicate term in snapshot dictionary — corrupt.
-            return Err(SnapshotError::Truncated);
-        }
-    }
-    let n_triples = n_data + n_type + n_schema;
-    if buf.remaining() < n_triples * 12 {
-        return Err(SnapshotError::Truncated);
-    }
-    let wk = g.well_known();
-    for i in 0..n_triples {
-        let s = buf.get_u32_le();
-        let p = buf.get_u32_le();
-        let o = buf.get_u32_le();
-        for id in [s, p, o] {
-            if id as usize >= n_terms {
-                return Err(SnapshotError::DanglingId(id));
-            }
-        }
-        let t = Triple::new(
-            rdf_model::TermId(s),
-            rdf_model::TermId(p),
-            rdf_model::TermId(o),
-        );
-        // Component consistency check.
-        let expected = if i < n_data {
-            rdf_model::Component::Data
-        } else if i < n_data + n_type {
-            rdf_model::Component::Type
-        } else {
-            rdf_model::Component::Schema
-        };
-        if wk.component_of(t.p) != expected {
-            return Err(SnapshotError::WrongComponent);
-        }
-        g.insert_encoded(t);
-    }
-    Ok(g)
-}
-
-// ---------------------------------------------------------------------------
-// v2 reader
+// reader
 // ---------------------------------------------------------------------------
 
 /// Bounds-checked cursor over the v2 body.
@@ -619,40 +437,29 @@ fn decode_v2(raw: &[u8]) -> Result<Graph, SnapshotError> {
     Ok(g)
 }
 
-/// Decodes a snapshot buffer back into a graph, dispatching on the magic:
-/// `RDFSNAP2` decodes with full minted-term fidelity; legacy `RDFSNAP1`
-/// still loads, minted terms degraded to their rendered IRIs.
+/// Decodes a snapshot buffer back into a graph.
 ///
-/// Term ids are preserved either way: the decoded graph's dictionary
-/// assigns the same id to the same term as the encoded one did.
-pub fn decode(mut buf: Bytes) -> Result<Graph, SnapshotError> {
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::BadMagic);
-    }
-    if buf[..8] == MAGIC_V2[..] {
-        return decode_v2(&buf);
-    }
-    if &buf.copy_to_bytes(8)[..] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    decode_v1(buf)
+/// Term ids are preserved: the decoded graph's dictionary assigns the
+/// same id to the same term as the encoded one did.
+pub fn decode(buf: Bytes) -> Result<Graph, SnapshotError> {
+    decode_slice(&buf)
 }
 
-/// [`decode`] over a borrowed byte slice (one copy for the v1 path,
-/// which consumes an owned buffer; v2 decodes in place).
+/// [`decode`] over a borrowed byte slice.
 pub fn decode_slice(raw: &[u8]) -> Result<Graph, SnapshotError> {
-    if raw.len() >= 8 && raw[..8] == MAGIC_V2[..] {
-        return decode_v2(raw);
+    match raw.get(..8) {
+        Some(magic) if magic == MAGIC_V2 => decode_v2(raw),
+        Some(magic) if magic == MAGIC_V1 => Err(SnapshotError::BadVersion(1)),
+        _ => Err(SnapshotError::BadMagic),
     }
-    decode(Bytes::from(raw.to_vec()))
 }
 
-/// Writes a (v2) snapshot to a file.
+/// Writes a snapshot to a file.
 pub fn save(g: &Graph, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
     std::fs::write(path, encode(g)?).map_err(SnapshotError::from)
 }
 
-/// Reads a snapshot (either version) from a file.
+/// Reads a snapshot from a file.
 pub fn load(path: impl AsRef<std::path::Path>) -> Result<Graph, SnapshotError> {
     let raw = std::fs::read(path)?;
     decode(Bytes::from(raw))
@@ -780,18 +587,21 @@ mod tests {
         assert_eq!(minted, 3);
     }
 
+    /// A v1 image is refused with the typed version error — through both
+    /// entry points, whatever follows the magic.
     #[test]
-    fn v1_snapshots_still_load_minted_as_iri() {
-        let g = minted_sample();
-        let v1 = encode_v1(&g).unwrap();
-        let g2 = decode(v1).unwrap();
-        assert_same_shape(&g, &g2);
-        // The version gate: every minted term degrades to a plain IRI with
-        // the same rendering — the historical v1 behavior.
-        for (id, term) in g.dict().iter() {
-            if let Term::Minted(m) = term {
-                assert_eq!(g2.dict().decode(id), &Term::iri(m.uri()));
-            }
+    fn v1_images_are_rejected_with_a_typed_error() {
+        let mut v1 = b"RDFSNAP1".to_vec();
+        for extra in [0usize, 3, 32, 200] {
+            v1.resize(8 + extra, 0);
+            assert!(matches!(
+                decode(Bytes::from(v1.clone())),
+                Err(SnapshotError::BadVersion(1))
+            ));
+            assert!(matches!(
+                decode_slice(&v1),
+                Err(SnapshotError::BadVersion(1))
+            ));
         }
     }
 
@@ -848,20 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_dangling_ids() {
-        // v1 keeps its raw-u32 dangling check: patch the final triple's
-        // object id to an out-of-range value.
-        let mut v1 = encode_v1(&sample()).unwrap().to_vec();
-        let n = v1.len();
-        v1[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = decode(Bytes::from(v1)).unwrap_err();
-        assert!(matches!(
-            err,
-            SnapshotError::DanglingId(_) | SnapshotError::WrongComponent
-        ));
-    }
-
-    #[test]
     fn v2_rejects_dangling_ids() {
         // Hand-craft a v2 image with an empty dictionary but one data
         // triple whose ids point past it, checksum intact — the id check
@@ -903,29 +699,6 @@ mod tests {
             decode(buf.freeze()),
             Err(SnapshotError::DanglingId(_))
         ));
-    }
-
-    #[test]
-    fn oversized_term_is_an_error_not_a_panic() {
-        let mut buf = BytesMut::new();
-        assert!(put_str_capped(&mut buf, "hello", 16).is_ok());
-        assert!(matches!(
-            put_str_capped(&mut buf, "0123456789abcdef!", 16),
-            Err(SnapshotError::TermTooLong)
-        ));
-    }
-
-    #[test]
-    fn v2_is_smaller_than_v1_on_minted_graphs() {
-        let g = minted_sample();
-        let v2 = encode(&g).unwrap();
-        let v1 = encode_v1(&g).unwrap();
-        assert!(
-            v2.len() < v1.len(),
-            "v2 {} bytes >= v1 {} bytes",
-            v2.len(),
-            v1.len()
-        );
     }
 
     #[test]

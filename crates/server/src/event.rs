@@ -1,16 +1,15 @@
-//! The event-driven serving core: one readiness loop over `poll(2)`,
-//! per-connection state machines, and a bounded executor for request
-//! work.
+//! The event-driven serving core: one readiness loop, per-connection
+//! state machines, and a bounded executor for request work.
 //!
 //! ## Shape
 //!
 //! A single **event thread** owns every socket. It blocks in
 //! [`polling::Poller::wait`] — persistent registrations over `epoll` on
-//! Linux (O(ready) wakeups) or persistent `poll(2)` slots elsewhere and
-//! under `RDFSUM_POLLER=poll`; identical observable semantics either way
-//! — covering the nonblocking listener, a loopback wake socket, and
-//! every connection that currently wants I/O; each readiness event
-//! advances that connection's state machine:
+//! Linux (O(ready) wakeups) or persistent `poll(2)` slots elsewhere;
+//! identical observable semantics either way — covering the nonblocking
+//! listener, a loopback wake socket, and every connection that currently
+//! wants I/O; each readiness event advances that connection's state
+//! machine:
 //!
 //! * **reads** append to a per-connection buffer; a complete
 //!   LF-terminated line is parsed into a [`Request`] and dispatched by
@@ -39,22 +38,19 @@
 //!   exactly where a partial write stopped.
 //!
 //! One request is in flight per connection at a time (responses stay in
-//! request order, matching the thread-per-connection engine): an
-//! offloaded request marks the connection busy, and a busy connection's
-//! socket is simply not polled for reads — natural backpressure that
-//! also bounds every buffer: the read buffer by the frame cap plus one
-//! chunk, the queue by one job per connection. An idle keep-alive
-//! connection costs one registered fd and an empty state struct — no
-//! thread, no busy-spin — so thousands of them hold in O(connections)
-//! memory.
+//! request order): an offloaded request marks the connection busy, and a
+//! busy connection's socket is simply not polled for reads — natural
+//! backpressure that also bounds every buffer: the read buffer by the
+//! frame cap plus one chunk, the queue by one job per connection. An idle
+//! keep-alive connection costs one registered fd and an empty state
+//! struct — no thread, no busy-spin — so thousands of them hold in
+//! O(connections) memory.
 //!
-//! The protocol semantics are byte-for-byte those of the threaded
-//! engine: same [`crate::server::dispatch`], same error taxonomy, same
-//! fatal-framing close behavior (including the bounded drain of an
-//! oversized line so the `ERR` survives the close). Shutdown keeps the
-//! [`crate::server::ServerHandle::shutdown`] contract: stop accepting,
-//! drop idle connections, let in-flight responses finish under a grace
-//! period, then force-close.
+//! A fatal framing error answers `ERR`, then drains the rest of an
+//! oversized line (bounded) so the `ERR` survives the close. Shutdown
+//! keeps the [`crate::server::ServerHandle::shutdown`] contract: stop
+//! accepting, drop idle connections, let in-flight responses finish under
+//! a grace period, then force-close.
 
 use crate::protocol::{is_fatal, parse_request, ProtocolError, MAX_REQUEST_BYTES};
 use polling::{Backend, Event, Poller, POLLIN, POLLOUT};
@@ -71,8 +67,7 @@ use std::time::{Duration, Instant};
 
 /// Socket read granularity.
 const READ_CHUNK: usize = 16 * 1024;
-/// Byte budget for draining an oversized line before closing (same as
-/// the threaded engine's drain budget).
+/// Byte budget for draining an oversized line before closing.
 const DRAIN_BUDGET: usize = 16 * 1024 * 1024;
 /// How long in-flight responses get to flush after shutdown is requested
 /// before their connections are force-closed.
@@ -204,9 +199,8 @@ pub(crate) struct EventEngine {
 /// Starts the event loop thread over an already-bound listener.
 /// `workers` is the executor width — how many requests may execute
 /// concurrently, *not* a connection limit. `backend` picks the readiness
-/// backend explicitly (`None` = platform default / `RDFSUM_POLLER`); the
-/// dual-backend stress suites force it, since environment variables are
-/// racy across parallel tests.
+/// backend explicitly (`None` = platform default); the dual-backend
+/// stress suites force it.
 pub(crate) fn start(
     listener: TcpListener,
     service: Arc<SummaryService>,

@@ -9,20 +9,18 @@
 //! once, query many times* — turned into a serving subsystem.
 //!
 //! The crate is std-only and hermetic: [`std::net::TcpListener`], a
-//! `poll(2)`-based readiness loop (via the workspace `polling` shim —
-//! the only place FFI lives), and a line-delimited request protocol (see
-//! [`protocol`] for the grammar). [`server::spawn`] runs the
-//! **event-driven engine** in-process (the CLI's `rdfsummary serve`, and
-//! the integration tests' harness): one event thread multiplexes every
-//! connection with buffered partial reads and resumable partial writes,
-//! answering μs-scale verbs inline while a bounded executor of `workers`
-//! threads absorbs the seconds-scale ones (`LOAD`, cold `SUMMARIZE`) —
-//! so `workers` caps concurrent *heavy* request execution, not
-//! connections, and thousands of idle keep-alive clients hold in
-//! O(connections) memory with no busy-spin.
-//! [`server::spawn_threaded`] keeps the original
-//! thread-per-connection pool as a comparison baseline (`--engine
-//! threaded`). [`client::Client`] is the matching scripting client
+//! readiness loop over `epoll` on Linux and `poll(2)` elsewhere (via the
+//! workspace `polling` shim — the only place FFI lives), and a
+//! line-delimited request protocol (see [`protocol`] for the grammar).
+//! [`server::spawn`] runs the event-driven engine in-process (the CLI's
+//! `rdfsummary serve`, and the integration tests' harness): one event
+//! thread multiplexes every connection with buffered partial reads and
+//! resumable partial writes, answering μs-scale verbs inline while a
+//! bounded executor of `workers` threads absorbs the seconds-scale ones
+//! (`LOAD`, cold `SUMMARIZE`) — so `workers` caps concurrent *heavy*
+//! request execution, not connections, and thousands of idle keep-alive
+//! clients hold in O(connections) memory with no busy-spin.
+//! [`client::Client`] is the matching scripting client
 //! (`rdfsummary client`).
 //!
 //! ```no_run
@@ -49,6 +47,4 @@ pub mod server;
 pub use client::{Client, Response};
 pub use polling::Backend as PollerBackend;
 pub use protocol::{parse_kind, parse_request, ProtocolError, Request, MAX_REQUEST_BYTES};
-pub use server::{
-    load_graph_file, spawn, spawn_threaded, spawn_with_backend, ServerHandle, QUERY_ROW_LIMIT,
-};
+pub use server::{load_graph_file, spawn, spawn_with_backend, ServerHandle, QUERY_ROW_LIMIT};

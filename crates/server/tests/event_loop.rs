@@ -483,21 +483,3 @@ fn cold_summarize_case(backend: PollerBackend) {
     handle.shutdown();
     let _ = std::fs::remove_file(&path);
 }
-
-/// The thread-per-connection baseline still serves (it backs
-/// `--engine threaded` and the benchmark comparison).
-#[test]
-fn threaded_engine_baseline_still_serves() {
-    let service = Arc::new(SummaryService::new(1));
-    let handle = rdfsum_server::spawn_threaded("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream.write_all(b"PING\nQUIT\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), "OK pong");
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), "OK bye");
-    handle.shutdown();
-}

@@ -98,6 +98,22 @@ fn oversized_requests_are_rejected_and_closed() {
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
+
+    // The cap excludes the newline: a line of exactly the cap is framed
+    // and parsed (here: an unknown verb, recoverable), not a framing
+    // error, and the connection keeps serving.
+    let mut at_cap = vec![b'A'; MAX_REQUEST_BYTES];
+    at_cap.extend_from_slice(b"\nPING\n");
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&at_cap).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ERR protocol:"), "{line}");
+    assert!(!line.contains("exceeds"), "{line}");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "OK pong");
     handle.shutdown();
 }
 

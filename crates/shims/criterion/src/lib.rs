@@ -14,7 +14,7 @@
 //!   cargo does not pass it automatically, so CI invokes
 //!   `cargo bench -- --test` to catch benches that compile but panic;
 //! * `BENCH_JSON=<path>` appends one JSON object per finished benchmark,
-//!   which is how `BENCH_baseline.json` snapshots are produced.
+//!   for scripted paired runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

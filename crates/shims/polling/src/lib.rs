@@ -19,9 +19,9 @@
 //!   `wait` that reports only ready fds. On Linux it is backed by
 //!   `epoll` (O(ready) wakeups — what lets thousands of idle keep-alive
 //!   sockets cost nothing per wakeup); everywhere else, and on request
-//!   ([`Backend::Poll`], or `RDFSUM_POLLER=poll`), it degrades to
-//!   persistent `poll(2)` slots with identical observable semantics, so
-//!   one test suite pins both backends.
+//!   ([`Backend::Poll`]), it degrades to persistent `poll(2)` slots with
+//!   identical observable semantics, so one test suite pins both
+//!   backends.
 //!
 //! Semantics match `poll(2)`/`epoll(7)`: level-triggered readiness, and
 //! terminal states (`POLLERR`/`POLLHUP`/`POLLNVAL`) are folded into both
@@ -158,19 +158,12 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The default backend: `RDFSUM_POLLER` (`"poll"` / `"epoll"`) when
-    /// set, otherwise `epoll` on Linux and `poll` elsewhere.
+    /// The default backend: `epoll` on Linux and `poll` elsewhere.
     pub fn default_backend() -> Backend {
-        match std::env::var("RDFSUM_POLLER").as_deref() {
-            Ok("poll") => Backend::Poll,
-            Ok("epoll") => Backend::Epoll,
-            _ => {
-                if cfg!(target_os = "linux") {
-                    Backend::Epoll
-                } else {
-                    Backend::Poll
-                }
-            }
+        if cfg!(target_os = "linux") {
+            Backend::Epoll
+        } else {
+            Backend::Poll
         }
     }
 }
@@ -211,8 +204,7 @@ impl Poller {
     }
 
     /// A poller on an explicit backend — the seam the dual-backend test
-    /// suites drive (environment variables are racy across parallel
-    /// tests, so the choice is plumbed, not sniffed, on this path).
+    /// suites drive.
     pub fn with_backend(backend: Backend) -> io::Result<Poller> {
         match backend {
             Backend::Poll => Ok(Poller {

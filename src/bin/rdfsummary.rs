@@ -9,8 +9,7 @@
 //! rdfsummary generate   bsbm|lubm --scale N [--out FILE]
 //! rdfsummary snapshot   <graph.nt> --out FILE.snap
 //! rdfsummary serve      [--addr HOST:PORT] [--threads N] [--workers N]
-//!                       [--cache-bytes N] [--engine event|threaded]
-//!                       [--persist-dir DIR]
+//!                       [--cache-bytes N] [--persist-dir DIR]
 //! rdfsummary client     ADDR REQUEST…
 //! ```
 //!
@@ -48,13 +47,12 @@ USAGE:
   rdfsummary generate   bsbm|lubm --scale N [--out FILE] synthesize a dataset
   rdfsummary snapshot   <graph> --out FILE.snap         binary snapshot
   rdfsummary serve      [--addr HOST:PORT] [--threads N] [--workers N]
-                         [--cache-bytes N] [--engine event|threaded]
-                         [--persist-dir DIR]
+                         [--cache-bytes N] [--persist-dir DIR]
                          long-running warm-store summary server (default
                          addr 127.0.0.1:7878; caches summaries by graph
                          content fingerprint, LRU-bounded by --cache-bytes;
-                         the default event engine multiplexes all clients
-                         on one poll loop, answers cheap verbs inline, and
+                         one event loop multiplexes all clients and
+                         answers cheap verbs inline;
                          --workers sizes the executor for LOAD/cold
                          SUMMARIZE; --persist-dir keeps built summaries
                          on disk so a restart comes back warm;
@@ -214,7 +212,7 @@ fn cmd_summarize(path: &str, rest: &[String]) -> Result<(), String> {
     // The sharded substrate only pays off when the build will actually
     // shard; otherwise (small graph, one worker) keep the classic lean
     // single-summary path. Identical output either way.
-    let s = if rdfsum_core::parallel::shard_count(g.data().len(), threads) > 1 {
+    let s = if rdfsum_core::parallel::builds_sharded(&g, threads) {
         rdfsum_core::SummaryContext::sharded(&g, threads).summarize(kind)
     } else {
         summarize(&g, kind)
@@ -387,16 +385,31 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
 /// bounds build/bulk-load parallelism (same meaning as for `summarize`);
 /// `--workers` sizes the executor for the seconds-scale verbs (`LOAD`,
 /// cold `SUMMARIZE`, `UPDATE`) — cheap verbs answer inline on the event
-/// thread — and
-/// never caps how many clients may stay connected (default
-/// `max(threads, 4)`).
-/// `--engine threaded` falls back to the thread-per-connection pool, where
-/// `--workers` *is* the connection cap. `--cache-bytes N` puts an LRU byte
-/// budget on the summary cache (default: unbounded). `--persist-dir DIR`
-/// writes every built summary to DIR and probes it on cache misses, so a
-/// restarted server answers its first `SUMMARIZE` without rebuilding. Runs
-/// until the process is killed.
+/// thread — and never caps how many clients may stay connected (default
+/// `max(threads, 4)`). `--cache-bytes N` puts an LRU byte budget on the
+/// summary cache (default: unbounded). `--persist-dir DIR` writes every
+/// built summary to DIR and probes it on cache misses, so a restarted
+/// server answers its first `SUMMARIZE` without rebuilding. Runs until the
+/// process is killed.
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
+    // Every `serve` flag takes a value, so the arguments come in pairs; a
+    // flag outside this list would otherwise start a server on defaults
+    // without a word.
+    const FLAGS: [&str; 5] = [
+        "--addr",
+        "--threads",
+        "--workers",
+        "--cache-bytes",
+        "--persist-dir",
+    ];
+    for pair in rest.chunks(2) {
+        if !FLAGS.contains(&pair[0].as_str()) {
+            return Err(format!("serve: unknown argument `{}`", pair[0]));
+        }
+        if pair.len() < 2 {
+            return Err(format!("serve: missing value for `{}`", pair[0]));
+        }
+    }
     let addr = flag_value(rest, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
     let threads = thread_count(rest)?;
     let workers = match flag_value(rest, "--workers") {
@@ -415,7 +428,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         },
         None => None,
     };
-    let engine = flag_value(rest, "--engine").unwrap_or_else(|| "event".into());
     let mut service = rdfsum_core::SummaryService::with_cache_bytes(threads, cache_bytes);
     if let Some(dir) = flag_value(rest, "--persist-dir") {
         // Fail startup loudly on an unusable directory: once serving, all
@@ -425,20 +437,12 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         service = service.with_persist_dir(dir);
     }
     let service = std::sync::Arc::new(service);
-    let handle = match engine.as_str() {
-        "event" => rdfsummary::rdfsum_server::spawn(addr.as_str(), service, workers),
-        "threaded" => rdfsummary::rdfsum_server::spawn_threaded(addr.as_str(), service, workers),
-        other => {
-            return Err(format!(
-                "bad --engine value `{other}` (want event|threaded)"
-            ))
-        }
-    }
-    .map_err(|e| format!("binding {addr}: {e}"))?;
+    let handle = rdfsummary::rdfsum_server::spawn(addr.as_str(), service, workers)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
     // The resolved address line is the machine-readable startup handshake
     // (tests bind port 0 and read the real port from here).
     println!(
-        "listening on {} ({workers} workers, {threads} build thread(s), {engine} engine)",
+        "listening on {} ({workers} workers, {threads} build thread(s), event engine)",
         handle.addr()
     );
     use std::io::Write as _;

@@ -89,9 +89,7 @@
 //! under `tests/`: `cli`, `end_to_end`, `golden_equivalence`,
 //! `paper_example`, `properties`, `query_serving`, `robustness` and
 //! `server`. Property tests default to 96 cases each; set
-//! `PROPTEST_CASES` to change that. Setting `BENCH_JSON=<path>` while
-//! running benches appends one JSON line per measurement (how
-//! `BENCH_baseline.json` is produced).
+//! `PROPTEST_CASES` to change that.
 //!
 //! ## Serving
 //!
@@ -158,12 +156,13 @@
 //! (transitions that had to rebuild) — and the invariant `builds ==
 //! patch_fallbacks + misses` holds at all times: every build is either a
 //! plain cache miss or an update that could not be patched. The
-//! `update_serving` bench group and `load_driver --update-mix` exercise
-//! this path under load.
+//! repository benchmark's `explore_update` workload and the `server`
+//! suite's concurrent-writers test exercise this path under load.
 //!
 //! The server is **event-driven**: one thread multiplexes every
-//! connection over a `poll(2)` readiness loop (the workspace `polling`
-//! shim) with buffered partial-line reads and resumable partial writes,
+//! connection over a readiness loop — `epoll` on Linux, `poll(2)`
+//! elsewhere (the workspace `polling` shim) — with buffered partial-line
+//! reads and resumable partial writes,
 //! so thousands of idle keep-alive clients cost one fd and a small state
 //! struct each — no thread per connection, no busy-spin. Microsecond
 //! verbs (`PING`, `STATS`, `QUERY`, `EVICT`, `QUIT`) are answered inline
@@ -173,9 +172,7 @@
 //! max(threads, 4)) the width of the *executor* — how many heavy
 //! requests may run at once — **not** a cap on connections. `--threads
 //! N` still bounds build/bulk-load parallelism exactly as it does for
-//! `summarize`, and `--engine threaded` swaps in the old
-//! thread-per-connection pool (where `--workers` *is* the connection
-//! cap) as a comparison baseline for `load_driver --ramp`.
+//! `summarize`. `serve` refuses arguments it does not know.
 //!
 //! `QUERY` is the paper's intended payoff turned into a serving verb: it
 //! evaluates a BGP (paper notation, embedded whitespace welcome) against

@@ -273,3 +273,39 @@ fn saturate_writes_closure() {
     let sat = rdfsummary::rdf_io::load_path(&out_path).unwrap();
     assert!(sat.len() > g.len());
 }
+
+/// `serve` refuses arguments it does not know — the removed `--engine`
+/// flag, a typo, a flag without its value — by name and with a non-zero
+/// exit, instead of starting a server on defaults. (A regression would
+/// leave the child serving, so the wait is bounded.)
+#[test]
+fn serve_rejects_unknown_arguments() {
+    for (args, named) in [
+        (&["--engine", "threaded"][..], "--engine"),
+        (&["--adr", "127.0.0.1:0"][..], "--adr"),
+        (&["--addr", "127.0.0.1:0", "--workers"][..], "--workers"),
+    ] {
+        let mut child = bin()
+            .arg("serve")
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                child.kill().unwrap();
+                panic!("`serve {}` started a server", args.join(" "));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        assert!(!status.success(), "serve {}", args.join(" "));
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(child.stderr.as_mut().unwrap(), &mut stderr).unwrap();
+        assert!(stderr.contains(&format!("`{named}`")), "{stderr}");
+    }
+}

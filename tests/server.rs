@@ -451,6 +451,135 @@ fn update_patches_warm_weak_summary_over_the_wire() {
     handle.shutdown();
 }
 
+/// Several *concurrent writers* on one server over TCP: eight clients each
+/// interleave `UPDATE +` / `UPDATE -` of their own triples with `QUERY`
+/// (pruned and not), `SUMMARIZE` and `STATS`, so the fingerprint keeps
+/// moving under every other verb. Every response must be `OK`, the
+/// accounting must balance (`builds == patch_fallbacks + misses`: every
+/// build is a plain miss or an update that could not be patched), and the
+/// weak summary served for the final content must equal a cold CLI build
+/// of that content byte for byte.
+#[test]
+fn update_mix_from_concurrent_writers_stays_consistent() {
+    const CLIENTS: usize = 8;
+    const REQUESTS: usize = 42;
+    let dir = workdir("update_mix");
+    let g = workloads::generate_bsbm(&BsbmConfig::with_products(30));
+    let path = dir.join("bsbm.nt");
+    save_path(&g, &path).unwrap();
+    let path_str = path.to_str().unwrap().to_string();
+
+    let (handle, service) = start(2, CLIENTS);
+    let addr = handle.addr();
+    let mut main = Client::connect(addr).unwrap();
+    assert!(main.load(&path_str).unwrap().is_ok());
+    assert!(main
+        .summarize(SummaryKind::Weak, &path_str)
+        .unwrap()
+        .is_ok());
+
+    let writers: Vec<_> = (0..CLIENTS)
+        .map(|cid| {
+            let graph = path_str.clone();
+            std::thread::spawn(move || -> usize {
+                let mut client = Client::connect(addr).unwrap();
+                let mut pending: Option<String> = None;
+                let mut updates = 0;
+                for i in 0..REQUESTS {
+                    // Per 7-cycle: STATS, SUMMARIZE, an insert of a fresh
+                    // triple of this client's own, its delete one step
+                    // later, and QUERYs (pruned and not) in between.
+                    let slot = (i + cid) % 7;
+                    let r = if slot == 0 {
+                        client.stats()
+                    } else if slot == 1 {
+                        client.summarize(SummaryKind::Weak, &graph)
+                    } else if let Some(triple) = pending.take() {
+                        updates += 1;
+                        client.update(&graph, false, &triple)
+                    } else if slot == 2 {
+                        let triple =
+                            format!("<http://upd/c{cid}> <http://upd/p> <http://upd/r{i}> .");
+                        updates += 1;
+                        let r = client.update(&graph, true, &triple);
+                        pending = Some(triple);
+                        r
+                    } else if slot % 2 == 0 {
+                        client.query(&graph, "q() :- ?x <http://nowhere.invalid/nope> ?y")
+                    } else {
+                        client.query(
+                            &graph,
+                            "q(?x,?y) :- ?x <http://www.w3.org/2000/01/rdf-schema#label> ?y",
+                        )
+                    }
+                    .unwrap();
+                    assert!(r.is_ok(), "client {cid} request {i}: {}", r.status);
+                }
+                if let Some(triple) = pending {
+                    updates += 1;
+                    let r = client.update(&graph, false, &triple).unwrap();
+                    assert!(r.is_ok(), "client {cid} final delete: {}", r.status);
+                }
+                updates
+            })
+        })
+        .collect();
+    let mut updates: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+    assert!(updates >= 2 * CLIENTS, "the mix must issue UPDATEs");
+
+    // Every writer deleted what it inserted; one last batch makes the final
+    // content differ from the loaded file in a known way.
+    let batch = [
+        ("http://upd/final/a", "http://upd/p", "http://upd/final/b"),
+        ("http://upd/final/b", "http://upd/q", "http://upd/final/c"),
+        (
+            "http://upd/final/a",
+            rdfsummary::rdf_model::vocab::RDF_TYPE,
+            "http://upd/final/C",
+        ),
+    ];
+    let mut final_graph = g.clone();
+    let mut payload = String::new();
+    for (s, p, o) in batch {
+        final_graph.add_iri_triple(s, p, o);
+        payload.push_str(&format!("<{s}> <{p}> <{o}> . "));
+    }
+    let r = main.update(&path_str, true, &payload).unwrap();
+    assert!(r.is_ok(), "{}", r.status);
+    assert_eq!(r.field("applied"), Some("3"));
+    updates += 1;
+
+    let final_path = dir.join("final.nt");
+    save_path(&final_graph, &final_path).unwrap();
+    let out = dir.join("final_w.nt");
+    let cli = bin()
+        .args(["summarize", final_path.to_str().unwrap(), "--kind", "w"])
+        .args(["--threads", "2", "--out", out.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        cli.status.success(),
+        "{}",
+        String::from_utf8_lossy(&cli.stderr)
+    );
+    let served = main.summarize(SummaryKind::Weak, &path_str).unwrap();
+    assert!(served.is_ok(), "{}", served.status);
+    assert_eq!(served.field("fp"), r.field("fp"));
+    assert_eq!(
+        served.body.as_deref(),
+        Some(std::fs::read(&out).unwrap().as_slice()),
+        "served weak summary differs from a cold CLI build of the final content"
+    );
+
+    let stats = main.stats().unwrap();
+    assert!(stats.is_ok(), "{}", stats.status);
+    let field = |k: &str| stats.field(k).unwrap().parse::<u64>().unwrap();
+    assert_eq!(field("updates"), updates as u64);
+    assert_eq!(field("builds"), field("patch_fallbacks") + field("misses"));
+    assert_eq!(service.builds(), field("builds"));
+    handle.shutdown();
+}
+
 /// The CLI front-end end to end: `rdfsummary serve` prints its resolved
 /// address, `rdfsummary client` scripts LOAD / SUMMARIZE / STATS against
 /// it, and the piped SUMMARIZE body equals the CLI's --out bytes.
