@@ -1,11 +1,10 @@
 //! `sharded_substrate` group: cost of the numbering + clique substrate
 //! build — the two stages the shard-mergeable architecture parallelizes —
-//! at forced shard counts 1/2/4, graph- and store-driven, on BSBM at two
-//! scales. Shard count 1 is the sequential single-shard path, so the
-//! `*/1` rows double as the auto-fallback cost a single-core host pays.
+//! at forced shard counts 1/2/4 on BSBM at two scales. Shard count 1 is
+//! the one-shard context every graph below the shard floor gets, so the
+//! `*/1` rows are what decided how that context fills its CSR.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdf_store::TripleStore;
 use rdfsum_core::{CliqueScope, SummaryContext};
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
@@ -34,35 +33,12 @@ fn bench_sharded_substrate(c: &mut Criterion) {
     }
 }
 
-/// The store-driven sharded build (subject-range SPO shards + object-range
-/// OSP shards) at the large scale; the store and its sorted indexes are
-/// built once outside the timed body.
-fn bench_sharded_from_store(c: &mut Criterion) {
-    let g = rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(2_000));
-    let store = TripleStore::new(g);
-    let mut group = c.benchmark_group("sharded_substrate");
-    group.throughput(Throughput::Elements(store.len() as u64));
-    for shards in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("store_bsbm_200k", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let ctx = SummaryContext::sharded_from_store_forced(&store, shards);
-                    black_box(substrate_cost(&ctx))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_sharded_substrate, bench_sharded_from_store
+    targets = bench_sharded_substrate
 }
 criterion_main!(benches);

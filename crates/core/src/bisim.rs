@@ -20,7 +20,7 @@
 
 use crate::equivalence::{class_sets, data_nodes_ordered, Partition};
 use crate::naming::SUMMARY_NS;
-use crate::quotient::quotient_summary;
+use crate::quotient::quotient_summary_impl;
 use crate::summary::{Summary, SummaryKind};
 use rdf_model::{FxHashMap, Graph, TermId};
 use std::hash::{BuildHasher, Hash};
@@ -103,8 +103,14 @@ pub fn bisim_partition(g: &Graph, depth: BisimDepth) -> Partition {
     Partition::group_by(&nodes, |n| colors[index[&n]])
 }
 
-/// Builds the bisimulation quotient summary of `g`.
+/// Builds the bisimulation quotient summary of `g`, on the calling thread.
 pub fn bisim_summary(g: &Graph, depth: BisimDepth) -> Summary {
+    bisim_summary_on(g, depth, 1)
+}
+
+/// [`bisim_summary`] with the quotient emitted on `threads` workers — what
+/// a [`crate::context::SummaryContext`] calls with its own count.
+pub(crate) fn bisim_summary_on(g: &Graph, depth: BisimDepth, threads: usize) -> Summary {
     let partition = bisim_partition(g, depth);
     let tag = match depth {
         BisimDepth::Bounded(k) => k.to_string(),
@@ -112,9 +118,14 @@ pub fn bisim_summary(g: &Graph, depth: BisimDepth) -> Summary {
     };
     // Name nodes by their (stable, content-derived) color via the first
     // member's class, padded with a dense index for readability.
-    quotient_summary(g, SummaryKind::Bisimulation, &partition, |i, _| {
-        rdf_model::Term::iri(format!("{SUMMARY_NS}bisim?k={tag}&c={i}"))
-    })
+    quotient_summary_impl(
+        g,
+        SummaryKind::Bisimulation,
+        &partition,
+        |i, _| rdf_model::Term::iri(format!("{SUMMARY_NS}bisim?k={tag}&c={i}")),
+        false,
+        threads,
+    )
 }
 
 #[cfg(test)]

@@ -32,45 +32,53 @@
 //! what [`crate::builder::summarize_all`], the CLI `summarize --all` path,
 //! and the experiment binaries do.
 //!
-//! [`SummaryContext::from_store`] builds the same substrate from a
-//! [`TripleStore`]'s sorted SPO/OSP permutation indexes: the grouped
-//! [`rdf_store::SortedIndex::runs1`] runs hand the pipeline each node's
-//! triples contiguously, so the CSR fill needs no counting pass over raw
-//! triples. Node numbering then follows index (ascending id) order rather
-//! than first-seen order; the W/S/TW/TS summaries are identical either way
-//! because their minted names are canonical in the property/class sets.
+//! # One constructor, one worker count
 //!
-//! # Sharded builds and the shard/merge algebra
+//! Every context is built by the same code: `S` contiguous chunks of D_G
+//! are scanned into partial substrates (shard 0 on the calling thread, the
+//! others on their own), folded in shard order, and filled into the CSR.
+//! [`SummaryContext::sharded`] resolves `S` once, through
+//! [`crate::parallel::shard_count`] — `1` below
+//! [`crate::parallel::PARALLEL_SHARD_THRESHOLD`] data triples, else the
+//! caller's request — and the context stores it
+//! ([`SummaryContext::threads`], always ≥ 1). Every later stage reads its
+//! worker count from there and nowhere else: the CSR fill, the clique
+//! sweep, the class-set scan, the quotient's packed emission and the
+//! summary's extent table. [`SummaryContext::new`] is the one-shard
+//! context, which runs every stage on the calling thread.
 //!
-//! [`SummaryContext::sharded`] / [`SummaryContext::sharded_from_store`]
-//! build the **identical** substrate from `S` independent partial
-//! substrates, one per contiguous input shard, merged after a parallel
-//! scan. Three observations make the merge exact (not merely equivalent):
+//! The one-shard build fills its CSR from the `(row, property)` pairs the
+//! scan recorded, exactly like the merged build. The alternative — no
+//! recorded pairs, a second pass over D_G re-reading the id maps — was
+//! the other half of a measured pair and was deleted: the recorded pairs
+//! won `sharded_substrate/bsbm_30k/1` and all four `summarize_bsbm_30k/*`
+//! criterion rows and lost only `sharded_substrate/bsbm_200k/1`, a size at
+//! which one shard is an explicit request (CHANGES.md, PR 17).
+//!
+//! Three observations make the merge exact (not merely equivalent):
 //!
 //! 1. **First-seen numbering remaps preserve determinism.** Each shard
 //!    numbers the nodes/properties of its chunk with a *local*
 //!    [`DenseIdMap`] in local first-seen order. First-seen order over a
 //!    concatenation of chunks is the in-order merge of the per-chunk
-//!    first-seen orders, so absorbing the shard maps into one global map
-//!    *in shard order* ([`DenseIdMap::absorb`]) assigns every node the
-//!    exact dense id the sequential pass would have. The S partials are
-//!    folded left to right on the calling thread: an absorb only ever
-//!    *appends* to the accumulated numbering, so the tables of the leaves
-//!    already folded in survive unchanged and each new leaf contributes
-//!    one `local → global` remap table. Degrees and typed-subject lists
-//!    ride along in the same pass, and the per-shard CSR entries are then
-//!    rewritten through the tables in one parallel post-pass. Numbering,
-//!    and hence every downstream artifact, is deterministic and
-//!    shard-count-invariant (pinned by the forced-shard suites at S up to
-//!    64). The fold is the survivor of a measured pair: an ordered binary
-//!    tree of concurrent pairwise absorbs lost to it on 12 of 12
-//!    alternating runs at S = 8 and never won 9 of 10 at S = 2 or 4
-//!    (CHANGES.md, PR 16).
+//!    first-seen orders, so absorbing the shard maps into shard 0's *in
+//!    shard order* ([`DenseIdMap::absorb`]) assigns every node the exact
+//!    dense id a single pass would have. An absorb only ever *appends* to
+//!    the accumulated numbering, so shard 0's local ids are already global
+//!    and the table each absorb returns *is* that shard's `local → global`
+//!    remap. Degrees ride along in the same pass, and the per-shard CSR
+//!    entries are then rewritten through the tables in one parallel
+//!    post-pass. Numbering, and hence every downstream artifact, is
+//!    deterministic and shard-count-invariant (pinned by the forced-shard
+//!    suites at S up to 64). The fold is the survivor of a measured pair:
+//!    an ordered binary tree of concurrent pairwise absorbs lost to it on
+//!    12 of 12 alternating runs at S = 8 and never won 9 of 10 at S = 2 or
+//!    4 (CHANGES.md, PR 16).
 //! 2. **CSR stitching is an order-preserving concatenation.** A shard's
 //!    remapped `(row, property)` entries keep their chunk-scan order, and
 //!    shard concatenation order equals global scan order, so handing the
-//!    merged entry list to the chunked [`fill_csr_threaded`] produces the
-//!    byte-identical offsets/values arrays of the sequential build.
+//!    stitched entry list to the chunked [`fill_csr_values`] produces the
+//!    byte-identical offsets/values arrays of the one-shard build.
 //! 3. **Clique union–finds are mergeable.** Property-relatedness is a
 //!    union of per-row co-occurrence constraints, so partial union–finds
 //!    over disjoint row ranges merge by unioning each element with its
@@ -78,16 +86,8 @@
 //!    way: row ranges (balanced by CSR entry count) feed per-worker
 //!    union–finds plus range-local representative tables, and the merge
 //!    unions `np` roots per worker and scatters the representatives —
-//!    identical output to the sequential sweep because every row is owned
+//!    identical output to the one-worker sweep because every row is owned
 //!    by exactly one worker.
-//!
-//! The store-driven sharded path additionally relies on
-//! [`rdf_store::SortedIndex::shards`] cutting only at subject (object)
-//! run boundaries, so each run — and therefore each node's contiguous
-//! triple group — lands whole in exactly one shard and no cross-shard
-//! reconciliation of rows is needed. `S = 1` (the auto fallback below
-//! [`crate::parallel::PARALLEL_SHARD_THRESHOLD`] data triples, and the
-//! default on single-core hosts) is the plain sequential path.
 
 use crate::cliques::{CliqueScope, Cliques};
 use crate::equivalence::{strong_partition, weak_partition, Partition};
@@ -97,8 +97,7 @@ use crate::summary::{Summary, SummaryKind};
 use crate::typed::TypedSemantics;
 use crate::unionfind::UnionFind;
 use crate::weak::class_property_sets;
-use rdf_model::{Component, DenseIdMap, FxHashMap, Graph, Term, TermId, NO_DENSE_ID};
-use rdf_store::TripleStore;
+use rdf_model::{DenseIdMap, FxHashMap, Graph, Term, TermId, Triple, NO_DENSE_ID};
 use std::cell::OnceCell;
 
 /// The canonical class sets of the typed resources, interned densely.
@@ -171,9 +170,9 @@ pub struct SummaryContext<'g> {
     in_props: Vec<u32>,
     /// Dense node id → is a typed resource (subject of some τ triple).
     typed: Vec<bool>,
-    /// Worker count for the lazily computed clique sweeps: the shard count
-    /// for sharded builds, `0` (= auto via
-    /// [`crate::parallel::substrate_threads`]) for sequential ones.
+    /// The one worker count of this context, resolved at construction and
+    /// always ≥ 1: the shard count of the build, and what every later
+    /// stage (cliques, class sets, quotient emission, extent table) uses.
     threads: usize,
     all_cliques: OnceCell<Cliques>,
     untyped_cliques: OnceCell<Cliques>,
@@ -181,9 +180,8 @@ pub struct SummaryContext<'g> {
 }
 
 /// One shard's partial substrate: chunk-local numbering, degrees, and CSR
-/// entries, merged by [`SummaryContext::sharded`] via
+/// entries, folded by [`SummaryContext::sharded_forced`] via
 /// [`DenseIdMap::absorb`] remaps.
-#[derive(Default)]
 struct ShardPart {
     node_map: DenseIdMap,
     prop_map: DenseIdMap,
@@ -191,368 +189,131 @@ struct ShardPart {
     out_deg: Vec<u32>,
     in_deg: Vec<u32>,
     /// `(local node, local property)` per data triple, in chunk-scan order.
-    out_entries: Vec<(u32, u32)>,
-    in_entries: Vec<(u32, u32)>,
-    /// Local ids of typed subjects (store-driven shards only; the graph
-    /// path types sequentially during the merge).
-    typed: Vec<u32>,
+    out_entries: EntryList,
+    in_entries: EntryList,
 }
 
-/// One numbering unit of the merge reduction: an already-merged run of
-/// *consecutive* leaves, carrying the combined numbering plus one
-/// `local → unit` remap table per covered leaf (in leaf order).
-struct MergeUnit {
-    node_map: DenseIdMap,
-    prop_map: DenseIdMap,
-    /// Unit-node-indexed degree sums (may lag `node_map.len()`; absorbs
-    /// resize before accumulating).
-    out_deg: Vec<u32>,
-    in_deg: Vec<u32>,
-    /// Unit ids of typed subjects, in leaf order (store path).
-    typed: Vec<u32>,
-    node_remaps: Vec<Vec<u32>>,
-    prop_remaps: Vec<Vec<u32>>,
-}
-
-impl MergeUnit {
-    /// A single-leaf unit, taking the numbering state out of `part` (the
-    /// CSR entry lists stay behind for the post-merge remap pass).
-    fn leaf(part: &mut ShardPart) -> MergeUnit {
-        let node_map = std::mem::take(&mut part.node_map);
-        let prop_map = std::mem::take(&mut part.prop_map);
-        MergeUnit {
-            out_deg: std::mem::take(&mut part.out_deg),
-            in_deg: std::mem::take(&mut part.in_deg),
-            typed: std::mem::take(&mut part.typed),
-            node_remaps: vec![(0..node_map.len() as u32).collect()],
-            prop_remaps: vec![(0..prop_map.len() as u32).collect()],
-            node_map,
-            prop_map,
-        }
-    }
-
-    /// Absorbs `right`, the unit covering the immediately following run of
-    /// leaves: extends the numbering, folds degrees and typed ids through
-    /// the absorb remap, and composes `right`'s leaf tables into the
-    /// combined numbering (this unit's tables stay valid — absorb only
-    /// appends).
-    fn absorb(&mut self, right: MergeUnit) {
-        let node_remap = self.node_map.absorb(&right.node_map);
-        let prop_remap = self.prop_map.absorb(&right.prop_map);
-        let n = self.node_map.len();
-        self.out_deg.resize(n, 0);
-        self.in_deg.resize(n, 0);
-        for (l, &d) in right.out_deg.iter().enumerate() {
-            if d != 0 {
-                self.out_deg[node_remap[l] as usize] += d;
+impl ShardPart {
+    /// Scans one contiguous chunk of D_G, numbering its nodes and
+    /// properties locally in first-seen order (s, o, p per triple).
+    fn scan(chunk: &[Triple], n_terms: usize) -> ShardPart {
+        let mut part = ShardPart {
+            node_map: DenseIdMap::with_capacity(n_terms),
+            prop_map: DenseIdMap::with_capacity(n_terms),
+            out_deg: Vec::new(),
+            in_deg: Vec::new(),
+            out_entries: Vec::with_capacity(chunk.len()),
+            in_entries: Vec::with_capacity(chunk.len()),
+        };
+        for t in chunk {
+            let s = part.node_map.intern(t.s);
+            if s as usize == part.out_deg.len() {
+                part.out_deg.push(0);
+                part.in_deg.push(0);
             }
-        }
-        for (l, &d) in right.in_deg.iter().enumerate() {
-            if d != 0 {
-                self.in_deg[node_remap[l] as usize] += d;
+            part.out_deg[s as usize] += 1;
+            let o = part.node_map.intern(t.o);
+            if o as usize == part.out_deg.len() {
+                part.out_deg.push(0);
+                part.in_deg.push(0);
             }
+            part.in_deg[o as usize] += 1;
+            let p = part.prop_map.intern(t.p);
+            part.out_entries.push((s, p));
+            part.in_entries.push((o, p));
         }
-        self.typed
-            .extend(right.typed.iter().map(|&v| node_remap[v as usize]));
-        for mut leaf in right.node_remaps {
-            DenseIdMap::compose_remaps(&node_remap, &mut leaf);
-            self.node_remaps.push(leaf);
-        }
-        for mut leaf in right.prop_remaps {
-            DenseIdMap::compose_remaps(&prop_remap, &mut leaf);
-            self.prop_remaps.push(leaf);
-        }
+        part
     }
-}
-
-/// Folds the shard partials, in shard order, into one global numbering
-/// unit: numbering, degree sums, typed ids, and the per-leaf remap tables.
-fn merge_shard_parts(parts: &mut [ShardPart]) -> MergeUnit {
-    let mut units = parts.iter_mut().map(MergeUnit::leaf);
-    let mut merged = units.next().expect("at least one shard partial");
-    for right in units {
-        merged.absorb(right);
-    }
-    merged
 }
 
 impl<'g> SummaryContext<'g> {
-    /// Builds the context from a graph, numbering data nodes in first-seen
-    /// order (the [`crate::equivalence::data_nodes_ordered`] order).
-    ///
-    /// One numbering pass records each data triple's dense `(subject,
-    /// property)` / `(object, property)` pairs alongside the degree
-    /// counts; the CSR rows are then filled from those pairs — chunked
-    /// across threads above [`crate::parallel::PARALLEL_CSR_THRESHOLD`]
-    /// entries — without touching the id maps again.
+    /// Builds the one-shard context: every stage runs on the calling
+    /// thread. Data nodes are numbered in first-seen order (the
+    /// [`crate::equivalence::data_nodes_ordered`] order).
     pub fn new(g: &'g Graph) -> Self {
-        let n_terms = g.dict().len();
-        let mut node_map = DenseIdMap::with_capacity(n_terms);
-        let mut prop_map = DenseIdMap::with_capacity(n_terms);
-        let mut out_deg: Vec<u32> = Vec::new();
-        let mut in_deg: Vec<u32> = Vec::new();
-        // Dense `(row, prop)` pairs are materialized only when the chunked
-        // parallel fill will actually run; the sequential fill re-reads
-        // the (cache-hot) id maps instead and skips the extra buffers.
-        let parallel_fill = crate::parallel::substrate_threads(
-            g.data().len(),
-            crate::parallel::PARALLEL_CSR_THRESHOLD,
-        ) > 1;
-        let mut out_entries: Vec<(u32, u32)> = Vec::new();
-        let mut in_entries: Vec<(u32, u32)> = Vec::new();
-        if parallel_fill {
-            out_entries.reserve(g.data().len());
-            in_entries.reserve(g.data().len());
-        }
-        let grow_to = |v: usize, out_deg: &mut Vec<u32>, in_deg: &mut Vec<u32>| {
-            if v == out_deg.len() {
-                out_deg.push(0);
-                in_deg.push(0);
-            }
-        };
-        for t in g.data() {
-            let s = node_map.intern(t.s);
-            grow_to(s as usize, &mut out_deg, &mut in_deg);
-            out_deg[s as usize] += 1;
-            let o = node_map.intern(t.o);
-            grow_to(o as usize, &mut out_deg, &mut in_deg);
-            in_deg[o as usize] += 1;
-            let p = prop_map.intern(t.p);
-            if parallel_fill {
-                out_entries.push((s, p));
-                in_entries.push((o, p));
-            }
-        }
-        let mut typed_nodes = Vec::new();
-        for t in g.types() {
-            let s = node_map.intern(t.s) as usize;
-            grow_to(s, &mut out_deg, &mut in_deg);
-            typed_nodes.push(s);
-        }
-        let n = node_map.len();
-        let mut typed = vec![false; n];
-        for v in typed_nodes {
-            typed[v] = true;
-        }
-        let (out_offsets, out_props, in_offsets, in_props) = if parallel_fill {
-            let (oo, op) = fill_csr(&out_deg, &out_entries);
-            let (io, ip) = fill_csr(&in_deg, &in_entries);
-            (oo, op, io, ip)
-        } else {
-            let oo = csr_offsets(&out_deg);
-            let io = csr_offsets(&in_deg);
-            let mut op = vec![0u32; oo[n] as usize];
-            let mut ip = vec![0u32; io[n] as usize];
-            let mut oc = oo[..n].to_vec();
-            let mut ic = io[..n].to_vec();
-            for t in g.data() {
-                let s = node_map.get(t.s).expect("interned above") as usize;
-                let o = node_map.get(t.o).expect("interned above") as usize;
-                let p = prop_map.get(t.p).expect("interned above");
-                op[oc[s] as usize] = p;
-                oc[s] += 1;
-                ip[ic[o] as usize] = p;
-                ic[o] += 1;
-            }
-            (oo, op, io, ip)
-        };
-        SummaryContext {
-            g,
-            nodes: node_map.into_parts().1,
-            props: prop_map.into_parts().1,
-            out_offsets,
-            out_props,
-            in_offsets,
-            in_props,
-            typed,
-            threads: 0,
-            all_cliques: OnceCell::new(),
-            untyped_cliques: OnceCell::new(),
-            class_sets: OnceCell::new(),
-        }
+        Self::sharded_forced(g, 1)
     }
 
-    /// Builds the context shard-parallel: `threads` contiguous chunks of
-    /// D_G are scanned into independent partial substrates concurrently,
-    /// then merged into the **identical** substrate [`SummaryContext::new`]
-    /// builds (see the [module docs](self) for why the merge is exact).
-    /// The lazily computed clique sweeps also use `threads` workers.
-    ///
-    /// Falls back to the sequential single-shard path below
+    /// Builds the context on the worker count
+    /// [`crate::parallel::shard_count`] resolves for `g` and the requested
+    /// `threads`: one below
     /// [`crate::parallel::PARALLEL_SHARD_THRESHOLD`] data triples, so
-    /// small graphs and single-core hosts never pay the per-shard fixed
-    /// costs. All five summaries built from a sharded context are
-    /// triple-for-triple, naming-identical to the sequential ones.
+    /// small graphs never pay the per-shard fixed costs, else the request.
+    /// All five summaries come out triple-for-triple, naming-identical at
+    /// any count (see the [module docs](self) for why the merge is exact).
     pub fn sharded(g: &'g Graph, threads: usize) -> Self {
-        match crate::parallel::shard_count(g.data().len(), threads) {
-            0 | 1 => Self::new(g),
-            s => Self::sharded_forced(g, s),
-        }
+        Self::sharded_forced(g, crate::parallel::shard_count(g.data().len(), threads))
     }
 
-    /// [`SummaryContext::sharded`] without the size-threshold fallback —
-    /// the seam the forced-shard tests and crossover benchmarks drive,
-    /// since the auto path shards only above the threshold. Prefer
+    /// [`SummaryContext::sharded`] without the size floor — the seam the
+    /// forced-shard tests and benches drive, since the floor keeps
+    /// fixture-sized graphs on one shard. Prefer
     /// [`SummaryContext::sharded`].
     pub fn sharded_forced(g: &'g Graph, shards: usize) -> Self {
-        let shards = shards.clamp(1, 256);
-        if shards <= 1 {
-            return Self::new(g);
-        }
+        let threads = shards.clamp(1, 256);
         let n_terms = g.dict().len();
         let data = g.data();
-        // Parallel scan: shard w owns the contiguous chunk
-        // `data[len·w/S .. len·(w+1)/S]` (possibly empty when S exceeds
-        // the triple count) and numbers it locally, replicating the
-        // sequential pass's intern order (s, o, p per triple).
-        let mut parts: Vec<ShardPart> = std::thread::scope(|ts| {
-            let handles: Vec<_> = (0..shards)
+        // Shard w owns the contiguous chunk `data[len·w/S .. len·(w+1)/S]`
+        // (possibly empty when S exceeds the triple count). Shard 0 is
+        // scanned here, so one shard spawns nothing.
+        let chunk = |w: usize| &data[data.len() * w / threads..data.len() * (w + 1) / threads];
+        let (first, rest) = std::thread::scope(|ts| {
+            let handles: Vec<_> = (1..threads)
                 .map(|w| {
-                    let chunk = &data[data.len() * w / shards..data.len() * (w + 1) / shards];
-                    ts.spawn(move || {
-                        let mut part = ShardPart {
-                            node_map: DenseIdMap::with_capacity(n_terms),
-                            prop_map: DenseIdMap::with_capacity(n_terms),
-                            out_entries: Vec::with_capacity(chunk.len()),
-                            in_entries: Vec::with_capacity(chunk.len()),
-                            ..ShardPart::default()
-                        };
-                        for t in chunk {
-                            let s = part.node_map.intern(t.s);
-                            if s as usize == part.out_deg.len() {
-                                part.out_deg.push(0);
-                                part.in_deg.push(0);
-                            }
-                            part.out_deg[s as usize] += 1;
-                            let o = part.node_map.intern(t.o);
-                            if o as usize == part.out_deg.len() {
-                                part.out_deg.push(0);
-                                part.in_deg.push(0);
-                            }
-                            part.in_deg[o as usize] += 1;
-                            let p = part.prop_map.intern(t.p);
-                            part.out_entries.push((s, p));
-                            part.in_entries.push((o, p));
-                        }
-                        part
-                    })
+                    let chunk = chunk(w);
+                    ts.spawn(move || ShardPart::scan(chunk, n_terms))
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            let first = ShardPart::scan(chunk(0), n_terms);
+            let rest: Vec<ShardPart> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            (first, rest)
         });
-        // Merge: folding the shard numberings in shard order reproduces
-        // the global first-seen numbering; types are numbered after all
-        // data nodes, exactly like the sequential pass.
-        let mut merged = merge_shard_parts(&mut parts);
-        let mut typed_nodes = Vec::new();
-        for t in g.types() {
-            typed_nodes.push(merged.node_map.intern(t.s) as usize);
-        }
-        let n = merged.node_map.len();
-        merged.out_deg.resize(n, 0);
-        merged.in_deg.resize(n, 0);
-        let mut typed = vec![false; n];
-        for v in typed_nodes {
-            typed[v] = true;
-        }
-        let (out_entries, in_entries) =
-            remap_entries(&parts, &merged.node_remaps, &merged.prop_remaps);
-        let (out_offsets, out_props) = fill_csr_threaded(&merged.out_deg, &out_entries, shards);
-        let (in_offsets, in_props) = fill_csr_threaded(&merged.in_deg, &in_entries, shards);
-        SummaryContext {
-            g,
-            nodes: merged.node_map.into_parts().1,
-            props: merged.prop_map.into_parts().1,
-            out_offsets,
-            out_props,
-            in_offsets,
-            in_props,
-            typed,
-            threads: shards,
-            all_cliques: OnceCell::new(),
-            untyped_cliques: OnceCell::new(),
-            class_sets: OnceCell::new(),
-        }
-    }
-
-    /// Builds the context from a [`TripleStore`]'s sorted permutation
-    /// indexes: the SPO runs provide each subject's triples contiguously
-    /// (outgoing CSR + typed flags), the OSP runs each object's (incoming
-    /// CSR) — no counting pass and no per-node hash lookups.
-    ///
-    /// Nodes are numbered in index order (subjects ascending, then
-    /// objects), so dense ids differ from [`SummaryContext::new`]; the
-    /// canonical summaries (W/S/TW/TS) are identical either way. The
-    /// type-based summary's fresh `C(∅)` URIs follow the numbering order
-    /// and may therefore differ (the summaries stay isomorphic).
-    pub fn from_store(store: &'g TripleStore) -> Self {
-        let g = store.graph();
-        let n_terms = g.dict().len();
-        let wk = g.well_known();
-        let mut node_map = DenseIdMap::with_capacity(n_terms);
-        let mut prop_map = DenseIdMap::with_capacity(n_terms);
-        let mut typed_nodes: Vec<usize> = Vec::new();
-        let mut out_deg: Vec<u32> = Vec::new();
-        let mut out_entries: Vec<(u32, u32)> = Vec::new();
-        let mut prop_buf: Vec<u32> = Vec::new();
-        // SPO runs: one run per subject, all its triples contiguous.
-        for run in store.spo().runs1() {
-            let mut is_node = false;
-            let mut is_typed = false;
-            prop_buf.clear();
-            for t in run {
-                match wk.component_of(t.p) {
-                    Component::Data => {
-                        is_node = true;
-                        prop_buf.push(prop_map.intern(t.p));
+        // Fold in shard order: shard 0's numbering is the prefix of the
+        // global one, and each absorb returns the absorbed shard's
+        // `local → global` tables.
+        let ShardPart {
+            mut node_map,
+            mut prop_map,
+            mut out_deg,
+            mut in_deg,
+            out_entries,
+            in_entries,
+        } = first;
+        let remaps: Vec<(Vec<u32>, Vec<u32>)> = rest
+            .iter()
+            .map(|leaf| {
+                let node_remap = node_map.absorb(&leaf.node_map);
+                let prop_remap = prop_map.absorb(&leaf.prop_map);
+                out_deg.resize(node_map.len(), 0);
+                in_deg.resize(node_map.len(), 0);
+                for (l, &d) in leaf.out_deg.iter().enumerate() {
+                    if d != 0 {
+                        out_deg[node_remap[l] as usize] += d;
                     }
-                    Component::Type => {
-                        is_node = true;
-                        is_typed = true;
+                }
+                for (l, &d) in leaf.in_deg.iter().enumerate() {
+                    if d != 0 {
+                        in_deg[node_remap[l] as usize] += d;
                     }
-                    Component::Schema => {}
                 }
-            }
-            if is_node {
-                let v = node_map.intern(run[0].s);
-                if v as usize == out_deg.len() {
-                    out_deg.push(0);
-                }
-                out_deg[v as usize] += prop_buf.len() as u32;
-                out_entries.extend(prop_buf.iter().map(|&p| (v, p)));
-                if is_typed {
-                    typed_nodes.push(v as usize);
-                }
-            }
-        }
-        // OSP runs: one run per object; number the object-only nodes after
-        // all subjects and collect in-degrees.
-        let mut in_deg = vec![0u32; node_map.len()];
-        let mut in_entries: Vec<(u32, u32)> = Vec::new();
-        for run in store.osp().runs1() {
-            prop_buf.clear();
-            for t in run {
-                if wk.component_of(t.p) == Component::Data {
-                    prop_buf.push(prop_map.intern(t.p));
-                }
-            }
-            if !prop_buf.is_empty() {
-                let v = node_map.intern(run[0].o);
-                if v as usize == in_deg.len() {
-                    in_deg.push(0);
-                    out_deg.push(0);
-                }
-                in_deg[v as usize] += prop_buf.len() as u32;
-                in_entries.extend(prop_buf.iter().map(|&p| (v, p)));
-            }
-        }
+                (node_remap, prop_remap)
+            })
+            .collect();
+        // Typed-only subjects are numbered after all data nodes.
+        let typed_nodes: Vec<u32> = g.types().iter().map(|t| node_map.intern(t.s)).collect();
         let n = node_map.len();
+        out_deg.resize(n, 0);
+        in_deg.resize(n, 0);
         let mut typed = vec![false; n];
         for v in typed_nodes {
-            typed[v] = true;
+            typed[v as usize] = true;
         }
-        let (out_offsets, out_props) = fill_csr(&out_deg, &out_entries);
-        let (in_offsets, in_props) = fill_csr(&in_deg, &in_entries);
+        let rest_out: Vec<&[(u32, u32)]> = rest.iter().map(|p| p.out_entries.as_slice()).collect();
+        let rest_in: Vec<&[(u32, u32)]> = rest.iter().map(|p| p.in_entries.as_slice()).collect();
+        let out_entries = stitch_entries(out_entries, &rest_out, &remaps);
+        let in_entries = stitch_entries(in_entries, &rest_in, &remaps);
+        let (out_offsets, out_props) = fill_csr_values(&out_deg, &out_entries, threads, 0u32);
+        let (in_offsets, in_props) = fill_csr_values(&in_deg, &in_entries, threads, 0u32);
         SummaryContext {
             g,
             nodes: node_map.into_parts().1,
@@ -562,157 +323,18 @@ impl<'g> SummaryContext<'g> {
             in_offsets,
             in_props,
             typed,
-            threads: 0,
+            threads,
             all_cliques: OnceCell::new(),
             untyped_cliques: OnceCell::new(),
             class_sets: OnceCell::new(),
         }
     }
 
-    /// [`SummaryContext::from_store`] built shard-parallel from the
-    /// store's subject-range ([`rdf_store::SortedIndex::shards`]) SPO and
-    /// object-range OSP shards: each shard scans its runs into a partial
-    /// substrate concurrently, and the absorb/remap merge reproduces the
-    /// sequential index-order numbering exactly (module docs). Falls back
-    /// to [`SummaryContext::from_store`] below
-    /// [`crate::parallel::PARALLEL_SHARD_THRESHOLD`] data triples.
-    pub fn sharded_from_store(store: &'g TripleStore, threads: usize) -> Self {
-        match crate::parallel::shard_count(store.graph().data().len(), threads) {
-            0 | 1 => Self::from_store(store),
-            s => Self::sharded_from_store_forced(store, s),
-        }
-    }
-
-    /// [`SummaryContext::sharded_from_store`] without the size-threshold
-    /// fallback — the forced-shard test/bench seam. Prefer
-    /// [`SummaryContext::sharded_from_store`]. The store's SPO shard
-    /// partials followed by its OSP shard partials form `2S` ordered merge
-    /// leaves — their concatenation order *is* the sequential index-scan
-    /// order, so the same fold applies unchanged.
-    pub fn sharded_from_store_forced(store: &'g TripleStore, shards: usize) -> Self {
-        let shards = shards.clamp(1, 256);
-        if shards <= 1 {
-            return Self::from_store(store);
-        }
-        let g = store.graph();
-        let n_terms = g.dict().len();
-        let wk = g.well_known();
-        let spo_shards = store.spo().shards(shards);
-        let osp_shards = store.osp().shards(shards);
-        // Parallel scan: worker w owns SPO shard w (subjects: outgoing
-        // CSR + typed flags) and OSP shard w (objects: incoming CSR).
-        // Shards cut only at run boundaries, so every node's contiguous
-        // triple group lands whole in exactly one shard.
-        let parts: Vec<(ShardPart, ShardPart)> = std::thread::scope(|ts| {
-            let handles: Vec<_> = spo_shards
-                .iter()
-                .zip(&osp_shards)
-                .map(|(&spo_shard, &osp_shard)| {
-                    let wk = &wk;
-                    ts.spawn(move || {
-                        let mut spo = ShardPart {
-                            node_map: DenseIdMap::with_capacity(n_terms),
-                            prop_map: DenseIdMap::with_capacity(n_terms),
-                            ..ShardPart::default()
-                        };
-                        let mut prop_buf: Vec<u32> = Vec::new();
-                        for run in store.spo().runs_in(spo_shard) {
-                            let mut is_typed = false;
-                            prop_buf.clear();
-                            for t in run {
-                                match wk.component_of(t.p) {
-                                    Component::Data => {
-                                        prop_buf.push(spo.prop_map.intern(t.p));
-                                    }
-                                    Component::Type => is_typed = true,
-                                    Component::Schema => {}
-                                }
-                            }
-                            if !prop_buf.is_empty() || is_typed {
-                                let v = spo.node_map.intern(run[0].s);
-                                if v as usize == spo.out_deg.len() {
-                                    spo.out_deg.push(0);
-                                }
-                                spo.out_deg[v as usize] += prop_buf.len() as u32;
-                                spo.out_entries.extend(prop_buf.iter().map(|&p| (v, p)));
-                                if is_typed {
-                                    spo.typed.push(v);
-                                }
-                            }
-                        }
-                        let mut osp = ShardPart {
-                            node_map: DenseIdMap::with_capacity(n_terms),
-                            prop_map: DenseIdMap::with_capacity(n_terms),
-                            ..ShardPart::default()
-                        };
-                        for run in store.osp().runs_in(osp_shard) {
-                            prop_buf.clear();
-                            for t in run {
-                                if wk.component_of(t.p) == Component::Data {
-                                    prop_buf.push(osp.prop_map.intern(t.p));
-                                }
-                            }
-                            if !prop_buf.is_empty() {
-                                let v = osp.node_map.intern(run[0].o);
-                                if v as usize == osp.in_deg.len() {
-                                    osp.in_deg.push(0);
-                                }
-                                osp.in_deg[v as usize] += prop_buf.len() as u32;
-                                osp.in_entries.extend(prop_buf.iter().map(|&p| (v, p)));
-                            }
-                        }
-                        (spo, osp)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Merge in the sequential scan order: all SPO shards (subjects
-        // ascending), then all OSP shards (object-only nodes after every
-        // subject) — flattened into 2S ordered leaves for the fold.
-        // OSP prop absorbs are no-ops — every data property already
-        // appeared in some SPO run.
-        let (spo_parts, osp_parts): (Vec<ShardPart>, Vec<ShardPart>) = parts.into_iter().unzip();
-        let mut leaves: Vec<ShardPart> = spo_parts;
-        leaves.extend(osp_parts);
-        let mut merged = merge_shard_parts(&mut leaves);
-        let n = merged.node_map.len();
-        merged.out_deg.resize(n, 0);
-        merged.in_deg.resize(n, 0);
-        let mut typed = vec![false; n];
-        for &v in &merged.typed {
-            typed[v as usize] = true;
-        }
-        let spo_refs: Vec<&ShardPart> = leaves[..shards].iter().collect();
-        let osp_refs: Vec<&ShardPart> = leaves[shards..].iter().collect();
-        let out_entries = remap_side(
-            &spo_refs,
-            &merged.node_remaps[..shards],
-            &merged.prop_remaps[..shards],
-            |p| &p.out_entries,
-        );
-        let in_entries = remap_side(
-            &osp_refs,
-            &merged.node_remaps[shards..],
-            &merged.prop_remaps[shards..],
-            |p| &p.in_entries,
-        );
-        let (out_offsets, out_props) = fill_csr_threaded(&merged.out_deg, &out_entries, shards);
-        let (in_offsets, in_props) = fill_csr_threaded(&merged.in_deg, &in_entries, shards);
-        SummaryContext {
-            g,
-            nodes: merged.node_map.into_parts().1,
-            props: merged.prop_map.into_parts().1,
-            out_offsets,
-            out_props,
-            in_offsets,
-            in_props,
-            typed,
-            threads: shards,
-            all_cliques: OnceCell::new(),
-            untyped_cliques: OnceCell::new(),
-            class_sets: OnceCell::new(),
-        }
+    /// The worker count this context resolved at construction (≥ 1): its
+    /// shard count, and the count every later stage runs on.
+    #[inline]
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The summarized graph.
@@ -753,11 +375,6 @@ impl<'g> SummaryContext<'g> {
     }
 
     /// The cliques of `G` under `scope`, computed on first use and cached.
-    ///
-    /// Above [`crate::parallel::PARALLEL_CLIQUE_THRESHOLD`] data triples
-    /// (or always, for sharded contexts) contiguous row ranges feed
-    /// per-worker union–find partials that merge into the sequential
-    /// result exactly.
     pub fn cliques(&self, scope: CliqueScope) -> &Cliques {
         let cell = match scope {
             CliqueScope::AllNodes => &self.all_cliques,
@@ -766,36 +383,21 @@ impl<'g> SummaryContext<'g> {
         cell.get_or_init(|| self.compute_cliques(scope))
     }
 
-    /// Computes the cliques for `scope` from the CSR layout, with the
-    /// worker count auto-selected (the context's shard count, or the
-    /// measured-threshold policy for sequential contexts).
-    pub(crate) fn compute_cliques(&self, scope: CliqueScope) -> Cliques {
-        let threads = if self.threads > 0 {
-            self.threads
-        } else {
-            crate::parallel::substrate_threads(
-                self.out_props.len(),
-                crate::parallel::PARALLEL_CLIQUE_THRESHOLD,
-            )
-        };
-        self.compute_cliques_threaded(scope, threads)
-    }
-
-    /// The clique sweep with an explicit worker count — the seam the
-    /// forced-thread tests drive. One worker runs the two linear CSR
-    /// sweeps sequentially (out rows feed the source union–find, in rows
-    /// the target one, no hash lookups); more workers split the rows into
+    /// Computes the cliques for `scope` from the CSR layout on the
+    /// context's worker count. One worker runs the two linear CSR sweeps
+    /// sequentially (out rows feed the source union–find, in rows the
+    /// target one, no hash lookups); more workers split the rows into
     /// contiguous ranges balanced by entry count, scan each range into a
     /// union–find partial plus range-local representative tables, and
     /// merge by unioning every element with its partial root. Every row
     /// is owned by one worker, so the representative tables scatter
     /// without reconciliation and the result — including clique numbering
-    /// — equals the sequential sweep.
-    pub(crate) fn compute_cliques_threaded(&self, scope: CliqueScope, threads: usize) -> Cliques {
+    /// — equals the one-worker sweep.
+    pub(crate) fn compute_cliques(&self, scope: CliqueScope) -> Cliques {
         let np = self.props.len();
         let n = self.nodes.len();
         let n_terms = self.g.dict().len();
-        let threads = threads.clamp(1, 256).min(n.max(1));
+        let threads = self.threads.min(n.max(1));
         let mut src_uf = UnionFind::new(np);
         let mut tgt_uf = UnionFind::new(np);
         let mut subject_repr = vec![NO_DENSE_ID; n_terms];
@@ -910,24 +512,13 @@ impl<'g> SummaryContext<'g> {
     }
 
     /// The interned class sets of the typed resources, computed on first
-    /// use and cached. The T_G accumulation sweep is chunked across
-    /// [`crate::parallel::substrate_threads`] workers above
-    /// [`crate::parallel::PARALLEL_CLASS_THRESHOLD`] type triples and runs
-    /// sequentially below it; the result is identical either way.
+    /// use and cached. The T_G accumulation sweep is chunked across the
+    /// context's workers; the result is identical at any count.
     pub fn class_sets(&self) -> &ClassSets {
-        self.class_sets.get_or_init(|| {
-            self.class_sets_forced(crate::parallel::substrate_threads(
-                self.g.types().len(),
-                crate::parallel::PARALLEL_CLASS_THRESHOLD,
-            ))
-        })
+        self.class_sets.get_or_init(|| self.compute_class_sets())
     }
 
-    /// [`Self::class_sets`] with an explicit worker count — the test and
-    /// crossover-measurement seam (the auto path only goes parallel when
-    /// T_G clears the threshold *and* the machine has spare cores).
-    /// Bypasses the cache; prefer [`Self::class_sets`].
-    pub fn class_sets_forced(&self, threads: usize) -> ClassSets {
+    fn compute_class_sets(&self) -> ClassSets {
         let types = self.g.types();
         let n_terms = self.g.dict().len();
 
@@ -963,7 +554,7 @@ impl<'g> SummaryContext<'g> {
             tmp_of_node,
             mut tmp,
             order,
-        } = if threads <= 1 || types.len() < 2 {
+        } = if self.threads <= 1 || types.len() < 2 {
             scan(types, n_terms)
         } else {
             // Chunked scan + chunk-order merge. The sequential sweep
@@ -972,7 +563,7 @@ impl<'g> SummaryContext<'g> {
             // chunk that saw it, and its class list is the concatenation
             // of its per-chunk lists in chunk order — the merge below
             // reproduces both exactly.
-            let chunk_size = types.len().div_ceil(threads).max(1);
+            let chunk_size = types.len().div_ceil(self.threads).max(1);
             let parts: Vec<Acc> = std::thread::scope(|scope| {
                 let handles: Vec<_> = types
                     .chunks(chunk_size)
@@ -1162,9 +753,11 @@ impl<'g> SummaryContext<'g> {
             SummaryKind::TypedWeak => self.typed_weak_summary(),
             SummaryKind::TypedStrong => self.typed_strong_summary(),
             SummaryKind::TypeBased => self.type_summary(),
-            SummaryKind::Bisimulation => {
-                crate::bisim::bisim_summary(self.g, crate::bisim::BisimDepth::Bounded(2))
-            }
+            SummaryKind::Bisimulation => crate::bisim::bisim_summary_on(
+                self.g,
+                crate::bisim::BisimDepth::Bounded(2),
+                self.threads,
+            ),
         }
     }
 
@@ -1212,40 +805,19 @@ fn csr_offsets(deg: &[u32]) -> Vec<u32> {
 
 /// Builds one CSR side from `(row, value)` entries in scan order; `deg`
 /// holds the per-row entry counts. Returns `(offsets, values)` with each
-/// row's values in entry order.
+/// row's values in entry order. The adjacency sides use it with `u32`
+/// values, the summary's extent table with
+/// [`TermId`](rdf_model::TermId)s; `zero` seeds the values array before
+/// the scatter (every slot is overwritten; the seed only exists because
+/// the value type carries no `Default`).
 ///
-/// Above [`crate::parallel::PARALLEL_CSR_THRESHOLD`] entries the fill is
-/// chunked across [`crate::parallel::substrate_threads`] workers in two
-/// parallel phases: every input chunk first partitions its entries into
-/// per-worker buckets by row range (ranges balanced by entry count), then
-/// each worker fills its own **contiguous** slice of the values array
-/// from its buckets in chunk order. Row ranges make the written slices
-/// disjoint `&mut` splits — no atomics, no locks — and chunk order keeps
-/// each row's values in scan order, so the result is bit-identical to the
-/// sequential sweep.
-fn fill_csr(deg: &[u32], entries: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
-    fill_csr_threaded(
-        deg,
-        entries,
-        crate::parallel::substrate_threads(entries.len(), crate::parallel::PARALLEL_CSR_THRESHOLD),
-    )
-}
-
-/// [`fill_csr`] with an explicit worker count — the seam the forced-thread
-/// tests drive, since the auto path only goes parallel with spare cores.
-pub(crate) fn fill_csr_threaded(
-    deg: &[u32],
-    entries: &[(u32, u32)],
-    threads: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    fill_csr_values(deg, entries, threads, 0u32)
-}
-
-/// The value-generic CSR fill behind [`fill_csr_threaded`]: the summary's
-/// extent table uses it with [`TermId`](rdf_model::TermId) values, the
-/// adjacency sides with `u32`. `zero` seeds the values array before the
-/// scatter (every slot is overwritten; the seed only exists because the
-/// value type carries no `Default`).
+/// One worker runs a cursor sweep. More workers fill in two parallel
+/// phases: every input chunk first partitions its entries into per-worker
+/// buckets by row range (ranges balanced by entry count), then each worker
+/// fills its own **contiguous** slice of the values array from its buckets
+/// in chunk order. Row ranges make the written slices disjoint `&mut`
+/// splits — no atomics, no locks — and chunk order keeps each row's values
+/// in scan order, so the result is bit-identical to the cursor sweep.
 pub(crate) fn fill_csr_values<V: Copy + Send + Sync>(
     deg: &[u32],
     entries: &[(u32, V)],
@@ -1255,8 +827,7 @@ pub(crate) fn fill_csr_values<V: Copy + Send + Sync>(
     let offsets = csr_offsets(deg);
     let n = deg.len();
     let total = offsets[n] as usize;
-    // Row → worker assignments live in a u8 table, hence the 256 cap
-    // (also enforced by `substrate_threads` on the auto path).
+    // Row → worker assignments live in a u8 table, hence the 256 cap.
     let threads = threads.clamp(1, n.max(1)).min(256);
     let mut values = vec![zero; total];
     if threads <= 1 {
@@ -1382,49 +953,36 @@ pub(crate) fn sort_csr_rows<V: Ord + Send>(offsets: &[u32], values: &mut [V], th
 /// A list of `(row, value)` CSR entries in scan order.
 type EntryList = Vec<(u32, u32)>;
 
-/// Rewrites every shard's local `(row, value)` CSR entries to global ids
-/// through the absorb remap tables, concatenated in shard order — which
-/// *is* the sequential scan order, so the stitched entry list is
-/// bit-identical to the one a single pass would record. Each shard writes
-/// a disjoint range of the output, in parallel.
-fn remap_side<'p>(
-    parts: &[&'p ShardPart],
-    node_remaps: &[Vec<u32>],
-    prop_remaps: &[Vec<u32>],
-    entries_of: impl Fn(&'p ShardPart) -> &'p [(u32, u32)],
+/// Concatenates one CSR side of the shard partials in shard order — which
+/// *is* the global scan order, so the stitched list is bit-identical to
+/// the one a single pass would record. `first` is shard 0's list, already
+/// in global ids; `rest[i]` is rewritten through `remaps[i]`, the
+/// `(node, property)` tables its absorb returned. Each shard writes a
+/// disjoint range of the output, in parallel.
+fn stitch_entries(
+    first: EntryList,
+    rest: &[&[(u32, u32)]],
+    remaps: &[(Vec<u32>, Vec<u32>)],
 ) -> EntryList {
-    let total: usize = parts.iter().map(|&p| entries_of(p).len()).sum();
+    if rest.is_empty() {
+        return first;
+    }
+    let total = first.len() + rest.iter().map(|e| e.len()).sum::<usize>();
     let mut out = vec![(0u32, 0u32); total];
     std::thread::scope(|ts| {
-        let mut rest: &mut [(u32, u32)] = &mut out;
-        for (w, &part) in parts.iter().enumerate() {
-            let entries = entries_of(part);
-            let (slice, tail) = rest.split_at_mut(entries.len());
-            rest = tail;
-            let (nr, pr) = (&node_remaps[w], &prop_remaps[w]);
+        let (head, mut tail) = out.split_at_mut(first.len());
+        ts.spawn(|| head.copy_from_slice(&first));
+        for (&entries, (node_remap, prop_remap)) in rest.iter().zip(remaps) {
+            let (slice, after) = tail.split_at_mut(entries.len());
+            tail = after;
             ts.spawn(move || {
                 for (dst, &(v, p)) in slice.iter_mut().zip(entries) {
-                    *dst = (nr[v as usize], pr[p as usize]);
+                    *dst = (node_remap[v as usize], prop_remap[p as usize]);
                 }
             });
         }
     });
     out
-}
-
-/// Both CSR sides of the graph-path shard partials, remapped and stitched.
-fn remap_entries(
-    parts: &[ShardPart],
-    node_remaps: &[Vec<u32>],
-    prop_remaps: &[Vec<u32>],
-) -> (EntryList, EntryList) {
-    let refs: Vec<&ShardPart> = parts.iter().collect();
-    (
-        remap_side(&refs, node_remaps, prop_remaps, |p| {
-            p.out_entries.as_slice()
-        }),
-        remap_side(&refs, node_remaps, prop_remaps, |p| p.in_entries.as_slice()),
-    )
 }
 
 /// The strong-summary name of a node: the symbolic `N(TC(n), SC(n))` from
@@ -1518,10 +1076,11 @@ mod tests {
         assert_eq!(cs.set(spec).len(), 1);
     }
 
-    /// The chunked class-set scan equals the sequential one exactly —
+    /// The chunked class-set scan equals the one-worker scan exactly —
     /// same dense set-id numbering, same set contents, same node mapping —
-    /// for every forced worker count, on a graph with cross-chunk nodes,
-    /// duplicate type triples, and interleaved class orders.
+    /// at every forced shard count, on a graph with cross-chunk nodes,
+    /// duplicate type triples, and interleaved class orders, and on one
+    /// with no type triples at all.
     #[test]
     fn forced_parallel_class_sets_match_sequential() {
         let mut g = Graph::new();
@@ -1545,16 +1104,24 @@ mod tests {
                 g.add_iri_triple(&r, "p", "o");
             }
         }
-        let ctx = SummaryContext::new(&g);
-        let seq = ctx.class_sets_forced(1);
-        for threads in [2, 3, 5, 16] {
-            let par = ctx.class_sets_forced(threads);
-            assert_eq!(par.set_of_node, seq.set_of_node, "{threads} threads");
-            assert_eq!(par.sets, seq.sets, "{threads} threads");
+        let mut untyped = Graph::new();
+        untyped.add_iri_triple("a", "p", "b");
+        for g in [g, untyped] {
+            let seq = SummaryContext::new(&g);
+            for shards in [2, 3, 4, 8, 64] {
+                let par = SummaryContext::sharded_forced(&g, shards);
+                assert_eq!(
+                    par.class_sets().set_of_node,
+                    seq.class_sets().set_of_node,
+                    "{shards} shards"
+                );
+                assert_eq!(
+                    par.class_sets().sets,
+                    seq.class_sets().sets,
+                    "{shards} shards"
+                );
+            }
         }
-        // And the cached auto path agrees with the sequential build.
-        assert_eq!(ctx.class_sets().set_of_node, seq.set_of_node);
-        assert_eq!(ctx.class_sets().sets, seq.sets);
     }
 
     #[test]
@@ -1586,17 +1153,17 @@ mod tests {
                 deg[row] += 1;
                 entries.push((row as u32, rng.index(1 << 20) as u32));
             }
-            let (seq_off, seq_vals) = fill_csr_threaded(&deg, &entries, 1);
+            let (seq_off, seq_vals) = fill_csr_values(&deg, &entries, 1, 0u32);
             for threads in [2, 3, 5, 8] {
-                let (off, vals) = fill_csr_threaded(&deg, &entries, threads);
+                let (off, vals) = fill_csr_values(&deg, &entries, threads, 0u32);
                 assert_eq!(off, seq_off, "case {case}, {threads} threads");
                 assert_eq!(vals, seq_vals, "case {case}, {threads} threads");
             }
         }
     }
 
-    /// Whole-pipeline check: a context whose CSR was filled by the forced
-    /// parallel path produces the same adjacency as the auto path.
+    /// Whole-pipeline check: an out-CSR filled by four workers from a
+    /// hand-rolled scan equals the one-shard context's adjacency.
     #[test]
     fn forced_parallel_fill_reproduces_sample_adjacency() {
         let g = sample_graph();
@@ -1624,7 +1191,7 @@ mod tests {
                 deg.push(0);
             }
         }
-        let (offsets, props) = fill_csr_threaded(&deg, &entries, 4);
+        let (offsets, props) = fill_csr_values(&deg, &entries, 4, 0u32);
         for v in 0..node_map.len() {
             let row = &props[offsets[v] as usize..offsets[v + 1] as usize];
             assert_eq!(row, ctx.out_row(v), "row {v}");
@@ -1693,7 +1260,9 @@ mod tests {
     /// triples in emission order (no canonical re-sort), and the dr/rd
     /// correspondence tables. The forced context carries its shard count
     /// into `threads`, so this also pins the parallel quotient emission
-    /// and extent-table scatter against their sequential twins.
+    /// and extent-table scatter against their sequential twins — for the
+    /// five clique/type kinds and for `fb`, whose quotient takes the
+    /// context's count too.
     #[test]
     fn sharded_forced_high_counts_byte_identical() {
         // A graph with enough structure that S = 16/32 shards carry real
@@ -1712,9 +1281,15 @@ mod tests {
         }
         for g in [big, sample_graph()] {
             let seq = SummaryContext::new(&g);
-            let mut seq_sums: Vec<Summary> =
-                SummaryKind::ALL.iter().map(|&k| seq.summarize(k)).collect();
-            seq_sums.push(seq.type_summary());
+            const KINDS: [SummaryKind; 6] = [
+                SummaryKind::Weak,
+                SummaryKind::Strong,
+                SummaryKind::TypedWeak,
+                SummaryKind::TypedStrong,
+                SummaryKind::TypeBased,
+                SummaryKind::Bisimulation,
+            ];
+            let seq_sums: Vec<Summary> = KINDS.iter().map(|&k| seq.summarize(k)).collect();
             let assert_same = |a: &Summary, b: &Summary, tag: &str| {
                 assert_eq!(
                     rdf_io::write_graph(&a.graph),
@@ -1739,53 +1314,28 @@ mod tests {
                 assert_eq!(sh.in_offsets, seq.in_offsets, "{tag}");
                 assert_eq!(sh.in_props, seq.in_props, "{tag}");
                 assert_eq!(sh.typed, seq.typed, "{tag}");
-                for (i, &kind) in SummaryKind::ALL.iter().enumerate() {
+                for (i, &kind) in KINDS.iter().enumerate() {
                     assert_same(&sh.summarize(kind), &seq_sums[i], &format!("{tag}/{kind}"));
                 }
-                assert_same(
-                    &sh.type_summary(),
-                    seq_sums.last().unwrap(),
-                    &format!("{tag}/type-based"),
-                );
             }
         }
     }
 
-    /// The store-driven sharded build reproduces the sequential
-    /// store-driven substrate bit for bit, shard count by shard count.
+    /// `threads()` is the count `shard_count` resolved, never the request:
+    /// one below the floor whatever was asked, the request above it — so
+    /// `--threads 1` on a large graph really is one thread.
     #[test]
-    fn sharded_from_store_forced_is_bit_identical() {
-        let g = sample_graph();
-        let store = TripleStore::new(g.clone());
-        let seq = SummaryContext::from_store(&store);
-        for shards in [2, 3, 7, 32, 64] {
-            let sh = SummaryContext::sharded_from_store_forced(&store, shards);
-            assert_eq!(sh.nodes, seq.nodes, "{shards} shards");
-            assert_eq!(sh.props, seq.props, "{shards} shards");
-            assert_eq!(sh.out_offsets, seq.out_offsets, "{shards} shards");
-            assert_eq!(sh.out_props, seq.out_props, "{shards} shards");
-            assert_eq!(sh.in_offsets, seq.in_offsets, "{shards} shards");
-            assert_eq!(sh.in_props, seq.in_props, "{shards} shards");
-            assert_eq!(sh.typed, seq.typed, "{shards} shards");
+    fn threads_is_the_resolved_count() {
+        let small = sample_graph();
+        let mut big = Graph::new();
+        for i in 0..crate::parallel::PARALLEL_SHARD_THRESHOLD {
+            big.add_iri_triple(&format!("n{i}"), "p", &format!("n{}", i + 1));
         }
-        // Empty store: every shard is empty, the build still stands up.
-        let empty_store = TripleStore::new(Graph::new());
-        let sh = SummaryContext::sharded_from_store_forced(&empty_store, 3);
-        assert!(sh.data_nodes().is_empty() && sh.data_properties().is_empty());
-    }
-
-    /// The auto path falls back to the sequential build below the shard
-    /// threshold, whatever was requested.
-    #[test]
-    fn sharded_auto_falls_back_on_small_graphs() {
-        let g = sample_graph();
-        let auto = SummaryContext::sharded(&g, 8);
-        let seq = SummaryContext::new(&g);
-        assert_eq!(auto.nodes, seq.nodes);
-        assert_eq!(auto.threads, 0, "fallback is the plain sequential path");
-        let store = TripleStore::new(g.clone());
-        let auto = SummaryContext::sharded_from_store(&store, 8);
-        assert_eq!(auto.threads, 0);
+        assert_eq!(SummaryContext::sharded(&big, 1).threads(), 1);
+        assert_eq!(SummaryContext::sharded(&big, 4).threads(), 4);
+        assert_eq!(SummaryContext::sharded(&small, 4).threads(), 1);
+        assert_eq!(SummaryContext::new(&big).threads(), 1);
+        assert_eq!(SummaryContext::sharded_forced(&small, 3).threads(), 3);
     }
 
     /// The row-range clique sweep equals the sequential sweep exactly —
@@ -1795,9 +1345,10 @@ mod tests {
         let g = sample_graph();
         let ctx = SummaryContext::new(&g);
         for scope in [CliqueScope::AllNodes, CliqueScope::UntypedOnly] {
-            let seq = ctx.compute_cliques_threaded(scope, 1);
+            let seq = ctx.cliques(scope);
             for threads in [2, 3, 5, 16] {
-                let par = ctx.compute_cliques_threaded(scope, threads);
+                let sharded = SummaryContext::sharded_forced(&g, threads);
+                let par = sharded.cliques(scope);
                 assert_eq!(
                     par.source_cliques, seq.source_cliques,
                     "{scope:?}/{threads}"
@@ -1811,42 +1362,6 @@ mod tests {
                     assert_eq!(par.tc(n), seq.tc(n), "{scope:?}/{threads}");
                 }
             }
-        }
-        // A sharded context runs its sweep with the shard count; the
-        // cached cliques still match the sequential ones.
-        let sh = SummaryContext::sharded_forced(&g, 3);
-        let a = sh.cliques(CliqueScope::AllNodes);
-        let b = ctx.cliques(CliqueScope::AllNodes);
-        assert_eq!(a.source_cliques, b.source_cliques);
-        assert_eq!(a.target_cliques, b.target_cliques);
-    }
-
-    #[test]
-    fn store_context_builds_identical_summaries() {
-        let g = sample_graph();
-        let store = TripleStore::new(g.clone());
-        let ctx_g = SummaryContext::new(&g);
-        let ctx_s = SummaryContext::from_store(&store);
-        // Node sets coincide (order may differ).
-        let mut a: Vec<TermId> = ctx_g.data_nodes().to_vec();
-        let mut b: Vec<TermId> = ctx_s.data_nodes().to_vec();
-        a.sort_unstable();
-        b.sort_unstable();
-        // Note: ctx_s numbers nodes from the *store's* graph, which is the
-        // clone — same dictionary ids, so the comparison is meaningful.
-        assert_eq!(a, b);
-        for kind in SummaryKind::ALL {
-            let x = ctx_g.summarize(kind);
-            let y = ctx_s.summarize(kind);
-            let canon = |s: &Summary| {
-                let mut v: Vec<String> = rdf_io::write_graph(&s.graph)
-                    .lines()
-                    .map(String::from)
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(canon(&x), canon(&y), "{kind}");
         }
     }
 }

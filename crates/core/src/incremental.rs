@@ -1,15 +1,16 @@
 //! Incremental weak summarization: maintaining `W_G` under triple
 //! insertions without rebuilding.
 //!
-//! The weak summary's two-pass scan is insertion-order-stable — appended
-//! triples land at the end of their component tables — which makes its
-//! intermediate state a natural *online* maintenance structure.
-//! [`WeakDelta`] is the serving layer's patch state: it mirrors the exact
-//! scan state of [`crate::weak::weak_summary`] over a graph owned
-//! elsewhere (a [`rdf_store::TripleStore`]), advances it in O(1) per
-//! inserted triple, and materializes summaries **byte-identical** to a
-//! from-scratch rebuild — so a cached summary can be patched in place of
-//! rebuilding without disturbing content-addressed caching.
+//! Everything the weak summary is assembled from — first-seen numberings
+//! of properties and nodes, each node's first property, the two clique
+//! union–finds — is insertion-order-stable: appended triples land at the
+//! end of their component tables. That makes it a natural *online*
+//! maintenance structure. [`WeakDelta`] is the serving layer's patch
+//! state: it keeps those products for a graph owned elsewhere (a
+//! [`rdf_store::TripleStore`]), advances them in O(1) per inserted triple,
+//! and materializes summaries **byte-identical** to a from-scratch
+//! rebuild — so a cached summary can be patched in place of rebuilding
+//! without disturbing content-addressed caching.
 //!
 //! Deletions are *not* supported: quotient summaries are not decremental
 //! (removing a triple can split cliques, which union–find cannot undo).
@@ -21,28 +22,30 @@ use crate::summary::Summary;
 use crate::unionfind::UnionFind;
 use rdf_model::{Component, DenseIdMap, Graph, Triple, NO_DENSE_ID};
 
-/// Patchable weak-summary state: the exact intermediate products of
-/// [`crate::weak::weak_summary`]'s two-pass scan, kept alive so that an
-/// insert batch advances them in O(batch) instead of O(graph).
+/// Patchable weak-summary state: the products a
+/// [`crate::context::SummaryContext`] hands its weak build, kept alive so
+/// that an insert batch advances them in O(batch) instead of O(graph).
 ///
 /// Byte-identity argument: `weak_summary` derives everything from (a) the
 /// data properties in first-seen D_G order, (b) the data nodes in first-seen
 /// D_G order plus typed subjects in T_G order, (c) per-node representative
-/// properties, and (d) the two clique union–finds. Appended triples land at
-/// the *end* of their component tables, so arrival order equals scan order
-/// for all four; and [`UnionFind::dense_components`] numbers cliques by
-/// first member, which is insensitive to the union sequence. Replaying the
-/// per-triple scan step on each applied insert therefore reproduces,
-/// exactly, the state a fresh scan of the mutated graph would build — and
-/// [`WeakDelta::summary`] feeds it through the same
-/// [`Cliques::from_parts`] → `build_weak` assembly as the batch path.
+/// properties (the first entry of the node's CSR row is the property of
+/// its first triple in D_G order), and (d) the two clique union–finds.
+/// Appended triples land at the *end* of their component tables, so
+/// arrival order equals scan order for all four; and
+/// [`UnionFind::dense_components`] numbers cliques by first member, which
+/// is insensitive to the union sequence. Running the per-triple step below
+/// on each applied insert therefore reproduces, exactly, what a fresh
+/// context of the mutated graph would compute — and [`WeakDelta::summary`]
+/// feeds it through the same [`Cliques::from_parts`] → `build_weak`
+/// assembly as the batch path.
 #[derive(Clone, Debug)]
 pub struct WeakDelta {
-    /// Data properties, first-seen over D_G (pass 1).
+    /// Data properties, first-seen over D_G.
     prop_map: DenseIdMap,
-    /// Data nodes (subjects and objects of D_G), first-seen (pass 2).
+    /// Data nodes (subjects and objects of D_G), first-seen.
     data_nodes: DenseIdMap,
-    /// Subjects of type triples, in T_G order (pass 2's tail interning).
+    /// Subjects of type triples, in T_G order.
     typed_subjects: DenseIdMap,
     /// Source/target clique union–finds over dense property ids.
     src_uf: UnionFind,
@@ -53,8 +56,7 @@ pub struct WeakDelta {
 }
 
 impl WeakDelta {
-    /// Builds the state from an existing graph — one O(|G|) scan, identical
-    /// to the one `weak_summary` would run.
+    /// Builds the state from an existing graph — one O(|G|) scan.
     pub fn from_graph(g: &Graph) -> Self {
         let n_terms = g.dict().len();
         let mut delta = WeakDelta {
@@ -104,9 +106,8 @@ impl WeakDelta {
         }
     }
 
-    /// One data-triple scan step — the loop body of `weak_summary` pass 2,
-    /// with pass 1's property interning folded in (first-seen order over
-    /// D_G is preserved because inserts append to D_G).
+    /// One data-triple scan step (first-seen order over D_G is preserved
+    /// because inserts append to D_G).
     fn apply_data(&mut self, t: Triple) {
         let pi = self.prop_map.intern(t.p);
         if pi as usize == self.src_uf.len() {
@@ -146,12 +147,12 @@ impl WeakDelta {
         } = state;
         let (_, props) = prop_map.into_parts();
         // Node numbering: data nodes first, then typed-only subjects — the
-        // order `weak_summary`'s single node map accumulates them.
+        // order a context's node map accumulates them.
         for &s in typed_subjects.items() {
             data_nodes.intern(s);
         }
         let cliques = Cliques::from_parts(&props, src_uf, tgt_uf, subj_repr, obj_repr);
-        crate::weak::build_weak(g, &cliques, data_nodes.items(), &props, false, 0)
+        crate::weak::build_weak(g, &cliques, data_nodes.items(), &props, false, 1)
     }
 }
 

@@ -6,7 +6,7 @@
 //! `H_G` that is orders of magnitude smaller yet RBGP-*representative*
 //! (queries with answers on `G∞` have answers on `H∞_G`) and *accurate*.
 //!
-//! Four summaries are provided, all quotient graphs (Definition 9):
+//! Five summaries are provided, all quotient graphs (Definition 9):
 //!
 //! | summary | equivalence | module |
 //! |---------|-------------|--------|
@@ -14,14 +14,14 @@
 //! | `S_G`  strong       | same (source clique, target clique) pair (≡S)  | [`strong`] |
 //! | `TW_G` typed weak   | class sets first, ≡UW on untyped nodes          | [`typed`] |
 //! | `TS_G` typed strong | class sets first, ≡US on untyped nodes          | [`typed`] |
+//! | `T_G`  type-based   | identical class sets (Definition 12)            | [`typed`] |
 //!
-//! plus the type-based summary `T_G` (Definition 12). Supporting machinery:
-//! property [`cliques`] (Definition 5), property [`distance`] (Definition
-//! 6), node [`equivalence`] partitions, the generic [`quotient`] operator,
-//! the paper's streaming Algorithms 1–3 ([`streaming`]), the substrate's
-//! thread policy ([`parallel`]), summary [`iso`]morphism, and [`checks`]
-//! for the paper's formal properties (fixpoint, completeness,
-//! representativeness).
+//! Supporting machinery: property [`cliques`] (Definition 5), property
+//! [`distance`] (Definition 6), node [`equivalence`] partitions, the
+//! generic [`quotient`] operator, the paper's streaming Algorithms 1–3
+//! ([`streaming`]), the substrate's one worker-count decision
+//! ([`parallel`]), summary [`iso`]morphism, and [`checks`] for the paper's
+//! formal properties (fixpoint, completeness, representativeness).
 //!
 //! ## The dense pipeline: [`SummaryContext`]
 //!
@@ -41,22 +41,18 @@
 //!
 //! The classic free functions (`weak_summary(g)` & friends) are thin
 //! wrappers over a throwaway context; [`summarize_all`] and the CLI /
-//! experiment binaries share one context across builds. A context can also
-//! be built from a [`rdf_store::TripleStore`]'s sorted SPO/OSP indexes
-//! ([`context::SummaryContext::from_store`]), which hands the pipeline
-//! each node's triples as contiguous grouped runs.
+//! experiment binaries share one context across builds.
 //!
 //! The substrate is **shard-mergeable**:
-//! [`context::SummaryContext::sharded`] (and `sharded_from_store`, fed by
-//! the store's subject-range index shards) builds S independent partial
+//! [`context::SummaryContext::sharded`] builds S independent partial
 //! substrates concurrently and folds them in shard order
 //! ([`rdf_model::DenseIdMap::absorb`]), so the result reproduces global
-//! first-seen numbering exactly — the *identical* substrate the
-//! sequential pass builds, CSR stitched in shard order, clique
-//! union–finds merged from row-range partials. All five summaries
-//! therefore come out triple-for-triple, naming-identical at any shard
-//! count (pinned up to S = 64, empty shards included). Small graphs and
-//! single-core hosts auto-fall back to the sequential S = 1 path.
+//! first-seen numbering exactly — the *identical* substrate one shard
+//! builds, CSR stitched in shard order, clique union–finds merged from
+//! row-range partials. All five summaries therefore come out
+//! triple-for-triple, naming-identical at any shard count (pinned up to
+//! S = 64, empty shards included). Graphs below the shard floor build on
+//! one shard.
 //!
 //! ## Symbolic minted names
 //!
@@ -69,15 +65,10 @@
 //! `urn:rdfsummary:` URI is rendered lazily on serialization, byte-
 //! identical to the historical eager strings. Emission never allocates or
 //! hashes a URI string, and constants transfer between the G and H
-//! dictionaries as shared `Arc`s. The substrate's remaining serial work
-//! is chunked across threads behind measured thresholds ([`parallel`]):
-//! the CSR adjacency fill, the quotient's packed-triple emission (a
-//! sequential dictionary pre-pass, then chunk-parallel packing merged by
-//! [`parallel::merge_dedup_runs`]), the summary's extent-table scatter
-//! and per-row sorts, and the class-set scan. Worker counts come from
-//! [`parallel::substrate_threads`], capped by the `RDFSUM_THREADS`
-//! environment override (CI pins 1 and 4) — every parallel path is
-//! byte-identical to its sequential twin at any worker count.
+//! dictionaries as shared `Arc`s. Every stage — chunk scan, CSR fill,
+//! clique sweep, class-set scan, quotient emission, extent table — runs on
+//! the one worker count the context resolved at construction
+//! ([`parallel::shard_count`]), byte-identically at any count.
 //!
 //! The pre-refactor hash-map builders are preserved verbatim in
 //! [`reference`] as the golden-equivalence test oracle.
@@ -143,10 +134,6 @@ pub use executor::Executor;
 pub use incremental::WeakDelta;
 pub use inflate::{inflate, InflateConfig};
 pub use iso::summary_isomorphic;
-pub use parallel::{
-    sort_dedup_packed, sort_dedup_packed_forced, substrate_threads, PARALLEL_CLIQUE_THRESHOLD,
-    PARALLEL_CSR_THRESHOLD, PARALLEL_SORT_THRESHOLD,
-};
 pub use reference::{reference_summary, reference_summary_with};
 pub use report::{render_report, ReportOptions};
 pub use saturated_cliques::{fuse_cliques, saturated_clique, verify_lemma1};
@@ -336,6 +323,22 @@ mod proptests {
             let a = weak_summary(&g);
             let b = SummaryContext::sharded_forced(&g, threads).weak_summary();
             prop_assert!(summary_isomorphic(&a.graph, &b.graph));
+        }
+
+        /// The one-shard constructor and every forced-shard one build the
+        /// same substrate, field for field: numbering, both CSR sides,
+        /// typed flags.
+        #[test]
+        fn sharded_substrate_equals_one_shard(g in arb_graph(), shards in 2usize..6) {
+            let one = SummaryContext::new(&g);
+            let sharded = SummaryContext::sharded_forced(&g, shards);
+            prop_assert_eq!(sharded.data_nodes(), one.data_nodes());
+            prop_assert_eq!(sharded.data_properties(), one.data_properties());
+            for v in 0..one.data_nodes().len() {
+                prop_assert_eq!(sharded.out_row(v), one.out_row(v));
+                prop_assert_eq!(sharded.in_row(v), one.in_row(v));
+                prop_assert_eq!(sharded.is_typed(v), one.is_typed(v));
+            }
         }
 
         /// A forced-shard context's row-range clique sweep matches the

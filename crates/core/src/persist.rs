@@ -115,7 +115,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 /// key does not render as an IRI (cannot happen for artifacts the
 /// service builds; checked rather than trusted).
 pub fn encode_artifact(artifact: &SummaryArtifact, g: &rdf_model::Graph) -> Option<Vec<u8>> {
-    let snap = snapshot::encode(artifact.summary_store.graph()).ok()?;
+    let snap = snapshot::encode(artifact.summary_store.graph());
     let iri_of = |id: TermId| -> Option<&str> { g.dict().decode(id).as_iri() };
     let mut props: Vec<(&str, PropertyCard)> = artifact
         .cardinality

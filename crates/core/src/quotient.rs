@@ -33,6 +33,8 @@ use std::sync::Arc;
 /// cache is a flat table keyed by the G dictionary id. Constants transfer
 /// between dictionaries as shared `Arc`s
 /// ([`rdf_model::Dictionary::encode_shared`]), never copying string data.
+/// Runs on the calling thread; a [`crate::context::SummaryContext`] passes
+/// its own worker count to the same construction.
 ///
 /// # Panics
 /// Panics when the partition misses a data node.
@@ -42,7 +44,7 @@ pub fn quotient_summary(
     partition: &Partition,
     class_term: impl FnMut(usize, &[TermId]) -> Term,
 ) -> Summary {
-    quotient_summary_impl(g, kind, partition, class_term, false, 0)
+    quotient_summary_impl(g, kind, partition, class_term, false, 1)
 }
 
 /// How the quotient's data component is derived.
@@ -85,13 +87,10 @@ pub(crate) fn quotient_summary_impl(
 /// The full-control quotient constructor: emission plan for the data
 /// component plus the packed/unpacked switch.
 ///
-/// `emit_threads` shapes the packed emission of the quotiented triples:
-/// `0` is the auto policy (shard-range emission above
-/// [`crate::parallel::PARALLEL_EMIT_THRESHOLD`] input triples, fused and
-/// sequential below), an explicit count is honored regardless of input
-/// size. Sharded contexts pass their shard count through here so the
-/// emission rides the same ranges as the substrate build — and so the
-/// forced-shard suites cover the parallel emission on fixture-sized
+/// `emit_threads` (≥ 1, the building context's worker count) shapes the
+/// packed emission of the quotiented triples: one worker runs it fused,
+/// more run it over shard ranges, whatever the input size — which is how
+/// the forced-shard suites cover the parallel emission on fixture-sized
 /// graphs. Both paths emit bit-identical triples: the parallel one
 /// transfers dictionary constants in a sequential scan-order pre-pass
 /// (identical H ids), then packs per-chunk into disjoint buffers and
@@ -105,13 +104,6 @@ pub(crate) fn quotient_summary_planned(
     force_unpacked: bool,
     emit_threads: usize,
 ) -> Summary {
-    let emit_workers = |n: usize| -> usize {
-        if emit_threads == 0 {
-            crate::parallel::substrate_threads(n, crate::parallel::PARALLEL_EMIT_THRESHOLD)
-        } else {
-            emit_threads.clamp(1, 256)
-        }
-    };
     let mut h = Graph::new();
 
     // H node per partition class.
@@ -164,9 +156,8 @@ pub(crate) fn quotient_summary_planned(
     // first `class_node.len()` H ids, transferred G constants (at most one
     // H id per G term) and the well-known properties account for the rest —
     // so when it fits 21 bits, a whole H triple packs into one u64 and the
-    // massive duplication of quotiented triples is eliminated by a
-    // (chunked, parallel above the measured threshold) sort instead of
-    // 25k+ hash probes.
+    // massive duplication of quotiented triples is eliminated by a sort
+    // (chunked across the emission workers) instead of 25k+ hash probes.
     let id_bound = class_node.len() + g.dict().len() + 8;
     const PACK_BITS: u32 = 21;
     const MASK: u64 = (1 << PACK_BITS) - 1;
@@ -191,8 +182,7 @@ pub(crate) fn quotient_summary_planned(
             }
         }
         DataPlan::Scan if packable => {
-            let workers = emit_workers(g.data().len());
-            if workers > 1 {
+            if emit_threads > 1 {
                 // Shard-range emission. The dictionary can't be mutated
                 // from the chunks, so constants transfer in a sequential
                 // scan-order pre-pass first — assigning exactly the H ids
@@ -202,7 +192,7 @@ pub(crate) fn quotient_summary_planned(
                 for t in g.data() {
                     transfer(t.p, g, &mut h, &mut xfer);
                 }
-                let chunk_size = g.data().len().div_ceil(workers).max(1);
+                let chunk_size = g.data().len().div_ceil(emit_threads).max(1);
                 let runs: Vec<Vec<u64>> = std::thread::scope(|scope| {
                     let (map, xfer) = (&map, &xfer);
                     let handles: Vec<_> = g
@@ -242,7 +232,8 @@ pub(crate) fn quotient_summary_planned(
                     let o = map(t.o).0 as u64;
                     keys.push((s << (2 * PACK_BITS)) | (p << PACK_BITS) | o);
                 }
-                crate::parallel::sort_dedup_packed(&mut keys);
+                keys.sort_unstable();
+                keys.dedup();
                 for k in keys {
                     h.insert_encoded(Triple::new(
                         TermId((k >> (2 * PACK_BITS)) as u32),
@@ -264,15 +255,14 @@ pub(crate) fn quotient_summary_planned(
     // TYP: quotient of type triples; classes keep their URIs.
     let tau = h.rdf_type();
     if packable {
-        let workers = emit_workers(g.types().len());
-        if workers > 1 {
+        if emit_threads > 1 {
             // Same shard-range shape as the data emission: class URIs
             // transfer in a sequential scan-order pre-pass, chunks pack
             // read-only.
             for t in g.types() {
                 transfer(t.o, g, &mut h, &mut xfer);
             }
-            let chunk_size = g.types().len().div_ceil(workers).max(1);
+            let chunk_size = g.types().len().div_ceil(emit_threads).max(1);
             let runs: Vec<Vec<u64>> = std::thread::scope(|scope| {
                 let (map, xfer) = (&map, &xfer);
                 let handles: Vec<_> = g
@@ -310,7 +300,8 @@ pub(crate) fn quotient_summary_planned(
                 let c = transfer(t.o, g, &mut h, &mut xfer).0 as u64;
                 keys.push((s << PACK_BITS) | c);
             }
-            crate::parallel::sort_dedup_packed(&mut keys);
+            keys.sort_unstable();
+            keys.dedup();
             for k in keys {
                 h.insert_encoded(Triple::new(
                     TermId((k >> PACK_BITS) as u32),

@@ -210,13 +210,13 @@ pub struct UpdateOutcome {
 }
 
 /// A resident graph's content: the warm store plus its precomputed
-/// fingerprint and — while the graph builds through the lean
-/// single-summary path and has seen an insert batch — the incremental
-/// weak-summary scan state that lets `UPDATE` patch cached weak summaries
-/// instead of rebuilding. Deletes drop the state (quotient summaries are
-/// not decremental — see [`crate::incremental`]), and so does any batch
-/// that leaves the graph above the shard threshold, where patching is
-/// never sound and the state would never be read.
+/// fingerprint and — while the graph builds on one shard and has seen an
+/// insert batch — the incremental weak-summary scan state that lets
+/// `UPDATE` patch cached weak summaries instead of rebuilding. Deletes
+/// drop the state (quotient summaries are not decremental — see
+/// [`crate::incremental`]), and so does any batch that leaves the graph
+/// above the shard floor, where every carried kind derives from one shared
+/// context and the state would never be read.
 struct GraphEntry {
     store: TripleStore,
     fingerprint: Fingerprint,
@@ -523,10 +523,9 @@ impl SummaryService {
     /// The summary of the graph loaded as `name`, from the cache when
     /// possible. Returns the artifact and whether it was a cache hit.
     ///
-    /// Misses build through the identical decision logic the single-shot
-    /// CLI uses for `summarize --kind` (lean single-summary path below the
-    /// shard threshold, sharded substrate above it), so the artifact's
-    /// bytes match the CLI's output for the same graph exactly.
+    /// Misses build exactly as the single-shot CLI's `summarize --kind`
+    /// does — `SummaryContext::sharded(g, threads).summarize(kind)` — so
+    /// the artifact's bytes match the CLI's output for the same graph.
     pub fn summarize(
         &self,
         name: &str,
@@ -602,7 +601,7 @@ impl SummaryService {
         let g = entry.store.graph();
         // The context is a temporary of this statement: it is freed before
         // the summary is serialized and indexed.
-        let summary = self.build_summary(g, kind, self.sharded_context(g).as_ref());
+        let summary = self.build_summary(&SummaryContext::sharded(g, self.threads), kind);
         let artifact = Arc::new(Self::package(entry, kind, summary));
         self.persist_artifact(&artifact, g);
         guard.install(&artifact);
@@ -668,28 +667,10 @@ impl SummaryService {
         }
     }
 
-    /// The sharded substrate of `g` when a build of it would actually
-    /// shard, `None` when it takes the classic lean path
-    /// ([`crate::parallel::builds_sharded`]). Every kind derives from one
-    /// such context, so an `UPDATE` carrying several kinds builds it once.
-    fn sharded_context<'g>(&self, g: &'g Graph) -> Option<SummaryContext<'g>> {
-        crate::parallel::builds_sharded(g, self.threads)
-            .then(|| SummaryContext::sharded(g, self.threads))
-    }
-
-    /// One real summary build (the cache-miss work), from
-    /// [`Self::sharded_context`]'s answer for `g`.
-    fn build_summary(
-        &self,
-        g: &Graph,
-        kind: SummaryKind,
-        context: Option<&SummaryContext<'_>>,
-    ) -> Summary {
+    /// One real summary build (the cache-miss work).
+    fn build_summary(&self, context: &SummaryContext<'_>, kind: SummaryKind) -> Summary {
         self.builds.fetch_add(1, Ordering::Relaxed);
-        match context {
-            Some(context) => context.summarize(kind),
-            None => crate::builder::summarize(g, kind),
-        }
+        context.summarize(kind)
     }
 
     /// Serializes `summary` and derives its query-serving companions.
@@ -721,15 +702,14 @@ impl SummaryService {
     /// with another resident name that got there first):
     ///
     /// * **patch** — weak summaries after insert-only history, while the
-    ///   graph builds through the lean path, are materialized from the
-    ///   maintained [`WeakDelta`] scan state, byte-identical to a fresh
-    ///   build but skipping the full input re-scan (and not counted in
-    ///   `builds`);
+    ///   graph builds on one shard, are materialized from the maintained
+    ///   [`WeakDelta`] scan state, byte-identical to a fresh build but
+    ///   skipping the full input re-scan (and not counted in `builds`);
     /// * **rebuild fallback** — every other kind (their quotients are not
     ///   soundly patchable: type/property insertions can split their
     ///   equivalence classes, which union–find cannot undo), every kind
-    ///   after a delete, and every kind above the shard threshold, where
-    ///   all of them derive from one shared sharded substrate. Counted in
+    ///   after a delete, and every kind above the shard floor. All rebuilt
+    ///   kinds of one batch derive from one shared context. Counted in
     ///   both `builds` and `patch_fallbacks`, keeping `builds ==
     ///   patch_fallbacks + misses`.
     ///
@@ -784,12 +764,14 @@ impl SummaryService {
         let fingerprint = batch.fingerprint;
         let e = &mut *entry;
         e.fingerprint = fingerprint;
-        // The patch path must reproduce what a fresh build would emit;
-        // above the shard threshold the builder switches to the sharded
-        // substrate, so the scan state is kept in the lean regime only. It
-        // re-primes (one full scan) on the first insert batch after a
-        // delete or a spell above the threshold.
-        if insert && !crate::parallel::builds_sharded(e.store.graph(), self.threads) {
+        // The scan state is kept only while the graph builds on one shard:
+        // above the floor every carried kind derives from one shared
+        // context and the state is never read. It re-primes (one full
+        // scan) on the first insert batch after a delete or a spell above
+        // the floor.
+        let one_shard =
+            crate::parallel::shard_count(e.store.graph().data().len(), self.threads) == 1;
+        if insert && one_shard {
             match e.delta.as_mut() {
                 Some(d) => d.apply_inserts(e.store.graph(), &batch.applied),
                 None => e.delta = Some(WeakDelta::from_graph(e.store.graph())),
@@ -822,11 +804,8 @@ impl SummaryService {
         };
         let entry = RwLockWriteGuard::downgrade(entry);
         let g = entry.store.graph();
-        let context = if claims.is_empty() {
-            None
-        } else {
-            self.sharded_context(g)
-        };
+        // Built by the first kind that needs a rebuild, shared by the rest.
+        let mut context: Option<SummaryContext<'_>> = None;
         let (mut patched, mut rebuilt) = (0usize, 0usize);
         for claim in claims {
             let kind = claim.key.1;
@@ -843,7 +822,9 @@ impl SummaryService {
                 _ => {
                     rebuilt += 1;
                     self.patch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    self.build_summary(g, kind, context.as_ref())
+                    let context =
+                        context.get_or_insert_with(|| SummaryContext::sharded(g, self.threads));
+                    self.build_summary(context, kind)
                 }
             };
             let artifact = Arc::new(Self::package(&entry, kind, summary));
@@ -1171,19 +1152,36 @@ mod tests {
         assert_eq!(st.cached_summaries, 1);
     }
 
+    /// Served bytes are those of the one-shard context, whatever the
+    /// service's thread count and on both sides of the shard floor.
     #[test]
     fn artifact_matches_direct_build() {
-        let g = fixtures::sample_graph();
-        let svc = SummaryService::new(1);
-        svc.load_graph("g", g.clone());
-        for kind in SummaryKind::ALL {
-            let (artifact, _) = svc.summarize("g", kind).unwrap();
-            let direct = crate::builder::summarize(&g, kind);
-            assert_eq!(artifact.ntriples, rdf_io::write_graph(&direct.graph));
-            assert_eq!(artifact.summary_nodes, direct.stats().all_nodes);
-            assert_eq!(artifact.input_triples, g.len());
+        const KINDS: [SummaryKind; 5] = [
+            SummaryKind::Weak,
+            SummaryKind::Strong,
+            SummaryKind::TypedWeak,
+            SummaryKind::TypedStrong,
+            SummaryKind::TypeBased,
+        ];
+        for g in [fixtures::sample_graph(), sharding_graph()] {
+            let direct = SummaryContext::new(&g);
+            let direct = KINDS.map(|kind| direct.summarize(kind));
+            for threads in [1, 2, 4] {
+                let svc = SummaryService::new(threads);
+                svc.load_graph("g", g.clone());
+                for (kind, direct) in KINDS.into_iter().zip(&direct) {
+                    let (artifact, _) = svc.summarize("g", kind).unwrap();
+                    assert_eq!(
+                        artifact.ntriples,
+                        rdf_io::write_graph(&direct.graph),
+                        "{kind} on {threads} thread(s)"
+                    );
+                    assert_eq!(artifact.summary_nodes, direct.stats().all_nodes);
+                    assert_eq!(artifact.input_triples, g.len());
+                }
+                assert_eq!(svc.builds(), KINDS.len() as u64);
+            }
         }
-        assert_eq!(svc.builds(), 4);
     }
 
     #[test]
@@ -1901,7 +1899,7 @@ mod tests {
     /// transition is a rebuild of all carried kinds from one context.
     fn sharding_graph() -> Graph {
         let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(900));
-        assert!(crate::parallel::builds_sharded(&g, 2));
+        assert_eq!(crate::parallel::shard_count(g.data().len(), 2), 2);
         g
     }
 

@@ -134,14 +134,14 @@ impl Summary {
             node_of[gn.index()] = hn.0;
             pairs.push((hn.0, gn));
         }
-        Self::finish(kind, graph, node_of, &pairs, 0)
+        Self::finish(kind, graph, node_of, &pairs, 1)
     }
 
     /// Creates a summary straight from a partition and its class → H node
     /// assignment: the dense fast path used by the quotient operator (no
-    /// per-node hashing). `threads` shapes the extent-table construction
-    /// (`0` = auto; the quotient passes its emission worker count so
-    /// sharded builds ride the same ranges end to end).
+    /// per-node hashing). `threads` (≥ 1) shapes the extent-table
+    /// construction: the quotient passes its emission worker count, so a
+    /// context's builds ride the same ranges end to end.
     pub(crate) fn from_quotient(
         kind: SummaryKind,
         graph: Graph,
@@ -168,9 +168,9 @@ impl Summary {
     ///
     /// The counting pass is a serial sweep (scattered row increments);
     /// the member scatter and the per-row sorts split across row ranges
-    /// (`threads` workers; `0` resolves through the emission threshold) —
-    /// bit-identical to the serial build, since the scatter preserves
-    /// pair order per row and the sorts canonicalize each row anyway.
+    /// (`threads` workers) — bit-identical to the serial build, since the
+    /// scatter preserves pair order per row and the sorts canonicalize
+    /// each row anyway.
     fn finish(
         kind: SummaryKind,
         graph: Graph,
@@ -178,14 +178,6 @@ impl Summary {
         pairs: &[(u32, TermId)],
         threads: usize,
     ) -> Self {
-        let threads = if threads == 0 {
-            crate::parallel::substrate_threads(
-                pairs.len(),
-                crate::parallel::PARALLEL_EMIT_THRESHOLD,
-            )
-        } else {
-            threads
-        };
         let n_h = graph.dict().len();
         let mut deg = vec![0u32; n_h];
         for &(h, _) in pairs {

@@ -7,17 +7,15 @@
 //!
 //! Proposition 4 also powers the build: [`build_weak`] derives `W_G`'s
 //! data edges and the per-class naming sets straight from the cliques in
-//! `O(#properties)`, never re-scanning `D_G` for emission, and the
-//! single-summary [`weak_summary`] entry point computes its cliques with a
-//! lean two-pass scan over the raw triples (no CSR substrate at all).
+//! `O(#properties)`, never re-scanning `D_G` for emission.
 
 use crate::cliques::Cliques;
+use crate::context::SummaryContext;
 use crate::equivalence::weak_partition;
 use crate::naming::n_term;
 use crate::quotient::{quotient_summary_planned, DataPlan};
 use crate::summary::{Summary, SummaryKind};
-use crate::unionfind::UnionFind;
-use rdf_model::{DenseIdMap, Graph, TermId, NO_DENSE_ID};
+use rdf_model::{Graph, TermId, NO_DENSE_ID};
 
 /// Collects the union of target-clique and source-clique property sets over
 /// the members of one equivalence class — the sets fed to the
@@ -50,11 +48,11 @@ pub(crate) fn class_property_sets(
 /// Assembles W_G from all-nodes cliques: weak partition, per-property
 /// data edges (Proposition 4), per-class union naming sets — all in
 /// `O(#nodes + #properties)` beyond the quotient's type emission.
-/// Shared by the lean [`weak_summary`] path and the
-/// [`crate::context::SummaryContext`] builder (which passes its cached
-/// cliques). `nodes` is the data-node numbering order, `props` the
-/// distinct data properties in first-seen order; `emit_threads` flows to
-/// the quotient's packed emission (`0` = auto).
+/// Shared by the [`SummaryContext`] builder (which passes its cached
+/// cliques) and [`crate::incremental::WeakDelta`] (which maintains them).
+/// `nodes` is the data-node numbering order, `props` the distinct data
+/// properties in first-seen order; `emit_threads` (≥ 1) flows to the
+/// quotient's packed emission.
 pub(crate) fn build_weak(
     g: &Graph,
     cliques: &Cliques,
@@ -144,53 +142,10 @@ pub(crate) fn build_weak(
 
 /// Builds the weak summary of `g` (batch, clique-based).
 ///
-/// This single-summary entry point skips the full
-/// [`crate::context::SummaryContext`] substrate: the weak build only needs
-/// the all-nodes cliques and the node numbering, which a lean two-pass
-/// scan over the raw triples provides without degree counting or CSR
-/// adjacency. To build several summaries of the same graph, create one
-/// `SummaryContext` and reuse it instead.
+/// Thin wrapper over a throwaway [`SummaryContext`]; to build several
+/// summaries of the same graph, create one context and reuse it.
 pub fn weak_summary(g: &Graph) -> Summary {
-    let n_terms = g.dict().len();
-    // Pass 1: dense property numbering (first-seen order — the same order
-    // the context's substrate assigns).
-    let mut prop_map = DenseIdMap::with_capacity(n_terms);
-    for t in g.data() {
-        prop_map.intern(t.p);
-    }
-    let (prop_of_term, props) = prop_map.into_parts();
-    let np = props.len();
-    // Pass 2: node numbering + the clique union–finds and representative
-    // tables, exactly as the CSR sweep would produce them.
-    let mut node_map = DenseIdMap::with_capacity(n_terms);
-    let mut src_uf = UnionFind::new(np);
-    let mut tgt_uf = UnionFind::new(np);
-    let mut subj_repr = vec![NO_DENSE_ID; n_terms];
-    let mut obj_repr = vec![NO_DENSE_ID; n_terms];
-    for t in g.data() {
-        node_map.intern(t.s);
-        node_map.intern(t.o);
-        let pi = prop_of_term[t.p.index()];
-        let slot = &mut subj_repr[t.s.index()];
-        if *slot == NO_DENSE_ID {
-            *slot = pi;
-        } else {
-            src_uf.union(pi as usize, *slot as usize);
-        }
-        let slot = &mut obj_repr[t.o.index()];
-        if *slot == NO_DENSE_ID {
-            *slot = pi;
-        } else {
-            tgt_uf.union(pi as usize, *slot as usize);
-        }
-    }
-    for t in g.types() {
-        node_map.intern(t.s);
-    }
-    // Equivalence with `Cliques::compute` (the CSR sweep) is pinned by the
-    // golden-equivalence suite and the lean-vs-context unit test below.
-    let cliques = Cliques::from_parts(&props, src_uf, tgt_uf, subj_repr, obj_repr);
-    build_weak(g, &cliques, node_map.items(), &props, false, 0)
+    SummaryContext::new(g).weak_summary()
 }
 
 /// Proposition 4: each data property of G appears exactly once in W_G.
@@ -290,34 +245,6 @@ mod tests {
         let g = sample_graph();
         let s = weak_summary(&g);
         assert!(check_unique_data_properties(&g, &s));
-    }
-
-    /// The lean two-pass path of [`weak_summary`] and the full
-    /// [`crate::context::SummaryContext`] substrate produce byte-identical
-    /// summaries, including on graphs with typed-only resources, literals,
-    /// and schema.
-    #[test]
-    fn lean_path_matches_context_path() {
-        let canon = |s: &Summary| {
-            let mut v: Vec<String> = rdf_io::write_graph(&s.graph)
-                .lines()
-                .map(String::from)
-                .collect();
-            v.sort();
-            v
-        };
-        for g in [
-            sample_graph(),
-            crate::fixtures::figure5_graph(),
-            crate::fixtures::figure8_graph(),
-            crate::fixtures::book_graph(),
-        ] {
-            let lean = weak_summary(&g);
-            let via_ctx = crate::context::SummaryContext::new(&g).weak_summary();
-            assert_eq!(canon(&lean), canon(&via_ctx));
-            assert_eq!(lean.n_summary_nodes(), via_ctx.n_summary_nodes());
-            assert!(lean.check_correspondence_invariants());
-        }
     }
 
     #[test]

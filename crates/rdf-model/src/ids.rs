@@ -138,27 +138,6 @@ impl DenseIdMap {
     pub fn absorb(&mut self, other: &DenseIdMap) -> Vec<u32> {
         other.items.iter().map(|&t| self.intern(t)).collect()
     }
-
-    /// Rewrites `inner` in place through `outer`: afterwards
-    /// `inner[i] == outer[old inner[i]]`.
-    ///
-    /// This is the other half of the tree-merge algebra: when two merged
-    /// numbering units `A` and `B` combine via `A.absorb(&B)`, the ids of
-    /// `A` are untouched ([`DenseIdMap::intern`] only ever *appends*), so
-    /// `A`'s leaf remap tables stay valid as-is, while every leaf table of
-    /// `B` — mapping that leaf's local ids into `B`'s numbering — composes
-    /// with the absorb's `B → A` remap to map straight into the combined
-    /// numbering. Folding a left-spine of absorbs and reducing an ordered
-    /// binary tree of them therefore yield identical final tables (pinned
-    /// by the `composed_tree_remaps_equal_fold` proptest below).
-    ///
-    /// # Panics
-    /// Panics if an `inner` entry is out of `outer`'s bounds.
-    pub fn compose_remaps(outer: &[u32], inner: &mut [u32]) {
-        for r in inner {
-            *r = outer[*r as usize];
-        }
-    }
 }
 
 impl fmt::Debug for TermId {
@@ -249,82 +228,6 @@ mod tests {
         assert_eq!(global.items(), seq.items());
         // Absorbing an empty map is a no-op with an empty remap.
         assert!(global.absorb(&DenseIdMap::with_capacity(10)).is_empty());
-    }
-
-    /// `compose_remaps` chains `local → unit` and `unit → global` tables
-    /// into `local → global`, in place.
-    #[test]
-    fn compose_remaps_chains_tables() {
-        let outer = [4u32, 0, 7];
-        let mut inner = vec![2u32, 0, 0, 1];
-        DenseIdMap::compose_remaps(&outer, &mut inner);
-        assert_eq!(inner, vec![7, 4, 4, 0]);
-        let mut empty: Vec<u32> = Vec::new();
-        DenseIdMap::compose_remaps(&outer, &mut empty);
-        assert!(empty.is_empty());
-    }
-
-    proptest::proptest! {
-        /// Reducing per-shard numberings as an ordered binary tree —
-        /// pairwise absorbs with [`DenseIdMap::compose_remaps`] on the
-        /// right unit's leaf tables — yields the same global numbering
-        /// *and* the same per-leaf remap tables as the one-shot left fold
-        /// of `absorb`, for random streams and random shard splits.
-        #[test]
-        fn composed_tree_remaps_equal_fold(
-            stream in proptest::collection::vec(0u32..24, 0..96),
-            cuts in proptest::collection::vec(0usize..96, 0..9),
-        ) {
-            // Random shard split: cut points clamped into the stream.
-            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(stream.len())).collect();
-            bounds.push(0);
-            bounds.push(stream.len());
-            bounds.sort_unstable();
-            let chunks: Vec<&[u32]> = bounds
-                .windows(2)
-                .map(|w| &stream[w[0]..w[1]])
-                .collect();
-            let leaf_maps: Vec<DenseIdMap> = chunks
-                .iter()
-                .map(|chunk| {
-                    let mut m = DenseIdMap::with_capacity(24);
-                    for &t in *chunk {
-                        m.intern(TermId(t));
-                    }
-                    m
-                })
-                .collect();
-            // Reference: the left fold.
-            let mut fold = DenseIdMap::with_capacity(24);
-            let fold_remaps: Vec<Vec<u32>> =
-                leaf_maps.iter().map(|m| fold.absorb(m)).collect();
-            // Tree: pairwise rounds over (map, leaf remap tables) units.
-            let mut units: Vec<(DenseIdMap, Vec<Vec<u32>>)> = leaf_maps
-                .iter()
-                .map(|m| {
-                    let ident: Vec<u32> = (0..m.len() as u32).collect();
-                    (m.clone(), vec![ident])
-                })
-                .collect();
-            while units.len() > 1 {
-                let mut next = Vec::with_capacity(units.len().div_ceil(2));
-                let mut iter = units.into_iter();
-                while let Some((mut map, mut leaves)) = iter.next() {
-                    if let Some((right, right_leaves)) = iter.next() {
-                        let remap = map.absorb(&right);
-                        for mut leaf in right_leaves {
-                            DenseIdMap::compose_remaps(&remap, &mut leaf);
-                            leaves.push(leaf);
-                        }
-                    }
-                    next.push((map, leaves));
-                }
-                units = next;
-            }
-            let (tree, tree_remaps) = units.pop().unwrap();
-            proptest::prop_assert_eq!(tree.items(), fold.items());
-            proptest::prop_assert_eq!(tree_remaps, fold_remaps);
-        }
     }
 
     #[test]

@@ -134,61 +134,6 @@ impl SortedIndex {
         &rest[..gallop(rest, |t| cmp(key(order, t)).is_le())]
     }
 
-    /// Iterates the maximal runs of triples sharing their first key
-    /// component, in index order.
-    ///
-    /// This is the grouped-scan primitive the summarization pipeline uses:
-    /// an SPO index yields one run per subject (all its triples together),
-    /// an OSP index one run per object, a POS index one run per property —
-    /// without any per-node hash lookups.
-    pub fn runs1(&self) -> Runs1<'_> {
-        Runs1 {
-            order: self.order,
-            rest: &self.triples,
-        }
-    }
-
-    /// Partitions the index into exactly `n` contiguous shards, split only
-    /// at first-key-component boundaries and balanced by triple count.
-    ///
-    /// On an SPO index the shards are **subject-range shards**: every
-    /// subject's triples land whole in exactly one shard, so per-shard
-    /// grouped scans ([`SortedIndex::runs_in`]) see the same runs a global
-    /// [`SortedIndex::runs1`] scan would, shard-concatenation order equals
-    /// index order, and shard results merge without reconciliation. Heavy
-    /// first-key skew (or `n` larger than the number of distinct first
-    /// keys) yields some empty shards — callers must tolerate them.
-    pub fn shards(&self, n: usize) -> Vec<&[Triple]> {
-        let n = n.max(1);
-        let total = self.triples.len();
-        let mut bounds = vec![0usize; n + 1];
-        bounds[n] = total;
-        for w in 1..n {
-            let lo = bounds[w - 1];
-            let target = (total * w / n).max(lo);
-            bounds[w] = if target >= total {
-                total
-            } else {
-                // Round the cut up to the end of the run containing it.
-                let k1 = key(self.order, self.triples[target]).0;
-                self.triples
-                    .partition_point(|&t| key(self.order, t).0 <= k1)
-            };
-        }
-        (0..n)
-            .map(|w| &self.triples[bounds[w]..bounds[w + 1]])
-            .collect()
-    }
-
-    /// The grouped-run iterator of [`SortedIndex::runs1`], restricted to
-    /// one shard slice produced by [`SortedIndex::shards`].
-    pub fn runs_in<'a>(&self, shard: &'a [Triple]) -> Runs1<'a> {
-        Runs1 {
-            order: self.order,
-            rest: shard,
-        }
-    }
-
     /// Merges a batch of additions into the index **in place**: each
     /// addition's slot is found by a galloping binary search, then one
     /// back-to-front `copy_within` sweep opens the slots, moving every
@@ -303,34 +248,6 @@ fn lower_bound_from(order: Order, v: &[Triple], from: usize, k: (u32, u32, u32))
     from + gallop(&v[from..], |t| key(order, t) < k)
 }
 
-/// Iterator over the maximal first-key-component runs of a [`SortedIndex`].
-/// See [`SortedIndex::runs1`].
-#[derive(Clone, Debug)]
-pub struct Runs1<'a> {
-    order: Order,
-    rest: &'a [Triple],
-}
-
-impl<'a> Iterator for Runs1<'a> {
-    type Item = &'a [Triple];
-
-    fn next(&mut self) -> Option<&'a [Triple]> {
-        let first = *self.rest.first()?;
-        let k1 = key(self.order, first).0;
-        // Galloping search for the run boundary: runs are one subject's
-        // (or object's) triples, so they are typically tiny relative to
-        // the remaining slice, making each boundary `O(log run_len)`
-        // instead of `O(log remaining)`. The shard scan of the sharded
-        // substrate build iterates every run of every shard, so the
-        // per-run cost is what its scan phase is made of.
-        let order = self.order;
-        let end = gallop(self.rest, |t| key(order, t).0 <= k1);
-        let (run, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        Some(run)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,100 +349,6 @@ mod tests {
         assert!(idx.is_empty());
         assert!(idx.range1(0).is_empty());
         assert!(!idx.contains(t(0, 0, 0)));
-        assert_eq!(idx.runs1().count(), 0);
-    }
-
-    #[test]
-    fn runs1_partitions_by_first_component() {
-        let idx = SortedIndex::build(Order::Spo, &sample());
-        let runs: Vec<&[Triple]> = idx.runs1().collect();
-        // Subjects 1, 2, 3.
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0].len(), 3);
-        assert!(runs[0].iter().all(|t| t.s == TermId(1)));
-        assert_eq!(runs[1], &[t(2, 1, 1)]);
-        assert_eq!(runs[2], &[t(3, 2, 1)]);
-        // Concatenation reproduces the full index.
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        assert_eq!(total, idx.len());
-    }
-
-    /// The galloping run-boundary search across every run-length mix:
-    /// geometric run lengths (crossing each power-of-two probe), a long
-    /// run at the start, the end, and runs of one.
-    #[test]
-    fn runs1_gallop_finds_exact_boundaries() {
-        for lens in [
-            vec![1, 2, 4, 8, 16, 32],
-            vec![32, 1, 1, 1],
-            vec![1, 1, 1, 32],
-            vec![5, 7, 3, 17, 1, 9],
-            vec![1],
-            vec![64],
-        ] {
-            let mut triples = Vec::new();
-            for (s, &len) in lens.iter().enumerate() {
-                for o in 0..len {
-                    triples.push(t(s as u32, 0, o));
-                }
-            }
-            let idx = SortedIndex::build(Order::Spo, &triples);
-            let got: Vec<u32> = idx.runs1().map(|r| r.len() as u32).collect();
-            assert_eq!(got, lens);
-            let concat: Vec<Triple> = idx.runs1().flatten().copied().collect();
-            assert_eq!(concat, idx.as_slice());
-        }
-    }
-
-    /// Shards split only at run boundaries, concatenate back to the full
-    /// index, and over-sharding yields (tolerated) empty shards.
-    #[test]
-    fn shards_partition_at_run_boundaries() {
-        let idx = SortedIndex::build(Order::Spo, &sample());
-        for n in [1, 2, 3, 7] {
-            let shards = idx.shards(n);
-            assert_eq!(shards.len(), n);
-            let total: usize = shards.iter().map(|s| s.len()).sum();
-            assert_eq!(total, idx.len(), "{n} shards");
-            // Concatenation order is index order.
-            let concat: Vec<Triple> = shards.iter().flat_map(|s| s.iter().copied()).collect();
-            assert_eq!(concat, idx.as_slice());
-            // No subject is split across two shards.
-            let mut seen: Vec<u32> = Vec::new();
-            for shard in &shards {
-                let mut subjects: Vec<u32> = shard.iter().map(|t| t.s.0).collect();
-                subjects.dedup();
-                for s in subjects {
-                    assert!(!seen.contains(&s), "subject {s} split across shards");
-                    seen.push(s);
-                }
-            }
-            // Per-shard runs are exactly the global runs, in order.
-            let global: Vec<&[Triple]> = idx.runs1().collect();
-            let sharded: Vec<&[Triple]> = shards.iter().flat_map(|s| idx.runs_in(s)).collect();
-            assert_eq!(sharded, global);
-        }
-        // 3 distinct subjects: asking for 7 shards leaves ≥4 empty.
-        let shards = idx.shards(7);
-        assert!(shards.iter().filter(|s| s.is_empty()).count() >= 4);
-        // Empty index: all shards empty.
-        let empty = SortedIndex::build(Order::Spo, &[]);
-        assert!(empty.shards(3).iter().all(|s| s.is_empty()));
-    }
-
-    /// One first-key run dominating the index cannot be split: every cut
-    /// rounds up to its run boundary.
-    #[test]
-    fn shards_keep_hot_run_whole() {
-        let mut triples: Vec<Triple> = (0..40).map(|o| t(1, 1, o)).collect();
-        triples.push(t(0, 1, 1));
-        triples.push(t(2, 1, 1));
-        let idx = SortedIndex::build(Order::Spo, &triples);
-        for shard in idx.shards(4) {
-            if shard.iter().any(|u| u.s == TermId(1)) {
-                assert_eq!(shard.iter().filter(|u| u.s == TermId(1)).count(), 40);
-            }
-        }
     }
 
     /// The chunk-sort + merge build equals the sequential build exactly,
@@ -671,14 +494,5 @@ mod tests {
         idx.remove_merge(&[]);
         idx.remove_merge(&[t(99, 99, 99)]);
         assert_eq!(idx.as_slice(), before);
-    }
-
-    #[test]
-    fn runs1_osp_groups_objects() {
-        let idx = SortedIndex::build(Order::Osp, &sample());
-        for run in idx.runs1() {
-            let o = run[0].o;
-            assert!(run.iter().all(|t| t.o == o));
-        }
     }
 }

@@ -224,7 +224,7 @@ fn put_term_v2(buf: &mut BytesMut, pool: &Pool<'_>, t: &Term) {
 
 /// Serializes a graph into a v2 snapshot buffer: symbolic minted keys,
 /// varint/delta-compressed triple ids, FNV-1a checksum trailer.
-pub fn encode(g: &Graph) -> Result<Bytes, SnapshotError> {
+pub fn encode(g: &Graph) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + g.dict().len() * 16 + g.len() * 4);
     buf.put_slice(MAGIC_V2);
     buf.put_u16_le(VERSION);
@@ -255,7 +255,7 @@ pub fn encode(g: &Graph) -> Result<Bytes, SnapshotError> {
     }
     let checksum = fnv1a64(&buf);
     buf.put_u64_le(checksum);
-    Ok(buf.freeze())
+    buf.freeze()
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +456,7 @@ pub fn decode_slice(raw: &[u8]) -> Result<Graph, SnapshotError> {
 
 /// Writes a snapshot to a file.
 pub fn save(g: &Graph, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
-    std::fs::write(path, encode(g)?).map_err(SnapshotError::from)
+    std::fs::write(path, encode(g)).map_err(SnapshotError::from)
 }
 
 /// Reads a snapshot from a file.
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let g = sample();
-        let snap = encode(&g).unwrap();
+        let snap = encode(&g);
         let g2 = decode(snap).unwrap();
         assert_same_shape(&g, &g2);
         // Ids preserved bit-for-bit.
@@ -552,7 +552,7 @@ mod tests {
     #[test]
     fn v2_roundtrip_preserves_mintedness() {
         let g = minted_sample();
-        let g2 = decode(encode(&g).unwrap()).unwrap();
+        let g2 = decode(encode(&g)).unwrap();
         assert_same_shape(&g, &g2);
         let mut minted = 0;
         for (id, term) in g.dict().iter() {
@@ -607,7 +607,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut raw = encode(&sample()).unwrap().to_vec();
+        let mut raw = encode(&sample()).to_vec();
         raw[0] = b'X';
         assert!(matches!(
             decode(Bytes::from(raw)),
@@ -617,7 +617,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_version() {
-        let mut raw = encode(&sample()).unwrap().to_vec();
+        let mut raw = encode(&sample()).to_vec();
         raw[8] = 9;
         assert!(matches!(
             decode(Bytes::from(raw)),
@@ -627,7 +627,7 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_body_via_checksum() {
-        let raw = encode(&minted_sample()).unwrap().to_vec();
+        let raw = encode(&minted_sample()).to_vec();
         // Flip one bit in every body byte position in turn (sampled) — the
         // checksum must catch each.
         for pos in (10..raw.len() - 8).step_by(7) {
@@ -650,7 +650,7 @@ mod tests {
 
     #[test]
     fn rejects_truncation() {
-        let raw = encode(&sample()).unwrap();
+        let raw = encode(&sample());
         for cut in [0, 5, 9, 20, raw.len() - 5] {
             let sliced = raw.slice(0..cut);
             assert!(decode(sliced).is_err(), "cut at {cut} accepted");
@@ -716,7 +716,7 @@ mod tests {
     #[test]
     fn empty_graph_roundtrips() {
         let g = Graph::new();
-        let g2 = decode(encode(&g).unwrap()).unwrap();
+        let g2 = decode(encode(&g)).unwrap();
         assert!(g2.is_empty());
         // Well-known terms still interned.
         assert_eq!(g2.dict().len(), 5);

@@ -238,9 +238,7 @@ impl TripleStore {
         self.osp = SortedIndex::build(Order::Osp, &all);
     }
 
-    /// The SPO permutation index (triples grouped by subject). The
-    /// summarization pipeline scans its [`SortedIndex::runs1`] runs to
-    /// visit every node's outgoing triples contiguously.
+    /// The SPO permutation index (triples grouped by subject).
     pub fn spo(&self) -> &SortedIndex {
         &self.spo
     }
@@ -250,8 +248,7 @@ impl TripleStore {
         &self.pos
     }
 
-    /// The OSP permutation index (triples grouped by object); the incoming
-    /// counterpart of [`TripleStore::spo`] for pipeline scans.
+    /// The OSP permutation index (triples grouped by object).
     pub fn osp(&self) -> &SortedIndex {
         &self.osp
     }

@@ -20,7 +20,37 @@ use rdfsummary::prelude::*;
 use rdfsummary::rdf_store::snapshot;
 use rdfsummary::rdfsum_core::{self, fixpoint_holds, render_report, ReportOptions};
 use rdfsummary::rdfsum_workloads as workloads;
+use std::io::Write;
 use std::process::ExitCode;
+
+/// Why a command stopped early: a message for the user, or a failed write
+/// to stdout (a reader that went away, as in `rdfsummary stats g.nt |
+/// head -3`, is not an error of ours).
+enum Failure {
+    Message(String),
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Message(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Message(msg.into())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
+/// The one handle every command prints through, locked for the whole run.
+type Stdout = std::io::StdoutLock<'static>;
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -28,8 +58,9 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn usage() {
-    println!(
+fn usage(stdout: &mut Stdout) -> Result<(), Failure> {
+    writeln!(
+        stdout,
         "rdfsummary — query-oriented RDF graph summarization
 
 USAGE:
@@ -37,9 +68,9 @@ USAGE:
   rdfsummary summarize  <graph> [--kind w|s|tw|ts|t|fb]    build a summary
                          [--out FILE] [--dot FILE] [--turtle FILE] [--report]
                          [--all]  build W+S+TW+TS via one shared context
-                         [--threads N]  shard the substrate build across N
-                         workers (default: RDFSUM_THREADS or all cores;
-                         small graphs always build sequentially)
+                         [--threads N]  build on N workers (default: all
+                         cores; graphs below the shard floor always
+                         build on one)
   rdfsummary saturate   <graph> [--out FILE]            compute G∞
   rdfsummary check      <graph>                         verify formal properties
   rdfsummary query      <graph> QUERY [--saturate]      evaluate a BGP query
@@ -68,7 +99,8 @@ USAGE:
 
 <graph> is an N-Triples file (.nt) or a binary snapshot (.snap).
 QUERY uses the paper notation, e.g. \"q(?x) :- ?x a <http://…/Book>, ?x <http://…/author> ?y\""
-    );
+    )?;
+    Ok(())
 }
 
 /// Graph loading and kind parsing are shared with the server crate, so
@@ -85,52 +117,56 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Worker/shard count for the summarize substrate: `--threads N`, else the
-/// `RDFSUM_THREADS` env var, else all available cores. The count flows
-/// through `SummaryContext::sharded`, whose size threshold keeps small
-/// graphs (and therefore 1-CPU default runs) on the sequential path.
+/// The requested worker count: `--threads N`, else all available cores.
+/// It is passed down as a value; `SummaryContext::sharded` resolves it
+/// against the graph's size (one worker below the shard floor).
 fn thread_count(rest: &[String]) -> Result<usize, String> {
-    fn parse(v: &str, what: &str) -> Result<usize, String> {
-        match v.parse::<usize>() {
+    match flag_value(rest, "--threads") {
+        Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad {what} value `{v}` (want an integer >= 1)")),
-        }
+            _ => Err(format!("bad --threads value `{v}` (want an integer >= 1)")),
+        },
+        None => Ok(std::thread::available_parallelism().map_or(1, usize::from)),
     }
-    if let Some(v) = flag_value(rest, "--threads") {
-        return parse(&v, "--threads");
-    }
-    if let Ok(v) = std::env::var("RDFSUM_THREADS") {
-        return parse(&v, "RDFSUM_THREADS");
-    }
-    Ok(std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-fn cmd_stats(path: &str, rest: &[String]) -> Result<(), String> {
+fn cmd_stats(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     let g = load(path)?;
     let st = GraphStats::of(&g);
-    println!("graph: {path}");
-    println!(
+    writeln!(stdout, "graph: {path}")?;
+    writeln!(
+        stdout,
         "  triples        {:>10} (data {}, type {}, schema {})",
         st.edges, st.data_edges, st.type_edges, st.schema_edges
-    );
-    println!("  nodes          {:>10}", st.nodes);
-    println!("  data nodes     {:>10}", st.data_nodes);
-    println!("  class nodes    {:>10}", st.class_nodes);
-    println!("  property nodes {:>10}", st.property_nodes);
-    println!(
+    )?;
+    writeln!(stdout, "  nodes          {:>10}", st.nodes)?;
+    writeln!(stdout, "  data nodes     {:>10}", st.data_nodes)?;
+    writeln!(stdout, "  class nodes    {:>10}", st.class_nodes)?;
+    writeln!(stdout, "  property nodes {:>10}", st.property_nodes)?;
+    writeln!(
+        stdout,
         "  distinct data properties {:>6}",
         st.data_distinct.properties
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  distinct subjects        {:>6}",
         st.data_distinct.subjects
-    );
-    println!("  distinct objects         {:>6}", st.data_distinct.objects);
+    )?;
+    writeln!(
+        stdout,
+        "  distinct objects         {:>6}",
+        st.data_distinct.objects
+    )?;
     let violations = g.well_behaved_violations();
     if violations.is_empty() {
-        println!("  well-behaved: yes");
+        writeln!(stdout, "  well-behaved: yes")?;
     } else {
-        println!("  well-behaved: NO ({} offending terms)", violations.len());
+        writeln!(
+            stdout,
+            "  well-behaved: NO ({} offending terms)",
+            violations.len()
+        )?;
     }
     if has_flag(rest, "--profile") {
         let prof = rdfsummary::rdf_model::Profile::of(&g);
@@ -141,23 +177,25 @@ fn cmd_stats(path: &str, rest: &[String]) -> Result<(), String> {
                 other => other.to_string(),
             }
         };
-        println!(
+        writeln!(
+            stdout,
             "\n  heterogeneity: {} distinct property sets, {} distinct class sets",
             prof.distinct_property_sets, prof.distinct_class_sets
-        );
-        println!("  top properties:");
+        )?;
+        writeln!(stdout, "  top properties:")?;
         for (p, u) in prof.top_properties().into_iter().take(10) {
-            println!(
+            writeln!(
+                stdout,
                 "    {:<60} {:>8} triples ({} subjects, {} objects)",
                 name(p),
                 u.triples,
                 u.subjects,
                 u.objects
-            );
+            )?;
         }
-        println!("  top classes:");
+        writeln!(stdout, "  top classes:")?;
         for (c, n) in prof.top_classes().into_iter().take(10) {
-            println!("    {:<60} {:>8} instances", name(c), n);
+            writeln!(stdout, "    {:<60} {:>8} instances", name(c), n)?;
         }
     }
     Ok(())
@@ -165,42 +203,49 @@ fn cmd_stats(path: &str, rest: &[String]) -> Result<(), String> {
 
 /// `summarize --all`: builds W, S, TW and TS through one shared
 /// [`rdfsum_core::SummaryContext`], so the dense numbering, CSR adjacency
-/// and property cliques (both scopes) are computed once, not four times —
-/// shard-parallel across `threads` workers on large graphs.
-fn cmd_summarize_all(path: &str, g: &Graph, threads: usize) -> Result<(), String> {
+/// and property cliques (both scopes) are computed once, not four times.
+fn cmd_summarize_all(
+    path: &str,
+    g: &Graph,
+    threads: usize,
+    stdout: &mut Stdout,
+) -> Result<(), Failure> {
     let t0 = std::time::Instant::now();
     let ctx = rdfsum_core::SummaryContext::sharded(g, threads);
     let t_ctx = t0.elapsed().as_secs_f64();
-    println!(
-        "all summaries of {path} (input {} triples; shared context built in {t_ctx:.3}s, {threads} worker(s) requested):",
-        g.len()
-    );
+    writeln!(
+        stdout,
+        "all summaries of {path} (input {} triples; shared context built in {t_ctx:.3}s on {} worker(s)):",
+        g.len(),
+        ctx.threads()
+    )?;
     for kind in SummaryKind::ALL {
         let t0 = std::time::Instant::now();
         let s = ctx.summarize(kind);
         let dt = t0.elapsed().as_secs_f64();
         let st = s.stats();
-        println!(
+        writeln!(
+            stdout,
             "  {kind:>3}: {:>8} nodes  {:>8} edges  in {dt:.3}s",
             st.all_nodes, st.all_edges
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_summarize(path: &str, rest: &[String]) -> Result<(), String> {
+fn cmd_summarize(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     if has_flag(rest, "--all") {
         // --all prints a comparison table; the single-summary output flags
         // have no meaning for it, so reject them instead of silently
         // ignoring a requested file.
         for flag in ["--kind", "--out", "--dot", "--turtle", "--report"] {
             if has_flag(rest, flag) {
-                return Err(format!("summarize --all cannot be combined with {flag}"));
+                return Err(format!("summarize --all cannot be combined with {flag}").into());
             }
         }
         let g = load(path)?;
         let threads = thread_count(rest)?;
-        return cmd_summarize_all(path, &g, threads);
+        return cmd_summarize_all(path, &g, threads, stdout);
     }
     let g = load(path)?;
     let threads = thread_count(rest)?;
@@ -209,38 +254,33 @@ fn cmd_summarize(path: &str, rest: &[String]) -> Result<(), String> {
         None => SummaryKind::Weak,
     };
     let t0 = std::time::Instant::now();
-    // The sharded substrate only pays off when the build will actually
-    // shard; otherwise (small graph, one worker) keep the classic lean
-    // single-summary path. Identical output either way.
-    let s = if rdfsum_core::parallel::builds_sharded(&g, threads) {
-        rdfsum_core::SummaryContext::sharded(&g, threads).summarize(kind)
-    } else {
-        summarize(&g, kind)
-    };
+    let s = rdfsum_core::SummaryContext::sharded(&g, threads).summarize(kind);
     let dt = t0.elapsed().as_secs_f64();
     let st = s.stats();
-    println!(
+    writeln!(
+        stdout,
         "{kind} summary of {path}: {} nodes / {} edges (input {} triples) in {dt:.3}s",
         st.all_nodes,
         st.all_edges,
         g.len()
-    );
+    )?;
     if let Some(out) = flag_value(rest, "--out") {
         save_path(&s.graph, &out).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out}");
+        writeln!(stdout, "wrote {out}")?;
     }
     if let Some(ttl_path) = flag_value(rest, "--turtle") {
         let ttl = rdfsummary::rdf_io::write_turtle(&s.graph, &PrefixMap::with_defaults());
         std::fs::write(&ttl_path, ttl).map_err(|e| format!("writing {ttl_path}: {e}"))?;
-        println!("wrote {ttl_path}");
+        writeln!(stdout, "wrote {ttl_path}")?;
     }
     if let Some(dot_path) = flag_value(rest, "--dot") {
         let dot = to_dot(&s.graph, &DotOptions::default());
         std::fs::write(&dot_path, dot).map_err(|e| format!("writing {dot_path}: {e}"))?;
-        println!("wrote {dot_path}");
+        writeln!(stdout, "wrote {dot_path}")?;
     }
     if has_flag(rest, "--report") {
-        print!(
+        write!(
+            stdout,
             "\n{}",
             render_report(
                 &s,
@@ -250,39 +290,42 @@ fn cmd_summarize(path: &str, rest: &[String]) -> Result<(), String> {
                     examples_per_node: 3,
                 }
             )
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_saturate(path: &str, rest: &[String]) -> Result<(), String> {
+fn cmd_saturate(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     let g = load(path)?;
     let sat = saturate(&g);
-    println!(
+    writeln!(
+        stdout,
         "saturated: {} -> {} triples (+{} implicit)",
         g.len(),
         sat.len(),
         sat.len() - g.len()
-    );
+    )?;
     if let Some(out) = flag_value(rest, "--out") {
         save_path(&sat, &out).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out}");
+        writeln!(stdout, "wrote {out}")?;
     }
     Ok(())
 }
 
-fn cmd_check(path: &str) -> Result<(), String> {
+fn cmd_check(path: &str, stdout: &mut Stdout) -> Result<(), Failure> {
     let g = load(path)?;
-    println!(
+    writeln!(
+        stdout,
         "checking formal properties on {path} ({} triples)…",
         g.len()
-    );
+    )?;
     for kind in SummaryKind::ALL {
         let s = summarize(&g, kind);
         let quotient_ok = rdfsum_core::quotient::verify_quotient(&g, &s);
         let fixpoint = fixpoint_holds(&g, kind);
         let completeness = rdfsum_core::completeness_check(&g, kind).holds;
-        println!(
+        writeln!(
+            stdout,
             "  {kind:>3}: quotient {}  fixpoint {}  completeness {}",
             if quotient_ok { "OK " } else { "BAD" },
             if fixpoint { "OK " } else { "BAD" },
@@ -291,12 +334,12 @@ fn cmd_check(path: &str) -> Result<(), String> {
             } else {
                 "fails (expected for typed kinds under ←↩d/↪→r)"
             },
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_query(path: &str, rest: &[String]) -> Result<(), String> {
+fn cmd_query(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     let query_text = rest
         .iter()
         .find(|a| !a.starts_with("--") && a.contains(":-"))
@@ -320,7 +363,11 @@ fn cmd_query(path: &str, rest: &[String]) -> Result<(), String> {
             &rdfsummary::rdf_query::ReformulateConfig::default(),
         )
         .map_err(|e| format!("reformulation: {e}"))?;
-        println!("reformulated into a union of {} queries", union.len());
+        writeln!(
+            stdout,
+            "reformulated into a union of {} queries",
+            union.len()
+        )?;
         let ev = Evaluator::new(&store);
         let mut seen = std::collections::BTreeSet::new();
         for q in &union {
@@ -331,34 +378,38 @@ fn cmd_query(path: &str, rest: &[String]) -> Result<(), String> {
             }
         }
         if seen.is_empty() {
-            println!("no answers");
+            writeln!(stdout, "no answers")?;
         } else {
             for row in &seen {
-                println!("{row}");
+                writeln!(stdout, "{row}")?;
             }
-            println!("({} answers)", seen.len());
+            writeln!(stdout, "({} answers)", seen.len())?;
         }
         return Ok(());
     }
     let compiled = compile(&spec, store.graph()).map_err(|e| format!("compile: {e}"))?;
     if has_flag(rest, "--explain") {
-        print!("{}", rdfsummary::rdf_query::explain(&store, &compiled));
+        write!(
+            stdout,
+            "{}",
+            rdfsummary::rdf_query::explain(&store, &compiled)
+        )?;
     }
     let rs = Evaluator::new(&store).select_limit(&compiled, limit);
     if rs.is_empty() {
-        println!("no answers");
+        writeln!(stdout, "no answers")?;
         return Ok(());
     }
-    println!("{}", rs.columns.join("\t"));
+    writeln!(stdout, "{}", rs.columns.join("\t"))?;
     for row in rs.decode(&store) {
         let cells: Vec<String> = row.iter().map(|t| t.to_string()).collect();
-        println!("{}", cells.join("\t"));
+        writeln!(stdout, "{}", cells.join("\t"))?;
     }
-    println!("({} answers, limit {limit})", rs.len());
+    writeln!(stdout, "({} answers, limit {limit})", rs.len())?;
     Ok(())
 }
 
-fn cmd_generate(rest: &[String]) -> Result<(), String> {
+fn cmd_generate(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     let family = rest.first().ok_or("expected `bsbm` or `lubm`")?;
     let scale: usize = flag_value(rest, "--scale")
         .ok_or("missing --scale N")?
@@ -367,16 +418,20 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
     let g = match family.as_str() {
         "bsbm" => workloads::generate_bsbm(&BsbmConfig::with_products(scale)),
         "lubm" => workloads::generate_lubm(&LubmConfig::with_universities(scale)),
-        other => return Err(format!("unknown generator `{other}`")),
+        other => return Err(format!("unknown generator `{other}`").into()),
     };
-    println!("generated {family} scale {scale}: {} triples", g.len());
+    writeln!(
+        stdout,
+        "generated {family} scale {scale}: {} triples",
+        g.len()
+    )?;
     if let Some(out) = flag_value(rest, "--out") {
         if out.ends_with(".snap") {
             snapshot::save(&g, &out).map_err(|e| format!("writing {out}: {e}"))?;
         } else {
             save_path(&g, &out).map_err(|e| format!("writing {out}: {e}"))?;
         }
-        println!("wrote {out}");
+        writeln!(stdout, "wrote {out}")?;
     }
     Ok(())
 }
@@ -391,7 +446,7 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
 /// built summary to DIR and probes it on cache misses, so a restarted
 /// server answers its first `SUMMARIZE` without rebuilding. Runs until the
 /// process is killed.
-fn cmd_serve(rest: &[String]) -> Result<(), String> {
+fn cmd_serve(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     // Every `serve` flag takes a value, so the arguments come in pairs; a
     // flag outside this list would otherwise start a server on defaults
     // without a word.
@@ -404,10 +459,10 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     ];
     for pair in rest.chunks(2) {
         if !FLAGS.contains(&pair[0].as_str()) {
-            return Err(format!("serve: unknown argument `{}`", pair[0]));
+            return Err(format!("serve: unknown argument `{}`", pair[0]).into());
         }
         if pair.len() < 2 {
-            return Err(format!("serve: missing value for `{}`", pair[0]));
+            return Err(format!("serve: missing value for `{}`", pair[0]).into());
         }
     }
     let addr = flag_value(rest, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
@@ -415,7 +470,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     let workers = match flag_value(rest, "--workers") {
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --workers value `{v}` (want an integer >= 1)")),
+            _ => return Err(format!("bad --workers value `{v}` (want an integer >= 1)").into()),
         },
         None => threads.max(4),
     };
@@ -423,7 +478,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         Some(v) => match v.parse::<usize>() {
             Ok(n) => Some(n),
             Err(_) => {
-                return Err(format!("bad --cache-bytes value `{v}` (want a byte count)"));
+                return Err(format!("bad --cache-bytes value `{v}` (want a byte count)").into());
             }
         },
         None => None,
@@ -441,12 +496,12 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         .map_err(|e| format!("binding {addr}: {e}"))?;
     // The resolved address line is the machine-readable startup handshake
     // (tests bind port 0 and read the real port from here).
-    println!(
+    writeln!(
+        stdout,
         "listening on {} ({workers} workers, {threads} build thread(s), event engine)",
         handle.addr()
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    )?;
+    stdout.flush()?;
     loop {
         std::thread::park();
     }
@@ -455,7 +510,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
 /// `client`: one request against a running server; the body (summary
 /// N-Triples, STATS listing, QUERY answer rows) goes to stdout so it can
 /// be piped, the status line to stderr.
-fn cmd_client(rest: &[String]) -> Result<(), String> {
+fn cmd_client(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     let (addr, words) = rest.split_first().ok_or("client: missing server address")?;
     if words.is_empty() {
         return Err("client: missing request (e.g. `client 127.0.0.1:7878 PING`)".into());
@@ -468,69 +523,66 @@ fn cmd_client(rest: &[String]) -> Result<(), String> {
         .map_err(|e| format!("talking to {addr}: {e}"))?;
     eprintln!("{}", response.status);
     if let Some(body) = &response.body {
-        use std::io::Write as _;
-        std::io::stdout()
-            .write_all(body)
-            .map_err(|e| format!("writing body: {e}"))?;
+        stdout.write_all(body)?;
     }
     if response.is_ok() {
         Ok(())
     } else {
-        Err(format!("server answered: {}", response.status))
+        Err(format!("server answered: {}", response.status).into())
     }
 }
 
-fn cmd_snapshot(path: &str, rest: &[String]) -> Result<(), String> {
+fn cmd_snapshot(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     let out = flag_value(rest, "--out").ok_or("missing --out FILE.snap")?;
     let g = load(path)?;
     snapshot::save(&g, &out).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out} ({} triples)", g.len());
+    writeln!(stdout, "wrote {out} ({} triples)", g.len())?;
     Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        usage();
+        let _ = usage(&mut std::io::stdout().lock());
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
+    let stdout = &mut std::io::stdout().lock();
     let result = match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            usage();
-            Ok(())
-        }
+        "help" | "--help" | "-h" => usage(stdout),
         "stats" => match rest.first() {
-            Some(p) => cmd_stats(p, &rest[1..]),
+            Some(p) => cmd_stats(p, &rest[1..], stdout),
             None => Err("stats: missing graph file".into()),
         },
         "summarize" => match rest.first() {
-            Some(p) => cmd_summarize(p, &rest[1..]),
+            Some(p) => cmd_summarize(p, &rest[1..], stdout),
             None => Err("summarize: missing graph file".into()),
         },
         "saturate" => match rest.first() {
-            Some(p) => cmd_saturate(p, &rest[1..]),
+            Some(p) => cmd_saturate(p, &rest[1..], stdout),
             None => Err("saturate: missing graph file".into()),
         },
         "check" => match rest.first() {
-            Some(p) => cmd_check(p),
+            Some(p) => cmd_check(p, stdout),
             None => Err("check: missing graph file".into()),
         },
         "query" => match rest.first() {
-            Some(p) => cmd_query(p, &rest[1..]),
+            Some(p) => cmd_query(p, &rest[1..], stdout),
             None => Err("query: missing graph file".into()),
         },
-        "generate" => cmd_generate(rest),
-        "serve" => cmd_serve(rest),
-        "client" => cmd_client(rest),
+        "generate" => cmd_generate(rest, stdout),
+        "serve" => cmd_serve(rest, stdout),
+        "client" => cmd_client(rest, stdout),
         "snapshot" => match rest.first() {
-            Some(p) => cmd_snapshot(p, &rest[1..]),
+            Some(p) => cmd_snapshot(p, &rest[1..], stdout),
             None => Err("snapshot: missing graph file".into()),
         },
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     };
-    match result {
+    match result.and_then(|()| Ok(stdout.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => fail(&msg),
+        Err(Failure::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => fail(&format!("writing to stdout: {e}")),
+        Err(Failure::Message(msg)) => fail(&msg),
     }
 }

@@ -133,7 +133,7 @@
 //! answer is status-line-only: `OK update fp=<new> applied=<n>
 //! patched=<n> rebuilt=<n>`. Cached summaries follow the fingerprint
 //! transition: an insert batch whose graph has a warm **weak** summary
-//! and builds through the lean (unsharded) path is *patched*
+//! and sits below the shard floor is *patched*
 //! (`core::incremental` replays the delta through the clique union–find
 //! and re-keys the cached artifact, byte-identical to a fresh build)
 //! instead of rebuilt; deletes, the other summary kinds and graphs whose
