@@ -7,9 +7,17 @@
 //! already interned), and an escape-heavy graph in which every literal and
 //! every IRI needs unescaping on the way in and escaping on the way out, so
 //! the codec's scratch-buffer slow path has a number of its own.
+//!
+//! Beside them, one row per layer a (re)load is made of, at BSBM-300
+//! (≈ 30 k triples) and BSBM-2000 (≈ 200 k): `dictionary_intern_*` replays a
+//! document's term stream — every occurrence, in file order — into a fresh
+//! dictionary; `snapshot_decode_*` decodes the graph's `.snap` image;
+//! `index_build_{spo,pos,osp}` builds one permutation index over the larger
+//! graph's triples.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rdf_model::{Graph, Term};
+use rdf_model::{Dictionary, Graph, Term, Triple};
+use rdf_store::{snapshot, Order, SortedIndex};
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
 use std::time::Duration;
@@ -47,11 +55,54 @@ fn bench_codec(c: &mut Criterion, g: &Graph, suffix: &str) {
     group.finish();
 }
 
+/// The layers under `parse_graph`, and the ones a restart runs instead of it.
+fn bench_load_layers(c: &mut Criterion, g: &Graph, suffix: &str) {
+    let stream = rdf_io::parse_str(&rdf_io::write_graph(g)).unwrap();
+    let snap = snapshot::encode(g);
+    let mut group = c.benchmark_group("ntriples");
+    group.throughput(Throughput::Elements(g.len() as u64));
+    group.bench_function(format!("dictionary_intern_{suffix}"), |b| {
+        b.iter(|| {
+            let mut dict = Dictionary::new();
+            for (s, p, o) in &stream {
+                for term in [s, p, o] {
+                    black_box(dict.encode_ref(term.as_term_ref()));
+                }
+            }
+            black_box(dict)
+        })
+    });
+    group.bench_function(format!("snapshot_decode_{suffix}"), |b| {
+        b.iter(|| black_box(snapshot::decode_slice(&snap).unwrap()))
+    });
+    group.finish();
+}
+
+fn bench_index_build(c: &mut Criterion, g: &Graph) {
+    let all: Vec<Triple> = g.iter().collect();
+    let mut group = c.benchmark_group("ntriples");
+    group.throughput(Throughput::Elements(all.len() as u64));
+    for (order, name) in [
+        (Order::Spo, "spo"),
+        (Order::Pos, "pos"),
+        (Order::Osp, "osp"),
+    ] {
+        group.bench_function(format!("index_build_{name}"), |b| {
+            b.iter(|| black_box(SortedIndex::build(order, &all)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_parse(c: &mut Criterion) {
     let bsbm = |products| rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(products));
     bench_codec(c, &bsbm(100), "10k");
-    bench_codec(c, &bsbm(2000), "bsbm2000");
+    let bsbm2000 = bsbm(2000);
+    bench_codec(c, &bsbm2000, "bsbm2000");
     bench_codec(c, &escape_heavy(50_000), "escaped_50k");
+    bench_load_layers(c, &bsbm(300), "30k");
+    bench_load_layers(c, &bsbm2000, "200k");
+    bench_index_build(c, &bsbm2000);
 }
 
 criterion_group! {

@@ -128,7 +128,7 @@ fn naive_eval(store: &TripleStore, text: &str) -> usize {
         let rows: Vec<Vec<String>> = rs
             .decode(store)
             .into_iter()
-            .map(|row| row.into_iter().map(|t| t.to_string()).collect())
+            .map(|row| row.iter().map(|t| t.to_string()).collect())
             .collect();
         black_box(&rows);
         rows.len()

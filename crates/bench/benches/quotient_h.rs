@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdf_model::{Term, TermId};
 use rdfsum_core::equivalence::strong_partition;
-use rdfsum_core::naming::{n_term, n_uri};
+use rdfsum_core::naming::{n_uri, Namer};
 use rdfsum_core::quotient::quotient_summary;
 use rdfsum_core::{CliqueScope, Cliques, SummaryContext, SummaryKind};
 use rdfsum_workloads::BsbmConfig;
@@ -45,13 +45,14 @@ fn bench_h_graph(c: &mut Criterion) {
             &(&g, &partition),
             |b, (g, partition)| {
                 b.iter(|| {
+                    let mut namer = Namer::new(g.dict());
                     black_box(quotient_summary(
                         g,
                         SummaryKind::Strong,
                         partition,
                         |_, m| {
                             let (tc, sc) = signature_sets(cliques, m[0]);
-                            n_term(g.dict(), tc, sc)
+                            namer.n_term(tc, sc)
                         },
                     ))
                 })
@@ -85,9 +86,10 @@ fn bench_h_graph(c: &mut Criterion) {
             |b, reps| {
                 b.iter(|| {
                     let mut dict = rdf_model::Dictionary::new();
+                    let mut namer = Namer::new(g.dict());
                     for &rep in reps {
                         let (tc, sc) = signature_sets(cliques, rep);
-                        black_box(dict.encode(n_term(g.dict(), tc, sc)));
+                        black_box(dict.encode(namer.n_term(tc, sc)));
                     }
                     black_box(dict.len())
                 })

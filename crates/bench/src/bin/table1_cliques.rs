@@ -12,7 +12,7 @@ use rdfsum_core::{CliqueScope, Cliques};
 fn local(g: &Graph, id: rdf_model::TermId) -> String {
     let prefixes = sample_prefixes();
     match g.dict().decode(id) {
-        rdf_model::Term::Iri(iri) => {
+        rdf_model::TermRef::Iri(iri) => {
             let c = prefixes.compact(iri);
             c.rsplit(':').next().unwrap_or(&c).to_string()
         }

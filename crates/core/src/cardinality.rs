@@ -62,7 +62,7 @@ impl SummaryCardinality {
         let mut g_id = |h_id: TermId| -> Option<TermId> {
             *g_of
                 .entry(h_id)
-                .or_insert_with(|| g.dict().lookup(h.dict().decode(h_id)))
+                .or_insert_with(|| g.dict().lookup_ref(h.dict().decode(h_id)))
         };
         // Schema nodes represent themselves; data nodes carry extents.
         let weight = |n: TermId| summary.extent(n).len().max(1);

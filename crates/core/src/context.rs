@@ -91,7 +91,7 @@
 
 use crate::cliques::{CliqueScope, Cliques};
 use crate::equivalence::{strong_partition, weak_partition, Partition};
-use crate::naming::{c_term, n_term};
+use crate::naming::Namer;
 use crate::quotient::quotient_summary_impl;
 use crate::summary::{Summary, SummaryKind};
 use crate::typed::TypedSemantics;
@@ -635,11 +635,12 @@ impl<'g> SummaryContext<'g> {
     fn strong_summary_impl(&self, force_unpacked: bool) -> Summary {
         let cliques = self.cliques(CliqueScope::AllNodes);
         let partition = strong_partition(cliques, &self.nodes);
+        let mut namer = Namer::new(self.g.dict());
         quotient_summary_impl(
             self.g,
             SummaryKind::Strong,
             &partition,
-            |_, members| signature_term(self.g, cliques, members[0]),
+            |_, members| signature_term(&mut namer, cliques, members[0]),
             force_unpacked,
             self.threads,
         )
@@ -692,16 +693,17 @@ impl<'g> SummaryContext<'g> {
                 Some(id) => id as usize,
                 None => n_sets + up.class_of(n).expect("untyped node covered"),
             });
+        let mut namer = Namer::new(self.g.dict());
         quotient_summary_impl(
             self.g,
             kind,
             &partition,
             |_, members| match cs.set_id(members[0]) {
-                Some(id) => c_term(self.g.dict(), cs.set(id)),
-                None if strong => signature_term(self.g, cliques, members[0]),
+                Some(id) => namer.c_term(cs.set(id)),
+                None if strong => signature_term(&mut namer, cliques, members[0]),
                 None => {
                     let (tc, sc) = class_property_sets(cliques, members);
-                    n_term(self.g.dict(), &tc, &sc)
+                    namer.n_term(&tc, &sc)
                 }
             },
             force_unpacked,
@@ -726,12 +728,13 @@ impl<'g> SummaryContext<'g> {
             None => Key::Untyped(n),
         });
         let mut fresh = 0usize;
+        let mut namer = Namer::new(self.g.dict());
         quotient_summary_impl(
             self.g,
             SummaryKind::TypeBased,
             &partition,
             |_, members| match cs.set_id(members[0]) {
-                Some(id) => c_term(self.g.dict(), cs.set(id)),
+                Some(id) => namer.c_term(cs.set(id)),
                 None => {
                     // C(∅): "given an empty set of URIs, returns a new URI
                     // on every call." Fresh URIs stay eager strings — they
@@ -988,7 +991,7 @@ fn stitch_entries(
 /// The strong-summary name of a node: the symbolic `N(TC(n), SC(n))` from
 /// the member's own clique signature (all members of a strong class share
 /// it).
-fn signature_term(g: &Graph, cliques: &Cliques, node: TermId) -> Term {
+fn signature_term(namer: &mut Namer<'_>, cliques: &Cliques, node: TermId) -> Term {
     let tc_props = cliques
         .tc(node)
         .map(|i| cliques.target_members(i))
@@ -997,7 +1000,7 @@ fn signature_term(g: &Graph, cliques: &Cliques, node: TermId) -> Term {
         .sc(node)
         .map(|i| cliques.source_members(i))
         .unwrap_or(&[]);
-    n_term(g.dict(), tc_props, sc_props)
+    namer.n_term(tc_props, sc_props)
 }
 
 #[cfg(test)]

@@ -243,7 +243,7 @@ mod tests {
     fn exid_lookup() {
         let g = sample_graph();
         let r1 = exid(&g, "r1");
-        assert_eq!(g.dict().decode(r1), &Term::iri(ex("r1")));
+        assert_eq!(g.dict().decode(r1), Term::iri(ex("r1")));
     }
 
     /// Every fixture is well-behaved (the paper's standing assumption) and

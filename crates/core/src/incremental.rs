@@ -175,9 +175,9 @@ mod tests {
             .iter()
             .map(|t| {
                 (
-                    g.dict().decode(t.s).clone(),
-                    g.dict().decode(t.p).clone(),
-                    g.dict().decode(t.o).clone(),
+                    g.dict().decode(t.s).to_term(),
+                    g.dict().decode(t.p).to_term(),
+                    g.dict().decode(t.o).to_term(),
                 )
             })
             .collect();
@@ -210,9 +210,9 @@ mod tests {
             .iter()
             .map(|t| {
                 (
-                    g.dict().decode(t.s).clone(),
-                    g.dict().decode(t.p).clone(),
-                    g.dict().decode(t.o).clone(),
+                    g.dict().decode(t.s).to_term(),
+                    g.dict().decode(t.p).to_term(),
+                    g.dict().decode(t.o).to_term(),
                 )
             })
             .collect();

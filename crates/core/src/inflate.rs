@@ -102,7 +102,7 @@ pub fn inflate(summary: &Summary, cfg: &InflateConfig) -> Graph {
     }
     for t in h.types() {
         let src = copies_of(t.s, &mut copies);
-        let class = h.dict().decode(t.o).clone();
+        let class = h.dict().decode(t.o).to_term();
         for s in &src {
             g.insert(
                 Term::iri(s.clone()),
@@ -113,12 +113,9 @@ pub fn inflate(summary: &Summary, cfg: &InflateConfig) -> Graph {
         }
     }
     for t in h.schema() {
-        g.insert(
-            h.dict().decode(t.s).clone(),
-            h.dict().decode(t.p).clone(),
-            h.dict().decode(t.o).clone(),
-        )
-        .expect("schema triples are well-formed");
+        let d = h.dict();
+        g.insert_ref(d.decode(t.s), d.decode(t.p), d.decode(t.o))
+            .expect("schema triples are well-formed");
     }
     g
 }

@@ -19,7 +19,7 @@
 //! plenty fast.
 
 use crate::naming::SUMMARY_NS;
-use rdf_model::{FxHashMap, FxHashSet, Graph, Term};
+use rdf_model::{FxHashMap, FxHashSet, Graph, TermRef};
 use std::hash::{BuildHasher, Hash};
 
 /// A graph lowered to dense node indices with string-keyed labels.
@@ -36,12 +36,12 @@ struct IsoGraph {
     adj: Vec<Vec<(usize, bool, usize)>>,
 }
 
-fn term_key(t: &Term) -> String {
+fn term_key(t: TermRef<'_>) -> String {
     // A canonical, collision-free string form.
     t.to_string()
 }
 
-fn is_minted(t: &Term) -> bool {
+fn is_minted(t: TermRef<'_>) -> bool {
     t.as_iri().is_some_and(|iri| iri.starts_with(SUMMARY_NS))
 }
 
@@ -49,7 +49,7 @@ fn lower(g: &Graph, prop_ids: &mut FxHashMap<String, usize>) -> IsoGraph {
     let mut node_ids: FxHashMap<String, usize> = FxHashMap::default();
     let mut terms: Vec<String> = Vec::new();
     let mut free: Vec<bool> = Vec::new();
-    let node = |t: &Term,
+    let node = |t: TermRef<'_>,
                 node_ids: &mut FxHashMap<String, usize>,
                 terms: &mut Vec<String>,
                 free: &mut Vec<bool>|

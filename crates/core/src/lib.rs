@@ -57,15 +57,15 @@
 //! ## Symbolic minted names
 //!
 //! Summary nodes are named by [`rdf_model::Term::Minted`] terms: the
-//! representation functions `N`/`C` ([`naming::n_term`] /
-//! [`naming::c_term`]) return an *interned set key* — shared pointers into
-//! the summarized graph's dictionary — instead of an eagerly formatted
-//! URI string. Injectivity lives in the interned-key ordering (one
+//! representation functions `N`/`C` ([`naming::Namer::n_term`] /
+//! [`naming::Namer::c_term`]) return an *interned set key* — a shared slice
+//! of member IRIs, each copied out of the summarized graph's dictionary
+//! once per build — instead of an eagerly formatted URI string. Injectivity lives in the interned-key ordering (one
 //! canonical key per equivalence class per build); the familiar
 //! `urn:rdfsummary:` URI is rendered lazily on serialization, byte-
 //! identical to the historical eager strings. Emission never allocates or
 //! hashes a URI string, and constants transfer between the G and H
-//! dictionaries as shared `Arc`s. Every stage — chunk scan, CSR fill,
+//! dictionaries as views, arena to arena. Every stage — chunk scan, CSR fill,
 //! clique sweep, class-set scan, quotient emission, extent table — runs on
 //! the one worker count the context resolved at construction
 //! ([`parallel::shard_count`]), byte-identically at any count.

@@ -7,9 +7,12 @@
 //! on every call for the empty set.
 //!
 //! Since the symbolic-minting refactor, the builders' `N` and `C` are
-//! [`n_term`] / [`c_term`]: they return a [`rdf_model::Term::Minted`]
-//! holding the *interned set key itself* — shared pointers into the
-//! summarized graph's dictionary — instead of an eagerly formatted string.
+//! [`Namer::n_term`] / [`Namer::c_term`]: they return a
+//! [`rdf_model::Term::Minted`] holding the *interned set key itself* — a
+//! shared slice of the member IRIs — instead of an eagerly formatted string.
+//! The summarized graph's dictionary is one string arena with no per-term
+//! allocation to point into, so a [`Namer`] copies each member IRI out of it
+//! once per build, into a shared string every key of that build reuses.
 //! **Injectivity now lives in the interned-key ordering:** within one
 //! summary build every equivalence class mints its key exactly once from
 //! canonical (sorted, deduplicated) id sets, and minted identity is the
@@ -29,7 +32,7 @@
 //! both paths is what lets the completeness tests compare `W_{G∞}` and
 //! `W_{(W_G)∞}` by plain graph equality.
 
-use rdf_model::{Dictionary, MintedTerm, SharedTerm, Term, TermId};
+use rdf_model::{Dictionary, FxHashMap, MemberSet, MintedTerm, Term, TermId};
 use std::sync::Arc;
 
 pub use rdf_model::{N_TAU_URI, SUMMARY_NS};
@@ -40,30 +43,58 @@ pub fn n_tau_uri() -> &'static str {
     N_TAU_URI
 }
 
-/// Clones the shared handles of `ids` out of the dictionary — the interned
-/// set key fed to the minted constructors. No string data is copied, and
-/// the slice iterator's exact length lets `collect` build the `Arc` slice
-/// directly (one allocation, no intermediate `Vec`).
-fn shared_set(dict: &Dictionary, ids: &[TermId]) -> Arc<[SharedTerm]> {
-    ids.iter().map(|&id| Arc::clone(dict.shared(id))).collect()
+/// The representation functions of one summary build over `dict`, the
+/// summarized graph's dictionary.
+pub struct Namer<'a> {
+    dict: &'a Dictionary,
+    /// The shared string of every member IRI minted into a key so far.
+    members: FxHashMap<TermId, Arc<str>>,
 }
 
-/// Symbolic `N(TC, SC)` — the minted term representing nodes with incoming
-/// property set `tc` and outgoing property set `sc` (either may be empty;
-/// both empty yields the `Nτ` term). Renders identically to [`n_uri`].
-pub fn n_term(dict: &Dictionary, tc: &[TermId], sc: &[TermId]) -> Term {
-    Term::Minted(MintedTerm::node(shared_set(dict, tc), shared_set(dict, sc)))
-}
+impl<'a> Namer<'a> {
+    /// A namer that has not minted anything yet.
+    pub fn new(dict: &'a Dictionary) -> Self {
+        Namer {
+            dict,
+            members: FxHashMap::default(),
+        }
+    }
 
-/// Symbolic `C(X)` for a non-empty class set `X`. Renders identically to
-/// [`c_uri`].
-///
-/// The paper's `C` returns a fresh URI for `C(∅)`; in our builders the
-/// empty case never reaches `C` (untyped nodes are handled by the untyped
-/// summarizers), so we require non-emptiness.
-pub fn c_term(dict: &Dictionary, classes: &[TermId]) -> Term {
-    assert!(!classes.is_empty(), "C(∅) must use fresh URIs, not c_term");
-    Term::Minted(MintedTerm::class_set(shared_set(dict, classes)))
+    /// The interned set key of `ids`: each member's shared string, copied
+    /// out of the dictionary the first time the build names it. The slice
+    /// iterator's exact length lets `collect` build the shared slice
+    /// directly (one allocation, no intermediate `Vec`).
+    fn member_set(&mut self, ids: &[TermId]) -> MemberSet {
+        let dict = self.dict;
+        ids.iter()
+            .map(|&id| {
+                let member = self.members.entry(id).or_insert_with(|| {
+                    let iri = dict.decode(id).as_iri();
+                    Arc::from(iri.expect("property/class ids decode to IRIs"))
+                });
+                Arc::clone(member)
+            })
+            .collect()
+    }
+
+    /// Symbolic `N(TC, SC)` — the minted term representing nodes with
+    /// incoming property set `tc` and outgoing property set `sc` (either may
+    /// be empty; both empty yields the `Nτ` term). Renders identically to
+    /// [`n_uri`].
+    pub fn n_term(&mut self, tc: &[TermId], sc: &[TermId]) -> Term {
+        Term::Minted(MintedTerm::node(self.member_set(tc), self.member_set(sc)))
+    }
+
+    /// Symbolic `C(X)` for a non-empty class set `X`. Renders identically to
+    /// [`c_uri`].
+    ///
+    /// The paper's `C` returns a fresh URI for `C(∅)`; in our builders the
+    /// empty case never reaches `C` (untyped nodes are handled by the untyped
+    /// summarizers), so we require non-emptiness.
+    pub fn c_term(&mut self, classes: &[TermId]) -> Term {
+        assert!(!classes.is_empty(), "C(∅) must use fresh URIs, not c_term");
+        Term::Minted(MintedTerm::class_set(self.member_set(classes)))
+    }
 }
 
 fn join_sorted(dict: &Dictionary, ids: &[TermId]) -> String {
@@ -80,7 +111,7 @@ fn join_sorted(dict: &Dictionary, ids: &[TermId]) -> String {
     uris.join("|")
 }
 
-/// Eager-string `N(TC, SC)` — the rendered URI of [`n_term`]'s result.
+/// Eager-string `N(TC, SC)` — the rendered URI of [`Namer::n_term`]'s result.
 /// Used only by the pre-refactor reference oracle and by tests pinning
 /// the rendered form; every live builder mints symbolically.
 pub fn n_uri(dict: &Dictionary, tc: &[TermId], sc: &[TermId]) -> String {
@@ -95,7 +126,7 @@ pub fn n_uri(dict: &Dictionary, tc: &[TermId], sc: &[TermId]) -> String {
 }
 
 /// Eager-string `C(X)` for a non-empty class set `X` — the rendered URI of
-/// [`c_term`]'s result.
+/// [`Namer::c_term`]'s result.
 pub fn c_uri(dict: &Dictionary, classes: &[TermId]) -> String {
     assert!(!classes.is_empty(), "C(∅) must use fresh URIs, not c_uri");
     format!("{SUMMARY_NS}c?types={}", join_sorted(dict, classes))
@@ -146,7 +177,7 @@ pub fn display_label(uri: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::Term;
+    use rdf_model::TermRef;
 
     fn dict_with(uris: &[&str]) -> (Dictionary, Vec<TermId>) {
         let mut d = Dictionary::new();
@@ -210,11 +241,12 @@ mod tests {
             (&[ids[0], ids[1]], &[ids[2]]),
             (&[ids[2], ids[0], ids[1]], &[ids[1], ids[0]]),
         ];
+        let mut namer = Namer::new(&d);
         for (tc, sc) in cases {
-            let term = n_term(&d, tc, sc);
+            let term = namer.n_term(tc, sc);
             assert_eq!(term.as_iri().unwrap(), n_uri(&d, tc, sc));
         }
-        let term = c_term(&d, &[ids[1], ids[0]]);
+        let term = namer.c_term(&[ids[1], ids[0]]);
         assert_eq!(term.as_iri().unwrap(), c_uri(&d, &[ids[0], ids[1]]));
     }
 
@@ -223,11 +255,23 @@ mod tests {
     #[test]
     fn minting_does_not_render() {
         let (d, ids) = dict_with(&["http://x/a", "http://x/b"]);
-        let term = n_term(&d, &[ids[0]], &[ids[1]]);
+        let mut namer = Namer::new(&d);
+        let term = namer.n_term(&[ids[0]], &[ids[1]]);
+        // A member names one shared string however many keys hold it.
+        let again = namer.n_term(&[ids[1]], &[ids[0]]);
+        let members = |t: &Term| match t {
+            Term::Minted(m) => m.key().members().0[0].clone(),
+            _ => panic!("minted term expected"),
+        };
+        assert!(Arc::ptr_eq(
+            &members(&term),
+            &members(&namer.c_term(&[ids[0]]))
+        ));
+        assert_ne!(term, again);
         let mut h = Dictionary::new();
         let id = h.encode(term.clone());
         assert_eq!(h.lookup(&term), Some(id));
-        let Term::Minted(m) = h.decode(id) else {
+        let TermRef::Minted(m) = h.decode(id) else {
             panic!("minted term expected");
         };
         assert!(
@@ -240,7 +284,7 @@ mod tests {
             n_uri(&d, &[ids[0]], &[ids[1]])
         );
         // …and the cache sticks.
-        let Term::Minted(m) = h.decode(id) else {
+        let TermRef::Minted(m) = h.decode(id) else {
             panic!("minted term expected");
         };
         assert!(m.is_rendered());

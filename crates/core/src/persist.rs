@@ -40,7 +40,8 @@
 use crate::cardinality::{PropertyCard, SummaryCardinality};
 use crate::service::SummaryArtifact;
 use crate::summary::SummaryKind;
-use rdf_model::{FxHashMap, Term, TermId};
+use rdf_model::{FxHashMap, TermId, TermRef};
+use rdf_store::codec::{put_str, put_varint, stamp, stamped_body, Reader};
 use rdf_store::{snapshot, Fingerprint, TripleStore};
 
 /// Magic header bytes of a persisted summary artifact.
@@ -81,33 +82,6 @@ pub fn kind_token(kind: SummaryKind) -> String {
 /// `<fingerprint-hex>-<kind>.sum`.
 pub fn artifact_file_name(fingerprint: Fingerprint, kind: SummaryKind) -> String {
     format!("{fingerprint}-{}.sum", kind_token(kind))
-}
-
-/// FNV-1a over a byte slice — the checksum trailer's hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
 }
 
 /// Serializes an artifact for `g` — the graph whose dictionary the
@@ -154,43 +128,8 @@ pub fn encode_artifact(artifact: &SummaryArtifact, g: &rdf_model::Graph) -> Opti
     }
     put_varint(&mut out, snap.len() as u64);
     out.extend_from_slice(&snap);
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    stamp(&mut out);
     Some(out)
-}
-
-/// Bounds-checked cursor; any structural problem reads as `None`.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return None;
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(out)
-    }
-
-    fn varint(&mut self) -> Option<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = *self.take(1)?.first()?;
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn str(&mut self) -> Option<&'a str> {
-        let len = self.varint()? as usize;
-        std::str::from_utf8(self.take(len)?).ok()
-    }
 }
 
 /// Decodes a persisted artifact against the live graph `g`, verifying it
@@ -211,11 +150,7 @@ pub fn decode_artifact(
     if u16::from_le_bytes([raw[8], raw[9]]) != VERSION {
         return None;
     }
-    let body = &raw[..raw.len() - 8];
-    let stored = u64::from_le_bytes(raw[raw.len() - 8..].try_into().ok()?);
-    if fnv1a64(body) != stored {
-        return None;
-    }
+    let body = stamped_body(raw).ok()?;
     if raw[10] != kind_code(kind) {
         return None;
     }
@@ -224,43 +159,38 @@ pub fn decode_artifact(
     if (Fingerprint { hi, lo }) != fingerprint {
         return None;
     }
-    let mut r = Reader { buf: body, pos: 27 };
-    let input_triples = r.varint()? as usize;
+    let mut r = Reader::new(body, 27);
+    let input_triples = r.varint().ok()? as usize;
     if input_triples != g.len() {
         return None;
     }
-    let summary_nodes = r.varint()? as usize;
-    let summary_edges = r.varint()? as usize;
-    let n_data_nodes = r.varint()? as usize;
-    // Cardinality figures, re-keyed from IRIs to the live dictionary.
-    let lookup = |iri: &str| g.dict().lookup(&Term::iri(iri));
-    let n_props = r.varint()? as usize;
-    if n_props > body.len() {
-        return None;
-    }
+    let summary_nodes = r.varint().ok()? as usize;
+    let summary_edges = r.varint().ok()? as usize;
+    let n_data_nodes = r.varint().ok()? as usize;
+    // Cardinality figures, re-keyed from IRIs to the live dictionary. An
+    // entry is an IRI and at least one count: two bytes or more.
+    let lookup = |iri: &str| g.dict().lookup_ref(TermRef::Iri(iri));
+    let n_props = r.count(2).ok()?;
     let mut props: FxHashMap<TermId, PropertyCard> = FxHashMap::default();
     for _ in 0..n_props {
-        let iri = r.str()?;
+        let iri = r.str().ok()?;
         let card = PropertyCard {
-            triples: r.varint()? as usize,
-            subjects: r.varint()? as usize,
-            objects: r.varint()? as usize,
+            triples: r.varint().ok()? as usize,
+            subjects: r.varint().ok()? as usize,
+            objects: r.varint().ok()? as usize,
         };
         props.insert(lookup(iri)?, card);
     }
-    let n_classes = r.varint()? as usize;
-    if n_classes > body.len() {
-        return None;
-    }
+    let n_classes = r.count(2).ok()?;
     let mut classes: FxHashMap<TermId, usize> = FxHashMap::default();
     for _ in 0..n_classes {
-        let iri = r.str()?;
-        let n = r.varint()? as usize;
+        let iri = r.str().ok()?;
+        let n = r.varint().ok()? as usize;
         classes.insert(lookup(iri)?, n);
     }
-    let snap_len = r.varint()? as usize;
-    let snap = r.take(snap_len)?;
-    if r.pos != body.len() {
+    let snap_len = r.count(1).ok()?;
+    let snap = r.take(snap_len).ok()?;
+    if r.remaining() != 0 {
         return None;
     }
     let summary_graph = snapshot::decode_slice(snap).ok()?;
@@ -397,9 +327,8 @@ mod tests {
         // Wrong version, checksum re-stamped so only the gate fires.
         let mut wrong_ver = raw.clone();
         wrong_ver[8] = 0x7f;
-        let n = wrong_ver.len();
-        let sum = fnv1a64(&wrong_ver[..n - 8]);
-        wrong_ver[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        wrong_ver.truncate(wrong_ver.len() - 8);
+        stamp(&mut wrong_ver);
         assert!(decode_artifact(&wrong_ver, g, fp, SummaryKind::Weak).is_none());
     }
 

@@ -20,7 +20,6 @@
 use crate::equivalence::Partition;
 use crate::summary::{Summary, SummaryKind};
 use rdf_model::{Graph, Term, TermId, Triple, NO_DENSE_ID};
-use std::sync::Arc;
 
 /// Builds the quotient summary of `g` under `partition`.
 ///
@@ -31,8 +30,8 @@ use std::sync::Arc;
 /// The hot translation loops do `Vec`-indexed reads only: the node → class
 /// map is the partition's dense array, and the cross-dictionary constant
 /// cache is a flat table keyed by the G dictionary id. Constants transfer
-/// between dictionaries as shared `Arc`s
-/// ([`rdf_model::Dictionary::encode_shared`]), never copying string data.
+/// between dictionaries as views ([`rdf_model::Dictionary::encode_ref`] of a
+/// decode): one copy from arena to arena, no owned term in between.
 /// Runs on the calling thread; a [`crate::context::SummaryContext`] passes
 /// its own worker count to the same construction.
 ///
@@ -116,7 +115,7 @@ pub(crate) fn quotient_summary_planned(
     // per-class hot path.
     #[cfg(debug_assertions)]
     for &cn in &class_node {
-        if let Term::Minted(m) = h.dict().decode(cn) {
+        if let rdf_model::TermRef::Minted(m) = h.dict().decode(cn) {
             debug_assert!(
                 !m.is_rendered(),
                 "minted class node rendered its URI during quotient construction"
@@ -132,7 +131,7 @@ pub(crate) fn quotient_summary_planned(
         if slot != NO_DENSE_ID {
             return TermId(slot);
         }
-        let hid = h.dict_mut().encode_shared(Arc::clone(g.dict().shared(id)));
+        let hid = h.dict_mut().encode_ref(g.dict().decode(id));
         xfer[id.index()] = hid.0;
         hid
     };
@@ -348,7 +347,7 @@ pub fn verify_quotient(g: &Graph, summary: &Summary) -> bool {
         if slot != NO_DENSE_ID {
             return Some(TermId(slot));
         }
-        let hid = h.dict().lookup(g.dict().decode(id))?;
+        let hid = h.dict().lookup_ref(g.dict().decode(id))?;
         h_of[id.index()] = hid.0;
         Some(hid)
     };
@@ -396,9 +395,9 @@ pub fn verify_quotient(g: &Graph, summary: &Summary) -> bool {
     let schema_ok = g.schema().len() == h.schema().len()
         && g.schema().iter().all(|t| {
             let (Some(s), Some(p), Some(o)) = (
-                h.dict().lookup(g.dict().decode(t.s)),
-                h.dict().lookup(g.dict().decode(t.p)),
-                h.dict().lookup(g.dict().decode(t.o)),
+                h.dict().lookup_ref(g.dict().decode(t.s)),
+                h.dict().lookup_ref(g.dict().decode(t.p)),
+                h.dict().lookup_ref(g.dict().decode(t.o)),
             ) else {
                 return false;
             };

@@ -230,7 +230,7 @@ fn ref_quotient(
         if let Some(&cached) = xfer.get(&id) {
             return cached;
         }
-        let hid = h.dict_mut().encode(g.dict().decode(id).clone());
+        let hid = h.dict_mut().encode_ref(g.dict().decode(id));
         xfer.insert(id, hid);
         hid
     };

@@ -3,7 +3,7 @@
 
 use crate::naming::display_label;
 use crate::summary::Summary;
-use rdf_model::{PrefixMap, Term, TermId};
+use rdf_model::{PrefixMap, TermId, TermRef};
 use std::fmt::Write as _;
 
 /// Options for [`render_report`].
@@ -15,7 +15,7 @@ pub struct ReportOptions {
     pub examples_per_node: usize,
 }
 
-fn short(prefixes: &PrefixMap, term: &Term) -> String {
+fn short(prefixes: &PrefixMap, term: TermRef<'_>) -> String {
     // `as_iri` also covers minted summary terms (rendered lazily).
     match term.as_iri() {
         Some(iri) => display_label(&prefixes.compact(iri)),

@@ -1319,7 +1319,11 @@ mod tests {
             .select(&q)
             .decode(store)
             .into_iter()
-            .map(|row| row.into_iter().map(rdf_io::writer::write_term).collect())
+            .map(|row| {
+                row.iter()
+                    .map(|t| rdf_io::writer::write_term(&t.to_term()))
+                    .collect()
+            })
             .collect()
     }
 

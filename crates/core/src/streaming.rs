@@ -22,11 +22,10 @@
 //! type triples first (the paper's TW ordering), then data triples, never
 //! merging typed nodes.
 
-use crate::naming::{c_term, n_term};
+use crate::naming::Namer;
 use crate::summary::{Summary, SummaryKind};
 use crate::unionfind::UnionFind;
 use rdf_model::{FxHashMap, Graph, Term, TermId, Triple};
-use std::sync::Arc;
 
 /// Internal: mutable summarization state shared by the streaming builders.
 struct Stream {
@@ -219,23 +218,24 @@ fn assemble(
         out_props.entry(st.find(d)).or_default().push(p);
     }
 
-    // Name each root, minting symbolically: `n_term`/`c_term` return
-    // `Term::Minted` set keys (shared `Arc`s into G's dictionary) whose
-    // URIs render lazily — and byte-identically to the old eager strings.
-    // Each root mints exactly once, so minted pointer-identity coincides
-    // with name identity (`Nτ` keys are structurally equal by design).
-    let name_of = |root: usize, st: &Stream| -> Term {
+    // Name each root, minting symbolically: the namer returns
+    // `Term::Minted` set keys (shared member strings) whose URIs render
+    // lazily — and byte-identically to the old eager strings. Each root
+    // mints exactly once, so minted key identity coincides with name
+    // identity (`Nτ` keys are structurally equal by design).
+    let mut namer = Namer::new(g.dict());
+    let mut name_of = |root: usize, st: &Stream| -> Term {
         if let Some(named) = &class_named {
             // Typed-weak: class-set nodes are C(X); others are N(in, out).
             if let Some(cs) = named.get(&root) {
-                return c_term(g.dict(), cs);
+                return namer.c_term(cs);
             }
         } else if typed_only_node.map(|d| st.uf.find_const(d)) == Some(root) {
-            return n_term(g.dict(), &[], &[]); // normalizes to Nτ
+            return namer.n_term(&[], &[]); // normalizes to Nτ
         }
         let tc = in_props.get(&root).cloned().unwrap_or_default();
         let sc = out_props.get(&root).cloned().unwrap_or_default();
-        n_term(g.dict(), &tc, &sc)
+        namer.n_term(&tc, &sc)
     };
 
     let mut h = Graph::new();
@@ -251,10 +251,9 @@ fn assemble(
         h_node.insert(root, id);
     }
 
-    // Constants transfer dictionary-to-dictionary as shared `Arc`s.
-    let transfer = |h: &mut Graph, id: TermId| -> TermId {
-        h.dict_mut().encode_shared(Arc::clone(g.dict().shared(id)))
-    };
+    // Constants transfer dictionary-to-dictionary as views.
+    let transfer =
+        |h: &mut Graph, id: TermId| -> TermId { h.dict_mut().encode_ref(g.dict().decode(id)) };
     // Schema copied verbatim.
     for t in g.schema() {
         let s = transfer(&mut h, t.s);
@@ -351,9 +350,9 @@ mod tests {
         let mut rev = Graph::new();
         let triples: Vec<_> = g.iter().collect();
         for t in triples.iter().rev() {
-            let s = g.dict().decode(t.s).clone();
-            let p = g.dict().decode(t.p).clone();
-            let o = g.dict().decode(t.o).clone();
+            let s = g.dict().decode(t.s).to_term();
+            let p = g.dict().decode(t.p).to_term();
+            let o = g.dict().decode(t.o).to_term();
             rev.insert(s, p, o).unwrap();
         }
         let a = streaming_weak_summary(&g);

@@ -12,7 +12,7 @@
 use crate::cliques::Cliques;
 use crate::context::SummaryContext;
 use crate::equivalence::weak_partition;
-use crate::naming::n_term;
+use crate::naming::Namer;
 use crate::quotient::{quotient_summary_planned, DataPlan};
 use crate::summary::{Summary, SummaryKind};
 use rdf_model::{Graph, TermId, NO_DENSE_ID};
@@ -129,11 +129,12 @@ pub(crate) fn build_weak(
     } else {
         DataPlan::Edges(&edges)
     };
+    let mut namer = Namer::new(g.dict());
     quotient_summary_planned(
         g,
         SummaryKind::Weak,
         &partition,
-        |i, _| n_term(g.dict(), &tc_sets[i], &sc_sets[i]),
+        |i, _| namer.n_term(&tc_sets[i], &sc_sets[i]),
         plan,
         force_unpacked,
         emit_threads,

@@ -6,7 +6,7 @@
 //! class nodes as purple boxes, τ edges in purple, data nodes as ellipses,
 //! literals as plain text, schema triples as dashed edges.
 
-use rdf_model::{Graph, PrefixMap, Term, TermId};
+use rdf_model::{Graph, PrefixMap, TermId, TermRef};
 use std::fmt::Write as _;
 
 /// Rendering options for [`to_dot`].
@@ -36,10 +36,10 @@ fn quote(s: &str) -> String {
 
 fn label(g: &Graph, prefixes: &PrefixMap, id: TermId) -> String {
     match g.dict().decode(id) {
-        Term::Iri(iri) => prefixes.compact(iri),
-        Term::Minted(m) => prefixes.compact(m.uri()),
-        Term::Blank(b) => format!("_:{b}"),
-        Term::Literal { lexical, .. } => format!("\"{lexical}\""),
+        TermRef::Iri(iri) => prefixes.compact(iri),
+        TermRef::Minted(m) => prefixes.compact(m.uri()),
+        TermRef::Blank(b) => format!("_:{b}"),
+        TermRef::Literal { lexical, .. } => format!("\"{lexical}\""),
     }
 }
 
@@ -108,7 +108,7 @@ pub fn to_dot(g: &Graph, opts: &DotOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::vocab;
+    use rdf_model::{vocab, Term};
 
     #[test]
     fn renders_all_edge_kinds() {

@@ -23,7 +23,7 @@ pub use writer::{save_path, write_graph, write_term, write_triple};
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use rdf_model::{vocab, Graph, LiteralKind, Term};
+    use rdf_model::{vocab, Graph, LiteralKindRef, Term, TermRef};
 
     fn arb_object() -> impl Strategy<Value = Term> {
         prop_oneof![
@@ -107,7 +107,7 @@ mod proptests {
     }
 
     fn terms(g: &Graph) -> Vec<Term> {
-        g.dict().iter().map(|(_, t)| t.clone()).collect()
+        g.dict().iter().map(|(_, t)| t.to_term()).collect()
     }
 
     /// Same dictionary in id order, same three component vectors.
@@ -138,19 +138,19 @@ mod proptests {
     }
 
     /// [`writer::write_term`] with [`spell`]ed IRI and literal bodies.
-    fn spell_term(t: &Term, every: usize) -> String {
+    fn spell_term(t: TermRef<'_>, every: usize) -> String {
         let iri = |s: &str| format!("<{}>", spell(s, every, writer::escape_iri));
         match t {
-            Term::Iri(s) => iri(s),
-            Term::Literal { lexical, kind } => {
+            TermRef::Iri(s) => iri(s),
+            TermRef::Literal { lexical, kind } => {
                 let body = spell(lexical, every, writer::escape_literal);
                 match kind {
-                    LiteralKind::Simple => format!("\"{body}\""),
-                    LiteralKind::Lang(tag) => format!("\"{body}\"@{tag}"),
-                    LiteralKind::Typed(dt) => format!("\"{body}\"^^{}", iri(dt)),
+                    LiteralKindRef::Simple => format!("\"{body}\""),
+                    LiteralKindRef::Lang(tag) => format!("\"{body}\"@{tag}"),
+                    LiteralKindRef::Typed(dt) => format!("\"{body}\"^^{}", iri(dt)),
                 }
             }
-            other => writer::write_term(other),
+            other => writer::write_term(&other.to_term()),
         }
     }
 
@@ -276,7 +276,9 @@ mod proptests {
 
         /// `parse_graph ∘ write_graph` is the identity on dictionary (in id
         /// order) and components, `write_graph` is a fixpoint over it, and
-        /// the owned-term entry points read the same document the same way.
+        /// every other way in — the owned-term entry points, `insert_ref`
+        /// over views, `load_path` over the file, a snapshot round trip —
+        /// reads the same document into the same graph.
         #[test]
         fn codec_roundtrip_preserves_ids_and_bytes(g in arb_graph()) {
             let text = write_graph(&g);
@@ -291,11 +293,26 @@ mod proptests {
                 .collect();
             prop_assert_eq!(&parse_str(&text).unwrap(), &by_line);
             prop_assert_eq!(&parse_statements(&text.replace('\n', " ")).unwrap(), &by_line);
-            let mut owned = Graph::new();
+            let (mut owned, mut viewed) = (Graph::new(), Graph::new());
             for (s, p, o) in by_line {
+                viewed
+                    .insert_ref(s.as_term_ref(), p.as_term_ref(), o.as_term_ref())
+                    .unwrap();
                 owned.insert(s, p, o).unwrap();
             }
-            assert_same_graph(&g, &owned)?;
+            let file = std::env::temp_dir().join(format!(
+                "rdf-io-roundtrip-{}-{:?}.nt",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::write(&file, &text).unwrap();
+            let loaded = load_path(&file);
+            std::fs::remove_file(&file).unwrap();
+            let restored = rdf_store::snapshot::decode(rdf_store::snapshot::encode(&g)).unwrap();
+            for other in [&owned, &viewed, &loaded.unwrap(), &restored] {
+                assert_same_graph(&g, other)?;
+                prop_assert_eq!(&write_graph(other), &text);
+            }
         }
 
         /// `\u` / `\U` spellings — in IRIs, literals and datatypes — parse to
@@ -336,9 +353,9 @@ mod proptests {
             );
             let spelled = format!(
                 "{} {} {} . # c",
-                spell_term(&s, every),
-                spell_term(&p, every),
-                spell_term(&o, every)
+                spell_term(s.as_term_ref(), every),
+                spell_term(p.as_term_ref(), every),
+                spell_term(o.as_term_ref(), every)
             );
             for valid in [canonical, spelled] {
                 let text = ops.iter().fold(valid, |text, &op| mutate(&text, op));

@@ -907,7 +907,12 @@ mod tests {
             crate::writer::write_graph(&loaded),
             crate::writer::write_graph(&parsed)
         );
-        let terms = |g: &Graph| g.dict().iter().map(|(_, t)| t.clone()).collect::<Vec<_>>();
+        let terms = |g: &Graph| {
+            g.dict()
+                .iter()
+                .map(|(_, t)| t.to_term())
+                .collect::<Vec<_>>()
+        };
         assert_eq!(terms(&loaded), terms(&parsed));
 
         // Line numbers count every line, and a final `\r` without `\n` is

@@ -7,7 +7,7 @@
 //! remains N-Triples, which round-trips); the subset emitted here is valid
 //! Turtle accepted by standard tools.
 
-use rdf_model::{Graph, LiteralKind, PrefixMap, Term, TermId, Triple};
+use rdf_model::{Graph, LiteralKindRef, PrefixMap, TermId, TermRef, Triple};
 use std::fmt::Write as _;
 
 /// Is `local` a valid PN_LOCAL-ish token we can emit after a prefix?
@@ -21,19 +21,17 @@ fn valid_local(local: &str) -> bool {
             .all(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.')
 }
 
-fn term_str(t: &Term, prefixes: &PrefixMap) -> String {
+fn term_str(t: TermRef<'_>, prefixes: &PrefixMap) -> String {
     match t {
-        Term::Iri(iri) => iri_str(iri, prefixes),
-        Term::Minted(m) => iri_str(m.uri(), prefixes),
-        Term::Blank(b) => format!("_:{b}"),
-        Term::Literal { lexical, kind } => {
+        TermRef::Iri(iri) => iri_str(iri, prefixes),
+        TermRef::Minted(m) => iri_str(m.uri(), prefixes),
+        TermRef::Blank(b) => format!("_:{b}"),
+        TermRef::Literal { lexical, kind } => {
             let body = crate::writer::escape_literal(lexical);
             match kind {
-                LiteralKind::Simple => format!("\"{body}\""),
-                LiteralKind::Lang(tag) => format!("\"{body}\"@{tag}"),
-                LiteralKind::Typed(dt) => {
-                    format!("\"{body}\"^^{}", term_str(&Term::iri(dt.clone()), prefixes))
-                }
+                LiteralKindRef::Simple => format!("\"{body}\""),
+                LiteralKindRef::Lang(tag) => format!("\"{body}\"@{tag}"),
+                LiteralKindRef::Typed(dt) => format!("\"{body}\"^^{}", iri_str(dt, prefixes)),
             }
         }
     }
@@ -110,7 +108,7 @@ pub fn write_turtle(g: &Graph, prefixes: &PrefixMap) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::vocab;
+    use rdf_model::{vocab, Term};
 
     fn graph() -> (Graph, PrefixMap) {
         let mut g = Graph::new();

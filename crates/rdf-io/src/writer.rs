@@ -18,7 +18,7 @@
 //! [`write_term`] / [`write_triple`] / [`save_path`] are thin wrappers.
 
 use crate::ntriples::{byte_set, IRI_SPECIAL};
-use rdf_model::{Graph, LiteralKind, Term, Triple};
+use rdf_model::{Graph, LiteralKindRef, Term, TermRef, Triple};
 
 /// The bytes [`push_escaped_literal`] replaces.
 static LITERAL_ESCAPED: [bool; 256] = byte_set(b"\\\"\n\r\t\x08\x0c");
@@ -90,25 +90,25 @@ fn push_iri_ref(out: &mut String, iri: &str) {
 }
 
 /// Appends one term in N-Triples syntax.
-pub fn push_term(out: &mut String, term: &Term) {
+pub fn push_term(out: &mut String, term: TermRef<'_>) {
     match term {
-        Term::Iri(iri) => push_iri_ref(out, iri),
-        Term::Minted(m) => push_iri_ref(out, m.uri()),
-        Term::Blank(label) => {
+        TermRef::Iri(iri) => push_iri_ref(out, iri),
+        TermRef::Minted(m) => push_iri_ref(out, m.uri()),
+        TermRef::Blank(label) => {
             out.push_str("_:");
             out.push_str(label);
         }
-        Term::Literal { lexical, kind } => {
+        TermRef::Literal { lexical, kind } => {
             out.push('"');
             push_escaped_literal(out, lexical);
             out.push('"');
             match kind {
-                LiteralKind::Simple => {}
-                LiteralKind::Lang(tag) => {
+                LiteralKindRef::Simple => {}
+                LiteralKindRef::Lang(tag) => {
                     out.push('@');
                     out.push_str(tag);
                 }
-                LiteralKind::Typed(dt) => {
+                LiteralKindRef::Typed(dt) => {
                     out.push_str("^^");
                     push_iri_ref(out, dt);
                 }
@@ -130,18 +130,18 @@ pub fn push_triple(out: &mut String, g: &Graph, t: Triple) {
 
 /// The bytes [`push_term`] writes for `term` when nothing needs an escape
 /// (a lower bound otherwise).
-fn unescaped_len(term: &Term) -> usize {
+fn unescaped_len(term: TermRef<'_>) -> usize {
     match term {
-        Term::Iri(iri) => iri.len() + 2,
-        Term::Minted(m) => m.uri().len() + 2,
-        Term::Blank(label) => label.len() + 2,
-        Term::Literal { lexical, kind } => {
+        TermRef::Iri(iri) => iri.len() + 2,
+        TermRef::Minted(m) => m.uri().len() + 2,
+        TermRef::Blank(label) => label.len() + 2,
+        TermRef::Literal { lexical, kind } => {
             lexical.len()
                 + 2
                 + match kind {
-                    LiteralKind::Simple => 0,
-                    LiteralKind::Lang(tag) => tag.len() + 1,
-                    LiteralKind::Typed(dt) => dt.len() + 4,
+                    LiteralKindRef::Simple => 0,
+                    LiteralKindRef::Lang(tag) => tag.len() + 1,
+                    LiteralKindRef::Typed(dt) => dt.len() + 4,
                 }
         }
     }
@@ -149,6 +149,7 @@ fn unescaped_len(term: &Term) -> usize {
 
 /// Serializes one term in N-Triples syntax.
 pub fn write_term(term: &Term) -> String {
+    let term = term.as_term_ref();
     let mut out = String::with_capacity(unescaped_len(term));
     push_term(&mut out, term);
     out

@@ -138,9 +138,17 @@ impl Graph {
     /// Creates an empty graph sized for roughly `triples` insertions.
     pub fn with_capacity(triples: usize) -> Self {
         let mut g = Self::new();
-        g.data.reserve(triples);
-        g.seen.reserve(triples);
+        g.reserve(triples, 0, 0);
         g
+    }
+
+    /// Makes room for this many more triples in each component, for a
+    /// decoder that knows the counts before the first triple.
+    pub fn reserve(&mut self, data: usize, types: usize, schema: usize) {
+        self.data.reserve(data);
+        self.types.reserve(types);
+        self.schema.reserve(schema);
+        self.seen.reserve(data + types + schema);
     }
 
     /// The well-known property ids of this graph.

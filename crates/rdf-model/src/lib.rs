@@ -42,12 +42,12 @@ pub use error::ModelError;
 pub use graph::{check_triple, check_triple_ref, Component, Graph, WellKnown};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{DenseIdMap, TermId, NO_DENSE_ID};
-pub use minted::{MintedKey, MintedTerm, N_TAU_URI, SUMMARY_NS};
+pub use minted::{MemberSet, MintedKey, MintedTerm, N_TAU_URI, SUMMARY_NS};
 pub use namespaces::PrefixMap;
 pub use profile::{Profile, PropertyUsage};
 pub use rng::SplitMix64;
 pub use stats::{distinct_counts, distinct_counts_dense, DistinctCounts, GraphStats};
-pub use term::{LiteralKind, LiteralKindRef, SharedTerm, Term, TermRef};
+pub use term::{LiteralKind, LiteralKindRef, Term, TermRef};
 pub use triple::Triple;
 
 #[cfg(test)]
@@ -71,7 +71,7 @@ mod proptests {
             let mut d = Dictionary::new();
             let ids: Vec<_> = terms.iter().cloned().map(|t| d.encode(t)).collect();
             for (t, id) in terms.iter().zip(&ids) {
-                prop_assert_eq!(d.decode(*id), t);
+                prop_assert_eq!(d.decode(*id), t.as_term_ref());
                 prop_assert_eq!(d.lookup(t), Some(*id));
             }
             // Distinct terms get distinct ids.

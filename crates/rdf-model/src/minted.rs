@@ -3,22 +3,25 @@
 //! The paper's representation functions `N(TC, SC)` (§4.1) and `C(X)`
 //! (§4.2) only need to be *injective* — nothing forces them to eagerly
 //! materialize a URI string. A [`MintedTerm`] therefore stores the minted
-//! node's identity **symbolically**: shared pointers to the (already
-//! interned) property/class terms of the summarized graph's dictionary.
+//! node's identity **symbolically**: a shared slice of the member
+//! property/class IRIs, each a shared string the naming layer copies out
+//! of the summarized graph's dictionary once per build (the dictionary is
+//! one string arena and has no per-term allocation to share).
 //! The URI string the old eager functions produced is rendered lazily, on
 //! first [`MintedTerm::uri`] / `Display` / serialization, and cached — so
 //! the summary construction hot path never allocates or hashes a URI
 //! string, while all rendered output stays byte-identical.
 //!
-//! **Identity.** Equality and hashing compare the key *pointers*, not the
-//! term strings: two minted terms are equal iff they were built from the
-//! same interned set allocations (or are both `Nτ`). Within one summary
-//! build every partition class mints its key exactly once, so pointer
-//! identity coincides with set identity — this is the interned-key
-//! injectivity argument that replaces the old "`|` cannot occur inside an
-//! IRI" string argument. Minted terms from *different* builds compare
-//! unequal even when they render identically; comparisons across builds
-//! must go through the rendered form (as the golden-equivalence tests do).
+//! **Identity.** Equality and hashing compare the *set allocations* — the
+//! address and length of each key slice — not the member strings: two
+//! minted terms are equal iff they were built from the same slices (or are
+//! both `Nτ`). Within one summary build every partition class mints its
+//! key exactly once, so allocation identity coincides with set identity —
+//! this is the interned-key injectivity argument that replaces the old
+//! "`|` cannot occur inside an IRI" string argument. Minted terms from
+//! *different* builds compare unequal even when they render identically;
+//! comparisons across builds must go through the rendered form (as the
+//! golden-equivalence tests do).
 //!
 //! A corollary: a minted term is never structurally equal to a plain
 //! [`Term::Iri`], so a summary node cannot be resolved by probing the
@@ -28,7 +31,7 @@
 //! ([`Term::as_iri`]) — or operate on a serialization round-trip of the
 //! summary, where every node is re-materialized as a plain IRI.
 
-use crate::term::{SharedTerm, Term};
+use crate::term::Term;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -41,10 +44,13 @@ pub const SUMMARY_NS: &str = "urn:rdfsummary:";
 /// resources (TC = SC = ∅) in weak and strong summaries.
 pub const N_TAU_URI: &str = "urn:rdfsummary:ntau";
 
-/// An interned, sorted term-set key identifying a minted summary node.
+/// The members of one key set: property or class IRIs.
+pub type MemberSet = Arc<[Arc<str>]>;
+
+/// An interned, sorted IRI-set key identifying a minted summary node.
 ///
-/// The element terms are the `Arc`s stored in the summarized graph's
-/// dictionary, so no string data is copied when minting.
+/// The members are shared strings, so minting a key clones pointers and
+/// copies no string data.
 #[derive(Clone)]
 pub enum MintedKey {
     /// `N(∅, ∅)` — the `Nτ` node.
@@ -53,12 +59,12 @@ pub enum MintedKey {
     /// outgoing (`sc`) data-property sets.
     PropertySets {
         /// Target-clique properties (the `in=` side of the rendered URI).
-        tc: Arc<[SharedTerm]>,
+        tc: MemberSet,
         /// Source-clique properties (the `out=` side).
-        sc: Arc<[SharedTerm]>,
+        sc: MemberSet,
     },
     /// `C(X)` — a node identified by a non-empty class set.
-    ClassSet(Arc<[SharedTerm]>),
+    ClassSet(MemberSet),
 }
 
 impl MintedKey {
@@ -68,7 +74,7 @@ impl MintedKey {
     /// codec rebuilds an equivalent term via [`MintedTerm::node`] /
     /// [`MintedTerm::class_set`] / [`MintedTerm::n_tau`] over freshly
     /// interned member sets.
-    pub fn members(&self) -> (&[SharedTerm], &[SharedTerm]) {
+    pub fn members(&self) -> (&[Arc<str>], &[Arc<str>]) {
         match self {
             MintedKey::NTau => (&[], &[]),
             MintedKey::PropertySets { tc, sc } => (tc, sc),
@@ -80,7 +86,7 @@ impl MintedKey {
 /// The address/length fingerprint of an interned set, the unit of minted
 /// identity.
 #[inline]
-fn set_id(a: &Arc<[SharedTerm]>) -> (usize, usize) {
+fn set_id(a: &MemberSet) -> (usize, usize) {
     (a.as_ptr() as usize, a.len())
 }
 
@@ -96,7 +102,7 @@ impl MintedTerm {
     /// Mints `N(TC, SC)`. Both-empty inputs normalize to the `Nτ` key, so
     /// every `N(∅, ∅)` call yields the *same* (structurally equal) term,
     /// matching the eager function's single `ntau` URI.
-    pub fn node(tc: Arc<[SharedTerm]>, sc: Arc<[SharedTerm]>) -> Self {
+    pub fn node(tc: MemberSet, sc: MemberSet) -> Self {
         let key = if tc.is_empty() && sc.is_empty() {
             MintedKey::NTau
         } else {
@@ -113,7 +119,7 @@ impl MintedTerm {
     /// # Panics
     /// Panics on an empty set: the paper's `C(∅)` must return a *fresh*
     /// URI per call, which a deterministic key cannot provide.
-    pub fn class_set(classes: Arc<[SharedTerm]>) -> Self {
+    pub fn class_set(classes: MemberSet) -> Self {
         assert!(
             !classes.is_empty(),
             "C(∅) must use fresh URIs, not a minted class-set key"
@@ -163,11 +169,8 @@ impl MintedTerm {
 
 /// Sorted/deduplicated `|`-join of the member IRIs (the eager functions'
 /// `join_sorted`).
-fn join_iris(terms: &[SharedTerm]) -> String {
-    let mut uris: Vec<&str> = terms
-        .iter()
-        .map(|t| t.as_iri().expect("minted keys hold IRI terms"))
-        .collect();
+fn join_iris(members: &[Arc<str>]) -> String {
+    let mut uris: Vec<&str> = members.iter().map(|m| &**m).collect();
     uris.sort_unstable();
     uris.dedup();
     uris.join("|")
@@ -258,11 +261,8 @@ impl fmt::Debug for MintedTerm {
 mod tests {
     use super::*;
 
-    fn shared(uris: &[&str]) -> Arc<[SharedTerm]> {
-        uris.iter()
-            .map(|u| Arc::new(Term::iri(*u)))
-            .collect::<Vec<_>>()
-            .into()
+    fn shared(uris: &[&str]) -> MemberSet {
+        uris.iter().map(|u| Arc::from(*u)).collect()
     }
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
     fn hash_matches_equality_without_rendering() {
         use std::hash::BuildHasher;
         let tc = shared(&["http://x/p"]);
-        let sc: Arc<[SharedTerm]> = shared(&[]);
+        let sc: MemberSet = shared(&[]);
         let a = MintedTerm::node(tc.clone(), sc.clone());
         let b = MintedTerm::node(tc, sc);
         let h = crate::FxBuildHasher::default();
@@ -343,7 +343,7 @@ mod tests {
         let (first, second) = n.key().members();
         assert_eq!(first.len(), 1);
         assert_eq!(second.len(), 2);
-        assert_eq!(first[0].as_iri(), Some("http://x/a"));
+        assert_eq!(&*first[0], "http://x/a");
         let c = MintedTerm::class_set(shared(&["http://x/C"]));
         let (classes, rest) = c.key().members();
         assert_eq!(classes.len(), 1);

@@ -4,10 +4,17 @@
 //! triples (§2.1 of the paper): IRIs and blank nodes in subject position,
 //! IRIs in property position, and any term in object position. That
 //! positional discipline is enforced by the graph layer, not here.
+//!
+//! Two types describe one term. [`Term`] owns its strings and is what
+//! callers build, keep and compare; [`TermRef`] is the same term as borrowed
+//! `&str` fields and is what a [`crate::Dictionary`] is probed with and
+//! hands back — its storage is one string arena, so there is no stored
+//! `Term` to return a reference to. The view carries `Term`'s read-side
+//! methods and `Display`, compares with `Term` in both directions, and
+//! becomes an owned term with [`TermRef::to_term`].
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// The kind of an RDF literal.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -186,7 +193,7 @@ pub enum TermRef<'a> {
     Minted(&'a crate::minted::MintedTerm),
 }
 
-impl TermRef<'_> {
+impl<'a> TermRef<'a> {
     /// Is the viewed term an IRI (minted terms included)?
     pub fn is_iri(&self) -> bool {
         matches!(self, TermRef::Iri(_) | TermRef::Minted(_))
@@ -195,6 +202,33 @@ impl TermRef<'_> {
     /// Is the viewed term a literal?
     pub fn is_literal(&self) -> bool {
         matches!(self, TermRef::Literal { .. })
+    }
+
+    /// Is the viewed term a blank node?
+    pub fn is_blank(&self) -> bool {
+        matches!(self, TermRef::Blank(_))
+    }
+
+    /// The IRI string, if the viewed term is an IRI; it lives as long as
+    /// the storage viewed, not just this view. For minted terms this
+    /// renders (and caches) the URI — keep it off construction hot paths.
+    pub fn as_iri(&self) -> Option<&'a str> {
+        match *self {
+            TermRef::Iri(s) => Some(s),
+            TermRef::Minted(m) => Some(m.uri()),
+            _ => None,
+        }
+    }
+
+    /// May the viewed term appear in subject position? (IRIs and blank
+    /// nodes.)
+    pub fn valid_subject(&self) -> bool {
+        !self.is_literal()
+    }
+
+    /// May the viewed term appear in property position? (IRIs only.)
+    pub fn valid_property(&self) -> bool {
+        self.is_iri()
     }
 
     /// Builds the owned term: one `String` per slice, the minted key's
@@ -220,25 +254,37 @@ impl fmt::Display for Term {
     /// Formats the term in N-Triples surface syntax (without escaping; see
     /// `rdf-io` for the escaping serializer).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(s) => write!(f, "<{s}>"),
-            Term::Blank(l) => write!(f, "_:{l}"),
-            Term::Literal { lexical, kind } => match kind {
-                LiteralKind::Simple => write!(f, "\"{lexical}\""),
-                LiteralKind::Lang(lang) => write!(f, "\"{lexical}\"@{lang}"),
-                LiteralKind::Typed(dt) => write!(f, "\"{lexical}\"^^<{dt}>"),
+        self.as_term_ref().fmt(f)
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    /// What [`Term`]'s `Display` writes for the viewed term.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TermRef::Iri(s) => write!(f, "<{s}>"),
+            TermRef::Blank(l) => write!(f, "_:{l}"),
+            TermRef::Literal { lexical, kind } => match kind {
+                LiteralKindRef::Simple => write!(f, "\"{lexical}\""),
+                LiteralKindRef::Lang(lang) => write!(f, "\"{lexical}\"@{lang}"),
+                LiteralKindRef::Typed(dt) => write!(f, "\"{lexical}\"^^<{dt}>"),
             },
-            Term::Minted(m) => write!(f, "<{}>", m.uri()),
+            TermRef::Minted(m) => write!(f, "<{}>", m.uri()),
         }
     }
 }
 
-/// A shared, immutable term, as stored in the dictionary.
-///
-/// The dictionary keeps one `Arc<Term>` per distinct term and shares it
-/// between its forward (`Vec`) and reverse (`HashMap`) sides, so each term's
-/// string data is stored exactly once.
-pub type SharedTerm = Arc<Term>;
+impl PartialEq<Term> for TermRef<'_> {
+    fn eq(&self, other: &Term) -> bool {
+        *self == other.as_term_ref()
+    }
+}
+
+impl PartialEq<TermRef<'_>> for Term {
+    fn eq(&self, other: &TermRef<'_>) -> bool {
+        self.as_term_ref() == *other
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -30,7 +30,7 @@
 //! variable no embedding binds yields no row.
 
 use crate::bgp::{Atom, CompiledPattern, CompiledQuery};
-use rdf_model::{FxHashSet, Term, TermId, Triple};
+use rdf_model::{FxHashSet, TermId, TermRef, Triple};
 use rdf_store::{TriplePattern, TripleStore};
 
 /// The answer rows of a `select` evaluation (distinct head projections).
@@ -54,15 +54,37 @@ impl ResultSet {
     }
 
     /// Decodes the rows into terms using the store the query ran against.
-    pub fn decode<'a>(&'a self, store: &'a TripleStore) -> Vec<Vec<&'a Term>> {
+    pub fn decode<'a>(&self, store: &'a TripleStore) -> Vec<Row<'a>> {
+        let dict = store.graph().dict();
         self.rows
             .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|id| store.graph().dict().decode(*id))
-                    .collect()
-            })
+            .map(|row| Row(row.iter().map(|&id| dict.decode(id)).collect()))
             .collect()
+    }
+}
+
+/// One decoded answer row: term views into the store's dictionary, read
+/// as a slice. Iterating a row — `row.iter()`, `&row`, or `row.into_iter()`
+/// — always yields `&TermRef`, never a view by value: cells read the same
+/// as the `&Term` cells rows were once made of, so a caller that renders
+/// them with `ToString::to_string` is source-compatible with both.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Row<'a>(Vec<TermRef<'a>>);
+
+impl<'a> std::ops::Deref for Row<'a> {
+    type Target = [TermRef<'a>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<'r, 'a> IntoIterator for &'r Row<'a> {
+    type Item = &'r TermRef<'a>;
+    type IntoIter = std::slice::Iter<'r, TermRef<'a>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
     }
 }
 
@@ -300,7 +322,7 @@ pub enum ControlFlow {
 mod tests {
     use super::*;
     use crate::bgp::{compile, QuerySpec, SpecTerm};
-    use rdf_model::{vocab, Graph};
+    use rdf_model::{vocab, Graph, Term};
 
     fn library_store() -> TripleStore {
         let mut g = Graph::new();
@@ -347,7 +369,7 @@ mod tests {
         let rs = Evaluator::new(&st).select(&q);
         let decoded = rs.decode(&st);
         assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0][0], &rdf_model::Term::iri("b1"));
+        assert_eq!(decoded[0][0], rdf_model::Term::iri("b1"));
     }
 
     #[test]

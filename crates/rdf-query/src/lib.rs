@@ -35,7 +35,7 @@ pub use bgp::{
     compile, Atom, CompiledPattern, CompiledQuery, QueryError, QuerySpec, SpecTerm,
     TriplePatternSpec,
 };
-pub use eval::{ControlFlow, Evaluator, ResultSet};
+pub use eval::{ControlFlow, Evaluator, ResultSet, Row};
 pub use parser::{parse_query, QueryParseError};
 pub use plan::{explain, explain_with, JoinEstimator, Plan, PlanStep, StoreEstimator};
 pub use prune::{empty_on_summary, prune_shape_key, relax_for_summary};
@@ -398,7 +398,7 @@ mod proptests {
             let got: std::collections::BTreeSet<Vec<String>> = rs
                 .decode(&st)
                 .into_iter()
-                .map(|row| row.into_iter().map(|t| t.to_string()).collect())
+                .map(|row| row.iter().map(|t| t.to_string()).collect())
                 .collect();
             prop_assert_eq!(got, expect);
         }

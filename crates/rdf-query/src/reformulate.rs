@@ -149,7 +149,7 @@ pub fn reformulate(
                         alternatives.push(TriplePatternSpec {
                             s: pat.s.clone(),
                             p: pat.p.clone(),
-                            o: SpecTerm::Const(g.dict().decode(c_sub).clone()),
+                            o: SpecTerm::Const(g.dict().decode(c_sub).to_term()),
                         });
                     }
                     // Domain alternatives: s gains type c from having q.
@@ -171,7 +171,7 @@ pub fn reformulate(
                         fresh += 1;
                         alternatives.push(TriplePatternSpec {
                             s: pat.s.clone(),
-                            p: SpecTerm::Const(g.dict().decode(q).clone()),
+                            p: SpecTerm::Const(g.dict().decode(q).to_term()),
                             o: SpecTerm::Var(format!("__ref{fresh}")),
                         });
                     }
@@ -179,7 +179,7 @@ pub fn reformulate(
                         fresh += 1;
                         alternatives.push(TriplePatternSpec {
                             s: SpecTerm::Var(format!("__ref{fresh}")),
-                            p: SpecTerm::Const(g.dict().decode(q).clone()),
+                            p: SpecTerm::Const(g.dict().decode(q).to_term()),
                             o: pat.s.clone(),
                         });
                     }
@@ -193,7 +193,7 @@ pub fn reformulate(
                     for q in sorted(subproperties_reflexive(&schema, g, p)) {
                         alternatives.push(TriplePatternSpec {
                             s: pat.s.clone(),
-                            p: SpecTerm::Const(g.dict().decode(q).clone()),
+                            p: SpecTerm::Const(g.dict().decode(q).to_term()),
                             o: pat.o.clone(),
                         });
                     }

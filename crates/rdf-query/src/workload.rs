@@ -137,9 +137,9 @@ fn variabilize(g: &rdf_model::Graph, triples: &[Triple], rng: &mut SplitMix64) -
     let mut body = Vec::with_capacity(triples.len());
     for t in triples {
         let s = SpecTerm::Var(var(t.s, &mut var_of));
-        let p = SpecTerm::Const(g.dict().decode(t.p).clone());
+        let p = SpecTerm::Const(g.dict().decode(t.p).to_term());
         let o = if t.p == rdf_type {
-            SpecTerm::Const(g.dict().decode(t.o).clone())
+            SpecTerm::Const(g.dict().decode(t.o).to_term())
         } else {
             SpecTerm::Var(var(t.o, &mut var_of))
         };

@@ -22,13 +22,15 @@
 //!   (minted terms hash as their rendered IRIs, matching how snapshots
 //!   persist them).
 //!
-//! The hash is a fixed-key FNV-1a/SplitMix construction implemented here,
-//! **not** `std`'s `DefaultHasher`: the digest is a persistent cache key,
+//! The hash is a fixed-key FNV-1a/SplitMix construction implemented in this
+//! crate (the FNV-1a is [`crate::codec`]'s, the one the checksum trailers
+//! use), **not** `std`'s `DefaultHasher`: the digest is a persistent cache key,
 //! so it must not depend on an unspecified or per-process-seeded
 //! algorithm.
 
+use crate::codec::{fnv1a, FNV_OFFSET};
 use crate::store::TripleStore;
-use rdf_model::{Graph, LiteralKind, Term, Triple};
+use rdf_model::{Graph, LiteralKindRef, TermRef, Triple};
 use std::fmt;
 
 /// A 128-bit content digest of a triple multiset (duplicates ignored).
@@ -74,19 +76,6 @@ fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// FNV-1a offset basis / prime (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Domain-separation tags per term shape. Field boundaries are hashed as
 /// explicit `0xff` separators (no UTF-8 byte is `0xff`), so e.g. the
 /// lang-literal `"ab"@c` can never collide with `"a"@bc`.
@@ -98,21 +87,21 @@ fn fnv_field(h: u64, bytes: &[u8]) -> u64 {
 /// A stable 64-bit digest of one term's content.
 ///
 /// Minted terms hash as their rendered `urn:rdfsummary:` IRI, identical to
-/// a plain [`Term::Iri`] of the same string — the identity snapshots and
+/// a plain IRI of the same string — the identity snapshots and
 /// serializations use.
-pub fn term_digest(term: &Term) -> u64 {
+pub fn term_digest(term: TermRef<'_>) -> u64 {
     let h = match term {
         // `as_iri` renders minted terms, so both IRI shapes share tag 1.
-        Term::Iri(_) | Term::Minted(_) => fnv_field(
+        TermRef::Iri(_) | TermRef::Minted(_) => fnv_field(
             fnv1a(FNV_OFFSET, &[1]),
             term.as_iri().expect("IRI term").as_bytes(),
         ),
-        Term::Blank(label) => fnv_field(fnv1a(FNV_OFFSET, &[2]), label.as_bytes()),
-        Term::Literal { lexical, kind } => {
+        TermRef::Blank(label) => fnv_field(fnv1a(FNV_OFFSET, &[2]), label.as_bytes()),
+        TermRef::Literal { lexical, kind } => {
             let h = match kind {
-                LiteralKind::Simple => fnv1a(FNV_OFFSET, &[3]),
-                LiteralKind::Lang(lang) => fnv_field(fnv1a(FNV_OFFSET, &[4]), lang.as_bytes()),
-                LiteralKind::Typed(dt) => fnv_field(fnv1a(FNV_OFFSET, &[5]), dt.as_bytes()),
+                LiteralKindRef::Simple => fnv1a(FNV_OFFSET, &[3]),
+                LiteralKindRef::Lang(lang) => fnv_field(fnv1a(FNV_OFFSET, &[4]), lang.as_bytes()),
+                LiteralKindRef::Typed(dt) => fnv_field(fnv1a(FNV_OFFSET, &[5]), dt.as_bytes()),
             };
             fnv_field(h, lexical.as_bytes())
         }
@@ -330,6 +319,7 @@ impl TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf_model::Term;
 
     fn g1() -> Graph {
         let mut g = Graph::new();
@@ -409,7 +399,7 @@ mod tests {
             Term::iri("en"),
             Term::blank("en"),
         ];
-        let mut digests: Vec<u64> = terms.iter().map(term_digest).collect();
+        let mut digests: Vec<u64> = terms.iter().map(|t| term_digest(t.as_term_ref())).collect();
         digests.sort_unstable();
         digests.dedup();
         assert_eq!(digests.len(), terms.len());

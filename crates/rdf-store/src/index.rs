@@ -5,6 +5,22 @@
 //! pattern then resolves to one binary-searched contiguous range in one of
 //! the three orders. This replaces the B-tree indexes a relational back-end
 //! (the paper's PostgreSQL) would maintain on the triples table.
+//!
+//! # Building
+//!
+//! Dictionary ids are dense, so an index is not built by comparing triples
+//! but by *counting* them (`sorted_dedup`): three stable counting passes,
+//! least significant key component first, each one a histogram over the ids
+//! of that component, a prefix sum, and a scatter. The count table is sized
+//! by the largest id that occurs in the input (found in a first pass), which
+//! for a graph built through [`rdf_model::Graph`] is below its dictionary's
+//! length — four bytes a term at most. Ids need not be dense, though:
+//! hand-built triples, or what is left of a graph after most of it was
+//! deleted, can carry a few huge ids, and a table sized by them would cost
+//! more than the sort it replaces. So when the largest id exceeds
+//! `SPARSE_IDS` times the input's length the routine falls back to a
+//! comparison sort — a choice made from the input itself, whose cost is
+//! bounded either way.
 
 use rdf_model::Triple;
 
@@ -29,6 +45,54 @@ fn key(order: Order, t: Triple) -> (u32, u32, u32) {
     }
 }
 
+/// Above this many ids per input triple, ids count as sparse and
+/// [`sorted_dedup`] compares instead of counting. A graph that never lost a
+/// triple has at most three terms a triple beside the five built-in
+/// properties, so past a handful of triples it always counts; a merge batch
+/// of a few triples over a large dictionary never does.
+const SPARSE_IDS: usize = 4;
+
+/// A copy of `triples` sorted in `order`, repeats dropped — the one routine
+/// behind every build and every merge batch (see the module docs).
+fn sorted_dedup(order: Order, triples: &[Triple]) -> Vec<Triple> {
+    let mut max = [0u32; 3];
+    for &t in triples {
+        let k = key(order, t);
+        max = [max[0].max(k.0), max[1].max(k.1), max[2].max(k.2)];
+    }
+    let widest = max[0].max(max[1]).max(max[2]) as usize;
+    let mut v = triples.to_vec();
+    // Positions are counted in `u32`s, as ids are.
+    if widest >= SPARSE_IDS * v.len() || v.len() > u32::MAX as usize {
+        v.sort_unstable_by_key(|&t| key(order, t));
+    } else {
+        let mut scratch = v.clone();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut pass = |digit: fn((u32, u32, u32)) -> u32, max: u32| {
+            counts.clear();
+            counts.resize(max as usize + 1, 0);
+            for &t in &v {
+                counts[digit(key(order, t)) as usize] += 1;
+            }
+            let mut at = 0;
+            for count in &mut counts {
+                at += std::mem::replace(count, at);
+            }
+            for &t in &v {
+                let slot = &mut counts[digit(key(order, t)) as usize];
+                scratch[*slot as usize] = t;
+                *slot += 1;
+            }
+            std::mem::swap(&mut v, &mut scratch);
+        };
+        pass(|k| k.2, max[2]);
+        pass(|k| k.1, max[1]);
+        pass(|k| k.0, max[0]);
+    }
+    v.dedup();
+    v
+}
+
 /// A triple table sorted in one permutation order.
 #[derive(Clone, Debug)]
 pub struct SortedIndex {
@@ -37,16 +101,16 @@ pub struct SortedIndex {
 }
 
 impl SortedIndex {
-    /// Builds the index by sorting a copy of `triples`.
+    /// Builds the index over a sorted, deduplicated copy of `triples`.
     pub fn build(order: Order, triples: &[Triple]) -> Self {
-        let mut v = triples.to_vec();
-        v.sort_unstable_by_key(|&t| key(order, t));
-        v.dedup();
-        SortedIndex { order, triples: v }
+        SortedIndex {
+            order,
+            triples: sorted_dedup(order, triples),
+        }
     }
 
-    /// [`SortedIndex::build`] with the sort split across up to `threads`
-    /// workers: each chunk is sorted (and deduplicated) concurrently, then
+    /// [`SortedIndex::build`] split across up to `threads` workers: each
+    /// chunk is sorted and deduplicated concurrently (the same routine), then
     /// pairwise merge-dedup rounds combine the runs. A key is a full
     /// permutation of the triple, so key-equality is triple-equality and
     /// the result is exactly the sequential sort + dedup.
@@ -59,14 +123,7 @@ impl SortedIndex {
         let mut runs: Vec<Vec<Triple>> = std::thread::scope(|scope| {
             let handles: Vec<_> = triples
                 .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut run = chunk.to_vec();
-                        run.sort_unstable_by_key(|&t| key(order, t));
-                        run.dedup();
-                        run
-                    })
-                })
+                .map(|chunk| scope.spawn(move || sorted_dedup(order, chunk)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -144,10 +201,7 @@ impl SortedIndex {
     /// other or existing triples — the result is exactly a fresh
     /// [`SortedIndex::build`] over the union.
     pub fn insert_merge(&mut self, additions: &[Triple]) {
-        let mut add = additions.to_vec();
-        add.sort_unstable_by_key(|&t| key(self.order, t));
-        add.dedup();
-        self.insert_sorted(&add);
+        self.insert_sorted(&sorted_dedup(self.order, additions));
     }
 
     /// [`SortedIndex::insert_merge`] for additions already sorted in this
@@ -185,9 +239,7 @@ impl SortedIndex {
     /// build over the set difference.
     pub fn remove_merge(&mut self, removals: &[Triple]) {
         let order = self.order;
-        let mut rem = removals.to_vec();
-        rem.sort_unstable_by_key(|&t| key(order, t));
-        rem.dedup();
+        let rem = sorted_dedup(order, removals);
         let mut gone: Vec<usize> = Vec::with_capacity(rem.len());
         let mut from = 0;
         for &t in &rem {
@@ -332,6 +384,61 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Every build equals `sort_unstable_by_key` + `dedup` in all three
+        /// orders — on duplicate-heavy triples over dense ids, which are
+        /// counted; on the same triples with a few ids next to `u32::MAX`
+        /// mixed in, which must be compared (a count table sized by such
+        /// an id would be 16 GiB: this test finishing is the check); and
+        /// on inputs of zero to two triples, around the guard's edge.
+        #[test]
+        fn build_matches_comparison_sort(
+            raw in proptest::collection::vec((0u32..40, 0u32..6, 0u32..40), 0..200),
+            huge in proptest::collection::vec((0usize..200, 0usize..3, 0u32..3), 0..4),
+            threads in 1usize..5,
+        ) {
+            let dense: Vec<Triple> = raw.iter().map(|&(s, p, o)| t(s, p, o)).collect();
+            let mut sparse = dense.clone();
+            for &(at, position, below_max) in &huge {
+                if let Some(triple) = sparse.get_mut(at) {
+                    let id = TermId(u32::MAX - below_max);
+                    *[&mut triple.s, &mut triple.p, &mut triple.o][position] = id;
+                }
+            }
+            let inputs = [&dense[..], &sparse[..], &dense[..dense.len().min(2)], &sparse[..1.min(sparse.len())], &[]];
+            for input in inputs {
+                for order in [Order::Spo, Order::Pos, Order::Osp] {
+                    let mut want = input.to_vec();
+                    want.sort_unstable_by_key(|&u| key(order, u));
+                    want.dedup();
+                    let built = SortedIndex::build(order, input);
+                    proptest::prop_assert_eq!(built.as_slice(), &want[..], "{:?}", order);
+                    let threaded = SortedIndex::build_threaded(order, input, threads);
+                    proptest::prop_assert_eq!(threaded.as_slice(), &want[..], "{:?}", order);
+                }
+            }
+        }
+    }
+
+    /// Both sides of the sparse-id guard, exactly at its edge: `n` triples
+    /// count while every id is below `SPARSE_IDS * n`.
+    #[test]
+    fn the_guard_switches_on_the_largest_id() {
+        let n = 64u32;
+        let edge = SPARSE_IDS as u32 * n;
+        for largest in [edge - 1, edge, edge + 1, u32::MAX] {
+            let mut triples: Vec<Triple> = (0..n).rev().map(|i| t(i % 7, i % 3, i)).collect();
+            triples[5].o = TermId(largest);
+            triples.push(triples[9]);
+            for order in [Order::Spo, Order::Pos, Order::Osp] {
+                let mut want = triples.clone();
+                want.sort_unstable_by_key(|&u| key(order, u));
+                want.dedup();
+                assert_eq!(SortedIndex::build(order, &triples).as_slice(), want);
             }
         }
     }

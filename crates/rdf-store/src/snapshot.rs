@@ -26,16 +26,37 @@
 //!
 //! Minted summary terms are preserved *symbolically*: tags 5–7 store the
 //! [`MintedKey`](rdf_model::MintedKey) member sets as pool indices, so a
-//! decoded summary graph holds real [`Term::Minted`] terms (identical key
+//! decoded summary graph holds real [`rdf_model::Term::Minted`] terms (identical key
 //! members, identical rendered URI). The retired v1 layout (`RDFSNAP1`,
 //! not written since PR 10) is recognised by its magic and refused with
 //! [`SnapshotError::BadVersion`].
 //!
 //! Term ids are preserved, so snapshots round-trip graphs
 //! *bit-identically* (insertion order of each component included).
+//!
+//! # Decoding
+//!
+//! The checksum is verified before anything is read. After that, decoding a
+//! plain term allocates nothing: each string field is UTF-8 validated where
+//! it lies in the image and appended to the dictionary's arena as a view
+//! ([`rdf_model::Dictionary::encode_ref`]). The dictionary, the component
+//! tables and the triple set are sized once, up front, from the header —
+//! but only from counts the rest of the image can still spell out: a term
+//! takes at least one byte (`Nτ` is a bare tag), a pool string one, a triple
+//! three, and a count beyond that is [`SnapshotError::Truncated`] before a
+//! byte is reserved for it ([`Reader::count`]). No header, however damaged,
+//! reserves more than the image is long.
+//!
+//! A graph is a *set* of triples over a dictionary of *distinct* terms, so
+//! an image that lists either twice would decode to fewer entries than it
+//! declares; it is refused with [`SnapshotError::Duplicate`] naming the
+//! table and the index of the repeat.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use rdf_model::{Graph, LiteralKind, MintedKey, MintedTerm, SharedTerm, Term, Triple};
+use crate::codec::{put_signed_varint, put_str, put_varint, stamp, stamped_body, Reader};
+use bytes::Bytes;
+use rdf_model::{
+    Component, Graph, LiteralKindRef, MemberSet, MintedKey, MintedTerm, TermId, TermRef, Triple,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -48,6 +69,15 @@ pub const MAGIC_V2: &[u8; 8] = b"RDFSNAP2";
 
 /// Format version written after [`MAGIC_V2`].
 pub const VERSION: u16 = 2;
+
+/// Which table of an image an entry belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Table {
+    /// The dictionary: terms in id order.
+    Terms,
+    /// The three component tables, end to end.
+    Triples,
+}
 
 /// Errors from snapshot encoding/decoding.
 #[derive(Debug)]
@@ -69,6 +99,11 @@ pub enum SnapshotError {
     DanglingId(u32),
     /// A triple was routed to the wrong component table.
     WrongComponent,
+    /// The entry at this index of a table repeats an earlier one. A graph
+    /// is a set over a dictionary of distinct terms, so a writer never
+    /// produces this: the image would decode to fewer entries than its
+    /// header declares.
+    Duplicate(Table, usize),
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -86,6 +121,12 @@ impl fmt::Display for SnapshotError {
             SnapshotError::WrongComponent => {
                 write!(f, "triple stored in the wrong component table")
             }
+            SnapshotError::Duplicate(Table::Terms, i) => {
+                write!(f, "term {i} repeats an earlier term")
+            }
+            SnapshotError::Duplicate(Table::Triples, i) => {
+                write!(f, "triple {i} repeats an earlier triple")
+            }
             SnapshotError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
@@ -97,39 +138,6 @@ impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e)
     }
-}
-
-/// FNV-1a over a byte slice — the checksum trailer's hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// LEB128 unsigned varint.
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-/// Zigzag-mapped signed varint (deltas can be negative).
-fn put_signed_varint(buf: &mut BytesMut, v: i64) {
-    put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_varint_str(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -150,73 +158,63 @@ impl<'a> Pool<'a> {
             index: std::collections::HashMap::new(),
         };
         for (_, term) in g.dict().iter() {
-            if let Term::Minted(m) = term {
+            if let TermRef::Minted(m) = term {
                 let (first, second) = m.key().members();
-                for member in first.iter().chain(second) {
-                    pool.intern(member);
+                for iri in first.iter().chain(second) {
+                    if !pool.index.contains_key(&**iri) {
+                        pool.index.insert(iri, pool.strings.len() as u64);
+                        pool.strings.push(iri);
+                    }
                 }
             }
         }
         pool
     }
-
-    fn intern(&mut self, member: &'a SharedTerm) {
-        let iri = member.as_iri().expect("minted keys hold IRI terms");
-        if !self.index.contains_key(iri) {
-            self.index.insert(iri, self.strings.len() as u64);
-            self.strings.push(iri);
-        }
-    }
-
-    fn id(&self, member: &SharedTerm) -> u64 {
-        let iri = member.as_iri().expect("minted keys hold IRI terms");
-        self.index[iri]
-    }
 }
 
-fn put_members(buf: &mut BytesMut, pool: &Pool<'_>, members: &[SharedTerm]) {
-    put_varint(buf, members.len() as u64);
+fn put_members(out: &mut Vec<u8>, pool: &Pool<'_>, members: &[Arc<str>]) {
+    put_varint(out, members.len() as u64);
     for m in members {
-        put_varint(buf, pool.id(m));
+        put_varint(out, pool.index[&**m]);
     }
 }
 
-fn put_term_v2(buf: &mut BytesMut, pool: &Pool<'_>, t: &Term) {
+fn put_term_v2(out: &mut Vec<u8>, pool: &Pool<'_>, t: TermRef<'_>) {
     match t {
-        Term::Iri(iri) => {
-            buf.put_u8(0);
-            put_varint_str(buf, iri);
+        TermRef::Iri(iri) => {
+            out.push(0);
+            put_str(out, iri);
         }
-        Term::Blank(label) => {
-            buf.put_u8(1);
-            put_varint_str(buf, label);
+        TermRef::Blank(label) => {
+            out.push(1);
+            put_str(out, label);
         }
-        Term::Literal { lexical, kind } => match kind {
-            LiteralKind::Simple => {
-                buf.put_u8(2);
-                put_varint_str(buf, lexical);
+        TermRef::Literal { lexical, kind } => match kind {
+            LiteralKindRef::Simple => {
+                out.push(2);
+                put_str(out, lexical);
             }
-            LiteralKind::Lang(tag) => {
-                buf.put_u8(3);
-                put_varint_str(buf, lexical);
-                put_varint_str(buf, tag);
+            LiteralKindRef::Lang(tag) => {
+                out.push(3);
+                put_str(out, lexical);
+                put_str(out, tag);
             }
-            LiteralKind::Typed(dt) => {
-                buf.put_u8(4);
-                put_varint_str(buf, lexical);
-                put_varint_str(buf, dt);
+            LiteralKindRef::Typed(dt) => {
+                out.push(4);
+                put_str(out, lexical);
+                put_str(out, dt);
             }
         },
-        Term::Minted(m) => match m.key() {
-            MintedKey::NTau => buf.put_u8(5),
+        TermRef::Minted(m) => match m.key() {
+            MintedKey::NTau => out.push(5),
             MintedKey::PropertySets { tc, sc } => {
-                buf.put_u8(6);
-                put_members(buf, pool, tc);
-                put_members(buf, pool, sc);
+                out.push(6);
+                put_members(out, pool, tc);
+                put_members(out, pool, sc);
             }
             MintedKey::ClassSet(classes) => {
-                buf.put_u8(7);
-                put_members(buf, pool, classes);
+                out.push(7);
+                put_members(out, pool, classes);
             }
         },
     }
@@ -225,135 +223,82 @@ fn put_term_v2(buf: &mut BytesMut, pool: &Pool<'_>, t: &Term) {
 /// Serializes a graph into a v2 snapshot buffer: symbolic minted keys,
 /// varint/delta-compressed triple ids, FNV-1a checksum trailer.
 pub fn encode(g: &Graph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + g.dict().len() * 16 + g.len() * 4);
-    buf.put_slice(MAGIC_V2);
-    buf.put_u16_le(VERSION);
-    put_varint(&mut buf, g.dict().len() as u64);
-    put_varint(&mut buf, g.data().len() as u64);
-    put_varint(&mut buf, g.types().len() as u64);
-    put_varint(&mut buf, g.schema().len() as u64);
+    let mut out = Vec::with_capacity(64 + g.dict().len() * 16 + g.len() * 4);
+    out.extend_from_slice(MAGIC_V2);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    put_varint(&mut out, g.dict().len() as u64);
+    put_varint(&mut out, g.data().len() as u64);
+    put_varint(&mut out, g.types().len() as u64);
+    put_varint(&mut out, g.schema().len() as u64);
     let pool = Pool::build(g);
-    put_varint(&mut buf, pool.strings.len() as u64);
+    put_varint(&mut out, pool.strings.len() as u64);
     for s in &pool.strings {
-        put_varint_str(&mut buf, s);
+        put_str(&mut out, s);
     }
     for (_, term) in g.dict().iter() {
-        put_term_v2(&mut buf, &pool, term);
+        put_term_v2(&mut out, &pool, term);
     }
     let (mut ps, mut pp, mut po) = (0i64, 0i64, 0i64);
-    for t in g
-        .data()
-        .iter()
-        .chain(g.types().iter())
-        .chain(g.schema().iter())
-    {
+    for t in g.iter() {
         let (s, p, o) = (t.s.0 as i64, t.p.0 as i64, t.o.0 as i64);
-        put_signed_varint(&mut buf, s - ps);
-        put_signed_varint(&mut buf, p - pp);
-        put_signed_varint(&mut buf, o - po);
+        put_signed_varint(&mut out, s - ps);
+        put_signed_varint(&mut out, p - pp);
+        put_signed_varint(&mut out, o - po);
         (ps, pp, po) = (s, p, o);
     }
-    let checksum = fnv1a64(&buf);
-    buf.put_u64_le(checksum);
-    buf.freeze()
+    stamp(&mut out);
+    Bytes::from(out)
 }
 
 // ---------------------------------------------------------------------------
 // reader
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked cursor over the v2 body.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// One minted member set: a count, then that many pool indices.
+fn members(r: &mut Reader<'_>, pool: &[Arc<str>]) -> Result<MemberSet, SnapshotError> {
+    // Keys may repeat members, so the count can exceed the deduplicated
+    // pool — but each index takes at least one byte.
+    (0..r.count(1)?)
+        .map(|_| {
+            let idx = r.varint()?;
+            let member = usize::try_from(idx).ok().and_then(|i| pool.get(i));
+            member.cloned().ok_or(SnapshotError::Truncated)
+        })
+        .collect()
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() - self.pos < n {
-            return Err(SnapshotError::Truncated);
+/// Reads one term record and interns it: string fields are validated where
+/// they lie in the image and appended to the dictionary's arena, so a plain
+/// term costs no allocation.
+fn term(r: &mut Reader<'_>, pool: &[Arc<str>], g: &mut Graph) -> Result<TermId, SnapshotError> {
+    let minted = match r.u8()? {
+        0 => return Ok(g.dict_mut().encode_ref(TermRef::Iri(r.str()?))),
+        1 => return Ok(g.dict_mut().encode_ref(TermRef::Blank(r.str()?))),
+        tag @ 2..=4 => {
+            let lexical = r.str()?;
+            let kind = match tag {
+                2 => LiteralKindRef::Simple,
+                3 => LiteralKindRef::Lang(r.str()?),
+                _ => LiteralKindRef::Typed(r.str()?),
+            };
+            return Ok(g.dict_mut().encode_ref(TermRef::Literal { lexical, kind }));
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn varint(&mut self) -> Result<u64, SnapshotError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
+        5 => MintedTerm::n_tau(),
+        6 => {
+            let tc = members(r, pool)?;
+            MintedTerm::node(tc, members(r, pool)?)
         }
-        Err(SnapshotError::Truncated)
-    }
-
-    fn signed_varint(&mut self) -> Result<i64, SnapshotError> {
-        let z = self.varint()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.varint()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| SnapshotError::BadUtf8)
-    }
-
-    fn members(&mut self, pool: &[SharedTerm]) -> Result<Arc<[SharedTerm]>, SnapshotError> {
-        let n = self.varint()? as usize;
-        // Keys may repeat members, so `n` can exceed the deduplicated
-        // pool — but each index costs at least one byte, which bounds the
-        // allocation soundly.
-        if n > self.buf.len() - self.pos {
-            return Err(SnapshotError::Truncated);
+        7 => {
+            let classes = members(r, pool)?;
+            if classes.is_empty() {
+                // `C(∅)` is never minted; an empty set here is corruption.
+                return Err(SnapshotError::Truncated);
+            }
+            MintedTerm::class_set(classes)
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let idx = self.varint()? as usize;
-            let member = pool.get(idx).ok_or(SnapshotError::Truncated)?;
-            out.push(Arc::clone(member));
-        }
-        Ok(out.into())
-    }
-
-    fn term(&mut self, pool: &[SharedTerm]) -> Result<Term, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(Term::Iri(self.str()?)),
-            1 => Ok(Term::Blank(self.str()?)),
-            2 => Ok(Term::literal(self.str()?)),
-            3 => {
-                let lexical = self.str()?;
-                let tag = self.str()?;
-                Ok(Term::lang_literal(lexical, tag))
-            }
-            4 => {
-                let lexical = self.str()?;
-                let dt = self.str()?;
-                Ok(Term::typed_literal(lexical, dt))
-            }
-            5 => Ok(Term::Minted(MintedTerm::n_tau())),
-            6 => {
-                let tc = self.members(pool)?;
-                let sc = self.members(pool)?;
-                Ok(Term::Minted(MintedTerm::node(tc, sc)))
-            }
-            7 => {
-                let classes = self.members(pool)?;
-                if classes.is_empty() {
-                    // `C(∅)` is never minted; an empty set here is corruption.
-                    return Err(SnapshotError::Truncated);
-                }
-                Ok(Term::Minted(MintedTerm::class_set(classes)))
-            }
-            t => Err(SnapshotError::BadTag(t)),
-        }
-    }
+        t => return Err(SnapshotError::BadTag(t)),
+    };
+    Ok(g.dict_mut().encode_ref(TermRef::Minted(&minted)))
 }
 
 fn decode_v2(raw: &[u8]) -> Result<Graph, SnapshotError> {
@@ -366,71 +311,66 @@ fn decode_v2(raw: &[u8]) -> Result<Graph, SnapshotError> {
     if version != VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
-    let body = &raw[..raw.len() - 8];
-    let stored = u64::from_le_bytes(raw[raw.len() - 8..].try_into().unwrap());
-    if fnv1a64(body) != stored {
-        return Err(SnapshotError::BadChecksum);
-    }
-    let mut r = Reader { buf: body, pos: 10 };
-    let n_terms = r.varint()? as usize;
-    let n_data = r.varint()? as usize;
-    let n_type = r.varint()? as usize;
-    let n_schema = r.varint()? as usize;
-    let n_pool = r.varint()? as usize;
-    if n_pool > body.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    // Each pool string becomes one shared `Term::Iri`; every minted key
-    // that references it shares the same allocation, as in a live build.
-    let mut pool: Vec<SharedTerm> = Vec::with_capacity(n_pool);
-    for _ in 0..n_pool {
-        pool.push(Arc::new(Term::iri(r.str()?)));
-    }
+    let body = stamped_body(raw)?;
+    // Every count is checked against the bytes left to spell it out — at
+    // least one a pool string or a term (`Nτ` is a bare tag), three a
+    // triple — before anything is sized by it, so no header can reserve
+    // more than the image is long.
+    let mut r = Reader::new(body, 10);
+    let n_terms = r.count(1)?;
+    let [n_data, n_type, n_schema] = [r.count(3)?, r.count(3)?, r.count(3)?];
+    // Each pool string becomes one shared string; every minted key that
+    // references it shares the same allocation, as in a live build.
+    let pool: Vec<Arc<str>> = (0..r.count(1)?)
+        .map(|_| r.str().map(Arc::from))
+        .collect::<Result<_, _>>()?;
     let mut g = Graph::new();
-    if n_terms > body.len() {
+    // The same bounds again where they are tightest — the pool, and below
+    // the terms, are behind the cursor — right before each reservation.
+    if n_terms > r.remaining() {
         return Err(SnapshotError::Truncated);
     }
+    g.dict_mut().reserve(n_terms, r.remaining());
     for i in 0..n_terms {
-        let term = r.term(&pool)?;
-        let id = g.dict_mut().encode(term);
-        if id.index() != i {
-            // Duplicate term in snapshot dictionary — corrupt.
-            return Err(SnapshotError::Truncated);
+        if term(&mut r, &pool, &mut g)?.index() != i {
+            return Err(SnapshotError::Duplicate(Table::Terms, i));
         }
     }
     let n_triples = n_data + n_type + n_schema;
-    if n_triples > body.len() {
+    if n_triples > r.remaining() / 3 {
         return Err(SnapshotError::Truncated);
     }
+    g.reserve(n_data, n_type, n_schema);
     let wk = g.well_known();
     let (mut ps, mut pp, mut po) = (0i64, 0i64, 0i64);
     for i in 0..n_triples {
-        ps += r.signed_varint()?;
-        pp += r.signed_varint()?;
-        po += r.signed_varint()?;
+        // A running id is below 2^32 here; wrapped past either end of
+        // `i64` it lands outside the dictionary like any other bad delta.
+        ps = ps.wrapping_add(r.signed_varint()?);
+        pp = pp.wrapping_add(r.signed_varint()?);
+        po = po.wrapping_add(r.signed_varint()?);
         for v in [ps, pp, po] {
             if v < 0 || v as usize >= n_terms {
                 return Err(SnapshotError::DanglingId(v as u32));
             }
         }
-        let t = Triple::new(
-            rdf_model::TermId(ps as u32),
-            rdf_model::TermId(pp as u32),
-            rdf_model::TermId(po as u32),
-        );
+        let t = Triple::new(TermId(ps as u32), TermId(pp as u32), TermId(po as u32));
         let expected = if i < n_data {
-            rdf_model::Component::Data
+            Component::Data
         } else if i < n_data + n_type {
-            rdf_model::Component::Type
+            Component::Type
         } else {
-            rdf_model::Component::Schema
+            Component::Schema
         };
         if wk.component_of(t.p) != expected {
             return Err(SnapshotError::WrongComponent);
         }
         g.insert_encoded(t);
+        if g.len() != i + 1 {
+            return Err(SnapshotError::Duplicate(Table::Triples, i));
+        }
     }
-    if r.pos != body.len() {
+    if r.remaining() != 0 {
         // Trailing garbage inside the checksummed body.
         return Err(SnapshotError::Truncated);
     }
@@ -468,6 +408,7 @@ pub fn load(path: impl AsRef<std::path::Path>) -> Result<Graph, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf_model::Term;
 
     fn sample() -> Graph {
         let mut g = Graph::new();
@@ -493,11 +434,8 @@ mod tests {
         g
     }
 
-    fn shared(uris: &[&str]) -> Arc<[SharedTerm]> {
-        uris.iter()
-            .map(|u| Arc::new(Term::iri(*u)))
-            .collect::<Vec<_>>()
-            .into()
+    fn shared(uris: &[&str]) -> MemberSet {
+        uris.iter().map(|u| Arc::from(*u)).collect()
     }
 
     /// A graph whose dictionary holds every minted variant, as a summary
@@ -544,11 +482,6 @@ mod tests {
         }
     }
 
-    /// Member IRIs of a key slice, in stored order.
-    fn iris(v: &[SharedTerm]) -> Vec<String> {
-        v.iter().map(|t| t.as_iri().unwrap().to_owned()).collect()
-    }
-
     #[test]
     fn v2_roundtrip_preserves_mintedness() {
         let g = minted_sample();
@@ -557,13 +490,13 @@ mod tests {
         let mut minted = 0;
         for (id, term) in g.dict().iter() {
             let restored = g2.dict().decode(id);
-            let Term::Minted(m) = term else {
+            let TermRef::Minted(m) = term else {
                 assert_eq!(restored, term);
                 continue;
             };
             minted += 1;
             // Decoded counterpart is a real minted term again…
-            let Term::Minted(m2) = restored else {
+            let TermRef::Minted(m2) = restored else {
                 panic!("minted term {id:?} decoded as {restored:?}");
             };
             // …with the identical symbolic key (variant + member IRIs,
@@ -574,11 +507,11 @@ mod tests {
                     MintedKey::PropertySets { tc, sc },
                     MintedKey::PropertySets { tc: tc2, sc: sc2 },
                 ) => {
-                    assert_eq!(iris(tc), iris(tc2));
-                    assert_eq!(iris(sc), iris(sc2));
+                    assert_eq!(tc, tc2);
+                    assert_eq!(sc, sc2);
                 }
                 (MintedKey::ClassSet(a), MintedKey::ClassSet(b)) => {
-                    assert_eq!(iris(a), iris(b));
+                    assert_eq!(a, b);
                 }
                 _ => panic!("key variant changed for {}", m.uri()),
             }
@@ -657,48 +590,99 @@ mod tests {
         }
     }
 
+    /// A hand-assembled image with a valid checksum: the dictionary of an
+    /// empty graph plus `iris` (ids 5, 6, …), and `data` triples given as
+    /// absolute ids.
+    fn crafted(iris: &[&str], data: &[[i64; 3]]) -> Bytes {
+        let g = Graph::new();
+        let mut out = MAGIC_V2.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        // n_terms, n_data, n_type, n_schema, n_pool
+        for n in [g.dict().len() + iris.len(), data.len(), 0, 0, 0] {
+            put_varint(&mut out, n as u64);
+        }
+        for (_, term) in g.dict().iter() {
+            put_term_v2(&mut out, &Pool::build(&g), term);
+        }
+        for iri in iris {
+            out.push(0);
+            put_str(&mut out, iri);
+        }
+        let mut prev = [0; 3];
+        for t in data {
+            for (id, prev) in t.iter().zip(&mut prev) {
+                put_signed_varint(&mut out, id.wrapping_sub(*prev));
+                *prev = *id;
+            }
+        }
+        stamp(&mut out);
+        Bytes::from(out)
+    }
+
     #[test]
     fn v2_rejects_dangling_ids() {
-        // Hand-craft a v2 image with an empty dictionary but one data
-        // triple whose ids point past it, checksum intact — the id check
-        // must fire, not a panic or an out-of-bounds read.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V2);
-        buf.put_u16_le(VERSION);
-        put_varint(&mut buf, 0); // n_terms
-        put_varint(&mut buf, 1); // n_data
-        put_varint(&mut buf, 0); // n_type
-        put_varint(&mut buf, 0); // n_schema
-        put_varint(&mut buf, 0); // pool
-        put_signed_varint(&mut buf, 9);
-        put_signed_varint(&mut buf, 9);
-        put_signed_varint(&mut buf, 9);
-        let sum = fnv1a64(&buf);
-        buf.put_u64_le(sum);
-        let err = decode(buf.freeze()).unwrap_err();
+        // A well-formed image decodes; one whose data triple points past
+        // the dictionary, checksum intact, trips the id check — not a
+        // panic or an out-of-bounds read.
+        let g = decode(crafted(&["s:a", "p:b"], &[[5, 6, 5]])).unwrap();
+        assert_eq!((g.len(), g.dict().len()), (1, 7));
+        let err = decode(crafted(&["s:a", "p:b"], &[[5, 6, 9]])).unwrap_err();
         assert!(matches!(err, SnapshotError::DanglingId(9)), "{err:?}");
     }
 
     #[test]
     fn v2_rejects_negative_delta_underflow() {
-        // A delta running the id below zero is dangling, not a wrap-around.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V2);
-        buf.put_u16_le(VERSION);
-        put_varint(&mut buf, 0);
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 0);
-        put_varint(&mut buf, 0);
-        put_varint(&mut buf, 0);
-        put_signed_varint(&mut buf, -3);
-        put_signed_varint(&mut buf, 0);
-        put_signed_varint(&mut buf, 0);
-        let sum = fnv1a64(&buf);
-        buf.put_u64_le(sum);
-        assert!(matches!(
-            decode(buf.freeze()),
-            Err(SnapshotError::DanglingId(_))
-        ));
+        // A delta running the id below zero is dangling, not a wrap-around
+        // — nor is one that overflows the running sum.
+        for bad in [-3, i64::MIN, i64::MAX] {
+            assert!(matches!(
+                decode(crafted(&["s:a", "p:b"], &[[5, 6, 5], [bad, 6, 5]])),
+                Err(SnapshotError::DanglingId(_))
+            ));
+        }
+    }
+
+    /// An image that lists a triple or a term twice would decode to a
+    /// graph smaller than its header declares: refused, with the index of
+    /// the repeat.
+    #[test]
+    fn v2_rejects_repeated_entries() {
+        let err = decode(crafted(&["s:a", "p:b"], &[[5, 6, 5], [6, 6, 5], [5, 6, 5]]));
+        let err = err.unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Duplicate(Table::Triples, 2)),
+            "{err:?}"
+        );
+        let err = decode(crafted(&["s:a", "p:b", "s:a"], &[[5, 6, 5]])).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Duplicate(Table::Terms, 7)),
+            "{err:?}"
+        );
+        // A well-known term listed again is a repeat like any other.
+        let err = decode(crafted(&[rdf_model::vocab::RDF_TYPE], &[])).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Duplicate(Table::Terms, 5)),
+            "{err:?}"
+        );
+    }
+
+    /// Encoding reads minted keys symbolically: it never renders a URI.
+    #[test]
+    fn encoding_leaves_minted_terms_unrendered() {
+        let g = minted_sample();
+        let restored = decode(encode(&g)).unwrap();
+        for g in [&g, &restored] {
+            let minted: Vec<_> = g
+                .dict()
+                .iter()
+                .filter_map(|(_, t)| match t {
+                    TermRef::Minted(m) => Some(m),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(minted.len(), 3);
+            assert!(minted.iter().all(|m| !m.is_rendered()));
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ fn cmd_stats(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Fai
         let prefixes = PrefixMap::with_defaults();
         let name = |id: rdfsummary::rdf_model::TermId| -> String {
             match g.dict().decode(id) {
-                Term::Iri(iri) => prefixes.compact(iri),
+                TermRef::Iri(iri) => prefixes.compact(iri),
                 other => other.to_string(),
             }
         };

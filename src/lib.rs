@@ -59,8 +59,9 @@
 //! the line, or of a reused scratch buffer when the term has an escape)
 //! and handed to [`rdf_model::Graph::insert_ref`], which validates the
 //! triple and probes the dictionary with the views themselves: a term
-//! already interned (about nine occurrences in ten on BSBM) allocates
-//! nothing, a new one is built once. Ids are first-seen in `s`, `p`, `o`
+//! already interned (about nine occurrences in ten on BSBM) costs a hash
+//! and a comparison, a new one has its slices appended to the dictionary's
+//! arena — neither allocates. Ids are first-seen in `s`, `p`, `o`
 //! order per line, so fingerprints, snapshots and summary bodies do not
 //! depend on which entry point loaded the graph. [`rdf_io::parse_line`],
 //! [`rdf_io::parse_str`] and [`rdf_io::parse_statements`] (the `UPDATE`
@@ -69,6 +70,25 @@
 //! Output goes the other way through appenders onto one pre-sized
 //! `String` ([`rdf_io::writer::push_triple`]) — the body of every
 //! `SUMMARIZE`, persisted artifact and `--out` file.
+//!
+//! ## Term storage
+//!
+//! A [`rdf_model::Dictionary`] keeps every term of a graph in one
+//! append-only `String` arena: a fixed-size record per id (offset, two
+//! field lengths, shape) in front of it, an open-addressed table of
+//! `(hash, id)` slots behind it, and a small side table for the symbolic
+//! [`rdf_model::Term::Minted`] summary names. There is no per-term
+//! allocation, so a dictionary is four vectors however many terms it
+//! holds, and the paths a restart is made of append in bulk: a `.snap`
+//! image ([`rdf_store::snapshot`]) or a persisted `.sum` artifact
+//! (`rdfsum_core::persist`) is checksummed, its counts are bounded by its
+//! length, and its strings are validated in place and copied once, into
+//! the arena. `decode` hands out [`rdf_model::TermRef`] views of the arena
+//! — `Term`'s read side without the ownership; `to_term()` makes an owned
+//! [`rdf_model::Term`] where one must outlive the graph. The three
+//! permutation indices over the dense ids are built by counting, not by
+//! comparing ([`rdf_store::index`]). Ids stay dense and first-seen, which
+//! is what every summary, snapshot, fingerprint and wire byte is pinned to.
 //!
 //! ## Building & testing
 //!
@@ -88,7 +108,8 @@
 //! `default-members` accordingly), including the integration suites
 //! under `tests/`: `cli`, `end_to_end`, `golden_equivalence`,
 //! `paper_example`, `properties`, `query_serving`, `robustness` and
-//! `server`. Property tests default to 96 cases each; set
+//! `server` (and, beside `rdfsum-core`, the structured-mutation suite over
+//! the two binary decoders, `decoders_never_panic`). Property tests default to 96 cases each; set
 //! `PROPTEST_CASES` to change that.
 //!
 //! ## Serving
@@ -255,7 +276,7 @@ pub use rdfsum_workloads;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use rdf_io::{load_path, parse_graph, save_path, to_dot, write_graph, DotOptions};
-    pub use rdf_model::{Graph, GraphStats, PrefixMap, Term, TermId, Triple};
+    pub use rdf_model::{Graph, GraphStats, PrefixMap, Term, TermId, TermRef, Triple};
     pub use rdf_query::{compile, parse_query, Evaluator, QuerySpec};
     pub use rdf_schema::{saturate, Schema};
     pub use rdf_store::{TriplePattern, TripleStore};

@@ -102,7 +102,7 @@ fn section2_book_example_queries() {
     let rs = Evaluator::new(&sat).select(&cq);
     let decoded = rs.decode(&sat);
     assert_eq!(decoded.len(), 1);
-    assert_eq!(decoded[0][0], &Term::literal("G. Simenon"));
+    assert_eq!(decoded[0][0], Term::literal("G. Simenon"));
 }
 
 #[test]

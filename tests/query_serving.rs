@@ -119,8 +119,8 @@ fn reference_rows(store: &TripleStore, text: &str) -> (BTreeSet<Vec<String>>, bo
         .decode(store)
         .into_iter()
         .map(|row| {
-            row.into_iter()
-                .map(rdfsummary::rdf_io::writer::write_term)
+            row.iter()
+                .map(|cell| rdfsummary::rdf_io::writer::write_term(&cell.to_term()))
                 .collect()
         })
         .collect();
