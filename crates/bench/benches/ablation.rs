@@ -5,9 +5,9 @@
 //!   Definition 13.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rdfsum_core::typed::typed_weak_summary_with;
 use rdfsum_core::{
-    streaming_typed_weak_summary, streaming_weak_summary, summarize_with, SummarizeOptions,
-    SummaryKind, TypedSemantics,
+    streaming_typed_weak_summary, streaming_weak_summary, weak_summary, TypedSemantics,
 };
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
@@ -16,15 +16,7 @@ use std::time::Duration;
 fn bench_builders(c: &mut Criterion) {
     let g = rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(300));
     let mut group = c.benchmark_group("ablation_weak_builders");
-    group.bench_function("batch", |b| {
-        b.iter(|| {
-            black_box(summarize_with(
-                &g,
-                SummaryKind::Weak,
-                SummarizeOptions::default(),
-            ))
-        })
-    });
+    group.bench_function("batch", |b| b.iter(|| black_box(weak_summary(&g))));
     group.bench_function("streaming", |b| {
         b.iter(|| black_box(streaming_weak_summary(&g)))
     });
@@ -36,25 +28,17 @@ fn bench_typed_semantics(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_typed_weak");
     group.bench_function("implementation_semantics", |b| {
         b.iter(|| {
-            black_box(summarize_with(
+            black_box(typed_weak_summary_with(
                 &g,
-                SummaryKind::TypedWeak,
-                SummarizeOptions {
-                    semantics: TypedSemantics::ImplementationFigure7,
-                    ..Default::default()
-                },
+                TypedSemantics::ImplementationFigure7,
             ))
         })
     });
     group.bench_function("literal_def13_semantics", |b| {
         b.iter(|| {
-            black_box(summarize_with(
+            black_box(typed_weak_summary_with(
                 &g,
-                SummaryKind::TypedWeak,
-                SummarizeOptions {
-                    semantics: TypedSemantics::LiteralDefinition13,
-                    ..Default::default()
-                },
+                TypedSemantics::LiteralDefinition13,
             ))
         })
     });

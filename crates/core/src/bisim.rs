@@ -20,7 +20,7 @@
 
 use crate::equivalence::{class_sets, data_nodes_ordered, Partition};
 use crate::naming::SUMMARY_NS;
-use crate::quotient::quotient_summary_impl;
+use crate::quotient::{quotient_summary_planned, DataPlan};
 use crate::summary::{Summary, SummaryKind};
 use rdf_model::{FxHashMap, Graph, TermId};
 use std::hash::{BuildHasher, Hash};
@@ -118,11 +118,12 @@ pub(crate) fn bisim_summary_on(g: &Graph, depth: BisimDepth, threads: usize) -> 
     };
     // Name nodes by their (stable, content-derived) color via the first
     // member's class, padded with a dense index for readability.
-    quotient_summary_impl(
+    quotient_summary_planned(
         g,
         SummaryKind::Bisimulation,
         &partition,
         |i, _| rdf_model::Term::iri(format!("{SUMMARY_NS}bisim?k={tag}&c={i}")),
+        DataPlan::Scan,
         false,
         threads,
     )

@@ -1,38 +1,11 @@
 //! One-stop summarization entry points.
 
-use crate::streaming::{streaming_typed_weak_summary, streaming_weak_summary};
-use crate::strong::strong_summary;
+use crate::context::SummaryContext;
 use crate::summary::{Summary, SummaryKind};
-use crate::typed::{
-    type_summary, typed_strong_summary_with, typed_weak_summary_with, TypedSemantics,
-};
-use crate::weak::weak_summary;
 use rdf_model::Graph;
 
-/// Which construction algorithm to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Clique-based batch construction (compute cliques, partition,
-    /// quotient).
-    #[default]
-    Batch,
-    /// The paper's §6.2 streaming algorithms (Algorithms 1–3). Available
-    /// for the weak and typed-weak summaries; other kinds fall back to
-    /// batch (matching the paper, which computes cliques for the strong
-    /// variants).
-    Streaming,
-}
-
-/// Options for [`summarize_with`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SummarizeOptions {
-    /// Construction algorithm.
-    pub strategy: Strategy,
-    /// Typed-summary semantics (see [`TypedSemantics`]).
-    pub semantics: TypedSemantics,
-}
-
-/// Builds the summary of `g` of the given kind with default options.
+/// Builds the summary of `g` of the given kind, through a throwaway
+/// one-shard [`SummaryContext`].
 ///
 /// # Examples
 ///
@@ -49,35 +22,15 @@ pub struct SummarizeOptions {
 /// assert_eq!(ww.graph.len(), w.graph.len());
 /// ```
 pub fn summarize(g: &Graph, kind: SummaryKind) -> Summary {
-    summarize_with(g, kind, SummarizeOptions::default())
-}
-
-/// Builds the summary of `g` of the given kind.
-pub fn summarize_with(g: &Graph, kind: SummaryKind, opts: SummarizeOptions) -> Summary {
-    match (kind, opts.strategy) {
-        (SummaryKind::Weak, Strategy::Streaming) => streaming_weak_summary(g),
-        (SummaryKind::Weak, Strategy::Batch) => weak_summary(g),
-        (SummaryKind::Strong, _) => strong_summary(g),
-        (SummaryKind::TypedWeak, Strategy::Streaming)
-            if opts.semantics == TypedSemantics::ImplementationFigure7 =>
-        {
-            streaming_typed_weak_summary(g)
-        }
-        (SummaryKind::TypedWeak, _) => typed_weak_summary_with(g, opts.semantics),
-        (SummaryKind::TypedStrong, _) => typed_strong_summary_with(g, opts.semantics),
-        (SummaryKind::TypeBased, _) => type_summary(g),
-        (SummaryKind::Bisimulation, _) => {
-            crate::bisim::bisim_summary(g, crate::bisim::BisimDepth::Bounded(2))
-        }
-    }
+    SummaryContext::new(g).summarize(kind)
 }
 
 /// Builds all four principal summaries of `g`, in the paper's order
-/// (W, S, TW, TS), through one shared [`crate::context::SummaryContext`]:
-/// the dense numbering, CSR adjacency, property cliques (both scopes) and
-/// class sets are computed once and reused by every build.
+/// (W, S, TW, TS), through one shared [`SummaryContext`]: the dense
+/// numbering, CSR adjacency, property cliques (both scopes) and class sets
+/// are computed once and reused by every build.
 pub fn summarize_all(g: &Graph) -> Vec<Summary> {
-    crate::context::SummaryContext::new(g).summarize_all()
+    SummaryContext::new(g).summarize_all()
 }
 
 #[cfg(test)]
@@ -91,47 +44,5 @@ mod tests {
         let all = summarize_all(&g);
         let kinds: Vec<SummaryKind> = all.iter().map(|s| s.kind).collect();
         assert_eq!(kinds, SummaryKind::ALL.to_vec());
-    }
-
-    #[test]
-    fn streaming_strategy_matches_batch() {
-        let g = sample_graph();
-        for kind in [SummaryKind::Weak, SummaryKind::TypedWeak] {
-            let batch = summarize_with(
-                &g,
-                kind,
-                SummarizeOptions {
-                    strategy: Strategy::Batch,
-                    ..Default::default()
-                },
-            );
-            let streaming = summarize_with(
-                &g,
-                kind,
-                SummarizeOptions {
-                    strategy: Strategy::Streaming,
-                    ..Default::default()
-                },
-            );
-            assert!(
-                crate::iso::summary_isomorphic(&batch.graph, &streaming.graph),
-                "strategy mismatch for {kind}"
-            );
-        }
-    }
-
-    #[test]
-    fn strong_ignores_streaming_request() {
-        let g = sample_graph();
-        let s = summarize_with(
-            &g,
-            SummaryKind::Strong,
-            SummarizeOptions {
-                strategy: Strategy::Streaming,
-                ..Default::default()
-            },
-        );
-        assert_eq!(s.kind, SummaryKind::Strong);
-        assert_eq!(s.n_summary_nodes(), 9);
     }
 }

@@ -92,7 +92,7 @@
 use crate::cliques::{CliqueScope, Cliques};
 use crate::equivalence::{strong_partition, weak_partition, Partition};
 use crate::naming::Namer;
-use crate::quotient::quotient_summary_impl;
+use crate::quotient::{quotient_summary_planned, DataPlan};
 use crate::summary::{Summary, SummaryKind};
 use crate::typed::TypedSemantics;
 use crate::unionfind::UnionFind;
@@ -636,11 +636,12 @@ impl<'g> SummaryContext<'g> {
         let cliques = self.cliques(CliqueScope::AllNodes);
         let partition = strong_partition(cliques, &self.nodes);
         let mut namer = Namer::new(self.g.dict());
-        quotient_summary_impl(
+        quotient_summary_planned(
             self.g,
             SummaryKind::Strong,
             &partition,
             |_, members| signature_term(&mut namer, cliques, members[0]),
+            DataPlan::Scan,
             force_unpacked,
             self.threads,
         )
@@ -694,7 +695,7 @@ impl<'g> SummaryContext<'g> {
                 None => n_sets + up.class_of(n).expect("untyped node covered"),
             });
         let mut namer = Namer::new(self.g.dict());
-        quotient_summary_impl(
+        quotient_summary_planned(
             self.g,
             kind,
             &partition,
@@ -706,6 +707,7 @@ impl<'g> SummaryContext<'g> {
                     namer.n_term(&tc, &sc)
                 }
             },
+            DataPlan::Scan,
             force_unpacked,
             self.threads,
         )
@@ -729,7 +731,7 @@ impl<'g> SummaryContext<'g> {
         });
         let mut fresh = 0usize;
         let mut namer = Namer::new(self.g.dict());
-        quotient_summary_impl(
+        quotient_summary_planned(
             self.g,
             SummaryKind::TypeBased,
             &partition,
@@ -743,6 +745,7 @@ impl<'g> SummaryContext<'g> {
                     Term::iri(format!("{}c?fresh={}", crate::naming::SUMMARY_NS, fresh))
                 }
             },
+            DataPlan::Scan,
             force_unpacked,
             self.threads,
         )

@@ -102,7 +102,6 @@ pub mod distance;
 pub mod equivalence;
 pub mod executor;
 pub mod fixtures;
-pub mod incremental;
 pub mod inflate;
 pub mod iso;
 pub mod naming;
@@ -121,7 +120,7 @@ pub mod unionfind;
 pub mod weak;
 
 pub use bisim::{bisim_partition, bisim_summary, BisimDepth};
-pub use builder::{summarize, summarize_all, summarize_with, Strategy, SummarizeOptions};
+pub use builder::{summarize, summarize_all};
 pub use cardinality::{PropertyCard, SummaryCardinality, SummaryEstimator};
 pub use checks::{
     can_prune, check_representativeness, completeness_check, completeness_checks, fixpoint_holds,
@@ -131,7 +130,6 @@ pub use cliques::{CliqueId, CliqueScope, Cliques};
 pub use context::{ClassSets, SummaryContext};
 pub use equivalence::Partition;
 pub use executor::Executor;
-pub use incremental::WeakDelta;
 pub use inflate::{inflate, InflateConfig};
 pub use iso::summary_isomorphic;
 pub use reference::{reference_summary, reference_summary_with};

@@ -27,8 +27,8 @@
 //!
 //! The eager string functions [`n_uri`] / [`c_uri`] are retained for the
 //! pre-refactor reference oracle ([`crate::reference`]) and for tests
-//! pinning the rendered form — every live builder, batch and
-//! streaming/incremental alike, now mints symbolically; determinism of
+//! pinning the rendered form — every live builder, batch and streaming
+//! alike, now mints symbolically; determinism of
 //! both paths is what lets the completeness tests compare `W_{G∞}` and
 //! `W_{(W_G)∞}` by plain graph equality.
 

@@ -43,7 +43,7 @@ pub fn quotient_summary(
     partition: &Partition,
     class_term: impl FnMut(usize, &[TermId]) -> Term,
 ) -> Summary {
-    quotient_summary_impl(g, kind, partition, class_term, false, 1)
+    quotient_summary_planned(g, kind, partition, class_term, DataPlan::Scan, false, 1)
 }
 
 /// How the quotient's data component is derived.
@@ -60,40 +60,81 @@ pub(crate) enum DataPlan<'a> {
     Edges(&'a [(u32, TermId, u32)]),
 }
 
-/// [`quotient_summary`] with an explicit switch forcing the non-packable
-/// (hash-dedup) emission path — the seam the packed-vs-fallback
-/// equivalence tests drive directly, since exceeding the 21-bit id bound
-/// organically needs a >2M-term dictionary.
-pub(crate) fn quotient_summary_impl(
+/// Bits per H id in a packed key: a whole H triple fits one `u64`.
+const PACK_BITS: u32 = 21;
+const MASK: u64 = (1 << PACK_BITS) - 1;
+
+/// The H id of the G constant `id` (a property, class URI or schema term —
+/// terms that keep their identity), through the term-indexed cache `xfer`.
+fn transfer(id: TermId, g: &Graph, h: &mut Graph, xfer: &mut [u32]) -> TermId {
+    let slot = xfer[id.index()];
+    if slot != NO_DENSE_ID {
+        return TermId(slot);
+    }
+    let hid = h.dict_mut().encode_ref(g.dict().decode(id));
+    xfer[id.index()] = hid.0;
+    hid
+}
+
+/// The packed emission of one component (D_G or T_G) of the quotient:
+/// the distinct `key(t, c)` over `triples`, ascending, where `c` is the
+/// H id of `constant(t)`, the term of `t` that keeps its identity.
+///
+/// The dictionary can't be mutated from worker threads, so the constants
+/// transfer in a sequential scan-order pre-pass — assigning exactly the H
+/// ids a fused translate-and-pack loop would — and the chunks then read
+/// `xfer` and whatever `key` captures only: translate + pack into a
+/// disjoint buffer each, local sort-dedup, then
+/// [`crate::parallel::merge_dedup_runs`]. A single chunk runs on the
+/// calling thread, without a spawn.
+fn emit_packed(
     g: &Graph,
-    kind: SummaryKind,
-    partition: &Partition,
-    class_term: impl FnMut(usize, &[TermId]) -> Term,
-    force_unpacked: bool,
-    emit_threads: usize,
-) -> Summary {
-    quotient_summary_planned(
-        g,
-        kind,
-        partition,
-        class_term,
-        DataPlan::Scan,
-        force_unpacked,
-        emit_threads,
-    )
+    h: &mut Graph,
+    xfer: &mut [u32],
+    triples: &[Triple],
+    threads: usize,
+    constant: impl Fn(&Triple) -> TermId + Sync,
+    key: impl Fn(&Triple, u64) -> u64 + Sync,
+) -> Vec<u64> {
+    for t in triples {
+        transfer(constant(t), g, h, xfer);
+    }
+    let xfer = &*xfer;
+    let pack = |chunk: &[Triple]| {
+        let mut run: Vec<u64> = chunk
+            .iter()
+            .map(|t| key(t, xfer[constant(t).index()] as u64))
+            .collect();
+        run.sort_unstable();
+        run.dedup();
+        run
+    };
+    let chunk_size = triples.len().div_ceil(threads).max(1);
+    if triples.len() <= chunk_size {
+        return pack(triples);
+    }
+    let runs: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let pack = &pack;
+        let handles: Vec<_> = triples
+            .chunks(chunk_size)
+            .map(|chunk| scope.spawn(move || pack(chunk)))
+            .collect();
+        handles.into_iter().map(|jh| jh.join().unwrap()).collect()
+    });
+    crate::parallel::merge_dedup_runs(runs)
 }
 
 /// The full-control quotient constructor: emission plan for the data
-/// component plus the packed/unpacked switch.
+/// component plus a switch forcing the non-packable (hash-dedup) emission
+/// path — the seam the packed-vs-fallback equivalence tests drive
+/// directly, since exceeding the 21-bit id bound organically needs a
+/// >2M-term dictionary.
 ///
-/// `emit_threads` (≥ 1, the building context's worker count) shapes the
-/// packed emission of the quotiented triples: one worker runs it fused,
-/// more run it over shard ranges, whatever the input size — which is how
-/// the forced-shard suites cover the parallel emission on fixture-sized
-/// graphs. Both paths emit bit-identical triples: the parallel one
-/// transfers dictionary constants in a sequential scan-order pre-pass
-/// (identical H ids), then packs per-chunk into disjoint buffers and
-/// reduces with [`crate::parallel::merge_dedup_runs`].
+/// `emit_threads` (≥ 1, the building context's worker count) is the
+/// chunk count of the packed emission ([`emit_packed`]), whatever the
+/// input size — which is how the forced-shard suites cover the parallel
+/// emission on fixture-sized graphs. The emitted triples are bit-identical
+/// at any count.
 pub(crate) fn quotient_summary_planned(
     g: &Graph,
     kind: SummaryKind,
@@ -126,15 +167,6 @@ pub(crate) fn quotient_summary_planned(
     // Cross-dictionary cache for constants that keep their identity
     // (properties, class URIs, schema terms): term-indexed, dense.
     let mut xfer: Vec<u32> = vec![NO_DENSE_ID; g.dict().len()];
-    let transfer = |id: TermId, g: &Graph, h: &mut Graph, xfer: &mut Vec<u32>| -> TermId {
-        let slot = xfer[id.index()];
-        if slot != NO_DENSE_ID {
-            return TermId(slot);
-        }
-        let hid = h.dict_mut().encode_ref(g.dict().decode(id));
-        xfer[id.index()] = hid.0;
-        hid
-    };
 
     // rd: G data node → H node, via the partition's dense class array.
     let map = |id: TermId| -> TermId {
@@ -157,9 +189,9 @@ pub(crate) fn quotient_summary_planned(
     // so when it fits 21 bits, a whole H triple packs into one u64 and the
     // massive duplication of quotiented triples is eliminated by a sort
     // (chunked across the emission workers) instead of 25k+ hash probes.
+    // Past the bound, hash dedup through the graph's own set is the only
+    // path there is.
     let id_bound = class_node.len() + g.dict().len() + 8;
-    const PACK_BITS: u32 = 21;
-    const MASK: u64 = (1 << PACK_BITS) - 1;
     let packable = !force_unpacked && id_bound < (1usize << PACK_BITS);
     // DAT: quotient of data triples.
     match data_plan {
@@ -181,65 +213,24 @@ pub(crate) fn quotient_summary_planned(
             }
         }
         DataPlan::Scan if packable => {
-            if emit_threads > 1 {
-                // Shard-range emission. The dictionary can't be mutated
-                // from the chunks, so constants transfer in a sequential
-                // scan-order pre-pass first — assigning exactly the H ids
-                // the fused loop would — and the chunks then read `xfer`
-                // and the class tables only: translate + pack into a
-                // disjoint buffer each, local sort-dedup, pairwise merge.
-                for t in g.data() {
-                    transfer(t.p, g, &mut h, &mut xfer);
-                }
-                let chunk_size = g.data().len().div_ceil(emit_threads).max(1);
-                let runs: Vec<Vec<u64>> = std::thread::scope(|scope| {
-                    let (map, xfer) = (&map, &xfer);
-                    let handles: Vec<_> = g
-                        .data()
-                        .chunks(chunk_size)
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                let mut run: Vec<u64> = chunk
-                                    .iter()
-                                    .map(|t| {
-                                        let s = map(t.s).0 as u64;
-                                        let p = xfer[t.p.index()] as u64;
-                                        let o = map(t.o).0 as u64;
-                                        (s << (2 * PACK_BITS)) | (p << PACK_BITS) | o
-                                    })
-                                    .collect();
-                                run.sort_unstable();
-                                run.dedup();
-                                run
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|jh| jh.join().unwrap()).collect()
-                });
-                for k in crate::parallel::merge_dedup_runs(runs) {
-                    h.insert_encoded(Triple::new(
-                        TermId((k >> (2 * PACK_BITS)) as u32),
-                        TermId(((k >> PACK_BITS) & MASK) as u32),
-                        TermId((k & MASK) as u32),
-                    ));
-                }
-            } else {
-                let mut keys: Vec<u64> = Vec::with_capacity(g.data().len());
-                for t in g.data() {
-                    let s = map(t.s).0 as u64;
-                    let p = transfer(t.p, g, &mut h, &mut xfer).0 as u64;
-                    let o = map(t.o).0 as u64;
-                    keys.push((s << (2 * PACK_BITS)) | (p << PACK_BITS) | o);
-                }
-                keys.sort_unstable();
-                keys.dedup();
-                for k in keys {
-                    h.insert_encoded(Triple::new(
-                        TermId((k >> (2 * PACK_BITS)) as u32),
-                        TermId(((k >> PACK_BITS) & MASK) as u32),
-                        TermId((k & MASK) as u32),
-                    ));
-                }
+            let keys = emit_packed(
+                g,
+                &mut h,
+                &mut xfer,
+                g.data(),
+                emit_threads,
+                |t| t.p,
+                |t, p| {
+                    let (s, o) = (map(t.s).0 as u64, map(t.o).0 as u64);
+                    (s << (2 * PACK_BITS)) | (p << PACK_BITS) | o
+                },
+            );
+            for k in keys {
+                h.insert_encoded(Triple::new(
+                    TermId((k >> (2 * PACK_BITS)) as u32),
+                    TermId(((k >> PACK_BITS) & MASK) as u32),
+                    TermId((k & MASK) as u32),
+                ));
             }
         }
         DataPlan::Scan => {
@@ -254,60 +245,21 @@ pub(crate) fn quotient_summary_planned(
     // TYP: quotient of type triples; classes keep their URIs.
     let tau = h.rdf_type();
     if packable {
-        if emit_threads > 1 {
-            // Same shard-range shape as the data emission: class URIs
-            // transfer in a sequential scan-order pre-pass, chunks pack
-            // read-only.
-            for t in g.types() {
-                transfer(t.o, g, &mut h, &mut xfer);
-            }
-            let chunk_size = g.types().len().div_ceil(emit_threads).max(1);
-            let runs: Vec<Vec<u64>> = std::thread::scope(|scope| {
-                let (map, xfer) = (&map, &xfer);
-                let handles: Vec<_> = g
-                    .types()
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut run: Vec<u64> = chunk
-                                .iter()
-                                .map(|t| {
-                                    let s = map(t.s).0 as u64;
-                                    let c = xfer[t.o.index()] as u64;
-                                    (s << PACK_BITS) | c
-                                })
-                                .collect();
-                            run.sort_unstable();
-                            run.dedup();
-                            run
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|jh| jh.join().unwrap()).collect()
-            });
-            for k in crate::parallel::merge_dedup_runs(runs) {
-                h.insert_encoded(Triple::new(
-                    TermId((k >> PACK_BITS) as u32),
-                    tau,
-                    TermId((k & MASK) as u32),
-                ));
-            }
-        } else {
-            let mut keys: Vec<u64> = Vec::with_capacity(g.types().len());
-            for t in g.types() {
-                let s = map(t.s).0 as u64;
-                let c = transfer(t.o, g, &mut h, &mut xfer).0 as u64;
-                keys.push((s << PACK_BITS) | c);
-            }
-            keys.sort_unstable();
-            keys.dedup();
-            for k in keys {
-                h.insert_encoded(Triple::new(
-                    TermId((k >> PACK_BITS) as u32),
-                    tau,
-                    TermId((k & MASK) as u32),
-                ));
-            }
+        let keys = emit_packed(
+            g,
+            &mut h,
+            &mut xfer,
+            g.types(),
+            emit_threads,
+            |t| t.o,
+            |t, c| ((map(t.s).0 as u64) << PACK_BITS) | c,
+        );
+        for k in keys {
+            h.insert_encoded(Triple::new(
+                TermId((k >> PACK_BITS) as u32),
+                tau,
+                TermId((k & MASK) as u32),
+            ));
         }
     } else {
         for t in g.types() {

@@ -9,7 +9,7 @@
 //!
 //! * **warm stores** — loaded graphs kept resident as indexed
 //!   [`TripleStore`]s, keyed by a caller-chosen name (the server uses the
-//!   file path), bulk-loaded with [`TripleStore::with_threads`];
+//!   file path), indexed by [`TripleStore::with_threads`];
 //! * a **summary cache** keyed by `(content fingerprint, kind)` — the
 //!   [`rdf_store::Fingerprint`] digest is load-order independent, so two
 //!   loads of the same data (different files, different triple order)
@@ -42,7 +42,6 @@
 
 use crate::cardinality::{SummaryCardinality, SummaryEstimator};
 use crate::context::SummaryContext;
-use crate::incremental::WeakDelta;
 use crate::summary::{Summary, SummaryKind};
 use rdf_io::writer::push_term;
 use rdf_model::{Graph, PrefixMap, Term};
@@ -120,12 +119,8 @@ pub struct ServiceStats {
     pub cache_bytes: usize,
     /// `UPDATE` batches processed (inserts and deletes, no-ops included).
     pub updates: u64,
-    /// Cached summaries carried across a fingerprint transition by the
-    /// incremental patch path (no rebuild).
-    pub patches: u64,
-    /// Cached summaries carried across a fingerprint transition by an
-    /// eager rebuild (kinds without a sound patch rule, or after a
-    /// delete). Each one also counts in `builds` — so under any workload
+    /// Kinds an `UPDATE` re-established by rebuilding; named for the
+    /// wire. Each one also counts in `builds` — so under any workload
     /// `builds == patch_fallbacks + misses`, the CI liveness seam.
     pub patch_fallbacks: u64,
     /// Cache misses answered from a persisted on-disk artifact instead of
@@ -203,24 +198,16 @@ pub struct UpdateOutcome {
     pub fingerprint: Fingerprint,
     /// Triples genuinely inserted/removed.
     pub applied: usize,
-    /// Cached summaries carried to the new fingerprint by the patch path.
-    pub patched: usize,
-    /// Cached summaries carried by an eager rebuild (fallback).
+    /// Cached summaries carried to the new fingerprint, each rebuilt from
+    /// the batch's one shared context.
     pub rebuilt: usize,
 }
 
 /// A resident graph's content: the warm store plus its precomputed
-/// fingerprint and — while the graph builds on one shard and has seen an
-/// insert batch — the incremental weak-summary scan state that lets
-/// `UPDATE` patch cached weak summaries instead of rebuilding. Deletes
-/// drop the state (quotient summaries are not decremental — see
-/// [`crate::incremental`]), and so does any batch that leaves the graph
-/// above the shard floor, where every carried kind derives from one shared
-/// context and the state would never be read.
+/// fingerprint.
 struct GraphEntry {
     store: TripleStore,
     fingerprint: Fingerprint,
-    delta: Option<WeakDelta>,
 }
 
 /// One name's binding in the service: the content behind its reader/writer
@@ -322,7 +309,6 @@ pub struct SummaryService {
     prune_hits: AtomicU64,
     evictions: AtomicU64,
     updates: AtomicU64,
-    patches: AtomicU64,
     patch_fallbacks: AtomicU64,
     persist_hits: AtomicU64,
     persist_writes: AtomicU64,
@@ -425,7 +411,6 @@ impl SummaryService {
             prune_hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             updates: AtomicU64::new(0),
-            patches: AtomicU64::new(0),
             patch_fallbacks: AtomicU64::new(0),
             persist_hits: AtomicU64::new(0),
             persist_writes: AtomicU64::new(0),
@@ -435,7 +420,7 @@ impl SummaryService {
     }
 
     /// Enables warm-restart persistence: every artifact the service
-    /// builds (or patches) is written to `dir` as
+    /// builds is written to `dir` as
     /// `<fingerprint>-<kind>.sum` via temp-file + atomic rename, and a
     /// cache miss probes the directory before building. A probe that
     /// fails *in any way* — missing file, bad checksum, wrong version,
@@ -465,23 +450,15 @@ impl SummaryService {
     }
 
     /// Makes `g` resident under `name`, replacing any previous binding.
-    /// The store is bulk-loaded with the configured workers and its
-    /// content fingerprint computed once, up front.
+    /// The store is indexed with the configured workers and its content
+    /// fingerprint computed once, up front.
     pub fn load_graph(&self, name: impl Into<String>, g: Graph) -> LoadedGraph {
-        let store = if self.threads > 1 {
-            TripleStore::with_threads(g, self.threads)
-        } else {
-            TripleStore::new(g)
-        };
+        let store = TripleStore::with_threads(g, self.threads);
         let fingerprint = store.fingerprint();
         let triples = store.len();
         let entry = Arc::new(ResidentGraph {
             writer_gate: Mutex::new(()),
-            entry: RwLock::new(GraphEntry {
-                store,
-                fingerprint,
-                delta: None,
-            }),
+            entry: RwLock::new(GraphEntry { store, fingerprint }),
         });
         let replaced = self
             .graphs
@@ -598,14 +575,13 @@ impl SummaryService {
             return (artifact, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let g = entry.store.graph();
         // The context is a temporary of this statement: it is freed before
         // the summary is serialized and indexed.
-        let summary = self.build_summary(&SummaryContext::sharded(g, self.threads), kind);
-        let artifact = Arc::new(Self::package(entry, kind, summary));
-        self.persist_artifact(&artifact, g);
-        guard.install(&artifact);
-        (artifact, false)
+        let summary = self.build_summary(
+            &SummaryContext::sharded(entry.store.graph(), self.threads),
+            kind,
+        );
+        (self.publish(entry, guard, summary), false)
     }
 
     /// Probes the persist dir for this slot's artifact. `None` — missing
@@ -667,10 +643,27 @@ impl SummaryService {
         }
     }
 
-    /// One real summary build (the cache-miss work).
+    /// One real summary build — a cache miss's, or one carried kind's of
+    /// an `UPDATE`.
     fn build_summary(&self, context: &SummaryContext<'_>, kind: SummaryKind) -> Summary {
         self.builds.fetch_add(1, Ordering::Relaxed);
         context.summarize(kind)
+    }
+
+    /// What every build ends with, a miss's and a carry's alike: package
+    /// the summary, install it in the claimed slot — waking the slot's
+    /// waiters — and only then write it to the persist dir, so no waiter
+    /// sits out the file write.
+    fn publish(
+        &self,
+        entry: &GraphEntry,
+        guard: BuildGuard<'_>,
+        summary: Summary,
+    ) -> Arc<SummaryArtifact> {
+        let artifact = Arc::new(Self::package(entry, guard.key.1, summary));
+        guard.install(&artifact);
+        self.persist_artifact(&artifact, entry.store.graph());
+        artifact
     }
 
     /// Serializes `summary` and derives its query-serving companions.
@@ -695,23 +688,14 @@ impl SummaryService {
     /// the cached summaries across the fingerprint transition.
     ///
     /// The store absorbs the batch in O(delta · log n) plus one in-place
-    /// shift per index (incremental fingerprint, no rebuild; see
+    /// shift per index (incremental fingerprint, no index rebuild; see
     /// [`TripleStore::insert_batch`]). Every summary kind cached for the
-    /// *old* fingerprint is then re-established under the new one, unless
-    /// the new content's slot is already present (the content is shared
-    /// with another resident name that got there first):
-    ///
-    /// * **patch** — weak summaries after insert-only history, while the
-    ///   graph builds on one shard, are materialized from the maintained
-    ///   [`WeakDelta`] scan state, byte-identical to a fresh build but
-    ///   skipping the full input re-scan (and not counted in `builds`);
-    /// * **rebuild fallback** — every other kind (their quotients are not
-    ///   soundly patchable: type/property insertions can split their
-    ///   equivalence classes, which union–find cannot undo), every kind
-    ///   after a delete, and every kind above the shard floor. All rebuilt
-    ///   kinds of one batch derive from one shared context. Counted in
-    ///   both `builds` and `patch_fallbacks`, keeping `builds ==
-    ///   patch_fallbacks + misses`.
+    /// *old* fingerprint is then re-established under the new one — built
+    /// exactly as a cache miss builds it, all kinds of one batch from one
+    /// shared [`SummaryContext`] — unless the new content's slot is
+    /// already present (the content is shared with another resident name
+    /// that got there first). Each carried kind counts in both `builds`
+    /// and `patch_fallbacks`, keeping `builds == patch_fallbacks + misses`.
     ///
     /// **What a concurrent reader observes.** Writers to one graph queue
     /// on its gate, out of the readers' way. The graph's lock is held
@@ -757,28 +741,11 @@ impl SummaryService {
                 previous,
                 fingerprint: previous,
                 applied: 0,
-                patched: 0,
                 rebuilt: 0,
             });
         }
         let fingerprint = batch.fingerprint;
-        let e = &mut *entry;
-        e.fingerprint = fingerprint;
-        // The scan state is kept only while the graph builds on one shard:
-        // above the floor every carried kind derives from one shared
-        // context and the state is never read. It re-primes (one full
-        // scan) on the first insert batch after a delete or a spell above
-        // the floor.
-        let one_shard =
-            crate::parallel::shard_count(e.store.graph().data().len(), self.threads) == 1;
-        if insert && one_shard {
-            match e.delta.as_mut() {
-                Some(d) => d.apply_inserts(e.store.graph(), &batch.applied),
-                None => e.delta = Some(WeakDelta::from_graph(e.store.graph())),
-            }
-        } else {
-            e.delta = None;
-        }
+        entry.fingerprint = fingerprint;
         // Claim, while still exclusive, the new-fingerprint slot of every
         // kind Ready under the old one: a reader admitted after the
         // downgrade finds them in flight and waits instead of building.
@@ -803,36 +770,21 @@ impl SummaryService {
                 .collect()
         };
         let entry = RwLockWriteGuard::downgrade(entry);
-        let g = entry.store.graph();
-        // Built by the first kind that needs a rebuild, shared by the rest.
+        let rebuilt = claims.len();
+        // Built by the first carried kind, shared by the rest.
         let mut context: Option<SummaryContext<'_>> = None;
-        let (mut patched, mut rebuilt) = (0usize, 0usize);
         for claim in claims {
             let kind = claim.key.1;
             #[cfg(test)]
             self.run_carry_hook(kind);
-            let summary = match entry.delta.as_ref() {
-                // Materialized from the scan state: byte-identical to the
-                // fresh build by [`WeakDelta`]'s contract, and not a build.
-                Some(delta) if kind == SummaryKind::Weak => {
-                    patched += 1;
-                    self.patches.fetch_add(1, Ordering::Relaxed);
-                    delta.summary(g)
-                }
-                _ => {
-                    rebuilt += 1;
-                    self.patch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let context =
-                        context.get_or_insert_with(|| SummaryContext::sharded(g, self.threads));
-                    self.build_summary(context, kind)
-                }
-            };
-            let artifact = Arc::new(Self::package(&entry, kind, summary));
-            claim.install(&artifact);
-            // Re-key the on-disk slot along with the in-memory line (the
-            // old fingerprint's files go with `drop_fingerprint_lines`) —
-            // after the install, so no waiter sits out the file write.
-            self.persist_artifact(&artifact, g);
+            self.patch_fallbacks.fetch_add(1, Ordering::Relaxed);
+            let context = context
+                .get_or_insert_with(|| SummaryContext::sharded(entry.store.graph(), self.threads));
+            let summary = self.build_summary(context, kind);
+            // Publishing re-keys the on-disk slot along with the in-memory
+            // line (the old fingerprint's files go with
+            // `drop_fingerprint_lines`).
+            self.publish(&entry, claim, summary);
         }
         // Release the entry (and the context borrowing it) before the
         // sharing scan: fingerprint_shared read-locks every entry,
@@ -846,7 +798,6 @@ impl SummaryService {
             previous,
             fingerprint,
             applied: batch.applied.len(),
-            patched,
             rebuilt,
         })
     }
@@ -1122,7 +1073,6 @@ impl SummaryService {
             evictions: self.evictions.load(Ordering::Relaxed),
             cache_bytes,
             updates: self.updates.load(Ordering::Relaxed),
-            patches: self.patches.load(Ordering::Relaxed),
             patch_fallbacks: self.patch_fallbacks.load(Ordering::Relaxed),
             persist_hits: self.persist_hits.load(Ordering::Relaxed),
             persist_writes: self.persist_writes.load(Ordering::Relaxed),
@@ -1564,7 +1514,7 @@ mod tests {
     }
 
     #[test]
-    fn update_patches_cached_weak_summary() {
+    fn update_carries_cached_weak_summary() {
         let svc = SummaryService::new(1);
         svc.load_graph("g", fixtures::sample_graph());
         svc.summarize("g", SummaryKind::Weak).unwrap();
@@ -1573,21 +1523,18 @@ mod tests {
         let out = svc.update("g", true, &batch).unwrap();
         assert_eq!(out.applied, 1);
         assert_ne!(out.previous, out.fingerprint);
-        assert_eq!((out.patched, out.rebuilt), (1, 0));
-        // The patched line serves without any rebuild…
+        assert_eq!(out.rebuilt, 1);
+        // The carried line serves without a further build…
         let (artifact, hit) = svc.summarize("g", SummaryKind::Weak).unwrap();
-        assert!(hit, "patched summary must be a cache hit");
-        assert_eq!(svc.builds(), 1, "no rebuild on the weak patch path");
+        assert!(hit, "carried summary must be a cache hit");
+        assert_eq!(svc.builds(), 2, "the cold build and its one carry");
         assert_eq!(artifact.fingerprint, out.fingerprint);
         // …and is byte-identical to a cold rebuild of the mutated graph.
         let st = mutated_store(fixtures::sample_graph(), &[(true, batch)]);
         let direct = crate::builder::summarize(st.graph(), SummaryKind::Weak);
         assert_eq!(artifact.ntriples, rdf_io::write_graph(&direct.graph));
         let stats = svc.stats();
-        assert_eq!(
-            (stats.updates, stats.patches, stats.patch_fallbacks),
-            (1, 1, 0)
-        );
+        assert_eq!((stats.updates, stats.patch_fallbacks), (1, 1));
         assert_eq!(stats.builds, stats.patch_fallbacks + stats.misses);
     }
 
@@ -1627,7 +1574,7 @@ mod tests {
                 let out = svc.update("g", *insert, batch).unwrap();
                 applied_ops.push((*insert, batch.clone()));
                 assert_eq!(
-                    out.patched + out.rebuilt,
+                    out.rebuilt,
                     SummaryKind::ALL.len(),
                     "{name}: every cached kind must survive the transition"
                 );
@@ -1649,20 +1596,19 @@ mod tests {
     }
 
     #[test]
-    fn update_delete_falls_back_then_insert_patches_again() {
+    fn update_carries_across_delete_then_insert() {
         let svc = SummaryService::new(1);
         svc.load_graph("g", fixtures::sample_graph());
         svc.summarize("g", SummaryKind::Weak).unwrap();
-        // Prime some content, then delete it: the weak patch state is
-        // dropped, so the transition rebuilds.
+        // Insert, delete, insert again: every transition carries the one
+        // warm kind the same way, whatever came before it.
         let batch = vec![u("urn:u:s", "urn:u:p", "urn:u:o")];
-        svc.update("g", true, &batch).unwrap();
-        let out = svc.update("g", false, &batch).unwrap();
-        assert_eq!((out.patched, out.rebuilt), (0, 1));
-        // A subsequent insert re-primes the state and patches again.
-        let out = svc.update("g", true, &batch).unwrap();
-        assert_eq!((out.patched, out.rebuilt), (1, 0));
+        for insert in [true, false, true] {
+            let out = svc.update("g", insert, &batch).unwrap();
+            assert_eq!(out.rebuilt, 1, "insert={insert}");
+        }
         let stats = svc.stats();
+        assert_eq!((stats.patch_fallbacks, stats.misses), (3, 1));
         assert_eq!(stats.builds, stats.patch_fallbacks + stats.misses);
     }
 
@@ -1712,7 +1658,7 @@ mod tests {
         let out = svc
             .update("g", true, &[u("urn:u:s", "urn:u:p", "urn:u:o")])
             .unwrap();
-        // One cache line resides (the patched one, under the new key).
+        // One cache line resides (the carried one, under the new key).
         let stats = svc.stats();
         assert_eq!(stats.cached_summaries, 1);
         let (artifact, _) = svc.summarize("g", SummaryKind::Weak).unwrap();
@@ -1748,17 +1694,17 @@ mod tests {
         svc.summarize("a", SummaryKind::Strong).unwrap();
         let batch = vec![u("urn:u:s", "urn:u:p", "urn:u:o")];
         let first = svc.update("a", true, &batch).unwrap();
-        assert_eq!((first.patched, first.rebuilt), (0, 1));
+        assert_eq!(first.rebuilt, 1);
         let before = svc.stats();
         // `b` still pins the old content's line, so `b` carries it too —
         // onto a slot `a` has already filled.
         let second = svc.update("b", true, &batch).unwrap();
         assert_eq!(second.fingerprint, first.fingerprint);
-        assert_eq!((second.patched, second.rebuilt), (0, 0));
+        assert_eq!(second.rebuilt, 0);
         let after = svc.stats();
         assert_eq!(
-            (after.builds, after.patch_fallbacks, after.patches),
-            (before.builds, before.patch_fallbacks, before.patches),
+            (after.builds, after.patch_fallbacks),
+            (before.builds, before.patch_fallbacks),
             "a transition onto present content must not build"
         );
         assert_eq!(after.builds, after.patch_fallbacks + after.misses);
@@ -1894,7 +1840,7 @@ mod tests {
         let out = svc
             .update("g", true, &[u("urn:u:s2", "urn:u:p", "urn:u:o")])
             .unwrap();
-        assert_eq!((out.applied, out.patched, out.rebuilt), (1, 1, 1));
+        assert_eq!((out.applied, out.rebuilt), (1, 2));
         let stats = svc.stats();
         assert_eq!(stats.builds, stats.patch_fallbacks + stats.misses);
     }
@@ -1995,7 +1941,7 @@ mod tests {
             scope.spawn(|| {
                 for (insert, batch) in &ops {
                     let out = svc.update("g", *insert, batch).unwrap();
-                    assert_eq!((out.applied, out.patched, out.rebuilt), (8, 0, 2));
+                    assert_eq!((out.applied, out.rebuilt), (8, 2));
                 }
                 done.store(true, Ordering::SeqCst);
             });

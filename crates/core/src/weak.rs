@@ -48,11 +48,10 @@ pub(crate) fn class_property_sets(
 /// Assembles W_G from all-nodes cliques: weak partition, per-property
 /// data edges (Proposition 4), per-class union naming sets — all in
 /// `O(#nodes + #properties)` beyond the quotient's type emission.
-/// Shared by the [`SummaryContext`] builder (which passes its cached
-/// cliques) and [`crate::incremental::WeakDelta`] (which maintains them).
-/// `nodes` is the data-node numbering order, `props` the distinct data
-/// properties in first-seen order; `emit_threads` (≥ 1) flows to the
-/// quotient's packed emission.
+/// The [`SummaryContext`] builder passes its cached cliques. `nodes` is
+/// the data-node numbering order, `props` the distinct data properties in
+/// first-seen order; `emit_threads` (≥ 1) flows to the quotient's packed
+/// emission.
 pub(crate) fn build_weak(
     g: &Graph,
     cliques: &Cliques,

@@ -109,45 +109,6 @@ impl SortedIndex {
         }
     }
 
-    /// [`SortedIndex::build`] split across up to `threads` workers: each
-    /// chunk is sorted and deduplicated concurrently (the same routine), then
-    /// pairwise merge-dedup rounds combine the runs. A key is a full
-    /// permutation of the triple, so key-equality is triple-equality and
-    /// the result is exactly the sequential sort + dedup.
-    pub fn build_threaded(order: Order, triples: &[Triple], threads: usize) -> Self {
-        let threads = threads.clamp(1, 256);
-        if threads <= 1 || triples.len() < 2 {
-            return Self::build(order, triples);
-        }
-        let chunk_size = triples.len().div_ceil(threads).max(1);
-        let mut runs: Vec<Vec<Triple>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = triples
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || sorted_dedup(order, chunk)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        while runs.len() > 1 {
-            runs = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(runs.len().div_ceil(2));
-                let mut iter = runs.into_iter();
-                while let Some(a) = iter.next() {
-                    let b = iter.next();
-                    handles.push(scope.spawn(move || {
-                        let mut merged = SortedIndex { order, triples: a };
-                        merged.insert_sorted(&b.unwrap_or_default());
-                        merged.triples
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-        }
-        SortedIndex {
-            order,
-            triples: runs.pop().unwrap_or_default(),
-        }
-    }
-
     /// The sort order of this index.
     pub fn order(&self) -> Order {
         self.order
@@ -201,18 +162,13 @@ impl SortedIndex {
     /// other or existing triples — the result is exactly a fresh
     /// [`SortedIndex::build`] over the union.
     pub fn insert_merge(&mut self, additions: &[Triple]) {
-        self.insert_sorted(&sorted_dedup(self.order, additions));
-    }
-
-    /// [`SortedIndex::insert_merge`] for additions already sorted in this
-    /// index's order and deduplicated.
-    fn insert_sorted(&mut self, add: &[Triple]) {
         let order = self.order;
+        let add = sorted_dedup(order, additions);
         // (slot, triple) of every genuinely new addition, ascending: the
         // position in the *current* vector it must land in front of.
         let mut fresh: Vec<(usize, Triple)> = Vec::with_capacity(add.len());
         let mut from = 0;
-        for &t in add {
+        for &t in &add {
             from = lower_bound_from(order, &self.triples, from, key(order, t));
             if self.triples.get(from) != Some(&t) {
                 fresh.push((from, t));
@@ -294,8 +250,7 @@ fn gallop(v: &[Triple], pred: impl Fn(Triple) -> bool) -> usize {
 /// The first position at or after `from` whose key is `>= k`. A batch's
 /// slots are visited in ascending order, so galloping from the previous
 /// one costs `O(log gap)` — a handful of probes for a small batch spread
-/// over a large index, and `O(1)` amortized when two equal-sized runs
-/// interleave (the chunk merge of [`SortedIndex::build_threaded`]).
+/// over a large index.
 fn lower_bound_from(order: Order, v: &[Triple], from: usize, k: (u32, u32, u32)) -> usize {
     from + gallop(&v[from..], |t| key(order, t) < k)
 }
@@ -399,7 +354,6 @@ mod tests {
         fn build_matches_comparison_sort(
             raw in proptest::collection::vec((0u32..40, 0u32..6, 0u32..40), 0..200),
             huge in proptest::collection::vec((0usize..200, 0usize..3, 0u32..3), 0..4),
-            threads in 1usize..5,
         ) {
             let dense: Vec<Triple> = raw.iter().map(|&(s, p, o)| t(s, p, o)).collect();
             let mut sparse = dense.clone();
@@ -417,8 +371,6 @@ mod tests {
                     want.dedup();
                     let built = SortedIndex::build(order, input);
                     proptest::prop_assert_eq!(built.as_slice(), &want[..], "{:?}", order);
-                    let threaded = SortedIndex::build_threaded(order, input, threads);
-                    proptest::prop_assert_eq!(threaded.as_slice(), &want[..], "{:?}", order);
                 }
             }
         }
@@ -456,36 +408,6 @@ mod tests {
         assert!(idx.is_empty());
         assert!(idx.range1(0).is_empty());
         assert!(!idx.contains(t(0, 0, 0)));
-    }
-
-    /// The chunk-sort + merge build equals the sequential build exactly,
-    /// for every worker count and duplicate-heavy inputs.
-    #[test]
-    fn threaded_build_matches_sequential() {
-        let mut rng = rdf_model::SplitMix64::new(0x1D7);
-        for case in 0..24 {
-            let len = case * 13;
-            let triples: Vec<Triple> = (0..len)
-                .map(|_| {
-                    t(
-                        rng.index(9) as u32,
-                        rng.index(4) as u32,
-                        rng.index(9) as u32,
-                    )
-                })
-                .collect();
-            for order in [Order::Spo, Order::Pos, Order::Osp] {
-                let seq = SortedIndex::build(order, &triples);
-                for threads in [1, 2, 3, 8] {
-                    let par = SortedIndex::build_threaded(order, &triples, threads);
-                    assert_eq!(
-                        par.as_slice(),
-                        seq.as_slice(),
-                        "{order:?}, {threads} threads"
-                    );
-                }
-            }
-        }
     }
 
     /// Random insert/remove batches through the merge ops always equal a

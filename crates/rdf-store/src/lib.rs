@@ -1,15 +1,17 @@
 //! # rdf-store
 //!
 //! An embedded, integer-encoded triple store — the workspace's substitute
-//! for the paper's PostgreSQL back-end (§6). Provides bulk loading with the
-//! paper's load–encode–split pipeline, three sorted permutation indices
-//! (SPO/POS/OSP), and binary-searched triple-pattern scans that back the
-//! `rdf-query` evaluation engine.
+//! for the paper's PostgreSQL back-end (§6). Provides three sorted
+//! permutation indices (SPO/POS/OSP) over a dictionary-encoded
+//! [`rdf_model::Graph`] (which already splits its triples into the paper's
+//! data/type/schema tables as they are inserted), in-place batch merges,
+//! an incremental content fingerprint, binary snapshots, and the
+//! binary-searched triple-pattern scans that back the `rdf-query`
+//! evaluation engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bulk;
 pub mod codec;
 pub mod fingerprint;
 pub mod index;
@@ -17,7 +19,6 @@ pub mod pattern;
 pub mod snapshot;
 pub mod store;
 
-pub use bulk::{BulkLoader, LoadReport};
 pub use fingerprint::{graph_fingerprint, term_digest, Fingerprint};
 pub use index::{Order, SortedIndex};
 pub use pattern::TriplePattern;

@@ -33,8 +33,8 @@ pub struct BatchOutcome {
 /// [`TripleStore::delete_batch`]), which keep the three permutation
 /// indices and the content fingerprint fresh in O(delta + merge), or
 /// through raw [`TripleStore::graph_mut`] access followed by
-/// [`TripleStore::refresh`] (bulk-load-then-query, the paper's off-line
-/// usage pattern — O(n log n) and fingerprint rescan).
+/// [`TripleStore::refresh`] (load-then-query, the paper's off-line usage
+/// pattern — a full index build and fingerprint rescan).
 #[derive(Debug)]
 pub struct TripleStore {
     graph: Graph,
@@ -60,39 +60,35 @@ impl Clone for TripleStore {
 }
 
 impl TripleStore {
-    /// Builds a store (and its indices) from a graph.
+    /// Builds a store (and its indices) from a graph, on the calling
+    /// thread.
     pub fn new(graph: Graph) -> Self {
-        let all: Vec<Triple> = graph.iter().collect();
-        TripleStore {
-            spo: SortedIndex::build(Order::Spo, &all),
-            pos: SortedIndex::build(Order::Pos, &all),
-            osp: SortedIndex::build(Order::Osp, &all),
-            graph,
-            fingerprint: Mutex::new(None),
-        }
+        Self::with_threads(graph, 1)
     }
 
-    /// [`TripleStore::new`] with a concurrent bulk load: the three
-    /// permutation indices are built in parallel, each with a share of the
-    /// requested workers ([`SortedIndex::build_threaded`]). Indices are
-    /// identical to the sequential build; `threads <= 1` falls back to it.
+    /// [`TripleStore::new`] with the three permutation indices built
+    /// concurrently, one [`SortedIndex::build`] each on its own scoped
+    /// thread, when `threads > 1` (three is all the parallelism there is:
+    /// a build is three counting passes whose count tables are sized by
+    /// the ids, so splitting one across workers multiplies the tables —
+    /// measured slower, CHANGES.md PR 21). The indices are the same at
+    /// any count.
     pub fn with_threads(graph: Graph, threads: usize) -> Self {
-        if threads <= 1 {
-            return Self::new(graph);
-        }
         let all: Vec<Triple> = graph.iter().collect();
-        let per_index = (threads / 3).max(1);
-        let (spo, pos, osp) = std::thread::scope(|scope| {
-            let all = &all;
-            let spo = scope.spawn(move || SortedIndex::build_threaded(Order::Spo, all, per_index));
-            let pos = scope.spawn(move || SortedIndex::build_threaded(Order::Pos, all, per_index));
-            let osp = scope.spawn(move || SortedIndex::build_threaded(Order::Osp, all, per_index));
-            (
-                spo.join().unwrap(),
-                pos.join().unwrap(),
-                osp.join().unwrap(),
-            )
-        });
+        let build = |order| SortedIndex::build(order, &all);
+        let (spo, pos, osp) = if threads > 1 {
+            std::thread::scope(|scope| {
+                let [spo, pos, osp] = [Order::Spo, Order::Pos, Order::Osp]
+                    .map(|order| scope.spawn(move || build(order)));
+                (
+                    spo.join().unwrap(),
+                    pos.join().unwrap(),
+                    osp.join().unwrap(),
+                )
+            })
+        } else {
+            (build(Order::Spo), build(Order::Pos), build(Order::Osp))
+        };
         TripleStore {
             spo,
             pos,
@@ -444,7 +440,7 @@ mod tests {
     #[test]
     fn with_threads_builds_identical_indices() {
         let st = store();
-        for threads in [1, 2, 4, 8] {
+        for threads in [1, 2, 3, 8] {
             let par = TripleStore::with_threads(st.graph().clone(), threads);
             assert_eq!(par.spo().as_slice(), st.spo().as_slice(), "{threads}");
             assert_eq!(par.pos().as_slice(), st.pos().as_slice(), "{threads}");

@@ -21,8 +21,8 @@
 //!     of ready connections is served with zero handoffs, which on a
 //!     loaded box is worth several context switches per request;
 //!   - `LOAD`, `SUMMARIZE` and `UPDATE` — the verbs that can take
-//!     seconds (cold builds, or an update whose summary re-keying falls
-//!     back to a rebuild) — are handed to the **executor**, a fixed pool of
+//!     seconds (cold builds, or an update, which rebuilds every warm
+//!     summary) — are handed to the **executor**, a fixed pool of
 //!     [`rdfsum_core::Executor`] workers, so a cold build can never
 //!     stall keep-alive traffic on other connections. An inline `QUERY`
 //!     on a graph an `UPDATE` is working on does block this thread, but
@@ -638,8 +638,8 @@ fn queue_err(c: &mut Conn, err: &ProtocolError) {
 
 /// Which verbs go to the executor instead of running on the event
 /// thread: the ones that can take seconds cold (graph parse, summary
-/// build, and `UPDATE`'s summary re-keying, whose fallback path is a
-/// full rebuild per cached kind). Everything else — including warm
+/// build, and `UPDATE`'s summary re-keying, a full rebuild per cached
+/// kind). Everything else — including warm
 /// `QUERY` — is μs-scale and runs inline, where batching keeps the hot
 /// path free of handoffs.
 fn offloads(req: &crate::protocol::Request) -> bool {

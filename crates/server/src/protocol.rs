@@ -34,10 +34,11 @@
 //! just send more `UPDATE` lines). Insertion is atomic: a malformed
 //! payload or a model-invalid triple rejects the whole batch. Deletion
 //! skips absent triples rather than failing. The success line is
-//! `OK update fp=<new> applied=<n> patched=<p> rebuilt=<r>` — `applied`
-//! counts triples that actually changed the graph, and `patched`/
-//! `rebuilt` say how each warm cached summary of the old fingerprint was
-//! carried to the new one (incremental patch vs. full rebuild).
+//! `OK update fp=<new> applied=<n> patched=0 rebuilt=<r>` — `applied`
+//! counts triples that actually changed the graph and `rebuilt` the warm
+//! cached summaries of the old fingerprint carried to the new one, each
+//! rebuilt from the batch's one shared context. `patched` is always 0:
+//! the token is kept because the field set is pinned.
 //!
 //! A response is one status line, optionally followed by a length-framed
 //! binary body:
@@ -136,8 +137,8 @@ pub enum Request {
     },
     /// `UPDATE <graph> <+|-> <triples…>` — insert or delete a batch of
     /// N-Triples statements on a resident graph, re-keying its cached
-    /// summaries under the new fingerprint (patched incrementally where
-    /// sound, rebuilt otherwise).
+    /// summaries under the new fingerprint (each rebuilt there, exactly
+    /// as a cache miss would build it).
     Update {
         /// Resident graph name (first whitespace-delimited token, same
         /// addressing restriction as `QUERY`).

@@ -95,7 +95,7 @@ USAGE:
                          QUIT); body goes to stdout, status to stderr.
                          QUERY evaluates a BGP on the warm store with
                          summary-based emptiness pruning; UPDATE applies
-                         an N-Triples batch and patches warm summaries
+                         an N-Triples batch and rebuilds warm summaries
 
 <graph> is an N-Triples file (.nt) or a binary snapshot (.snap).
 QUERY uses the paper notation, e.g. \"q(?x) :- ?x a <http://…/Book>, ?x <http://…/author> ?y\""
@@ -437,7 +437,7 @@ fn cmd_generate(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
 }
 
 /// `serve`: the long-running warm-store summary server. `--threads`
-/// bounds build/bulk-load parallelism (same meaning as for `summarize`);
+/// bounds build and index parallelism (same meaning as for `summarize`);
 /// `--workers` sizes the executor for the seconds-scale verbs (`LOAD`,
 /// cold `SUMMARIZE`, `UPDATE`) — cheap verbs answer inline on the event
 /// thread — and never caps how many clients may stay connected (default

@@ -152,15 +152,12 @@
 //! lane-sum digest adds/subtracts exactly the touched triples, so the
 //! post-batch fingerprint costs O(batch), not an SPO rescan — and the
 //! answer is status-line-only: `OK update fp=<new> applied=<n>
-//! patched=<n> rebuilt=<n>`. Cached summaries follow the fingerprint
-//! transition: an insert batch whose graph has a warm **weak** summary
-//! and sits below the shard floor is *patched*
-//! (`core::incremental` replays the delta through the clique union–find
-//! and re-keys the cached artifact, byte-identical to a fresh build)
-//! instead of rebuilt; deletes, the other summary kinds and graphs whose
-//! builds shard fall back to an eager rebuild of every cached kind, all
-//! from one shared substrate. A kind the new content already has cached
-//! (shared with another resident name) is skipped before any work.
+//! patched=0 rebuilt=<n>`. Cached summaries follow the fingerprint
+//! transition: every kind that was warm for the old content is rebuilt
+//! for the new one, exactly as a cache miss would build it, all of one
+//! batch from one shared substrate (`rebuilt` counts them; `patched` is a
+//! pinned wire token that reads 0). A kind the new content already has
+//! cached (shared with another resident name) is skipped before any work.
 //!
 //! What a **concurrent reader** observes: writers to one graph queue
 //! among themselves, out of the readers' way, and an `UPDATE` holds the
@@ -172,11 +169,11 @@
 //! prunes with — never answering un-pruned or from the old summary, so
 //! `pruned=` stays deterministic — and `SUMMARIZE k` waits for `k`. The
 //! `UPDATE` itself answers once every carried kind is in place.
-//! `STATS` exposes the accounting — `updates` (batches applied),
-//! `patches` (transitions served by patching), `patch_fallbacks`
-//! (transitions that had to rebuild) — and the invariant `builds ==
+//! `STATS` exposes the accounting — `updates` (batches applied) and
+//! `patch_fallbacks` (kinds an `UPDATE` re-established by rebuilding;
+//! `patches` is pinned at 0 beside it) — and the invariant `builds ==
 //! patch_fallbacks + misses` holds at all times: every build is either a
-//! plain cache miss or an update that could not be patched. The
+//! plain cache miss or one kind carried by an update. The
 //! repository benchmark's `explore_update` workload and the `server`
 //! suite's concurrent-writers test exercise this path under load.
 //!
@@ -192,7 +189,7 @@
 //! build or graph mutation never stalls keep-alive traffic. That makes `--workers N` (default:
 //! max(threads, 4)) the width of the *executor* — how many heavy
 //! requests may run at once — **not** a cap on connections. `--threads
-//! N` still bounds build/bulk-load parallelism exactly as it does for
+//! N` still bounds build and index parallelism exactly as it does for
 //! `summarize`. `serve` refuses arguments it does not know.
 //!
 //! `QUERY` is the paper's intended payoff turned into a serving verb: it
@@ -280,9 +277,7 @@ pub mod prelude {
     pub use rdf_query::{compile, parse_query, Evaluator, QuerySpec};
     pub use rdf_schema::{saturate, Schema};
     pub use rdf_store::{TriplePattern, TripleStore};
-    pub use rdfsum_core::{
-        summarize, summarize_all, summarize_with, Summary, SummaryKind, SummaryStats,
-    };
+    pub use rdfsum_core::{summarize, summarize_all, Summary, SummaryKind, SummaryStats};
     pub use rdfsum_workloads::{BsbmConfig, LubmConfig};
 }
 

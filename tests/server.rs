@@ -370,12 +370,12 @@ fn stress_interleaved_load_summarize_evict() {
 }
 
 /// The delta-serving contract over real TCP: a single-triple `UPDATE`
-/// patches the warm weak summary in place (no rebuild), the patched body
-/// served under the new fingerprint is byte-identical to a cold build of
-/// the updated graph, a delete falls back to a rebuild, and the STATS
-/// line carries the new `updates`/`patches`/`patch_fallbacks` counters.
+/// carries the warm weak summary to the new fingerprint (one rebuild, no
+/// miss), the carried body is byte-identical to a cold build of the
+/// updated graph, a delete carries it back the same way, and the STATS
+/// line keeps its pinned `updates`/`patches`/`patch_fallbacks` tokens.
 #[test]
-fn update_patches_warm_weak_summary_over_the_wire() {
+fn update_carries_warm_weak_summary_over_the_wire() {
     let dir = workdir("update");
     let g = rdfsummary::rdfsum_core::fixtures::book_graph();
     let path = dir.join("book.nt");
@@ -389,18 +389,18 @@ fn update_patches_warm_weak_summary_over_the_wire() {
     assert_eq!(cold.field("cached"), Some("0"));
     let builds_before = service.builds();
 
-    // Insert one data triple: the warm weak summary must be *patched*
-    // across the fingerprint transition, not rebuilt.
+    // Insert one data triple: the warm weak summary must be carried
+    // across the fingerprint transition by the update itself.
     let payload = "<http://pr8/s> <http://pr8/p> <http://pr8/o> .";
     let r = client.update(path_str, true, payload).unwrap();
     assert!(r.is_ok(), "{}", r.status);
     assert_eq!(r.field("applied"), Some("1"));
-    assert_eq!(r.field("patched"), Some("1"));
-    assert_eq!(r.field("rebuilt"), Some("0"));
-    assert_eq!(service.builds(), builds_before, "a patch must not rebuild");
+    assert_eq!(r.field("patched"), Some("0"));
+    assert_eq!(r.field("rebuilt"), Some("1"));
+    assert_eq!(service.builds(), builds_before + 1, "one carry, one build");
     assert_ne!(r.field("fp"), cold.field("fp"), "fingerprint must move");
 
-    // The patched artifact serves as a warm hit under the new fingerprint…
+    // The carried artifact serves as a warm hit under the new fingerprint…
     let hit = client.summarize(SummaryKind::Weak, path_str).unwrap();
     assert_eq!(hit.field("cached"), Some("1"));
     assert_eq!(hit.field("fp"), r.field("fp"));
@@ -416,8 +416,8 @@ fn update_patches_warm_weak_summary_over_the_wire() {
     let expect = write_graph(&summarize(&updated, SummaryKind::Weak).graph);
     assert_eq!(hit.body_str(), Some(expect.as_str()));
 
-    // Deleting the triple falls back to a rebuild (quotient summaries are
-    // not decremental) and restores the original fingerprint + bytes.
+    // Deleting the triple carries the same way and restores the original
+    // fingerprint + bytes.
     let del = client.update(path_str, false, payload).unwrap();
     assert!(del.is_ok(), "{}", del.status);
     assert_eq!(del.field("applied"), Some("1"));
@@ -428,12 +428,12 @@ fn update_patches_warm_weak_summary_over_the_wire() {
     assert_eq!(back.field("cached"), Some("1"));
     assert_eq!(back.body, cold.body);
 
-    // STATS reports the new counters and the CI invariant holds:
-    // every build is either a patch fallback or a plain cache miss.
+    // STATS reports the counters and the CI invariant holds: every
+    // build is either a carried kind or a plain cache miss.
     let stats = client.stats().unwrap();
     assert_eq!(stats.field("updates"), Some("2"));
-    assert_eq!(stats.field("patches"), Some("1"));
-    assert_eq!(stats.field("patch_fallbacks"), Some("1"));
+    assert_eq!(stats.field("patches"), Some("0"));
+    assert_eq!(stats.field("patch_fallbacks"), Some("2"));
     let field = |k: &str| stats.field(k).unwrap().parse::<u64>().unwrap();
     assert_eq!(field("builds"), field("patch_fallbacks") + field("misses"));
 
@@ -456,7 +456,7 @@ fn update_patches_warm_weak_summary_over_the_wire() {
 /// (pruned and not), `SUMMARIZE` and `STATS`, so the fingerprint keeps
 /// moving under every other verb. Every response must be `OK`, the
 /// accounting must balance (`builds == patch_fallbacks + misses`: every
-/// build is a plain miss or an update that could not be patched), and the
+/// build is a plain miss or a kind carried by an update), and the
 /// weak summary served for the final content must equal a cold CLI build
 /// of that content byte for byte.
 #[test]
