@@ -14,6 +14,13 @@
 //! dictionary; `snapshot_decode_*` decodes the graph's `.snap` image;
 //! `index_build_{spo,pos,osp}` builds one permutation index over the larger
 //! graph's triples.
+//!
+//! `load_path/bsbm_30k` is the file loader end to end — read, parse, encode,
+//! and the one sort that proves the rows a set — on the BSBM-300 file, and
+//! `load_path/bsbm_30k_repeats_10pct` the same file with a tenth more lines,
+//! each a copy of an earlier one: the loader's rare path (the sort comes out
+//! short, the tables are compacted to their first occurrences), so its cost
+//! is on record beside the common one.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rdf_model::{Dictionary, Graph, Term, Triple};
@@ -94,14 +101,46 @@ fn bench_index_build(c: &mut Criterion, g: &Graph) {
     group.finish();
 }
 
+/// `load_path` over the graph's N-Triples file, and over the same file with
+/// every tenth line followed by a copy of a line from its first half.
+fn bench_load_path(c: &mut Criterion, g: &Graph, suffix: &str) {
+    let text = rdf_io::write_graph(g);
+    let mut repeated = String::with_capacity(text.len() * 11 / 10);
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        repeated.extend([line, "\n"]);
+        if i % 10 == 9 {
+            repeated.extend([lines[i / 2], "\n"]);
+        }
+    }
+    let dir = std::env::temp_dir();
+    let mut group = c.benchmark_group("load_path");
+    group.throughput(Throughput::Elements(g.len() as u64));
+    for (name, text) in [
+        (suffix.to_string(), &text),
+        (format!("{suffix}_repeats_10pct"), &repeated),
+    ] {
+        let file = dir.join(format!("rdfsum-bench-{}-{name}.nt", std::process::id()));
+        std::fs::write(&file, text).expect("scratch file");
+        assert_eq!(rdf_io::load_path(&file).unwrap().len(), g.len());
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(rdf_io::load_path(&file).unwrap()))
+        });
+        std::fs::remove_file(&file).expect("scratch file");
+    }
+    group.finish();
+}
+
 fn bench_parse(c: &mut Criterion) {
     let bsbm = |products| rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(products));
     bench_codec(c, &bsbm(100), "10k");
     let bsbm2000 = bsbm(2000);
     bench_codec(c, &bsbm2000, "bsbm2000");
     bench_codec(c, &escape_heavy(50_000), "escaped_50k");
-    bench_load_layers(c, &bsbm(300), "30k");
+    let bsbm300 = bsbm(300);
+    bench_load_layers(c, &bsbm300, "30k");
     bench_load_layers(c, &bsbm2000, "200k");
+    bench_load_path(c, &bsbm300, "bsbm_30k");
     bench_index_build(c, &bsbm2000);
 }
 

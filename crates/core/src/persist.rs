@@ -136,7 +136,8 @@ pub fn encode_artifact(artifact: &SummaryArtifact, g: &rdf_model::Graph) -> Opti
 /// matches the expected `(fingerprint, kind)` slot. Any damage — bad
 /// magic/version/checksum, truncation, a fingerprint or kind mismatch, a
 /// cardinality IRI absent from `g`'s dictionary, a snapshot that fails to
-/// decode — returns `None`: the caller treats it as a plain cache miss.
+/// decode or lists a triple twice — returns `None`: the caller treats it as
+/// a plain cache miss.
 pub fn decode_artifact(
     raw: &[u8],
     g: &rdf_model::Graph,
@@ -193,10 +194,12 @@ pub fn decode_artifact(
     if r.remaining() != 0 {
         return None;
     }
-    let summary_graph = snapshot::decode_slice(snap).ok()?;
+    // The summary's index build is the proof that the image lists no
+    // triple twice; one that does is damage like any other.
+    let summary_store = TripleStore::from_rows(snapshot::decode_rows(snap).ok()?, 1).ok()?;
     // Snapshots preserve ids and per-component insertion order, so this
     // re-serialization is byte-identical to the original build's.
-    let ntriples = rdf_io::write_graph(&summary_graph);
+    let ntriples = rdf_io::write_graph(summary_store.graph());
     Some(SummaryArtifact {
         kind,
         fingerprint,
@@ -204,7 +207,7 @@ pub fn decode_artifact(
         summary_nodes,
         summary_edges,
         input_triples,
-        summary_store: TripleStore::new(summary_graph),
+        summary_store,
         cardinality: SummaryCardinality::from_parts(kind, props, classes, n_data_nodes),
     })
 }

@@ -176,21 +176,24 @@ pub(crate) fn quotient_summary_planned(
         class_node[c]
     };
 
-    // SCH: schema copied verbatim.
+    // SCH: schema copied verbatim — distinct in G, and `transfer` is
+    // injective, so distinct in H.
     for t in g.schema() {
         let s = transfer(t.s, g, &mut h, &mut xfer);
         let p = transfer(t.p, g, &mut h, &mut xfer);
         let o = transfer(t.o, g, &mut h, &mut xfer);
-        h.insert_encoded(Triple::new(s, p, o));
+        h.append_distinct([Triple::new(s, p, o)]);
     }
     // Every H id stays below this bound — minted class-node ids are the
     // first `class_node.len()` H ids, transferred G constants (at most one
     // H id per G term) and the well-known properties account for the rest —
     // so when it fits 21 bits, a whole H triple packs into one u64 and the
     // massive duplication of quotiented triples is eliminated by a sort
-    // (chunked across the emission workers) instead of 25k+ hash probes.
-    // Past the bound, hash dedup through the graph's own set is the only
-    // path there is.
+    // (chunked across the emission workers) instead of 25k+ hash probes;
+    // the keys come out strictly ascending, which is all the proof
+    // `append_distinct` asks for, so H never grows a hash set. Past the
+    // bound, hash dedup through the graph's own set is the only path there
+    // is — there the set *is* the mechanism.
     let id_bound = class_node.len() + g.dict().len() + 8;
     let packable = !force_unpacked && id_bound < (1usize << PACK_BITS);
     // DAT: quotient of data triples.
@@ -198,7 +201,7 @@ pub(crate) fn quotient_summary_planned(
         DataPlan::Edges(edges) => {
             // One known edge per class pair and property: translate, sort
             // by H ids (matching the packed path's ascending emission
-            // order exactly), insert. No per-triple work at all.
+            // order exactly), append. No per-triple work at all.
             let mut out: Vec<(u32, u32, u32)> = edges
                 .iter()
                 .map(|&(s, p, o)| {
@@ -208,9 +211,10 @@ pub(crate) fn quotient_summary_planned(
                 .collect();
             out.sort_unstable();
             out.dedup();
-            for (s, p, o) in out {
-                h.insert_encoded(Triple::new(TermId(s), TermId(p), TermId(o)));
-            }
+            h.append_distinct(
+                out.into_iter()
+                    .map(|(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o))),
+            );
         }
         DataPlan::Scan if packable => {
             let keys = emit_packed(
@@ -225,13 +229,13 @@ pub(crate) fn quotient_summary_planned(
                     (s << (2 * PACK_BITS)) | (p << PACK_BITS) | o
                 },
             );
-            for k in keys {
-                h.insert_encoded(Triple::new(
+            h.append_distinct(keys.into_iter().map(|k| {
+                Triple::new(
                     TermId((k >> (2 * PACK_BITS)) as u32),
                     TermId(((k >> PACK_BITS) & MASK) as u32),
                     TermId((k & MASK) as u32),
-                ));
-            }
+                )
+            }));
         }
         DataPlan::Scan => {
             for t in g.data() {
@@ -254,13 +258,13 @@ pub(crate) fn quotient_summary_planned(
             |t| t.o,
             |t, c| ((map(t.s).0 as u64) << PACK_BITS) | c,
         );
-        for k in keys {
-            h.insert_encoded(Triple::new(
+        h.append_distinct(keys.into_iter().map(|k| {
+            Triple::new(
                 TermId((k >> PACK_BITS) as u32),
                 tau,
                 TermId((k & MASK) as u32),
-            ));
-        }
+            )
+        }));
     } else {
         for t in g.types() {
             let s = map(t.s);

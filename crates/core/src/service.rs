@@ -453,7 +453,13 @@ impl SummaryService {
     /// The store is indexed with the configured workers and its content
     /// fingerprint computed once, up front.
     pub fn load_graph(&self, name: impl Into<String>, g: Graph) -> LoadedGraph {
-        let store = TripleStore::with_threads(g, self.threads);
+        self.load_store(name, TripleStore::with_threads(g, self.threads))
+    }
+
+    /// [`Self::load_graph`] for a caller that already holds the indexed
+    /// store — a file loader whose index build doubled as the proof that
+    /// the file's rows are a set ([`TripleStore::from_rows`]).
+    pub fn load_store(&self, name: impl Into<String>, store: TripleStore) -> LoadedGraph {
         let fingerprint = store.fingerprint();
         let triples = store.len();
         let entry = Arc::new(ResidentGraph {
@@ -2258,6 +2264,135 @@ mod tests {
         let (_, hit) = warm.summarize("g", SummaryKind::Weak).unwrap();
         assert!(hit);
         assert_eq!(warm.builds(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// No served path builds or probes a graph's hash set: a resident
+    /// graph and every cached summary graph stay without one through `LOAD`
+    /// of either format (the store's index build is the proof), cold
+    /// builds, persist hits, `UPDATE ±` (membership is the SPO merge's
+    /// business) and `QUERY`. The bodies are the ones a graph built row by
+    /// row serves.
+    #[test]
+    fn served_paths_never_build_a_hash_set() {
+        const FIVE: [SummaryKind; 5] = [
+            SummaryKind::Weak,
+            SummaryKind::Strong,
+            SummaryKind::TypedWeak,
+            SummaryKind::TypedStrong,
+            SummaryKind::TypeBased,
+        ];
+        let dir = persist_dir("no_hash_set");
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(30));
+        assert!(g.has_hash_set(), "the generator inserts row by row");
+        let (nt, snap) = (dir.join("g.nt"), dir.join("g.snap"));
+        rdf_io::save_path(&g, &nt).unwrap();
+        rdf_store::snapshot::save(&g, &snap).unwrap();
+        let no_hash_set = |svc: &SummaryService, what: &str| {
+            for resident in svc.graphs.lock().unwrap().values() {
+                let entry = resident.entry.read().unwrap();
+                assert!(
+                    !entry.store.graph().has_hash_set(),
+                    "resident graph after {what}"
+                );
+            }
+            for slot in svc.cache.lock().unwrap().slots.values() {
+                if let Slot::Ready { artifact, .. } = slot {
+                    let h = artifact.summary_store.graph();
+                    assert!(!h.has_hash_set(), "{} summary after {what}", artifact.kind);
+                }
+            }
+        };
+        let by_rows = SummaryService::new(2);
+        by_rows.load_graph("g", g.clone());
+
+        // A cold lifetime: LOAD .nt as the server does, five cold builds.
+        let cold = SummaryService::new(2).with_persist_dir(dir.join("persist"));
+        let rows = rdf_io::load_rows(&nt).unwrap();
+        let store = TripleStore::from_rows(rows, cold.threads()).expect("no line repeats");
+        let loaded = cold.load_store("g", store);
+        assert_eq!(loaded.triples, g.len());
+        no_hash_set(&cold, "LOAD .nt");
+        let mut bodies = Vec::new();
+        for kind in FIVE {
+            let (artifact, hit) = cold.summarize("g", kind).unwrap();
+            assert!(!hit);
+            assert_eq!(
+                artifact.ntriples,
+                by_rows.summarize("g", kind).unwrap().0.ntriples
+            );
+            bodies.push(artifact.ntriples.clone());
+        }
+        assert_eq!(cold.builds(), 5);
+        no_hash_set(&cold, "five cold SUMMARIZEs");
+
+        // A restarted lifetime: LOAD .snap, five persist hits.
+        let warm = SummaryService::new(2).with_persist_dir(dir.join("persist"));
+        let rows = rdf_store::snapshot::decode_rows(&std::fs::read(&snap).unwrap()).unwrap();
+        let store = TripleStore::from_rows(rows, warm.threads()).expect("no row repeats");
+        assert_eq!(warm.load_store("g", store).fingerprint, loaded.fingerprint);
+        no_hash_set(&warm, "LOAD .snap");
+        for (kind, body) in FIVE.into_iter().zip(&bodies) {
+            let (artifact, hit) = warm.summarize("g", kind).unwrap();
+            assert!(hit);
+            assert_eq!(&artifact.ntriples, body);
+        }
+        assert_eq!((warm.builds(), warm.stats().persist_hits), (0, 5));
+        no_hash_set(&warm, "five persist hits");
+
+        // Ten UPDATE batches — in-batch repeats, triples already there,
+        // deletes of absent triples, a deleted triple added back — carry
+        // all five kinds each; the reference service applies the same
+        // batches to the row-built graph.
+        let mut batches: Vec<UpdateOp> = Vec::new();
+        for i in 0..4 {
+            let mut add = hub_batch(i);
+            add.push(add[0].clone());
+            add.extend(hub_batch(i.saturating_sub(1)).into_iter().take(2));
+            batches.push((true, add));
+            let mut del = hub_batch(i)[2..5].to_vec();
+            del.push(del[0].clone());
+            del.push(u("urn:u:never", "urn:u:p", "urn:u:there"));
+            batches.push((false, del));
+        }
+        // Two of these three were deleted by batch 1; one never was.
+        batches.push((true, hub_batch(0)[1..4].to_vec()));
+        batches.push((false, [&hub_batch(0)[..2], &hub_batch(0)[..1]].concat()));
+        assert_eq!(batches.len(), 10);
+        for (i, (insert, batch)) in batches.iter().enumerate() {
+            let out = warm.update("g", *insert, batch).unwrap();
+            let want = by_rows.update("g", *insert, batch).unwrap();
+            assert_eq!(
+                (out.applied, out.fingerprint),
+                (want.applied, want.fingerprint)
+            );
+            assert!(out.applied > 0 && out.applied < batch.len(), "batch {i}");
+            assert_eq!(out.rebuilt, 5);
+            no_hash_set(&warm, "an UPDATE");
+        }
+        for kind in FIVE {
+            let (artifact, hit) = warm.summarize("g", kind).unwrap();
+            assert!(hit);
+            assert_eq!(
+                artifact.ntriples,
+                by_rows.summarize("g", kind).unwrap().0.ntriples
+            );
+        }
+        for text in [
+            HUB_POINT,
+            HUB_JOIN,
+            "q(?x) :- ?x <urn:u:q> ?y, ?y <urn:u:p> ?z, ?z <urn:u:nowhere> ?w",
+            "q(?s, ?o) :- ?s <http://www.w3.org/2000/01/rdf-schema#label> ?o",
+        ] {
+            let out = warm.query("g", text, None, 10_000).unwrap();
+            assert_eq!(
+                out.body,
+                by_rows.query("g", text, None, 10_000).unwrap().body
+            );
+        }
+        no_hash_set(&warm, "the QUERY mix");
+        assert!(warm.evict("g").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,13 +7,17 @@
 //! damage reaches the body decoder the way a bug in a writer, or a
 //! collision, would deliver it. The contract: an error (`Err` / `None`),
 //! or a value that encodes again — never a panic, never an allocation sized
-//! by a number the image merely claims.
+//! by a number the image merely claims, and never a bag: an image that
+//! lists a triple twice is refused with the position of the second listing
+//! whichever sort — a bare graph's own, a store's index build — is the one
+//! that notices.
 
 use proptest::prelude::*;
-use rdf_model::Graph;
-use rdf_store::codec::{put_varint, stamp, Reader};
+use rdf_model::{Graph, Triple};
+use rdf_store::codec::{put_signed_varint, put_varint, stamp, Reader};
+use rdf_store::snapshot::{SnapshotError, Table};
 use rdf_store::{snapshot, Fingerprint, TripleStore};
-use rdfsum_core::persist::{decode_artifact, encode_artifact};
+use rdfsum_core::persist::{artifact_file_name, decode_artifact, encode_artifact};
 use rdfsum_core::{fixtures, SummaryContext, SummaryKind, SummaryService};
 use rdfsum_workloads::BsbmConfig;
 use std::sync::OnceLock;
@@ -260,6 +264,116 @@ fn inflated_counts_fail_without_reserving() {
             let image = with_count(&artifact.raw, artifact.snap_len_at, 0, count);
             assert!(artifact.decode(&image).is_none(), "snap_len = {count}");
         }
+    }
+}
+
+/// The triple table of an image: every row's three zigzag deltas.
+fn triple_table(rows: &[Triple]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut prev = [0i64; 3];
+    for t in rows {
+        for (id, prev) in [t.s, t.p, t.o].into_iter().zip(&mut prev) {
+            put_signed_varint(&mut out, id.0 as i64 - *prev);
+            *prev = id.0 as i64;
+        }
+    }
+    out
+}
+
+/// `image` with one row of its triple table listed a second time, further
+/// down the same component table (rows are delta-coded, so the table is
+/// written again around the copy), the component's count raised and the
+/// trailer re-stamped. Returns the image and the position of the copy;
+/// `None` for an image without triples.
+fn with_repeated_row(image: &[u8], (a, b): (usize, usize)) -> Option<(Vec<u8>, usize)> {
+    let g = snapshot::decode_slice(image).unwrap();
+    let mut rows: Vec<Triple> = g.iter().collect();
+    let counts = g.components().map(<[Triple]>::len);
+    let from = a % rows.len().max(1);
+    let mut end = 0;
+    let component = counts.iter().position(|n| {
+        end += n;
+        from < end
+    })?;
+    let at = from + 1 + b % (end - from);
+    let table = triple_table(&rows);
+    let body = &image[..image.len() - 8];
+    assert!(
+        body.ends_with(&table),
+        "the triple table is the image's tail"
+    );
+    rows.insert(at, rows[from]);
+    let mut out = with_count(image, 10, 1 + component, counts[component] as u64 + 1);
+    out.truncate(out.len() - 8 - table.len());
+    out.extend_from_slice(&triple_table(&rows));
+    stamp(&mut out);
+    Some((out, at))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Any row listed again anywhere below itself: the bare decoder names
+    /// the second listing, a store built from the same rows names it too
+    /// and holds a set regardless, and an artifact embedding the image is a
+    /// plain miss.
+    #[test]
+    fn repeated_rows_are_located_never_served(
+        which in 0usize..4,
+        pick in (0usize..1 << 20, 0usize..1 << 20),
+    ) {
+        let Some((image, at)) = with_repeated_row(&snapshots()[which], pick) else {
+            return Ok(());
+        };
+        let refused = snapshot::decode_slice(&image);
+        prop_assert!(
+            matches!(refused, Err(SnapshotError::Duplicate(Table::Triples, i)) if i == at),
+            "{:?} at {}", refused.map(|g| g.len()), at
+        );
+        let rows = snapshot::decode_rows(&image).unwrap();
+        let listed = rows.len();
+        let repeated = TripleStore::from_rows(rows, 1).expect_err("a row is listed twice");
+        prop_assert_eq!(repeated.at, at);
+        let store = *repeated.compacted;
+        prop_assert_eq!((store.len(), store.graph().len()), (listed - 1, listed - 1));
+        prop_assert!(store.graph().iter().all(|t| store.contains(t)));
+        if let Some(artifact) = which.checked_sub(2).map(|i| &artifacts()[i]) {
+            prop_assert!(artifact.decode(&artifact.with_snapshot(&image)).is_none());
+        }
+    }
+}
+
+/// A persisted artifact whose embedded snapshot lists a triple twice is
+/// found, refused and rebuilt: the request is a plain miss (`builds`
+/// incremented, no persist hit) and its body the cold build's.
+#[test]
+fn a_repeating_persisted_artifact_is_rebuilt() {
+    let artifact = &artifacts()[0];
+    let (image, _) = with_repeated_row(artifact.snapshot(), (3, 5)).unwrap();
+    let dir =
+        std::env::temp_dir().join(format!("rdfsum-repeating-artifact-{}", std::process::id()));
+    let file = dir.join(artifact_file_name(artifact.fingerprint, artifact.kind));
+    let graph = || artifact.store.graph().clone();
+    for (damaged, builds, persist_hits) in [(false, 0, 1), (true, 1, 0)] {
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = if damaged {
+            artifact.with_snapshot(&image)
+        } else {
+            artifact.raw.clone()
+        };
+        std::fs::write(&file, raw).unwrap();
+        let svc = SummaryService::new(1).with_persist_dir(&dir);
+        svc.load_graph("g", graph());
+        let (served, _) = svc.summarize("g", artifact.kind).unwrap();
+        let stats = svc.stats();
+        assert_eq!((stats.builds, stats.persist_hits), (builds, persist_hits));
+        let cold = SummaryService::new(1);
+        cold.load_graph("g", graph());
+        assert_eq!(
+            served.ntriples,
+            cold.summarize("g", artifact.kind).unwrap().0.ntriples
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -15,7 +15,9 @@ pub mod writer;
 
 pub use dot::{to_dot, DotOptions};
 pub use error::{LoadError, ParseError, ParseErrorKind};
-pub use ntriples::{load_path, parse_graph, parse_line, parse_statements, parse_str, TermTriple};
+pub use ntriples::{
+    load_path, load_rows, parse_graph, parse_line, parse_statements, parse_str, TermTriple,
+};
 pub use turtle::write_turtle;
 pub use writer::{save_path, write_graph, write_term, write_triple};
 

@@ -20,10 +20,11 @@
 //!
 //! Where allocation happens:
 //!
-//! * [`parse_graph`] / [`load_path`] hand each statement's spans to
-//!   [`Graph::insert_ref`] as [`TermRef`] views. A term the dictionary
-//!   already holds costs a hash and a comparison; a new one is built once,
-//!   inside the dictionary. Nothing else allocates per line.
+//! * [`parse_graph`] / [`load_path`] / [`load_rows`] hand each statement's
+//!   spans to [`UnprovedRows::push_ref`] as [`TermRef`] views. A term the
+//!   dictionary already holds costs a hash and a comparison; a new one is
+//!   built once, inside the dictionary. Nothing else allocates per line,
+//!   and nothing asks whether the triple was seen before.
 //! * [`parse_line`] / [`parse_str`] / [`parse_statements`] return owned
 //!   [`Term`]s and build them from the same views, after the statement has
 //!   parsed.
@@ -31,9 +32,20 @@
 //! Columns are 1-based and count *characters*. The cursor tracks a byte
 //! offset only; the character count of the prefix before it is taken when an
 //! error is being built, never on the success path.
+//!
+//! # Repeated lines
+//!
+//! An N-Triples document may state a triple more than once; the graph keeps
+//! its first occurrence, in place. The loader does not look for repeats:
+//! rows are appended as they are read, and the SPO sort that has to run
+//! anyway — a store's index build for [`load_rows`], one sort of its own
+//! for the [`Graph`]-returning [`load_path`] and [`parse_graph`] — tells
+//! whether there were any. Only then are the tables compacted to their
+//! first occurrences ([`UnprovedRows::proved_by`]), which yields exactly the
+//! graph a row-by-row loader would have built.
 
 use crate::error::{LoadError, ParseError, ParseErrorKind};
-use rdf_model::{Graph, LiteralKindRef, Term, TermRef};
+use rdf_model::{Graph, LiteralKindRef, Term, TermRef, UnprovedRows};
 use std::io::BufRead;
 
 /// A single parsed (but not yet dictionary-encoded) triple.
@@ -423,10 +435,10 @@ pub fn parse_str(input: &str) -> Result<Vec<TermTriple>, ParseError> {
 }
 
 /// The load-encode-split pipeline: each line goes from the cursor's spans
-/// straight into the graph's dictionary.
+/// straight into the dictionary, and its row onto the end of its table.
 #[derive(Default)]
 struct Loader {
-    graph: Graph,
+    rows: UnprovedRows,
     scratch: String,
 }
 
@@ -434,8 +446,8 @@ impl Loader {
     fn line(&mut self, text: &str, line: usize) -> Result<(), ParseError> {
         let mut c = Cursor::new(text, line, &mut self.scratch);
         if let Some((s, p, o)) = c.line_statement()? {
-            self.graph
-                .insert_ref(c.view(s), c.view(p), c.view(o))
+            self.rows
+                .push_ref(c.view(s), c.view(p), c.view(o))
                 .map_err(|e| ParseError {
                     line,
                     column: 1,
@@ -444,6 +456,13 @@ impl Loader {
         }
         Ok(())
     }
+}
+
+/// The graph of a document's rows: proved distinct by one sort, or — the
+/// document repeated a line — compacted to their first occurrences.
+fn first_occurrences(rows: UnprovedRows) -> Graph {
+    rows.into_graph()
+        .unwrap_or_else(|repeated| *repeated.compacted)
 }
 
 /// Parses an N-Triples document directly into a [`Graph`], dictionary-encoding
@@ -462,10 +481,10 @@ pub fn parse_graph(input: &str) -> Result<Graph, ParseError> {
     for (i, line) in input.lines().enumerate() {
         loader.line(line, i + 1)?;
     }
-    Ok(loader.graph)
+    Ok(first_occurrences(loader.rows))
 }
 
-/// Block size of [`load_path`]'s reader.
+/// Block size of [`load_rows`]'s reader.
 ///
 /// Deliberately not small. Besides saving some 900 `read` calls per 57 MB,
 /// a multi-megabyte buffer freed at the end of the load leaves glibc's
@@ -476,14 +495,21 @@ pub fn parse_graph(input: &str) -> Result<Graph, ParseError> {
 /// 5 k minor faults over 60 `UPDATE`s, against 37 k with a 64 KiB block).
 const READ_BLOCK: usize = 8 << 20;
 
-/// Loads a graph from an N-Triples file on disk.
+/// Loads a graph from an N-Triples file on disk: [`load_rows`], then the
+/// one sort that proves the rows a set (see the module docs).
+pub fn load_path(path: impl AsRef<std::path::Path>) -> Result<Graph, LoadError> {
+    load_rows(path).map(first_occurrences)
+}
+
+/// Reads an N-Triples file on disk into rows, repeated lines and all — for
+/// a caller whose next step sorts them anyway (a store's index build).
 ///
 /// The file is read in 8 MiB blocks into one reused line
-/// buffer, so memory beside the graph is one block plus the longest line,
+/// buffer, so memory beside the rows is one block plus the longest line,
 /// not the file. Lines end at `\n` (a preceding `\r` is dropped, as
 /// [`str::lines`] does); a line that is not valid UTF-8 is an I/O error of
 /// kind `InvalidData`.
-pub fn load_path(path: impl AsRef<std::path::Path>) -> Result<Graph, LoadError> {
+pub fn load_rows(path: impl AsRef<std::path::Path>) -> Result<UnprovedRows, LoadError> {
     let mut reader = std::io::BufReader::with_capacity(READ_BLOCK, std::fs::File::open(path)?);
     let mut loader = Loader::default();
     let mut buf = Vec::new();
@@ -491,7 +517,7 @@ pub fn load_path(path: impl AsRef<std::path::Path>) -> Result<Graph, LoadError> 
     loop {
         buf.clear();
         if reader.read_until(b'\n', &mut buf)? == 0 {
-            return Ok(loader.graph);
+            return Ok(loader.rows);
         }
         line += 1;
         let mut bytes = &buf[..];

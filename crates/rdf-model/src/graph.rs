@@ -12,14 +12,46 @@
 //! a *set* of triples (duplicates ignored), and insertion order is preserved
 //! inside each component — the scan order the streaming summarization
 //! algorithms (§6.2) see.
+//!
+//! # What "a set of triples" rests on
+//!
+//! A [`Graph`] is its three file-order tables, and the invariant that their
+//! rows are pairwise distinct. Two things can establish it:
+//!
+//! * **A hash set of the rows**, probed row by row. It is a *derived*
+//!   structure: the first [`Graph::insert`] / [`Graph::insert_ref`] /
+//!   [`Graph::insert_encoded`], [`Graph::contains`], [`Graph::remove_encoded`]
+//!   or [`Graph::remove_encoded_batch`] on a graph that lacks it builds it
+//!   from the tables, and every later operation keeps it in step. The CLI's
+//!   `saturate`, the generators, the hash-dedup quotient emission and the
+//!   test suites build and edit graphs this way.
+//! * **A sort**. Rows that come in bulk — a parsed file, a decoded snapshot
+//!   — are appended to an [`UnprovedRows`] without a probe, and the SPO
+//!   counting sort ([`crate::sorted_dedup`]) that drops repeats proves them
+//!   distinct by returning as many rows as it was given. A triple store runs
+//!   that sort anyway to build its index, so there the proof is free
+//!   ([`UnprovedRows::proved_by`]); a graph without a store pays one sort for
+//!   it ([`UnprovedRows::into_graph`]). When the sort comes out shorter, the
+//!   tables are compacted to their first occurrences — the rare path, the
+//!   only one that hashes — and the caller is told where the first repeat
+//!   sat, so a format in which a repeat is damage can refuse it.
+//!
+//! Callers that already hold a proof skip both: [`Graph::append_distinct`]
+//! takes rows known to be absent and pairwise distinct (strictly ascending
+//! packed quotient keys; an `UPDATE` batch a store has looked up in its SPO
+//! index), [`Graph::remove_present`] rows known to be present. Neither
+//! builds the hash set, and both keep it in step where it exists. So a graph
+//! that is loaded, indexed, summarized, queried and updated through a store
+//! never has one ([`Graph::has_hash_set`] is how the tests pin that).
 
 use crate::dictionary::Dictionary;
 use crate::error::ModelError;
 use crate::hash::FxHashSet;
 use crate::ids::TermId;
 use crate::term::{Term, TermRef};
-use crate::triple::Triple;
+use crate::triple::{sorted_dedup, Order, Triple};
 use crate::vocab;
+use std::sync::OnceLock;
 
 /// Which component of `G = ⟨D_G, S_G, T_G⟩` a triple belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -109,7 +141,9 @@ pub struct Graph {
     data: Vec<Triple>,
     types: Vec<Triple>,
     schema: Vec<Triple>,
-    seen: FxHashSet<Triple>,
+    /// The rows of the three tables, hashed: built on first need, in step
+    /// with the tables from then on (see the module docs).
+    seen: OnceLock<FxHashSet<Triple>>,
     wk: WellKnown,
 }
 
@@ -130,25 +164,45 @@ impl Graph {
             data: Vec::new(),
             types: Vec::new(),
             schema: Vec::new(),
-            seen: FxHashSet::default(),
+            seen: OnceLock::new(),
             wk,
         }
     }
 
-    /// Creates an empty graph sized for roughly `triples` insertions.
+    /// Creates an empty graph sized for roughly `triples` insertions: the
+    /// data table and the hash set the insertions will probe.
     pub fn with_capacity(triples: usize) -> Self {
         let mut g = Self::new();
-        g.reserve(triples, 0, 0);
+        g.data.reserve(triples);
+        g.seen_mut().reserve(triples);
         g
     }
 
-    /// Makes room for this many more triples in each component, for a
-    /// decoder that knows the counts before the first triple.
-    pub fn reserve(&mut self, data: usize, types: usize, schema: usize) {
-        self.data.reserve(data);
-        self.types.reserve(types);
-        self.schema.reserve(schema);
-        self.seen.reserve(data + types + schema);
+    /// The hash set of the rows, built from the tables if this graph does
+    /// not have it yet.
+    fn seen(&self) -> &FxHashSet<Triple> {
+        self.seen.get_or_init(|| self.iter().collect())
+    }
+
+    /// [`Graph::seen`] for an operation that changes the rows.
+    fn seen_mut(&mut self) -> &mut FxHashSet<Triple> {
+        self.seen();
+        self.seen.get_mut().expect("built by the line above")
+    }
+
+    /// Has a row-by-row operation built this graph's hash set? A graph that
+    /// only ever went through the bulk paths has none (see the module docs).
+    pub fn has_hash_set(&self) -> bool {
+        self.seen.get().is_some()
+    }
+
+    /// The table of a component.
+    fn table_mut(&mut self, component: Component) -> &mut Vec<Triple> {
+        match component {
+            Component::Data => &mut self.data,
+            Component::Type => &mut self.types,
+            Component::Schema => &mut self.schema,
+        }
     }
 
     /// The well-known property ids of this graph.
@@ -209,14 +263,25 @@ impl Graph {
     /// Duplicate triples are ignored. Returns the triple and its component.
     pub fn insert_encoded(&mut self, t: Triple) -> (Triple, Component) {
         let comp = self.wk.component_of(t.p);
-        if self.seen.insert(t) {
-            match comp {
-                Component::Data => self.data.push(t),
-                Component::Type => self.types.push(t),
-                Component::Schema => self.schema.push(t),
-            }
+        if self.seen_mut().insert(t) {
+            self.table_mut(comp).push(t);
         }
         (t, comp)
+    }
+
+    /// Appends rows the caller has proved **absent from the graph and
+    /// pairwise distinct**, each to its component, in the order given —
+    /// the bulk entry: no probe, and no hash set built for it (one that
+    /// exists is kept in step). What the proof is is the caller's business:
+    /// strictly ascending keys, a lookup in a store's SPO index.
+    pub fn append_distinct(&mut self, rows: impl IntoIterator<Item = Triple>) {
+        for t in rows {
+            if let Some(seen) = self.seen.get_mut() {
+                let fresh = seen.insert(t);
+                debug_assert!(fresh, "{t:?} was promised absent");
+            }
+            self.table_mut(self.wk.component_of(t.p)).push(t);
+        }
     }
 
     /// Removes an already-encoded triple, if present. Returns the component
@@ -229,56 +294,70 @@ impl Graph {
     /// order. Dictionary entries are never reclaimed: term ids stay dense
     /// and stable across deletions.
     pub fn remove_encoded(&mut self, t: Triple) -> Option<Component> {
-        if !self.seen.remove(&t) {
+        if !self.seen_mut().remove(&t) {
             return None;
         }
         let comp = self.wk.component_of(t.p);
-        let v = match comp {
-            Component::Data => &mut self.data,
-            Component::Type => &mut self.types,
-            Component::Schema => &mut self.schema,
-        };
+        let v = self.table_mut(comp);
         let pos = v.iter().position(|&x| x == t).expect("seen implies stored");
         v.remove(pos);
         Some(comp)
     }
 
     /// Removes a batch of already-encoded triples, returning those that
-    /// were genuinely present (duplicates in `triples` count once). Each
-    /// affected component is compacted in one pass, so a batch of `d`
-    /// deletions costs `O(|G| + d)` rather than `d` vector splices.
+    /// were genuinely present (duplicates in `triples` count once), in the
+    /// order given. Each affected component is compacted in one pass, so a
+    /// batch of `d` deletions costs `O(|G| log d)` rather than `d` vector
+    /// splices.
     pub fn remove_encoded_batch(&mut self, triples: &[Triple]) -> Vec<Triple> {
-        let mut removed = Vec::new();
-        let mut touched = [false; 3];
-        for &t in triples {
-            if self.seen.remove(&t) {
-                removed.push(t);
-                touched[match self.wk.component_of(t.p) {
-                    Component::Data => 0,
-                    Component::Type => 1,
-                    Component::Schema => 2,
-                }] = true;
-            }
-        }
-        if !removed.is_empty() {
-            let gone: FxHashSet<Triple> = removed.iter().copied().collect();
-            if touched[0] {
-                self.data.retain(|t| !gone.contains(t));
-            }
-            if touched[1] {
-                self.types.retain(|t| !gone.contains(t));
-            }
-            if touched[2] {
-                self.schema.retain(|t| !gone.contains(t));
-            }
-        }
+        let seen = self.seen_mut();
+        let removed: Vec<Triple> = triples.iter().copied().filter(|t| seen.remove(t)).collect();
+        self.compact_without(&removed);
         removed
+    }
+
+    /// Removes rows the caller has proved **present and pairwise distinct**
+    /// — the mirror image of [`Graph::append_distinct`]: the touched
+    /// components are compacted in one pass each, survivors keep their
+    /// order, and no hash set is built (one that exists forgets the rows).
+    pub fn remove_present(&mut self, rows: &[Triple]) {
+        if let Some(seen) = self.seen.get_mut() {
+            for t in rows {
+                let was_there = seen.remove(t);
+                debug_assert!(was_there, "{t:?} was promised present");
+            }
+        }
+        self.compact_without(rows);
+    }
+
+    /// Drops `rows` — present and pairwise distinct — from the tables: each
+    /// component that has one of them is swept once, up to the last of its
+    /// rows. A row is looked up in the sorted removal list, which is as long
+    /// as the batch and not as the graph, and only if its subject's bit is
+    /// set in a 64-bit sieve of the batch's subjects: for a small batch all
+    /// but a few rows of the graph are kept on one shift and mask.
+    fn compact_without(&mut self, rows: &[Triple]) {
+        let mut gone = rows.to_vec();
+        gone.sort_unstable();
+        let sieve = gone.iter().fold(0u64, |bits, t| bits | 1 << (t.s.0 % 64));
+        for component in [Component::Data, Component::Type, Component::Schema] {
+            let of_component = |t: &&Triple| self.wk.component_of(t.p) == component;
+            let mut left = gone.iter().filter(of_component).count();
+            if left > 0 {
+                self.table_mut(component).retain(|t| {
+                    let hit =
+                        left > 0 && sieve >> (t.s.0 % 64) & 1 == 1 && gone.binary_search(t).is_ok();
+                    left -= usize::from(hit);
+                    !hit
+                });
+            }
+        }
     }
 
     /// Does the graph contain this encoded triple?
     #[inline]
     pub fn contains(&self, t: Triple) -> bool {
-        self.seen.contains(&t)
+        self.seen().contains(&t)
     }
 
     /// The data component D_G, in insertion order.
@@ -297,6 +376,13 @@ impl Graph {
     #[inline]
     pub fn schema(&self) -> &[Triple] {
         &self.schema
+    }
+
+    /// The three component tables — data, types, schema — in the order
+    /// [`Graph::iter`] chains them.
+    #[inline]
+    pub fn components(&self) -> [&[Triple]; 3] {
+        [&self.data, &self.types, &self.schema]
     }
 
     /// The component a triple of this graph belongs to.
@@ -413,6 +499,141 @@ impl Graph {
         self.insert(Term::iri(s), Term::iri(p), Term::literal(lit))
             .expect("well-formed literal triple")
             .0
+    }
+}
+
+/// What a proof of distinctness found instead: the rows were not pairwise
+/// distinct.
+#[derive(Debug)]
+pub struct Repeated<T> {
+    /// Position — data, type and schema tables taken end to end — of the
+    /// first row that repeats an earlier one.
+    pub at: usize,
+    /// What the proof would have returned, over the rows compacted to their
+    /// first occurrences (the surviving rows keep their order). Boxed: the
+    /// rare path pays an allocation so that the common one returns no more
+    /// than the value.
+    pub compacted: Box<T>,
+}
+
+/// The rows of a graph that nobody has yet proved pairwise distinct: what a
+/// bulk reader — the N-Triples loader, the snapshot decoder — appends to
+/// without probing anything. It is deliberately not a [`Graph`]: the only
+/// ways to one are the two proofs, [`UnprovedRows::into_graph`] (one
+/// counting sort, for a graph that stands alone) and
+/// [`UnprovedRows::proved_by`] (the count a store's SPO index build came
+/// out with, which costs nothing). See the module docs.
+#[derive(Debug, Default)]
+pub struct UnprovedRows(Graph);
+
+impl UnprovedRows {
+    /// No rows, and the dictionary of an empty [`Graph`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The dictionary the appended rows' ids come from.
+    pub fn dict_mut(&mut self) -> &mut Dictionary {
+        &mut self.0.dict
+    }
+
+    /// The well-known property ids rows are routed by.
+    pub fn well_known(&self) -> WellKnown {
+        self.0.wk
+    }
+
+    /// Makes room for this many more rows in each component, for a decoder
+    /// that knows the counts before the first row.
+    pub fn reserve(&mut self, data: usize, types: usize, schema: usize) {
+        self.0.data.reserve(data);
+        self.0.types.reserve(types);
+        self.0.schema.reserve(schema);
+    }
+
+    /// Number of rows, repeats included.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The three tables — data, types, schema — for the sort that proves
+    /// them.
+    pub fn components(&self) -> [&[Triple]; 3] {
+        self.0.components()
+    }
+
+    /// Appends an encoded row to the component its property routes it to.
+    pub fn push(&mut self, t: Triple) {
+        // A hash set that came along with a converted graph has not seen
+        // this row, and nothing here is going to show it.
+        self.0.seen.take();
+        self.0.table_mut(self.0.wk.component_of(t.p)).push(t);
+    }
+
+    /// [`Graph::insert_ref`] without the probe: the same rules, the same
+    /// ids (interned in `s`, `p`, `o` order), the row appended whether or
+    /// not it is already there.
+    pub fn push_ref(
+        &mut self,
+        s: TermRef<'_>,
+        p: TermRef<'_>,
+        o: TermRef<'_>,
+    ) -> Result<(), ModelError> {
+        check_triple_ref(s, p, o)?;
+        let dict = &mut self.0.dict;
+        let t = Triple::new(dict.encode_ref(s), dict.encode_ref(p), dict.encode_ref(o));
+        self.push(t);
+        Ok(())
+    }
+
+    /// The standalone proof: one SPO counting sort of the rows, kept only
+    /// for its length.
+    pub fn into_graph(self) -> Result<Graph, Repeated<Graph>> {
+        let distinct = sorted_dedup(Order::Spo, &self.components()).len();
+        self.proved_by(distinct)
+    }
+
+    /// The proof a caller already holds: it ran [`sorted_dedup`] over
+    /// [`UnprovedRows::components`] — in any order, for its own ends — and
+    /// `distinct` rows came out. As many as went in: they are a graph's.
+    /// Fewer: the rare path, which hashes the rows once to find the
+    /// repeats and compacts the tables to their first occurrences.
+    pub fn proved_by(self, distinct: usize) -> Result<Graph, Repeated<Graph>> {
+        let mut graph = self.0;
+        if distinct == graph.len() {
+            return Ok(graph);
+        }
+        let mut seen = FxHashSet::default();
+        seen.reserve(distinct);
+        let (mut position, mut at) = (0, usize::MAX);
+        for component in [Component::Data, Component::Type, Component::Schema] {
+            graph.table_mut(component).retain(|&t| {
+                let first = seen.insert(t);
+                if !first {
+                    at = at.min(position);
+                }
+                position += 1;
+                first
+            });
+        }
+        debug_assert_eq!(graph.len(), distinct, "the count was not this table's");
+        Err(Repeated {
+            at,
+            compacted: Box::new(graph),
+        })
+    }
+}
+
+/// A graph's rows, their proof forgotten — for a caller that takes either.
+/// A hash set the graph has built stays with it for as long as no row is
+/// pushed, so a graph handed to a store and back is the graph it was.
+impl From<Graph> for UnprovedRows {
+    fn from(graph: Graph) -> Self {
+        UnprovedRows(graph)
     }
 }
 
@@ -587,6 +808,63 @@ mod tests {
         assert!(g.types().is_empty());
         assert_eq!(g.schema(), &[sc]);
         assert_eq!(g.len(), 2);
+    }
+
+    /// Bulk rows become a graph by proof, never by probing: distinct rows
+    /// as they are, repeated ones compacted to their first occurrences with
+    /// the first repeat located — and no hash set either way until a
+    /// row-by-row operation asks for one.
+    #[test]
+    fn unproved_rows_are_proved_or_compacted() {
+        let rows = |repeats: bool| {
+            let mut rows = UnprovedRows::new();
+            let mut push = |s, p, o| {
+                rows.push_ref(TermRef::Iri(s), TermRef::Iri(p), TermRef::Iri(o))
+                    .unwrap()
+            };
+            push("a", "p", "b");
+            push("a", vocab::RDF_TYPE, "C");
+            push("c", "q", "d");
+            if repeats {
+                push("a", vocab::RDF_TYPE, "C"); // type row 1, position 4
+                push("a", "p", "b"); // data row 2, position 2
+            }
+            push("C", vocab::RDFS_SUBCLASSOF, "D");
+            rows
+        };
+        assert_eq!(rows(true).len(), 6);
+        let proved = rows(false).into_graph().expect("no row repeats");
+        let repeated = rows(true).into_graph().expect_err("two rows do");
+        assert_eq!(repeated.at, 2, "tables end to end: data first");
+        let mut compacted = *repeated.compacted;
+        assert_eq!(compacted.components(), proved.components());
+        assert_eq!((proved.len(), proved.data().len()), (4, 2));
+        assert!(!proved.has_hash_set() && !compacted.has_hash_set());
+        // A literal subject is refused as `insert_ref` refuses it.
+        let bad = rows(false).push_ref(
+            TermRef::Literal {
+                lexical: "x",
+                kind: crate::LiteralKindRef::Simple,
+            },
+            TermRef::Iri("p"),
+            TermRef::Iri("o"),
+        );
+        assert!(matches!(bad, Err(ModelError::LiteralSubject(_))));
+
+        // The bulk entries neither build the set nor let one go stale.
+        let d = proved.data()[0];
+        let fresh = Triple::new(d.o, d.p, d.s);
+        compacted.append_distinct([fresh]);
+        compacted.remove_present(&[d]);
+        assert!(!compacted.has_hash_set());
+        assert_eq!(compacted.data(), &[proved.data()[1], fresh]);
+        assert!(compacted.contains(fresh) && !compacted.contains(d));
+        assert!(compacted.has_hash_set());
+        compacted.append_distinct([d]);
+        compacted.remove_present(&[fresh]);
+        assert!(compacted.contains(d) && !compacted.contains(fresh));
+        assert_eq!(compacted.insert_encoded(d), (d, Component::Data));
+        assert_eq!(compacted.data(), &[proved.data()[1], d]);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!   [`TermRef`], its borrowed view with the same identity;
 //! * [`Dictionary`] — dense integer encoding of terms ([`TermId`]), mirroring
 //!   the paper's Postgres dictionary table;
-//! * [`Triple`] — a 12-byte encoded triple;
+//! * [`Triple`] — a 12-byte encoded triple — and [`sorted_dedup`], the
+//!   counting sort every index build and every proof of distinctness runs;
 //! * [`Graph`] — a triple set partitioned into `⟨D_G, S_G, T_G⟩` (data /
-//!   schema / type components, §2.1 of the paper);
+//!   schema / type components, §2.1 of the paper) — and [`UnprovedRows`],
+//!   what a bulk reader fills before a sort has proved it a set;
 //! * [`MintedTerm`] — symbolic summary-node URIs (interned property/class
 //!   set keys, lazily rendered) backing the representation functions `N`
 //!   and `C`;
@@ -39,7 +41,9 @@ pub mod vocab;
 
 pub use dictionary::Dictionary;
 pub use error::ModelError;
-pub use graph::{check_triple, check_triple_ref, Component, Graph, WellKnown};
+pub use graph::{
+    check_triple, check_triple_ref, Component, Graph, Repeated, UnprovedRows, WellKnown,
+};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{DenseIdMap, TermId, NO_DENSE_ID};
 pub use minted::{MemberSet, MintedKey, MintedTerm, N_TAU_URI, SUMMARY_NS};
@@ -48,7 +52,7 @@ pub use profile::{Profile, PropertyUsage};
 pub use rng::SplitMix64;
 pub use stats::{distinct_counts, distinct_counts_dense, DistinctCounts, GraphStats};
 pub use term::{LiteralKind, LiteralKindRef, Term, TermRef};
-pub use triple::Triple;
+pub use triple::{sorted_dedup, Order, Triple, SPARSE_IDS};
 
 #[cfg(test)]
 mod proptests {

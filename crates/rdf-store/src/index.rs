@@ -8,90 +8,15 @@
 //!
 //! # Building
 //!
-//! Dictionary ids are dense, so an index is not built by comparing triples
-//! but by *counting* them (`sorted_dedup`): three stable counting passes,
-//! least significant key component first, each one a histogram over the ids
-//! of that component, a prefix sum, and a scatter. The count table is sized
-//! by the largest id that occurs in the input (found in a first pass), which
-//! for a graph built through [`rdf_model::Graph`] is below its dictionary's
-//! length — four bytes a term at most. Ids need not be dense, though:
-//! hand-built triples, or what is left of a graph after most of it was
-//! deleted, can carry a few huge ids, and a table sized by them would cost
-//! more than the sort it replaces. So when the largest id exceeds
-//! `SPARSE_IDS` times the input's length the routine falls back to a
-//! comparison sort — a choice made from the input itself, whose cost is
-//! bounded either way.
+//! An index is [`rdf_model::sorted_dedup`] over the rows: dictionary ids are
+//! dense, so the rows are sorted by counting, not comparing, and the sort
+//! drops repeats — which is also how a store learns for nothing that the
+//! rows it was handed are a set (`spo.len() == rows`; see
+//! [`crate::TripleStore::from_rows`]). The routine and its fallback for
+//! sparse ids live beside [`Triple`].
 
-use rdf_model::Triple;
-
-/// Which permutation an index is sorted by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Order {
-    /// Sorted by (subject, property, object).
-    Spo,
-    /// Sorted by (property, object, subject).
-    Pos,
-    /// Sorted by (object, subject, property).
-    Osp,
-}
-
-/// Key extractor for an order.
-#[inline]
-fn key(order: Order, t: Triple) -> (u32, u32, u32) {
-    match order {
-        Order::Spo => (t.s.0, t.p.0, t.o.0),
-        Order::Pos => (t.p.0, t.o.0, t.s.0),
-        Order::Osp => (t.o.0, t.s.0, t.p.0),
-    }
-}
-
-/// Above this many ids per input triple, ids count as sparse and
-/// [`sorted_dedup`] compares instead of counting. A graph that never lost a
-/// triple has at most three terms a triple beside the five built-in
-/// properties, so past a handful of triples it always counts; a merge batch
-/// of a few triples over a large dictionary never does.
-const SPARSE_IDS: usize = 4;
-
-/// A copy of `triples` sorted in `order`, repeats dropped — the one routine
-/// behind every build and every merge batch (see the module docs).
-fn sorted_dedup(order: Order, triples: &[Triple]) -> Vec<Triple> {
-    let mut max = [0u32; 3];
-    for &t in triples {
-        let k = key(order, t);
-        max = [max[0].max(k.0), max[1].max(k.1), max[2].max(k.2)];
-    }
-    let widest = max[0].max(max[1]).max(max[2]) as usize;
-    let mut v = triples.to_vec();
-    // Positions are counted in `u32`s, as ids are.
-    if widest >= SPARSE_IDS * v.len() || v.len() > u32::MAX as usize {
-        v.sort_unstable_by_key(|&t| key(order, t));
-    } else {
-        let mut scratch = v.clone();
-        let mut counts: Vec<u32> = Vec::new();
-        let mut pass = |digit: fn((u32, u32, u32)) -> u32, max: u32| {
-            counts.clear();
-            counts.resize(max as usize + 1, 0);
-            for &t in &v {
-                counts[digit(key(order, t)) as usize] += 1;
-            }
-            let mut at = 0;
-            for count in &mut counts {
-                at += std::mem::replace(count, at);
-            }
-            for &t in &v {
-                let slot = &mut counts[digit(key(order, t)) as usize];
-                scratch[*slot as usize] = t;
-                *slot += 1;
-            }
-            std::mem::swap(&mut v, &mut scratch);
-        };
-        pass(|k| k.2, max[2]);
-        pass(|k| k.1, max[1]);
-        pass(|k| k.0, max[0]);
-    }
-    v.dedup();
-    v
-}
+pub use rdf_model::Order;
+use rdf_model::{sorted_dedup, Triple};
 
 /// A triple table sorted in one permutation order.
 #[derive(Clone, Debug)]
@@ -103,9 +28,15 @@ pub struct SortedIndex {
 impl SortedIndex {
     /// Builds the index over a sorted, deduplicated copy of `triples`.
     pub fn build(order: Order, triples: &[Triple]) -> Self {
+        Self::build_from(order, &[triples])
+    }
+
+    /// [`SortedIndex::build`] over tables taken end to end — a graph's
+    /// three components, read where they lie.
+    pub fn build_from(order: Order, parts: &[&[Triple]]) -> Self {
         SortedIndex {
             order,
-            triples: sorted_dedup(order, triples),
+            triples: sorted_dedup(order, parts),
         }
     }
 
@@ -145,11 +76,9 @@ impl SortedIndex {
     /// join probe's run is a handful of triples.
     fn range_by(&self, cmp: impl Fn((u32, u32, u32)) -> std::cmp::Ordering) -> &[Triple] {
         let order = self.order;
-        let lo = self
-            .triples
-            .partition_point(|&t| cmp(key(order, t)).is_lt());
+        let lo = self.triples.partition_point(|&t| cmp(order.key(t)).is_lt());
         let rest = &self.triples[lo..];
-        &rest[..gallop(rest, |t| cmp(key(order, t)).is_le())]
+        &rest[..gallop(rest, |t| cmp(order.key(t)).is_le())]
     }
 
     /// Merges a batch of additions into the index **in place**: each
@@ -161,21 +90,25 @@ impl SortedIndex {
     /// index. Additions may arrive in any order and may duplicate each
     /// other or existing triples — the result is exactly a fresh
     /// [`SortedIndex::build`] over the union.
-    pub fn insert_merge(&mut self, additions: &[Triple]) {
+    ///
+    /// Returns the additions that were genuinely new, ascending in index
+    /// order: the search that finds a slot is also the membership test, so
+    /// a store decides an `UPDATE` batch here and nowhere else.
+    pub fn insert_merge(&mut self, additions: &[Triple]) -> Vec<Triple> {
         let order = self.order;
-        let add = sorted_dedup(order, additions);
+        let add = sorted_dedup(order, &[additions]);
         // (slot, triple) of every genuinely new addition, ascending: the
         // position in the *current* vector it must land in front of.
         let mut fresh: Vec<(usize, Triple)> = Vec::with_capacity(add.len());
         let mut from = 0;
         for &t in &add {
-            from = lower_bound_from(order, &self.triples, from, key(order, t));
+            from = lower_bound_from(order, &self.triples, from, order.key(t));
             if self.triples.get(from) != Some(&t) {
                 fresh.push((from, t));
             }
         }
         let Some(&(_, filler)) = fresh.first() else {
-            return;
+            return Vec::new();
         };
         let mut end = self.triples.len();
         self.triples.resize(end + fresh.len(), filler);
@@ -186,6 +119,7 @@ impl SortedIndex {
             self.triples[slot + ahead] = t;
             end = slot;
         }
+        fresh.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Removes a batch of triples **in place**: each removal is located
@@ -193,19 +127,24 @@ impl SortedIndex {
     /// sweep closes the gaps, moving every surviving triple at most once.
     /// Triples not present are ignored, so the result is exactly a fresh
     /// build over the set difference.
-    pub fn remove_merge(&mut self, removals: &[Triple]) {
+    ///
+    /// Returns the removals that were genuinely present, ascending in
+    /// index order (see [`SortedIndex::insert_merge`]).
+    pub fn remove_merge(&mut self, removals: &[Triple]) -> Vec<Triple> {
         let order = self.order;
-        let rem = sorted_dedup(order, removals);
+        let mut rem = sorted_dedup(order, &[removals]);
         let mut gone: Vec<usize> = Vec::with_capacity(rem.len());
         let mut from = 0;
-        for &t in &rem {
-            from = lower_bound_from(order, &self.triples, from, key(order, t));
-            if self.triples.get(from) == Some(&t) {
+        rem.retain(|&t| {
+            from = lower_bound_from(order, &self.triples, from, order.key(t));
+            let present = self.triples.get(from) == Some(&t);
+            if present {
                 gone.push(from);
             }
-        }
+            present
+        });
         let Some(&first) = gone.first() else {
-            return;
+            return rem;
         };
         let len = self.triples.len();
         // Front to back: the block behind each removed position shifts
@@ -217,12 +156,13 @@ impl SortedIndex {
             write += next - pos - 1;
         }
         self.triples.truncate(write);
+        rem
     }
 
     /// Is the exact triple present? (Binary search on the full key.)
     pub fn contains(&self, t: Triple) -> bool {
         self.triples
-            .binary_search_by_key(&key(self.order, t), |&u| key(self.order, u))
+            .binary_search_by_key(&self.order.key(t), |&u| self.order.key(u))
             .is_ok()
     }
 
@@ -230,7 +170,7 @@ impl SortedIndex {
     pub fn check_invariants(&self) -> bool {
         self.triples
             .windows(2)
-            .all(|w| key(self.order, w[0]) <= key(self.order, w[1]))
+            .all(|w| self.order.key(w[0]) <= self.order.key(w[1]))
     }
 }
 
@@ -252,13 +192,13 @@ fn gallop(v: &[Triple], pred: impl Fn(Triple) -> bool) -> usize {
 /// one costs `O(log gap)` — a handful of probes for a small batch spread
 /// over a large index.
 fn lower_bound_from(order: Order, v: &[Triple], from: usize, k: (u32, u32, u32)) -> usize {
-    from + gallop(&v[from..], |t| key(order, t) < k)
+    from + gallop(&v[from..], |t| order.key(t) < k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::TermId;
+    use rdf_model::{TermId, SPARSE_IDS};
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(TermId(s), TermId(p), TermId(o))
@@ -323,7 +263,7 @@ mod tests {
             for order in [Order::Spo, Order::Pos, Order::Osp] {
                 let idx = SortedIndex::build(order, &triples);
                 let filter = |keep: &dyn Fn((u32, u32, u32)) -> bool| -> Vec<Triple> {
-                    idx.as_slice().iter().copied().filter(|&u| keep(key(order, u))).collect()
+                    idx.as_slice().iter().copied().filter(|&u| keep(order.key(u))).collect()
                 };
                 for k1 in probes() {
                     proptest::prop_assert_eq!(
@@ -367,7 +307,7 @@ mod tests {
             for input in inputs {
                 for order in [Order::Spo, Order::Pos, Order::Osp] {
                     let mut want = input.to_vec();
-                    want.sort_unstable_by_key(|&u| key(order, u));
+                    want.sort_unstable_by_key(|&u| order.key(u));
                     want.dedup();
                     let built = SortedIndex::build(order, input);
                     proptest::prop_assert_eq!(built.as_slice(), &want[..], "{:?}", order);
@@ -388,7 +328,7 @@ mod tests {
             triples.push(triples[9]);
             for order in [Order::Spo, Order::Pos, Order::Osp] {
                 let mut want = triples.clone();
-                want.sort_unstable_by_key(|&u| key(order, u));
+                want.sort_unstable_by_key(|&u| order.key(u));
                 want.dedup();
                 assert_eq!(SortedIndex::build(order, &triples).as_slice(), want);
             }
@@ -428,11 +368,16 @@ mod tests {
                         )
                     })
                     .collect();
+                // What a merge reports: the batch's triples that were new
+                // (or present), once each, in index order.
+                let mut distinct = SortedIndex::build(order, &batch).as_slice().to_vec();
                 if round % 2 == 0 {
-                    idx.insert_merge(&batch);
+                    distinct.retain(|t| !live.contains(t));
+                    assert_eq!(idx.insert_merge(&batch), distinct, "{order:?} {round}");
                     live.extend_from_slice(&batch);
                 } else {
-                    idx.remove_merge(&batch);
+                    distinct.retain(|t| live.contains(t));
+                    assert_eq!(idx.remove_merge(&batch), distinct, "{order:?} {round}");
                     live.retain(|t| !batch.contains(t));
                 }
                 live.sort_unstable();

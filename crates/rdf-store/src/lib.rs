@@ -8,6 +8,14 @@
 //! an incremental content fingerprint, binary snapshots, and the
 //! binary-searched triple-pattern scans that back the `rdf-query`
 //! evaluation engine.
+//!
+//! The SPO index doubles as the graph's proof of being a *set*, as the
+//! paper's encoded table does (§6): a store is built from rows nobody has
+//! de-duplicated ([`TripleStore::from_rows`] — `spo.len() == rows` is the
+//! proof), the snapshot decoder appends without probing
+//! ([`snapshot::decode_rows`]), and batch updates decide membership by the
+//! search that merges them into SPO. The graph's own hash set is never
+//! built on any of these paths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,6 +89,182 @@ mod proptests {
                     prop_assert_eq!(st.any(pat), !st.scan(pat).is_empty());
                     prop_assert!(st.count(pat) >= 1);
                 }
+            }
+        }
+    }
+
+    /// One step of [`graph_matches_a_set_model`]; a `usize` picks a triple
+    /// of the universe.
+    #[derive(Clone, Debug)]
+    enum GraphOp {
+        AppendDistinct(Vec<usize>),
+        Insert(usize),
+        Contains(usize),
+        Remove(usize),
+        RemoveBatch(Vec<usize>),
+        RemovePresent(Vec<usize>),
+        Clone,
+        ThroughAStore,
+    }
+
+    fn arb_graph_op() -> impl Strategy<Value = GraphOp> {
+        let one = || 0usize..48;
+        let some = || proptest::collection::vec(0usize..48, 0..6);
+        prop_oneof![
+            some().prop_map(GraphOp::AppendDistinct),
+            one().prop_map(GraphOp::Insert),
+            one().prop_map(GraphOp::Insert),
+            one().prop_map(GraphOp::Contains),
+            one().prop_map(GraphOp::Remove),
+            some().prop_map(GraphOp::RemoveBatch),
+            some().prop_map(GraphOp::RemovePresent),
+            (0u8..1).prop_map(|_| GraphOp::Clone),
+            (0u8..1).prop_map(|_| GraphOp::ThroughAStore),
+        ]
+    }
+
+    proptest! {
+        /// The set contract on both sides of the hash set's materialisation.
+        /// Random interleavings of every way to change or ask a graph —
+        /// bulk append and bulk removal (the model plays the caller and
+        /// supplies the proof), `insert_encoded`, `contains`,
+        /// `remove_encoded`, `remove_encoded_batch`, `clone`, and a trip
+        /// through a store and back — against three `Vec`s and a
+        /// `BTreeSet`: file order, `len`, membership and every return value
+        /// agree after each step, starting from a bulk-built graph (no hash
+        /// set yet) and from an `insert`-built one. The hash set exists
+        /// exactly when a row-by-row operation has run since the graph was
+        /// built; a trip through a store neither builds nor drops it.
+        #[test]
+        fn graph_matches_a_set_model(
+            start in proptest::collection::vec(0usize..48, 0..24),
+            bulk_built in 0u8..2,
+            ops in proptest::collection::vec(arb_graph_op(), 0..40),
+        ) {
+            use rdf_model::{Component, UnprovedRows};
+            use std::collections::BTreeSet;
+            // 4 subjects × 4 properties (τ, ≺sc, two data properties) × 3
+            // objects, over ids the dictionary holds.
+            let mut rows = UnprovedRows::new();
+            let ids: Vec<TermId> = (0..4)
+                .map(|i| rows.dict_mut().encode_iri(format!("http://x/n{i}")))
+                .collect();
+            let p = [TermId(0), TermId(1), rows.dict_mut().encode_iri("p:a"), rows.dict_mut().encode_iri("p:b")];
+            let universe: Vec<Triple> = (0..48)
+                .map(|i| Triple::new(ids[i % 4], p[i / 4 % 4], ids[i / 16]))
+                .collect();
+            let wk = rows.well_known();
+            let table = |t: Triple| match wk.component_of(t.p) {
+                Component::Data => 0,
+                Component::Type => 1,
+                Component::Schema => 2,
+            };
+
+            let mut model: [Vec<Triple>; 3] = Default::default();
+            let mut set: BTreeSet<Triple> = BTreeSet::new();
+            let bulk_built = bulk_built == 1;
+            let mut g = if bulk_built {
+                // Repeats and all: the sort proves the rows or compacts
+                // them, and says where — counting the tables end to end —
+                // the first repeat sat.
+                for &i in &start {
+                    rows.push(universe[i]);
+                }
+                let end_to_end: Vec<Triple> = (0..3)
+                    .flat_map(|c| start.iter().map(|&i| universe[i]).filter(move |&t| table(t) == c))
+                    .collect();
+                let first_repeat = (0..end_to_end.len())
+                    .find(|&at| end_to_end[..at].contains(&end_to_end[at]));
+                match rows.into_graph() {
+                    Ok(g) => {
+                        prop_assert_eq!(first_repeat, None);
+                        g
+                    }
+                    Err(repeated) => {
+                        prop_assert_eq!(Some(repeated.at), first_repeat);
+                        *repeated.compacted
+                    }
+                }
+            } else {
+                let mut g: Graph = rows.into_graph().unwrap();
+                for &i in &start {
+                    g.insert_encoded(universe[i]);
+                }
+                g
+            };
+            for &i in &start {
+                if set.insert(universe[i]) {
+                    model[table(universe[i])].push(universe[i]);
+                }
+            }
+            let mut has_set = !bulk_built && !start.is_empty();
+
+            for op in ops {
+                match op {
+                    GraphOp::AppendDistinct(picks) => {
+                        let mut fresh = Vec::new();
+                        for i in picks {
+                            if set.insert(universe[i]) {
+                                model[table(universe[i])].push(universe[i]);
+                                fresh.push(universe[i]);
+                            }
+                        }
+                        g.append_distinct(fresh);
+                    }
+                    GraphOp::Insert(i) => {
+                        let t = universe[i];
+                        if set.insert(t) {
+                            model[table(t)].push(t);
+                        }
+                        prop_assert_eq!(g.insert_encoded(t), (t, wk.component_of(t.p)));
+                        has_set = true;
+                    }
+                    GraphOp::Contains(i) => {
+                        prop_assert_eq!(g.contains(universe[i]), set.contains(&universe[i]));
+                        has_set = true;
+                    }
+                    GraphOp::Remove(i) => {
+                        let t = universe[i];
+                        let was_there = set.remove(&t);
+                        model[table(t)].retain(|&u| u != t);
+                        prop_assert_eq!(g.remove_encoded(t), was_there.then(|| wk.component_of(t.p)));
+                        has_set = true;
+                    }
+                    GraphOp::RemoveBatch(picks) => {
+                        let batch: Vec<Triple> = picks.iter().map(|&i| universe[i]).collect();
+                        let gone: Vec<Triple> = batch.iter().copied().filter(|t| set.remove(t)).collect();
+                        for table in &mut model {
+                            table.retain(|t| !gone.contains(t));
+                        }
+                        prop_assert_eq!(g.remove_encoded_batch(&batch), gone);
+                        has_set = true;
+                    }
+                    GraphOp::RemovePresent(picks) => {
+                        let gone: Vec<Triple> =
+                            picks.iter().map(|&i| universe[i]).filter(|t| set.remove(t)).collect();
+                        for table in &mut model {
+                            table.retain(|t| !gone.contains(t));
+                        }
+                        g.remove_present(&gone);
+                    }
+                    GraphOp::Clone => g = g.clone(),
+                    GraphOp::ThroughAStore => {
+                        let store = TripleStore::new(g);
+                        prop_assert_eq!(store.len(), set.len());
+                        prop_assert!(store.spo().as_slice().iter().eq(set.iter()));
+                        g = store.into_graph();
+                    }
+                }
+                prop_assert_eq!(g.components(), [&model[0][..], &model[1][..], &model[2][..]]);
+                prop_assert_eq!(g.len(), set.len());
+                prop_assert_eq!(g.has_hash_set(), has_set);
+                // Membership is asked of a copy: asking builds the set, and
+                // the graph under test is to reach later steps without one.
+                let asked = g.clone();
+                for &t in &universe {
+                    prop_assert_eq!(asked.contains(t), set.contains(&t));
+                }
+                prop_assert_eq!(g.has_hash_set(), has_set);
             }
         }
     }

@@ -39,8 +39,8 @@
 //! The checksum is verified before anything is read. After that, decoding a
 //! plain term allocates nothing: each string field is UTF-8 validated where
 //! it lies in the image and appended to the dictionary's arena as a view
-//! ([`rdf_model::Dictionary::encode_ref`]). The dictionary, the component
-//! tables and the triple set are sized once, up front, from the header —
+//! ([`rdf_model::Dictionary::encode_ref`]). The dictionary and the component
+//! tables are sized once, up front, from the header —
 //! but only from counts the rest of the image can still spell out: a term
 //! takes at least one byte (`Nτ` is a bare tag), a pool string one, a triple
 //! three, and a count beyond that is [`SnapshotError::Truncated`] before a
@@ -50,12 +50,21 @@
 //! A graph is a *set* of triples over a dictionary of *distinct* terms, so
 //! an image that lists either twice would decode to fewer entries than it
 //! declares; it is refused with [`SnapshotError::Duplicate`] naming the
-//! table and the index of the repeat.
+//! table and the index of the repeat. A repeated term is caught as it is
+//! interned. A repeated triple is not looked for row by row — a snapshot is
+//! written *from* a set, so every probe would be a wasted proof: the body
+//! decoder ([`decode_rows`]) appends the rows as [`UnprovedRows`], and the
+//! SPO sort their consumer runs proves them distinct — the index build of
+//! the store they are headed for (a server's `LOAD`, a persisted summary
+//! artifact), or one sort of their own when a bare [`Graph`] is asked for
+//! ([`decode`], [`load`]). Only when that sort comes out short is the
+//! repeat located, and reported with the index of its second occurrence.
 
 use crate::codec::{put_signed_varint, put_str, put_varint, stamp, stamped_body, Reader};
 use bytes::Bytes;
 use rdf_model::{
-    Component, Graph, LiteralKindRef, MemberSet, MintedKey, MintedTerm, TermId, TermRef, Triple,
+    Component, Dictionary, Graph, LiteralKindRef, MemberSet, MintedKey, MintedTerm, Repeated,
+    TermId, TermRef, Triple, UnprovedRows,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -133,6 +142,14 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// A triple listed twice, found by whichever sort proved the rows: in an
+/// image that is damage.
+impl<T> From<Repeated<T>> for SnapshotError {
+    fn from(repeated: Repeated<T>) -> Self {
+        SnapshotError::Duplicate(Table::Triples, repeated.at)
+    }
+}
 
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
@@ -270,10 +287,14 @@ fn members(r: &mut Reader<'_>, pool: &[Arc<str>]) -> Result<MemberSet, SnapshotE
 /// Reads one term record and interns it: string fields are validated where
 /// they lie in the image and appended to the dictionary's arena, so a plain
 /// term costs no allocation.
-fn term(r: &mut Reader<'_>, pool: &[Arc<str>], g: &mut Graph) -> Result<TermId, SnapshotError> {
+fn term(
+    r: &mut Reader<'_>,
+    pool: &[Arc<str>],
+    dict: &mut Dictionary,
+) -> Result<TermId, SnapshotError> {
     let minted = match r.u8()? {
-        0 => return Ok(g.dict_mut().encode_ref(TermRef::Iri(r.str()?))),
-        1 => return Ok(g.dict_mut().encode_ref(TermRef::Blank(r.str()?))),
+        0 => return Ok(dict.encode_ref(TermRef::Iri(r.str()?))),
+        1 => return Ok(dict.encode_ref(TermRef::Blank(r.str()?))),
         tag @ 2..=4 => {
             let lexical = r.str()?;
             let kind = match tag {
@@ -281,7 +302,7 @@ fn term(r: &mut Reader<'_>, pool: &[Arc<str>], g: &mut Graph) -> Result<TermId, 
                 3 => LiteralKindRef::Lang(r.str()?),
                 _ => LiteralKindRef::Typed(r.str()?),
             };
-            return Ok(g.dict_mut().encode_ref(TermRef::Literal { lexical, kind }));
+            return Ok(dict.encode_ref(TermRef::Literal { lexical, kind }));
         }
         5 => MintedTerm::n_tau(),
         6 => {
@@ -298,10 +319,10 @@ fn term(r: &mut Reader<'_>, pool: &[Arc<str>], g: &mut Graph) -> Result<TermId, 
         }
         t => return Err(SnapshotError::BadTag(t)),
     };
-    Ok(g.dict_mut().encode_ref(TermRef::Minted(&minted)))
+    Ok(dict.encode_ref(TermRef::Minted(&minted)))
 }
 
-fn decode_v2(raw: &[u8]) -> Result<Graph, SnapshotError> {
+fn decode_v2(raw: &[u8]) -> Result<UnprovedRows, SnapshotError> {
     // Header (magic already matched): version, then the checksum trailer
     // over everything before it.
     if raw.len() < 8 + 2 + 8 {
@@ -324,7 +345,7 @@ fn decode_v2(raw: &[u8]) -> Result<Graph, SnapshotError> {
     let pool: Vec<Arc<str>> = (0..r.count(1)?)
         .map(|_| r.str().map(Arc::from))
         .collect::<Result<_, _>>()?;
-    let mut g = Graph::new();
+    let mut g = UnprovedRows::new();
     // The same bounds again where they are tightest — the pool, and below
     // the terms, are behind the cursor — right before each reservation.
     if n_terms > r.remaining() {
@@ -332,7 +353,7 @@ fn decode_v2(raw: &[u8]) -> Result<Graph, SnapshotError> {
     }
     g.dict_mut().reserve(n_terms, r.remaining());
     for i in 0..n_terms {
-        if term(&mut r, &pool, &mut g)?.index() != i {
+        if term(&mut r, &pool, g.dict_mut())?.index() != i {
             return Err(SnapshotError::Duplicate(Table::Terms, i));
         }
     }
@@ -365,10 +386,7 @@ fn decode_v2(raw: &[u8]) -> Result<Graph, SnapshotError> {
         if wk.component_of(t.p) != expected {
             return Err(SnapshotError::WrongComponent);
         }
-        g.insert_encoded(t);
-        if g.len() != i + 1 {
-            return Err(SnapshotError::Duplicate(Table::Triples, i));
-        }
+        g.push(t);
     }
     if r.remaining() != 0 {
         // Trailing garbage inside the checksummed body.
@@ -387,6 +405,13 @@ pub fn decode(buf: Bytes) -> Result<Graph, SnapshotError> {
 
 /// [`decode`] over a borrowed byte slice.
 pub fn decode_slice(raw: &[u8]) -> Result<Graph, SnapshotError> {
+    Ok(decode_rows(raw)?.into_graph()?)
+}
+
+/// The body decoder: everything [`decode`] checks except that no triple is
+/// listed twice, which whoever takes the rows proves with the sort it runs
+/// anyway (see the module docs).
+pub fn decode_rows(raw: &[u8]) -> Result<UnprovedRows, SnapshotError> {
     match raw.get(..8) {
         Some(magic) if magic == MAGIC_V2 => decode_v2(raw),
         Some(magic) if magic == MAGIC_V1 => Err(SnapshotError::BadVersion(1)),
@@ -401,8 +426,7 @@ pub fn save(g: &Graph, path: impl AsRef<std::path::Path>) -> Result<(), Snapshot
 
 /// Reads a snapshot from a file.
 pub fn load(path: impl AsRef<std::path::Path>) -> Result<Graph, SnapshotError> {
-    let raw = std::fs::read(path)?;
-    decode(Bytes::from(raw))
+    decode_slice(&std::fs::read(path)?)
 }
 
 #[cfg(test)]

@@ -7,11 +7,25 @@
 //! contiguous range. Summarization algorithms scan the component tables
 //! sequentially, exactly like the paper's `SELECT s, p, o FROM D_G`; the
 //! query engine uses the indices.
+//!
+//! # The SPO index is the set
+//!
+//! The paper's loader leaves de-duplication to the encoded table (§6), and
+//! so does this one. The index build sorts the rows and drops repeats, so a
+//! store built from rows nobody has proved distinct ([`UnprovedRows`], what
+//! the N-Triples loader and the snapshot decoder produce) proves them by
+//! comparing two lengths ([`TripleStore::from_rows`]). From then on
+//! membership is a search of SPO: [`TripleStore::insert_batch`] and
+//! [`TripleStore::delete_batch`] decide what is new or present with the
+//! galloped search that finds each triple's slot, and hand the graph rows it
+//! can take on trust ([`Graph::append_distinct`] /
+//! [`Graph::remove_present`]). Nothing a store does builds or probes the
+//! graph's own hash set — an `UPDATE` under the exclusive lock least of all.
 
 use crate::fingerprint::{Fingerprint, FingerprintState};
 use crate::index::{Order, SortedIndex};
 use crate::pattern::TriplePattern;
-use rdf_model::{check_triple, Graph, ModelError, Term, TermId, Triple};
+use rdf_model::{check_triple, Graph, ModelError, Repeated, Term, TermId, Triple, UnprovedRows};
 use std::sync::Mutex;
 
 /// Outcome of one batch mutation ([`TripleStore::insert_batch`] /
@@ -59,6 +73,26 @@ impl Clone for TripleStore {
     }
 }
 
+/// The SPO, POS and OSP indices over `parts` taken end to end — one
+/// [`SortedIndex::build_from`] each, concurrently on its own scoped thread
+/// when `threads > 1` (three is all the parallelism there is: a build is
+/// three counting passes whose count tables are sized by the ids, so
+/// splitting one across workers multiplies the tables — measured slower,
+/// CHANGES.md PR 21). The indices are the same at any count.
+fn build_indices(parts: &[&[Triple]], threads: usize) -> [SortedIndex; 3] {
+    let orders = [Order::Spo, Order::Pos, Order::Osp];
+    let build = |order| SortedIndex::build_from(order, parts);
+    if threads > 1 {
+        std::thread::scope(|scope| {
+            orders
+                .map(|order| scope.spawn(move || build(order)))
+                .map(|index| index.join().expect("an index build does not panic"))
+        })
+    } else {
+        orders.map(build)
+    }
+}
+
 impl TripleStore {
     /// Builds a store (and its indices) from a graph, on the calling
     /// thread.
@@ -67,34 +101,36 @@ impl TripleStore {
     }
 
     /// [`TripleStore::new`] with the three permutation indices built
-    /// concurrently, one [`SortedIndex::build`] each on its own scoped
-    /// thread, when `threads > 1` (three is all the parallelism there is:
-    /// a build is three counting passes whose count tables are sized by
-    /// the ids, so splitting one across workers multiplies the tables —
-    /// measured slower, CHANGES.md PR 21). The indices are the same at
-    /// any count.
+    /// concurrently when `threads > 1`.
     pub fn with_threads(graph: Graph, threads: usize) -> Self {
-        let all: Vec<Triple> = graph.iter().collect();
-        let build = |order| SortedIndex::build(order, &all);
-        let (spo, pos, osp) = if threads > 1 {
-            std::thread::scope(|scope| {
-                let [spo, pos, osp] = [Order::Spo, Order::Pos, Order::Osp]
-                    .map(|order| scope.spawn(move || build(order)));
-                (
-                    spo.join().unwrap(),
-                    pos.join().unwrap(),
-                    osp.join().unwrap(),
-                )
-            })
-        } else {
-            (build(Order::Spo), build(Order::Pos), build(Order::Osp))
-        };
-        TripleStore {
+        // A graph's rows are distinct, so the proof cannot fail.
+        Self::from_rows(graph.into(), threads).unwrap_or_else(|repeated| *repeated.compacted)
+    }
+
+    /// Builds a store from rows not yet proved distinct — the one
+    /// constructor body. The index builds drop repeats, so `spo.len() ==
+    /// rows` *is* the proof that the rows are a graph's, and costs nothing.
+    /// When it fails the rows are compacted to their first occurrences
+    /// (the indices, being sets already, stand) and the store comes back as
+    /// [`Repeated`], with the position of the first repeat: a loader whose
+    /// format allows repeated lines takes `compacted`, a decoder for which
+    /// a repeat is damage reports `at`.
+    pub fn from_rows(rows: UnprovedRows, threads: usize) -> Result<Self, Repeated<Self>> {
+        let [spo, pos, osp] = build_indices(&rows.components(), threads);
+        let distinct = spo.len();
+        let store = |graph| TripleStore {
+            graph,
             spo,
             pos,
             osp,
-            graph,
             fingerprint: Mutex::new(None),
+        };
+        match rows.proved_by(distinct) {
+            Ok(graph) => Ok(store(graph)),
+            Err(Repeated { at, compacted }) => Err(Repeated {
+                at,
+                compacted: Box::new(store(*compacted)),
+            }),
         }
     }
 
@@ -120,7 +156,9 @@ impl TripleStore {
     /// checked first (see [`check_triple`]) and a bad one rejects the whole
     /// batch without mutating anything. Triples already present (or
     /// duplicated within the batch) are skipped; `applied` reports what
-    /// actually landed.
+    /// actually landed. What is already present is decided by the SPO
+    /// merge's own slot search — the graph's hash set is neither probed nor
+    /// built.
     pub fn insert_batch(
         &mut self,
         triples: &[(Term, Term, Term)],
@@ -129,20 +167,18 @@ impl TripleStore {
             check_triple(s, p, o)?;
         }
         self.ensure_fingerprint_state();
-        let mut applied = Vec::new();
-        for (s, p, o) in triples {
-            let before = self.graph.len();
-            let (t, _) = self
-                .graph
-                .insert(s.clone(), p.clone(), o.clone())
-                .expect("pre-validated triple");
-            if self.graph.len() > before {
-                applied.push(t);
-            }
-        }
-        self.spo.insert_merge(&applied);
+        let dict = self.graph.dict_mut();
+        let batch: Vec<Triple> = triples
+            .iter()
+            .map(|(s, p, o)| {
+                let [s, p, o] = [s, p, o].map(|term| dict.encode_ref(term.as_term_ref()));
+                Triple::new(s, p, o)
+            })
+            .collect();
+        let applied = in_application_order(&batch, &self.spo.insert_merge(&batch));
         self.pos.insert_merge(&applied);
         self.osp.insert_merge(&applied);
+        self.graph.append_distinct(applied.iter().copied());
         let fingerprint = {
             let mut slot = self.fingerprint.lock().unwrap();
             let state = slot.as_mut().expect("ensured above");
@@ -164,10 +200,11 @@ impl TripleStore {
 
     /// Deletes a batch of term triples; the mirror image of
     /// [`TripleStore::insert_batch`] (linear index merges, lane-sum
-    /// subtraction). Triples whose terms are unknown to the dictionary, or
-    /// that are simply absent, are skipped — deletion never fails.
-    /// Dictionary entries are never reclaimed, so re-inserting a deleted
-    /// triple restores the exact fingerprint it had before.
+    /// subtraction, presence decided by the SPO merge). Triples whose terms
+    /// are unknown to the dictionary, or that are simply absent, are
+    /// skipped — deletion never fails. Dictionary entries are never
+    /// reclaimed, so re-inserting a deleted triple restores the exact
+    /// fingerprint it had before.
     pub fn delete_batch(&mut self, triples: &[(Term, Term, Term)]) -> BatchOutcome {
         self.ensure_fingerprint_state();
         let dict = self.graph.dict();
@@ -177,10 +214,10 @@ impl TripleStore {
                 encoded.push(Triple::new(s, p, o));
             }
         }
-        let applied = self.graph.remove_encoded_batch(&encoded);
-        self.spo.remove_merge(&applied);
+        let applied = in_application_order(&encoded, &self.spo.remove_merge(&encoded));
         self.pos.remove_merge(&applied);
         self.osp.remove_merge(&applied);
+        self.graph.remove_present(&applied);
         let fingerprint = {
             let mut slot = self.fingerprint.lock().unwrap();
             let state = slot.as_mut().expect("ensured above");
@@ -228,10 +265,7 @@ impl TripleStore {
     /// Rebuilds the indices after graph mutation.
     pub fn refresh(&mut self) {
         self.invalidate_fingerprint();
-        let all: Vec<Triple> = self.graph.iter().collect();
-        self.spo = SortedIndex::build(Order::Spo, &all);
-        self.pos = SortedIndex::build(Order::Pos, &all);
-        self.osp = SortedIndex::build(Order::Osp, &all);
+        [self.spo, self.pos, self.osp] = build_indices(&self.graph.components(), 1);
     }
 
     /// The SPO permutation index (triples grouped by subject).
@@ -339,6 +373,22 @@ impl TripleStore {
     }
 }
 
+/// The triples of `batch` that a merge reported as `hit` (ascending in SPO
+/// order, each once), in the order the batch first names them — what
+/// [`BatchOutcome::applied`] promises. A repeat inside the batch finds its
+/// hit already taken; both lists are batch-sized.
+fn in_application_order(batch: &[Triple], hit: &[Triple]) -> Vec<Triple> {
+    let mut taken = vec![false; hit.len()];
+    batch
+        .iter()
+        .copied()
+        .filter(|t| match hit.binary_search(t) {
+            Ok(i) => !std::mem::replace(&mut taken[i], true),
+            Err(_) => false,
+        })
+        .collect()
+}
+
 impl From<Graph> for TripleStore {
     fn from(g: Graph) -> Self {
         TripleStore::new(g)
@@ -348,7 +398,7 @@ impl From<Graph> for TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::vocab;
+    use rdf_model::{vocab, TermRef};
 
     fn store() -> TripleStore {
         let mut g = Graph::new();
@@ -445,6 +495,47 @@ mod tests {
             assert_eq!(par.spo().as_slice(), st.spo().as_slice(), "{threads}");
             assert_eq!(par.pos().as_slice(), st.pos().as_slice(), "{threads}");
             assert_eq!(par.osp().as_slice(), st.osp().as_slice(), "{threads}");
+        }
+    }
+
+    /// Rows that are a set build a store without anything being probed;
+    /// rows with repeats build the same store, compacted to their first
+    /// occurrences, and say where the first repeat sat.
+    #[test]
+    fn from_rows_proves_or_compacts() {
+        // The content of `store()`; two rows listed twice on request.
+        let rows = |repeats: bool| {
+            let mut rows = UnprovedRows::new();
+            let mut push = |s, p, o| {
+                rows.push_ref(TermRef::Iri(s), TermRef::Iri(p), TermRef::Iri(o))
+                    .unwrap()
+            };
+            push("a", "p", "b");
+            push("a", vocab::RDF_TYPE, "C");
+            push("a", "p", "c");
+            if repeats {
+                push("a", "p", "b"); // data row 2 repeats data row 0
+            }
+            push("b", "p", "c");
+            if repeats {
+                push("a", vocab::RDF_TYPE, "C"); // type row 1 repeats type row 0
+            }
+            push("a", "q", "b");
+            rows
+        };
+        for threads in [1, 2] {
+            let proved = TripleStore::from_rows(rows(false), threads).expect("no row repeats");
+            let repeated = TripleStore::from_rows(rows(true), threads).expect_err("two rows do");
+            // Tables end to end: the four data rows come first.
+            assert_eq!(repeated.at, 2);
+            for st in [&proved, &*repeated.compacted] {
+                assert!(!st.graph().has_hash_set());
+                assert_eq!(st.graph().components(), proved.graph().components());
+                assert_eq!(st.spo().as_slice(), proved.spo().as_slice());
+                assert_eq!(st.pos().as_slice(), proved.pos().as_slice());
+                assert_eq!(st.osp().as_slice(), proved.osp().as_slice());
+                assert_eq!(st.fingerprint(), store().fingerprint());
+            }
         }
     }
 

@@ -23,6 +23,8 @@
 //! force-close and every thread is joined.
 
 use crate::protocol::Request;
+use rdf_model::{Repeated, UnprovedRows};
+use rdf_store::{snapshot, SnapshotError, TripleStore};
 use rdfsum_core::{ServiceError, SummaryService};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -55,17 +57,32 @@ pub(crate) fn write_err(out: &mut Vec<u8>, category: &str, msg: &dyn std::fmt::D
     out.extend_from_slice(format!("ERR {category}: {msg}\n").as_bytes());
 }
 
-/// Loads a graph file: `.snap` through the binary snapshot reader,
-/// anything else through the N-Triples parser. This is *the* load
-/// dispatch — the CLI imports it too, so the server and the single-shot
-/// binary can never disagree about how a path turns into a graph (the
-/// byte-identity contract depends on that agreement).
-pub fn load_graph_file(path: &str) -> Result<rdf_model::Graph, String> {
+/// Reads a graph file's rows — `.snap` through the binary snapshot reader,
+/// anything else through the N-Triples parser — and has `prove` settle
+/// whether they are a set. This is *the* load dispatch: the CLI and the
+/// server differ only in the proof they bring (one sort for a bare graph,
+/// a store's index build), so they can never disagree about how a path
+/// turns into a graph (the byte-identity contract depends on that
+/// agreement). A snapshot that lists a triple twice is damaged; an
+/// N-Triples file that repeats a line means its first occurrence.
+fn load_file<T>(
+    path: &str,
+    prove: impl FnOnce(UnprovedRows) -> Result<T, Repeated<T>>,
+) -> Result<T, String> {
     if path.ends_with(".snap") {
-        rdf_store::snapshot::load(path).map_err(|e| format!("loading snapshot {path}: {e}"))
+        let snapshot = || -> Result<T, SnapshotError> {
+            Ok(prove(snapshot::decode_rows(&std::fs::read(path)?)?)?)
+        };
+        snapshot().map_err(|e| format!("loading snapshot {path}: {e}"))
     } else {
-        rdf_io::load_path(path).map_err(|e| format!("loading {path}: {e}"))
+        let rows = rdf_io::load_rows(path).map_err(|e| format!("loading {path}: {e}"))?;
+        Ok(prove(rows).unwrap_or_else(|repeated| *repeated.compacted))
     }
+}
+
+/// Loads a graph file as a bare graph (the CLI's entry point).
+pub fn load_graph_file(path: &str) -> Result<rdf_model::Graph, String> {
+    load_file(path, UnprovedRows::into_graph)
 }
 
 /// Serves one request, appending the response to `w`; `false` means the
@@ -77,9 +94,13 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
             write_ok(w, "bye");
             return false;
         }
-        Request::Load { path } => match load_graph_file(&path) {
-            Ok(g) => {
-                let info = service.load_graph(&path, g);
+        // The index build (on the service's workers) is also the proof
+        // that the file's rows are a set.
+        Request::Load { path } => match load_file(&path, |rows| {
+            TripleStore::from_rows(rows, service.threads())
+        }) {
+            Ok(store) => {
+                let info = service.load_store(&path, store);
                 write_ok(
                     w,
                     &format!(

@@ -57,13 +57,22 @@
 //! and the longest line, not the file. Each line is scanned once, at byte
 //! level, into *borrowed* term views ([`rdf_model::TermRef`]: slices of
 //! the line, or of a reused scratch buffer when the term has an escape)
-//! and handed to [`rdf_model::Graph::insert_ref`], which validates the
-//! triple and probes the dictionary with the views themselves: a term
+//! and handed to [`rdf_model::UnprovedRows::push_ref`], which validates
+//! the triple and probes the dictionary with the views themselves: a term
 //! already interned (about nine occurrences in ten on BSBM) costs a hash
 //! and a comparison, a new one has its slices appended to the dictionary's
 //! arena — neither allocates. Ids are first-seen in `s`, `p`, `o`
 //! order per line, so fingerprints, snapshots and summary bodies do not
-//! depend on which entry point loaded the graph. [`rdf_io::parse_line`],
+//! depend on which entry point loaded the graph. The row itself is
+//! appended to its component table and nothing asks whether it was seen
+//! before: that a graph is a *set* of triples is proved once, by the SPO
+//! counting sort ([`rdf_model::sorted_dedup`]) coming out as long as the
+//! tables — for free where a store builds its index anyway (`LOAD`:
+//! [`rdf_store::TripleStore::from_rows`]), as one sort of its own where a
+//! bare [`rdf_model::Graph`] is asked for (the CLI, [`rdf_io::load_path`]).
+//! A file that repeats a line is compacted to the first occurrences on the
+//! rare path that follows a short sort; the snapshot decoder appends the
+//! same way and reports a repeat as damage. [`rdf_io::parse_line`],
 //! [`rdf_io::parse_str`] and [`rdf_io::parse_statements`] (the `UPDATE`
 //! payload) run the same cursor and build owned terms from the same
 //! views; every error carries its line and a 1-based *character* column.

@@ -71,6 +71,111 @@ fn start(threads: usize, workers: usize) -> (ServerHandle, Arc<SummaryService>) 
     (handle, service)
 }
 
+/// An N-Triples file may state a triple more than once, and means its
+/// first occurrence. A BSBM file with repeats of every shape — adjacent,
+/// ten thousand lines apart, in the data, type and schema tables, the
+/// file's first triple again as its last line — reads as the file without
+/// them through every way in: `LOAD` over the wire (fingerprint, all six
+/// summary bodies), the CLI (`snapshot` bytes, `summarize --out` bytes)
+/// and `parse_graph` (tables, dictionary, fingerprint).
+#[test]
+fn repeated_lines_load_as_their_first_occurrences() {
+    let dir = workdir("repeats");
+    let clean_text = write_graph(&workloads::generate_bsbm(&BsbmConfig::with_products(150)));
+    let clean: Vec<&str> = clean_text.lines().collect();
+    let parsed = parse_graph(&clean_text).unwrap();
+    let (n_data, n_type) = (parsed.data().len(), parsed.types().len());
+    assert!(n_data > 10_200 && n_type > 10 && !parsed.schema().is_empty());
+    assert_eq!(
+        clean.len(),
+        parsed.len(),
+        "the writer lists data, types, schema"
+    );
+    let mut lines = clean.clone();
+    // Back to front, so the earlier positions stay what they were.
+    lines.push(clean[0]);
+    lines.insert(clean.len() - 1, clean[n_data + n_type]); // schema, apart
+    lines.insert(n_data + 8, clean[n_data + 7]); // type, adjacent
+    lines.insert(n_data + 3, clean[40]); // data, among the types
+    lines.insert(10_100, clean[100]); // data, 10⁴ lines apart
+    lines.insert(11, clean[10]); // data, adjacent
+    lines.insert(11, clean[10]); // …and once more
+    assert_eq!(lines.len(), clean.len() + 7);
+    let repeated_text = lines.join("\n") + "\n";
+    let (clean_nt, repeated_nt) = (dir.join("clean.nt"), dir.join("repeated.nt"));
+    std::fs::write(&clean_nt, &clean_text).unwrap();
+    std::fs::write(&repeated_nt, &repeated_text).unwrap();
+
+    // parse_graph: the same tables over the same dictionary.
+    let reparsed = parse_graph(&repeated_text).unwrap();
+    assert_eq!(reparsed.components(), parsed.components());
+    assert_eq!(
+        rdfsummary::rdf_store::snapshot::encode(&reparsed),
+        rdfsummary::rdf_store::snapshot::encode(&parsed)
+    );
+    let fingerprint = rdfsummary::rdf_store::graph_fingerprint(&parsed);
+    assert_eq!(
+        rdfsummary::rdf_store::graph_fingerprint(&reparsed),
+        fingerprint
+    );
+
+    // The CLI: snapshot bytes, and every summary from the file and from
+    // its snapshot.
+    let cli = |args: &[&str], out: &Path| {
+        let run = bin().args(args).arg("--out").arg(out).output().unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        std::fs::read(out).unwrap()
+    };
+    let snap_of = |nt: &Path, name: &str| {
+        let out = dir.join(name);
+        (cli(&["snapshot", nt.to_str().unwrap()], &out), out)
+    };
+    let (clean_snap, _) = snap_of(&clean_nt, "clean.snap");
+    let (repeated_snap, repeated_snap_path) = snap_of(&repeated_nt, "repeated.snap");
+    assert_eq!(repeated_snap, clean_snap);
+    let six = FIVE_KINDS
+        .into_iter()
+        .chain([(SummaryKind::Bisimulation, "fb")]);
+
+    // The wire: LOAD of each file, then all six kinds.
+    let (handle, _service) = start(2, 2);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for nt in [&clean_nt, &repeated_nt] {
+        let loaded = client.load(nt.to_str().unwrap()).unwrap();
+        assert!(loaded.is_ok(), "{}", loaded.status);
+        assert_eq!(loaded.field("fp"), Some(fingerprint.to_string().as_str()));
+        assert_eq!(
+            loaded.field("triples"),
+            Some(clean.len().to_string().as_str())
+        );
+    }
+    for (kind, tok) in six {
+        let out = dir.join(format!("{tok}.nt"));
+        let want = cli(
+            &["summarize", clean_nt.to_str().unwrap(), "--kind", tok],
+            &out,
+        );
+        for input in [&repeated_nt, &repeated_snap_path] {
+            let got = cli(&["summarize", input.to_str().unwrap(), "--kind", tok], &out);
+            assert_eq!(got, want, "{tok} from {}", input.display());
+        }
+        let served = client
+            .summarize(kind, repeated_nt.to_str().unwrap())
+            .unwrap();
+        assert_eq!(
+            served.body.as_deref(),
+            Some(want.as_slice()),
+            "{tok} served"
+        );
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The headline contract: for every fixture × kind, the server's
 /// `SUMMARIZE` body — on the cold miss and on the warm cache hit — is
 /// byte-identical to what the single-shot CLI writes with `--out`.
