@@ -6,9 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rdfsum_core::typed::typed_weak_summary_with;
-use rdfsum_core::{
-    streaming_typed_weak_summary, streaming_weak_summary, weak_summary, TypedSemantics,
-};
+use rdfsum_core::{weak_summary, TypedSemantics};
+use rdfsum_experiments::{streaming_typed_weak_summary, streaming_weak_summary};
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
 use std::time::Duration;

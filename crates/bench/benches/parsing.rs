@@ -80,7 +80,7 @@ fn bench_load_layers(c: &mut Criterion, g: &Graph, suffix: &str) {
         })
     });
     group.bench_function(format!("snapshot_decode_{suffix}"), |b| {
-        b.iter(|| black_box(snapshot::decode_slice(&snap).unwrap()))
+        b.iter(|| black_box(snapshot::decode(&snap).unwrap()))
     });
     group.finish();
 }

@@ -25,7 +25,7 @@ fn main() {
         });
         rows.push(measure_graph(&g, p));
         let t0 = Instant::now();
-        let s = rdfsum_core::streaming_weak_summary(&g);
+        let s = rdfsum_experiments::streaming_weak_summary(&g);
         let streaming = t0.elapsed().as_secs_f64();
         std::hint::black_box(&s);
         let t0 = Instant::now();

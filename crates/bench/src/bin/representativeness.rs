@@ -9,7 +9,8 @@
 
 use rdf_query::{sample_rbgp_queries, WorkloadConfig};
 use rdf_store::TripleStore;
-use rdfsum_core::{check_representativeness, summarize, SummaryKind};
+use rdfsum_core::{summarize, SummaryKind};
+use rdfsum_experiments::check_representativeness;
 use rdfsum_workloads::{BsbmConfig, LubmConfig};
 
 fn run(dataset: &str, g: rdf_model::Graph, queries: usize, sizes: &[usize]) {

@@ -58,7 +58,7 @@ fn main() {
     }
 
     // Property distances of §3.1, for good measure.
-    use rdfsum_core::distance::{CooccurrenceGraph, Side};
+    use rdfsum_experiments::distance::{CooccurrenceGraph, Side};
     let co = CooccurrenceGraph::build(&g, Side::Source);
     let a = rdfsum_core::fixtures::exid(&g, "author");
     println!("\nProperty distances in SC1 (§3.1):");

@@ -2,13 +2,18 @@
 //!
 //! The experiment harness reproducing the paper's evaluation (§7):
 //!
-//! | binary | paper artifact |
-//! |--------|----------------|
-//! | `table1_cliques` | Table 1 — cliques of the running example |
-//! | `fig11_12_sizes` | Figures 11 & 12 — node/edge counts of the four BSBM summaries across scales |
-//! | `fig13_time` | Figure 13 — summarization time across scales |
-//! | `representativeness` | Prop. 1 / Definition 1 on sampled RBGP workloads |
-//! | `completeness` | Props. 5, 7, 8, 10 — completeness checks and counter-examples |
+//! | binary | paper artifact | built on |
+//! |--------|----------------|----------|
+//! | `table1_cliques` | Table 1 — cliques of the running example | `rdfsum_core::Cliques`, `rdfsum_experiments::distance` |
+//! | `fig11_12_sizes` | Figures 11 & 12 — node/edge counts of the four BSBM summaries across scales | `rdfsum_core` |
+//! | `fig13_time` | Figure 13 — summarization time across scales | `rdfsum_core`, `rdfsum_experiments::streaming` |
+//! | `representativeness` | Prop. 1 / Definition 1 on sampled RBGP workloads | `rdfsum_experiments::checks` |
+//! | `completeness` | Props. 5, 7, 8, 10 — completeness checks and counter-examples | `rdfsum_experiments::{checks, iso}` |
+//!
+//! The evaluation-only modules those binaries (and the `ablation` bench)
+//! run live in `rdfsum-experiments`; everything else here, the repository
+//! benchmark included, is built on `rdfsum-core` and `rdfsum-server`
+//! alone.
 //!
 //! Serving performance is measured by the repository benchmark
 //! (`src/bin/benchmark/`, declared by the root `BENCHMARK.json`; see its

@@ -397,12 +397,21 @@ impl<'g> SummaryContext<'g> {
         let np = self.props.len();
         let n = self.nodes.len();
         let n_terms = self.g.dict().len();
-        let threads = self.threads.min(n.max(1));
+        // Row ranges balanced by out-entry count, like the CSR fill's.
+        let bounds = crate::parallel::row_bounds(&self.out_offsets, self.threads);
+        let threads = bounds.len() - 1;
         let mut src_uf = UnionFind::new(np);
         let mut tgt_uf = UnionFind::new(np);
         let mut subject_repr = vec![NO_DENSE_ID; n_terms];
         let mut object_repr = vec![NO_DENSE_ID; n_terms];
-        if threads <= 1 {
+        if threads == 1 {
+            // One range keeps a sweep of its own, straight into the
+            // term-indexed tables. Run through the per-range body below it
+            // pays two node-sized local tables and their scatter:
+            // `cliques_bsbm_30k/all_nodes` 0.480 → 0.556 ms and
+            // `untyped_only` 0.391 → 0.434 ms (medians of 10 alternating
+            // parent/change runs, the shared body faster in 1 of 10 each;
+            // sized for PR 23).
             for v in 0..n {
                 if scope == CliqueScope::UntypedOnly && self.typed[v] {
                     continue;
@@ -421,18 +430,6 @@ impl<'g> SummaryContext<'g> {
                 }
             }
             return Cliques::from_parts(&self.props, src_uf, tgt_uf, subject_repr, object_repr);
-        }
-        // Row-range boundaries balanced by out-entry count, like the CSR
-        // fill's worker split.
-        let total = self.out_props.len();
-        let mut bounds = vec![0usize; threads + 1];
-        bounds[threads] = n;
-        for w in 1..threads {
-            let target = (total * w / threads) as u32;
-            bounds[w] = self
-                .out_offsets
-                .partition_point(|&o| o < target)
-                .clamp(bounds[w - 1], n);
         }
         /// Per-worker partial: union–finds over the shared dense property
         /// numbering plus range-local (dense-node-indexed) repr tables.
@@ -832,28 +829,19 @@ pub(crate) fn fill_csr_values<V: Copy + Send + Sync>(
 ) -> (Vec<u32>, Vec<V>) {
     let offsets = csr_offsets(deg);
     let n = deg.len();
-    let total = offsets[n] as usize;
+    let mut values = vec![zero; offsets[n] as usize];
     // Row → worker assignments live in a u8 table, hence the 256 cap.
-    let threads = threads.clamp(1, n.max(1)).min(256);
-    let mut values = vec![zero; total];
-    if threads <= 1 {
+    let bounds = crate::parallel::row_bounds(&offsets, threads.min(256));
+    let threads = bounds.len() - 1;
+    if threads == 1 {
+        // The bucketed fill below would copy every entry into one bucket
+        // first; a cursor sweep writes them where they go.
         let mut cursor = offsets[..n].to_vec();
         for &(row, v) in entries {
             values[cursor[row as usize] as usize] = v;
             cursor[row as usize] += 1;
         }
         return (offsets, values);
-    }
-    // Row-range boundaries balanced by entry count: worker w owns rows
-    // `bounds[w]..bounds[w+1]` and therefore the contiguous value slots
-    // `offsets[bounds[w]]..offsets[bounds[w+1]]`.
-    let mut bounds = vec![0usize; threads + 1];
-    bounds[threads] = n;
-    for w in 1..threads {
-        let target = (total * w / threads) as u32;
-        bounds[w] = offsets
-            .partition_point(|&o| o < target)
-            .clamp(bounds[w - 1], n);
     }
     let mut worker_of_row = vec![0u8; n];
     for w in 0..threads {
@@ -917,41 +905,26 @@ pub(crate) fn fill_csr_values<V: Copy + Send + Sync>(
 /// fill: contiguous rows own contiguous value slots, so the written
 /// slices are disjoint `&mut` splits). The result is exactly a sequential
 /// per-row `sort_unstable`; the summary's extent construction uses this
-/// for its `dr` member rows.
+/// for its `dr` member rows. A single range is sorted on the calling
+/// thread.
 pub(crate) fn sort_csr_rows<V: Ord + Send>(offsets: &[u32], values: &mut [V], threads: usize) {
-    let n = offsets.len().saturating_sub(1);
-    let threads = threads.clamp(1, n.max(1)).min(256);
-    if threads <= 1 {
-        for i in 0..n {
-            values[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
+    let bounds = crate::parallel::row_bounds(offsets, threads);
+    let sort_range = |lo: usize, hi: usize, slice: &mut [V]| {
+        let base = offsets[lo];
+        for r in lo..hi {
+            slice[(offsets[r] - base) as usize..(offsets[r + 1] - base) as usize].sort_unstable();
         }
-        return;
-    }
-    let total = offsets[n] as usize;
-    let mut bounds = vec![0usize; threads + 1];
-    bounds[threads] = n;
-    for w in 1..threads {
-        let target = (total * w / threads) as u32;
-        bounds[w] = offsets
-            .partition_point(|&o| o < target)
-            .clamp(bounds[w - 1], n);
+    };
+    if let [lo, hi] = bounds[..] {
+        return sort_range(lo, hi, values);
     }
     std::thread::scope(|scope| {
         let mut rest: &mut [V] = values;
-        for w in 0..threads {
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
-            let width = (offsets[hi] - offsets[lo]) as usize;
-            let (slice, tail) = rest.split_at_mut(width);
+        for r in bounds.windows(2) {
+            let (lo, hi) = (r[0], r[1]);
+            let (slice, tail) = rest.split_at_mut((offsets[hi] - offsets[lo]) as usize);
             rest = tail;
-            let base = offsets[lo];
-            let range_offsets = &offsets[lo..=hi];
-            scope.spawn(move || {
-                for r in 0..hi - lo {
-                    slice[(range_offsets[r] - base) as usize
-                        ..(range_offsets[r + 1] - base) as usize]
-                        .sort_unstable();
-                }
-            });
+            scope.spawn(move || sort_range(lo, hi, slice));
         }
     });
 }

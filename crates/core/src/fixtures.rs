@@ -12,7 +12,9 @@
 //!   (Prop. 7);
 //! * [`figure10_graph`] — the strong-completeness walk-through (Prop. 8);
 //! * [`book_graph`] — the §2.1 book/RDFS example with its four implicit
-//!   triples.
+//!   triples;
+//! * [`fragment_graph`] — not a figure: the small-vocabulary graph the
+//!   property tests generate their inputs through.
 
 use rdf_model::{vocab, Graph, PrefixMap, Term, TermId};
 
@@ -187,6 +189,48 @@ pub fn book_graph() -> Graph {
     );
     g.add_iri_triple(&ex("writtenBy"), vocab::RDFS_DOMAIN, &ex("Book"));
     g.add_iri_triple(&ex("writtenBy"), vocab::RDFS_RANGE, &ex("Person"));
+    g
+}
+
+/// A graph over a small fixed vocabulary (`http://x/n*` nodes, `p*`
+/// properties, `C*` classes) from data / type / `≺sp` / domain fragments:
+/// what the property tests of this crate and of `rdfsum-experiments` draw
+/// their random graphs through.
+pub fn fragment_graph(
+    data: &[(u8, u8, u8)],
+    types: &[(u8, u8)],
+    sp: &[(u8, u8)],
+    dom: &[(u8, u8)],
+) -> Graph {
+    let mut g = Graph::new();
+    for (s, p, o) in data {
+        g.add_iri_triple(
+            &format!("http://x/n{s}"),
+            &format!("http://x/p{p}"),
+            &format!("http://x/n{o}"),
+        );
+    }
+    for (s, c) in types {
+        g.add_iri_triple(
+            &format!("http://x/n{s}"),
+            vocab::RDF_TYPE,
+            &format!("http://x/C{c}"),
+        );
+    }
+    for (a, b) in sp {
+        g.add_iri_triple(
+            &format!("http://x/p{a}"),
+            vocab::RDFS_SUBPROPERTYOF,
+            &format!("http://x/p{}", b.wrapping_add(4)),
+        );
+    }
+    for (p, c) in dom {
+        g.add_iri_triple(
+            &format!("http://x/p{p}"),
+            vocab::RDFS_DOMAIN,
+            &format!("http://x/C{c}"),
+        );
+    }
     g
 }
 

@@ -6,7 +6,7 @@
 //! `H_G` that is orders of magnitude smaller yet RBGP-*representative*
 //! (queries with answers on `G∞` have answers on `H∞_G`) and *accurate*.
 //!
-//! Five summaries are provided, all quotient graphs (Definition 9):
+//! Six summaries are served, all quotient graphs (Definition 9):
 //!
 //! | summary | equivalence | module |
 //! |---------|-------------|--------|
@@ -15,17 +15,22 @@
 //! | `TW_G` typed weak   | class sets first, ≡UW on untyped nodes          | [`typed`] |
 //! | `TS_G` typed strong | class sets first, ≡US on untyped nodes          | [`typed`] |
 //! | `T_G`  type-based   | identical class sets (Definition 12)            | [`typed`] |
+//! | `FB`   bisimulation | forward–backward bisimilarity (§8 baseline)     | [`bisim`] |
 //!
-//! Supporting machinery: property [`cliques`] (Definition 5), property
-//! [`distance`] (Definition 6), node [`equivalence`] partitions, the
-//! generic [`quotient`] operator, the paper's streaming Algorithms 1–3
-//! ([`streaming`]), the substrate's one worker-count decision
-//! ([`parallel`]), summary [`iso`]morphism, and [`checks`] for the paper's
-//! formal properties (fixpoint, completeness, representativeness).
+//! Supporting machinery: property [`cliques`] (Definition 5), node
+//! [`equivalence`] partitions, the generic [`quotient`] operator, the
+//! substrate's one worker-count decision ([`parallel`]), summary-derived
+//! [`cardinality`] estimates for the query planner, the [`persist`]ed
+//! artifact codec and the [`service`] every `serve` verb runs on. This
+//! crate holds what a served or CLI-`summarize` path runs and nothing
+//! else: the paper's evaluation artefacts (streaming Algorithms 1–3,
+//! property distance, Lemma 1, inflation, isomorphism, the formal
+//! property checkers and the hash-map reference builders) live in the
+//! leaf crate `rdfsum-experiments`.
 //!
 //! ## The dense pipeline: [`SummaryContext`]
 //!
-//! All five summaries are built from one shared substrate, the
+//! All six summaries are built from one shared substrate, the
 //! [`context::SummaryContext`]:
 //!
 //! * a **dense numbering** of the data nodes and data properties
@@ -49,7 +54,7 @@
 //! ([`rdf_model::DenseIdMap::absorb`]), so the result reproduces global
 //! first-seen numbering exactly — the *identical* substrate one shard
 //! builds, CSR stitched in shard order, clique union–finds merged from
-//! row-range partials. All five summaries therefore come out
+//! row-range partials. All six summaries therefore come out
 //! triple-for-triple, naming-identical at any shard count (pinned up to
 //! S = 64, empty shards included). Graphs below the shard floor build on
 //! one shard.
@@ -71,7 +76,7 @@
 //! ([`parallel::shard_count`]), byte-identically at any count.
 //!
 //! The pre-refactor hash-map builders are preserved verbatim in
-//! [`reference`] as the golden-equivalence test oracle.
+//! `rdfsum_experiments::reference` as the golden-equivalence test oracle.
 //!
 //! ## Quickstart
 //!
@@ -95,24 +100,17 @@
 pub mod bisim;
 pub mod builder;
 pub mod cardinality;
-pub mod checks;
 pub mod cliques;
 pub mod context;
-pub mod distance;
 pub mod equivalence;
 pub mod executor;
 pub mod fixtures;
-pub mod inflate;
-pub mod iso;
 pub mod naming;
 pub mod parallel;
 pub mod persist;
 pub mod quotient;
-pub mod reference;
 pub mod report;
-pub mod saturated_cliques;
 pub mod service;
-pub mod streaming;
 pub mod strong;
 pub mod summary;
 pub mod typed;
@@ -122,24 +120,15 @@ pub mod weak;
 pub use bisim::{bisim_partition, bisim_summary, BisimDepth};
 pub use builder::{summarize, summarize_all};
 pub use cardinality::{PropertyCard, SummaryCardinality, SummaryEstimator};
-pub use checks::{
-    can_prune, check_representativeness, completeness_check, completeness_checks, fixpoint_holds,
-    CompletenessCheck, RepresentativenessReport,
-};
 pub use cliques::{CliqueId, CliqueScope, Cliques};
 pub use context::{ClassSets, SummaryContext};
 pub use equivalence::Partition;
 pub use executor::Executor;
-pub use inflate::{inflate, InflateConfig};
-pub use iso::summary_isomorphic;
-pub use reference::{reference_summary, reference_summary_with};
 pub use report::{render_report, ReportOptions};
-pub use saturated_cliques::{fuse_cliques, saturated_clique, verify_lemma1};
 pub use service::{
     LoadedGraph, QueryOutcome, ServiceError, ServiceStats, SummaryArtifact, SummaryService,
     UpdateOutcome,
 };
-pub use streaming::{streaming_typed_weak_summary, streaming_weak_summary};
 pub use strong::strong_summary;
 pub use summary::{Summary, SummaryKind, SummaryStats};
 pub use typed::{type_summary, typed_strong_summary, typed_weak_summary, TypedSemantics};
@@ -148,51 +137,11 @@ pub use weak::weak_summary;
 #[cfg(test)]
 mod proptests {
     use super::{
-        check_representativeness, completeness_check, fixpoint_holds, streaming_typed_weak_summary,
-        streaming_weak_summary, strong_summary, summarize, summary_isomorphic,
-        typed_strong_summary, typed_weak_summary, weak_summary, SummaryContext, SummaryKind,
+        fixtures::fragment_graph, strong_summary, summarize, typed_strong_summary,
+        typed_weak_summary, weak_summary, SummaryContext, SummaryKind,
     };
     use proptest::prelude::*;
     use rdf_model::{vocab, Graph};
-
-    /// Builds a random graph from triple/type/schema fragments.
-    pub(crate) fn build_graph(
-        data: &[(u8, u8, u8)],
-        types: &[(u8, u8)],
-        sp: &[(u8, u8)],
-        dom: &[(u8, u8)],
-    ) -> Graph {
-        let mut g = Graph::new();
-        for (s, p, o) in data {
-            g.add_iri_triple(
-                &format!("http://x/n{s}"),
-                &format!("http://x/p{p}"),
-                &format!("http://x/n{o}"),
-            );
-        }
-        for (s, c) in types {
-            g.add_iri_triple(
-                &format!("http://x/n{s}"),
-                vocab::RDF_TYPE,
-                &format!("http://x/C{c}"),
-            );
-        }
-        for (a, b) in sp {
-            g.add_iri_triple(
-                &format!("http://x/p{a}"),
-                vocab::RDFS_SUBPROPERTYOF,
-                &format!("http://x/p{}", b.wrapping_add(4)),
-            );
-        }
-        for (p, c) in dom {
-            g.add_iri_triple(
-                &format!("http://x/p{p}"),
-                vocab::RDFS_DOMAIN,
-                &format!("http://x/C{c}"),
-            );
-        }
-        g
-    }
 
     fn arb_graph() -> impl Strategy<Value = Graph> {
         (
@@ -201,7 +150,7 @@ mod proptests {
             proptest::collection::vec((0u8..4, 0u8..3), 0..3),
             proptest::collection::vec((0u8..4, 0u8..3), 0..3),
         )
-            .prop_map(|(d, t, sp, dom)| build_graph(&d, &t, &sp, &dom))
+            .prop_map(|(d, t, sp, dom)| fragment_graph(&d, &t, &sp, &dom))
     }
 
     proptest! {
@@ -287,40 +236,13 @@ mod proptests {
             prop_assert!(crate::weak::check_unique_data_properties(&g, &s));
         }
 
-        /// Proposition 2 (fixpoint) for all kinds on random graphs.
-        #[test]
-        fn prop2_fixpoint(g in arb_graph()) {
-            for kind in SummaryKind::ALL {
-                prop_assert!(fixpoint_holds(&g, kind), "{kind}");
-            }
-        }
-
-        /// Propositions 5 and 8 (weak/strong completeness) on random
-        /// graphs with random ≺sp and domain constraints.
-        #[test]
-        fn prop5_prop8_completeness(g in arb_graph()) {
-            prop_assert!(completeness_check(&g, SummaryKind::Weak).holds);
-            prop_assert!(completeness_check(&g, SummaryKind::Strong).holds);
-        }
-
-        /// Streaming and batch weak builders agree on random graphs.
-        #[test]
-        fn streaming_equals_batch(g in arb_graph()) {
-            let a = weak_summary(&g);
-            let b = streaming_weak_summary(&g);
-            prop_assert!(summary_isomorphic(&a.graph, &b.graph));
-            let tw_a = typed_weak_summary(&g);
-            let tw_b = streaming_typed_weak_summary(&g);
-            prop_assert!(summary_isomorphic(&tw_a.graph, &tw_b.graph));
-        }
-
         /// The weak summary of a forced-shard context equals the
         /// sequential one on random graphs, at every shard count.
         #[test]
         fn parallel_equals_sequential(g in arb_graph(), threads in 2usize..6) {
             let a = weak_summary(&g);
             let b = SummaryContext::sharded_forced(&g, threads).weak_summary();
-            prop_assert!(summary_isomorphic(&a.graph, &b.graph));
+            prop_assert_eq!(rdf_io::write_graph(&a.graph), rdf_io::write_graph(&b.graph));
         }
 
         /// The one-shard constructor and every forced-shard one build the
@@ -354,32 +276,6 @@ mod proptests {
             }
         }
 
-        /// Golden equivalence: every dense-pipeline summary is
-        /// triple-for-triple and naming-identical to the preserved
-        /// pre-refactor (hash-map) builder on random graphs.
-        #[test]
-        fn dense_pipeline_matches_reference(g in arb_graph()) {
-            use crate::reference::reference_summary;
-            let canon = |s: &crate::Summary| {
-                let mut v: Vec<String> =
-                    rdf_io::write_graph(&s.graph).lines().map(String::from).collect();
-                v.sort();
-                v
-            };
-            let ctx = crate::context::SummaryContext::new(&g);
-            for kind in [
-                SummaryKind::Weak,
-                SummaryKind::Strong,
-                SummaryKind::TypedWeak,
-                SummaryKind::TypedStrong,
-                SummaryKind::TypeBased,
-            ] {
-                let dense = ctx.summarize(kind);
-                let oracle = reference_summary(&g, kind);
-                prop_assert_eq!(canon(&dense), canon(&oracle), "{}", kind);
-            }
-        }
-
         /// Strong refines weak; typed strong refines typed weak.
         #[test]
         fn refinement_chains(g in arb_graph()) {
@@ -401,50 +297,6 @@ mod proptests {
                         prop_assert_eq!(w.representative(m), Some(ws));
                     }
                 }
-            }
-        }
-
-        /// Lemma 1 on random graphs with random ≺sp constraints: the
-        /// C⁺-predicted clique fusion matches the cliques of G∞.
-        #[test]
-        fn lemma1_on_random_graphs(g in arb_graph()) {
-            let (src, tgt) = crate::saturated_cliques::verify_lemma1(&g);
-            prop_assert!(src.holds(), "source side");
-            prop_assert!(tgt.holds(), "target side");
-        }
-
-        /// Inverse-set witnesses: inflating a weak summary and
-        /// re-summarizing reproduces it (Prop. 3's accuracy, constructive).
-        #[test]
-        fn inflation_roundtrip(g in arb_graph(), seed in 0u64..100) {
-            let w = weak_summary(&g);
-            let cfg = crate::inflate::InflateConfig { seed, ..Default::default() };
-            prop_assert!(crate::inflate::reproduces_through_inflation(&w, &cfg));
-        }
-
-        /// Representativeness (Prop. 1) on sampled workloads over random
-        /// graphs, for all four summaries.
-        #[test]
-        fn prop1_representativeness(g in arb_graph(), seed in 0u64..1000) {
-            let store = rdf_store::TripleStore::new(g.clone());
-            let queries = rdf_query::sample_rbgp_queries(
-                &store,
-                &rdf_query::WorkloadConfig {
-                    queries: 8,
-                    patterns_per_query: 3,
-                    seed,
-                    ..Default::default()
-                },
-            );
-            for kind in SummaryKind::ALL {
-                let s = summarize(&g, kind);
-                let rep = check_representativeness(&g, &s, &queries);
-                prop_assert!(
-                    rep.all_held(),
-                    "violations for {}: {:?}",
-                    kind,
-                    rep.violations
-                );
             }
         }
     }

@@ -26,7 +26,7 @@
 //! serialization).
 //!
 //! The eager string functions [`n_uri`] / [`c_uri`] are retained for the
-//! pre-refactor reference oracle ([`crate::reference`]) and for tests
+//! pre-refactor reference oracle (`rdfsum_experiments::reference`) and for tests
 //! pinning the rendered form — every live builder, batch and streaming
 //! alike, now mints symbolically; determinism of
 //! both paths is what lets the completeness tests compare `W_{G∞}` and

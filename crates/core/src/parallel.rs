@@ -1,5 +1,6 @@
-//! The one decision about parallelism, and the run merge the parallel
-//! quotient emission reduces with.
+//! The one decision about parallelism, the one row-range split the CSR
+//! stages share, and the run merge the parallel quotient emission reduces
+//! with.
 //!
 //! The paper's future work: "improving scalability by leveraging a
 //! massively parallel platform such as Spark". Every stage of
@@ -34,6 +35,29 @@ pub fn shard_count(n_data_triples: usize, requested: usize) -> usize {
     } else {
         requested.clamp(1, 256)
     }
+}
+
+/// Splits the rows of a CSR `offsets` table (`rows + 1` entries) into at
+/// most `workers` contiguous ranges balanced by entry count: range `w` is
+/// rows `bounds[w]..bounds[w + 1]` and therefore the contiguous value
+/// slots `offsets[bounds[w]]..offsets[bounds[w + 1]]`, so per-range
+/// `&mut` slices are disjoint splits. There is at least one range and
+/// never more than there are rows; the ranges a stage gets are how many
+/// workers it runs on (`bounds.len() - 1`), and a stage handed a single
+/// range runs it on the calling thread.
+pub(crate) fn row_bounds(offsets: &[u32], workers: usize) -> Vec<usize> {
+    let n = offsets.len().saturating_sub(1);
+    let workers = workers.clamp(1, n.max(1));
+    let total = offsets.last().map_or(0, |&t| t as usize);
+    let mut bounds = vec![0usize; workers + 1];
+    bounds[workers] = n;
+    for w in 1..workers {
+        let target = (total * w / workers) as u32;
+        bounds[w] = offsets
+            .partition_point(|&o| o < target)
+            .clamp(bounds[w - 1], n);
+    }
+    bounds
 }
 
 /// Reduces sorted, deduplicated runs to one by pairwise merge-dedup
@@ -165,6 +189,24 @@ mod tests {
             expect.dedup();
             assert_eq!(merge_dedup_runs(runs), expect, "case {case}");
         }
+    }
+
+    /// Ranges tile the rows in order and are never more than the rows;
+    /// each cut is the first row boundary at or past an equal share of the
+    /// entries.
+    #[test]
+    fn row_bounds_tile_the_rows_by_entry_count() {
+        let offsets = [0u32, 4, 4, 5, 8, 8, 12];
+        assert_eq!(row_bounds(&offsets, 1), [0, 6]);
+        assert_eq!(row_bounds(&offsets, 2), [0, 4, 6]);
+        assert_eq!(row_bounds(&offsets, 3), [0, 1, 4, 6]);
+        let many = row_bounds(&offsets, 64);
+        assert_eq!(many.len(), 7);
+        assert!(many.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!((many[0], many[6]), (0, 6));
+        // No rows: one empty range, whatever was asked for.
+        assert_eq!(row_bounds(&[0], 4), [0, 0]);
+        assert_eq!(row_bounds(&[], 4), [0, 0]);
     }
 
     /// The one decision: one worker below the floor, the explicit request

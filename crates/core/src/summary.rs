@@ -120,13 +120,11 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Creates a summary from a hash-map correspondence (used by builders
-    /// that accumulate the map incrementally, e.g. streaming).
-    pub(crate) fn new(
-        kind: SummaryKind,
-        graph: Graph,
-        node_map: FxHashMap<TermId, TermId>,
-    ) -> Self {
+    /// Creates a summary from a hash-map correspondence. For builders that
+    /// accumulate `rd` incrementally — `rdfsum-experiments`' streaming
+    /// algorithms and reference oracle; the served path is the quotient's
+    /// dense `from_quotient`.
+    pub fn new(kind: SummaryKind, graph: Graph, node_map: FxHashMap<TermId, TermId>) -> Self {
         let n_g_terms = node_map.keys().map(|k| k.index() + 1).max().unwrap_or(0);
         let mut node_of = vec![NO_DENSE_ID; n_g_terms];
         let mut pairs: Vec<(u32, TermId)> = Vec::with_capacity(node_map.len());
@@ -278,6 +276,28 @@ mod tests {
         assert_eq!(s.n_summary_nodes(), 2);
         assert_eq!(s.n_represented(), 3);
         assert!(s.check_correspondence_invariants());
+    }
+
+    /// The hash-map constructor (the seam `rdfsum-experiments` builds
+    /// through) and the quotient's dense one agree on the correspondence.
+    #[test]
+    fn new_matches_from_quotient_on_the_sample_weak_partition() {
+        let g = crate::fixtures::sample_graph();
+        let dense = crate::weak::weak_summary(&g);
+        let node_map: FxHashMap<TermId, TermId> = (0..g.dict().len() as u32)
+            .map(TermId)
+            .filter_map(|n| dense.representative(n).map(|h| (n, h)))
+            .collect();
+        assert_eq!(node_map.len(), dense.n_represented());
+        let hashed = Summary::new(SummaryKind::Weak, dense.graph.clone(), node_map);
+        assert_eq!(hashed.n_summary_nodes(), dense.n_summary_nodes());
+        for n in (0..g.dict().len() as u32 + 1).map(TermId) {
+            assert_eq!(hashed.representative(n), dense.representative(n));
+        }
+        for h in (0..dense.graph.dict().len() as u32 + 1).map(TermId) {
+            assert_eq!(hashed.extent(h), dense.extent(h));
+        }
+        assert!(hashed.check_correspondence_invariants());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The binary decoders under structured mutation (ROADMAP 5e).
 //!
-//! `snapshot::decode_slice` and `persist::decode_artifact` read bytes a
+//! `snapshot::decode` and `persist::decode_artifact` read bytes a
 //! disk can damage. Both verify a checksum first, which hides the decoder
 //! proper from plain corruption — so every mutated image here is
 //! **re-stamped**: the trailer is recomputed over the damaged body, and the
@@ -107,10 +107,7 @@ fn snapshots() -> &'static [Vec<u8>] {
     IMAGES.get_or_init(|| {
         let book = fixtures::book_graph();
         let tw = SummaryContext::sharded(&book, 1).summarize(SummaryKind::TypedWeak);
-        let mut images = vec![
-            snapshot::encode(&book).to_vec(),
-            snapshot::encode(&tw.graph).to_vec(),
-        ];
+        let mut images = vec![snapshot::encode(&book), snapshot::encode(&tw.graph)];
         images.extend(artifacts().iter().map(|a| a.snapshot().to_vec()));
         images
     })
@@ -166,8 +163,8 @@ fn mutate(image: &[u8], (op, a, b): (u8, usize, usize)) -> Vec<u8> {
 
 /// `Err`, or a graph that round-trips.
 fn check_snapshot(image: &[u8]) -> Result<(), proptest::TestCaseError> {
-    if let Ok(g) = snapshot::decode_slice(image) {
-        let again = snapshot::decode(snapshot::encode(&g)).unwrap();
+    if let Ok(g) = snapshot::decode(image) {
+        let again = snapshot::decode(&snapshot::encode(&g)).unwrap();
         prop_assert_eq!(rdf_io::write_graph(&again), rdf_io::write_graph(&g));
         prop_assert_eq!(again.dict().len(), g.dict().len());
     }
@@ -192,7 +189,7 @@ proptest! {
     #[test]
     fn mutated_snapshots_never_panic(which in 0usize..4, ops in arb_ops()) {
         let valid = &snapshots()[which];
-        prop_assert!(snapshot::decode_slice(valid).is_ok());
+        prop_assert!(snapshot::decode(valid).is_ok());
         let image = ops.iter().fold(valid.clone(), |image, &op| mutate(&image, op));
         check_snapshot(&image)?;
     }
@@ -244,7 +241,7 @@ fn inflated_counts_fail_without_reserving() {
             for count in too_many(image.len()) {
                 let inflated = with_count(image, 10, nth, count);
                 assert!(
-                    snapshot::decode_slice(&inflated).is_err(),
+                    snapshot::decode(&inflated).is_err(),
                     "count {nth} = {count} accepted"
                 );
             }
@@ -286,7 +283,7 @@ fn triple_table(rows: &[Triple]) -> Vec<u8> {
 /// trailer re-stamped. Returns the image and the position of the copy;
 /// `None` for an image without triples.
 fn with_repeated_row(image: &[u8], (a, b): (usize, usize)) -> Option<(Vec<u8>, usize)> {
-    let g = snapshot::decode_slice(image).unwrap();
+    let g = snapshot::decode(image).unwrap();
     let mut rows: Vec<Triple> = g.iter().collect();
     let counts = g.components().map(<[Triple]>::len);
     let from = a % rows.len().max(1);
@@ -325,7 +322,7 @@ proptest! {
         let Some((image, at)) = with_repeated_row(&snapshots()[which], pick) else {
             return Ok(());
         };
-        let refused = snapshot::decode_slice(&image);
+        let refused = snapshot::decode(&image);
         prop_assert!(
             matches!(refused, Err(SnapshotError::Duplicate(Table::Triples, i)) if i == at),
             "{:?} at {}", refused.map(|g| g.len()), at
@@ -383,7 +380,7 @@ fn a_repeating_persisted_artifact_is_rebuilt() {
 fn a_repeating_embedded_snapshot_is_a_miss() {
     let artifact = &artifacts()[0];
     let snap = artifact.snapshot();
-    let summary = snapshot::decode_slice(snap).unwrap();
+    let summary = snapshot::decode(snap).unwrap();
     let counts = [
         summary.dict().len(),
         summary.data().len(),
@@ -399,7 +396,7 @@ fn a_repeating_embedded_snapshot_is_a_miss() {
     repeated.extend_from_slice(&[0, 0, 0]);
     stamp(&mut repeated);
     assert!(matches!(
-        snapshot::decode_slice(&repeated),
+        snapshot::decode(&repeated),
         Err(snapshot::SnapshotError::Duplicate(snapshot::Table::Triples, i)) if i == summary.len()
     ));
     assert!(artifact
@@ -423,7 +420,7 @@ fn a_repeating_embedded_snapshot_is_a_miss() {
     stamp(&mut repeated);
     // The extra spelling takes id 0; the original, at index 1, repeats it.
     assert!(matches!(
-        snapshot::decode_slice(&repeated),
+        snapshot::decode(&repeated),
         Err(snapshot::SnapshotError::Duplicate(
             snapshot::Table::Terms,
             1

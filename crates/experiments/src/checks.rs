@@ -11,13 +11,13 @@
 //! * **Representativeness** (Definition 1, Prop. 1): every RBGP query
 //!   non-empty on `G∞` is non-empty on `H∞_G`.
 
-use crate::builder::summarize;
 use crate::iso::summary_isomorphic;
-use crate::summary::{Summary, SummaryKind};
 use rdf_model::Graph;
 use rdf_query::{compile, Evaluator, QuerySpec};
 use rdf_schema::saturate;
 use rdf_store::TripleStore;
+use rdfsum_core::builder::summarize;
+use rdfsum_core::summary::{Summary, SummaryKind};
 
 /// Does the fixpoint property hold for `kind` on `g`? (Σ_{Σ_G} ≅ Σ_G.)
 pub fn fixpoint_holds(g: &Graph, kind: SummaryKind) -> bool {
@@ -49,13 +49,13 @@ pub fn completeness_check(g: &Graph, kind: SummaryKind) -> CompletenessCheck {
 }
 
 /// [`completeness_check`] for several kinds at once: `g` is saturated
-/// *once*, and one shared [`crate::context::SummaryContext`] per side
+/// *once*, and one shared [`rdfsum_core::context::SummaryContext`] per side
 /// (`G` and `G∞`) serves every kind, so the cliques and dense numbering
 /// are computed once instead of once per kind.
 pub fn completeness_checks(g: &Graph, kinds: &[SummaryKind]) -> Vec<CompletenessCheck> {
     let sat = saturate(g);
-    let sat_ctx = crate::context::SummaryContext::new(&sat);
-    let ctx = crate::context::SummaryContext::new(g);
+    let sat_ctx = rdfsum_core::context::SummaryContext::new(&sat);
+    let ctx = rdfsum_core::context::SummaryContext::new(g);
     kinds
         .iter()
         .map(|&kind| {
@@ -146,8 +146,8 @@ pub fn can_prune(summary: &Summary, query: &QuerySpec) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{figure10_graph, figure5_graph, figure8_graph, sample_graph};
     use rdf_query::{sample_rbgp_queries, WorkloadConfig};
+    use rdfsum_core::fixtures::{figure10_graph, figure5_graph, figure8_graph, sample_graph};
 
     /// Proposition 2: all four summaries have the fixpoint property.
     #[test]

@@ -109,7 +109,7 @@ impl CooccurrenceGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{exid, sample_graph};
+    use rdfsum_core::fixtures::{exid, sample_graph};
 
     /// §3.1: "the distance between a and t is 0 … between a and e is 1 …
     /// between a and c is 2."
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn distance_consistent_with_cliques() {
-        use crate::cliques::{CliqueScope, Cliques};
+        use rdfsum_core::cliques::{CliqueScope, Cliques};
         let g = sample_graph();
         let co = CooccurrenceGraph::build(&g, Side::Source);
         let cq = Cliques::compute(&g, CliqueScope::AllNodes);

@@ -16,9 +16,9 @@
 //! * a concrete demonstration of Definition 2: any query matching `H∞`
 //!   matches the saturation of some member of the inverse set.
 
-use crate::naming::SUMMARY_NS;
-use crate::summary::Summary;
 use rdf_model::{FxHashMap, Graph, SplitMix64, Term, TermId};
+use rdfsum_core::naming::SUMMARY_NS;
+use rdfsum_core::summary::Summary;
 
 /// Options for [`inflate`].
 #[derive(Clone, Debug)]
@@ -129,7 +129,7 @@ pub fn is_inflated_resource(uri: &str) -> bool {
 /// through inflation? (`W(inflate(H)) ≅ H`.)
 pub fn reproduces_through_inflation(summary: &Summary, cfg: &InflateConfig) -> bool {
     let g = inflate(summary, cfg);
-    let again = crate::weak::weak_summary(&g);
+    let again = rdfsum_core::weak::weak_summary(&g);
     crate::iso::summary_isomorphic(&again.graph, &summary.graph)
 }
 
@@ -144,8 +144,8 @@ pub fn no_summary_uris_leaked(g: &Graph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::sample_graph;
-    use crate::weak::weak_summary;
+    use rdfsum_core::fixtures::sample_graph;
+    use rdfsum_core::weak::weak_summary;
 
     #[test]
     fn inflating_the_sample_weak_summary_reproduces_it() {

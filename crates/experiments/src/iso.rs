@@ -18,8 +18,8 @@
 //! bijection. Summary graphs are tiny (the point of the paper), so this is
 //! plenty fast.
 
-use crate::naming::SUMMARY_NS;
 use rdf_model::{FxHashMap, FxHashSet, Graph, TermRef};
+use rdfsum_core::naming::SUMMARY_NS;
 use std::hash::{BuildHasher, Hash};
 
 /// A graph lowered to dense node indices with string-keyed labels.
@@ -254,9 +254,9 @@ pub fn summary_isomorphic(a: &Graph, b: &Graph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::sample_graph;
-    use crate::naming::SUMMARY_NS;
-    use crate::weak::weak_summary;
+    use rdfsum_core::fixtures::sample_graph;
+    use rdfsum_core::naming::SUMMARY_NS;
+    use rdfsum_core::weak::weak_summary;
 
     fn mint(local: &str) -> String {
         format!("{SUMMARY_NS}{local}")
@@ -349,8 +349,8 @@ mod tests {
         // C(∅) mints fresh URIs, so two runs differ textually but must be
         // isomorphic.
         let g = sample_graph();
-        let a = crate::typed::type_summary(&g);
-        let b = crate::typed::type_summary(&g);
+        let a = rdfsum_core::typed::type_summary(&g);
+        let b = rdfsum_core::typed::type_summary(&g);
         assert!(summary_isomorphic(&a.graph, &b.graph));
     }
 }

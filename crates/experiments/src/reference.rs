@@ -1,21 +1,21 @@
 //! The pre-dense-pipeline summary builders, preserved verbatim as a test
 //! oracle.
 //!
-//! Before the [`crate::context::SummaryContext`] refactor, every builder
+//! Before the [`rdfsum_core::context::SummaryContext`] refactor, every builder
 //! computed property cliques with per-node `FxHashMap` lookups and built
 //! partitions/quotients through hash maps. This module keeps that original
 //! logic — hash maps and all — so the golden-equivalence tests can assert
 //! that the dense pipeline produces **triple-for-triple and
 //! naming-identical** output on every workload. It is deliberately naive
-//! and unoptimized; production code should use the [`crate::builder`]
-//! entry points (or a [`crate::context::SummaryContext`] directly), never
+//! and unoptimized; production code should use the [`rdfsum_core::builder`]
+//! entry points (or a [`rdfsum_core::context::SummaryContext`] directly), never
 //! this module.
 
-use crate::cliques::CliqueScope;
-use crate::naming::{c_uri, n_uri};
-use crate::summary::{Summary, SummaryKind};
-use crate::typed::TypedSemantics;
 use rdf_model::{FxHashMap, FxHashSet, Graph, Term, TermId, Triple};
+use rdfsum_core::cliques::CliqueScope;
+use rdfsum_core::naming::{c_uri, n_uri};
+use rdfsum_core::summary::{Summary, SummaryKind};
+use rdfsum_core::typed::TypedSemantics;
 
 /// Clique structure with the original hash-map node assignments.
 struct RefCliques {
@@ -27,7 +27,7 @@ struct RefCliques {
 
 impl RefCliques {
     fn compute(g: &Graph, scope: CliqueScope) -> Self {
-        use crate::unionfind::UnionFind;
+        use rdfsum_core::unionfind::UnionFind;
         let typed: FxHashSet<TermId> = match scope {
             CliqueScope::AllNodes => FxHashSet::default(),
             CliqueScope::UntypedOnly => g.typed_resources(),
@@ -154,7 +154,7 @@ fn ref_data_nodes_ordered(g: &Graph) -> Vec<TermId> {
 }
 
 fn ref_weak_partition(cliques: &RefCliques, nodes: &[TermId]) -> RefPartition {
-    use crate::unionfind::UnionFind;
+    use rdfsum_core::unionfind::UnionFind;
     let ns = cliques.source_cliques.len();
     let nt = cliques.target_cliques.len();
     let mut uf = UnionFind::new(ns + nt + 1);
@@ -306,7 +306,7 @@ fn ref_type_based(g: &Graph) -> Summary {
             Some(cs) => c_uri(g.dict(), cs),
             None => {
                 fresh += 1;
-                format!("{}c?fresh={}", crate::naming::SUMMARY_NS, fresh)
+                format!("{}c?fresh={}", rdfsum_core::naming::SUMMARY_NS, fresh)
             }
         },
     )
@@ -365,7 +365,7 @@ fn ref_typed(g: &Graph, kind: SummaryKind, semantics: TypedSemantics) -> Summary
 /// Builds the summary of `g` the pre-refactor way, with the paper-default
 /// typed semantics. Supports the five clique/type summaries; the
 /// bisimulation baseline has no reference variant and delegates to
-/// [`crate::bisim::bisim_summary`].
+/// [`rdfsum_core::bisim::bisim_summary`].
 pub fn reference_summary(g: &Graph, kind: SummaryKind) -> Summary {
     match kind {
         SummaryKind::Weak => ref_weak(g),
@@ -374,7 +374,7 @@ pub fn reference_summary(g: &Graph, kind: SummaryKind) -> Summary {
         SummaryKind::TypedStrong => ref_typed(g, kind, TypedSemantics::default()),
         SummaryKind::TypeBased => ref_type_based(g),
         SummaryKind::Bisimulation => {
-            crate::bisim::bisim_summary(g, crate::bisim::BisimDepth::Bounded(2))
+            rdfsum_core::bisim::bisim_summary(g, rdfsum_core::bisim::BisimDepth::Bounded(2))
         }
     }
 }
@@ -391,7 +391,7 @@ pub fn reference_summary_with(g: &Graph, kind: SummaryKind, semantics: TypedSema
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::sample_graph;
+    use rdfsum_core::fixtures::sample_graph;
 
     /// The oracle reproduces the paper's headline figures on its own.
     #[test]

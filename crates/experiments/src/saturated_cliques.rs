@@ -19,10 +19,10 @@
 //! shortcut. Tests verify the prediction against the actually saturated
 //! graph, on fixtures and random inputs.
 
-use crate::cliques::{CliqueId, Cliques};
-use crate::unionfind::UnionFind;
 use rdf_model::{FxHashMap, FxHashSet, Graph, TermId};
 use rdf_schema::Schema;
+use rdfsum_core::cliques::{CliqueId, Cliques};
+use rdfsum_core::unionfind::UnionFind;
 
 /// `C⁺`: the clique's properties together with all their superproperties.
 pub fn saturated_clique(schema: &Schema, members: &[TermId]) -> FxHashSet<TermId> {
@@ -134,9 +134,9 @@ fn check_side(
 /// the source and target sides.
 pub fn verify_lemma1(g: &Graph) -> (Lemma1Check, Lemma1Check) {
     let schema = Schema::of(g);
-    let g_cliques = Cliques::compute(g, crate::cliques::CliqueScope::AllNodes);
+    let g_cliques = Cliques::compute(g, rdfsum_core::cliques::CliqueScope::AllNodes);
     let sat = rdf_schema::saturate(g);
-    let inf_cliques = Cliques::compute(&sat, crate::cliques::CliqueScope::AllNodes);
+    let inf_cliques = Cliques::compute(&sat, rdfsum_core::cliques::CliqueScope::AllNodes);
     // Map G property ids into the saturated graph (same dictionary: G is
     // cloned by saturate, ids preserved).
     let source = check_side(&schema, &g_cliques.source_cliques, |p| {
@@ -151,7 +151,7 @@ pub fn verify_lemma1(g: &Graph) -> (Lemma1Check, Lemma1Check) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{exid, figure10_graph, figure5_graph, sample_graph};
+    use rdfsum_core::fixtures::{exid, figure10_graph, figure5_graph, sample_graph};
 
     #[test]
     fn saturated_clique_adds_generalizations() {
@@ -170,7 +170,7 @@ mod tests {
         // G cliques: {a1,b1} (r1) and {b2,c} (r2); C⁺ adds b to both ⇒ fuse.
         let g = figure5_graph();
         let schema = Schema::of(&g);
-        let cq = Cliques::compute(&g, crate::cliques::CliqueScope::AllNodes);
+        let cq = Cliques::compute(&g, rdfsum_core::cliques::CliqueScope::AllNodes);
         assert_eq!(cq.source_cliques.len(), 2);
         let fusion = fuse_cliques(&schema, &cq.source_cliques);
         assert_eq!(fusion.n_classes, 1, "both source cliques fuse in G∞");
@@ -180,7 +180,7 @@ mod tests {
     fn figure10_three_sources_fuse() {
         let g = figure10_graph();
         let schema = Schema::of(&g);
-        let cq = Cliques::compute(&g, crate::cliques::CliqueScope::AllNodes);
+        let cq = Cliques::compute(&g, rdfsum_core::cliques::CliqueScope::AllNodes);
         // Source cliques: {b}, {c}, {a1}, {a2} — wait: x1 has b; x2 has c;
         // r1, r2 have a1; r3 has a2. So {b}, {c}, {a1}, {a2}.
         assert_eq!(cq.source_cliques.len(), 4);
@@ -195,8 +195,8 @@ mod tests {
             sample_graph(),
             figure5_graph(),
             figure10_graph(),
-            crate::fixtures::figure8_graph(),
-            crate::fixtures::book_graph(),
+            rdfsum_core::fixtures::figure8_graph(),
+            rdfsum_core::fixtures::book_graph(),
         ] {
             let (src, tgt) = verify_lemma1(&g);
             assert!(src.holds(), "source-side Lemma 1 failed");
@@ -208,7 +208,7 @@ mod tests {
     fn no_schema_means_identity_fusion() {
         let g = sample_graph(); // no ≺sp
         let schema = Schema::of(&g);
-        let cq = Cliques::compute(&g, crate::cliques::CliqueScope::AllNodes);
+        let cq = Cliques::compute(&g, rdfsum_core::cliques::CliqueScope::AllNodes);
         let fusion = fuse_cliques(&schema, &cq.source_cliques);
         assert_eq!(fusion.n_classes, cq.source_cliques.len());
     }

@@ -22,10 +22,10 @@
 //! type triples first (the paper's TW ordering), then data triples, never
 //! merging typed nodes.
 
-use crate::naming::Namer;
-use crate::summary::{Summary, SummaryKind};
-use crate::unionfind::UnionFind;
 use rdf_model::{FxHashMap, Graph, Term, TermId, Triple};
+use rdfsum_core::naming::Namer;
+use rdfsum_core::summary::{Summary, SummaryKind};
+use rdfsum_core::unionfind::UnionFind;
 
 /// Internal: mutable summarization state shared by the streaming builders.
 struct Stream {
@@ -150,7 +150,7 @@ pub fn streaming_typed_weak_summary(g: &Graph) -> Summary {
     let mut dp_targ: FxHashMap<TermId, usize> = FxHashMap::default();
 
     // ---- Type triples first: group by class set (clsd) ----
-    let sets = crate::equivalence::class_sets(g);
+    let sets = rdfsum_core::equivalence::class_sets(g);
     let mut clsd: FxHashMap<Vec<TermId>, usize> = FxHashMap::default();
     let mut dcls: FxHashMap<usize, Vec<TermId>> = FxHashMap::default();
     for (&r, cs) in &sets {
@@ -290,10 +290,10 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::sample_graph;
-    use crate::typed::typed_weak_summary;
-    use crate::weak::weak_summary;
     use rdf_io::write_graph;
+    use rdfsum_core::fixtures::sample_graph;
+    use rdfsum_core::typed::typed_weak_summary;
+    use rdfsum_core::weak::weak_summary;
 
     /// The streaming and batch weak builders produce the *same* summary
     /// (same URIs, same triples) — the naming is property-set-derived in
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn streaming_weak_handles_schema_and_typed_only() {
-        let g = crate::fixtures::figure5_graph();
+        let g = rdfsum_core::fixtures::figure5_graph();
         let s = streaming_weak_summary(&g);
         assert_eq!(s.graph.schema().len(), 2);
         let g = sample_graph();

@@ -310,7 +310,7 @@ mod proptests {
             std::fs::write(&file, &text).unwrap();
             let loaded = load_path(&file);
             std::fs::remove_file(&file).unwrap();
-            let restored = rdf_store::snapshot::decode(rdf_store::snapshot::encode(&g)).unwrap();
+            let restored = rdf_store::snapshot::decode(&rdf_store::snapshot::encode(&g)).unwrap();
             for other in [&owned, &viewed, &loaded.unwrap(), &restored] {
                 assert_same_graph(&g, other)?;
                 prop_assert_eq!(&write_graph(other), &text);

@@ -344,7 +344,7 @@ mod proptests {
             raw in proptest::collection::vec((0u8..12, 0u8..5, 0u8..12), 0..32),
         ) {
             let g = fp_graph(&raw);
-            let restored = snapshot::decode(snapshot::encode(&g)).unwrap();
+            let restored = snapshot::decode(&snapshot::encode(&g)).unwrap();
             let fp = fingerprint::graph_fingerprint(&g);
             prop_assert_eq!(fingerprint::graph_fingerprint(&restored), fp);
             prop_assert_eq!(TripleStore::new(restored).fingerprint(), fp);
@@ -379,7 +379,7 @@ mod proptests {
                 g.insert(m, Term::iri(format!("http://x/p{}", i % 4)),
                          Term::iri(format!("http://x/n{i}"))).unwrap();
             }
-            let restored = snapshot::decode(snapshot::encode(&g)).unwrap();
+            let restored = snapshot::decode(&snapshot::encode(&g)).unwrap();
             prop_assert_eq!(restored.len(), g.len());
             prop_assert_eq!(restored.dict().len(), g.dict().len());
             for t in g.iter() {

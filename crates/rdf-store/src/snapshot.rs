@@ -61,7 +61,6 @@
 //! repeat located, and reported with the index of its second occurrence.
 
 use crate::codec::{put_signed_varint, put_str, put_varint, stamp, stamped_body, Reader};
-use bytes::Bytes;
 use rdf_model::{
     Component, Dictionary, Graph, LiteralKindRef, MemberSet, MintedKey, MintedTerm, Repeated,
     TermId, TermRef, Triple, UnprovedRows,
@@ -239,7 +238,7 @@ fn put_term_v2(out: &mut Vec<u8>, pool: &Pool<'_>, t: TermRef<'_>) {
 
 /// Serializes a graph into a v2 snapshot buffer: symbolic minted keys,
 /// varint/delta-compressed triple ids, FNV-1a checksum trailer.
-pub fn encode(g: &Graph) -> Bytes {
+pub fn encode(g: &Graph) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + g.dict().len() * 16 + g.len() * 4);
     out.extend_from_slice(MAGIC_V2);
     out.extend_from_slice(&VERSION.to_le_bytes());
@@ -264,7 +263,7 @@ pub fn encode(g: &Graph) -> Bytes {
         (ps, pp, po) = (s, p, o);
     }
     stamp(&mut out);
-    Bytes::from(out)
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -399,12 +398,7 @@ fn decode_v2(raw: &[u8]) -> Result<UnprovedRows, SnapshotError> {
 ///
 /// Term ids are preserved: the decoded graph's dictionary assigns the
 /// same id to the same term as the encoded one did.
-pub fn decode(buf: Bytes) -> Result<Graph, SnapshotError> {
-    decode_slice(&buf)
-}
-
-/// [`decode`] over a borrowed byte slice.
-pub fn decode_slice(raw: &[u8]) -> Result<Graph, SnapshotError> {
+pub fn decode(raw: &[u8]) -> Result<Graph, SnapshotError> {
     Ok(decode_rows(raw)?.into_graph()?)
 }
 
@@ -426,7 +420,7 @@ pub fn save(g: &Graph, path: impl AsRef<std::path::Path>) -> Result<(), Snapshot
 
 /// Reads a snapshot from a file.
 pub fn load(path: impl AsRef<std::path::Path>) -> Result<Graph, SnapshotError> {
-    decode_slice(&std::fs::read(path)?)
+    decode(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -498,7 +492,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let g = sample();
         let snap = encode(&g);
-        let g2 = decode(snap).unwrap();
+        let g2 = decode(&snap).unwrap();
         assert_same_shape(&g, &g2);
         // Ids preserved bit-for-bit.
         for (id, term) in g.dict().iter() {
@@ -509,7 +503,7 @@ mod tests {
     #[test]
     fn v2_roundtrip_preserves_mintedness() {
         let g = minted_sample();
-        let g2 = decode(encode(&g)).unwrap();
+        let g2 = decode(&encode(&g)).unwrap();
         assert_same_shape(&g, &g2);
         let mut minted = 0;
         for (id, term) in g.dict().iter() {
@@ -551,12 +545,9 @@ mod tests {
         let mut v1 = b"RDFSNAP1".to_vec();
         for extra in [0usize, 3, 32, 200] {
             v1.resize(8 + extra, 0);
+            assert!(matches!(decode(&v1), Err(SnapshotError::BadVersion(1))));
             assert!(matches!(
-                decode(Bytes::from(v1.clone())),
-                Err(SnapshotError::BadVersion(1))
-            ));
-            assert!(matches!(
-                decode_slice(&v1),
+                decode_rows(&v1),
                 Err(SnapshotError::BadVersion(1))
             ));
         }
@@ -564,34 +555,28 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut raw = encode(&sample()).to_vec();
+        let mut raw = encode(&sample());
         raw[0] = b'X';
-        assert!(matches!(
-            decode(Bytes::from(raw)),
-            Err(SnapshotError::BadMagic)
-        ));
+        assert!(matches!(decode(&raw), Err(SnapshotError::BadMagic)));
     }
 
     #[test]
     fn rejects_unknown_version() {
-        let mut raw = encode(&sample()).to_vec();
+        let mut raw = encode(&sample());
         raw[8] = 9;
-        assert!(matches!(
-            decode(Bytes::from(raw)),
-            Err(SnapshotError::BadVersion(9))
-        ));
+        assert!(matches!(decode(&raw), Err(SnapshotError::BadVersion(9))));
     }
 
     #[test]
     fn rejects_corrupt_body_via_checksum() {
-        let raw = encode(&minted_sample()).to_vec();
+        let raw = encode(&minted_sample());
         // Flip one bit in every body byte position in turn (sampled) — the
         // checksum must catch each.
         for pos in (10..raw.len() - 8).step_by(7) {
             let mut bad = raw.clone();
             bad[pos] ^= 0x10;
             assert!(
-                matches!(decode(Bytes::from(bad)), Err(SnapshotError::BadChecksum)),
+                matches!(decode(&bad), Err(SnapshotError::BadChecksum)),
                 "bit flip at {pos} not caught"
             );
         }
@@ -599,25 +584,21 @@ mod tests {
         let mut bad = raw.clone();
         let n = bad.len();
         bad[n - 1] ^= 1;
-        assert!(matches!(
-            decode(Bytes::from(bad)),
-            Err(SnapshotError::BadChecksum)
-        ));
+        assert!(matches!(decode(&bad), Err(SnapshotError::BadChecksum)));
     }
 
     #[test]
     fn rejects_truncation() {
         let raw = encode(&sample());
         for cut in [0, 5, 9, 20, raw.len() - 5] {
-            let sliced = raw.slice(0..cut);
-            assert!(decode(sliced).is_err(), "cut at {cut} accepted");
+            assert!(decode(&raw[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
     /// A hand-assembled image with a valid checksum: the dictionary of an
     /// empty graph plus `iris` (ids 5, 6, …), and `data` triples given as
     /// absolute ids.
-    fn crafted(iris: &[&str], data: &[[i64; 3]]) -> Bytes {
+    fn crafted(iris: &[&str], data: &[[i64; 3]]) -> Vec<u8> {
         let g = Graph::new();
         let mut out = MAGIC_V2.to_vec();
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -640,7 +621,7 @@ mod tests {
             }
         }
         stamp(&mut out);
-        Bytes::from(out)
+        out
     }
 
     #[test]
@@ -648,9 +629,9 @@ mod tests {
         // A well-formed image decodes; one whose data triple points past
         // the dictionary, checksum intact, trips the id check — not a
         // panic or an out-of-bounds read.
-        let g = decode(crafted(&["s:a", "p:b"], &[[5, 6, 5]])).unwrap();
+        let g = decode(&crafted(&["s:a", "p:b"], &[[5, 6, 5]])).unwrap();
         assert_eq!((g.len(), g.dict().len()), (1, 7));
-        let err = decode(crafted(&["s:a", "p:b"], &[[5, 6, 9]])).unwrap_err();
+        let err = decode(&crafted(&["s:a", "p:b"], &[[5, 6, 9]])).unwrap_err();
         assert!(matches!(err, SnapshotError::DanglingId(9)), "{err:?}");
     }
 
@@ -660,7 +641,7 @@ mod tests {
         // — nor is one that overflows the running sum.
         for bad in [-3, i64::MIN, i64::MAX] {
             assert!(matches!(
-                decode(crafted(&["s:a", "p:b"], &[[5, 6, 5], [bad, 6, 5]])),
+                decode(&crafted(&["s:a", "p:b"], &[[5, 6, 5], [bad, 6, 5]])),
                 Err(SnapshotError::DanglingId(_))
             ));
         }
@@ -671,19 +652,22 @@ mod tests {
     /// the repeat.
     #[test]
     fn v2_rejects_repeated_entries() {
-        let err = decode(crafted(&["s:a", "p:b"], &[[5, 6, 5], [6, 6, 5], [5, 6, 5]]));
+        let err = decode(&crafted(
+            &["s:a", "p:b"],
+            &[[5, 6, 5], [6, 6, 5], [5, 6, 5]],
+        ));
         let err = err.unwrap_err();
         assert!(
             matches!(err, SnapshotError::Duplicate(Table::Triples, 2)),
             "{err:?}"
         );
-        let err = decode(crafted(&["s:a", "p:b", "s:a"], &[[5, 6, 5]])).unwrap_err();
+        let err = decode(&crafted(&["s:a", "p:b", "s:a"], &[[5, 6, 5]])).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Duplicate(Table::Terms, 7)),
             "{err:?}"
         );
         // A well-known term listed again is a repeat like any other.
-        let err = decode(crafted(&[rdf_model::vocab::RDF_TYPE], &[])).unwrap_err();
+        let err = decode(&crafted(&[rdf_model::vocab::RDF_TYPE], &[])).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Duplicate(Table::Terms, 5)),
             "{err:?}"
@@ -694,7 +678,7 @@ mod tests {
     #[test]
     fn encoding_leaves_minted_terms_unrendered() {
         let g = minted_sample();
-        let restored = decode(encode(&g)).unwrap();
+        let restored = decode(&encode(&g)).unwrap();
         for g in [&g, &restored] {
             let minted: Vec<_> = g
                 .dict()
@@ -724,7 +708,7 @@ mod tests {
     #[test]
     fn empty_graph_roundtrips() {
         let g = Graph::new();
-        let g2 = decode(encode(&g)).unwrap();
+        let g2 = decode(&encode(&g)).unwrap();
         assert!(g2.is_empty());
         // Well-known terms still interned.
         assert_eq!(g2.dict().len(), 5);

@@ -11,7 +11,7 @@
 //! ```
 
 use rdfsummary::prelude::*;
-use rdfsummary::rdfsum_core::summary_isomorphic;
+use rdfsummary::rdfsum_experiments::{completeness_check, summary_isomorphic};
 use std::time::Instant;
 
 fn main() {
@@ -59,7 +59,7 @@ fn main() {
 
     // The same shortcut is wrong for typed summaries (Prop. 7): show it.
     let fig8 = rdfsummary::rdfsum_core::fixtures::figure8_graph();
-    let check = rdfsummary::rdfsum_core::completeness_check(&fig8, SummaryKind::TypedWeak);
+    let check = completeness_check(&fig8, SummaryKind::TypedWeak);
     println!(
         "\ntyped-weak on Figure 8's counter-example: completeness holds = {} (Prop. 7 says it must not)",
         check.holds

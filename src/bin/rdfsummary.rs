@@ -18,7 +18,8 @@
 
 use rdfsummary::prelude::*;
 use rdfsummary::rdf_store::snapshot;
-use rdfsummary::rdfsum_core::{self, fixpoint_holds, render_report, ReportOptions};
+use rdfsummary::rdfsum_core::{self, render_report, ReportOptions};
+use rdfsummary::rdfsum_experiments::{completeness_check, fixpoint_holds};
 use rdfsummary::rdfsum_workloads as workloads;
 use std::io::Write;
 use std::process::ExitCode;
@@ -323,7 +324,7 @@ fn cmd_check(path: &str, stdout: &mut Stdout) -> Result<(), Failure> {
         let s = summarize(&g, kind);
         let quotient_ok = rdfsum_core::quotient::verify_quotient(&g, &s);
         let fixpoint = fixpoint_holds(&g, kind);
-        let completeness = rdfsum_core::completeness_check(&g, kind).holds;
+        let completeness = completeness_check(&g, kind).holds;
         writeln!(
             stdout,
             "  {kind:>3}: quotient {}  fixpoint {}  completeness {}",

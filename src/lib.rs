@@ -16,10 +16,14 @@
 //! * [`rdf_store`] — permutation-indexed triple store;
 //! * [`rdf_schema`] — RDFS constraints and saturation `G → G∞`;
 //! * [`rdf_query`] — BGP/RBGP queries, evaluation, workload sampling;
-//! * [`rdfsum_core`] — cliques, equivalences, the four summaries, formal
-//!   property checkers; summary nodes are minted symbolically (interned
-//!   property/class-set keys, URI strings rendered only on output — see
-//!   `rdfsum_core::naming`);
+//! * [`rdfsum_core`] — cliques, equivalences, the quotient summaries and
+//!   the summary service: what `serve` links and nothing else; summary
+//!   nodes are minted symbolically (interned property/class-set keys, URI
+//!   strings rendered only on output — see `rdfsum_core::naming`);
+//! * [`rdfsum_experiments`] — the paper's evaluation artefacts that no
+//!   served path runs: streaming Algorithms 1–3, property distance,
+//!   Lemma 1, inflation, summary isomorphism, the formal property
+//!   checkers (the CLI's `check`) and the hash-map reference builders;
 //! * [`rdfsum_workloads`] — BSBM-like / LUBM-like / shape generators;
 //! * [`rdfsum_server`] — the warm-store summary server: a TCP line
 //!   protocol over resident stores and a fingerprint-keyed summary cache.
@@ -46,7 +50,7 @@
 //!     &rdf_model::PrefixMap::with_defaults(),
 //! )
 //! .unwrap();
-//! assert!(rdfsum_core::can_prune(&summary, &q));
+//! assert!(rdfsum_experiments::can_prune(&summary, &q));
 //! ```
 //!
 //! ## Loading
@@ -102,12 +106,12 @@
 //! ## Building & testing
 //!
 //! The workspace is hermetic: it builds offline with a stock Rust
-//! toolchain and no crates.io dependencies (the `bytes`, `proptest` and
-//! `criterion` APIs it uses are vendored as minimal shims under
+//! toolchain and no crates.io dependencies (the `proptest`, `criterion`
+//! and `polling` APIs it uses are vendored as minimal shims under
 //! `crates/shims/`). From the repository root:
 //!
 //! ```text
-//! cargo build --release      # all nine crates + the `rdfsummary` CLI
+//! cargo build --release      # all thirteen member crates + the `rdfsummary` CLI
 //! cargo test -q              # unit, property, doc and integration tests
 //! cargo bench --no-run       # compile the criterion-style benches
 //! cargo bench -p rdfsum-bench --bench summarize   # run one bench suite
@@ -276,6 +280,7 @@ pub use rdf_query;
 pub use rdf_schema;
 pub use rdf_store;
 pub use rdfsum_core;
+pub use rdfsum_experiments;
 pub use rdfsum_server;
 pub use rdfsum_workloads;
 

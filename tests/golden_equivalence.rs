@@ -5,11 +5,12 @@
 //! tests pin the refactor down: on the paper's book graph, BSBM, LUBM and
 //! every `shapes` generator, each of the five summaries produced by the
 //! dense pipeline must be **triple-for-triple and naming-identical** to
-//! the preserved pre-refactor builders (`rdfsum_core::reference`), which
+//! the preserved pre-refactor builders (`rdfsum_experiments::reference`), which
 //! still use the original hash-map implementation.
 
 use rdfsummary::rdf_io::write_graph;
-use rdfsummary::rdfsum_core::{reference_summary, Summary, SummaryContext, SummaryKind};
+use rdfsummary::rdfsum_core::{Summary, SummaryContext, SummaryKind};
+use rdfsummary::rdfsum_experiments::reference_summary;
 use rdfsummary::rdfsum_workloads as workloads;
 use workloads::{shapes, BsbmConfig, LubmConfig};
 

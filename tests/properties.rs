@@ -4,7 +4,9 @@
 
 use rdfsummary::prelude::*;
 use rdfsummary::rdf_query::{sample_rbgp_queries, WorkloadConfig};
-use rdfsummary::rdfsum_core::{check_representativeness, completeness_check, fixpoint_holds};
+use rdfsummary::rdfsum_experiments::{
+    check_representativeness, completeness_check, fixpoint_holds,
+};
 use rdfsummary::rdfsum_workloads as workloads;
 
 #[test]
@@ -129,7 +131,7 @@ fn pruning_soundness_on_mixed_workload() {
     for q in &live {
         // A non-empty query must never be pruned.
         assert!(
-            !rdfsummary::rdfsum_core::can_prune(&s, q),
+            !rdfsummary::rdfsum_experiments::can_prune(&s, q),
             "unsound pruning of {q}"
         );
     }
