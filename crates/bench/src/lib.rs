@@ -52,7 +52,7 @@ pub struct SweepRow {
     /// Nodes in the input graph.
     pub input_nodes: usize,
     /// Wall-clock seconds spent building the shared [`SummaryContext`]
-    /// (dense numbering + CSR adjacency), paid once for all four builds.
+    /// (the substrate scan), paid once for all four builds.
     pub context_seconds: f64,
     /// Measurements for W, S, TW, TS (paper order).
     pub summaries: Vec<Measurement>,

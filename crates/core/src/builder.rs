@@ -26,9 +26,9 @@ pub fn summarize(g: &Graph, kind: SummaryKind) -> Summary {
 }
 
 /// Builds all four principal summaries of `g`, in the paper's order
-/// (W, S, TW, TS), through one shared [`SummaryContext`]: the dense
-/// numbering, CSR adjacency, property cliques (both scopes) and class sets
-/// are computed once and reused by every build.
+/// (W, S, TW, TS), through one shared [`SummaryContext`]: the graph is
+/// scanned once, and the numbering, property cliques (both scopes) and
+/// class sets are reused by every build.
 pub fn summarize_all(g: &Graph) -> Vec<Summary> {
     SummaryContext::new(g).summarize_all()
 }

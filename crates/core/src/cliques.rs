@@ -8,12 +8,13 @@
 //! lie in one source clique `SC(r)`; all properties it is a value of lie in
 //! one target clique `TC(r)`.
 //!
-//! Computation is a union–find over the dense property numbering, driven by
-//! the per-node CSR adjacency of a [`crate::context::SummaryContext`]: each
-//! node's outgoing (incoming) property row is unioned in one sweep. This is
-//! exactly the effect the paper's streaming `MERGEDATANODES` achieves
-//! ("merging data nodes that are attached to common properties gradually
-//! builds property cliques"). All per-node and per-property assignments are
+//! Computation is a union–find over the dense property numbering, fed by
+//! the one sweep of a [`crate::context::Substrate`]: every data triple
+//! unions its property with the first one seen leaving its subject
+//! (entering its object). This is exactly the effect the paper's
+//! streaming `MERGEDATANODES` achieves ("merging data nodes that are
+//! attached to common properties gradually builds property cliques"), and
+//! like it, resumable. All per-node and per-property assignments are
 //! stored in `Vec`-indexed arrays keyed by the dictionary id — dictionary
 //! ids are dense, so a lookup is one array read, never a hash.
 //!
@@ -69,8 +70,8 @@ pub struct Cliques {
 impl Cliques {
     /// Computes the cliques of `g` under the given scope.
     ///
-    /// This is a convenience wrapper that builds a throwaway
-    /// [`crate::context::SummaryContext`]; callers that need cliques for
+    /// This is a convenience wrapper that scans a throwaway
+    /// [`crate::context::Substrate`]; callers that need cliques for
     /// several scopes — or cliques *and* summaries — should build one
     /// context and use [`crate::context::SummaryContext::cliques`].
     ///
@@ -86,7 +87,7 @@ impl Cliques {
     /// assert_eq!(cq.target_cliques.len(), 5);
     /// ```
     pub fn compute(g: &Graph, scope: CliqueScope) -> Self {
-        crate::context::SummaryContext::new(g).compute_cliques(scope)
+        crate::context::Substrate::scan(g).cliques(scope)
     }
 
     /// Assembles a `Cliques` from the scan products: the dense property

@@ -1,93 +1,80 @@
-//! The shared dense summarization substrate: [`SummaryContext`].
+//! The shared summarization substrate: [`Substrate`], and the per-build
+//! view over it, [`SummaryContext`].
 //!
 //! The paper's Algorithms 1–3 derive all five summaries (W, S, TW, TS, T)
-//! from the *same* property-clique structure, yet historically each builder
-//! recomputed the cliques from scratch and routed every node lookup through
-//! an `FxHashMap`. A `SummaryContext` factors the shared work out into one
-//! pipeline over the graph:
+//! from the *same* property-clique structure, and §6.2 builds that
+//! structure the resumable way — "merging data nodes that are attached to
+//! common properties gradually builds property cliques": one union–find
+//! step per triple. A [`Substrate`] is that sweep's product and nothing
+//! else:
 //!
-//! 1. **Dense numbering** — the data nodes of `G` (subjects/objects of D_G,
-//!    then subjects of T_G, in first-seen order, matching
-//!    [`crate::equivalence::data_nodes_ordered`]) and the data properties
-//!    get contiguous ids `0, 1, 2, …`, held in `Vec`-backed
-//!    [`rdf_model::DenseIdMap`] tables. All later per-node state is a flat
-//!    array index away — no hashing.
-//! 2. **CSR adjacency** — two compressed-sparse-row layouts give, for every
-//!    dense node id, the dense property ids of its outgoing and incoming
-//!    data triples as contiguous slices (`offsets[v]..offsets[v+1]`).
-//! 3. **Cliques for both scopes** — source/target property cliques
-//!    (Definition 5) under [`CliqueScope::AllNodes`] (weak/strong) *and*
-//!    [`CliqueScope::UntypedOnly`] (typed summaries) are computed from the
-//!    CSR on first use and cached, so building all five summaries runs the
-//!    clique union–find at most twice — instead of once per builder — and
-//!    each scan is a pair of linear sweeps over the CSR rows.
+//! 1. **Numberings** — the data nodes of `G` (subjects/objects of D_G) and
+//!    its data properties, each in first-seen order, plus the typed
+//!    resources in first-seen order over T_G. The data-node order of
+//!    [`crate::equivalence::data_nodes_ordered`] — data nodes, then the
+//!    typed-only subjects — is the first list followed by the members of
+//!    the third that never met a data triple.
+//! 2. **First properties** — term-indexed: the dense id of the first
+//!    property seen leaving (entering) each node. Every later property of
+//!    the node is unioned with that one, so "first property + unions" is
+//!    everything a clique computation reads; there is no adjacency.
+//! 3. **Relatedness for both scopes** — source/target union–finds over the
+//!    dense property numbering (Definition 5) under
+//!    [`CliqueScope::AllNodes`] (weak/strong) *and*
+//!    [`CliqueScope::UntypedOnly`] (typed summaries), fed by the same
+//!    sweep: an untyped endpoint links in both, a typed one in the first
+//!    only.
 //! 4. **Class sets** — the canonical (sorted, deduplicated) class set of
-//!    every typed resource, interned to dense set ids, shared by the
-//!    typed/type-based builders.
+//!    every typed resource, interned to dense set ids in first-seen order,
+//!    shared by the typed/type-based builders.
 //!
-//! The classic free functions ([`crate::weak::weak_summary`] & friends)
-//! are thin wrappers that build a throwaway context, so single-summary
-//! callers keep their API; anything building two or more summaries of the
-//! same graph should create one `SummaryContext` and reuse it — that is
-//! what [`crate::builder::summarize_all`], the CLI `summarize --all` path,
-//! and the experiment binaries do.
+//! A [`SummaryContext`] borrows a graph and a substrate for it — one it
+//! scanned itself, or one its caller keeps — derives the [`Cliques`] of a
+//! scope on first use ([`Substrate::cliques`]: clones of the union–finds
+//! and first-property tables, resolved to clique ids) and runs partition →
+//! quotient. The classic free functions ([`crate::weak::weak_summary`] &
+//! friends) are thin wrappers over a throwaway context; anything building
+//! two or more summaries of the same graph shares one — that is what
+//! [`crate::builder::summarize_all`], the CLI `summarize --all` path and
+//! the experiment binaries do — and the [`crate::service`] keeps one
+//! substrate per resident graph for all its builds.
 //!
-//! # One constructor, one worker count
+//! # One resumable pass
 //!
-//! Every context is built by the same code: `S` contiguous chunks of D_G
-//! are scanned into partial substrates (shard 0 on the calling thread, the
-//! others on their own), folded in shard order, and filled into the CSR.
-//! [`SummaryContext::sharded`] resolves `S` once, through
-//! [`crate::parallel::shard_count`] — `1` below
-//! [`crate::parallel::PARALLEL_SHARD_THRESHOLD`] data triples, else the
-//! caller's request — and the context stores it
-//! ([`SummaryContext::threads`], always ≥ 1). Every later stage reads its
-//! worker count from there and nowhere else: the CSR fill, the clique
-//! sweep, the class-set scan, the quotient's packed emission and the
-//! summary's extent table. [`SummaryContext::new`] is the one-shard
-//! context, which runs every stage on the calling thread.
+//! [`Substrate::absorb`] is the only loop there is. It resumes at the
+//! tails of the graph's file-order tables: a cold build is an empty
+//! substrate absorbing everything, an `UPDATE`'s insert batch absorbs the
+//! rows [`rdf_model::Graph::append_distinct`] just added. **Absorbing a
+//! tail equals scanning the concatenation**, for three reasons:
 //!
-//! The one-shard build fills its CSR from the `(row, property)` pairs the
-//! scan recorded, exactly like the merged build. The alternative — no
-//! recorded pairs, a second pass over D_G re-reading the id maps — was
-//! the other half of a measured pair and was deleted: the recorded pairs
-//! won `sharded_substrate/bsbm_30k/1` and all four `summarize_bsbm_30k/*`
-//! criterion rows and lost only `sharded_substrate/bsbm_200k/1`, a size at
-//! which one shard is an explicit request (CHANGES.md, PR 17).
+//! * *First-seen numbering only appends.* The first-seen order over a
+//!   table and its tail is the first-seen order over the table followed by
+//!   whatever the tail shows first — so nodes, properties and typed
+//!   resources keep the ids a single pass would have given them, and a
+//!   node's first property, once set, is final.
+//! * *Relatedness is a set of constraints.* Each data triple contributes
+//!   "this property is related to its endpoint's first one"; a union–find
+//!   holds the closure of the constraints whatever order they arrive in,
+//!   and [`UnionFind::dense_components`] numbers cliques by their smallest
+//!   member, not by union history.
+//! * *Types come first.* A full scan marks every τ-subject typed before it
+//!   reads D_G; an absorb marks the tail's τ-subjects typed before it
+//!   reads the tail of D_G. The two agree unless a resource that an
+//!   *earlier* data triple already linked as untyped is typed now.
 //!
-//! Three observations make the merge exact (not merely equivalent):
+//! That last case, and its sibling — a resource whose class set is already
+//! interned gains a class — are the shapes a prefix's answer does not
+//! extend to; so is any delete. `absorb` refuses them with [`Stale`], the
+//! keeper drops the value, and the next use scans from zero: one
+//! mechanism, nothing patched, and the byte-identity suites compare every
+//! absorbed substrate with a scanned one.
 //!
-//! 1. **First-seen numbering remaps preserve determinism.** Each shard
-//!    numbers the nodes/properties of its chunk with a *local*
-//!    [`DenseIdMap`] in local first-seen order. First-seen order over a
-//!    concatenation of chunks is the in-order merge of the per-chunk
-//!    first-seen orders, so absorbing the shard maps into shard 0's *in
-//!    shard order* ([`DenseIdMap::absorb`]) assigns every node the exact
-//!    dense id a single pass would have. An absorb only ever *appends* to
-//!    the accumulated numbering, so shard 0's local ids are already global
-//!    and the table each absorb returns *is* that shard's `local → global`
-//!    remap. Degrees ride along in the same pass, and the per-shard CSR
-//!    entries are then rewritten through the tables in one parallel
-//!    post-pass. Numbering, and hence every downstream artifact, is
-//!    deterministic and shard-count-invariant (pinned by the forced-shard
-//!    suites at S up to 64). The fold is the survivor of a measured pair:
-//!    an ordered binary tree of concurrent pairwise absorbs lost to it on
-//!    12 of 12 alternating runs at S = 8 and never won 9 of 10 at S = 2 or
-//!    4 (CHANGES.md, PR 16).
-//! 2. **CSR stitching is an order-preserving concatenation.** A shard's
-//!    remapped `(row, property)` entries keep their chunk-scan order, and
-//!    shard concatenation order equals global scan order, so handing the
-//!    stitched entry list to the chunked [`fill_csr_values`] produces the
-//!    byte-identical offsets/values arrays of the one-shard build.
-//! 3. **Clique union–finds are mergeable.** Property-relatedness is a
-//!    union of per-row co-occurrence constraints, so partial union–finds
-//!    over disjoint row ranges merge by unioning each element with its
-//!    partial root. [`SummaryContext::cliques`] computes the sweep that
-//!    way: row ranges (balanced by CSR entry count) feed per-worker
-//!    union–finds plus range-local representative tables, and the merge
-//!    unions `np` roots per worker and scatters the representatives —
-//!    identical output to the one-worker sweep because every row is owned
-//!    by exactly one worker.
+//! The pass runs on the calling thread. It replaced a two-table-per-shard
+//! scan, an absorb/remap fold, a stitched entry list, two CSR fills and a
+//! CSR sweep per scope, and beat the two-shard build of that pipeline
+//! 4.5× at 200 k and 400 k triples (CHANGES.md, PR 24). What
+//! [`SummaryContext::threads`] still sizes is the quotient's packed
+//! emission and the summary's extent table.
 
 use crate::cliques::{CliqueScope, Cliques};
 use crate::equivalence::{strong_partition, weak_partition, Partition};
@@ -97,11 +84,12 @@ use crate::summary::{Summary, SummaryKind};
 use crate::typed::TypedSemantics;
 use crate::unionfind::UnionFind;
 use crate::weak::class_property_sets;
-use rdf_model::{DenseIdMap, FxHashMap, Graph, Term, TermId, Triple, NO_DENSE_ID};
+use rdf_model::{DenseIdMap, FxHashMap, Graph, Term, TermId, NO_DENSE_ID};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 
 /// The canonical class sets of the typed resources, interned densely.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClassSets {
     /// Term-indexed: data node → dense set id, [`NO_DENSE_ID`] if untyped.
     set_of_node: Vec<u32>,
@@ -136,12 +124,231 @@ impl ClassSets {
     }
 }
 
-/// The shared build pipeline for all five summaries of one graph.
+/// [`Substrate::absorb`]'s refusal: the graph's tables are not an
+/// extension the absorbed prefix's answer carries over to. The substrate
+/// may be half-updated and must be dropped; [`Substrate::scan`] builds the
+/// current one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stale;
+
+/// The source and target union–finds of one [`CliqueScope`], over the
+/// dense property numbering.
+#[derive(Clone, Debug, Default)]
+struct Relatedness {
+    src: UnionFind,
+    tgt: UnionFind,
+}
+
+/// Everything the five clique/type summaries of one graph share, as one
+/// owned value that follows the graph through insert batches. See the
+/// [module docs](self).
+#[derive(Clone, Debug, Default)]
+pub struct Substrate {
+    /// How much of `g.types()` / `g.data()` has been absorbed.
+    types_seen: usize,
+    data_seen: usize,
+    /// The subjects and objects of D_G, in first-seen order.
+    nodes: Vec<TermId>,
+    /// The subjects of T_G, in first-seen order.
+    typed: Vec<TermId>,
+    /// The data properties, numbered in first-seen order.
+    props: DenseIdMap,
+    /// Term-indexed: the dense id of the first property seen leaving
+    /// (entering) the node, [`NO_DENSE_ID`] if none has.
+    first_out: Vec<u32>,
+    first_in: Vec<u32>,
+    all: Relatedness,
+    untyped: Relatedness,
+    class_sets: ClassSets,
+    /// Canonical class set → its id in `class_sets.sets`.
+    set_ids: FxHashMap<Vec<TermId>, u32>,
+}
+
+impl Substrate {
+    /// The substrate of `g`: an empty one that absorbed all of it.
+    pub fn scan(g: &Graph) -> Self {
+        let mut substrate = Substrate::default();
+        substrate
+            .absorb(g)
+            .expect("an empty substrate has absorbed nothing a graph could contradict");
+        substrate
+    }
+
+    /// Has this substrate absorbed exactly the rows `g` holds? (True of
+    /// what [`Substrate::scan`] returns and after every `Ok` absorb, until
+    /// the graph changes again.)
+    pub fn covers(&self, g: &Graph) -> bool {
+        (self.types_seen, self.data_seen) == (g.types().len(), g.data().len())
+    }
+
+    /// Absorbs the rows `g` has gained since the last absorb — the tails of
+    /// its type and data tables past `(types_seen, data_seen)` — leaving
+    /// the substrate a scan of all of `g` would build, or reports that
+    /// they cannot be absorbed:
+    ///
+    /// * a table is shorter than what was absorbed (rows were deleted);
+    /// * a resource that an absorbed data triple linked as *untyped* is
+    ///   typed now (the untyped scope's relatedness would have to forget
+    ///   its links);
+    /// * a resource whose class set is interned gains a class (its set,
+    ///   and possibly the numbering of every later set, changes).
+    ///
+    /// `g` must be the graph of the earlier absorbs, grown or shrunk in
+    /// place — which is what the service's resident graphs are.
+    pub fn absorb(&mut self, g: &Graph) -> Result<(), Stale> {
+        let (types, data) = (g.types(), g.data());
+        if self.types_seen > types.len() || self.data_seen > data.len() {
+            return Err(Stale);
+        }
+        // The slot tables keep pace with the dictionary.
+        let n_terms = g.dict().len();
+        self.first_out.resize(n_terms, NO_DENSE_ID);
+        self.first_in.resize(n_terms, NO_DENSE_ID);
+        self.class_sets.set_of_node.resize(n_terms, NO_DENSE_ID);
+        self.props.grow(n_terms);
+
+        // T_G's tail first: the data sweep below asks "is this endpoint
+        // typed?" of every row. Until its set is interned, a newly typed
+        // node's slot holds `settled + i`, `i` its index in `pending`: ids
+        // below `settled` are sets an earlier absorb interned.
+        let settled = self.class_sets.sets.len() as u32;
+        let newly_typed = self.typed.len();
+        let mut pending: Vec<Vec<TermId>> = Vec::new();
+        for t in &types[self.types_seen..] {
+            let s = t.s.index();
+            let slot = &mut self.class_sets.set_of_node[s];
+            if *slot == NO_DENSE_ID {
+                if self.first_out[s] != NO_DENSE_ID || self.first_in[s] != NO_DENSE_ID {
+                    return Err(Stale);
+                }
+                *slot = settled + pending.len() as u32;
+                pending.push(Vec::new());
+                self.typed.push(t.s);
+            } else if *slot < settled {
+                return Err(Stale);
+            }
+            // Duplicate classes are collapsed by the sort + dedup below,
+            // keeping this O(1) per type triple.
+            pending[(*slot - settled) as usize].push(t.o);
+        }
+        for (&node, mut set) in self.typed[newly_typed..].iter().zip(pending) {
+            set.sort_unstable();
+            set.dedup();
+            // Probe by slice: typed nodes are many, distinct sets a handful.
+            let id = match self.set_ids.get(set.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = self.class_sets.sets.len() as u32;
+                    self.class_sets.sets.push(set.clone());
+                    self.set_ids.insert(set, id);
+                    id
+                }
+            };
+            self.class_sets.set_of_node[node.index()] = id;
+        }
+        self.types_seen = types.len();
+
+        // D_G's tail: number s, o, p in first-seen order and relate p to
+        // each endpoint's first property.
+        let set_of_node = &self.class_sets.set_of_node;
+        for t in &data[self.data_seen..] {
+            let p = self.props.intern(t.p);
+            if p as usize == self.all.src.len() {
+                for uf in [&mut self.all, &mut self.untyped] {
+                    uf.src.push();
+                    uf.tgt.push();
+                }
+            }
+            let (s, o) = (t.s.index(), t.o.index());
+            if self.first_out[s] == NO_DENSE_ID && self.first_in[s] == NO_DENSE_ID {
+                self.nodes.push(t.s);
+            }
+            let links_untyped = set_of_node[s] == NO_DENSE_ID;
+            link(
+                &mut self.first_out[s],
+                p,
+                &mut self.all.src,
+                links_untyped.then_some(&mut self.untyped.src),
+            );
+            if self.first_out[o] == NO_DENSE_ID && self.first_in[o] == NO_DENSE_ID {
+                self.nodes.push(t.o);
+            }
+            let links_untyped = set_of_node[o] == NO_DENSE_ID;
+            link(
+                &mut self.first_in[o],
+                p,
+                &mut self.all.tgt,
+                links_untyped.then_some(&mut self.untyped.tgt),
+            );
+        }
+        self.data_seen = data.len();
+        Ok(())
+    }
+
+    /// The cliques of the absorbed graph under `scope`: the scope's
+    /// union–finds and the first-property tables — a typed node's entries
+    /// blanked under [`CliqueScope::UntypedOnly`], where it anchors no
+    /// clique — resolved to clique ids. Works on clones; the substrate
+    /// stays absorbable.
+    pub fn cliques(&self, scope: CliqueScope) -> Cliques {
+        let (related, subject_repr, object_repr) = match scope {
+            CliqueScope::AllNodes => (&self.all, self.first_out.clone(), self.first_in.clone()),
+            CliqueScope::UntypedOnly => {
+                let of_untyped = |first: &[u32]| -> Vec<u32> {
+                    first
+                        .iter()
+                        .zip(&self.class_sets.set_of_node)
+                        .map(|(&p, &set)| if set == NO_DENSE_ID { p } else { NO_DENSE_ID })
+                        .collect()
+                };
+                (
+                    &self.untyped,
+                    of_untyped(&self.first_out),
+                    of_untyped(&self.first_in),
+                )
+            }
+        };
+        Cliques::from_parts(
+            self.props.items(),
+            related.src.clone(),
+            related.tgt.clone(),
+            subject_repr,
+            object_repr,
+        )
+    }
+
+    /// The data nodes of the absorbed graph in numbering order: the
+    /// subjects and objects of D_G, then the typed-only resources.
+    fn data_nodes(&self) -> Vec<TermId> {
+        let typed_only = self.typed.iter().copied().filter(|n| {
+            self.first_out[n.index()] == NO_DENSE_ID && self.first_in[n.index()] == NO_DENSE_ID
+        });
+        self.nodes.iter().copied().chain(typed_only).collect()
+    }
+}
+
+/// Relates property `p` to the first property of one side of a node —
+/// in the all-nodes scope, and in the untyped-only one when the node
+/// generates relatedness there — or, on the node's first row, records it.
+#[inline]
+fn link(first: &mut u32, p: u32, all: &mut UnionFind, untyped: Option<&mut UnionFind>) {
+    if *first == NO_DENSE_ID {
+        *first = p;
+    } else if *first != p {
+        all.union(*first as usize, p as usize);
+        if let Some(untyped) = untyped {
+            untyped.union(*first as usize, p as usize);
+        }
+    }
+}
+
+/// The shared build pipeline for all five summaries of one graph: a
+/// borrowed graph, a [`Substrate`] that covers it, and the worker count
+/// the quotient's emission and the extent table run on.
 ///
-/// See the [module docs](self) for the design. A context borrows its graph
-/// and is cheap relative to one summary build; the clique structures and
-/// class sets are computed lazily and cached, so you only pay for the
-/// scopes the requested summaries actually use.
+/// See the [module docs](self) for the design. The clique structures are
+/// derived lazily and cached, so you only pay for the scopes the requested
+/// summaries actually use.
 ///
 /// # Examples
 ///
@@ -157,181 +364,68 @@ impl ClassSets {
 /// ```
 pub struct SummaryContext<'g> {
     g: &'g Graph,
-    /// Dense node id → term, in numbering order.
+    /// Scanned by this context's constructor, or kept by its caller.
+    substrate: Cow<'g, Substrate>,
+    /// The data nodes in numbering order (typed-only tail included).
     nodes: Vec<TermId>,
-    /// Dense property id → term, in numbering order.
-    props: Vec<TermId>,
-    /// CSR offsets/values: outgoing dense property ids per dense node (one
-    /// entry per data triple, grouped by subject).
-    out_offsets: Vec<u32>,
-    out_props: Vec<u32>,
-    /// CSR offsets/values: incoming dense property ids per dense node.
-    in_offsets: Vec<u32>,
-    in_props: Vec<u32>,
-    /// Dense node id → is a typed resource (subject of some τ triple).
-    typed: Vec<bool>,
-    /// The one worker count of this context, resolved at construction and
-    /// always ≥ 1: the shard count of the build, and what every later
-    /// stage (cliques, class sets, quotient emission, extent table) uses.
+    /// The worker count of the stages past the substrate, resolved at
+    /// construction and always ≥ 1.
     threads: usize,
     all_cliques: OnceCell<Cliques>,
     untyped_cliques: OnceCell<Cliques>,
-    class_sets: OnceCell<ClassSets>,
-}
-
-/// One shard's partial substrate: chunk-local numbering, degrees, and CSR
-/// entries, folded by [`SummaryContext::sharded_forced`] via
-/// [`DenseIdMap::absorb`] remaps.
-struct ShardPart {
-    node_map: DenseIdMap,
-    prop_map: DenseIdMap,
-    /// Local node id → outgoing (incoming) data-triple count.
-    out_deg: Vec<u32>,
-    in_deg: Vec<u32>,
-    /// `(local node, local property)` per data triple, in chunk-scan order.
-    out_entries: EntryList,
-    in_entries: EntryList,
-}
-
-impl ShardPart {
-    /// Scans one contiguous chunk of D_G, numbering its nodes and
-    /// properties locally in first-seen order (s, o, p per triple).
-    fn scan(chunk: &[Triple], n_terms: usize) -> ShardPart {
-        let mut part = ShardPart {
-            node_map: DenseIdMap::with_capacity(n_terms),
-            prop_map: DenseIdMap::with_capacity(n_terms),
-            out_deg: Vec::new(),
-            in_deg: Vec::new(),
-            out_entries: Vec::with_capacity(chunk.len()),
-            in_entries: Vec::with_capacity(chunk.len()),
-        };
-        for t in chunk {
-            let s = part.node_map.intern(t.s);
-            if s as usize == part.out_deg.len() {
-                part.out_deg.push(0);
-                part.in_deg.push(0);
-            }
-            part.out_deg[s as usize] += 1;
-            let o = part.node_map.intern(t.o);
-            if o as usize == part.out_deg.len() {
-                part.out_deg.push(0);
-                part.in_deg.push(0);
-            }
-            part.in_deg[o as usize] += 1;
-            let p = part.prop_map.intern(t.p);
-            part.out_entries.push((s, p));
-            part.in_entries.push((o, p));
-        }
-        part
-    }
 }
 
 impl<'g> SummaryContext<'g> {
-    /// Builds the one-shard context: every stage runs on the calling
+    /// Scans `g` and builds on one worker: every stage runs on the calling
     /// thread. Data nodes are numbered in first-seen order (the
     /// [`crate::equivalence::data_nodes_ordered`] order).
     pub fn new(g: &'g Graph) -> Self {
         Self::sharded_forced(g, 1)
     }
 
-    /// Builds the context on the worker count
-    /// [`crate::parallel::shard_count`] resolves for `g` and the requested
+    /// Scans `g` and builds on the worker count
+    /// [`crate::parallel::shard_count`] resolves for it and the requested
     /// `threads`: one below
     /// [`crate::parallel::PARALLEL_SHARD_THRESHOLD`] data triples, so
-    /// small graphs never pay the per-shard fixed costs, else the request.
-    /// All five summaries come out triple-for-triple, naming-identical at
-    /// any count (see the [module docs](self) for why the merge is exact).
+    /// small graphs never pay the per-worker fixed costs, else the
+    /// request. All five summaries come out triple-for-triple,
+    /// naming-identical at any count.
     pub fn sharded(g: &'g Graph, threads: usize) -> Self {
         Self::sharded_forced(g, crate::parallel::shard_count(g.data().len(), threads))
     }
 
     /// [`SummaryContext::sharded`] without the size floor — the seam the
     /// forced-shard tests and benches drive, since the floor keeps
-    /// fixture-sized graphs on one shard. Prefer
+    /// fixture-sized graphs on one worker. Prefer
     /// [`SummaryContext::sharded`].
     pub fn sharded_forced(g: &'g Graph, shards: usize) -> Self {
-        let threads = shards.clamp(1, 256);
-        let n_terms = g.dict().len();
-        let data = g.data();
-        // Shard w owns the contiguous chunk `data[len·w/S .. len·(w+1)/S]`
-        // (possibly empty when S exceeds the triple count). Shard 0 is
-        // scanned here, so one shard spawns nothing.
-        let chunk = |w: usize| &data[data.len() * w / threads..data.len() * (w + 1) / threads];
-        let (first, rest) = std::thread::scope(|ts| {
-            let handles: Vec<_> = (1..threads)
-                .map(|w| {
-                    let chunk = chunk(w);
-                    ts.spawn(move || ShardPart::scan(chunk, n_terms))
-                })
-                .collect();
-            let first = ShardPart::scan(chunk(0), n_terms);
-            let rest: Vec<ShardPart> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (first, rest)
-        });
-        // Fold in shard order: shard 0's numbering is the prefix of the
-        // global one, and each absorb returns the absorbed shard's
-        // `local → global` tables.
-        let ShardPart {
-            mut node_map,
-            mut prop_map,
-            mut out_deg,
-            mut in_deg,
-            out_entries,
-            in_entries,
-        } = first;
-        let remaps: Vec<(Vec<u32>, Vec<u32>)> = rest
-            .iter()
-            .map(|leaf| {
-                let node_remap = node_map.absorb(&leaf.node_map);
-                let prop_remap = prop_map.absorb(&leaf.prop_map);
-                out_deg.resize(node_map.len(), 0);
-                in_deg.resize(node_map.len(), 0);
-                for (l, &d) in leaf.out_deg.iter().enumerate() {
-                    if d != 0 {
-                        out_deg[node_remap[l] as usize] += d;
-                    }
-                }
-                for (l, &d) in leaf.in_deg.iter().enumerate() {
-                    if d != 0 {
-                        in_deg[node_remap[l] as usize] += d;
-                    }
-                }
-                (node_remap, prop_remap)
-            })
-            .collect();
-        // Typed-only subjects are numbered after all data nodes.
-        let typed_nodes: Vec<u32> = g.types().iter().map(|t| node_map.intern(t.s)).collect();
-        let n = node_map.len();
-        out_deg.resize(n, 0);
-        in_deg.resize(n, 0);
-        let mut typed = vec![false; n];
-        for v in typed_nodes {
-            typed[v as usize] = true;
-        }
-        let rest_out: Vec<&[(u32, u32)]> = rest.iter().map(|p| p.out_entries.as_slice()).collect();
-        let rest_in: Vec<&[(u32, u32)]> = rest.iter().map(|p| p.in_entries.as_slice()).collect();
-        let out_entries = stitch_entries(out_entries, &rest_out, &remaps);
-        let in_entries = stitch_entries(in_entries, &rest_in, &remaps);
-        let (out_offsets, out_props) = fill_csr_values(&out_deg, &out_entries, threads, 0u32);
-        let (in_offsets, in_props) = fill_csr_values(&in_deg, &in_entries, threads, 0u32);
+        Self::view(g, Cow::Owned(Substrate::scan(g)), shards.clamp(1, 256))
+    }
+
+    /// [`SummaryContext::sharded`] over a substrate the caller keeps for
+    /// `g` instead of a scan of its own.
+    ///
+    /// # Panics
+    /// Panics if `substrate` does not [cover](Substrate::covers) `g`.
+    pub fn over(g: &'g Graph, substrate: &'g Substrate, threads: usize) -> Self {
+        let threads = crate::parallel::shard_count(g.data().len(), threads);
+        Self::view(g, Cow::Borrowed(substrate), threads)
+    }
+
+    fn view(g: &'g Graph, substrate: Cow<'g, Substrate>, threads: usize) -> Self {
+        assert!(substrate.covers(g), "substrate is not this graph's");
         SummaryContext {
             g,
-            nodes: node_map.into_parts().1,
-            props: prop_map.into_parts().1,
-            out_offsets,
-            out_props,
-            in_offsets,
-            in_props,
-            typed,
+            nodes: substrate.data_nodes(),
+            substrate,
             threads,
             all_cliques: OnceCell::new(),
             untyped_cliques: OnceCell::new(),
-            class_sets: OnceCell::new(),
         }
     }
 
-    /// The worker count this context resolved at construction (≥ 1): its
-    /// shard count, and the count every later stage runs on.
+    /// The worker count this context resolved at construction (≥ 1): the
+    /// count the quotient's emission and the extent table run on.
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
@@ -352,259 +446,22 @@ impl<'g> SummaryContext<'g> {
     /// The distinct data properties of `G` in numbering order.
     #[inline]
     pub fn data_properties(&self) -> &[TermId] {
-        &self.props
+        self.substrate.props.items()
     }
 
-    /// The outgoing dense property ids of dense node `v` (one entry per
-    /// data triple).
-    #[inline]
-    pub fn out_row(&self, v: usize) -> &[u32] {
-        &self.out_props[self.out_offsets[v] as usize..self.out_offsets[v + 1] as usize]
-    }
-
-    /// The incoming dense property ids of dense node `v`.
-    #[inline]
-    pub fn in_row(&self, v: usize) -> &[u32] {
-        &self.in_props[self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize]
-    }
-
-    /// Is dense node `v` a typed resource?
-    #[inline]
-    pub fn is_typed(&self, v: usize) -> bool {
-        self.typed[v]
-    }
-
-    /// The cliques of `G` under `scope`, computed on first use and cached.
+    /// The cliques of `G` under `scope`, derived from the substrate on
+    /// first use and cached.
     pub fn cliques(&self, scope: CliqueScope) -> &Cliques {
         let cell = match scope {
             CliqueScope::AllNodes => &self.all_cliques,
             CliqueScope::UntypedOnly => &self.untyped_cliques,
         };
-        cell.get_or_init(|| self.compute_cliques(scope))
+        cell.get_or_init(|| self.substrate.cliques(scope))
     }
 
-    /// Computes the cliques for `scope` from the CSR layout on the
-    /// context's worker count. One worker runs the two linear CSR sweeps
-    /// sequentially (out rows feed the source union–find, in rows the
-    /// target one, no hash lookups); more workers split the rows into
-    /// contiguous ranges balanced by entry count, scan each range into a
-    /// union–find partial plus range-local representative tables, and
-    /// merge by unioning every element with its partial root. Every row
-    /// is owned by one worker, so the representative tables scatter
-    /// without reconciliation and the result — including clique numbering
-    /// — equals the one-worker sweep.
-    pub(crate) fn compute_cliques(&self, scope: CliqueScope) -> Cliques {
-        let np = self.props.len();
-        let n = self.nodes.len();
-        let n_terms = self.g.dict().len();
-        // Row ranges balanced by out-entry count, like the CSR fill's.
-        let bounds = crate::parallel::row_bounds(&self.out_offsets, self.threads);
-        let threads = bounds.len() - 1;
-        let mut src_uf = UnionFind::new(np);
-        let mut tgt_uf = UnionFind::new(np);
-        let mut subject_repr = vec![NO_DENSE_ID; n_terms];
-        let mut object_repr = vec![NO_DENSE_ID; n_terms];
-        if threads == 1 {
-            // One range keeps a sweep of its own, straight into the
-            // term-indexed tables. Run through the per-range body below it
-            // pays two node-sized local tables and their scatter:
-            // `cliques_bsbm_30k/all_nodes` 0.480 → 0.556 ms and
-            // `untyped_only` 0.391 → 0.434 ms (medians of 10 alternating
-            // parent/change runs, the shared body faster in 1 of 10 each;
-            // sized for PR 23).
-            for v in 0..n {
-                if scope == CliqueScope::UntypedOnly && self.typed[v] {
-                    continue;
-                }
-                if let Some((&first, rest)) = self.out_row(v).split_first() {
-                    for &p in rest {
-                        src_uf.union(first as usize, p as usize);
-                    }
-                    subject_repr[self.nodes[v].index()] = first;
-                }
-                if let Some((&first, rest)) = self.in_row(v).split_first() {
-                    for &p in rest {
-                        tgt_uf.union(first as usize, p as usize);
-                    }
-                    object_repr[self.nodes[v].index()] = first;
-                }
-            }
-            return Cliques::from_parts(&self.props, src_uf, tgt_uf, subject_repr, object_repr);
-        }
-        /// Per-worker partial: union–finds over the shared dense property
-        /// numbering plus range-local (dense-node-indexed) repr tables.
-        struct Partial {
-            src_uf: UnionFind,
-            tgt_uf: UnionFind,
-            subj: Vec<u32>,
-            obj: Vec<u32>,
-        }
-        let (typed, out_offsets, out_props) = (&self.typed, &self.out_offsets, &self.out_props);
-        let (in_offsets, in_props) = (&self.in_offsets, &self.in_props);
-        let partials: Vec<Partial> = std::thread::scope(|ts| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (lo, hi) = (bounds[w], bounds[w + 1]);
-                    ts.spawn(move || {
-                        let mut part = Partial {
-                            src_uf: UnionFind::new(np),
-                            tgt_uf: UnionFind::new(np),
-                            subj: vec![NO_DENSE_ID; hi - lo],
-                            obj: vec![NO_DENSE_ID; hi - lo],
-                        };
-                        for v in lo..hi {
-                            if scope == CliqueScope::UntypedOnly && typed[v] {
-                                continue;
-                            }
-                            let out_row =
-                                &out_props[out_offsets[v] as usize..out_offsets[v + 1] as usize];
-                            if let Some((&first, rest)) = out_row.split_first() {
-                                for &p in rest {
-                                    part.src_uf.union(first as usize, p as usize);
-                                }
-                                part.subj[v - lo] = first;
-                            }
-                            let in_row =
-                                &in_props[in_offsets[v] as usize..in_offsets[v + 1] as usize];
-                            if let Some((&first, rest)) = in_row.split_first() {
-                                for &p in rest {
-                                    part.tgt_uf.union(first as usize, p as usize);
-                                }
-                                part.obj[v - lo] = first;
-                            }
-                        }
-                        part
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Merge: union each partial's elements with their partial roots,
-        // then scatter the range-local representatives into the
-        // term-indexed tables — disjoint rows, so plain overwrites.
-        for (w, mut part) in partials.into_iter().enumerate() {
-            for i in 0..np {
-                let r = part.src_uf.find(i);
-                if r != i {
-                    src_uf.union(i, r);
-                }
-                let r = part.tgt_uf.find(i);
-                if r != i {
-                    tgt_uf.union(i, r);
-                }
-            }
-            let lo = bounds[w];
-            for (d, &repr) in part.subj.iter().enumerate() {
-                if repr != NO_DENSE_ID {
-                    subject_repr[self.nodes[lo + d].index()] = repr;
-                }
-            }
-            for (d, &repr) in part.obj.iter().enumerate() {
-                if repr != NO_DENSE_ID {
-                    object_repr[self.nodes[lo + d].index()] = repr;
-                }
-            }
-        }
-        Cliques::from_parts(&self.props, src_uf, tgt_uf, subject_repr, object_repr)
-    }
-
-    /// The interned class sets of the typed resources, computed on first
-    /// use and cached. The T_G accumulation sweep is chunked across the
-    /// context's workers; the result is identical at any count.
+    /// The interned class sets of the typed resources.
     pub fn class_sets(&self) -> &ClassSets {
-        self.class_sets.get_or_init(|| self.compute_class_sets())
-    }
-
-    fn compute_class_sets(&self) -> ClassSets {
-        let types = self.g.types();
-        let n_terms = self.g.dict().len();
-
-        /// One accumulation scan's output: `order[i]` is the `i`-th
-        /// first-seen typed node and `tmp[i]` its classes in scan order.
-        struct Acc {
-            tmp_of_node: Vec<u32>,
-            tmp: Vec<Vec<TermId>>,
-            order: Vec<TermId>,
-        }
-        fn scan(types: &[rdf_model::Triple], n_terms: usize) -> Acc {
-            let mut acc = Acc {
-                tmp_of_node: vec![NO_DENSE_ID; n_terms],
-                tmp: Vec::new(),
-                order: Vec::new(),
-            };
-            for t in types {
-                let slot = &mut acc.tmp_of_node[t.s.index()];
-                if *slot == NO_DENSE_ID {
-                    *slot = acc.tmp.len() as u32;
-                    acc.tmp.push(Vec::new());
-                    acc.order.push(t.s);
-                }
-                // Duplicate classes are collapsed by the canonicalization
-                // sort+dedup below, keeping this accumulation O(1) per
-                // type triple even for type-heavy resources.
-                acc.tmp[*slot as usize].push(t.o);
-            }
-            acc
-        }
-
-        let Acc {
-            tmp_of_node,
-            mut tmp,
-            order,
-        } = if self.threads <= 1 || types.len() < 2 {
-            scan(types, n_terms)
-        } else {
-            // Chunked scan + chunk-order merge. The sequential sweep
-            // visits chunk 0's triples before chunk 1's, so a node's
-            // global first-seen position is its position in the first
-            // chunk that saw it, and its class list is the concatenation
-            // of its per-chunk lists in chunk order — the merge below
-            // reproduces both exactly.
-            let chunk_size = types.len().div_ceil(self.threads).max(1);
-            let parts: Vec<Acc> = std::thread::scope(|scope| {
-                let handles: Vec<_> = types
-                    .chunks(chunk_size)
-                    .map(|chunk| scope.spawn(move || scan(chunk, n_terms)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            let mut merged = Acc {
-                tmp_of_node: vec![NO_DENSE_ID; n_terms],
-                tmp: Vec::new(),
-                order: Vec::new(),
-            };
-            for mut part in parts {
-                for (local, node) in part.order.into_iter().enumerate() {
-                    let classes = std::mem::take(&mut part.tmp[local]);
-                    let slot = &mut merged.tmp_of_node[node.index()];
-                    if *slot == NO_DENSE_ID {
-                        *slot = merged.tmp.len() as u32;
-                        merged.tmp.push(classes);
-                        merged.order.push(node);
-                    } else {
-                        merged.tmp[*slot as usize].extend_from_slice(&classes);
-                    }
-                }
-            }
-            merged
-        };
-
-        // Canonicalize and intern the distinct sets.
-        let mut interner: FxHashMap<Vec<TermId>, u32> = FxHashMap::default();
-        let mut sets: Vec<Vec<TermId>> = Vec::new();
-        let mut set_of_node = vec![NO_DENSE_ID; n_terms];
-        for node in order {
-            let ti = tmp_of_node[node.index()] as usize;
-            let mut set = std::mem::take(&mut tmp[ti]);
-            set.sort_unstable();
-            set.dedup();
-            let id = *interner.entry(set.clone()).or_insert_with(|| {
-                sets.push(set);
-                (sets.len() - 1) as u32
-            });
-            set_of_node[node.index()] = id;
-        }
-        ClassSets { set_of_node, sets }
+        &self.substrate.class_sets
     }
 
     /// The weak summary W_G (Definition 11) from the shared substrate.
@@ -618,7 +475,7 @@ impl<'g> SummaryContext<'g> {
             self.g,
             cliques,
             &self.nodes,
-            &self.props,
+            self.data_properties(),
             force_unpacked,
             self.threads,
         )
@@ -796,174 +653,6 @@ impl<'g> SummaryContext<'g> {
     }
 }
 
-/// Exclusive prefix sum of per-row counts: the CSR offsets table.
-fn csr_offsets(deg: &[u32]) -> Vec<u32> {
-    let n = deg.len();
-    let mut offsets = vec![0u32; n + 1];
-    for v in 0..n {
-        offsets[v + 1] = offsets[v] + deg[v];
-    }
-    offsets
-}
-
-/// Builds one CSR side from `(row, value)` entries in scan order; `deg`
-/// holds the per-row entry counts. Returns `(offsets, values)` with each
-/// row's values in entry order. The adjacency sides use it with `u32`
-/// values, the summary's extent table with
-/// [`TermId`](rdf_model::TermId)s; `zero` seeds the values array before
-/// the scatter (every slot is overwritten; the seed only exists because
-/// the value type carries no `Default`).
-///
-/// One worker runs a cursor sweep. More workers fill in two parallel
-/// phases: every input chunk first partitions its entries into per-worker
-/// buckets by row range (ranges balanced by entry count), then each worker
-/// fills its own **contiguous** slice of the values array from its buckets
-/// in chunk order. Row ranges make the written slices disjoint `&mut`
-/// splits — no atomics, no locks — and chunk order keeps each row's values
-/// in scan order, so the result is bit-identical to the cursor sweep.
-pub(crate) fn fill_csr_values<V: Copy + Send + Sync>(
-    deg: &[u32],
-    entries: &[(u32, V)],
-    threads: usize,
-    zero: V,
-) -> (Vec<u32>, Vec<V>) {
-    let offsets = csr_offsets(deg);
-    let n = deg.len();
-    let mut values = vec![zero; offsets[n] as usize];
-    // Row → worker assignments live in a u8 table, hence the 256 cap.
-    let bounds = crate::parallel::row_bounds(&offsets, threads.min(256));
-    let threads = bounds.len() - 1;
-    if threads == 1 {
-        // The bucketed fill below would copy every entry into one bucket
-        // first; a cursor sweep writes them where they go.
-        let mut cursor = offsets[..n].to_vec();
-        for &(row, v) in entries {
-            values[cursor[row as usize] as usize] = v;
-            cursor[row as usize] += 1;
-        }
-        return (offsets, values);
-    }
-    let mut worker_of_row = vec![0u8; n];
-    for w in 0..threads {
-        worker_of_row[bounds[w]..bounds[w + 1]].fill(w as u8);
-    }
-    // Phase 1 (parallel): each chunk splits its entries into per-worker
-    // buckets, preserving scan order inside each bucket.
-    let chunk_size = entries.len().div_ceil(threads).max(1);
-    let buckets: Vec<Vec<Vec<(u32, V)>>> = std::thread::scope(|scope| {
-        let worker_of_row = &worker_of_row;
-        let handles: Vec<_> = entries
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    // (`vec![..; threads]` would clone away the capacity.)
-                    let mut out: Vec<Vec<(u32, V)>> = (0..threads)
-                        .map(|_| Vec::with_capacity(chunk.len() / threads + 8))
-                        .collect();
-                    for &e in chunk {
-                        out[worker_of_row[e.0 as usize] as usize].push(e);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    // Phase 2 (parallel): split the values array at the range boundaries
-    // and let each worker fill its slice from its buckets in chunk order.
-    std::thread::scope(|scope| {
-        let mut rest: &mut [V] = &mut values;
-        let mut consumed = 0u32;
-        for w in 0..threads {
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
-            let width = (offsets[hi] - offsets[lo]) as usize;
-            debug_assert_eq!(consumed, offsets[lo]);
-            let (slice, tail) = rest.split_at_mut(width);
-            rest = tail;
-            consumed += width as u32;
-            let base = offsets[lo];
-            let range_offsets = &offsets[lo..=hi];
-            let my_buckets: Vec<&[(u32, V)]> = buckets.iter().map(|b| b[w].as_slice()).collect();
-            scope.spawn(move || {
-                let mut cursor: Vec<u32> =
-                    range_offsets[..hi - lo].iter().map(|&o| o - base).collect();
-                for bucket in my_buckets {
-                    for &(row, v) in bucket {
-                        let c = &mut cursor[row as usize - lo];
-                        slice[*c as usize] = v;
-                        *c += 1;
-                    }
-                }
-            });
-        }
-    });
-    (offsets, values)
-}
-
-/// Sorts every CSR row in place, splitting the rows across workers at
-/// boundaries balanced by entry count (the same row-range split as the
-/// fill: contiguous rows own contiguous value slots, so the written
-/// slices are disjoint `&mut` splits). The result is exactly a sequential
-/// per-row `sort_unstable`; the summary's extent construction uses this
-/// for its `dr` member rows. A single range is sorted on the calling
-/// thread.
-pub(crate) fn sort_csr_rows<V: Ord + Send>(offsets: &[u32], values: &mut [V], threads: usize) {
-    let bounds = crate::parallel::row_bounds(offsets, threads);
-    let sort_range = |lo: usize, hi: usize, slice: &mut [V]| {
-        let base = offsets[lo];
-        for r in lo..hi {
-            slice[(offsets[r] - base) as usize..(offsets[r + 1] - base) as usize].sort_unstable();
-        }
-    };
-    if let [lo, hi] = bounds[..] {
-        return sort_range(lo, hi, values);
-    }
-    std::thread::scope(|scope| {
-        let mut rest: &mut [V] = values;
-        for r in bounds.windows(2) {
-            let (lo, hi) = (r[0], r[1]);
-            let (slice, tail) = rest.split_at_mut((offsets[hi] - offsets[lo]) as usize);
-            rest = tail;
-            scope.spawn(move || sort_range(lo, hi, slice));
-        }
-    });
-}
-
-/// A list of `(row, value)` CSR entries in scan order.
-type EntryList = Vec<(u32, u32)>;
-
-/// Concatenates one CSR side of the shard partials in shard order — which
-/// *is* the global scan order, so the stitched list is bit-identical to
-/// the one a single pass would record. `first` is shard 0's list, already
-/// in global ids; `rest[i]` is rewritten through `remaps[i]`, the
-/// `(node, property)` tables its absorb returned. Each shard writes a
-/// disjoint range of the output, in parallel.
-fn stitch_entries(
-    first: EntryList,
-    rest: &[&[(u32, u32)]],
-    remaps: &[(Vec<u32>, Vec<u32>)],
-) -> EntryList {
-    if rest.is_empty() {
-        return first;
-    }
-    let total = first.len() + rest.iter().map(|e| e.len()).sum::<usize>();
-    let mut out = vec![(0u32, 0u32); total];
-    std::thread::scope(|ts| {
-        let (head, mut tail) = out.split_at_mut(first.len());
-        ts.spawn(|| head.copy_from_slice(&first));
-        for (&entries, (node_remap, prop_remap)) in rest.iter().zip(remaps) {
-            let (slice, after) = tail.split_at_mut(entries.len());
-            tail = after;
-            ts.spawn(move || {
-                for (dst, &(v, p)) in slice.iter_mut().zip(entries) {
-                    *dst = (node_remap[v as usize], prop_remap[p as usize]);
-                }
-            });
-        }
-    });
-    out
-}
-
 /// The strong-summary name of a node: the symbolic `N(TC(n), SC(n))` from
 /// the member's own clique signature (all members of a strong class share
 /// it).
@@ -983,6 +672,7 @@ fn signature_term(namer: &mut Namer<'_>, cliques: &Cliques, node: TermId) -> Ter
 mod tests {
     use super::*;
     use crate::fixtures::{exid, sample_graph};
+    use rdf_model::vocab::RDF_TYPE;
 
     #[test]
     fn numbering_matches_data_nodes_ordered() {
@@ -995,29 +685,6 @@ mod tests {
         // 15 data nodes, 6 distinct data properties.
         assert_eq!(ctx.data_nodes().len(), 15);
         assert_eq!(ctx.data_properties().len(), 6);
-    }
-
-    #[test]
-    fn csr_rows_cover_every_data_triple() {
-        let g = sample_graph();
-        let ctx = SummaryContext::new(&g);
-        let total_out: usize = (0..ctx.data_nodes().len())
-            .map(|v| ctx.out_row(v).len())
-            .sum();
-        let total_in: usize = (0..ctx.data_nodes().len())
-            .map(|v| ctx.in_row(v).len())
-            .sum();
-        assert_eq!(total_out, g.data().len());
-        assert_eq!(total_in, g.data().len());
-        // r6 is typed-only: no adjacency at all.
-        let r6 = exid(&g, "r6");
-        let v = ctx
-            .data_nodes()
-            .iter()
-            .position(|&n| n == r6)
-            .expect("r6 is a data node");
-        assert!(ctx.out_row(v).is_empty() && ctx.in_row(v).is_empty());
-        assert!(ctx.is_typed(v));
     }
 
     #[test]
@@ -1055,16 +722,16 @@ mod tests {
         assert_eq!(cs.set(spec).len(), 1);
     }
 
-    /// The chunked class-set scan equals the one-worker scan exactly —
-    /// same dense set-id numbering, same set contents, same node mapping —
-    /// at every forced shard count, on a graph with cross-chunk nodes,
-    /// duplicate type triples, and interleaved class orders, and on one
-    /// with no type triples at all.
+    /// The class sets equal a per-node `BTreeSet` accumulation numbered in
+    /// first-seen order — same dense set ids, same set contents, same node
+    /// mapping — at every forced count, on a graph with duplicate type
+    /// triples and interleaved class orders, and on one with no type
+    /// triples at all.
     #[test]
     fn forced_parallel_class_sets_match_sequential() {
         let mut g = Graph::new();
         // 120 typed resources cycling through 7 class-set shapes, visited
-        // twice in different orders so most nodes straddle chunk cuts.
+        // twice in different orders.
         for round in 0..2 {
             for i in 0..120 {
                 let r = format!("r{i}");
@@ -1078,7 +745,7 @@ mod tests {
                     _ => vec!["A", "B", "C"],
                 };
                 for c in classes {
-                    g.add_iri_triple(&r, rdf_model::vocab::RDF_TYPE, c);
+                    g.add_iri_triple(&r, RDF_TYPE, c);
                 }
                 g.add_iri_triple(&r, "p", "o");
             }
@@ -1086,19 +753,29 @@ mod tests {
         let mut untyped = Graph::new();
         untyped.add_iri_triple("a", "p", "b");
         for g in [g, untyped] {
-            let seq = SummaryContext::new(&g);
-            for shards in [2, 3, 4, 8, 64] {
-                let par = SummaryContext::sharded_forced(&g, shards);
-                assert_eq!(
-                    par.class_sets().set_of_node,
-                    seq.class_sets().set_of_node,
-                    "{shards} shards"
-                );
-                assert_eq!(
-                    par.class_sets().sets,
-                    seq.class_sets().sets,
-                    "{shards} shards"
-                );
+            let mut order: Vec<TermId> = Vec::new();
+            let mut classes: FxHashMap<TermId, std::collections::BTreeSet<TermId>> =
+                FxHashMap::default();
+            for t in g.types() {
+                if !classes.contains_key(&t.s) {
+                    order.push(t.s);
+                }
+                classes.entry(t.s).or_default().insert(t.o);
+            }
+            let mut sets: Vec<Vec<TermId>> = Vec::new();
+            let mut set_of_node = vec![NO_DENSE_ID; g.dict().len()];
+            for node in order {
+                let set: Vec<TermId> = classes[&node].iter().copied().collect();
+                let id = sets.iter().position(|s| *s == set).unwrap_or_else(|| {
+                    sets.push(set);
+                    sets.len() - 1
+                });
+                set_of_node[node.index()] = id as u32;
+            }
+            for shards in [1, 2, 3, 4, 8, 64] {
+                let ctx = SummaryContext::sharded_forced(&g, shards);
+                assert_eq!(ctx.class_sets().set_of_node, set_of_node, "{shards}");
+                assert_eq!(ctx.class_sets().sets, sets, "{shards}");
             }
         }
     }
@@ -1115,71 +792,113 @@ mod tests {
         assert_eq!(ctx.type_summary().n_summary_nodes(), 14); // Figure 6
     }
 
-    /// The chunked parallel CSR fill is bit-identical to the sequential
-    /// cursor sweep, for every worker count, on adversarial row shapes
-    /// (empty rows, hot rows, rows split across chunk boundaries).
+    /// Everything a substrate answers with, in comparable form: numberings,
+    /// first properties, class sets, and both scopes' cliques down to each
+    /// term's `SC`/`TC`. (The union–finds themselves differ by union
+    /// history; the cliques derived from them must not.)
+    fn observable(sub: &Substrate) -> impl PartialEq + std::fmt::Debug {
+        let cliques = [CliqueScope::AllNodes, CliqueScope::UntypedOnly].map(|scope| {
+            let cq = sub.cliques(scope);
+            let per_term: Vec<_> = (0..sub.first_out.len() as u32)
+                .map(|t| (cq.sc(TermId(t)), cq.tc(TermId(t))))
+                .collect();
+            (cq.source_cliques, cq.target_cliques, per_term)
+        });
+        (
+            (sub.types_seen, sub.data_seen),
+            sub.data_nodes(),
+            sub.typed.clone(),
+            sub.props.items().to_vec(),
+            (sub.first_out.clone(), sub.first_in.clone()),
+            (
+                sub.class_sets.set_of_node.clone(),
+                sub.class_sets.sets.clone(),
+            ),
+            cliques,
+        )
+    }
+
+    /// A graph where `a` is typed with data, `u` untyped with data, `only`
+    /// typed-only, and `p`/`q` meet on `u`.
+    fn base_graph() -> Graph {
+        let mut g = Graph::new();
+        g.add_iri_triple("a", RDF_TYPE, "A");
+        g.add_iri_triple("only", RDF_TYPE, "A");
+        g.add_iri_triple("a", "p", "x");
+        g.add_iri_triple("u", "p", "y");
+        g.add_iri_triple("u", "q", "a");
+        g
+    }
+
+    /// Absorbs `batch` on top of a scan of [`base_graph`]; an `Ok` absorb
+    /// must equal a scan of the grown graph.
+    fn absorb_batch(batch: &[(&str, &str, &str)]) -> Result<(), Stale> {
+        let mut g = base_graph();
+        let mut sub = Substrate::scan(&g);
+        for (s, p, o) in batch {
+            g.add_iri_triple(s, p, o);
+        }
+        sub.absorb(&g)?;
+        assert!(sub.covers(&g));
+        assert_eq!(observable(&sub), observable(&Substrate::scan(&g)));
+        Ok(())
+    }
+
     #[test]
-    fn parallel_csr_fill_matches_sequential() {
-        let mut rng = rdf_model::SplitMix64::new(0xC5A);
-        for case in 0..40 {
-            let n = 1 + (case % 17);
-            let n_entries = case * 7;
-            let mut deg = vec![0u32; n];
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                // Skewed row choice: row 0 is hot.
-                let row = if rng.index(3) == 0 { 0 } else { rng.index(n) };
-                deg[row] += 1;
-                entries.push((row as u32, rng.index(1 << 20) as u32));
-            }
-            let (seq_off, seq_vals) = fill_csr_values(&deg, &entries, 1, 0u32);
-            for threads in [2, 3, 5, 8] {
-                let (off, vals) = fill_csr_values(&deg, &entries, threads, 0u32);
-                assert_eq!(off, seq_off, "case {case}, {threads} threads");
-                assert_eq!(vals, seq_vals, "case {case}, {threads} threads");
-            }
+    fn absorbs_the_monotone_shapes_exactly() {
+        // Nothing new at all.
+        assert_eq!(absorb_batch(&[]), Ok(()));
+        // A brand-new property, on old and new nodes, joining cliques.
+        assert_eq!(
+            absorb_batch(&[("u", "r", "n1"), ("n2", "r", "x"), ("n2", "p", "n2")]),
+            Ok(())
+        );
+        // A typed-only node gains its first data triples: it leaves the
+        // typed-only tail for the data nodes, and links as typed.
+        assert_eq!(
+            absorb_batch(&[("only", "p", "x"), ("only", "q", "x"), ("y", "q", "only")]),
+            Ok(())
+        );
+        // A new node whose τ-triple follows its data triples in the batch:
+        // types are absorbed first, as a scan reads them.
+        assert_eq!(
+            absorb_batch(&[("n", "p", "x"), ("n", "q", "x"), ("n", RDF_TYPE, "B")]),
+            Ok(())
+        );
+        // A new class set, an old one met again, a duplicate-free pair.
+        assert_eq!(
+            absorb_batch(&[
+                ("m1", RDF_TYPE, "A"),
+                ("m2", RDF_TYPE, "B"),
+                ("m2", RDF_TYPE, "A"),
+                ("m3", RDF_TYPE, "B"),
+            ]),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn refuses_the_shapes_a_prefix_cannot_carry() {
+        // An untyped node with data gets typed — as a subject, as an object.
+        assert_eq!(absorb_batch(&[("u", RDF_TYPE, "A")]), Err(Stale));
+        assert_eq!(absorb_batch(&[("y", RDF_TYPE, "B")]), Err(Stale));
+        // A typed node gains a class — with data, and typed-only.
+        assert_eq!(absorb_batch(&[("a", RDF_TYPE, "B")]), Err(Stale));
+        assert_eq!(absorb_batch(&[("only", RDF_TYPE, "B")]), Err(Stale));
+        // Any delete that reaches D_G or T_G.
+        for gone in [0, 2] {
+            let mut g = base_graph();
+            let mut sub = Substrate::scan(&g);
+            let t = g.iter().nth(gone).unwrap();
+            g.remove_present(&[t]);
+            assert!(!sub.covers(&g));
+            assert_eq!(sub.absorb(&g), Err(Stale));
         }
     }
 
-    /// Whole-pipeline check: an out-CSR filled by four workers from a
-    /// hand-rolled scan equals the one-shard context's adjacency.
-    #[test]
-    fn forced_parallel_fill_reproduces_sample_adjacency() {
-        let g = sample_graph();
-        let ctx = SummaryContext::new(&g);
-        // Rebuild the out-CSR with forced workers from the same entries.
-        let mut node_map = rdf_model::DenseIdMap::with_capacity(g.dict().len());
-        let mut prop_map = rdf_model::DenseIdMap::with_capacity(g.dict().len());
-        let mut deg: Vec<u32> = Vec::new();
-        let mut entries: Vec<(u32, u32)> = Vec::new();
-        for t in g.data() {
-            let s = node_map.intern(t.s);
-            if s as usize == deg.len() {
-                deg.push(0);
-            }
-            deg[s as usize] += 1;
-            node_map.intern(t.o);
-            if node_map.len() > deg.len() {
-                deg.push(0);
-            }
-            entries.push((s, prop_map.intern(t.p)));
-        }
-        for t in g.types() {
-            node_map.intern(t.s);
-            if node_map.len() > deg.len() {
-                deg.push(0);
-            }
-        }
-        let (offsets, props) = fill_csr_values(&deg, &entries, 4, 0u32);
-        for v in 0..node_map.len() {
-            let row = &props[offsets[v] as usize..offsets[v + 1] as usize];
-            assert_eq!(row, ctx.out_row(v), "row {v}");
-        }
-    }
-
-    /// The sharded build is *bit-identical* to the sequential one — same
-    /// numbering, CSR arrays, and typed flags — for every forced shard
-    /// count, including counts past the triple count (empty shards).
+    /// The forced-count constructors scan the same substrate — the count
+    /// only sizes the stages past it — including counts past the triple
+    /// count and the empty graph.
     #[test]
     fn sharded_forced_substrate_is_bit_identical() {
         for g in [
@@ -1190,13 +909,12 @@ mod tests {
             let seq = SummaryContext::new(&g);
             for shards in [2, 3, 7, 32] {
                 let sh = SummaryContext::sharded_forced(&g, shards);
-                assert_eq!(sh.nodes, seq.nodes, "{shards} shards");
-                assert_eq!(sh.props, seq.props, "{shards} shards");
-                assert_eq!(sh.out_offsets, seq.out_offsets, "{shards} shards");
-                assert_eq!(sh.out_props, seq.out_props, "{shards} shards");
-                assert_eq!(sh.in_offsets, seq.in_offsets, "{shards} shards");
-                assert_eq!(sh.in_props, seq.in_props, "{shards} shards");
-                assert_eq!(sh.typed, seq.typed, "{shards} shards");
+                assert_eq!(sh.data_nodes(), seq.data_nodes(), "{shards} shards");
+                assert_eq!(
+                    observable(&sh.substrate),
+                    observable(&seq.substrate),
+                    "{shards} shards"
+                );
             }
         }
     }
@@ -1232,19 +950,18 @@ mod tests {
         }
     }
 
-    /// Shard counts past the old S = 8 frontier — 16/32/64, with 64
-    /// exceeding the small fixture's triple count so trailing shards are
-    /// empty — reproduce the sequential build *byte for byte*: the
-    /// substrate arrays, each summary's serialized
-    /// triples in emission order (no canonical re-sort), and the dr/rd
-    /// correspondence tables. The forced context carries its shard count
-    /// into `threads`, so this also pins the parallel quotient emission
-    /// and extent-table scatter against their sequential twins — for the
-    /// five clique/type kinds and for `fb`, whose quotient takes the
-    /// context's count too.
+    /// Worker counts past the old S = 8 frontier — 16/32/64, with 64
+    /// exceeding the small fixture's triple count — reproduce the
+    /// one-worker build *byte for byte*: each summary's serialized triples
+    /// in emission order (no canonical re-sort), and the dr/rd
+    /// correspondence tables. The forced context carries its count into
+    /// `threads`, so this pins the parallel quotient emission and
+    /// extent-table scatter against their sequential twins — for the five
+    /// clique/type kinds and for `fb`, whose quotient takes the context's
+    /// count too.
     #[test]
     fn sharded_forced_high_counts_byte_identical() {
-        // A graph with enough structure that S = 16/32 shards carry real
+        // A graph with enough structure that 16/32 workers carry real
         // work: a property-cycled ring with back-edges and typed nodes.
         let mut big = Graph::new();
         for i in 0..180u32 {
@@ -1252,7 +969,7 @@ mod tests {
             let o = format!("n{}", (i * 7 + 3) % 180);
             big.add_iri_triple(&s, &format!("p{}", i % 5), &o);
             if i % 3 == 0 {
-                big.add_iri_triple(&s, rdf_model::vocab::RDF_TYPE, &format!("C{}", i % 4));
+                big.add_iri_triple(&s, RDF_TYPE, &format!("C{}", i % 4));
             }
             if i % 4 == 0 {
                 big.add_iri_triple(&o, &format!("q{}", i % 3), &s);
@@ -1286,13 +1003,8 @@ mod tests {
             for shards in [16, 32, 64] {
                 let sh = SummaryContext::sharded_forced(&g, shards);
                 let tag = format!("{shards} shards");
-                assert_eq!(sh.nodes, seq.nodes, "{tag}");
-                assert_eq!(sh.props, seq.props, "{tag}");
-                assert_eq!(sh.out_offsets, seq.out_offsets, "{tag}");
-                assert_eq!(sh.out_props, seq.out_props, "{tag}");
-                assert_eq!(sh.in_offsets, seq.in_offsets, "{tag}");
-                assert_eq!(sh.in_props, seq.in_props, "{tag}");
-                assert_eq!(sh.typed, seq.typed, "{tag}");
+                assert_eq!(sh.data_nodes(), seq.data_nodes(), "{tag}");
+                assert_eq!(sh.data_properties(), seq.data_properties(), "{tag}");
                 for (i, &kind) in KINDS.iter().enumerate() {
                     assert_same(&sh.summarize(kind), &seq_sums[i], &format!("{tag}/{kind}"));
                 }
@@ -1302,7 +1014,8 @@ mod tests {
 
     /// `threads()` is the count `shard_count` resolved, never the request:
     /// one below the floor whatever was asked, the request above it — so
-    /// `--threads 1` on a large graph really is one thread.
+    /// `--threads 1` on a large graph really is one thread — and a context
+    /// over a kept substrate resolves it the same way.
     #[test]
     fn threads_is_the_resolved_count() {
         let small = sample_graph();
@@ -1315,10 +1028,22 @@ mod tests {
         assert_eq!(SummaryContext::sharded(&small, 4).threads(), 1);
         assert_eq!(SummaryContext::new(&big).threads(), 1);
         assert_eq!(SummaryContext::sharded_forced(&small, 3).threads(), 3);
+        let kept = Substrate::scan(&big);
+        assert_eq!(SummaryContext::over(&big, &kept, 4).threads(), 4);
     }
 
-    /// The row-range clique sweep equals the sequential sweep exactly —
-    /// clique numbering included — for every worker count and both scopes.
+    /// A context refuses a substrate that is behind its graph.
+    #[test]
+    #[should_panic(expected = "not this graph's")]
+    fn over_rejects_a_substrate_that_does_not_cover_the_graph() {
+        let mut g = sample_graph();
+        let kept = Substrate::scan(&g);
+        g.add_iri_triple("s", "p", "o");
+        let _ = SummaryContext::over(&g, &kept, 1);
+    }
+
+    /// The cliques a forced-count context derives equal the one-worker
+    /// context's exactly — clique numbering included — for both scopes.
     #[test]
     fn forced_thread_cliques_match_sequential() {
         let g = sample_graph();

@@ -19,7 +19,7 @@
 //!
 //! Supporting machinery: property [`cliques`] (Definition 5), node
 //! [`equivalence`] partitions, the generic [`quotient`] operator, the
-//! substrate's one worker-count decision ([`parallel`]), summary-derived
+//! one worker-count decision ([`parallel`]), summary-derived
 //! [`cardinality`] estimates for the query planner, the [`persist`]ed
 //! artifact codec and the [`service`] every `serve` verb runs on. This
 //! crate holds what a served or CLI-`summarize` path runs and nothing
@@ -28,36 +28,35 @@
 //! property checkers and the hash-map reference builders) live in the
 //! leaf crate `rdfsum-experiments`.
 //!
-//! ## The dense pipeline: [`SummaryContext`]
+//! ## The shared substrate: [`Substrate`] and [`SummaryContext`]
 //!
-//! All six summaries are built from one shared substrate, the
-//! [`context::SummaryContext`]:
+//! All six summaries are built from one shared substrate, the product of
+//! one sweep over the graph ([`context::Substrate::absorb`]):
 //!
-//! * a **dense numbering** of the data nodes and data properties
-//!   (`Vec`-backed [`rdf_model::DenseIdMap`] tables — dictionary ids are
-//!   dense, so every per-node lookup is an array read, never a hash);
-//! * a **CSR-style adjacency** giving each node's outgoing/incoming data
-//!   properties as contiguous slices;
-//! * the **property cliques for both [`CliqueScope`]s** (all-nodes for
-//!   W/S, untyped-only for TW/TS), computed lazily from the CSR and
-//!   cached, so building all four summaries runs the clique union–find at
-//!   most twice instead of four times;
+//! * a **first-seen numbering** of the data nodes and data properties
+//!   (dictionary ids are dense, so every per-node lookup is an array read,
+//!   never a hash);
+//! * each node's **first outgoing and incoming property** and, per
+//!   [`CliqueScope`] (all-nodes for W/S, untyped-only for TW/TS), the
+//!   **union–finds** relating every later property to it — all a clique
+//!   computation reads; there is no adjacency;
 //! * the interned **class sets** of the typed resources.
 //!
-//! The classic free functions (`weak_summary(g)` & friends) are thin
-//! wrappers over a throwaway context; [`summarize_all`] and the CLI /
-//! experiment binaries share one context across builds.
+//! A [`context::SummaryContext`] is the per-build view: it borrows the
+//! graph and a substrate, derives the cliques of a scope on first use and
+//! runs partition → quotient. The classic free functions
+//! (`weak_summary(g)` & friends) are thin wrappers over a throwaway
+//! context; [`summarize_all`] and the CLI / experiment binaries share one
+//! context across builds.
 //!
-//! The substrate is **shard-mergeable**:
-//! [`context::SummaryContext::sharded`] builds S independent partial
-//! substrates concurrently and folds them in shard order
-//! ([`rdf_model::DenseIdMap::absorb`]), so the result reproduces global
-//! first-seen numbering exactly — the *identical* substrate one shard
-//! builds, CSR stitched in shard order, clique union–finds merged from
-//! row-range partials. All six summaries therefore come out
-//! triple-for-triple, naming-identical at any shard count (pinned up to
-//! S = 64, empty shards included). Graphs below the shard floor build on
-//! one shard.
+//! The sweep is **resumable**: absorbing the tail an insert batch appended
+//! to the graph's tables leaves exactly the substrate a scan of the whole
+//! graph builds, so the [`service`] keeps one substrate per resident graph
+//! — every cache miss and every `UPDATE` carry builds from it — and scans
+//! again only after a change no prefix carries over (a delete; a resource
+//! typed after its data was linked). All six summaries come out
+//! triple-for-triple, naming-identical whether the substrate was scanned
+//! or absorbed, at any worker count.
 //!
 //! ## Symbolic minted names
 //!
@@ -70,10 +69,10 @@
 //! `urn:rdfsummary:` URI is rendered lazily on serialization, byte-
 //! identical to the historical eager strings. Emission never allocates or
 //! hashes a URI string, and constants transfer between the G and H
-//! dictionaries as views, arena to arena. Every stage — chunk scan, CSR fill,
-//! clique sweep, class-set scan, quotient emission, extent table — runs on
-//! the one worker count the context resolved at construction
-//! ([`parallel::shard_count`]), byte-identically at any count.
+//! dictionaries as views, arena to arena. The stages past the substrate —
+//! quotient emission, extent table — run on the one worker count the
+//! context resolved at construction ([`parallel::shard_count`]),
+//! byte-identically at any count.
 //!
 //! The pre-refactor hash-map builders are preserved verbatim in
 //! `rdfsum_experiments::reference` as the golden-equivalence test oracle.
@@ -121,7 +120,7 @@ pub use bisim::{bisim_partition, bisim_summary, BisimDepth};
 pub use builder::{summarize, summarize_all};
 pub use cardinality::{PropertyCard, SummaryCardinality, SummaryEstimator};
 pub use cliques::{CliqueId, CliqueScope, Cliques};
-pub use context::{ClassSets, SummaryContext};
+pub use context::{ClassSets, Stale, Substrate, SummaryContext};
 pub use equivalence::Partition;
 pub use executor::Executor;
 pub use report::{render_report, ReportOptions};
@@ -138,7 +137,7 @@ pub use weak::weak_summary;
 mod proptests {
     use super::{
         fixtures::fragment_graph, strong_summary, summarize, typed_strong_summary,
-        typed_weak_summary, weak_summary, SummaryContext, SummaryKind,
+        typed_weak_summary, weak_summary, CliqueScope, Substrate, SummaryContext, SummaryKind,
     };
     use proptest::prelude::*;
     use rdf_model::{vocab, Graph};
@@ -151,6 +150,66 @@ mod proptests {
             proptest::collection::vec((0u8..4, 0u8..3), 0..3),
         )
             .prop_map(|(d, t, sp, dom)| fragment_graph(&d, &t, &sp, &dom))
+    }
+
+    /// The graphs the piecewise-absorb property replays: the paper's
+    /// fixtures, BSBM, LUBM and the `shapes` families.
+    fn family(which: usize) -> &'static Graph {
+        use rdfsum_workloads::{BsbmConfig, LubmConfig, RandomConfig};
+        static FAMILIES: std::sync::OnceLock<Vec<Graph>> = std::sync::OnceLock::new();
+        &FAMILIES.get_or_init(|| {
+            vec![
+                crate::fixtures::sample_graph(),
+                crate::fixtures::figure5_graph(),
+                crate::fixtures::book_graph(),
+                rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(12)),
+                rdfsum_workloads::generate_lubm(&LubmConfig {
+                    departments_per_university: 1,
+                    ..LubmConfig::default()
+                }),
+                rdfsum_workloads::star(9),
+                rdfsum_workloads::chain(9),
+                rdfsum_workloads::weak_chain(5),
+                rdfsum_workloads::random(&RandomConfig::default()),
+                rdfsum_workloads::random(&RandomConfig {
+                    typed_pct: 70,
+                    seed: 7,
+                    ..RandomConfig::default()
+                }),
+            ]
+        })[which]
+    }
+
+    /// Replays `full` into an empty graph term by term (so the dictionary
+    /// grows with the rows): the schema, then piece `i` up to
+    /// `type_cuts[i]` % of the type rows and `data_cuts[i]` % of the data
+    /// rows, then the rest — absorbing after every piece, scanning anew
+    /// when the absorb is refused. Returns the graph, the kept substrate
+    /// and how many pieces were absorbed in place.
+    fn replay(full: &Graph, type_cuts: &[usize], data_cuts: &[usize]) -> (Graph, Substrate, usize) {
+        let mut g = Graph::new();
+        let push = |g: &mut Graph, rows: &[rdf_model::Triple]| {
+            let d = full.dict();
+            for t in rows {
+                g.insert_ref(d.decode(t.s), d.decode(t.p), d.decode(t.o))
+                    .unwrap();
+            }
+        };
+        push(&mut g, full.schema());
+        let mut kept = Substrate::scan(&g);
+        let (mut types_done, mut data_done, mut absorbed) = (0, 0, 0);
+        for (tc, dc) in type_cuts.iter().zip(data_cuts).chain([(&100, &100)]) {
+            let types_to = full.types().len() * tc / 100;
+            let data_to = full.data().len() * dc / 100;
+            push(&mut g, &full.types()[types_done..types_to]);
+            push(&mut g, &full.data()[data_done..data_to]);
+            (types_done, data_done) = (types_to, data_to);
+            match kept.absorb(&g) {
+                Ok(()) => absorbed += 1,
+                Err(crate::Stale) => kept = Substrate::scan(&g),
+            }
+        }
+        (g, kept, absorbed)
     }
 
     proptest! {
@@ -245,28 +304,66 @@ mod proptests {
             prop_assert_eq!(rdf_io::write_graph(&a.graph), rdf_io::write_graph(&b.graph));
         }
 
-        /// The one-shard constructor and every forced-shard one build the
-        /// same substrate, field for field: numbering, both CSR sides,
-        /// typed flags.
+        /// Absorbing a graph in tail pieces — type and data rows arriving
+        /// in random proportions, the dictionary growing between pieces —
+        /// leaves the substrate one scan builds: numbering, both scopes'
+        /// cliques, class sets, and all six summaries byte for byte. A
+        /// piece `absorb` refuses is handled as the service handles it
+        /// (drop, scan); a schedule that brings every type row first has
+        /// nothing to refuse.
         #[test]
-        fn sharded_substrate_equals_one_shard(g in arb_graph(), shards in 2usize..6) {
-            let one = SummaryContext::new(&g);
-            let sharded = SummaryContext::sharded_forced(&g, shards);
-            prop_assert_eq!(sharded.data_nodes(), one.data_nodes());
-            prop_assert_eq!(sharded.data_properties(), one.data_properties());
-            for v in 0..one.data_nodes().len() {
-                prop_assert_eq!(sharded.out_row(v), one.out_row(v));
-                prop_assert_eq!(sharded.in_row(v), one.in_row(v));
-                prop_assert_eq!(sharded.is_typed(v), one.is_typed(v));
+        fn absorbing_in_pieces_equals_one_scan(
+            which in 0usize..10,
+            cuts in proptest::collection::vec((0usize..101, 0usize..101), 1..6),
+        ) {
+            let full = family(which);
+            let (mut type_cuts, mut data_cuts): (Vec<_>, Vec<_>) = cuts.iter().copied().unzip();
+            type_cuts.sort_unstable();
+            data_cuts.sort_unstable();
+            let types_first = vec![100; type_cuts.len()];
+            for (type_cuts, must_absorb) in [(type_cuts, false), (types_first, true)] {
+                let (g, kept, absorbed) = replay(full, &type_cuts, &data_cuts);
+                prop_assert!(kept.covers(&g));
+                if must_absorb {
+                    prop_assert_eq!(absorbed, data_cuts.len() + 1, "types came first");
+                }
+                let pieced = SummaryContext::over(&g, &kept, 1);
+                let scanned = SummaryContext::new(&g);
+                prop_assert_eq!(pieced.data_nodes(), scanned.data_nodes());
+                prop_assert_eq!(pieced.data_properties(), scanned.data_properties());
+                let terms = || (0..g.dict().len() as u32).map(rdf_model::TermId);
+                for scope in [CliqueScope::AllNodes, CliqueScope::UntypedOnly] {
+                    let (a, b) = (pieced.cliques(scope), scanned.cliques(scope));
+                    prop_assert_eq!(&a.source_cliques, &b.source_cliques);
+                    prop_assert_eq!(&a.target_cliques, &b.target_cliques);
+                    for n in terms() {
+                        prop_assert_eq!((a.sc(n), a.tc(n)), (b.sc(n), b.tc(n)), "{:?}", scope);
+                    }
+                }
+                let (a, b) = (pieced.class_sets(), scanned.class_sets());
+                prop_assert_eq!(a.len(), b.len());
+                for id in 0..a.len() as u32 {
+                    prop_assert_eq!(a.set(id), b.set(id));
+                }
+                for n in terms() {
+                    prop_assert_eq!(a.set_id(n), b.set_id(n));
+                }
+                for kind in crate::persist::ALL_KINDS {
+                    prop_assert!(
+                        rdf_io::write_graph(&pieced.summarize(kind).graph)
+                            == rdf_io::write_graph(&scanned.summarize(kind).graph),
+                        "{} differs", kind
+                    );
+                }
             }
         }
 
-        /// A forced-shard context's row-range clique sweep matches the
-        /// sequential triple scan exactly — same cliques, same numbering —
-        /// on random graphs, for every scope.
+        /// A forced-count context's cliques match `Cliques::compute`'s
+        /// exactly — same cliques, same numbering — on random graphs, for
+        /// every scope.
         #[test]
         fn sharded_cliques_equal_sequential(g in arb_graph(), threads in 2usize..6) {
-            use crate::cliques::{CliqueScope, Cliques};
+            use crate::cliques::Cliques;
             let ctx = SummaryContext::sharded_forced(&g, threads);
             for scope in [CliqueScope::AllNodes, CliqueScope::UntypedOnly] {
                 let par = ctx.cliques(scope);

@@ -1,31 +1,34 @@
-//! The one decision about parallelism, the one row-range split the CSR
-//! stages share, and the run merge the parallel quotient emission reduces
-//! with.
+//! The one decision about parallelism, the row-range split the extent
+//! table's fill and sort share, and the run merge the parallel quotient
+//! emission reduces with.
 //!
 //! The paper's future work: "improving scalability by leveraging a
-//! massively parallel platform such as Spark". Every stage of
-//! [`crate::context::SummaryContext`] and of the quotient is
-//! embarrassingly parallel in its scan and cheap to combine, but thread
-//! spawns and per-worker tables have a fixed cost. One floor decides
-//! whether a build pays it: [`shard_count`] turns a requested worker count
-//! and a graph size into the count the context is built on
-//! ([`PARALLEL_SHARD_THRESHOLD`]), and every stage of that context then
-//! runs on exactly that many workers, with bit-identical results at any
-//! count. [`merge_dedup_runs`] is the reduction of the per-chunk sorted
-//! runs the packed emission produces.
+//! massively parallel platform such as Spark". The substrate is not where
+//! that pays: it is one resumable pass on the calling thread
+//! ([`crate::context::Substrate::absorb`]), which beat its two-shard
+//! predecessor 4.5× and which an `UPDATE` extends instead of repeating.
+//! The stages past it — the quotient's packed emission over D_G, the
+//! summary's extent table — are embarrassingly parallel in their scans and
+//! cheap to combine, but thread spawns and per-worker buffers have a fixed
+//! cost. One floor decides whether a build pays it: [`shard_count`] turns
+//! a requested worker count and a graph size into the count a
+//! [`crate::context::SummaryContext`] carries
+//! ([`PARALLEL_SHARD_THRESHOLD`]), and both stages run on exactly that
+//! many workers, with bit-identical results at any count.
+//! [`merge_dedup_runs`] is the reduction of the per-chunk sorted runs the
+//! packed emission produces.
 
-/// Below this many data triples a context is built, and all its stages
-/// run, on one worker: the per-shard `DenseIdMap` slot tables
-/// (`O(dictionary)` each), the absorb/remap merge pass and the per-stage
-/// thread spawns cost more than the split scans save. Measured against
-/// per-stage thresholds below it (CHANGES.md, PR 17): all-sequential won
-/// every kind at every size at which one of those thresholds fired.
+/// Below this many data triples every stage of a context runs on one
+/// worker: the per-stage thread spawns and per-worker buffers cost more
+/// than the split scans save. Measured against per-stage thresholds below
+/// it (CHANGES.md, PR 17): all-sequential won every kind at every size at
+/// which one of those thresholds fired.
 pub const PARALLEL_SHARD_THRESHOLD: usize = 65_536;
 
-/// The worker count a context for a graph with `n_data_triples` is built
-/// on when `requested` workers are asked for: `1` below
+/// The worker count a context for a graph with `n_data_triples` runs its
+/// stages on when `requested` workers are asked for: `1` below
 /// [`PARALLEL_SHARD_THRESHOLD`], otherwise the request clamped to the
-/// 256-worker cap of the CSR fill's row → worker table. The request is
+/// 256-worker cap of the extent fill's row → worker table. The request is
 /// honored beyond the machine's core count — callers pass what the user
 /// asked for (`--threads N`, default: available cores). This is the only
 /// function that turns a request and a size into a worker count.
@@ -143,9 +146,9 @@ mod tests {
     }
 
     // The next two tests and `more_threads_than_triples` pinned the
-    // standalone parallel clique scan and weak builder; they now pin the
-    // one parallel sweep there is — a sharded context's — against
-    // `Cliques::compute`'s independent triple scan and the one-shard
+    // standalone parallel clique scan and weak builder; they now pin a
+    // forced-count context — parallel emission and extent table over the
+    // one substrate scan — against `Cliques::compute` and the one-worker
     // `weak_summary`.
 
     #[test]

@@ -41,7 +41,7 @@
 //! kind pair.
 
 use crate::cardinality::{SummaryCardinality, SummaryEstimator};
-use crate::context::SummaryContext;
+use crate::context::{Substrate, SummaryContext};
 use crate::summary::{Summary, SummaryKind};
 use rdf_io::writer::push_term;
 use rdf_model::{Graph, PrefixMap, Term};
@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock, RwLockWriteGuard};
 
 /// One cached summary: the serialized output plus its headline figures,
 /// and the query-serving companions (the summary as an indexed store for
@@ -128,6 +128,13 @@ pub struct ServiceStats {
     pub persist_hits: u64,
     /// Artifacts successfully written to the persist dir.
     pub persist_writes: u64,
+    /// Substrates scanned from zero: a resident graph's first build, and
+    /// the first build after a batch its kept substrate could not carry
+    /// (a delete; a resource typed after its data was linked). Persist
+    /// hits never scan.
+    pub substrate_scans: u64,
+    /// `UPDATE` batches a kept substrate absorbed in place.
+    pub substrate_absorbs: u64,
 }
 
 /// Errors a service request can produce.
@@ -199,15 +206,19 @@ pub struct UpdateOutcome {
     /// Triples genuinely inserted/removed.
     pub applied: usize,
     /// Cached summaries carried to the new fingerprint, each rebuilt from
-    /// the batch's one shared context.
+    /// the graph's kept substrate.
     pub rebuilt: usize,
 }
 
-/// A resident graph's content: the warm store plus its precomputed
-/// fingerprint.
+/// A resident graph's content: the warm store, its precomputed
+/// fingerprint, and — from the first build on — the substrate every
+/// summary of it is built from. A filled cell always covers `store`'s
+/// graph: `UPDATE` extends or empties it in the same exclusive section
+/// that changes the store.
 struct GraphEntry {
     store: TripleStore,
     fingerprint: Fingerprint,
+    substrate: OnceLock<Substrate>,
 }
 
 /// One name's binding in the service: the content behind its reader/writer
@@ -279,14 +290,14 @@ const PRUNE_CACHE_CAP: usize = 65_536;
 /// `graphs` map mutex, then one entry's `RwLock`, then the
 /// `cache`/`prune_verdicts` mutexes. Only `UPDATE` takes a gate or an
 /// entry's lock exclusively, and it holds the lock exclusively for the
-/// store merge, the fingerprint switch and the claim of the carried
-/// cache slots only; it then downgrades (atomically — no second writer
-/// can slip in) and rebuilds those summaries under the *shared* lock,
-/// beside the readers. No path acquires the map mutex while holding an
-/// entry lock, none locks two entries at once, and a thread holding an
-/// entry's read guard never read-locks that entry again — the discipline
-/// that keeps `UPDATE` deadlock-free against concurrent readers and
-/// `STATS` listings.
+/// store merge, the substrate's absorb, the fingerprint switch and the
+/// claim of the carried cache slots only; it then downgrades
+/// (atomically — no second writer can slip in) and rebuilds those
+/// summaries under the *shared* lock, beside the readers. No path
+/// acquires the map mutex while holding an entry lock, none locks two
+/// entries at once, and a thread holding an entry's read guard never
+/// read-locks that entry again — the discipline that keeps `UPDATE`
+/// deadlock-free against concurrent readers and `STATS` listings.
 pub struct SummaryService {
     threads: usize,
     graphs: Mutex<HashMap<String, Arc<ResidentGraph>>>,
@@ -312,6 +323,8 @@ pub struct SummaryService {
     patch_fallbacks: AtomicU64,
     persist_hits: AtomicU64,
     persist_writes: AtomicU64,
+    substrate_scans: AtomicU64,
+    substrate_absorbs: AtomicU64,
     /// Test seam: called under the shared lock before each carried kind
     /// of an `UPDATE` is re-established (to park or unwind a carry).
     #[cfg(test)]
@@ -414,6 +427,8 @@ impl SummaryService {
             patch_fallbacks: AtomicU64::new(0),
             persist_hits: AtomicU64::new(0),
             persist_writes: AtomicU64::new(0),
+            substrate_scans: AtomicU64::new(0),
+            substrate_absorbs: AtomicU64::new(0),
             #[cfg(test)]
             carry_hook: Mutex::new(None),
         }
@@ -464,7 +479,11 @@ impl SummaryService {
         let triples = store.len();
         let entry = Arc::new(ResidentGraph {
             writer_gate: Mutex::new(()),
-            entry: RwLock::new(GraphEntry { store, fingerprint }),
+            entry: RwLock::new(GraphEntry {
+                store,
+                fingerprint,
+                substrate: OnceLock::new(),
+            }),
         });
         let replaced = self
             .graphs
@@ -506,9 +525,12 @@ impl SummaryService {
     /// The summary of the graph loaded as `name`, from the cache when
     /// possible. Returns the artifact and whether it was a cache hit.
     ///
-    /// Misses build exactly as the single-shot CLI's `summarize --kind`
-    /// does — `SummaryContext::sharded(g, threads).summarize(kind)` — so
-    /// the artifact's bytes match the CLI's output for the same graph.
+    /// Misses build what the single-shot CLI's `summarize --kind` builds —
+    /// `SummaryContext::sharded(g, threads).summarize(kind)` — from the
+    /// graph's kept substrate instead of a scan per request (the first
+    /// miss scans it; see [`ServiceStats::substrate_scans`]), so the
+    /// artifact's bytes match the CLI's output for the same graph. A miss
+    /// a persisted artifact answers builds, and scans, nothing.
     pub fn summarize(
         &self,
         name: &str,
@@ -581,12 +603,9 @@ impl SummaryService {
             return (artifact, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // The context is a temporary of this statement: it is freed before
-        // the summary is serialized and indexed.
-        let summary = self.build_summary(
-            &SummaryContext::sharded(entry.store.graph(), self.threads),
-            kind,
-        );
+        // The context is a temporary of this statement: its cliques are
+        // freed before the summary is serialized and indexed.
+        let summary = self.build_summary(&self.context(entry), kind);
         (self.publish(entry, guard, summary), false)
     }
 
@@ -649,6 +668,17 @@ impl SummaryService {
         }
     }
 
+    /// The build view over `entry`'s kept substrate, which the first caller
+    /// scans (concurrent ones wait for it, then share it).
+    fn context<'e>(&self, entry: &'e GraphEntry) -> SummaryContext<'e> {
+        let g = entry.store.graph();
+        let substrate = entry.substrate.get_or_init(|| {
+            self.substrate_scans.fetch_add(1, Ordering::Relaxed);
+            Substrate::scan(g)
+        });
+        SummaryContext::over(g, substrate, self.threads)
+    }
+
     /// One real summary build — a cache miss's, or one carried kind's of
     /// an `UPDATE`.
     fn build_summary(&self, context: &SummaryContext<'_>, kind: SummaryKind) -> Summary {
@@ -695,25 +725,30 @@ impl SummaryService {
     ///
     /// The store absorbs the batch in O(delta · log n) plus one in-place
     /// shift per index (incremental fingerprint, no index rebuild; see
-    /// [`TripleStore::insert_batch`]). Every summary kind cached for the
-    /// *old* fingerprint is then re-established under the new one — built
-    /// exactly as a cache miss builds it, all kinds of one batch from one
-    /// shared [`SummaryContext`] — unless the new content's slot is
-    /// already present (the content is shared with another resident name
-    /// that got there first). Each carried kind counts in both `builds`
-    /// and `patch_fallbacks`, keeping `builds == patch_fallbacks + misses`.
+    /// [`TripleStore::insert_batch`]), and the graph's kept [`Substrate`]
+    /// absorbs the rows it appended
+    /// ([`ServiceStats::substrate_absorbs`]) — or, when the batch is one no
+    /// prefix carries over (a delete; a resource typed after its data was
+    /// linked), is dropped, and the first build after it scans the new
+    /// content ([`ServiceStats::substrate_scans`]). Every summary kind
+    /// cached for the *old* fingerprint is then re-established under the
+    /// new one — built exactly as a cache miss builds it, from that
+    /// substrate — unless the new content's slot is already present (the
+    /// content is shared with another resident name that got there first).
+    /// Each carried kind counts in both `builds` and `patch_fallbacks`,
+    /// keeping `builds == patch_fallbacks + misses`.
     ///
     /// **What a concurrent reader observes.** Writers to one graph queue
     /// on its gate, out of the readers' way. The graph's lock is held
-    /// exclusively for the store merge only; within that section the
-    /// fingerprint switches and every carried kind's slot is claimed as
-    /// in-flight under the new fingerprint. The lock is then downgraded
-    /// and the kinds are re-established under the *shared* lock, the kind
-    /// `QUERY` prefers first, each waking its waiters as it lands. So a
-    /// reader sees the new content at once; a `QUERY` that names no kind
-    /// waits for its preferred kind only (never answers un-pruned or from
-    /// the old summary), and `SUMMARIZE k` waits for `k`. The call
-    /// returns once every carried kind is installed.
+    /// exclusively for the store merge and the substrate's absorb only;
+    /// within that section the fingerprint switches and every carried
+    /// kind's slot is claimed as in-flight under the new fingerprint. The
+    /// lock is then downgraded and the kinds are re-established under the
+    /// *shared* lock, the kind `QUERY` prefers first, each waking its
+    /// waiters as it lands. So a reader sees the new content at once; a
+    /// `QUERY` that names no kind waits for its preferred kind only (never
+    /// answers un-pruned or from the old summary), and `SUMMARIZE k` waits
+    /// for `k`. The call returns once every carried kind is installed.
     ///
     /// Old-fingerprint cache lines and memoized prune verdicts are then
     /// dropped unless another resident graph still has that content.
@@ -752,6 +787,21 @@ impl SummaryService {
         }
         let fingerprint = batch.fingerprint;
         entry.fingerprint = fingerprint;
+        // The kept substrate follows the store, now that the merge can no
+        // longer fail: it absorbs the appended rows in place, or — the
+        // batch being one it cannot carry — leaves the cell empty for the
+        // carry below, or the next miss, to scan the new content into.
+        // Readers are still locked out, so none meets it half-absorbed.
+        let GraphEntry {
+            store, substrate, ..
+        } = &mut *entry;
+        if let Some(kept) = substrate.get_mut() {
+            if kept.absorb(store.graph()).is_ok() {
+                self.substrate_absorbs.fetch_add(1, Ordering::Relaxed);
+            } else {
+                substrate.take();
+            }
+        }
         // Claim, while still exclusive, the new-fingerprint slot of every
         // kind Ready under the old one: a reader admitted after the
         // downgrade finds them in flight and waits instead of building.
@@ -777,15 +827,15 @@ impl SummaryService {
         };
         let entry = RwLockWriteGuard::downgrade(entry);
         let rebuilt = claims.len();
-        // Built by the first carried kind, shared by the rest.
+        // Viewed (and, after a dropped substrate, scanned) by the first
+        // carried kind, shared by the rest.
         let mut context: Option<SummaryContext<'_>> = None;
         for claim in claims {
             let kind = claim.key.1;
             #[cfg(test)]
             self.run_carry_hook(kind);
             self.patch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            let context = context
-                .get_or_insert_with(|| SummaryContext::sharded(entry.store.graph(), self.threads));
+            let context = context.get_or_insert_with(|| self.context(&entry));
             let summary = self.build_summary(context, kind);
             // Publishing re-keys the on-disk slot along with the in-memory
             // line (the old fingerprint's files go with
@@ -1082,6 +1132,8 @@ impl SummaryService {
             patch_fallbacks: self.patch_fallbacks.load(Ordering::Relaxed),
             persist_hits: self.persist_hits.load(Ordering::Relaxed),
             persist_writes: self.persist_writes.load(Ordering::Relaxed),
+            substrate_scans: self.substrate_scans.load(Ordering::Relaxed),
+            substrate_absorbs: self.substrate_absorbs.load(Ordering::Relaxed),
         }
     }
 }
@@ -1823,6 +1875,13 @@ mod tests {
         }));
         assert!(unwound.is_err(), "the hook must have unwound the carry");
         set_carry_hook(&svc, None);
+        // The unwind came after the exclusive section: the kept substrate
+        // had absorbed the batch whole, and everything below builds from it.
+        let scans_and_absorbs = |svc: &SummaryService| {
+            let st = svc.stats();
+            (st.substrate_scans, st.substrate_absorbs)
+        };
+        assert_eq!(scans_and_absorbs(&svc), (1, 1));
         {
             let cache = svc.cache.lock().unwrap();
             assert!(
@@ -1847,8 +1906,175 @@ mod tests {
             .update("g", true, &[u("urn:u:s2", "urn:u:p", "urn:u:o")])
             .unwrap();
         assert_eq!((out.applied, out.rebuilt), (1, 2));
+        assert_eq!(scans_and_absorbs(&svc), (1, 2));
         let stats = svc.stats();
         assert_eq!(stats.builds, stats.patch_fallbacks + stats.misses);
+    }
+
+    /// The clique/type kinds — what `build_restart` builds per lifetime.
+    const FIVE_KINDS: [SummaryKind; 5] = {
+        let [w, s, tw, ts, t, _fb] = crate::persist::ALL_KINDS;
+        [w, s, tw, ts, t]
+    };
+
+    /// Five cold `SUMMARIZE`s of one graph share one substrate scan.
+    #[test]
+    fn cold_summaries_share_one_substrate_scan() {
+        let svc = SummaryService::new(1);
+        svc.load_graph("g", fixtures::sample_graph());
+        assert_eq!(svc.stats().substrate_scans, 0, "a LOAD scans nothing");
+        for kind in FIVE_KINDS {
+            assert!(!svc.summarize("g", kind).unwrap().1);
+        }
+        let st = svc.stats();
+        assert_eq!(
+            (st.builds, st.substrate_scans, st.substrate_absorbs),
+            (5, 1, 0)
+        );
+        // A reload is a new resident graph: its first build scans again.
+        svc.clear_cache();
+        svc.load_graph("g", fixtures::sample_graph());
+        svc.summarize("g", SummaryKind::Weak).unwrap();
+        assert_eq!(svc.stats().substrate_scans, 2);
+    }
+
+    /// A restart served from persisted artifacts never scans.
+    #[test]
+    fn persist_hits_scan_no_substrate() {
+        let dir = persist_dir("noscan");
+        let cold = SummaryService::new(1).with_persist_dir(&dir);
+        cold.load_graph("g", fixtures::sample_graph());
+        for kind in FIVE_KINDS {
+            cold.summarize("g", kind).unwrap();
+        }
+        let st = cold.stats();
+        assert_eq!(
+            (
+                st.builds,
+                st.persist_hits,
+                st.persist_writes,
+                st.substrate_scans
+            ),
+            (5, 0, 5, 1)
+        );
+        drop(cold);
+        let warm = SummaryService::new(1).with_persist_dir(&dir);
+        warm.load_graph("g", fixtures::sample_graph());
+        for kind in FIVE_KINDS {
+            assert!(warm.summarize("g", kind).unwrap().1);
+        }
+        let st = warm.stats();
+        assert_eq!(
+            (
+                st.builds,
+                st.persist_hits,
+                st.persist_writes,
+                st.substrate_scans
+            ),
+            (0, 5, 0, 0)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `i`-th 8-triple offer over `base`: a new typed subject with
+    /// seven data triples, two of them into loaded resources — the batch
+    /// shape of the `explore_update` workload.
+    fn offer_batch(base: &Graph, i: usize) -> Vec<(Term, Term, Term)> {
+        let offer = Term::iri(format!("urn:u:offer{i}"));
+        let loaded = |k: usize| {
+            let t = base.data()[(i * 7 + k) * 31 % base.data().len()];
+            base.dict().decode(t.s).to_term()
+        };
+        let mut batch = vec![(
+            offer.clone(),
+            Term::iri(rdf_model::vocab::RDF_TYPE),
+            Term::iri("urn:u:Offer"),
+        )];
+        for (k, object) in [
+            loaded(0),
+            loaded(1),
+            Term::literal(format!("{i}.99")),
+            Term::literal(format!("2015-01-{:02}", i % 28)),
+            Term::literal(format!("2015-06-{:02}", i % 28)),
+            Term::literal(format!("{}", i % 14)),
+            Term::literal(format!("http://vendor.example.org/offers/{i}")),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            batch.push((offer.clone(), Term::iri(format!("urn:u:offerP{k}")), object));
+        }
+        batch
+    }
+
+    /// Fifty insert-only offer batches with `w` and `tw` warm extend the
+    /// one substrate the first build scanned — every carried body equal to
+    /// a cold one-shard build — and a delete costs exactly one more scan.
+    #[test]
+    fn insert_batches_extend_the_kept_substrate() {
+        const KINDS: [SummaryKind; 2] = [SummaryKind::Weak, SummaryKind::TypedWeak];
+        let base =
+            rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(20));
+        let svc = SummaryService::new(1);
+        svc.load_graph("g", base.clone());
+        for kind in KINDS {
+            svc.summarize("g", kind).unwrap();
+        }
+        let mut model = rdf_store::TripleStore::new(base.clone());
+        let check = |model: &rdf_store::TripleStore, scans: u64, absorbs: u64, what: &str| {
+            let cold = SummaryContext::new(model.graph());
+            for kind in KINDS {
+                let (artifact, hit) = svc.summarize("g", kind).unwrap();
+                assert!(hit, "{what}: {kind} went cold");
+                assert!(
+                    artifact.ntriples == rdf_io::write_graph(&cold.summarize(kind).graph),
+                    "{what}: served {kind} differs from a cold build"
+                );
+            }
+            let st = svc.stats();
+            assert_eq!(
+                (st.substrate_scans, st.substrate_absorbs),
+                (scans, absorbs),
+                "{what}"
+            );
+        };
+        for i in 0..50 {
+            let batch = offer_batch(&base, i);
+            let out = svc.update("g", true, &batch).unwrap();
+            assert_eq!((out.applied, out.rebuilt), (8, 2));
+            model.insert_batch(&batch).unwrap();
+            check(&model, 1, i as u64 + 1, &format!("insert {i}"));
+        }
+        let gone = offer_batch(&base, 0);
+        assert_eq!(svc.update("g", false, &gone).unwrap().applied, 8);
+        model.delete_batch(&gone);
+        check(&model, 2, 50, "delete");
+        // The scan the delete forced is kept in its turn.
+        let batch = offer_batch(&base, 50);
+        svc.update("g", true, &batch).unwrap();
+        model.insert_batch(&batch).unwrap();
+        check(&model, 2, 51, "insert after delete");
+        // A resource is typed after its data was linked as untyped: a batch
+        // the substrate cannot carry, and the carry scans.
+        for (batch, scans, absorbs, what) in [
+            (
+                u("urn:u:late", "urn:u:offerP0", "urn:u:x"),
+                2,
+                52,
+                "late: data",
+            ),
+            (
+                u("urn:u:late", rdf_model::vocab::RDF_TYPE, "urn:u:Late"),
+                3,
+                52,
+                "late: type",
+            ),
+        ] {
+            let batch = [batch];
+            svc.update("g", true, &batch).unwrap();
+            model.insert_batch(&batch).unwrap();
+            check(&model, scans, absorbs, what);
+        }
     }
 
     /// A BSBM graph large enough that two-thread builds shard, so every

@@ -5,7 +5,7 @@
 //! attached to common properties gradually builds property cliques" (§6.2).
 
 /// A disjoint-set forest over `0..len` with near-constant-time operations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,

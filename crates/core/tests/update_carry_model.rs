@@ -6,15 +6,19 @@
 //! batches and is the model. After every batch each served summary must
 //! equal, byte for byte, what a one-shard [`SummaryContext`] builds from
 //! the model's graph; the update must report one rebuild per warm kind;
-//! `builds == patch_fallbacks + misses` must hold; and a `QUERY` naming no
-//! kind must answer what the un-pruned evaluator answers on the model.
+//! `builds == patch_fallbacks + misses` must hold; a `QUERY` naming no
+//! kind must answer what the un-pruned evaluator answers on the model;
+//! and every batch that changed the graph must be accounted for by the
+//! kept substrate — absorbed in place (`substrate_absorbs`), or dropped
+//! and scanned anew by the carry (`substrate_scans`) — with the generated
+//! sequences taking each of those paths.
 //!
 //! Cases are a pure function of the test's name and the case index (the
 //! workspace's proptest stand-in seeds from them) and the case budgets are
 //! fixed here, so every run checks the same sequences.
 
 use proptest::prelude::*;
-use rdf_model::{vocab, Graph, PrefixMap, Term};
+use rdf_model::{vocab, Component, Graph, PrefixMap, Term};
 use rdf_store::TripleStore;
 use rdfsum_core::persist::ALL_KINDS;
 use rdfsum_core::{fixtures, QueryOutcome, SummaryContext, SummaryService};
@@ -108,13 +112,25 @@ fn row_set(out: &QueryOutcome) -> RowSet {
         .collect()
 }
 
+/// How the kept substrate took the batches of one or more sequences.
+#[derive(Clone, Copy, Debug, Default)]
+struct Paths {
+    /// Insert batches absorbed in place.
+    absorbed: u64,
+    /// Insert batches the substrate refused (the carry scanned).
+    refused: u64,
+    /// Delete batches that changed the graph (the carry scanned).
+    deleted: u64,
+}
+
 /// Drives `batches` through a service over `base` with every kind warm,
-/// checking the whole contract after each one.
+/// checking the whole contract after each one. Returns how the substrate
+/// took them.
 fn check_sequence(
     base: &Graph,
     threads: usize,
     batches: &[Batch],
-) -> Result<(), proptest::TestCaseError> {
+) -> Result<Paths, proptest::TestCaseError> {
     let svc = SummaryService::new(threads);
     svc.load_graph("g", base.clone());
     for kind in ALL_KINDS {
@@ -125,6 +141,7 @@ fn check_sequence(
     // 1, 4 and 6.
     let loaded_subject = base.dict().decode(base.data()[0].s).to_string();
     let loaded_row = format!("q(?p, ?o) :- {loaded_subject} ?p ?o");
+    let mut paths = Paths::default();
     for (step, (verb, specs, repeat)) in batches.iter().enumerate() {
         let mut batch: Vec<TermTriple> = specs.iter().map(|&s| triple(base, s)).collect();
         if *repeat {
@@ -171,12 +188,38 @@ fn check_sequence(
         }
         let st = svc.stats();
         prop_assert_eq!(st.builds, st.patch_fallbacks + st.misses, "step {}", step);
+        // One scan by the warm-up; since then every batch that changed the
+        // graph was absorbed, or made the carry scan — a delete always, a
+        // schema-only one excepted: the substrate reads no schema row.
+        if out.applied > 0 {
+            if st.substrate_absorbs > paths.absorbed {
+                let wk = model.graph().well_known();
+                let schema_only = |t: &rdf_model::Triple| wk.component_of(t.p) == Component::Schema;
+                prop_assert!(
+                    insert || expect.applied.iter().all(schema_only),
+                    "step {}: absorbed a delete",
+                    step
+                );
+                paths.absorbed += 1;
+            } else if insert {
+                paths.refused += 1;
+            } else {
+                paths.deleted += 1;
+            }
+        }
+        prop_assert_eq!(st.substrate_absorbs, paths.absorbed, "step {}", step);
+        prop_assert_eq!(
+            st.substrate_scans,
+            1 + paths.refused + paths.deleted,
+            "step {}",
+            step
+        );
     }
-    Ok(())
+    Ok(paths)
 }
 
 /// A BSBM graph above the shard floor: at two threads every context of
-/// the service is built on two shards.
+/// the service runs its emission on two workers.
 fn sharding_graph() -> &'static Graph {
     static GRAPH: OnceLock<Graph> = OnceLock::new();
     GRAPH.get_or_init(|| {
@@ -187,24 +230,36 @@ fn sharding_graph() -> &'static Graph {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(1))]
 
-    /// Below the floor: the carry runs on the one-shard context.
+    /// Below the floor: the carry's context runs on one worker. All 48
+    /// sequences are one generated case, so that what they add up to can
+    /// be checked: each way the kept substrate can take a batch is taken.
     #[test]
     fn carried_summaries_match_cold_builds_on_fixtures(
-        which in 0usize..3,
-        batches in arb_batches(8),
+        cases in proptest::collection::vec((0usize..3, arb_batches(8)), 48..49),
     ) {
-        let base = [fixtures::sample_graph, fixtures::figure5_graph, fixtures::book_graph][which]();
-        check_sequence(&base, 1, &batches)?;
+        let mut total = Paths::default();
+        for (which, batches) in &cases {
+            let base = [fixtures::sample_graph, fixtures::figure5_graph, fixtures::book_graph][*which]();
+            let paths = check_sequence(&base, 1, batches)?;
+            total.absorbed += paths.absorbed;
+            total.refused += paths.refused;
+            total.deleted += paths.deleted;
+        }
+        prop_assert!(
+            total.absorbed > 0 && total.refused > 0 && total.deleted > 0,
+            "a path no sequence took: {:?}",
+            total
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Above the floor at `threads = 2`: the carry's shared context is
-    /// sharded, the cold build it is compared with is not.
+    /// Above the floor at `threads = 2`: the carry's context emits on two
+    /// workers, the cold build it is compared with on one.
     #[test]
     fn carried_summaries_match_cold_builds_above_the_shard_floor(batches in arb_batches(4)) {
         check_sequence(sharding_graph(), 2, &batches)?;

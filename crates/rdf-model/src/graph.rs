@@ -289,7 +289,7 @@ impl Graph {
     ///
     /// Insertion order of the surviving triples is preserved (the component
     /// vector is compacted in place), so a rebuild of any order-dependent
-    /// derived structure — summaries, CSR substrates — from the mutated
+    /// derived structure — summaries, their substrate — from the mutated
     /// graph equals a fresh load of the same surviving triples in the same
     /// order. Dictionary entries are never reclaimed: term ids stay dense
     /// and stable across deletions.

@@ -119,25 +119,6 @@ impl DenseIdMap {
     pub fn into_parts(self) -> (Vec<u32>, Vec<TermId>) {
         (self.slots, self.items)
     }
-
-    /// Interns every term of `other` (in `other`'s dense-id order) into
-    /// this map and returns the **remap table** `other`'s dense id → this
-    /// map's dense id.
-    ///
-    /// This is the merge primitive of sharded numbering: each shard
-    /// numbers its chunk independently in local first-seen order, and
-    /// absorbing the shard maps *in shard order* reproduces exactly the
-    /// global first-seen numbering a single sequential pass over the
-    /// concatenated chunks would have assigned — first-seen over a
-    /// concatenation is the in-order merge of the per-chunk first-seens.
-    /// Shard-local ids (e.g. CSR entries) are then rewritten through the
-    /// returned table in one vectorized post-pass.
-    ///
-    /// # Panics
-    /// Panics if `other` holds a term outside this map's capacity.
-    pub fn absorb(&mut self, other: &DenseIdMap) -> Vec<u32> {
-        other.items.iter().map(|&t| self.intern(t)).collect()
-    }
 }
 
 impl fmt::Debug for TermId {
@@ -199,35 +180,6 @@ mod tests {
         let (slots, items) = m.into_parts();
         assert_eq!(slots, vec![1, NO_DENSE_ID, NO_DENSE_ID, 0]);
         assert_eq!(items, vec![TermId(3), TermId(0)]);
-    }
-
-    /// Absorbing per-chunk maps in chunk order reproduces the sequential
-    /// first-seen numbering, and the remap tables translate local ids.
-    #[test]
-    fn absorb_merges_chunk_numberings_in_order() {
-        let stream: &[&[u32]] = &[&[5, 2, 5, 9], &[2, 7], &[], &[9, 0, 7]];
-        // Sequential reference: one map over the concatenation.
-        let mut seq = DenseIdMap::with_capacity(10);
-        for chunk in stream {
-            for &t in *chunk {
-                seq.intern(TermId(t));
-            }
-        }
-        // Sharded: local maps per chunk, absorbed in order.
-        let mut global = DenseIdMap::with_capacity(10);
-        for chunk in stream {
-            let mut local = DenseIdMap::with_capacity(10);
-            let local_ids: Vec<u32> = chunk.iter().map(|&t| local.intern(TermId(t))).collect();
-            let remap = global.absorb(&local);
-            assert_eq!(remap.len(), local.len());
-            // Every local id remaps to the global id of the same term.
-            for (&t, &l) in chunk.iter().zip(&local_ids) {
-                assert_eq!(remap[l as usize], global.get(TermId(t)).unwrap());
-            }
-        }
-        assert_eq!(global.items(), seq.items());
-        // Absorbing an empty map is a no-op with an empty remap.
-        assert!(global.absorb(&DenseIdMap::with_capacity(10)).is_empty());
     }
 
     #[test]

@@ -37,8 +37,23 @@
 //! `OK update fp=<new> applied=<n> patched=0 rebuilt=<r>` — `applied`
 //! counts triples that actually changed the graph and `rebuilt` the warm
 //! cached summaries of the old fingerprint carried to the new one, each
-//! rebuilt from the batch's one shared context. `patched` is always 0:
-//! the token is kept because the field set is pinned.
+//! rebuilt from the graph's kept substrate. `patched` is always 0: the
+//! token is kept because the field set is pinned.
+//!
+//! The `STATS` success line is `OK stats graphs= cached= hits= misses=
+//! builds= queries= pruned= prune_hits= evictions= cache_bytes= updates=
+//! patches=0 patch_fallbacks= persist_hits= persist_writes=
+//! substrate_scans= substrate_absorbs= bytes=<n>`, in that order (new
+//! counters are only ever appended before `bytes=`); the body lists the
+//! resident graphs, one `<fingerprint> <triples> <name>` line each.
+//! `builds == patch_fallbacks + misses` always holds. `substrate_scans`
+//! counts full scans of a resident graph's rows for its summarization
+//! substrate: one by the graph's first build, and one by the first build
+//! after an `UPDATE` the kept substrate could not carry — any batch that
+//! deletes a data or type triple, or that types a resource whose data
+//! triples were already linked as untyped. `substrate_absorbs` counts the
+//! other batches: those whose appended rows extended the kept substrate
+//! in place. A cache miss answered from the persist dir scans nothing.
 //!
 //! A response is one status line, optionally followed by a length-framed
 //! binary body:

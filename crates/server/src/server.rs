@@ -173,7 +173,7 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
                 body.push_str(&format!("{fp} {triples} {name}\n"));
             }
             let fields = format!(
-                "stats graphs={} cached={} hits={} misses={} builds={} queries={} pruned={} prune_hits={} evictions={} cache_bytes={} updates={} patches=0 patch_fallbacks={} persist_hits={} persist_writes={}",
+                "stats graphs={} cached={} hits={} misses={} builds={} queries={} pruned={} prune_hits={} evictions={} cache_bytes={} updates={} patches=0 patch_fallbacks={} persist_hits={} persist_writes={} substrate_scans={} substrate_absorbs={}",
                 st.graphs,
                 st.cached_summaries,
                 st.hits,
@@ -187,7 +187,9 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
                 st.updates,
                 st.patch_fallbacks,
                 st.persist_hits,
-                st.persist_writes
+                st.persist_writes,
+                st.substrate_scans,
+                st.substrate_absorbs
             );
             write_ok_body(w, &fields, body.as_bytes());
         }

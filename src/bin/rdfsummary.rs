@@ -203,8 +203,8 @@ fn cmd_stats(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Fai
 }
 
 /// `summarize --all`: builds W, S, TW and TS through one shared
-/// [`rdfsum_core::SummaryContext`], so the dense numbering, CSR adjacency
-/// and property cliques (both scopes) are computed once, not four times.
+/// [`rdfsum_core::SummaryContext`], so the graph is scanned, and the
+/// property cliques (both scopes) derived, once, not four times.
 fn cmd_summarize_all(
     path: &str,
     g: &Graph,

@@ -174,8 +174,9 @@
 //!
 //! What a **concurrent reader** observes: writers to one graph queue
 //! among themselves, out of the readers' way, and an `UPDATE` holds the
-//! graph exclusively for the store merge only (in-place index merges,
-//! about a millisecond for a small batch at 2 × 10⁵ triples). It
+//! graph exclusively for the store merge only (in-place index merges
+//! and the kept substrate's absorb of the appended rows, about a
+//! millisecond for a small batch at 2 × 10⁵ triples). It
 //! then re-establishes the cached kinds beside the readers, in the order
 //! `QUERY` prefers them (`w` before `tw` before `s` …). So a reader sees
 //! the new content at once; a `QUERY` waits only for the one kind it
@@ -186,7 +187,11 @@
 //! `patch_fallbacks` (kinds an `UPDATE` re-established by rebuilding;
 //! `patches` is pinned at 0 beside it) — and the invariant `builds ==
 //! patch_fallbacks + misses` holds at all times: every build is either a
-//! plain cache miss or one kind carried by an update. The
+//! plain cache miss or one kind carried by an update. Builds share one
+//! substrate per resident graph: `substrate_absorbs` counts the batches
+//! that extended it in place, `substrate_scans` the times it was scanned
+//! from the graph's rows (a graph's first build; the first build after a
+//! delete, or after a resource is typed once its data is linked). The
 //! repository benchmark's `explore_update` workload and the `server`
 //! suite's concurrent-writers test exercise this path under load.
 //!
