@@ -7,7 +7,10 @@
 //! estimate, per property, how many **distinct** subjects and objects it
 //! connects, without ever scanning the full graph. [`SummaryCardinality`]
 //! precomputes those figures in one pass over the (tiny) summary at build
-//! time; [`SummaryEstimator`] then implements
+//! time — a function of the summary graph, its extent sizes and the
+//! store's exact counts, so an `UPDATE` that leaves the summary as it was
+//! re-derives them from the moved extent counts alone, through the same
+//! function; [`SummaryEstimator`] then implements
 //! [`rdf_query::JoinEstimator`], replacing the planner's blind
 //! unbound-form counts: a pattern whose variables were bound by earlier
 //! join steps is charged its expected matches *per binding* (exact triple
@@ -20,7 +23,7 @@
 //! the bound-slot *divisors* come from the summary.
 
 use crate::summary::{Summary, SummaryKind};
-use rdf_model::{FxHashMap, FxHashSet, TermId};
+use rdf_model::{FxHashMap, FxHashSet, Graph, TermId};
 use rdf_query::{Atom, CompiledPattern, JoinEstimator};
 use rdf_store::{TriplePattern, TripleStore};
 
@@ -53,7 +56,20 @@ impl SummaryCardinality {
     /// Builds the statistics: one pass over the summary's edges plus one
     /// exact [`TripleStore::count`] per distinct property.
     pub fn new(store: &TripleStore, summary: &Summary) -> Self {
-        let h = &summary.graph;
+        Self::from_extents(store, summary.kind, &summary.graph, &summary.extent_sizes())
+    }
+
+    /// The statistics of the `kind` summary `h` of `store`'s graph, whose
+    /// H node `n` represents `extent[n]` G nodes (none past the table) —
+    /// [`SummaryCardinality::new`]'s one body, and how an artifact whose
+    /// summary an `UPDATE` left as it was re-derives them from the moved
+    /// extent counts.
+    pub(crate) fn from_extents(
+        store: &TripleStore,
+        kind: SummaryKind,
+        h: &Graph,
+        extent: &[u32],
+    ) -> Self {
         let g = store.graph();
         // H term → G term (properties, classes, and schema nodes keep
         // their URIs through summarization, so the lookup succeeds for
@@ -65,7 +81,7 @@ impl SummaryCardinality {
                 .or_insert_with(|| g.dict().lookup_ref(h.dict().decode(h_id)))
         };
         // Schema nodes represent themselves; data nodes carry extents.
-        let weight = |n: TermId| summary.extent(n).len().max(1);
+        let weight = |n: TermId| extent.get(n.index()).map_or(1, |&e| (e as usize).max(1));
 
         let mut subj_nodes: FxHashMap<TermId, FxHashSet<TermId>> = FxHashMap::default();
         let mut obj_nodes: FxHashMap<TermId, FxHashSet<TermId>> = FxHashMap::default();
@@ -112,10 +128,10 @@ impl SummaryCardinality {
             .map(|(c, nodes)| (c, nodes.iter().map(|&n| weight(n)).sum()))
             .collect();
         SummaryCardinality {
-            kind: summary.kind,
+            kind,
             props,
             classes,
-            n_data_nodes: summary.n_represented(),
+            n_data_nodes: extent.iter().map(|&e| e as usize).sum(),
         }
     }
 

@@ -69,6 +69,22 @@
 //! mechanism, nothing patched, and the byte-identity suites compare every
 //! absorbed substrate with a scanned one.
 //!
+//! # What an absorb reports
+//!
+//! An `Ok` absorb returns its [`Delta`]: the data nodes and typed
+//! resources it numbered, whether it numbered a property, whether a link
+//! joined two cliques of either scope, and whether a node numbered before
+//! met its first property on a side — and the stamp of the state it
+//! absorbed into (the scan's epoch and the rows absorbed so far). Every
+//! summary a view builds comes with a quotient map of its partition
+//! (`crate::quotient::QuotientMap`), stamped with the substrate it was
+//! read from; the service offers each cached artifact's map the delta
+//! of an insert batch, and the map either extends the artifact — the
+//! batch only added members to existing classes along existing edges, so
+//! the summary is as it was — or refuses, and the artifact is rebuilt from
+//! the substrate like any cache miss. A delta from another substrate, or
+//! from another state of this one, is always refused.
+//!
 //! The pass runs on the calling thread. It replaced a two-table-per-shard
 //! scan, an absorb/remap fold, a stitched entry list, two CSR fills and a
 //! CSR sweep per scope, and beat the two-shard build of that pipeline
@@ -77,9 +93,9 @@
 //! emission and the summary's extent table.
 
 use crate::cliques::{CliqueScope, Cliques};
-use crate::equivalence::{strong_partition, weak_partition, Partition};
+use crate::equivalence::{strong_partition, weak_classes, CliqueClasses, Partition};
 use crate::naming::Namer;
-use crate::quotient::{quotient_summary_planned, DataPlan};
+use crate::quotient::{quotient_summary_planned, ClassKeys, DataPlan, QuotientMap};
 use crate::summary::{Summary, SummaryKind};
 use crate::typed::TypedSemantics;
 use crate::unionfind::UnionFind;
@@ -87,6 +103,8 @@ use crate::weak::class_property_sets;
 use rdf_model::{DenseIdMap, FxHashMap, Graph, Term, TermId, NO_DENSE_ID};
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The canonical class sets of the typed resources, interned densely.
 #[derive(Clone, Debug, Default)]
@@ -131,6 +149,81 @@ impl ClassSets {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stale;
 
+/// Which substrate, grown how far: the scan that started it (an epoch no
+/// other scan shares) and the rows absorbed since. A quotient map built
+/// from a substrate keeps its stamp, and extends only with a [`Delta`]
+/// taken from that very state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    epoch: u64,
+    types: usize,
+    data: usize,
+}
+
+/// What one `Ok` [`Substrate::absorb`] changed — the report an artifact's
+/// quotient map is offered when an `UPDATE` carries it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Delta {
+    /// The state the rows were absorbed into.
+    from: Stamp,
+    /// The data nodes and typed resources the absorb numbered, as ranges
+    /// of the substrate's first-seen lists.
+    data_nodes: Range<usize>,
+    typed: Range<usize>,
+    added_property: bool,
+    /// Did a link join two cliques of the all-nodes (untyped-only) scope?
+    merged_all: bool,
+    merged_untyped: bool,
+    /// Did a node numbered before — a data node, or a typed-only resource
+    /// — meet its first property on a side?
+    gave_first: bool,
+}
+
+impl Delta {
+    /// The substrate state the rows were absorbed into.
+    pub(crate) fn from(&self) -> Stamp {
+        self.from
+    }
+
+    /// The data nodes first seen by this absorb, in numbering order.
+    pub(crate) fn data_nodes<'s>(&self, substrate: &'s Substrate) -> &'s [TermId] {
+        &substrate.nodes[self.data_nodes.clone()]
+    }
+
+    /// The resources typed by this absorb, in first-seen order.
+    pub(crate) fn typed<'s>(&self, substrate: &'s Substrate) -> &'s [TermId] {
+        &substrate.typed[self.typed.clone()]
+    }
+
+    /// Did the absorb number a new data property?
+    pub(crate) fn added_property(&self) -> bool {
+        self.added_property
+    }
+
+    /// Did the absorb join two cliques of `scope`?
+    pub(crate) fn merged(&self, scope: CliqueScope) -> bool {
+        match scope {
+            CliqueScope::AllNodes => self.merged_all,
+            CliqueScope::UntypedOnly => self.merged_untyped,
+        }
+    }
+
+    /// Did a node numbered before the absorb gain its first outgoing or
+    /// incoming property?
+    pub(crate) fn gave_first_property(&self) -> bool {
+        self.gave_first
+    }
+}
+
+/// A node's keys in the substrate: the dense ids of its first outgoing and
+/// incoming property, and its class set.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct NodeKeys {
+    pub(crate) first_out: Option<u32>,
+    pub(crate) first_in: Option<u32>,
+    pub(crate) set: Option<u32>,
+}
+
 /// The source and target union–finds of one [`CliqueScope`], over the
 /// dense property numbering.
 #[derive(Clone, Debug, Default)]
@@ -144,6 +237,9 @@ struct Relatedness {
 /// [module docs](self).
 #[derive(Clone, Debug, Default)]
 pub struct Substrate {
+    /// Tells this scan's substrate apart from every other one (see
+    /// [`Stamp`]).
+    epoch: u64,
     /// How much of `g.types()` / `g.data()` has been absorbed.
     types_seen: usize,
     data_seen: usize,
@@ -165,13 +261,27 @@ pub struct Substrate {
 }
 
 impl Substrate {
-    /// The substrate of `g`: an empty one that absorbed all of it.
+    /// The substrate of `g`: an empty one that absorbed all of it, under
+    /// an epoch of its own.
     pub fn scan(g: &Graph) -> Self {
-        let mut substrate = Substrate::default();
+        static EPOCHS: AtomicU64 = AtomicU64::new(1);
+        let mut substrate = Substrate {
+            epoch: EPOCHS.fetch_add(1, Ordering::Relaxed),
+            ..Substrate::default()
+        };
         substrate
             .absorb(g)
             .expect("an empty substrate has absorbed nothing a graph could contradict");
         substrate
+    }
+
+    /// This substrate and how far it has grown.
+    pub(crate) fn stamp(&self) -> Stamp {
+        Stamp {
+            epoch: self.epoch,
+            types: self.types_seen,
+            data: self.data_seen,
+        }
     }
 
     /// Has this substrate absorbed exactly the rows `g` holds? (True of
@@ -183,8 +293,11 @@ impl Substrate {
 
     /// Absorbs the rows `g` has gained since the last absorb — the tails of
     /// its type and data tables past `(types_seen, data_seen)` — leaving
-    /// the substrate a scan of all of `g` would build, or reports that
-    /// they cannot be absorbed:
+    /// the substrate a scan of all of `g` would build, and reports what
+    /// changed ([`Delta`]): the nodes and typed resources it numbered,
+    /// whether it numbered a property, joined two cliques of a scope, or
+    /// gave a node numbered before its first property on a side. Or it
+    /// reports that the rows cannot be absorbed:
     ///
     /// * a table is shorter than what was absorbed (rows were deleted);
     /// * a resource that an absorbed data triple linked as *untyped* is
@@ -195,17 +308,38 @@ impl Substrate {
     ///
     /// `g` must be the graph of the earlier absorbs, grown or shrunk in
     /// place — which is what the service's resident graphs are.
-    pub fn absorb(&mut self, g: &Graph) -> Result<(), Stale> {
+    pub fn absorb(&mut self, g: &Graph) -> Result<Delta, Stale> {
         let (types, data) = (g.types(), g.data());
         if self.types_seen > types.len() || self.data_seen > data.len() {
             return Err(Stale);
         }
+        let from = self.stamp();
+        let (nodes_before, typed_before) = (self.nodes.len(), self.typed.len());
+        let props_before = self.props.items().len();
+        let cliques = |r: &Relatedness| r.src.component_count() + r.tgt.component_count();
+        let cliques_before = (cliques(&self.all), cliques(&self.untyped));
         // The slot tables keep pace with the dictionary.
         let n_terms = g.dict().len();
         self.first_out.resize(n_terms, NO_DENSE_ID);
         self.first_in.resize(n_terms, NO_DENSE_ID);
         self.class_sets.set_of_node.resize(n_terms, NO_DENSE_ID);
         self.props.grow(n_terms);
+
+        // Asked of the tables as they stand, before any row of the tail
+        // moves them: does the tail give a node numbered before — one with
+        // a property on either side, or a typed one — a first property on
+        // a side it had none? (An empty substrate has numbered nothing.)
+        let numbered = |n: usize| {
+            self.first_out[n] != NO_DENSE_ID
+                || self.first_in[n] != NO_DENSE_ID
+                || self.class_sets.set_of_node[n] != NO_DENSE_ID
+        };
+        let gave_first = (nodes_before > 0 || typed_before > 0)
+            && data[self.data_seen..].iter().any(|t| {
+                let (s, o) = (t.s.index(), t.o.index());
+                (numbered(s) && self.first_out[s] == NO_DENSE_ID)
+                    || (numbered(o) && self.first_in[o] == NO_DENSE_ID)
+            });
 
         // T_G's tail first: the data sweep below asks "is this endpoint
         // typed?" of every row. Until its set is interned, a newly typed
@@ -282,7 +416,39 @@ impl Substrate {
             );
         }
         self.data_seen = data.len();
-        Ok(())
+
+        // Each new property added one singleton clique per side; fewer
+        // cliques than that means a link joined two.
+        let added = self.props.items().len() - props_before;
+        let joined = |r: &Relatedness, before: usize| cliques(r) < before + 2 * added;
+        Ok(Delta {
+            from,
+            data_nodes: nodes_before..self.nodes.len(),
+            typed: typed_before..self.typed.len(),
+            added_property: added > 0,
+            merged_all: joined(&self.all, cliques_before.0),
+            merged_untyped: joined(&self.untyped, cliques_before.1),
+            gave_first,
+        })
+    }
+
+    /// A node's first outgoing and incoming property and its class set.
+    pub(crate) fn keys_of(&self, node: TermId) -> NodeKeys {
+        let slot = |table: &[u32]| match table.get(node.index()) {
+            Some(&id) if id != NO_DENSE_ID => Some(id),
+            _ => None,
+        };
+        NodeKeys {
+            first_out: slot(&self.first_out),
+            first_in: slot(&self.first_in),
+            set: self.class_sets.set_id(node),
+        }
+    }
+
+    /// Does `node` occur in D_G — that is, is it no typed-only resource?
+    pub(crate) fn is_data_node(&self, node: TermId) -> bool {
+        let keys = self.keys_of(node);
+        keys.first_out.is_some() || keys.first_in.is_some()
     }
 
     /// The cliques of the absorbed graph under `scope`: the scope's
@@ -466,31 +632,42 @@ impl<'g> SummaryContext<'g> {
 
     /// The weak summary W_G (Definition 11) from the shared substrate.
     pub fn weak_summary(&self) -> Summary {
-        self.weak_summary_impl(false)
+        self.weak_summary_impl(false).0
     }
 
-    fn weak_summary_impl(&self, force_unpacked: bool) -> Summary {
+    fn weak_summary_impl(&self, force_unpacked: bool) -> (Summary, QuotientMap) {
         let cliques = self.cliques(CliqueScope::AllNodes);
-        crate::weak::build_weak(
+        let (partition, classes) = weak_classes(cliques, &self.nodes);
+        let summary = crate::weak::build_weak(
             self.g,
             cliques,
-            &self.nodes,
+            &partition,
+            &classes,
             self.data_properties(),
             force_unpacked,
             self.threads,
-        )
+        );
+        let keys = self.weak_keys(cliques, &classes, |c| c);
+        let map = self.quotient_map(
+            &summary,
+            &partition,
+            Some(CliqueScope::AllNodes),
+            keys,
+            None,
+        );
+        (summary, map)
     }
 
     /// The strong summary S_G (Definition 15) from the shared substrate.
     pub fn strong_summary(&self) -> Summary {
-        self.strong_summary_impl(false)
+        self.strong_summary_impl(false).0
     }
 
-    fn strong_summary_impl(&self, force_unpacked: bool) -> Summary {
+    fn strong_summary_impl(&self, force_unpacked: bool) -> (Summary, QuotientMap) {
         let cliques = self.cliques(CliqueScope::AllNodes);
         let partition = strong_partition(cliques, &self.nodes);
         let mut namer = Namer::new(self.g.dict());
-        quotient_summary_planned(
+        let summary = quotient_summary_planned(
             self.g,
             SummaryKind::Strong,
             &partition,
@@ -498,7 +675,17 @@ impl<'g> SummaryContext<'g> {
             DataPlan::Scan,
             force_unpacked,
             self.threads,
-        )
+        );
+        let firsts = (0..).zip(&partition.classes).map(|(c, m)| (m[0], c));
+        let keys = self.strong_keys(cliques, firsts);
+        let map = self.quotient_map(
+            &summary,
+            &partition,
+            Some(CliqueScope::AllNodes),
+            keys,
+            None,
+        );
+        (summary, map)
     }
 
     /// The typed weak summary TW_G (Definition 14), default semantics.
@@ -513,7 +700,7 @@ impl<'g> SummaryContext<'g> {
 
     /// A typed summary under explicit semantics (see [`TypedSemantics`]).
     pub fn typed_summary(&self, kind: SummaryKind, semantics: TypedSemantics) -> Summary {
-        self.typed_summary_impl(kind, semantics, false)
+        self.typed_summary_impl(kind, semantics, false).0
     }
 
     fn typed_summary_impl(
@@ -521,7 +708,7 @@ impl<'g> SummaryContext<'g> {
         kind: SummaryKind,
         semantics: TypedSemantics,
         force_unpacked: bool,
-    ) -> Summary {
+    ) -> (Summary, QuotientMap) {
         debug_assert!(matches!(
             kind,
             SummaryKind::TypedWeak | SummaryKind::TypedStrong
@@ -535,10 +722,11 @@ impl<'g> SummaryContext<'g> {
             .copied()
             .filter(|&n| cs.set_id(n).is_none())
             .collect();
-        let up = if strong {
-            strong_partition(cliques, &untyped)
+        let (up, weak) = if strong {
+            (strong_partition(cliques, &untyped), None)
         } else {
-            weak_partition(cliques, &untyped)
+            let (up, classes) = weak_classes(cliques, &untyped);
+            (up, Some(classes))
         };
         // Combined key space: class-set ids first, untyped classes after —
         // both already dense, so the grouping is hash-free.
@@ -549,7 +737,7 @@ impl<'g> SummaryContext<'g> {
                 None => n_sets + up.class_of(n).expect("untyped node covered"),
             });
         let mut namer = Namer::new(self.g.dict());
-        quotient_summary_planned(
+        let summary = quotient_summary_planned(
             self.g,
             kind,
             &partition,
@@ -564,15 +752,35 @@ impl<'g> SummaryContext<'g> {
             DataPlan::Scan,
             force_unpacked,
             self.threads,
-        )
+        );
+        // Typed classes are keyed by their class set; untyped ones by the
+        // untyped partition's keys, lifted to the combined classes.
+        let mut by_set = vec![NO_DENSE_ID; n_sets];
+        let mut of_untyped = vec![NO_DENSE_ID; up.len()];
+        for (c, members) in (0..).zip(&partition.classes) {
+            match cs.set_id(members[0]) {
+                Some(id) => by_set[id as usize] = c,
+                None => of_untyped[up.class_of(members[0]).expect("untyped node covered")] = c,
+            }
+        }
+        let keys = match weak {
+            Some(classes) => self.weak_keys(cliques, &classes, |u| of_untyped[u as usize]),
+            None => {
+                let firsts = (0..).zip(&partition.classes).map(|(c, m)| (m[0], c));
+                self.strong_keys(cliques, firsts.filter(|&(n, _)| cs.set_id(n).is_none()))
+            }
+        };
+        let scope = Some(semantics.scope());
+        let map = self.quotient_map(&summary, &partition, scope, keys, Some(by_set));
+        (summary, map)
     }
 
     /// The type-based summary T_G (Definition 12).
     pub fn type_summary(&self) -> Summary {
-        self.type_summary_impl(false)
+        self.type_summary_impl(false).0
     }
 
-    fn type_summary_impl(&self, force_unpacked: bool) -> Summary {
+    fn type_summary_impl(&self, force_unpacked: bool) -> (Summary, QuotientMap) {
         let cs = self.class_sets();
         #[derive(Hash, PartialEq, Eq)]
         enum Key {
@@ -585,7 +793,7 @@ impl<'g> SummaryContext<'g> {
         });
         let mut fresh = 0usize;
         let mut namer = Namer::new(self.g.dict());
-        quotient_summary_planned(
+        let summary = quotient_summary_planned(
             self.g,
             SummaryKind::TypeBased,
             &partition,
@@ -602,23 +810,121 @@ impl<'g> SummaryContext<'g> {
             DataPlan::Scan,
             force_unpacked,
             self.threads,
+        );
+        let mut by_set = vec![NO_DENSE_ID; cs.len()];
+        for (c, members) in (0..).zip(&partition.classes) {
+            if let Some(id) = cs.set_id(members[0]) {
+                by_set[id as usize] = c;
+            }
+        }
+        let map = self.quotient_map(&summary, &partition, None, ClassKeys::Own, Some(by_set));
+        (summary, map)
+    }
+
+    /// The keys of a weak partition (see [`ClassKeys::Weak`]) from the
+    /// clique → class tables it was built with, lifted through `class` to
+    /// the summary's classes.
+    fn weak_keys(
+        &self,
+        cliques: &Cliques,
+        classes: &CliqueClasses,
+        class: impl Fn(u32) -> u32,
+    ) -> ClassKeys {
+        let lift = |c: u32| {
+            if c == NO_DENSE_ID {
+                NO_DENSE_ID
+            } else {
+                class(c)
+            }
+        };
+        let of =
+            |table: &[u32], clique: Option<usize>| lift(clique.map_or(NO_DENSE_ID, |k| table[k]));
+        let props = self.data_properties();
+        ClassKeys::Weak {
+            by_src: props
+                .iter()
+                .map(|&p| of(&classes.of_sc, cliques.source_clique_of(p)))
+                .collect(),
+            by_tgt: props
+                .iter()
+                .map(|&p| of(&classes.of_tc, cliques.target_clique_of(p)))
+                .collect(),
+            none: lift(classes.of_none),
+        }
+    }
+
+    /// The keys of a strong partition (see [`ClassKeys::Strong`]): each
+    /// `(first member, class)` of `classes` keys the class by the member's
+    /// clique pair.
+    fn strong_keys(
+        &self,
+        cliques: &Cliques,
+        classes: impl Iterator<Item = (TermId, u32)>,
+    ) -> ClassKeys {
+        let id = |c: Option<usize>| c.map_or(NO_DENSE_ID, |c| c as u32);
+        let props = self.data_properties();
+        ClassKeys::Strong {
+            src_clique: props
+                .iter()
+                .map(|&p| id(cliques.source_clique_of(p)))
+                .collect(),
+            tgt_clique: props
+                .iter()
+                .map(|&p| id(cliques.target_clique_of(p)))
+                .collect(),
+            by_pair: classes
+                .map(|(n, c)| ((id(cliques.sc(n)), id(cliques.tc(n))), c))
+                .collect(),
+        }
+    }
+
+    /// The quotient map of `summary`, built over `partition`: keyed as
+    /// `keys` and `by_set` say, stamped with this view's substrate.
+    fn quotient_map(
+        &self,
+        summary: &Summary,
+        partition: &Partition,
+        scope: Option<CliqueScope>,
+        keys: ClassKeys,
+        by_set: Option<Vec<u32>>,
+    ) -> QuotientMap {
+        QuotientMap::new(
+            &self.substrate,
+            scope,
+            keys,
+            by_set,
+            partition,
+            summary,
+            self.g.dict().len(),
         )
     }
 
     /// Builds the summary of the given kind from the shared substrate.
     pub fn summarize(&self, kind: SummaryKind) -> Summary {
-        match kind {
-            SummaryKind::Weak => self.weak_summary(),
-            SummaryKind::Strong => self.strong_summary(),
-            SummaryKind::TypedWeak => self.typed_weak_summary(),
-            SummaryKind::TypedStrong => self.typed_strong_summary(),
-            SummaryKind::TypeBased => self.type_summary(),
-            SummaryKind::Bisimulation => crate::bisim::bisim_summary_on(
-                self.g,
-                crate::bisim::BisimDepth::Bounded(2),
-                self.threads,
-            ),
-        }
+        self.summarize_mapped(kind).0
+    }
+
+    /// [`SummaryContext::summarize`] with the summary's quotient map beside
+    /// it — what the service keeps with every artifact it builds. The
+    /// bisimulation is no clique or type quotient and has none.
+    pub(crate) fn summarize_mapped(&self, kind: SummaryKind) -> (Summary, Option<QuotientMap>) {
+        let (summary, map) = match kind {
+            SummaryKind::Weak => self.weak_summary_impl(false),
+            SummaryKind::Strong => self.strong_summary_impl(false),
+            SummaryKind::TypedWeak | SummaryKind::TypedStrong => {
+                self.typed_summary_impl(kind, TypedSemantics::default(), false)
+            }
+            SummaryKind::TypeBased => self.type_summary_impl(false),
+            SummaryKind::Bisimulation => {
+                let summary = crate::bisim::bisim_summary_on(
+                    self.g,
+                    crate::bisim::BisimDepth::Bounded(2),
+                    self.threads,
+                );
+                return (summary, None);
+            }
+        };
+        (summary, Some(map))
     }
 
     /// [`SummaryContext::summarize`] with the quotient forced onto the
@@ -630,15 +936,13 @@ impl<'g> SummaryContext<'g> {
     /// [`SummaryContext::summarize`], which auto-selects.
     pub fn summarize_forced_unpacked(&self, kind: SummaryKind) -> Summary {
         match kind {
-            SummaryKind::Weak => self.weak_summary_impl(true),
-            SummaryKind::Strong => self.strong_summary_impl(true),
-            SummaryKind::TypedWeak => {
-                self.typed_summary_impl(SummaryKind::TypedWeak, TypedSemantics::default(), true)
+            SummaryKind::Weak => self.weak_summary_impl(true).0,
+            SummaryKind::Strong => self.strong_summary_impl(true).0,
+            SummaryKind::TypedWeak | SummaryKind::TypedStrong => {
+                self.typed_summary_impl(kind, TypedSemantics::default(), true)
+                    .0
             }
-            SummaryKind::TypedStrong => {
-                self.typed_summary_impl(SummaryKind::TypedStrong, TypedSemantics::default(), true)
-            }
-            SummaryKind::TypeBased => self.type_summary_impl(true),
+            SummaryKind::TypeBased => self.type_summary_impl(true).0,
             SummaryKind::Bisimulation => self.summarize(kind),
         }
     }
@@ -875,6 +1179,68 @@ mod tests {
             ]),
             Ok(())
         );
+    }
+
+    /// What an absorb reports, for each flag a batch can raise: the nodes
+    /// it numbered, a new property, cliques joined per scope, and a node
+    /// numbered before that meets its first property on a side.
+    #[test]
+    fn absorb_reports_what_it_changed() {
+        let absorbed = |batch: &[(&str, &str, &str)]| {
+            let mut g = base_graph();
+            let mut sub = Substrate::scan(&g);
+            let from = sub.stamp();
+            for (s, p, o) in batch {
+                g.add_iri_triple(s, p, o);
+            }
+            let delta = sub.absorb(&g).expect("a batch a prefix carries");
+            assert_eq!(delta.from(), from);
+            assert_ne!(sub.stamp(), from, "an absorb moves the stamp");
+            let name = |n: &TermId| g.dict().decode(*n).as_iri().unwrap().to_string();
+            let names = |ns: &[TermId]| ns.iter().map(name).collect::<Vec<_>>();
+            let flags = [
+                delta.added_property(),
+                delta.merged(CliqueScope::AllNodes),
+                delta.merged(CliqueScope::UntypedOnly),
+                delta.gave_first_property(),
+            ];
+            (
+                names(delta.data_nodes(&sub)),
+                names(delta.typed(&sub)),
+                flags,
+            )
+        };
+        let none = [false; 4];
+        // A new node on an old property into an old value: nothing moves.
+        assert_eq!(
+            absorbed(&[("n1", "p", "x")]),
+            (vec!["n1".into()], vec![], none)
+        );
+        // A value (`x`), a typed-only resource (`only`, numbered as a data
+        // node now) gains a first out-property.
+        let gave_first = [false, false, false, true];
+        assert_eq!(absorbed(&[("x", "p", "y")]), (vec![], vec![], gave_first));
+        assert_eq!(
+            absorbed(&[("only", "p", "y")]),
+            (vec!["only".into()], vec![], gave_first)
+        );
+        // A new property; linked to an old one, its singleton clique joins
+        // that one's in both scopes.
+        assert_eq!(absorbed(&[("u", "r", "z")]).2, [true, true, true, false]);
+        // A new untyped value of two properties joins their target cliques
+        // in both scopes; a new typed one in the all-nodes scope only.
+        assert_eq!(
+            absorbed(&[("n1", "p", "z"), ("n2", "q", "z")]).2,
+            [false, true, true, false]
+        );
+        let (nodes, typed, flags) =
+            absorbed(&[("n1", "p", "m"), ("n2", "q", "m"), ("m", RDF_TYPE, "A")]);
+        assert_eq!(nodes, ["n1", "m", "n2"]);
+        assert_eq!(typed, ["m"]);
+        assert_eq!(flags, [false, true, false, false]);
+        // Two scans of one graph are two substrates.
+        let g = base_graph();
+        assert_ne!(Substrate::scan(&g).stamp(), Substrate::scan(&g).stamp());
     }
 
     #[test]

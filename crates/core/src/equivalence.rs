@@ -147,6 +147,22 @@ pub fn signature(cliques: &Cliques, node: TermId) -> (Option<CliqueId>, Option<C
 /// Passing the untyped data nodes together with untyped-scope cliques
 /// yields ≡UW (Definition 13, in the implementation semantics of §6.1).
 pub fn weak_partition(cliques: &Cliques, nodes: &[TermId]) -> Partition {
+    weak_classes(cliques, nodes).0
+}
+
+/// The class of every clique under a weak partition: of each source
+/// (target) clique some node of the partition has, and of the nodes that
+/// have neither — [`NO_DENSE_ID`] where no node is.
+#[derive(Clone, Debug)]
+pub(crate) struct CliqueClasses {
+    pub(crate) of_sc: Vec<u32>,
+    pub(crate) of_tc: Vec<u32>,
+    pub(crate) of_none: u32,
+}
+
+/// [`weak_partition`], with the clique → class tables its union–find
+/// settles on the way.
+pub(crate) fn weak_classes(cliques: &Cliques, nodes: &[TermId]) -> (Partition, CliqueClasses) {
     use crate::unionfind::UnionFind;
     let ns = cliques.source_cliques.len();
     let nt = cliques.target_cliques.len();
@@ -159,13 +175,24 @@ pub fn weak_partition(cliques: &Cliques, nodes: &[TermId]) -> Partition {
         }
     }
     let tau = ns + nt;
-    Partition::group_by_dense(nodes, ns + nt + 1, |n| {
-        match (cliques.sc(n), cliques.tc(n)) {
-            (Some(sc), _) => uf.find(sc),
-            (None, Some(tc)) => uf.find(ns + tc),
-            (None, None) => tau,
-        }
-    })
+    let mut key = |n: TermId| match (cliques.sc(n), cliques.tc(n)) {
+        (Some(sc), _) => uf.find(sc),
+        (None, Some(tc)) => uf.find(ns + tc),
+        (None, None) => tau,
+    };
+    let partition = Partition::group_by_dense(nodes, ns + nt + 1, &mut key);
+    // A clique no node has was never unioned, so it is its own root and
+    // keys no class.
+    let mut of_root = vec![NO_DENSE_ID; ns + nt + 1];
+    for (c, members) in (0..).zip(&partition.classes) {
+        of_root[key(members[0])] = c;
+    }
+    let classes = CliqueClasses {
+        of_sc: (0..ns).map(|c| of_root[uf.find(c)]).collect(),
+        of_tc: (0..nt).map(|c| of_root[uf.find(ns + c)]).collect(),
+        of_none: of_root[tau],
+    };
+    (partition, classes)
 }
 
 /// ≡S over `nodes`: same `(source clique, target clique)` pair

@@ -16,10 +16,19 @@
 //! [`crate::naming`]), so no URI string is allocated or hashed anywhere in
 //! this construction; tests and ad-hoc callers may return plain
 //! [`Term::Iri`]s.
+//!
+//! A summary the service builds keeps a `QuotientMap` beside it: the
+//! class key → H node tables of its partition and one extent count per H
+//! node. An insert batch that provably changes neither the classes nor the
+//! triples they span extends the map — only extent counts move — instead
+//! of rebuilding the summary (`QuotientMap::extend`).
 
+use crate::cliques::CliqueScope;
+use crate::context::{Delta, NodeKeys, Stamp, Substrate};
 use crate::equivalence::Partition;
 use crate::summary::{Summary, SummaryKind};
-use rdf_model::{Graph, Term, TermId, Triple, NO_DENSE_ID};
+use rdf_model::{Component, FxHashMap, Graph, Term, TermId, Triple, NO_DENSE_ID};
+use rdf_store::TripleStore;
 
 /// Builds the quotient summary of `g` under `partition`.
 ///
@@ -63,6 +72,13 @@ pub(crate) enum DataPlan<'a> {
 /// Bits per H id in a packed key: a whole H triple fits one `u64`.
 const PACK_BITS: u32 = 21;
 const MASK: u64 = (1 << PACK_BITS) - 1;
+
+/// Does a quotient of `n_classes` classes over a graph of `n_g_terms`
+/// terms pack its triples — do all its H ids fit [`PACK_BITS`]? (See the
+/// bound in [`quotient_summary_planned`].)
+fn packs(n_classes: usize, n_g_terms: usize) -> bool {
+    n_classes + n_g_terms + 8 < (1usize << PACK_BITS)
+}
 
 /// The H id of the G constant `id` (a property, class URI or schema term —
 /// terms that keep their identity), through the term-indexed cache `xfer`.
@@ -184,18 +200,18 @@ pub(crate) fn quotient_summary_planned(
         let o = transfer(t.o, g, &mut h, &mut xfer);
         h.append_distinct([Triple::new(s, p, o)]);
     }
-    // Every H id stays below this bound — minted class-node ids are the
-    // first `class_node.len()` H ids, transferred G constants (at most one
-    // H id per G term) and the well-known properties account for the rest —
-    // so when it fits 21 bits, a whole H triple packs into one u64 and the
+    // Every H id stays below `class_node.len() + g.dict().len() + 8` —
+    // minted class-node ids are the first `class_node.len()` H ids,
+    // transferred G constants (at most one H id per G term) and the
+    // well-known properties account for the rest — so when that fits 21
+    // bits ([`packs`]), a whole H triple packs into one u64 and the
     // massive duplication of quotiented triples is eliminated by a sort
     // (chunked across the emission workers) instead of 25k+ hash probes;
     // the keys come out strictly ascending, which is all the proof
     // `append_distinct` asks for, so H never grows a hash set. Past the
     // bound, hash dedup through the graph's own set is the only path there
     // is — there the set *is* the mechanism.
-    let id_bound = class_node.len() + g.dict().len() + 8;
-    let packable = !force_unpacked && id_bound < (1usize << PACK_BITS);
+    let packable = !force_unpacked && packs(class_node.len(), g.dict().len());
     // DAT: quotient of data triples.
     match data_plan {
         DataPlan::Edges(edges) => {
@@ -281,6 +297,274 @@ pub(crate) fn quotient_summary_planned(
         g.dict().len(),
         emit_threads,
     )
+}
+
+/// How a node finds its class in a [`QuotientMap`]: by the keys its
+/// partition grouped it by, read off the substrate ([`NodeKeys`]). Built
+/// with class indices, kept with H node ids; [`NO_DENSE_ID`] where no
+/// class is.
+#[derive(Clone, Debug)]
+pub(crate) enum ClassKeys {
+    /// A weak partition: per dense property, the class of the nodes whose
+    /// source (`by_src`) or target (`by_tgt`) clique holds it, and the
+    /// class of the nodes with no clique on either side (`none`). A node
+    /// whose two sides name two classes would join them.
+    Weak {
+        by_src: Vec<u32>,
+        by_tgt: Vec<u32>,
+        none: u32,
+    },
+    /// A strong partition: per dense property its source and target
+    /// clique, and per clique pair the class of the nodes that have it
+    /// ([`NO_DENSE_ID`] for an empty side).
+    Strong {
+        src_clique: Vec<u32>,
+        tgt_clique: Vec<u32>,
+        by_pair: FxHashMap<(u32, u32), u32>,
+    },
+    /// T_G's untyped nodes: each is a class of its own, which no other
+    /// node ever joins, so none is kept.
+    Own,
+}
+
+impl ClassKeys {
+    /// The same keys with every class `c` replaced by `to(c)`.
+    fn map_classes(self, to: impl Fn(u32) -> u32) -> Self {
+        match self {
+            ClassKeys::Weak {
+                by_src,
+                by_tgt,
+                none,
+            } => ClassKeys::Weak {
+                by_src: by_src.into_iter().map(&to).collect(),
+                by_tgt: by_tgt.into_iter().map(&to).collect(),
+                none: to(none),
+            },
+            ClassKeys::Strong {
+                src_clique,
+                tgt_clique,
+                by_pair,
+            } => ClassKeys::Strong {
+                src_clique,
+                tgt_clique,
+                by_pair: by_pair.into_iter().map(|(k, c)| (k, to(c))).collect(),
+            },
+            ClassKeys::Own => ClassKeys::Own,
+        }
+    }
+
+    /// The class of a node with `keys`, if the partition has one for it.
+    fn class_of(&self, keys: NodeKeys) -> Option<u32> {
+        // What a property table says of the side a node has (`None` for a
+        // property past the table: one the partition never saw).
+        let read = |table: &[u32], p: u32| table.get(p as usize).copied();
+        let class = match self {
+            ClassKeys::Weak {
+                by_src,
+                by_tgt,
+                none,
+            } => {
+                let out = keys.first_out.map(|p| read(by_src, p));
+                let inn = keys.first_in.map(|p| read(by_tgt, p));
+                match (out, inn) {
+                    (None, None) => *none,
+                    (Some(c), None) | (None, Some(c)) => c?,
+                    // Two classes here would be joined by the node.
+                    (Some(a), Some(b)) => (a? == b?).then_some(a?)?,
+                }
+            }
+            ClassKeys::Strong {
+                src_clique,
+                tgt_clique,
+                by_pair,
+            } => {
+                let clique = |table: &[u32], p: Option<u32>| match p {
+                    Some(p) => read(table, p),
+                    None => Some(NO_DENSE_ID),
+                };
+                let pair = (
+                    clique(src_clique, keys.first_out)?,
+                    clique(tgt_clique, keys.first_in)?,
+                );
+                *by_pair.get(&pair)?
+            }
+            ClassKeys::Own => return None,
+        };
+        (class != NO_DENSE_ID).then_some(class)
+    }
+}
+
+/// Why an `UPDATE`'s carry rebuilt a kind instead of extending it
+/// ([`QuotientMap::extend`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// The batch deleted rows, or was absorbed into another substrate — or
+    /// another state of it — than the map was read from.
+    Stale,
+    /// The batch changes the partition or the summary: a new property,
+    /// joined cliques or classes, a new class or quotient triple, a schema
+    /// row.
+    Structural,
+    /// The artifact keeps no map: it was read from the persist dir, or it
+    /// is no clique or type quotient (`fb`).
+    NoMap,
+}
+
+/// What a built summary keeps of the partition it quotients by, so that
+/// an `UPDATE` can offer it an insert batch instead of rebuilding it: the
+/// class key → H node tables the partition computed ([`ClassKeys`], and
+/// class set → H node for the kinds that group typed nodes by class set),
+/// one extent count per H node, and the [`Stamp`] of the substrate the
+/// keys were read from.
+///
+/// A quotient is fixed by its classes and the triples they span
+/// (Definitions 4 and 9). [`QuotientMap::extend`] accepts a batch only
+/// when it provably changes neither, so the summary graph — and every byte
+/// written from it — is the one a rebuild would produce, and only the
+/// extent counts move.
+#[derive(Clone, Debug)]
+pub(crate) struct QuotientMap {
+    stamp: Stamp,
+    /// The clique scope the keys were read under; `None` for T_G, whose
+    /// partition reads no clique.
+    scope: Option<CliqueScope>,
+    keys: ClassKeys,
+    /// Class-set id → H node, for the kinds that group typed nodes by
+    /// class set (`None`: W and S key typed nodes by their cliques).
+    by_set: Option<Vec<u32>>,
+    /// H id → the G nodes the node represents (0 for constants).
+    extent: Vec<u32>,
+    n_classes: usize,
+    /// Whether the build packed its emission (see [`packs`]).
+    packed: bool,
+}
+
+impl QuotientMap {
+    /// The map of `summary`, the quotient by `partition` of a graph of
+    /// `n_g_terms` terms that `substrate` covers; `keys` and `by_set`
+    /// index the partition's classes.
+    pub(crate) fn new(
+        substrate: &Substrate,
+        scope: Option<CliqueScope>,
+        keys: ClassKeys,
+        by_set: Option<Vec<u32>>,
+        partition: &Partition,
+        summary: &Summary,
+        n_g_terms: usize,
+    ) -> Self {
+        let node: Vec<u32> = partition
+            .classes
+            .iter()
+            .map(|members| {
+                let h = summary.representative(members[0]);
+                h.expect("a class member is represented").0
+            })
+            .collect();
+        let to_node = |c: u32| match c {
+            NO_DENSE_ID => NO_DENSE_ID,
+            c => node[c as usize],
+        };
+        QuotientMap {
+            stamp: substrate.stamp(),
+            scope,
+            keys: keys.map_classes(to_node),
+            by_set: by_set.map(|table| table.into_iter().map(to_node).collect()),
+            extent: summary.extent_sizes(),
+            n_classes: partition.len(),
+            packed: packs(partition.len(), n_g_terms),
+        }
+    }
+
+    /// Represented G nodes per H id — the figures
+    /// [`crate::cardinality::SummaryCardinality`] weighs summary nodes by.
+    pub(crate) fn extents(&self) -> &[u32] {
+        &self.extent
+    }
+
+    /// The class of a node, if the partition has one for it.
+    fn class_of(&self, keys: NodeKeys) -> Option<u32> {
+        match (&self.by_set, keys.set) {
+            (Some(by_set), Some(set)) => {
+                let class = *by_set.get(set as usize)?;
+                (class != NO_DENSE_ID).then_some(class)
+            }
+            _ => self.keys.class_of(keys),
+        }
+    }
+
+    /// The map of the summary after an insert batch — `rows`, the triples
+    /// it applied to `g`, which `substrate` absorbed as `delta` — when the
+    /// summary `h` stays what it is: only extent counts move. Refuses
+    /// ([`Refusal`]) when the delta is not from the substrate state the
+    /// map was read from, or when the batch could change the summary:
+    ///
+    /// * it numbered a property, joined two cliques of the map's scope, or
+    ///   gave a node numbered before its first property on a side (its
+    ///   class key moves);
+    /// * a new node has no class of the partition (for a weak one: its two
+    ///   sides name two classes, which it would join);
+    /// * a row is a schema row, or quotients onto a triple `h` lacks;
+    /// * the dictionary outgrew the packed emission the build used.
+    ///
+    /// New nodes are numbered after the old ones of their part — data
+    /// nodes, then typed-only resources — so no class's first member, and
+    /// no class's position, moves. The one exception needs no check of its
+    /// own: a new data node joining a class whose members are all
+    /// typed-only (numbered last) would displace its first member, but
+    /// such a class spans no data edge, so the row that made the node a
+    /// data node quotients onto a triple `h` lacks.
+    pub(crate) fn extend(
+        &self,
+        substrate: &Substrate,
+        delta: &Delta,
+        rows: &[Triple],
+        g: &Graph,
+        h: &TripleStore,
+    ) -> Result<QuotientMap, Refusal> {
+        if delta.from() != self.stamp {
+            return Err(Refusal::Stale);
+        }
+        if delta.added_property()
+            || delta.gave_first_property()
+            || self.scope.is_some_and(|scope| delta.merged(scope))
+            || packs(self.n_classes, g.dict().len()) != self.packed
+        {
+            return Err(Refusal::Structural);
+        }
+        let class = |n: TermId| {
+            self.class_of(substrate.keys_of(n))
+                .ok_or(Refusal::Structural)
+        };
+        let mut next = self.clone();
+        next.stamp = substrate.stamp();
+        let typed_only = delta
+            .typed(substrate)
+            .iter()
+            .filter(|&&n| !substrate.is_data_node(n));
+        for &n in delta.data_nodes(substrate).iter().chain(typed_only) {
+            next.extent[class(n)? as usize] += 1;
+        }
+        let h_graph = h.graph();
+        let h_id = |id: TermId| {
+            h_graph
+                .dict()
+                .lookup_ref(g.dict().decode(id))
+                .ok_or(Refusal::Structural)
+        };
+        for &t in rows {
+            let quotient = match g.component_of(t) {
+                Component::Data => {
+                    Triple::new(TermId(class(t.s)?), h_id(t.p)?, TermId(class(t.o)?))
+                }
+                Component::Type => Triple::new(TermId(class(t.s)?), h_graph.rdf_type(), h_id(t.o)?),
+                Component::Schema => return Err(Refusal::Structural),
+            };
+            if !h.contains(quotient) {
+                return Err(Refusal::Structural);
+            }
+        }
+        Ok(next)
+    }
 }
 
 /// Checks the defining property of a quotient (Definition 4): `H` has an

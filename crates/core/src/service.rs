@@ -41,10 +41,11 @@
 //! kind pair.
 
 use crate::cardinality::{SummaryCardinality, SummaryEstimator};
-use crate::context::{Substrate, SummaryContext};
+use crate::context::{Delta, Stale, Substrate, SummaryContext};
+use crate::quotient::{QuotientMap, Refusal};
 use crate::summary::{Summary, SummaryKind};
 use rdf_io::writer::push_term;
-use rdf_model::{Graph, PrefixMap, Term};
+use rdf_model::{Graph, PrefixMap, Term, Triple};
 use rdf_query::{explain_with, parse_query, ControlFlow, Evaluator};
 use rdf_store::{Fingerprint, TripleStore};
 use std::collections::HashMap;
@@ -119,9 +120,13 @@ pub struct ServiceStats {
     pub cache_bytes: usize,
     /// `UPDATE` batches processed (inserts and deletes, no-ops included).
     pub updates: u64,
-    /// Kinds an `UPDATE` re-established by rebuilding; named for the
-    /// wire. Each one also counts in `builds` — so under any workload
-    /// `builds == patch_fallbacks + misses`, the CI liveness seam.
+    /// Kinds an `UPDATE` carried by extending the artifact's quotient map:
+    /// the summary stayed as it was, nothing was built.
+    pub patches: u64,
+    /// Kinds an `UPDATE` re-established by rebuilding, because the map
+    /// refused the batch — the sum of the three `refused_*` counts. Each
+    /// one also counts in `builds` — so under any workload `builds ==
+    /// patch_fallbacks + misses`, the CI liveness seam.
     pub patch_fallbacks: u64,
     /// Cache misses answered from a persisted on-disk artifact instead of
     /// a build (each also counts in `hits`, never in `misses`).
@@ -135,6 +140,17 @@ pub struct ServiceStats {
     pub substrate_scans: u64,
     /// `UPDATE` batches a kept substrate absorbed in place.
     pub substrate_absorbs: u64,
+    /// Carries refused because the batch deleted, or the substrate it was
+    /// absorbed into is not the one the map was read from (it went stale,
+    /// or another resident graph's substrate built the artifact).
+    pub refused_stale: u64,
+    /// Carries refused because the batch changes the summary: a new
+    /// property, joined cliques or classes, a new class or edge, a schema
+    /// row.
+    pub refused_structural: u64,
+    /// Carries refused because the artifact keeps no map (a persist hit,
+    /// or `fb`).
+    pub refused_no_map: u64,
 }
 
 /// Errors a service request can produce.
@@ -205,8 +221,11 @@ pub struct UpdateOutcome {
     pub fingerprint: Fingerprint,
     /// Triples genuinely inserted/removed.
     pub applied: usize,
-    /// Cached summaries carried to the new fingerprint, each rebuilt from
-    /// the graph's kept substrate.
+    /// Cached summaries carried to the new fingerprint by extending their
+    /// quotient maps: the batch left them as they were.
+    pub patched: usize,
+    /// Cached summaries carried to the new fingerprint by a rebuild from
+    /// the graph's kept substrate, their maps having refused the batch.
     pub rebuilt: usize,
 }
 
@@ -240,6 +259,9 @@ enum Slot {
     /// The finished artifact plus its budget accounting.
     Ready {
         artifact: Arc<SummaryArtifact>,
+        /// The quotient map an `UPDATE` offers its batch to; `None` for an
+        /// artifact read from the persist dir, and for `fb`.
+        map: Option<Arc<QuotientMap>>,
         /// Budget cost of this entry: the serialized N-Triples size — the
         /// dominant, directly comparable share of an artifact's footprint
         /// (the indexed store and statistics scale with it).
@@ -320,13 +342,18 @@ pub struct SummaryService {
     prune_hits: AtomicU64,
     evictions: AtomicU64,
     updates: AtomicU64,
-    patch_fallbacks: AtomicU64,
+    patches: AtomicU64,
     persist_hits: AtomicU64,
     persist_writes: AtomicU64,
     substrate_scans: AtomicU64,
     substrate_absorbs: AtomicU64,
-    /// Test seam: called under the shared lock before each carried kind
-    /// of an `UPDATE` is re-established (to park or unwind a carry).
+    refused_stale: AtomicU64,
+    refused_structural: AtomicU64,
+    refused_no_map: AtomicU64,
+    /// Test seam: called under the shared lock as each carried kind of an
+    /// `UPDATE` is re-established — after its map extended or refused,
+    /// before the artifact is published or rebuilt (to park or unwind a
+    /// carry).
     #[cfg(test)]
     carry_hook: Mutex<Option<CarryHook>>,
 }
@@ -355,10 +382,18 @@ struct BuildGuard<'a> {
     armed: bool,
 }
 
+/// One kind an `UPDATE` carries: its claimed new-fingerprint slot, and
+/// the old fingerprint's artifact and map.
+type Carry<'a> = (
+    BuildGuard<'a>,
+    Arc<SummaryArtifact>,
+    Option<Arc<QuotientMap>>,
+);
+
 impl BuildGuard<'_> {
-    /// Replaces the claimed marker with the finished artifact and wakes
-    /// the slot's waiters.
-    fn install(mut self, artifact: &Arc<SummaryArtifact>) {
+    /// Replaces the claimed marker with the finished artifact and its map
+    /// and wakes the slot's waiters.
+    fn install(mut self, artifact: &Arc<SummaryArtifact>, map: Option<QuotientMap>) {
         let mut cache = self.service.cache.lock().unwrap();
         let bytes = artifact.ntriples.len();
         cache.clock += 1;
@@ -367,6 +402,7 @@ impl BuildGuard<'_> {
             self.key,
             Slot::Ready {
                 artifact: Arc::clone(artifact),
+                map: map.map(Arc::new),
                 bytes,
                 last_used: stamp,
             },
@@ -424,11 +460,14 @@ impl SummaryService {
             prune_hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             updates: AtomicU64::new(0),
-            patch_fallbacks: AtomicU64::new(0),
+            patches: AtomicU64::new(0),
             persist_hits: AtomicU64::new(0),
             persist_writes: AtomicU64::new(0),
             substrate_scans: AtomicU64::new(0),
             substrate_absorbs: AtomicU64::new(0),
+            refused_stale: AtomicU64::new(0),
+            refused_structural: AtomicU64::new(0),
+            refused_no_map: AtomicU64::new(0),
             #[cfg(test)]
             carry_hook: Mutex::new(None),
         }
@@ -597,7 +636,7 @@ impl SummaryService {
         // failure of any sort is just a miss.
         if let Some(artifact) = self.probe_persisted(entry, kind) {
             let artifact = Arc::new(artifact);
-            guard.install(&artifact);
+            guard.install(&artifact, None);
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.persist_hits.fetch_add(1, Ordering::Relaxed);
             return (artifact, true);
@@ -605,8 +644,9 @@ impl SummaryService {
         self.misses.fetch_add(1, Ordering::Relaxed);
         // The context is a temporary of this statement: its cliques are
         // freed before the summary is serialized and indexed.
-        let summary = self.build_summary(&self.context(entry), kind);
-        (self.publish(entry, guard, summary), false)
+        let (summary, map) = self.build_summary(&self.context(entry), kind);
+        let artifact = Self::package(entry, kind, summary);
+        (self.publish(entry, guard, artifact, map), false)
     }
 
     /// Probes the persist dir for this slot's artifact. `None` — missing
@@ -680,24 +720,29 @@ impl SummaryService {
     }
 
     /// One real summary build — a cache miss's, or one carried kind's of
-    /// an `UPDATE`.
-    fn build_summary(&self, context: &SummaryContext<'_>, kind: SummaryKind) -> Summary {
+    /// an `UPDATE` — with its quotient map.
+    fn build_summary(
+        &self,
+        context: &SummaryContext<'_>,
+        kind: SummaryKind,
+    ) -> (Summary, Option<QuotientMap>) {
         self.builds.fetch_add(1, Ordering::Relaxed);
-        context.summarize(kind)
+        context.summarize_mapped(kind)
     }
 
-    /// What every build ends with, a miss's and a carry's alike: package
-    /// the summary, install it in the claimed slot — waking the slot's
-    /// waiters — and only then write it to the persist dir, so no waiter
-    /// sits out the file write.
+    /// What every artifact ends with — a miss's, a rebuilt carry's, an
+    /// extended one's: install it and its map in the claimed slot — waking
+    /// the slot's waiters — and only then write it to the persist dir, so
+    /// no waiter sits out the file write.
     fn publish(
         &self,
         entry: &GraphEntry,
         guard: BuildGuard<'_>,
-        summary: Summary,
+        artifact: SummaryArtifact,
+        map: Option<QuotientMap>,
     ) -> Arc<SummaryArtifact> {
-        let artifact = Arc::new(Self::package(entry, guard.key.1, summary));
-        guard.install(&artifact);
+        let artifact = Arc::new(artifact);
+        guard.install(&artifact, map);
         self.persist_artifact(&artifact, entry.store.graph());
         artifact
     }
@@ -726,17 +771,29 @@ impl SummaryService {
     /// The store absorbs the batch in O(delta · log n) plus one in-place
     /// shift per index (incremental fingerprint, no index rebuild; see
     /// [`TripleStore::insert_batch`]), and the graph's kept [`Substrate`]
-    /// absorbs the rows it appended
-    /// ([`ServiceStats::substrate_absorbs`]) — or, when the batch is one no
-    /// prefix carries over (a delete; a resource typed after its data was
-    /// linked), is dropped, and the first build after it scans the new
-    /// content ([`ServiceStats::substrate_scans`]). Every summary kind
-    /// cached for the *old* fingerprint is then re-established under the
-    /// new one — built exactly as a cache miss builds it, from that
-    /// substrate — unless the new content's slot is already present (the
-    /// content is shared with another resident name that got there first).
-    /// Each carried kind counts in both `builds` and `patch_fallbacks`,
-    /// keeping `builds == patch_fallbacks + misses`.
+    /// absorbs the rows it appended ([`ServiceStats::substrate_absorbs`]),
+    /// reporting what they changed ([`crate::context::Delta`]) — or, when
+    /// the batch is one no prefix carries over (a delete; a resource typed
+    /// after its data was linked), is dropped, and the first build after
+    /// it scans the new content ([`ServiceStats::substrate_scans`]).
+    ///
+    /// Every summary kind cached for the *old* fingerprint is then
+    /// re-established under the new one, unless the new content's slot is
+    /// already present (the content is shared with another resident name
+    /// that got there first). The carry of one kind extends or declines:
+    /// it first offers the delta and the applied rows to the old
+    /// artifact's quotient map, which **extends** the artifact when the
+    /// batch provably leaves its summary as it was — only new members of
+    /// existing classes along existing edges; the new artifact shares the
+    /// old one's body and summary graph, with moved extent counts and the
+    /// statistics re-derived from them ([`ServiceStats::patches`],
+    /// `patched`). Otherwise it is **rebuilt** exactly as a cache miss
+    /// builds it, from the kept substrate, and the refusal is counted by
+    /// reason ([`ServiceStats::refused_stale`] — a delete, or a substrate
+    /// that is not the map's; [`ServiceStats::refused_structural`];
+    /// [`ServiceStats::refused_no_map`] — a persisted artifact, or `fb`).
+    /// A rebuild counts in both `builds` and `patch_fallbacks`, keeping
+    /// `builds == patch_fallbacks + misses`.
     ///
     /// **What a concurrent reader observes.** Writers to one graph queue
     /// on its gate, out of the readers' way. The graph's lock is held
@@ -782,6 +839,7 @@ impl SummaryService {
                 previous,
                 fingerprint: previous,
                 applied: 0,
+                patched: 0,
                 rebuilt: 0,
             });
         }
@@ -795,52 +853,80 @@ impl SummaryService {
         let GraphEntry {
             store, substrate, ..
         } = &mut *entry;
+        let mut delta = None;
         if let Some(kept) = substrate.get_mut() {
-            if kept.absorb(store.graph()).is_ok() {
-                self.substrate_absorbs.fetch_add(1, Ordering::Relaxed);
-            } else {
-                substrate.take();
+            match kept.absorb(store.graph()) {
+                Ok(absorbed) => {
+                    self.substrate_absorbs.fetch_add(1, Ordering::Relaxed);
+                    delta = Some(absorbed);
+                }
+                Err(Stale) => drop(substrate.take()),
             }
         }
+        // A delete's rows are nothing a map could extend an artifact by.
+        let delta = delta.filter(|_| insert);
         // Claim, while still exclusive, the new-fingerprint slot of every
-        // kind Ready under the old one: a reader admitted after the
-        // downgrade finds them in flight and waits instead of building.
-        let claims: Vec<BuildGuard<'_>> = {
+        // kind Ready under the old one, taking the old artifact and its
+        // map along: a reader admitted after the downgrade finds the slots
+        // in flight and waits instead of building.
+        let claims: Vec<Carry<'_>> = {
             let mut cache = self.cache.lock().unwrap();
             PREFERENCE
                 .into_iter()
                 .filter_map(|kind| {
                     let key = (fingerprint, kind);
-                    let carried =
-                        matches!(cache.slots.get(&(previous, kind)), Some(Slot::Ready { .. }))
-                            && !cache.slots.contains_key(&key);
-                    carried.then(|| {
-                        cache.slots.insert(key, Slot::Building);
-                        BuildGuard {
-                            service: self,
-                            key,
-                            armed: true,
+                    let (old, map) = match cache.slots.get(&(previous, kind)) {
+                        Some(Slot::Ready { artifact, map, .. })
+                            if !cache.slots.contains_key(&key) =>
+                        {
+                            (Arc::clone(artifact), map.clone())
                         }
-                    })
+                        _ => return None,
+                    };
+                    cache.slots.insert(key, Slot::Building);
+                    let claim = BuildGuard {
+                        service: self,
+                        key,
+                        armed: true,
+                    };
+                    Some((claim, old, map))
                 })
                 .collect()
         };
         let entry = RwLockWriteGuard::downgrade(entry);
-        let rebuilt = claims.len();
+        let (mut patched, mut rebuilt) = (0, 0);
         // Viewed (and, after a dropped substrate, scanned) by the first
-        // carried kind, shared by the rest.
+        // rebuilt kind, shared by the rest.
         let mut context: Option<SummaryContext<'_>> = None;
-        for claim in claims {
+        for (claim, old, map) in claims {
             let kind = claim.key.1;
+            let extended =
+                Self::extend(&entry, &old, map.as_deref(), delta.as_ref(), &batch.applied);
             #[cfg(test)]
             self.run_carry_hook(kind);
-            self.patch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            let context = context.get_or_insert_with(|| self.context(&entry));
-            let summary = self.build_summary(context, kind);
             // Publishing re-keys the on-disk slot along with the in-memory
             // line (the old fingerprint's files go with
             // `drop_fingerprint_lines`).
-            self.publish(&entry, claim, summary);
+            match extended {
+                Ok((artifact, map)) => {
+                    self.patches.fetch_add(1, Ordering::Relaxed);
+                    patched += 1;
+                    self.publish(&entry, claim, artifact, Some(map));
+                }
+                Err(refusal) => {
+                    match refusal {
+                        Refusal::Stale => &self.refused_stale,
+                        Refusal::Structural => &self.refused_structural,
+                        Refusal::NoMap => &self.refused_no_map,
+                    }
+                    .fetch_add(1, Ordering::Relaxed);
+                    rebuilt += 1;
+                    let context = context.get_or_insert_with(|| self.context(&entry));
+                    let (summary, map) = self.build_summary(context, kind);
+                    let artifact = Self::package(&entry, kind, summary);
+                    self.publish(&entry, claim, artifact, map);
+                }
+            }
         }
         // Release the entry (and the context borrowing it) before the
         // sharing scan: fingerprint_shared read-locks every entry,
@@ -854,8 +940,46 @@ impl SummaryService {
             previous,
             fingerprint,
             applied: batch.applied.len(),
+            patched,
             rebuilt,
         })
+    }
+
+    /// The artifact `old` becomes under `entry`'s new content when its
+    /// map extends by the batch — `rows` applied, `delta` absorbed (`None`
+    /// for a delete, or when no kept substrate absorbed it) — and the
+    /// extended map; or why it cannot. The body and the summary graph are
+    /// `old`'s: the batch left them as they were.
+    fn extend(
+        entry: &GraphEntry,
+        old: &SummaryArtifact,
+        map: Option<&QuotientMap>,
+        delta: Option<&Delta>,
+        rows: &[Triple],
+    ) -> Result<(SummaryArtifact, QuotientMap), Refusal> {
+        let map = map.ok_or(Refusal::NoMap)?;
+        let (Some(delta), Some(substrate)) = (delta, entry.substrate.get()) else {
+            return Err(Refusal::Stale);
+        };
+        let g = entry.store.graph();
+        let next = map.extend(substrate, delta, rows, g, &old.summary_store)?;
+        let h = old.summary_store.graph();
+        let artifact = SummaryArtifact {
+            kind: old.kind,
+            fingerprint: entry.fingerprint,
+            ntriples: old.ntriples.clone(),
+            summary_nodes: old.summary_nodes,
+            summary_edges: old.summary_edges,
+            input_triples: g.len(),
+            summary_store: old.summary_store.clone(),
+            cardinality: SummaryCardinality::from_extents(
+                &entry.store,
+                old.kind,
+                h,
+                next.extents(),
+            ),
+        };
+        Ok((artifact, next))
     }
 
     /// Runs the installed carry hook, if any (outside its mutex, so a
@@ -1117,6 +1241,12 @@ impl SummaryService {
                 .count();
             (ready, cache.total_bytes)
         };
+        let [refused_stale, refused_structural, refused_no_map] = [
+            &self.refused_stale,
+            &self.refused_structural,
+            &self.refused_no_map,
+        ]
+        .map(|count| count.load(Ordering::Relaxed));
         ServiceStats {
             graphs,
             cached_summaries,
@@ -1129,11 +1259,15 @@ impl SummaryService {
             evictions: self.evictions.load(Ordering::Relaxed),
             cache_bytes,
             updates: self.updates.load(Ordering::Relaxed),
-            patch_fallbacks: self.patch_fallbacks.load(Ordering::Relaxed),
+            patches: self.patches.load(Ordering::Relaxed),
+            patch_fallbacks: refused_stale + refused_structural + refused_no_map,
             persist_hits: self.persist_hits.load(Ordering::Relaxed),
             persist_writes: self.persist_writes.load(Ordering::Relaxed),
             substrate_scans: self.substrate_scans.load(Ordering::Relaxed),
             substrate_absorbs: self.substrate_absorbs.load(Ordering::Relaxed),
+            refused_stale,
+            refused_structural,
+            refused_no_map,
         }
     }
 }
@@ -1632,7 +1766,7 @@ mod tests {
                 let out = svc.update("g", *insert, batch).unwrap();
                 applied_ops.push((*insert, batch.clone()));
                 assert_eq!(
-                    out.rebuilt,
+                    out.patched + out.rebuilt,
                     SummaryKind::ALL.len(),
                     "{name}: every cached kind must survive the transition"
                 );
@@ -1857,6 +1991,9 @@ mod tests {
     /// A carry that unwinds releases every slot it had claimed and both
     /// locks: no `Building` marker stays behind, the next `SUMMARIZE`
     /// rebuilds from the new content, and the graph still takes updates.
+    /// The unwind comes from inside the patched path: `s`'s map has just
+    /// extended by the batch (as `w`'s, which landed, did) when the carry
+    /// fails.
     #[test]
     fn unwinding_carry_leaves_no_building_marker() {
         let svc = SummaryService::new(1);
@@ -1869,7 +2006,10 @@ mod tests {
                 assert!(kind != SummaryKind::Strong, "injected carry failure")
             })),
         );
-        let batch = vec![u("urn:u:s", "urn:u:p", "urn:u:o")];
+        // A new title of `r1`: a new member of the title values' class,
+        // along an edge both summaries have.
+        let ex = |local: &str| format!("{}{local}", fixtures::EX);
+        let batch = vec![u(&ex("r1"), &ex("title"), &ex("t5"))];
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             svc.update("g", true, &batch)
         }));
@@ -1877,11 +2017,11 @@ mod tests {
         set_carry_hook(&svc, None);
         // The unwind came after the exclusive section: the kept substrate
         // had absorbed the batch whole, and everything below builds from it.
-        let scans_and_absorbs = |svc: &SummaryService| {
+        let counts = |svc: &SummaryService| {
             let st = svc.stats();
-            (st.substrate_scans, st.substrate_absorbs)
+            (st.patches, st.substrate_scans, st.substrate_absorbs)
         };
-        assert_eq!(scans_and_absorbs(&svc), (1, 1));
+        assert_eq!(counts(&svc), (1, 1, 1), "`w` was patched, `s` was not");
         {
             let cache = svc.cache.lock().unwrap();
             assert!(
@@ -1902,11 +2042,12 @@ mod tests {
             assert_eq!(artifact.ntriples, rdf_io::write_graph(&direct.graph));
         }
         // The writer gate was poisoned by the unwind; it guards no data.
+        // (A new property: both maps refuse, both kinds rebuild.)
         let out = svc
             .update("g", true, &[u("urn:u:s2", "urn:u:p", "urn:u:o")])
             .unwrap();
-        assert_eq!((out.applied, out.rebuilt), (1, 2));
-        assert_eq!(scans_and_absorbs(&svc), (1, 2));
+        assert_eq!((out.applied, out.patched, out.rebuilt), (1, 0, 2));
+        assert_eq!(counts(&svc), (1, 1, 2));
         let stats = svc.stats();
         assert_eq!(stats.builds, stats.patch_fallbacks + stats.misses);
     }
@@ -1976,105 +2117,204 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The `i`-th 8-triple offer over `base`: a new typed subject with
-    /// seven data triples, two of them into loaded resources — the batch
-    /// shape of the `explore_update` workload.
-    fn offer_batch(base: &Graph, i: usize) -> Vec<(Term, Term, Term)> {
-        let offer = Term::iri(format!("urn:u:offer{i}"));
-        let loaded = |k: usize| {
-            let t = base.data()[(i * 7 + k) * 31 % base.data().len()];
-            base.dict().decode(t.s).to_term()
-        };
-        let mut batch = vec![(
-            offer.clone(),
-            Term::iri(rdf_model::vocab::RDF_TYPE),
-            Term::iri("urn:u:Offer"),
-        )];
-        for (k, object) in [
-            loaded(0),
-            loaded(1),
-            Term::literal(format!("{i}.99")),
-            Term::literal(format!("2015-01-{:02}", i % 28)),
-            Term::literal(format!("2015-06-{:02}", i % 28)),
-            Term::literal(format!("{}", i % 14)),
-            Term::literal(format!("http://vendor.example.org/offers/{i}")),
+    /// The `i`-th offer in the shape of the `explore_update` workload's
+    /// writer, over a BSBM graph of `products` products: a new offer, its
+    /// type, its product and vendor, and five literals like the
+    /// generator's own offers carry.
+    fn offer_batch(products: usize, i: usize) -> Vec<(Term, Term, Term)> {
+        use rdf_model::vocab::{RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER};
+        use rdfsum_workloads::bsbm::{BSBM_NS, INST_NS};
+        let id = 1_000_000 + i;
+        let offer = Term::iri(format!("{INST_NS}Offer{id}"));
+        let v = |local: &str| Term::iri(format!("{BSBM_NS}{local}"));
+        let day = 1 + i % 27;
+        [
+            (Term::iri(RDF_TYPE), v("Offer")),
+            (
+                v("product"),
+                Term::iri(format!("{INST_NS}Product{}", i * 7 % products)),
+            ),
+            (v("vendor"), Term::iri(format!("{INST_NS}Vendor0"))),
+            (
+                v("price"),
+                Term::typed_literal(format!("{}.{:02}", 5 + i, i % 99), XSD_DECIMAL),
+            ),
+            (
+                v("validFrom"),
+                Term::typed_literal(format!("2015-01-{day:02}"), XSD_DATE),
+            ),
+            (
+                v("validTo"),
+                Term::typed_literal(format!("2015-06-{day:02}"), XSD_DATE),
+            ),
+            (
+                v("deliveryDays"),
+                Term::typed_literal(format!("{}", 1 + i % 13), XSD_INTEGER),
+            ),
+            (
+                v("offerWebpage"),
+                Term::literal(format!("http://vendor.example.org/offers/{id}")),
+            ),
         ]
         .into_iter()
-        .enumerate()
-        {
-            batch.push((offer.clone(), Term::iri(format!("urn:u:offerP{k}")), object));
-        }
-        batch
+        .map(|(p, o)| (offer.clone(), p, o))
+        .collect()
     }
 
-    /// Fifty insert-only offer batches with `w` and `tw` warm extend the
-    /// one substrate the first build scanned — every carried body equal to
-    /// a cold one-shard build — and a delete costs exactly one more scan.
+    /// Fifty inserts shaped like the `explore_update` writer's, with `w`
+    /// and `tw` warm, extend both quotient maps every time — 100 patches,
+    /// not one build, one substrate scan — and every carried artifact is
+    /// the one a cold one-shard build of the model serves, statistics
+    /// included. A delete then rebuilds both from a new scan, whose maps
+    /// extend in their turn; the two shapes of "late" data decide per
+    /// kind.
     #[test]
     fn insert_batches_extend_the_kept_substrate() {
         const KINDS: [SummaryKind; 2] = [SummaryKind::Weak, SummaryKind::TypedWeak];
+        const PRODUCTS: usize = 20;
         let base =
-            rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(20));
+            rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(PRODUCTS));
         let svc = SummaryService::new(1);
         svc.load_graph("g", base.clone());
         for kind in KINDS {
             svc.summarize("g", kind).unwrap();
         }
-        let mut model = rdf_store::TripleStore::new(base.clone());
-        let check = |model: &rdf_store::TripleStore, scans: u64, absorbs: u64, what: &str| {
+        let mut model = rdf_store::TripleStore::new(base);
+        let check = |model: &rdf_store::TripleStore, what: &str| {
             let cold = SummaryContext::new(model.graph());
             for kind in KINDS {
                 let (artifact, hit) = svc.summarize("g", kind).unwrap();
                 assert!(hit, "{what}: {kind} went cold");
+                let summary = cold.summarize(kind);
                 assert!(
-                    artifact.ntriples == rdf_io::write_graph(&cold.summarize(kind).graph),
+                    artifact.ntriples == rdf_io::write_graph(&summary.graph),
                     "{what}: served {kind} differs from a cold build"
                 );
+                assert_eq!(artifact.input_triples, model.len(), "{what}: {kind}");
+                let card = SummaryCardinality::new(model, &summary);
+                let figures = |c: &SummaryCardinality| {
+                    let mut props: Vec<_> = c.iter_properties().collect();
+                    let mut classes: Vec<_> = c.iter_classes().collect();
+                    props.sort_unstable_by_key(|&(p, _)| p);
+                    classes.sort_unstable();
+                    (c.n_data_nodes(), props, classes)
+                };
+                assert_eq!(
+                    figures(&artifact.cardinality),
+                    figures(&card),
+                    "{what}: {kind}"
+                );
             }
+        };
+        let counts = |svc: &SummaryService| {
             let st = svc.stats();
-            assert_eq!(
-                (st.substrate_scans, st.substrate_absorbs),
-                (scans, absorbs),
-                "{what}"
-            );
+            assert_eq!(st.builds, st.patch_fallbacks + st.misses);
+            (
+                st.builds,
+                st.patches,
+                st.substrate_scans,
+                st.substrate_absorbs,
+            )
         };
         for i in 0..50 {
-            let batch = offer_batch(&base, i);
+            let batch = offer_batch(PRODUCTS, i);
             let out = svc.update("g", true, &batch).unwrap();
-            assert_eq!((out.applied, out.rebuilt), (8, 2));
+            assert_eq!(
+                (out.applied, out.patched, out.rebuilt),
+                (8, 2, 0),
+                "insert {i}"
+            );
             model.insert_batch(&batch).unwrap();
-            check(&model, 1, i as u64 + 1, &format!("insert {i}"));
+            check(&model, &format!("insert {i}"));
         }
-        let gone = offer_batch(&base, 0);
-        assert_eq!(svc.update("g", false, &gone).unwrap().applied, 8);
+        assert_eq!(counts(&svc), (2, 100, 1, 50));
+        // A delete rebuilds both, from a new scan.
+        let gone = offer_batch(PRODUCTS, 0);
+        let out = svc.update("g", false, &gone).unwrap();
+        assert_eq!((out.applied, out.patched, out.rebuilt), (8, 0, 2));
         model.delete_batch(&gone);
-        check(&model, 2, 50, "delete");
-        // The scan the delete forced is kept in its turn.
-        let batch = offer_batch(&base, 50);
-        svc.update("g", true, &batch).unwrap();
+        check(&model, "delete");
+        assert_eq!(counts(&svc), (4, 100, 2, 50));
+        assert_eq!(svc.stats().refused_stale, 2);
+        // The maps of the rebuild extend in their turn.
+        let batch = offer_batch(PRODUCTS, 50);
+        let out = svc.update("g", true, &batch).unwrap();
+        assert_eq!((out.patched, out.rebuilt), (2, 0));
         model.insert_batch(&batch).unwrap();
-        check(&model, 2, 51, "insert after delete");
-        // A resource is typed after its data was linked as untyped: a batch
-        // the substrate cannot carry, and the carry scans.
-        for (batch, scans, absorbs, what) in [
-            (
-                u("urn:u:late", "urn:u:offerP0", "urn:u:x"),
-                2,
-                52,
-                "late: data",
-            ),
-            (
-                u("urn:u:late", rdf_model::vocab::RDF_TYPE, "urn:u:Late"),
-                3,
-                52,
-                "late: type",
-            ),
+        check(&model, "insert after delete");
+        // A new *untyped* subject of an offer property joins the offers'
+        // weak class, but no untyped class of `tw` has that property;
+        // typing it afterwards is a batch the substrate cannot carry.
+        let price = |s: &str| {
+            let p = format!("{}price", rdfsum_workloads::bsbm::BSBM_NS);
+            let o = Term::typed_literal("1.00", rdf_model::vocab::XSD_DECIMAL);
+            (Term::iri(s), Term::iri(p), o)
+        };
+        let late = Term::iri("urn:u:late");
+        let typed = (
+            late,
+            Term::iri(rdf_model::vocab::RDF_TYPE),
+            Term::iri("urn:u:Late"),
+        );
+        for (batch, outcome, what) in [
+            (price("urn:u:late"), (1, 1), "late: data"),
+            (typed, (0, 2), "late: type"),
         ] {
             let batch = [batch];
-            svc.update("g", true, &batch).unwrap();
+            let out = svc.update("g", true, &batch).unwrap();
+            assert_eq!((out.patched, out.rebuilt), outcome, "{what}");
             model.insert_batch(&batch).unwrap();
-            check(&model, scans, absorbs, what);
+            check(&model, what);
         }
+        let st = svc.stats();
+        assert_eq!(
+            (st.refused_stale, st.refused_structural, st.refused_no_map),
+            (4, 1, 0)
+        );
+        assert_eq!((st.substrate_scans, st.substrate_absorbs), (3, 52));
+    }
+
+    /// A restarted service serves its artifacts from the persist dir, and
+    /// those keep no map: its first `UPDATE` rebuilds them — scanning the
+    /// substrate its maps are then read from — and from the second on the
+    /// maps extend.
+    #[test]
+    fn restarted_service_rebuilds_once_then_patches() {
+        const KINDS: [SummaryKind; 2] = [SummaryKind::Weak, SummaryKind::TypedWeak];
+        const PRODUCTS: usize = 20;
+        let base =
+            rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(PRODUCTS));
+        let dir = persist_dir("restart_patch");
+        let cold = SummaryService::new(1).with_persist_dir(&dir);
+        cold.load_graph("g", base.clone());
+        for kind in KINDS {
+            cold.summarize("g", kind).unwrap();
+        }
+        drop(cold);
+        let warm = SummaryService::new(1).with_persist_dir(&dir);
+        warm.load_graph("g", base.clone());
+        for kind in KINDS {
+            assert!(warm.summarize("g", kind).unwrap().1, "{kind}");
+        }
+        let mut model = rdf_store::TripleStore::new(base);
+        for (i, carried) in [(0, 2), (2, 0), (2, 0)].into_iter().enumerate() {
+            let batch = offer_batch(PRODUCTS, i);
+            let out = warm.update("g", true, &batch).unwrap();
+            assert_eq!((out.patched, out.rebuilt), carried, "update {i}");
+            model.insert_batch(&batch).unwrap();
+            let cold = SummaryContext::new(model.graph());
+            for kind in KINDS {
+                let (artifact, hit) = warm.summarize("g", kind).unwrap();
+                assert!(hit, "update {i}: {kind}");
+                let body = rdf_io::write_graph(&cold.summarize(kind).graph);
+                assert!(artifact.ntriples == body, "update {i}: {kind}");
+            }
+        }
+        let st = warm.stats();
+        assert_eq!((st.persist_hits, st.builds, st.patches), (2, 2, 4));
+        assert_eq!((st.refused_no_map, st.patch_fallbacks), (2, 2));
+        assert_eq!((st.substrate_scans, st.substrate_absorbs), (1, 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A BSBM graph large enough that two-thread builds shard, so every
@@ -2173,7 +2413,7 @@ mod tests {
             scope.spawn(|| {
                 for (insert, batch) in &ops {
                     let out = svc.update("g", *insert, batch).unwrap();
-                    assert_eq!((out.applied, out.rebuilt), (8, 2));
+                    assert_eq!((out.applied, out.patched + out.rebuilt), (8, 2));
                 }
                 done.store(true, Ordering::SeqCst);
             });
@@ -2594,7 +2834,7 @@ mod tests {
                 (want.applied, want.fingerprint)
             );
             assert!(out.applied > 0 && out.applied < batch.len(), "batch {i}");
-            assert_eq!(out.rebuilt, 5);
+            assert_eq!(out.patched + out.rebuilt, 5);
             no_hash_set(&warm, "an UPDATE");
         }
         for kind in FIVE {

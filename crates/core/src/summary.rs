@@ -212,6 +212,16 @@ impl Summary {
         &self.extent_members[self.extent_offsets[i] as usize..self.extent_offsets[i + 1] as usize]
     }
 
+    /// The extent size of every H id (`dr` row lengths; 0 for the nodes
+    /// that represent nothing) — what summary-based cardinality estimates
+    /// weigh summary nodes by.
+    pub(crate) fn extent_sizes(&self) -> Vec<u32> {
+        self.extent_offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect()
+    }
+
     /// Number of summary data nodes (distinct representatives).
     pub fn n_summary_nodes(&self) -> usize {
         self.n_nodes

@@ -6,12 +6,13 @@
 //! all its targets, so the summary has exactly `|D_G|⁰_p` data edges.
 //!
 //! Proposition 4 also powers the build: [`build_weak`] derives `W_G`'s
-//! data edges and the per-class naming sets straight from the cliques in
-//! `O(#properties)`, never re-scanning `D_G` for emission.
+//! data edges and the per-class naming sets straight from the cliques and
+//! the clique → class tables of the partition in `O(#properties)`, never
+//! re-scanning `D_G` for emission.
 
 use crate::cliques::Cliques;
 use crate::context::SummaryContext;
-use crate::equivalence::weak_partition;
+use crate::equivalence::{CliqueClasses, Partition};
 use crate::naming::Namer;
 use crate::quotient::{quotient_summary_planned, DataPlan};
 use crate::summary::{Summary, SummaryKind};
@@ -45,49 +46,27 @@ pub(crate) fn class_property_sets(
     (tc_props, sc_props)
 }
 
-/// Assembles W_G from all-nodes cliques: weak partition, per-property
-/// data edges (Proposition 4), per-class union naming sets — all in
-/// `O(#nodes + #properties)` beyond the quotient's type emission.
-/// The [`SummaryContext`] builder passes its cached cliques. `nodes` is
-/// the data-node numbering order, `props` the distinct data properties in
-/// first-seen order; `emit_threads` (≥ 1) flows to the quotient's packed
-/// emission.
+/// Assembles W_G from all-nodes cliques and the weak partition they give,
+/// with its clique → class tables ([`crate::equivalence::weak_classes`]):
+/// per-property data edges (Proposition 4), per-class union naming sets —
+/// all in `O(#properties)` beyond the quotient's type emission. The
+/// [`SummaryContext`] builder passes its cached cliques. `props` are the
+/// distinct data properties in first-seen order; `emit_threads` (≥ 1)
+/// flows to the quotient's packed emission.
 pub(crate) fn build_weak(
     g: &Graph,
     cliques: &Cliques,
-    nodes: &[TermId],
+    partition: &Partition,
+    classes: &CliqueClasses,
     props: &[TermId],
     force_unpacked: bool,
     emit_threads: usize,
 ) -> Summary {
-    let partition = weak_partition(cliques, nodes);
-    // Clique → partition class, from one witness node per clique. Every
-    // clique of the all-nodes scope is witnessed, so the scan can stop as
-    // soon as all slots are filled.
-    let mut class_of_sc = vec![NO_DENSE_ID; cliques.source_cliques.len()];
-    let mut class_of_tc = vec![NO_DENSE_ID; cliques.target_cliques.len()];
-    let mut missing = class_of_sc.len() + class_of_tc.len();
-    for &node in nodes {
-        if missing == 0 {
-            break;
-        }
-        if let Some(c) = cliques.sc(node) {
-            if class_of_sc[c] == NO_DENSE_ID {
-                class_of_sc[c] = partition.class_of(node).expect("covered") as u32;
-                missing -= 1;
-            }
-        }
-        if let Some(c) = cliques.tc(node) {
-            if class_of_tc[c] == NO_DENSE_ID {
-                class_of_tc[c] = partition.class_of(node).expect("covered") as u32;
-                missing -= 1;
-            }
-        }
-    }
     // Proposition 4: all sources of a property are weakly equivalent and
     // so are all its targets, so W_G's data component is exactly one edge
     // per distinct property — derived from the cliques instead of
-    // re-scanning (and sort-deduplicating) all of D_G.
+    // re-scanning (and sort-deduplicating) all of D_G. (Every clique of
+    // the all-nodes scope is some node's, so it has a class.)
     let edges: Vec<(u32, TermId, u32)> = props
         .iter()
         .map(|&p| {
@@ -97,7 +76,7 @@ pub(crate) fn build_weak(
             let tc = cliques
                 .target_clique_of(p)
                 .expect("data property has a target clique");
-            (class_of_sc[sc], p, class_of_tc[tc])
+            (classes.of_sc[sc], p, classes.of_tc[tc])
         })
         .collect();
     // The union property sets `N(∪TC(n), ∪SC(n))` per class, gathered
@@ -105,12 +84,12 @@ pub(crate) fn build_weak(
     // (but cheaper than) unioning over every class member.
     let mut tc_sets: Vec<Vec<TermId>> = vec![Vec::new(); partition.len()];
     let mut sc_sets: Vec<Vec<TermId>> = vec![Vec::new(); partition.len()];
-    for (c, &class) in class_of_sc.iter().enumerate() {
+    for (c, &class) in classes.of_sc.iter().enumerate() {
         if class != NO_DENSE_ID {
             sc_sets[class as usize].extend_from_slice(cliques.source_members(c));
         }
     }
-    for (c, &class) in class_of_tc.iter().enumerate() {
+    for (c, &class) in classes.of_tc.iter().enumerate() {
         if class != NO_DENSE_ID {
             tc_sets[class as usize].extend_from_slice(cliques.target_members(c));
         }
@@ -132,7 +111,7 @@ pub(crate) fn build_weak(
     quotient_summary_planned(
         g,
         SummaryKind::Weak,
-        &partition,
+        partition,
         |i, _| namer.n_term(&tc_sets[i], &sc_sets[i]),
         plan,
         force_unpacked,

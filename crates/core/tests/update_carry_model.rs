@@ -1,38 +1,46 @@
-//! The one carry path under generated `UPDATE` sequences (the seed of
-//! ROADMAP 8a, and the acceptance test a resident substrate has to pass).
+//! The one carry path under generated `UPDATE` sequences (ROADMAP 8a: a
+//! model-based differential test of the service).
 //!
 //! A [`SummaryService`] with all six kinds warm takes random interleavings
 //! of insert and delete batches; a [`TripleStore`] beside it takes the same
-//! batches and is the model. After every batch each served summary must
-//! equal, byte for byte, what a one-shard [`SummaryContext`] builds from
-//! the model's graph; the update must report one rebuild per warm kind;
-//! `builds == patch_fallbacks + misses` must hold; a `QUERY` naming no
-//! kind must answer what the un-pruned evaluator answers on the model;
-//! and every batch that changed the graph must be accounted for by the
-//! kept substrate — absorbed in place (`substrate_absorbs`), or dropped
-//! and scanned anew by the carry (`substrate_scans`) — with the generated
-//! sequences taking each of those paths.
+//! batches and is the model. After every batch each carried artifact —
+//! whether its quotient map extended by the batch (*patched*) or the carry
+//! rebuilt it — must equal, field by field, the artifact a cold one-shard
+//! service builds from the model's graph: body bytes, summary-store
+//! triples, node, edge and input counts, every cardinality figure; with a
+//! persist dir, its `.sum` file must be the cold artifact's encoding byte
+//! for byte. The update must report `patched + rebuilt` = the carried
+//! kinds; `builds == patch_fallbacks + misses` must hold, every fallback
+//! counted under one refusal reason; a `QUERY` naming no kind must answer
+//! what the un-pruned evaluator answers on the model; and every batch that
+//! changed the graph must be accounted for by the kept substrate —
+//! absorbed in place (`substrate_absorbs`), or dropped and scanned anew by
+//! the carry (`substrate_scans`). The generated sequences take the patched
+//! path and every refusal reason; [`each_shape_takes_its_path`] pins which
+//! one each shape of batch takes.
 //!
 //! Cases are a pure function of the test's name and the case index (the
 //! workspace's proptest stand-in seeds from them) and the case budgets are
 //! fixed here, so every run checks the same sequences.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use rdf_model::{vocab, Component, Graph, PrefixMap, Term};
 use rdf_store::TripleStore;
-use rdfsum_core::persist::ALL_KINDS;
-use rdfsum_core::{fixtures, QueryOutcome, SummaryContext, SummaryService};
+use rdfsum_core::persist::{artifact_file_name, encode_artifact, ALL_KINDS};
+use rdfsum_core::{fixtures, QueryOutcome, ServiceStats, SummaryArtifact, SummaryService};
 use rdfsum_workloads::BsbmConfig;
 use std::collections::BTreeSet;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 type TermTriple = (Term, Term, Term);
 
 /// One generated triple: a shape (see [`triple`]) and three small indices
 /// into that shape's term pools. The pools hold five terms at most, so a
-/// sequence keeps meeting its own triples again: duplicates inside a
-/// batch, inserts of present triples, deletes of absent ones, and inserts
-/// that re-add what an earlier batch deleted.
+/// sequence keeps meeting its own triples and nodes again: duplicates
+/// inside a batch, inserts of present triples, deletes of absent ones,
+/// re-adds of deleted ones, typed-only nodes that gain data later.
 type Spec = (u8, usize, usize, usize);
 
 /// One generated `UPDATE`: the verb (`0` deletes, anything else inserts),
@@ -40,8 +48,8 @@ type Spec = (u8, usize, usize, usize);
 type Batch = (u8, Vec<Spec>, bool);
 
 fn arb_batches(max: usize) -> impl Strategy<Value = Vec<Batch>> {
-    let spec = (0u8..7, 0usize..5, 0usize..5, 0usize..3);
-    let batch = (0u8..3, proptest::collection::vec(spec, 1..8), any::<bool>());
+    let spec = (0u8..9, 0usize..5, 0usize..5, 0usize..3);
+    let batch = (0u8..4, proptest::collection::vec(spec, 1..8), any::<bool>());
     proptest::collection::vec(batch, 1..max)
 }
 
@@ -57,7 +65,8 @@ fn triple(base: &Graph, (shape, a, b, c): Spec) -> TermTriple {
         0 => (fresh("n", a), fresh("p", c), fresh("n", b)),
         // A loaded subject gains a new property.
         1 => (term(loaded(a).s), fresh("p", c), fresh("n", b)),
-        // A new subject on a loaded property and object: cliques join.
+        // A new subject on a loaded property and object: cliques join, or
+        // the object already has that property's clique.
         2 => (fresh("n", a), term(loaded(b).p), term(loaded(c).o)),
         // A new subject is typed (typed-only until a data triple names it).
         3 => (fresh("n", a), tau, fresh("C", c)),
@@ -69,6 +78,15 @@ fn triple(base: &Graph, (shape, a, b, c): Spec) -> TermTriple {
             Term::iri(vocab::RDFS_SUBCLASSOF),
             fresh("C", b),
         ),
+        // A new subject along a loaded edge into a new object: new members
+        // of existing classes — unless a pool node is already typed, a
+        // value, or on another edge, and its keys name two classes.
+        6 => (fresh("n", a), term(loaded(b).p), fresh("n", c)),
+        // A loaded subject's own property into a new node.
+        7 => {
+            let t = loaded(a);
+            (term(t.s), term(t.p), fresh("n", b))
+        }
         // A loaded triple itself: a duplicate to insert, a real delete.
         _ => {
             let t = loaded(a);
@@ -112,10 +130,52 @@ fn row_set(out: &QueryOutcome) -> RowSet {
         .collect()
 }
 
-/// How the kept substrate took the batches of one or more sequences.
+/// Every field of the served artifact against the cold build `want`; the
+/// cardinality figures (keyed by `g`'s ids, which both services share:
+/// they took the same batches in the same order) by IRI.
+fn same_artifact(
+    served: &SummaryArtifact,
+    want: &SummaryArtifact,
+    g: &Graph,
+) -> Result<(), TestCaseError> {
+    let kind = want.kind;
+    prop_assert!(served.ntriples == want.ntriples, "{} body", kind);
+    let counts = |a: &SummaryArtifact| (a.summary_nodes, a.summary_edges, a.input_triples);
+    prop_assert_eq!(counts(served), counts(want), "{} counts", kind);
+    let triples = |a: &SummaryArtifact| -> Vec<String> {
+        let h = a.summary_store.graph().dict();
+        let spo = a.summary_store.spo().as_slice();
+        let term = |id| h.decode(id).to_string();
+        spo.iter()
+            .map(|t| format!("{} {} {}", term(t.s), term(t.p), term(t.o)))
+            .collect()
+    };
+    prop_assert!(triples(served) == triples(want), "{} summary store", kind);
+    let figures = |a: &SummaryArtifact| {
+        let c = &a.cardinality;
+        let iri = |id| g.dict().decode(id).to_string();
+        let props: BTreeSet<_> = c
+            .iter_properties()
+            .map(|(p, card)| (iri(p), card.triples, card.subjects, card.objects))
+            .collect();
+        let classes: BTreeSet<_> = c.iter_classes().map(|(k, n)| (iri(k), n)).collect();
+        (c.kind(), c.n_data_nodes(), props, classes)
+    };
+    prop_assert_eq!(figures(served), figures(want), "{} cardinality", kind);
+    Ok(())
+}
+
+/// How the carries of one or more sequences went: per kind carried, and
+/// per batch for the kept substrate.
 #[derive(Clone, Copy, Debug, Default)]
 struct Paths {
-    /// Insert batches absorbed in place.
+    /// Carries the maps extended.
+    patched: u64,
+    /// Carries rebuilt, by refusal reason.
+    stale: u64,
+    structural: u64,
+    no_map: u64,
+    /// Insert batches the substrate absorbed in place.
     absorbed: u64,
     /// Insert batches the substrate refused (the carry scanned).
     refused: u64,
@@ -123,22 +183,68 @@ struct Paths {
     deleted: u64,
 }
 
+impl Paths {
+    fn add(&mut self, other: Paths) {
+        self.patched += other.patched;
+        self.stale += other.stale;
+        self.structural += other.structural;
+        self.no_map += other.no_map;
+        self.absorbed += other.absorbed;
+        self.refused += other.refused;
+        self.deleted += other.deleted;
+    }
+}
+
+/// What a sequence starts from besides its graph.
+#[derive(Clone, Copy, Debug)]
+struct Setup {
+    /// A second resident name holds the same content, and `w` is built
+    /// through it — from its substrate, not from the updated graph's.
+    twin: bool,
+    /// The service persists its artifacts (into a scratch dir of the
+    /// sequence's own).
+    persist: bool,
+}
+
+/// A scratch persist dir, wiped of any previous run's leftovers.
+fn persist_dir(tag: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rdfsum_carry_model_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// Drives `batches` through a service over `base` with every kind warm,
-/// checking the whole contract after each one. Returns how the substrate
-/// took them.
+/// checking the whole contract after each one. Returns how the carries
+/// and the substrate took them.
 fn check_sequence(
     base: &Graph,
     threads: usize,
     batches: &[Batch],
-) -> Result<Paths, proptest::TestCaseError> {
-    let svc = SummaryService::new(threads);
+    setup: Setup,
+    tag: usize,
+) -> Result<Paths, TestCaseError> {
+    let dir = setup.persist.then(|| persist_dir(tag));
+    let svc = match &dir {
+        Some(dir) => SummaryService::new(threads).with_persist_dir(dir),
+        None => SummaryService::new(threads),
+    };
     svc.load_graph("g", base.clone());
+    if setup.twin {
+        svc.load_graph("twin", base.clone());
+        svc.summarize("twin", ALL_KINDS[0]).unwrap();
+    }
     for kind in ALL_KINDS {
         svc.summarize("g", kind).unwrap();
     }
+    let warm = svc.stats();
+    let (loaded, _) = svc.graph_info("g").unwrap();
+    // Whether the updated graph keeps a substrate: its first build scanned
+    // one; a batch it cannot absorb empties the cell, the next rebuild
+    // scans again.
+    let (mut kept, mut scans) = (true, 0);
     let mut model = TripleStore::new(base.clone());
     // The subject of the first loaded triple: its row changes under shapes
-    // 1, 4 and 6.
+    // 1, 4, 7 and 8.
     let loaded_subject = base.dict().decode(base.data()[0].s).to_string();
     let loaded_row = format!("q(?p, ?o) :- {loaded_subject} ?p ?o");
     let mut paths = Paths::default();
@@ -156,19 +262,33 @@ fn check_sequence(
         };
         prop_assert_eq!(out.applied, expect.applied.len(), "step {}", step);
         prop_assert_eq!(out.fingerprint, expect.fingerprint, "step {}", step);
-        let carried = if out.applied == 0 { 0 } else { ALL_KINDS.len() };
-        prop_assert_eq!(out.rebuilt, carried, "step {}", step);
-        let cold = SummaryContext::new(model.graph());
+        // Back on the loaded content, the twin's lines are still there:
+        // nothing to carry.
+        let back = setup.twin && expect.fingerprint == loaded;
+        let carried = if out.applied == 0 || back {
+            0
+        } else {
+            ALL_KINDS.len()
+        };
+        prop_assert_eq!(out.patched + out.rebuilt, carried, "step {}", step);
+        let cold = SummaryService::new(1);
+        cold.load_graph("g", model.graph().clone());
         for kind in ALL_KINDS {
             let (artifact, hit) = svc.summarize("g", kind).unwrap();
             prop_assert!(hit, "step {}: {} went cold", step, kind);
             prop_assert_eq!(artifact.fingerprint, expect.fingerprint);
-            prop_assert!(
-                artifact.ntriples == rdf_io::write_graph(&cold.summarize(kind).graph),
-                "step {}: served {} differs from a cold build",
-                step,
-                kind
-            );
+            let (want, _) = cold.summarize("g", kind).unwrap();
+            same_artifact(&artifact, &want, model.graph())
+                .map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
+            if let Some(dir) = &dir {
+                let file = dir.join(artifact_file_name(expect.fingerprint, kind));
+                prop_assert!(
+                    std::fs::read(&file).ok() == encode_artifact(&want, model.graph()),
+                    "step {}: {} differs from a cold build's",
+                    step,
+                    file.display()
+                );
+            }
         }
         for text in QUERIES.into_iter().chain([loaded_row.as_str()]) {
             let answer = svc.query("g", text, None, usize::MAX).unwrap();
@@ -188,32 +308,59 @@ fn check_sequence(
         }
         let st = svc.stats();
         prop_assert_eq!(st.builds, st.patch_fallbacks + st.misses, "step {}", step);
-        // One scan by the warm-up; since then every batch that changed the
-        // graph was absorbed, or made the carry scan — a delete always, a
-        // schema-only one excepted: the substrate reads no schema row.
+        let since = |f: fn(&ServiceStats) -> u64| f(&st) - f(&warm);
+        prop_assert_eq!(
+            (since(|s| s.patches), since(|s| s.patch_fallbacks)),
+            (
+                paths.patched + out.patched as u64,
+                paths.stale + paths.structural + paths.no_map + out.rebuilt as u64
+            ),
+            "step {}",
+            step
+        );
+        paths.patched = since(|s| s.patches);
+        (paths.stale, paths.structural, paths.no_map) = (
+            since(|s| s.refused_stale),
+            since(|s| s.refused_structural),
+            since(|s| s.refused_no_map),
+        );
+        // Since the warm-up every batch that changed the graph was
+        // absorbed by the kept substrate, or emptied its cell — a delete
+        // always, a schema-only one excepted: the substrate reads no
+        // schema row — and the first rebuild after that scanned.
         if out.applied > 0 {
-            if st.substrate_absorbs > paths.absorbed {
+            if since(|s| s.substrate_absorbs) > paths.absorbed {
                 let wk = model.graph().well_known();
                 let schema_only = |t: &rdf_model::Triple| wk.component_of(t.p) == Component::Schema;
+                prop_assert!(kept, "step {}: absorbed without a substrate", step);
                 prop_assert!(
                     insert || expect.applied.iter().all(schema_only),
                     "step {}: absorbed a delete",
                     step
                 );
                 paths.absorbed += 1;
-            } else if insert {
-                paths.refused += 1;
-            } else {
-                paths.deleted += 1;
+            } else if kept {
+                kept = false;
+                if insert {
+                    paths.refused += 1;
+                } else {
+                    paths.deleted += 1;
+                }
+            }
+            if !kept && out.rebuilt > 0 {
+                (kept, scans) = (true, scans + 1);
             }
         }
-        prop_assert_eq!(st.substrate_absorbs, paths.absorbed, "step {}", step);
         prop_assert_eq!(
-            st.substrate_scans,
-            1 + paths.refused + paths.deleted,
+            since(|s| s.substrate_absorbs),
+            paths.absorbed,
             "step {}",
             step
         );
+        prop_assert_eq!(since(|s| s.substrate_scans), scans, "step {}", step);
+    }
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
     }
     Ok(paths)
 }
@@ -234,21 +381,21 @@ proptest! {
 
     /// Below the floor: the carry's context runs on one worker. All 48
     /// sequences are one generated case, so that what they add up to can
-    /// be checked: each way the kept substrate can take a batch is taken.
+    /// be checked: every way a carry and the kept substrate can take a
+    /// batch is taken.
     #[test]
     fn carried_summaries_match_cold_builds_on_fixtures(
-        cases in proptest::collection::vec((0usize..3, arb_batches(8)), 48..49),
+        cases in proptest::collection::vec((0usize..3, arb_batches(8), 0u8..4), 48..49),
     ) {
         let mut total = Paths::default();
-        for (which, batches) in &cases {
+        for (tag, (which, batches, setup)) in cases.iter().enumerate() {
             let base = [fixtures::sample_graph, fixtures::figure5_graph, fixtures::book_graph][*which]();
-            let paths = check_sequence(&base, 1, batches)?;
-            total.absorbed += paths.absorbed;
-            total.refused += paths.refused;
-            total.deleted += paths.deleted;
+            let setup = Setup { twin: setup & 1 != 0, persist: setup & 2 != 0 };
+            total.add(check_sequence(&base, 1, batches, setup, tag)?);
         }
         prop_assert!(
-            total.absorbed > 0 && total.refused > 0 && total.deleted > 0,
+            [total.patched, total.stale, total.structural, total.no_map].iter().all(|&n| n > 0)
+                && total.absorbed > 0 && total.refused > 0 && total.deleted > 0,
             "a path no sequence took: {:?}",
             total
         );
@@ -262,6 +409,159 @@ proptest! {
     /// workers, the cold build it is compared with on one.
     #[test]
     fn carried_summaries_match_cold_builds_above_the_shard_floor(batches in arb_batches(4)) {
-        check_sequence(sharding_graph(), 2, &batches)?;
+        let setup = Setup { twin: false, persist: false };
+        check_sequence(sharding_graph(), 2, &batches, setup, usize::MAX)?;
     }
+}
+
+/// Each shape of batch a carry meets, on the paper's Figure 2 graph with
+/// the five clique and type kinds warm: which kinds the maps extend by it
+/// and why the others rebuild — `(patched, stale, structural)` — and every
+/// carried body a cold build's.
+#[test]
+fn each_shape_takes_its_path() {
+    const FIVE: [rdfsum_core::SummaryKind; 5] = {
+        let [w, s, tw, ts, t, _fb] = ALL_KINDS;
+        [w, s, tw, ts, t]
+    };
+    let ex = |local: &str| Term::iri(format!("{}{local}", fixtures::EX));
+    let tau = || Term::iri(vocab::RDF_TYPE);
+    let row = |s: &str, p: &str, o: &str| (ex(s), ex(p), ex(o));
+    let typed = |s: &str, c: &str| (ex(s), tau(), ex(c));
+    type Case = (&'static str, Vec<TermTriple>, bool, (usize, usize, usize));
+    let cases: Vec<Case> = vec![
+        // A new title: a new member of the titles' class, along an edge
+        // every kind has — but T keeps every untyped node a class of its own.
+        (
+            "new member, old edge",
+            vec![row("r1", "title", "t5")],
+            true,
+            (4, 0, 1),
+        ),
+        (
+            "new property",
+            vec![row("r3", "rating", "x1")],
+            true,
+            (0, 0, 5),
+        ),
+        // `c1`'s target clique {comment} joins {title}.
+        (
+            "cliques join",
+            vec![row("r3", "title", "c1")],
+            true,
+            (0, 0, 5),
+        ),
+        // `n1` publishes (the `e` class) and is authored (the `a` class).
+        (
+            "node links two weak classes",
+            vec![row("n1", "published", "r4"), row("r1", "author", "n1")],
+            true,
+            (0, 0, 5),
+        ),
+        (
+            "new class set",
+            vec![typed("n1", "NewClass")],
+            true,
+            (0, 0, 5),
+        ),
+        (
+            "typed-only node gains data",
+            vec![row("r6", "title", "t7")],
+            true,
+            (0, 0, 5),
+        ),
+        // `o1` is the only {Only} resource and has no data; `n1` joins its
+        // class with data.
+        (
+            "new data node joins an all-typed-only class",
+            vec![typed("n1", "Only"), row("n1", "title", "t7")],
+            true,
+            (0, 0, 5),
+        ),
+        // W and S have `editor` from the class of `r1`; the Book class of
+        // the typed kinds does not.
+        (
+            "new quotient edge",
+            vec![row("r1", "editor", "e3")],
+            true,
+            (2, 0, 3),
+        ),
+        (
+            "schema row",
+            vec![(ex("Book"), Term::iri(vocab::RDFS_SUBCLASSOF), ex("Doc"))],
+            true,
+            (0, 0, 5),
+        ),
+        ("delete", vec![row("r1", "title", "t1")], false, (0, 5, 0)),
+    ];
+    let mut base = fixtures::sample_graph();
+    base.add_iri_triple(
+        &format!("{}o1", fixtures::EX),
+        vocab::RDF_TYPE,
+        &format!("{}Only", fixtures::EX),
+    );
+    let outcome = |svc: &SummaryService, before: &ServiceStats| {
+        let st = svc.stats();
+        assert_eq!(st.refused_no_map, before.refused_no_map);
+        (
+            (st.patches - before.patches) as usize,
+            (st.refused_stale - before.refused_stale) as usize,
+            (st.refused_structural - before.refused_structural) as usize,
+        )
+    };
+    let check_bodies = |svc: &SummaryService, model: &TripleStore, what: &str| {
+        let cold = SummaryService::new(1);
+        cold.load_graph("g", model.graph().clone());
+        for kind in FIVE {
+            let (served, hit) = svc.summarize("g", kind).unwrap();
+            assert!(hit, "{what}: {kind}");
+            let (want, _) = cold.summarize("g", kind).unwrap();
+            assert!(
+                served.ntriples == want.ntriples,
+                "{what}: {kind} differs from a cold build"
+            );
+        }
+    };
+    for (what, batch, insert, expect) in cases {
+        let svc = SummaryService::new(1);
+        svc.load_graph("g", base.clone());
+        for kind in FIVE {
+            svc.summarize("g", kind).unwrap();
+        }
+        let before = svc.stats();
+        let out = svc.update("g", insert, &batch).unwrap();
+        assert_eq!(out.applied, batch.len(), "{what}");
+        assert_eq!(
+            (out.patched, out.rebuilt),
+            (expect.0, 5 - expect.0),
+            "{what}"
+        );
+        assert_eq!(outcome(&svc, &before), expect, "{what}");
+        let mut model = TripleStore::new(base.clone());
+        if insert {
+            model.insert_batch(&batch).unwrap();
+        } else {
+            model.delete_batch(&batch);
+        }
+        check_bodies(&svc, &model, what);
+    }
+
+    // Two resident names with the same content: `w` is built through the
+    // twin, from its substrate; the rest from the updated graph's own. The
+    // batch the maps extend by above is refused to `w` alone as stale.
+    let svc = SummaryService::new(1);
+    svc.load_graph("g", base.clone());
+    svc.load_graph("twin", base.clone());
+    svc.summarize("twin", FIVE[0]).unwrap();
+    for kind in FIVE {
+        svc.summarize("g", kind).unwrap();
+    }
+    let before = svc.stats();
+    let batch = [row("r1", "title", "t5")];
+    let out = svc.update("g", true, &batch).unwrap();
+    assert_eq!((out.patched, out.rebuilt), (3, 2));
+    assert_eq!(outcome(&svc, &before), (3, 1, 1));
+    let mut model = TripleStore::new(base);
+    model.insert_batch(&batch).unwrap();
+    check_bodies(&svc, &model, "twin");
 }

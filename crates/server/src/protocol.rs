@@ -34,26 +34,37 @@
 //! just send more `UPDATE` lines). Insertion is atomic: a malformed
 //! payload or a model-invalid triple rejects the whole batch. Deletion
 //! skips absent triples rather than failing. The success line is
-//! `OK update fp=<new> applied=<n> patched=0 rebuilt=<r>` — `applied`
-//! counts triples that actually changed the graph and `rebuilt` the warm
-//! cached summaries of the old fingerprint carried to the new one, each
-//! rebuilt from the graph's kept substrate. `patched` is always 0: the
-//! token is kept because the field set is pinned.
+//! `OK update fp=<new> applied=<n> patched=<p> rebuilt=<r>` — `applied`
+//! counts triples that actually changed the graph; `patched + rebuilt`
+//! are the warm cached summaries of the old fingerprint carried to the
+//! new one. A *patched* summary's quotient map extended by the batch: an
+//! insert that only adds members to existing classes along existing
+//! edges leaves the summary as it was, so its body carries over and only
+//! its statistics move. A *rebuilt* one was built anew from the graph's
+//! kept substrate, as a cache miss builds it.
 //!
 //! The `STATS` success line is `OK stats graphs= cached= hits= misses=
 //! builds= queries= pruned= prune_hits= evictions= cache_bytes= updates=
-//! patches=0 patch_fallbacks= persist_hits= persist_writes=
-//! substrate_scans= substrate_absorbs= bytes=<n>`, in that order (new
-//! counters are only ever appended before `bytes=`); the body lists the
-//! resident graphs, one `<fingerprint> <triples> <name>` line each.
-//! `builds == patch_fallbacks + misses` always holds. `substrate_scans`
-//! counts full scans of a resident graph's rows for its summarization
-//! substrate: one by the graph's first build, and one by the first build
-//! after an `UPDATE` the kept substrate could not carry — any batch that
-//! deletes a data or type triple, or that types a resource whose data
-//! triples were already linked as untyped. `substrate_absorbs` counts the
-//! other batches: those whose appended rows extended the kept substrate
-//! in place. A cache miss answered from the persist dir scans nothing.
+//! patches= patch_fallbacks= persist_hits= persist_writes=
+//! substrate_scans= substrate_absorbs= refused_stale= refused_structural=
+//! refused_no_map= bytes=<n>`, in that order (new counters are only ever
+//! appended before `bytes=`); the body lists the resident graphs, one
+//! `<fingerprint> <triples> <name>` line each. `patches` and
+//! `patch_fallbacks` count the carried summaries patched and rebuilt; each
+//! rebuild also counts in `builds` and in one `refused_*` reason — *stale*:
+//! the batch deleted, or the kept substrate it was absorbed into is not
+//! the one the summary's map was read from; *structural*: the batch adds
+//! a property, joins cliques or classes, makes a new class or summary
+//! edge, or touches the schema; *no map*: the summary was read from the
+//! persist dir, or is `fb` — so `builds == patch_fallbacks + misses`
+//! always holds. `substrate_scans` counts full scans of a resident graph's
+//! rows for its summarization substrate: one by the graph's first build,
+//! and one by the first build after an `UPDATE` the kept substrate could
+//! not carry — any batch that deletes a data or type triple, or that types
+//! a resource whose data triples were already linked as untyped.
+//! `substrate_absorbs` counts the other batches: those whose appended rows
+//! extended the kept substrate in place. A cache miss answered from the
+//! persist dir scans nothing.
 //!
 //! A response is one status line, optionally followed by a length-framed
 //! binary body:
@@ -152,8 +163,9 @@ pub enum Request {
     },
     /// `UPDATE <graph> <+|-> <triples…>` — insert or delete a batch of
     /// N-Triples statements on a resident graph, re-keying its cached
-    /// summaries under the new fingerprint (each rebuilt there, exactly
-    /// as a cache miss would build it).
+    /// summaries under the new fingerprint (each extended by the batch
+    /// when it leaves the summary as it was, else rebuilt there exactly as
+    /// a cache miss would build it).
     Update {
         /// Resident graph name (first whitespace-delimited token, same
         /// addressing restriction as `QUERY`).

@@ -150,16 +150,13 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
             payload,
         } => match rdf_io::parse_statements(&payload) {
             Ok(triples) => match service.update(&graph, insert, &triples) {
-                // The field sets of `OK update` and `STATS` are pinned by
-                // the benchmark's wire oracle: `patched` and `patches`
-                // stay on the wire as 0 — every carry is a rebuild — until
-                // ROADMAP item 1 gives them a meaning again or item 3
-                // retires them with the ruler.
+                // `patched` counts the carried kinds whose quotient maps
+                // extended by the batch, `rebuilt` the ones rebuilt instead.
                 Ok(out) => write_ok(
                     w,
                     &format!(
-                        "update fp={} applied={} patched=0 rebuilt={}",
-                        out.fingerprint, out.applied, out.rebuilt
+                        "update fp={} applied={} patched={} rebuilt={}",
+                        out.fingerprint, out.applied, out.patched, out.rebuilt
                     ),
                 ),
                 Err(err) => write_err(w, "update", &err),
@@ -173,7 +170,7 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
                 body.push_str(&format!("{fp} {triples} {name}\n"));
             }
             let fields = format!(
-                "stats graphs={} cached={} hits={} misses={} builds={} queries={} pruned={} prune_hits={} evictions={} cache_bytes={} updates={} patches=0 patch_fallbacks={} persist_hits={} persist_writes={} substrate_scans={} substrate_absorbs={}",
+                "stats graphs={} cached={} hits={} misses={} builds={} queries={} pruned={} prune_hits={} evictions={} cache_bytes={} updates={} patches={} patch_fallbacks={} persist_hits={} persist_writes={} substrate_scans={} substrate_absorbs={} refused_stale={} refused_structural={} refused_no_map={}",
                 st.graphs,
                 st.cached_summaries,
                 st.hits,
@@ -185,11 +182,15 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
                 st.evictions,
                 st.cache_bytes,
                 st.updates,
+                st.patches,
                 st.patch_fallbacks,
                 st.persist_hits,
                 st.persist_writes,
                 st.substrate_scans,
-                st.substrate_absorbs
+                st.substrate_absorbs,
+                st.refused_stale,
+                st.refused_structural,
+                st.refused_no_map
             );
             write_ok_body(w, &fields, body.as_bytes());
         }

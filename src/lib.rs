@@ -165,11 +165,19 @@
 //! lane-sum digest adds/subtracts exactly the touched triples, so the
 //! post-batch fingerprint costs O(batch), not an SPO rescan — and the
 //! answer is status-line-only: `OK update fp=<new> applied=<n>
-//! patched=0 rebuilt=<n>`. Cached summaries follow the fingerprint
-//! transition: every kind that was warm for the old content is rebuilt
-//! for the new one, exactly as a cache miss would build it, all of one
-//! batch from one shared substrate (`rebuilt` counts them; `patched` is a
-//! pinned wire token that reads 0). A kind the new content already has
+//! patched=<p> rebuilt=<r>`. Cached summaries follow the fingerprint
+//! transition: every kind that was warm for the old content is carried to
+//! the new one. Each built artifact keeps its *quotient map* — the class
+//! key → summary node tables of its partition, one extent count per
+//! summary node — and the carry first offers it the batch: an insert that
+//! only adds members to existing classes along existing edges cannot
+//! change a quotient (Definitions 4 and 9), so the map extends, the body
+//! carries over and only the extent-derived statistics move (`patched`
+//! counts these). Any other batch — a delete, a new property, joined
+//! cliques, a new class or summary edge, a schema row — or an artifact
+//! without a map (read from the persist dir, or `fb`) is rebuilt exactly
+//! as a cache miss would build it, all of one batch from one shared
+//! substrate (`rebuilt` counts these). A kind the new content already has
 //! cached (shared with another resident name) is skipped before any work.
 //!
 //! What a **concurrent reader** observes: writers to one graph queue
@@ -183,11 +191,12 @@
 //! prunes with — never answering un-pruned or from the old summary, so
 //! `pruned=` stays deterministic — and `SUMMARIZE k` waits for `k`. The
 //! `UPDATE` itself answers once every carried kind is in place.
-//! `STATS` exposes the accounting — `updates` (batches applied) and
-//! `patch_fallbacks` (kinds an `UPDATE` re-established by rebuilding;
-//! `patches` is pinned at 0 beside it) — and the invariant `builds ==
+//! `STATS` exposes the accounting — `updates` (batches applied),
+//! `patches` and `patch_fallbacks` (kinds an `UPDATE` extended and
+//! rebuilt), and why each rebuild was needed (`refused_stale`,
+//! `refused_structural`, `refused_no_map`) — and the invariant `builds ==
 //! patch_fallbacks + misses` holds at all times: every build is either a
-//! plain cache miss or one kind carried by an update. Builds share one
+//! plain cache miss or one kind an update rebuilt. Builds share one
 //! substrate per resident graph: `substrate_absorbs` counts the batches
 //! that extended it in place, `substrate_scans` the times it was scanned
 //! from the graph's rows (a graph's first build; the first build after a

@@ -476,9 +476,10 @@ fn stress_interleaved_load_summarize_evict() {
 
 /// The delta-serving contract over real TCP: a single-triple `UPDATE`
 /// carries the warm weak summary to the new fingerprint (one rebuild, no
-/// miss), the carried body is byte-identical to a cold build of the
-/// updated graph, a delete carries it back the same way, and the STATS
-/// line keeps its pinned `updates`/`patches`/`patch_fallbacks` tokens.
+/// miss: the triple's property is new, which no quotient map absorbs), the
+/// carried body is byte-identical to a cold build of the updated graph, a
+/// delete carries it back the same way, and the STATS line accounts for
+/// both in its `updates`/`patches`/`patch_fallbacks` tokens.
 #[test]
 fn update_carries_warm_weak_summary_over_the_wire() {
     let dir = workdir("update");
