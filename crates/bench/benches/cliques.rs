@@ -22,8 +22,8 @@ fn bench_cliques(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sequential scan at the scale the sharded substrate takes over
-/// (BSBM ~160k data triples; its shard-count rows are in `sharded`).
+/// The scan at BSBM ~160k data triples (the substrate's own scan and
+/// absorb rows are in `sharded`).
 fn bench_cliques_large(c: &mut Criterion) {
     let g = rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(2_000));
     let mut group = c.benchmark_group("cliques_bsbm_200k");

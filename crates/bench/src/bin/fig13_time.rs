@@ -1,6 +1,7 @@
 //! Reproduces **Figure 13** of the paper: summarization time (seconds) for
-//! the four summaries across BSBM dataset sizes, plus our streaming and
-//! sharded weak builds for comparison.
+//! the four summaries across BSBM dataset sizes, plus our streaming weak
+//! build for comparison. Every build runs on the calling thread, so there
+//! is no worker-count column: it would repeat `W`.
 //!
 //! ```text
 //! cargo run --release -p rdfsum-bench --bin fig13_time
@@ -15,7 +16,7 @@ fn main() {
     let scales = scales_from_args();
     eprintln!("# timing sweep over BSBM scales {scales:?}");
     let mut rows: Vec<SweepRow> = Vec::new();
-    let mut extra: Vec<(usize, f64, f64, f64)> = Vec::new(); // streaming, parallel2, parallel8
+    let mut streaming: Vec<(usize, f64)> = Vec::new();
     for &p in &scales {
         eprintln!("#   products={p}…");
         let g = rdfsum_workloads::generate_bsbm(&BsbmConfig {
@@ -26,48 +27,17 @@ fn main() {
         rows.push(measure_graph(&g, p));
         let t0 = Instant::now();
         let s = rdfsum_experiments::streaming_weak_summary(&g);
-        let streaming = t0.elapsed().as_secs_f64();
+        streaming.push((p, t0.elapsed().as_secs_f64()));
         std::hint::black_box(&s);
-        let t0 = Instant::now();
-        let s = rdfsum_core::SummaryContext::sharded(&g, 2).weak_summary();
-        let par2 = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&s);
-        let t0 = Instant::now();
-        let s = rdfsum_core::SummaryContext::sharded(&g, 8).weak_summary();
-        let par8 = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&s);
-        extra.push((p, streaming, par2, par8));
     }
 
     println!("=== Figure 13: summarization time ===");
     print!("{}", render_times(&rows));
 
-    println!("\n=== Extension: alternative weak builders (seconds) ===");
-    let widths = [10, 12, 12, 12];
-    println!(
-        "{}",
-        row(
-            &[
-                "products".into(),
-                "W stream".into(),
-                "W par(2)".into(),
-                "W par(8)".into()
-            ],
-            &widths
-        )
-    );
-    for (p, st, p2, p8) in extra {
-        println!(
-            "{}",
-            row(
-                &[
-                    p.to_string(),
-                    format!("{st:.4}"),
-                    format!("{p2:.4}"),
-                    format!("{p8:.4}")
-                ],
-                &widths
-            )
-        );
+    println!("\n=== Extension: streaming weak builder (seconds) ===");
+    let widths = [10, 12];
+    println!("{}", row(&["products".into(), "W stream".into()], &widths));
+    for (p, st) in streaming {
+        println!("{}", row(&[p.to_string(), format!("{st:.4}")], &widths));
     }
 }

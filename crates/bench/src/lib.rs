@@ -70,9 +70,8 @@ pub fn measure_scale(products: usize, seed: u64) -> SweepRow {
 
 /// Measures all four summaries of a prepared graph through one shared
 /// [`SummaryContext`], so the cliques (both scopes) and dense numbering
-/// are computed once rather than once per summary. The context is the
-/// one-shard one at every scale: the sweep is sequential, as the paper's
-/// Fig. 13 is (`fig13_time`'s parallel rows pass their own count).
+/// are computed once rather than once per summary. The sweep is
+/// sequential, as the paper's Fig. 13 is.
 pub fn measure_graph(g: &Graph, products: usize) -> SweepRow {
     let start = Instant::now();
     let ctx = SummaryContext::new(g);

@@ -103,14 +103,8 @@ pub fn bisim_partition(g: &Graph, depth: BisimDepth) -> Partition {
     Partition::group_by(&nodes, |n| colors[index[&n]])
 }
 
-/// Builds the bisimulation quotient summary of `g`, on the calling thread.
+/// Builds the bisimulation quotient summary of `g`.
 pub fn bisim_summary(g: &Graph, depth: BisimDepth) -> Summary {
-    bisim_summary_on(g, depth, 1)
-}
-
-/// [`bisim_summary`] with the quotient emitted on `threads` workers — what
-/// a [`crate::context::SummaryContext`] calls with its own count.
-pub(crate) fn bisim_summary_on(g: &Graph, depth: BisimDepth, threads: usize) -> Summary {
     let partition = bisim_partition(g, depth);
     let tag = match depth {
         BisimDepth::Bounded(k) => k.to_string(),
@@ -125,7 +119,6 @@ pub(crate) fn bisim_summary_on(g: &Graph, depth: BisimDepth, threads: usize) -> 
         |i, _| rdf_model::Term::iri(format!("{SUMMARY_NS}bisim?k={tag}&c={i}")),
         DataPlan::Scan,
         false,
-        threads,
     )
 }
 

@@ -5,7 +5,7 @@ use crate::summary::{Summary, SummaryKind};
 use rdf_model::Graph;
 
 /// Builds the summary of `g` of the given kind, through a throwaway
-/// one-shard [`SummaryContext`].
+/// [`SummaryContext`].
 ///
 /// # Examples
 ///

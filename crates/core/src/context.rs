@@ -88,9 +88,10 @@
 //! The pass runs on the calling thread. It replaced a two-table-per-shard
 //! scan, an absorb/remap fold, a stitched entry list, two CSR fills and a
 //! CSR sweep per scope, and beat the two-shard build of that pipeline
-//! 4.5× at 200 k and 400 k triples (CHANGES.md, PR 24). What
-//! [`SummaryContext::threads`] still sizes is the quotient's packed
-//! emission and the summary's extent table.
+//! 4.5× at 200 k and 400 k triples. So do the stages past it — partition,
+//! the quotient's packed emission, the summary's extent table: split
+//! across two workers they won no served workload, so a context carries
+//! no worker count (both sizings are in CHANGES.md).
 
 use crate::cliques::{CliqueScope, Cliques};
 use crate::equivalence::{strong_partition, weak_classes, CliqueClasses, Partition};
@@ -509,8 +510,7 @@ fn link(first: &mut u32, p: u32, all: &mut UnionFind, untyped: Option<&mut Union
 }
 
 /// The shared build pipeline for all five summaries of one graph: a
-/// borrowed graph, a [`Substrate`] that covers it, and the worker count
-/// the quotient's emission and the extent table run on.
+/// borrowed graph and a [`Substrate`] that covers it.
 ///
 /// See the [module docs](self) for the design. The clique structures are
 /// derived lazily and cached, so you only pay for the scopes the requested
@@ -534,67 +534,44 @@ pub struct SummaryContext<'g> {
     substrate: Cow<'g, Substrate>,
     /// The data nodes in numbering order (typed-only tail included).
     nodes: Vec<TermId>,
-    /// The worker count of the stages past the substrate, resolved at
-    /// construction and always ≥ 1.
-    threads: usize,
     all_cliques: OnceCell<Cliques>,
     untyped_cliques: OnceCell<Cliques>,
 }
 
 impl<'g> SummaryContext<'g> {
-    /// Scans `g` and builds on one worker: every stage runs on the calling
-    /// thread. Data nodes are numbered in first-seen order (the
-    /// [`crate::equivalence::data_nodes_ordered`] order).
+    /// Scans `g` for a context of its own. Data nodes are numbered in
+    /// first-seen order (the [`crate::equivalence::data_nodes_ordered`]
+    /// order).
     pub fn new(g: &'g Graph) -> Self {
-        Self::sharded_forced(g, 1)
+        Self::view(g, Cow::Owned(Substrate::scan(g)))
     }
 
-    /// Scans `g` and builds on the worker count
-    /// [`crate::parallel::shard_count`] resolves for it and the requested
-    /// `threads`: one below
-    /// [`crate::parallel::PARALLEL_SHARD_THRESHOLD`] data triples, so
-    /// small graphs never pay the per-worker fixed costs, else the
-    /// request. All five summaries come out triple-for-triple,
-    /// naming-identical at any count.
-    pub fn sharded(g: &'g Graph, threads: usize) -> Self {
-        Self::sharded_forced(g, crate::parallel::shard_count(g.data().len(), threads))
+    /// [`SummaryContext::new`]; the worker count is ignored. It stays only
+    /// because the repository benchmark's layer replay
+    /// (`crates/bench/src/bin/benchmark/layers.rs`) still calls it, and it
+    /// goes when that file does.
+    pub fn sharded(g: &'g Graph, _threads: usize) -> Self {
+        Self::new(g)
     }
 
-    /// [`SummaryContext::sharded`] without the size floor — the seam the
-    /// forced-shard tests and benches drive, since the floor keeps
-    /// fixture-sized graphs on one worker. Prefer
-    /// [`SummaryContext::sharded`].
-    pub fn sharded_forced(g: &'g Graph, shards: usize) -> Self {
-        Self::view(g, Cow::Owned(Substrate::scan(g)), shards.clamp(1, 256))
-    }
-
-    /// [`SummaryContext::sharded`] over a substrate the caller keeps for
-    /// `g` instead of a scan of its own.
+    /// A context over a substrate the caller keeps for `g` instead of a
+    /// scan of its own.
     ///
     /// # Panics
     /// Panics if `substrate` does not [cover](Substrate::covers) `g`.
-    pub fn over(g: &'g Graph, substrate: &'g Substrate, threads: usize) -> Self {
-        let threads = crate::parallel::shard_count(g.data().len(), threads);
-        Self::view(g, Cow::Borrowed(substrate), threads)
+    pub fn over(g: &'g Graph, substrate: &'g Substrate) -> Self {
+        Self::view(g, Cow::Borrowed(substrate))
     }
 
-    fn view(g: &'g Graph, substrate: Cow<'g, Substrate>, threads: usize) -> Self {
+    fn view(g: &'g Graph, substrate: Cow<'g, Substrate>) -> Self {
         assert!(substrate.covers(g), "substrate is not this graph's");
         SummaryContext {
             g,
             nodes: substrate.data_nodes(),
             substrate,
-            threads,
             all_cliques: OnceCell::new(),
             untyped_cliques: OnceCell::new(),
         }
-    }
-
-    /// The worker count this context resolved at construction (≥ 1): the
-    /// count the quotient's emission and the extent table run on.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The summarized graph.
@@ -645,7 +622,6 @@ impl<'g> SummaryContext<'g> {
             &classes,
             self.data_properties(),
             force_unpacked,
-            self.threads,
         );
         let keys = self.weak_keys(cliques, &classes, |c| c);
         let map = self.quotient_map(
@@ -674,7 +650,6 @@ impl<'g> SummaryContext<'g> {
             |_, members| signature_term(&mut namer, cliques, members[0]),
             DataPlan::Scan,
             force_unpacked,
-            self.threads,
         );
         let firsts = (0..).zip(&partition.classes).map(|(c, m)| (m[0], c));
         let keys = self.strong_keys(cliques, firsts);
@@ -751,7 +726,6 @@ impl<'g> SummaryContext<'g> {
             },
             DataPlan::Scan,
             force_unpacked,
-            self.threads,
         );
         // Typed classes are keyed by their class set; untyped ones by the
         // untyped partition's keys, lifted to the combined classes.
@@ -809,7 +783,6 @@ impl<'g> SummaryContext<'g> {
             },
             DataPlan::Scan,
             force_unpacked,
-            self.threads,
         );
         let mut by_set = vec![NO_DENSE_ID; cs.len()];
         for (c, members) in (0..).zip(&partition.classes) {
@@ -916,11 +889,8 @@ impl<'g> SummaryContext<'g> {
             }
             SummaryKind::TypeBased => self.type_summary_impl(false),
             SummaryKind::Bisimulation => {
-                let summary = crate::bisim::bisim_summary_on(
-                    self.g,
-                    crate::bisim::BisimDepth::Bounded(2),
-                    self.threads,
-                );
+                let summary =
+                    crate::bisim::bisim_summary(self.g, crate::bisim::BisimDepth::Bounded(2));
                 return (summary, None);
             }
         };
@@ -1028,11 +998,10 @@ mod tests {
 
     /// The class sets equal a per-node `BTreeSet` accumulation numbered in
     /// first-seen order — same dense set ids, same set contents, same node
-    /// mapping — at every forced count, on a graph with duplicate type
-    /// triples and interleaved class orders, and on one with no type
-    /// triples at all.
+    /// mapping — on a graph with duplicate type triples and interleaved
+    /// class orders, and on one with no type triples at all.
     #[test]
-    fn forced_parallel_class_sets_match_sequential() {
+    fn class_sets_match_btreeset_model() {
         let mut g = Graph::new();
         // 120 typed resources cycling through 7 class-set shapes, visited
         // twice in different orders.
@@ -1076,11 +1045,9 @@ mod tests {
                 });
                 set_of_node[node.index()] = id as u32;
             }
-            for shards in [1, 2, 3, 4, 8, 64] {
-                let ctx = SummaryContext::sharded_forced(&g, shards);
-                assert_eq!(ctx.class_sets().set_of_node, set_of_node, "{shards}");
-                assert_eq!(ctx.class_sets().sets, sets, "{shards}");
-            }
+            let ctx = SummaryContext::new(&g);
+            assert_eq!(ctx.class_sets().set_of_node, set_of_node);
+            assert_eq!(ctx.class_sets().sets, sets);
         }
     }
 
@@ -1089,6 +1056,20 @@ mod tests {
         let g = sample_graph();
         let ctx = SummaryContext::new(&g);
         let all = ctx.summarize_all();
+        let free = [
+            crate::weak::weak_summary(&g),
+            crate::strong::strong_summary(&g),
+            crate::typed::typed_weak_summary(&g),
+            crate::typed::typed_strong_summary(&g),
+        ];
+        for (shared, free) in all.iter().zip(&free) {
+            assert_eq!(
+                rdf_io::write_graph(&shared.graph),
+                rdf_io::write_graph(&free.graph),
+                "{}",
+                shared.kind
+            );
+        }
         assert_eq!(all[0].graph.data().len(), 6); // Figure 4 / Prop. 4
         assert_eq!(all[1].n_summary_nodes(), 9); // Figure 9
         assert_eq!(all[2].n_summary_nodes(), 9); // Figure 7
@@ -1262,142 +1243,6 @@ mod tests {
         }
     }
 
-    /// The forced-count constructors scan the same substrate — the count
-    /// only sizes the stages past it — including counts past the triple
-    /// count and the empty graph.
-    #[test]
-    fn sharded_forced_substrate_is_bit_identical() {
-        for g in [
-            sample_graph(),
-            crate::fixtures::figure5_graph(),
-            Graph::new(),
-        ] {
-            let seq = SummaryContext::new(&g);
-            for shards in [2, 3, 7, 32] {
-                let sh = SummaryContext::sharded_forced(&g, shards);
-                assert_eq!(sh.data_nodes(), seq.data_nodes(), "{shards} shards");
-                assert_eq!(
-                    observable(&sh.substrate),
-                    observable(&seq.substrate),
-                    "{shards} shards"
-                );
-            }
-        }
-    }
-
-    /// Summaries from a forced-shard context equal the sequential ones
-    /// triple for triple, for all five kinds (naming included).
-    #[test]
-    fn sharded_forced_summaries_match_sequential() {
-        let g = sample_graph();
-        let seq = SummaryContext::new(&g);
-        let canon = |s: &Summary| {
-            let mut v: Vec<String> = rdf_io::write_graph(&s.graph)
-                .lines()
-                .map(String::from)
-                .collect();
-            v.sort();
-            v
-        };
-        for shards in [2, 3, 7] {
-            let sh = SummaryContext::sharded_forced(&g, shards);
-            for kind in SummaryKind::ALL {
-                assert_eq!(
-                    canon(&sh.summarize(kind)),
-                    canon(&seq.summarize(kind)),
-                    "{kind} at {shards} shards"
-                );
-            }
-            assert_eq!(
-                canon(&sh.type_summary()),
-                canon(&seq.type_summary()),
-                "type-based at {shards} shards"
-            );
-        }
-    }
-
-    /// Worker counts past the old S = 8 frontier — 16/32/64, with 64
-    /// exceeding the small fixture's triple count — reproduce the
-    /// one-worker build *byte for byte*: each summary's serialized triples
-    /// in emission order (no canonical re-sort), and the dr/rd
-    /// correspondence tables. The forced context carries its count into
-    /// `threads`, so this pins the parallel quotient emission and
-    /// extent-table scatter against their sequential twins — for the five
-    /// clique/type kinds and for `fb`, whose quotient takes the context's
-    /// count too.
-    #[test]
-    fn sharded_forced_high_counts_byte_identical() {
-        // A graph with enough structure that 16/32 workers carry real
-        // work: a property-cycled ring with back-edges and typed nodes.
-        let mut big = Graph::new();
-        for i in 0..180u32 {
-            let s = format!("n{i}");
-            let o = format!("n{}", (i * 7 + 3) % 180);
-            big.add_iri_triple(&s, &format!("p{}", i % 5), &o);
-            if i % 3 == 0 {
-                big.add_iri_triple(&s, RDF_TYPE, &format!("C{}", i % 4));
-            }
-            if i % 4 == 0 {
-                big.add_iri_triple(&o, &format!("q{}", i % 3), &s);
-            }
-        }
-        for g in [big, sample_graph()] {
-            let seq = SummaryContext::new(&g);
-            const KINDS: [SummaryKind; 6] = [
-                SummaryKind::Weak,
-                SummaryKind::Strong,
-                SummaryKind::TypedWeak,
-                SummaryKind::TypedStrong,
-                SummaryKind::TypeBased,
-                SummaryKind::Bisimulation,
-            ];
-            let seq_sums: Vec<Summary> = KINDS.iter().map(|&k| seq.summarize(k)).collect();
-            let assert_same = |a: &Summary, b: &Summary, tag: &str| {
-                assert_eq!(
-                    rdf_io::write_graph(&a.graph),
-                    rdf_io::write_graph(&b.graph),
-                    "{tag}: serialized triples"
-                );
-                for &n in seq.data_nodes() {
-                    assert_eq!(a.representative(n), b.representative(n), "{tag}: rd");
-                }
-                assert_eq!(a.graph.dict().len(), b.graph.dict().len(), "{tag}: dict");
-                for h in 0..a.graph.dict().len() as u32 {
-                    assert_eq!(a.extent(TermId(h)), b.extent(TermId(h)), "{tag}: dr");
-                }
-            };
-            for shards in [16, 32, 64] {
-                let sh = SummaryContext::sharded_forced(&g, shards);
-                let tag = format!("{shards} shards");
-                assert_eq!(sh.data_nodes(), seq.data_nodes(), "{tag}");
-                assert_eq!(sh.data_properties(), seq.data_properties(), "{tag}");
-                for (i, &kind) in KINDS.iter().enumerate() {
-                    assert_same(&sh.summarize(kind), &seq_sums[i], &format!("{tag}/{kind}"));
-                }
-            }
-        }
-    }
-
-    /// `threads()` is the count `shard_count` resolved, never the request:
-    /// one below the floor whatever was asked, the request above it — so
-    /// `--threads 1` on a large graph really is one thread — and a context
-    /// over a kept substrate resolves it the same way.
-    #[test]
-    fn threads_is_the_resolved_count() {
-        let small = sample_graph();
-        let mut big = Graph::new();
-        for i in 0..crate::parallel::PARALLEL_SHARD_THRESHOLD {
-            big.add_iri_triple(&format!("n{i}"), "p", &format!("n{}", i + 1));
-        }
-        assert_eq!(SummaryContext::sharded(&big, 1).threads(), 1);
-        assert_eq!(SummaryContext::sharded(&big, 4).threads(), 4);
-        assert_eq!(SummaryContext::sharded(&small, 4).threads(), 1);
-        assert_eq!(SummaryContext::new(&big).threads(), 1);
-        assert_eq!(SummaryContext::sharded_forced(&small, 3).threads(), 3);
-        let kept = Substrate::scan(&big);
-        assert_eq!(SummaryContext::over(&big, &kept, 4).threads(), 4);
-    }
-
     /// A context refuses a substrate that is behind its graph.
     #[test]
     #[should_panic(expected = "not this graph's")]
@@ -1405,33 +1250,6 @@ mod tests {
         let mut g = sample_graph();
         let kept = Substrate::scan(&g);
         g.add_iri_triple("s", "p", "o");
-        let _ = SummaryContext::over(&g, &kept, 1);
-    }
-
-    /// The cliques a forced-count context derives equal the one-worker
-    /// context's exactly — clique numbering included — for both scopes.
-    #[test]
-    fn forced_thread_cliques_match_sequential() {
-        let g = sample_graph();
-        let ctx = SummaryContext::new(&g);
-        for scope in [CliqueScope::AllNodes, CliqueScope::UntypedOnly] {
-            let seq = ctx.cliques(scope);
-            for threads in [2, 3, 5, 16] {
-                let sharded = SummaryContext::sharded_forced(&g, threads);
-                let par = sharded.cliques(scope);
-                assert_eq!(
-                    par.source_cliques, seq.source_cliques,
-                    "{scope:?}/{threads}"
-                );
-                assert_eq!(
-                    par.target_cliques, seq.target_cliques,
-                    "{scope:?}/{threads}"
-                );
-                for &n in ctx.data_nodes() {
-                    assert_eq!(par.sc(n), seq.sc(n), "{scope:?}/{threads}");
-                    assert_eq!(par.tc(n), seq.tc(n), "{scope:?}/{threads}");
-                }
-            }
-        }
+        let _ = SummaryContext::over(&g, &kept);
     }
 }

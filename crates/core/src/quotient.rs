@@ -41,8 +41,6 @@ use rdf_store::TripleStore;
 /// cache is a flat table keyed by the G dictionary id. Constants transfer
 /// between dictionaries as views ([`rdf_model::Dictionary::encode_ref`] of a
 /// decode): one copy from arena to arena, no owned term in between.
-/// Runs on the calling thread; a [`crate::context::SummaryContext`] passes
-/// its own worker count to the same construction.
 ///
 /// # Panics
 /// Panics when the partition misses a data node.
@@ -52,7 +50,7 @@ pub fn quotient_summary(
     partition: &Partition,
     class_term: impl FnMut(usize, &[TermId]) -> Term,
 ) -> Summary {
-    quotient_summary_planned(g, kind, partition, class_term, DataPlan::Scan, false, 1)
+    quotient_summary_planned(g, kind, partition, class_term, DataPlan::Scan, false)
 }
 
 /// How the quotient's data component is derived.
@@ -96,48 +94,25 @@ fn transfer(id: TermId, g: &Graph, h: &mut Graph, xfer: &mut [u32]) -> TermId {
 /// the distinct `key(t, c)` over `triples`, ascending, where `c` is the
 /// H id of `constant(t)`, the term of `t` that keeps its identity.
 ///
-/// The dictionary can't be mutated from worker threads, so the constants
-/// transfer in a sequential scan-order pre-pass — assigning exactly the H
-/// ids a fused translate-and-pack loop would — and the chunks then read
-/// `xfer` and whatever `key` captures only: translate + pack into a
-/// disjoint buffer each, local sort-dedup, then
-/// [`crate::parallel::merge_dedup_runs`]. A single chunk runs on the
-/// calling thread, without a spawn.
+/// The keys are collected at `|triples|` and deduplicated in place; the
+/// run is handed back shrunk to its distinct keys, since it lives on
+/// while the caller appends them to `h`.
 fn emit_packed(
     g: &Graph,
     h: &mut Graph,
     xfer: &mut [u32],
     triples: &[Triple],
-    threads: usize,
-    constant: impl Fn(&Triple) -> TermId + Sync,
-    key: impl Fn(&Triple, u64) -> u64 + Sync,
+    constant: impl Fn(&Triple) -> TermId,
+    key: impl Fn(&Triple, u64) -> u64,
 ) -> Vec<u64> {
-    for t in triples {
-        transfer(constant(t), g, h, xfer);
-    }
-    let xfer = &*xfer;
-    let pack = |chunk: &[Triple]| {
-        let mut run: Vec<u64> = chunk
-            .iter()
-            .map(|t| key(t, xfer[constant(t).index()] as u64))
-            .collect();
-        run.sort_unstable();
-        run.dedup();
-        run
-    };
-    let chunk_size = triples.len().div_ceil(threads).max(1);
-    if triples.len() <= chunk_size {
-        return pack(triples);
-    }
-    let runs: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let pack = &pack;
-        let handles: Vec<_> = triples
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || pack(chunk)))
-            .collect();
-        handles.into_iter().map(|jh| jh.join().unwrap()).collect()
-    });
-    crate::parallel::merge_dedup_runs(runs)
+    let mut run: Vec<u64> = triples
+        .iter()
+        .map(|t| key(t, transfer(constant(t), g, h, xfer).0 as u64))
+        .collect();
+    run.sort_unstable();
+    run.dedup();
+    run.shrink_to_fit();
+    run
 }
 
 /// The full-control quotient constructor: emission plan for the data
@@ -145,12 +120,6 @@ fn emit_packed(
 /// path — the seam the packed-vs-fallback equivalence tests drive
 /// directly, since exceeding the 21-bit id bound organically needs a
 /// >2M-term dictionary.
-///
-/// `emit_threads` (≥ 1, the building context's worker count) is the
-/// chunk count of the packed emission ([`emit_packed`]), whatever the
-/// input size — which is how the forced-shard suites cover the parallel
-/// emission on fixture-sized graphs. The emitted triples are bit-identical
-/// at any count.
 pub(crate) fn quotient_summary_planned(
     g: &Graph,
     kind: SummaryKind,
@@ -158,7 +127,6 @@ pub(crate) fn quotient_summary_planned(
     mut class_term: impl FnMut(usize, &[TermId]) -> Term,
     data_plan: DataPlan<'_>,
     force_unpacked: bool,
-    emit_threads: usize,
 ) -> Summary {
     let mut h = Graph::new();
 
@@ -206,7 +174,7 @@ pub(crate) fn quotient_summary_planned(
     // well-known properties account for the rest — so when that fits 21
     // bits ([`packs`]), a whole H triple packs into one u64 and the
     // massive duplication of quotiented triples is eliminated by a sort
-    // (chunked across the emission workers) instead of 25k+ hash probes;
+    // instead of 25k+ hash probes;
     // the keys come out strictly ascending, which is all the proof
     // `append_distinct` asks for, so H never grows a hash set. Past the
     // bound, hash dedup through the graph's own set is the only path there
@@ -238,7 +206,6 @@ pub(crate) fn quotient_summary_planned(
                 &mut h,
                 &mut xfer,
                 g.data(),
-                emit_threads,
                 |t| t.p,
                 |t, p| {
                     let (s, o) = (map(t.s).0 as u64, map(t.o).0 as u64);
@@ -270,7 +237,6 @@ pub(crate) fn quotient_summary_planned(
             &mut h,
             &mut xfer,
             g.types(),
-            emit_threads,
             |t| t.o,
             |t, c| ((map(t.s).0 as u64) << PACK_BITS) | c,
         );
@@ -289,14 +255,7 @@ pub(crate) fn quotient_summary_planned(
         }
     }
 
-    Summary::from_quotient(
-        kind,
-        h,
-        partition,
-        &class_node,
-        g.dict().len(),
-        emit_threads,
-    )
+    Summary::from_quotient(kind, h, partition, &class_node, g.dict().len())
 }
 
 /// How a node finds its class in a [`QuotientMap`]: by the keys its

@@ -321,6 +321,7 @@ const PRUNE_CACHE_CAP: usize = 65_536;
 /// read-locks that entry again — the discipline that keeps `UPDATE`
 /// deadlock-free against concurrent readers and `STATS` listings.
 pub struct SummaryService {
+    /// The workers a load's index sorts run on.
     threads: usize,
     graphs: Mutex<HashMap<String, Arc<ResidentGraph>>>,
     cache: Mutex<CacheState>,
@@ -429,9 +430,10 @@ impl Drop for BuildGuard<'_> {
 }
 
 impl SummaryService {
-    /// Creates a service whose loads and summary builds may use up to
-    /// `threads` workers (`1` keeps everything sequential — the exact
-    /// single-shot CLI code path). The summary cache is unbounded; see
+    /// Creates a service whose loads sort their indices on up to `threads`
+    /// workers (`1` keeps them sequential). Summary builds run on the
+    /// calling thread — the single-shot CLI's code path — whatever the
+    /// count. The summary cache is unbounded; see
     /// [`Self::with_cache_bytes`] for a budgeted one.
     pub fn new(threads: usize) -> Self {
         Self::with_cache_bytes(threads, None)
@@ -498,7 +500,7 @@ impl SummaryService {
         self.cache_budget
     }
 
-    /// The configured worker count.
+    /// The configured worker count of the index sorts.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -565,7 +567,7 @@ impl SummaryService {
     /// possible. Returns the artifact and whether it was a cache hit.
     ///
     /// Misses build what the single-shot CLI's `summarize --kind` builds —
-    /// `SummaryContext::sharded(g, threads).summarize(kind)` — from the
+    /// `SummaryContext::new(g).summarize(kind)` — from the
     /// graph's kept substrate instead of a scan per request (the first
     /// miss scans it; see [`ServiceStats::substrate_scans`]), so the
     /// artifact's bytes match the CLI's output for the same graph. A miss
@@ -716,7 +718,7 @@ impl SummaryService {
             self.substrate_scans.fetch_add(1, Ordering::Relaxed);
             Substrate::scan(g)
         });
-        SummaryContext::over(g, substrate, self.threads)
+        SummaryContext::over(g, substrate)
     }
 
     /// One real summary build — a cache miss's, or one carried kind's of
@@ -1294,8 +1296,8 @@ mod tests {
         assert_eq!(st.cached_summaries, 1);
     }
 
-    /// Served bytes are those of the one-shard context, whatever the
-    /// service's thread count and on both sides of the shard floor.
+    /// Served bytes are those of a direct context build, whatever the
+    /// service's thread count, on a fixture and on a BSBM graph.
     #[test]
     fn artifact_matches_direct_build() {
         const KINDS: [SummaryKind; 5] = [
@@ -1305,7 +1307,7 @@ mod tests {
             SummaryKind::TypedStrong,
             SummaryKind::TypeBased,
         ];
-        for g in [fixtures::sample_graph(), sharding_graph()] {
+        for g in [fixtures::sample_graph(), bsbm_graph()] {
             let direct = SummaryContext::new(&g);
             let direct = KINDS.map(|kind| direct.summarize(kind));
             for threads in [1, 2, 4] {
@@ -2164,7 +2166,7 @@ mod tests {
     /// Fifty inserts shaped like the `explore_update` writer's, with `w`
     /// and `tw` warm, extend both quotient maps every time — 100 patches,
     /// not one build, one substrate scan — and every carried artifact is
-    /// the one a cold one-shard build of the model serves, statistics
+    /// the one a cold build of the model serves, statistics
     /// included. A delete then rebuilds both from a new scan, whose maps
     /// extend in their turn; the two shapes of "late" data decide per
     /// kind.
@@ -2317,12 +2319,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A BSBM graph large enough that two-thread builds shard, so every
-    /// transition is a rebuild of all carried kinds from one context.
-    fn sharding_graph() -> Graph {
-        let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(900));
-        assert_eq!(crate::parallel::shard_count(g.data().len(), 2), 2);
-        g
+    /// A 900-product BSBM graph: the base the concurrency tests update.
+    fn bsbm_graph() -> Graph {
+        rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(900))
     }
 
     /// The `i`-th 8-triple batch of the concurrency tests: four `p` edges
@@ -2343,23 +2342,19 @@ mod tests {
     const HUB_JOIN: &str = "q(?x, ?z) :- ?x <urn:u:p> ?y, ?y <urn:u:q> ?z";
     const PROVABLY_EMPTY: &str = "q(?x) :- ?x <urn:no-such-property> ?y";
 
-    /// What a cold two-thread build serves for `store`'s content.
+    /// What a cold build serves for `store`'s content.
     fn cold_bytes(store: &rdf_store::TripleStore, kind: SummaryKind) -> String {
-        rdf_io::write_graph(
-            &SummaryContext::sharded(store.graph(), 2)
-                .summarize(kind)
-                .graph,
-        )
+        rdf_io::write_graph(&SummaryContext::new(store.graph()).summarize(kind).graph)
     }
 
-    /// Readers race a writer on a graph whose builds shard (`threads = 2`):
+    /// Readers race a writer on a BSBM graph (`threads = 2`):
     /// every query answer is the un-pruned evaluator's on a content the
     /// graph held while the query ran, every artifact is byte-equal to a
     /// cold build of the fingerprint it carries, and the accounting closes.
     #[test]
     fn readers_race_a_writer_above_the_shard_threshold() {
         const KINDS: [SummaryKind; 2] = [SummaryKind::Weak, SummaryKind::TypedWeak];
-        let base = sharding_graph();
+        let base = bsbm_graph();
         let graph_point = {
             let s = base.dict().decode(base.data()[0].s).to_string();
             format!("q(?p, ?o) :- {s} ?p ?o")
@@ -2461,7 +2456,7 @@ mod tests {
     /// prefers writers, so it has to queue on the gate, not on the lock).
     #[test]
     fn queued_writer_does_not_stop_readers() {
-        let base = sharding_graph();
+        let base = bsbm_graph();
         let mut model = rdf_store::TripleStore::new(base.clone());
         model.insert_batch(&hub_batch(1)).unwrap();
         let expect = oracle_rows(&model, HUB_JOIN);

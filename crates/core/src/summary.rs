@@ -132,21 +132,18 @@ impl Summary {
             node_of[gn.index()] = hn.0;
             pairs.push((hn.0, gn));
         }
-        Self::finish(kind, graph, node_of, &pairs, 1)
+        Self::finish(kind, graph, node_of, &pairs)
     }
 
     /// Creates a summary straight from a partition and its class → H node
     /// assignment: the dense fast path used by the quotient operator (no
-    /// per-node hashing). `threads` (≥ 1) shapes the extent-table
-    /// construction: the quotient passes its emission worker count, so a
-    /// context's builds ride the same ranges end to end.
+    /// per-node hashing).
     pub(crate) fn from_quotient(
         kind: SummaryKind,
         graph: Graph,
         partition: &crate::equivalence::Partition,
         class_node: &[TermId],
         n_g_terms: usize,
-        threads: usize,
     ) -> Self {
         let mut node_of = vec![NO_DENSE_ID; n_g_terms];
         let mut pairs: Vec<(u32, TermId)> = Vec::with_capacity(partition.n_members());
@@ -157,33 +154,33 @@ impl Summary {
                 pairs.push((hn.0, n));
             }
         }
-        Self::finish(kind, graph, node_of, &pairs, threads)
+        Self::finish(kind, graph, node_of, &pairs)
     }
 
-    /// Builds the CSR extent table from `(H id, G node)` pairs. Each G
-    /// node maps to exactly one H node (`node_of` is a function), so the
-    /// rows need sorting but never deduplication.
-    ///
-    /// The counting pass is a serial sweep (scattered row increments);
-    /// the member scatter and the per-row sorts split across row ranges
-    /// (`threads` workers) — bit-identical to the serial build, since the
-    /// scatter preserves pair order per row and the sorts canonicalize
-    /// each row anyway.
-    fn finish(
-        kind: SummaryKind,
-        graph: Graph,
-        node_of: Vec<u32>,
-        pairs: &[(u32, TermId)],
-        threads: usize,
-    ) -> Self {
+    /// Builds the CSR extent table from `(H id, G node)` pairs: a count per
+    /// row, its prefix sum, one cursor scatter of the members and a sort of
+    /// each row. Each G node maps to exactly one H node (`node_of` is a
+    /// function), so the rows need sorting but never deduplication.
+    fn finish(kind: SummaryKind, graph: Graph, node_of: Vec<u32>, pairs: &[(u32, TermId)]) -> Self {
         let n_h = graph.dict().len();
-        let mut deg = vec![0u32; n_h];
+        let mut extent_offsets = vec![0u32; n_h + 1];
         for &(h, _) in pairs {
-            deg[h as usize] += 1;
+            extent_offsets[h as usize + 1] += 1;
         }
-        let n_nodes = deg.iter().filter(|&&d| d > 0).count();
-        let (extent_offsets, mut extent_members) = fill_csr_values(&deg, pairs, threads, TermId(0));
-        sort_csr_rows(&extent_offsets, &mut extent_members, threads);
+        let n_nodes = extent_offsets.iter().filter(|&&d| d > 0).count();
+        for h in 0..n_h {
+            extent_offsets[h + 1] += extent_offsets[h];
+        }
+        let mut cursor = extent_offsets[..n_h].to_vec();
+        let mut extent_members = vec![TermId(0); pairs.len()];
+        for &(h, n) in pairs {
+            let slot = &mut cursor[h as usize];
+            extent_members[*slot as usize] = n;
+            *slot += 1;
+        }
+        for row in extent_offsets.windows(2) {
+            extent_members[row[0] as usize..row[1] as usize].sort_unstable();
+        }
         Summary {
             kind,
             graph,
@@ -260,137 +257,6 @@ impl Summary {
     }
 }
 
-/// Exclusive prefix sum of per-row counts: the CSR offsets table.
-fn csr_offsets(deg: &[u32]) -> Vec<u32> {
-    let n = deg.len();
-    let mut offsets = vec![0u32; n + 1];
-    for v in 0..n {
-        offsets[v + 1] = offsets[v] + deg[v];
-    }
-    offsets
-}
-
-/// Builds one CSR side from `(row, value)` entries in scan order; `deg`
-/// holds the per-row entry counts. Returns `(offsets, values)` with each
-/// row's values in entry order. The extent table is the one caller
-/// (values: [`TermId`]s); `zero` seeds the values array before the scatter
-/// (every slot is overwritten; the seed only exists because the value type
-/// carries no `Default`).
-///
-/// One worker runs a cursor sweep. More workers fill in two parallel
-/// phases: every input chunk first partitions its entries into per-worker
-/// buckets by row range (ranges balanced by entry count), then each worker
-/// fills its own **contiguous** slice of the values array from its buckets
-/// in chunk order. Row ranges make the written slices disjoint `&mut`
-/// splits — no atomics, no locks — and chunk order keeps each row's values
-/// in scan order, so the result is bit-identical to the cursor sweep.
-fn fill_csr_values<V: Copy + Send + Sync>(
-    deg: &[u32],
-    entries: &[(u32, V)],
-    threads: usize,
-    zero: V,
-) -> (Vec<u32>, Vec<V>) {
-    let offsets = csr_offsets(deg);
-    let n = deg.len();
-    let mut values = vec![zero; offsets[n] as usize];
-    // Row → worker assignments live in a u8 table, hence the 256 cap.
-    let bounds = crate::parallel::row_bounds(&offsets, threads.min(256));
-    let threads = bounds.len() - 1;
-    if threads == 1 {
-        // The bucketed fill below would copy every entry into one bucket
-        // first; a cursor sweep writes them where they go.
-        let mut cursor = offsets[..n].to_vec();
-        for &(row, v) in entries {
-            values[cursor[row as usize] as usize] = v;
-            cursor[row as usize] += 1;
-        }
-        return (offsets, values);
-    }
-    let mut worker_of_row = vec![0u8; n];
-    for w in 0..threads {
-        worker_of_row[bounds[w]..bounds[w + 1]].fill(w as u8);
-    }
-    // Phase 1 (parallel): each chunk splits its entries into per-worker
-    // buckets, preserving scan order inside each bucket.
-    let chunk_size = entries.len().div_ceil(threads).max(1);
-    let buckets: Vec<Vec<Vec<(u32, V)>>> = std::thread::scope(|scope| {
-        let worker_of_row = &worker_of_row;
-        let handles: Vec<_> = entries
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    // (`vec![..; threads]` would clone away the capacity.)
-                    let mut out: Vec<Vec<(u32, V)>> = (0..threads)
-                        .map(|_| Vec::with_capacity(chunk.len() / threads + 8))
-                        .collect();
-                    for &e in chunk {
-                        out[worker_of_row[e.0 as usize] as usize].push(e);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    // Phase 2 (parallel): split the values array at the range boundaries
-    // and let each worker fill its slice from its buckets in chunk order.
-    std::thread::scope(|scope| {
-        let mut rest: &mut [V] = &mut values;
-        let mut consumed = 0u32;
-        for w in 0..threads {
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
-            let width = (offsets[hi] - offsets[lo]) as usize;
-            debug_assert_eq!(consumed, offsets[lo]);
-            let (slice, tail) = rest.split_at_mut(width);
-            rest = tail;
-            consumed += width as u32;
-            let base = offsets[lo];
-            let range_offsets = &offsets[lo..=hi];
-            let my_buckets: Vec<&[(u32, V)]> = buckets.iter().map(|b| b[w].as_slice()).collect();
-            scope.spawn(move || {
-                let mut cursor: Vec<u32> =
-                    range_offsets[..hi - lo].iter().map(|&o| o - base).collect();
-                for bucket in my_buckets {
-                    for &(row, v) in bucket {
-                        let c = &mut cursor[row as usize - lo];
-                        slice[*c as usize] = v;
-                        *c += 1;
-                    }
-                }
-            });
-        }
-    });
-    (offsets, values)
-}
-
-/// Sorts every CSR row in place, splitting the rows across workers at
-/// boundaries balanced by entry count (the same row-range split as the
-/// fill: contiguous rows own contiguous value slots, so the written
-/// slices are disjoint `&mut` splits). The result is exactly a sequential
-/// per-row `sort_unstable` — of the extent table's `dr` member rows. A
-/// single range is sorted on the calling thread.
-fn sort_csr_rows<V: Ord + Send>(offsets: &[u32], values: &mut [V], threads: usize) {
-    let bounds = crate::parallel::row_bounds(offsets, threads);
-    let sort_range = |lo: usize, hi: usize, slice: &mut [V]| {
-        let base = offsets[lo];
-        for r in lo..hi {
-            slice[(offsets[r] - base) as usize..(offsets[r + 1] - base) as usize].sort_unstable();
-        }
-    };
-    if let [lo, hi] = bounds[..] {
-        return sort_range(lo, hi, values);
-    }
-    std::thread::scope(|scope| {
-        let mut rest: &mut [V] = values;
-        for r in bounds.windows(2) {
-            let (lo, hi) = (r[0], r[1]);
-            let (slice, tail) = rest.split_at_mut((offsets[hi] - offsets[lo]) as usize);
-            rest = tail;
-            scope.spawn(move || sort_range(lo, hi, slice));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,32 +304,6 @@ mod tests {
             assert_eq!(hashed.extent(h), dense.extent(h));
         }
         assert!(hashed.check_correspondence_invariants());
-    }
-
-    /// The chunked parallel CSR fill is bit-identical to the sequential
-    /// cursor sweep, for every worker count, on adversarial row shapes
-    /// (empty rows, hot rows, rows split across chunk boundaries).
-    #[test]
-    fn parallel_csr_fill_matches_sequential() {
-        let mut rng = rdf_model::SplitMix64::new(0xC5A);
-        for case in 0..40 {
-            let n = 1 + (case % 17);
-            let n_entries = case * 7;
-            let mut deg = vec![0u32; n];
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                // Skewed row choice: row 0 is hot.
-                let row = if rng.index(3) == 0 { 0 } else { rng.index(n) };
-                deg[row] += 1;
-                entries.push((row as u32, rng.index(1 << 20) as u32));
-            }
-            let (seq_off, seq_vals) = fill_csr_values(&deg, &entries, 1, 0u32);
-            for threads in [2, 3, 5, 8] {
-                let (off, vals) = fill_csr_values(&deg, &entries, threads, 0u32);
-                assert_eq!(off, seq_off, "case {case}, {threads} threads");
-                assert_eq!(vals, seq_vals, "case {case}, {threads} threads");
-            }
-        }
     }
 
     #[test]

@@ -51,8 +51,7 @@ pub(crate) fn class_property_sets(
 /// per-property data edges (Proposition 4), per-class union naming sets —
 /// all in `O(#properties)` beyond the quotient's type emission. The
 /// [`SummaryContext`] builder passes its cached cliques. `props` are the
-/// distinct data properties in first-seen order; `emit_threads` (≥ 1)
-/// flows to the quotient's packed emission.
+/// distinct data properties in first-seen order.
 pub(crate) fn build_weak(
     g: &Graph,
     cliques: &Cliques,
@@ -60,7 +59,6 @@ pub(crate) fn build_weak(
     classes: &CliqueClasses,
     props: &[TermId],
     force_unpacked: bool,
-    emit_threads: usize,
 ) -> Summary {
     // Proposition 4: all sources of a property are weakly equivalent and
     // so are all its targets, so W_G's data component is exactly one edge
@@ -115,7 +113,6 @@ pub(crate) fn build_weak(
         |i, _| namer.n_term(&tc_sets[i], &sc_sets[i]),
         plan,
         force_unpacked,
-        emit_threads,
     )
 }
 

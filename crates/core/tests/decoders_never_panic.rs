@@ -106,7 +106,7 @@ fn snapshots() -> &'static [Vec<u8>] {
     static IMAGES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     IMAGES.get_or_init(|| {
         let book = fixtures::book_graph();
-        let tw = SummaryContext::sharded(&book, 1).summarize(SummaryKind::TypedWeak);
+        let tw = SummaryContext::new(&book).summarize(SummaryKind::TypedWeak);
         let mut images = vec![snapshot::encode(&book), snapshot::encode(&tw.graph)];
         images.extend(artifacts().iter().map(|a| a.snapshot().to_vec()));
         images

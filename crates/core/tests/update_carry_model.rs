@@ -5,7 +5,7 @@
 //! of insert and delete batches; a [`TripleStore`] beside it takes the same
 //! batches and is the model. After every batch each carried artifact —
 //! whether its quotient map extended by the batch (*patched*) or the carry
-//! rebuilt it — must equal, field by field, the artifact a cold one-shard
+//! rebuilt it — must equal, field by field, the artifact a cold
 //! service builds from the model's graph: body bytes, summary-store
 //! triples, node, edge and input counts, every cardinality figure; with a
 //! persist dir, its `.sum` file must be the cold artifact's encoding byte
@@ -365,21 +365,16 @@ fn check_sequence(
     Ok(paths)
 }
 
-/// A BSBM graph above the shard floor: at two threads every context of
-/// the service runs its emission on two workers.
-fn sharding_graph() -> &'static Graph {
+/// A 900-product BSBM graph.
+fn bsbm_graph() -> &'static Graph {
     static GRAPH: OnceLock<Graph> = OnceLock::new();
-    GRAPH.get_or_init(|| {
-        let g = rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(900));
-        assert_eq!(rdfsum_core::parallel::shard_count(g.data().len(), 2), 2);
-        g
-    })
+    GRAPH.get_or_init(|| rdfsum_workloads::generate_bsbm(&BsbmConfig::with_products(900)))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
-    /// Below the floor: the carry's context runs on one worker. All 48
+    /// On the paper's fixtures, at one index worker. All 48
     /// sequences are one generated case, so that what they add up to can
     /// be checked: every way a carry and the kept substrate can take a
     /// batch is taken.
@@ -405,12 +400,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Above the floor at `threads = 2`: the carry's context emits on two
-    /// workers, the cold build it is compared with on one.
+    /// On a BSBM graph past 65 536 data triples (the floor builds once
+    /// split across workers above), at two index workers; the cold service
+    /// it is compared with sorts on one.
     #[test]
     fn carried_summaries_match_cold_builds_above_the_shard_floor(batches in arb_batches(4)) {
         let setup = Setup { twin: false, persist: false };
-        check_sequence(sharding_graph(), 2, &batches, setup, usize::MAX)?;
+        check_sequence(bsbm_graph(), 2, &batches, setup, usize::MAX)?;
     }
 }
 

@@ -69,9 +69,6 @@ USAGE:
   rdfsummary summarize  <graph> [--kind w|s|tw|ts|t|fb]    build a summary
                          [--out FILE] [--dot FILE] [--turtle FILE] [--report]
                          [--all]  build W+S+TW+TS via one shared context
-                         [--threads N]  build on N workers (default: all
-                         cores; graphs below the shard floor always
-                         build on one)
   rdfsummary saturate   <graph> [--out FILE]            compute G∞
   rdfsummary check      <graph>                         verify formal properties
   rdfsummary query      <graph> QUERY [--saturate]      evaluate a BGP query
@@ -118,9 +115,8 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// The requested worker count: `--threads N`, else all available cores.
-/// It is passed down as a value; `SummaryContext::sharded` resolves it
-/// against the graph's size (one worker below the shard floor).
+/// `serve`'s worker count for the index sorts of every load: `--threads
+/// N`, else all available cores. It is passed down as a value.
 fn thread_count(rest: &[String]) -> Result<usize, String> {
     match flag_value(rest, "--threads") {
         Some(v) => match v.parse::<usize>() {
@@ -205,20 +201,14 @@ fn cmd_stats(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Fai
 /// `summarize --all`: builds W, S, TW and TS through one shared
 /// [`rdfsum_core::SummaryContext`], so the graph is scanned, and the
 /// property cliques (both scopes) derived, once, not four times.
-fn cmd_summarize_all(
-    path: &str,
-    g: &Graph,
-    threads: usize,
-    stdout: &mut Stdout,
-) -> Result<(), Failure> {
+fn cmd_summarize_all(path: &str, g: &Graph, stdout: &mut Stdout) -> Result<(), Failure> {
     let t0 = std::time::Instant::now();
-    let ctx = rdfsum_core::SummaryContext::sharded(g, threads);
+    let ctx = rdfsum_core::SummaryContext::new(g);
     let t_ctx = t0.elapsed().as_secs_f64();
     writeln!(
         stdout,
-        "all summaries of {path} (input {} triples; shared context built in {t_ctx:.3}s on {} worker(s)):",
-        g.len(),
-        ctx.threads()
+        "all summaries of {path} (input {} triples; shared context built in {t_ctx:.3}s):",
+        g.len()
     )?;
     for kind in SummaryKind::ALL {
         let t0 = std::time::Instant::now();
@@ -245,17 +235,15 @@ fn cmd_summarize(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(),
             }
         }
         let g = load(path)?;
-        let threads = thread_count(rest)?;
-        return cmd_summarize_all(path, &g, threads, stdout);
+        return cmd_summarize_all(path, &g, stdout);
     }
     let g = load(path)?;
-    let threads = thread_count(rest)?;
     let kind = match flag_value(rest, "--kind") {
         Some(k) => parse_kind(&k).ok_or(format!("unknown summary kind `{k}`"))?,
         None => SummaryKind::Weak,
     };
     let t0 = std::time::Instant::now();
-    let s = rdfsum_core::SummaryContext::sharded(&g, threads).summarize(kind);
+    let s = rdfsum_core::SummaryContext::new(&g).summarize(kind);
     let dt = t0.elapsed().as_secs_f64();
     let st = s.stats();
     writeln!(
@@ -438,11 +426,11 @@ fn cmd_generate(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
 }
 
 /// `serve`: the long-running warm-store summary server. `--threads`
-/// bounds build and index parallelism (same meaning as for `summarize`);
-/// `--workers` sizes the executor for the seconds-scale verbs (`LOAD`,
-/// cold `SUMMARIZE`, `UPDATE`) — cheap verbs answer inline on the event
-/// thread — and never caps how many clients may stay connected (default
-/// `max(threads, 4)`). `--cache-bytes N` puts an LRU byte budget on the
+/// sizes the index sorts of every load (summaries build on the thread
+/// that runs the request); `--workers` sizes the executor for the
+/// seconds-scale verbs (`LOAD`, cold `SUMMARIZE`, `UPDATE`) — cheap verbs
+/// answer inline on the event thread — and never caps how many clients may
+/// stay connected (default `max(threads, 4)`). `--cache-bytes N` puts an LRU byte budget on the
 /// summary cache (default: unbounded). `--persist-dir DIR` writes every
 /// built summary to DIR and probes it on cache misses, so a restarted
 /// server answers its first `SUMMARIZE` without rebuilding. Runs until the
@@ -499,7 +487,7 @@ fn cmd_serve(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
     // (tests bind port 0 and read the real port from here).
     writeln!(
         stdout,
-        "listening on {} ({workers} workers, {threads} build thread(s), event engine)",
+        "listening on {} ({workers} workers, {threads} index thread(s), event engine)",
         handle.addr()
     )?;
     stdout.flush()?;

@@ -216,8 +216,9 @@
 //! build or graph mutation never stalls keep-alive traffic. That makes `--workers N` (default:
 //! max(threads, 4)) the width of the *executor* — how many heavy
 //! requests may run at once — **not** a cap on connections. `--threads
-//! N` still bounds build and index parallelism exactly as it does for
-//! `summarize`. `serve` refuses arguments it does not know.
+//! N` sizes the index sorts of every load; a summary builds on the thread
+//! that runs its request, as `summarize` builds on the CLI's. `serve`
+//! refuses arguments it does not know.
 //!
 //! `QUERY` is the paper's intended payoff turned into a serving verb: it
 //! evaluates a BGP (paper notation, embedded whitespace welcome) against

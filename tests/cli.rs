@@ -102,58 +102,6 @@ fn summarize_all_shares_one_context() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--all cannot be combined"));
 }
 
-/// `--threads N` is a request the context resolves against the graph's
-/// size: output is identical at any value, `--all` reports the resolved
-/// count (one, below the shard floor), and bad values are rejected.
-#[test]
-fn summarize_with_threads_flag() {
-    let dir = workdir();
-    let file = sample_file(&dir);
-    let sequential = bin()
-        .args(["summarize", file.to_str().unwrap(), "--kind", "s"])
-        .args(["--threads", "1"])
-        .output()
-        .unwrap();
-    assert!(sequential.status.success());
-    let threaded = bin()
-        .args(["summarize", file.to_str().unwrap(), "--kind", "s"])
-        .args(["--threads", "4"])
-        .output()
-        .unwrap();
-    assert!(
-        threaded.status.success(),
-        "{}",
-        String::from_utf8_lossy(&threaded.stderr)
-    );
-    let strip_timing = |out: &[u8]| -> String {
-        let text = String::from_utf8_lossy(out).into_owned();
-        // Drop the wall-clock suffix, which legitimately differs.
-        text.split(" in ").next().unwrap_or(&text).to_string()
-    };
-    assert_eq!(
-        strip_timing(&sequential.stdout),
-        strip_timing(&threaded.stdout)
-    );
-
-    let out = bin()
-        .args(["summarize", file.to_str().unwrap(), "--all"])
-        .args(["--threads", "2"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("on 1 worker(s)"));
-
-    for bad in ["0", "lots"] {
-        let out = bin()
-            .args(["summarize", file.to_str().unwrap()])
-            .args(["--threads", bad])
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "--threads {bad} should be rejected");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("bad --threads"));
-    }
-}
-
 /// A reader that goes away (`rdfsummary stats g.nt --profile | head -1`)
 /// ends the run quietly: the profile lines are written after the reader
 /// is gone, and the failed write is a clean exit, not a panic.
@@ -296,15 +244,18 @@ fn saturate_writes_closure() {
 }
 
 /// `serve` refuses arguments it does not know — the removed `--engine`
-/// flag, a typo, a flag without its value — by name and with a non-zero
-/// exit, instead of starting a server on defaults. (A regression would
-/// leave the child serving, so the wait is bounded.)
+/// flag, a typo, a flag without its value — by name, and a thread count
+/// that is no integer ≥ 1 by value, with a non-zero exit instead of
+/// starting a server on defaults. (A regression would leave the child
+/// serving, so the wait is bounded.)
 #[test]
 fn serve_rejects_unknown_arguments() {
     for (args, named) in [
-        (&["--engine", "threaded"][..], "--engine"),
-        (&["--adr", "127.0.0.1:0"][..], "--adr"),
-        (&["--addr", "127.0.0.1:0", "--workers"][..], "--workers"),
+        (&["--engine", "threaded"][..], "`--engine`"),
+        (&["--adr", "127.0.0.1:0"][..], "`--adr`"),
+        (&["--addr", "127.0.0.1:0", "--workers"][..], "`--workers`"),
+        (&["--threads", "0"][..], "bad --threads value `0`"),
+        (&["--threads", "lots"][..], "bad --threads value `lots`"),
     ] {
         let mut child = bin()
             .arg("serve")
@@ -327,6 +278,6 @@ fn serve_rejects_unknown_arguments() {
         assert!(!status.success(), "serve {}", args.join(" "));
         let mut stderr = String::new();
         std::io::Read::read_to_string(child.stderr.as_mut().unwrap(), &mut stderr).unwrap();
-        assert!(stderr.contains(&format!("`{named}`")), "{stderr}");
+        assert!(stderr.contains(named), "{stderr}");
     }
 }

@@ -71,7 +71,7 @@ fn restarted_server_comes_back_warm_and_byte_identical() {
     // Reference bytes from the single-shot CLI.
     let out_file = dir.join("weak.nt");
     let cli = bin()
-        .args(["summarize", path_str, "--kind", "w", "--threads", "1"])
+        .args(["summarize", path_str, "--kind", "w"])
         .args(["--out", out_file.to_str().unwrap()])
         .output()
         .unwrap();

@@ -193,7 +193,7 @@ fn summarize_responses_match_cli_output_byte_for_byte() {
             // Single-shot CLI, same graph, same kind.
             let out = dir.join(format!("{name}_{tok}.nt"));
             let cli = bin()
-                .args(["summarize", path_str, "--kind", tok, "--threads", "1"])
+                .args(["summarize", path_str, "--kind", tok])
                 .args(["--out", out.to_str().unwrap()])
                 .output()
                 .unwrap();
@@ -229,7 +229,7 @@ fn summarize_responses_match_cli_output_byte_for_byte() {
 }
 
 /// A multi-threaded service yields the same bytes as the sequential one
-/// (the sharded substrate is bit-identical; the cache key is content).
+/// (its index sorts are bit-identical; the cache key is content).
 #[test]
 fn threaded_service_answers_are_identical() {
     let dir = workdir("threads");
@@ -660,7 +660,7 @@ fn update_mix_from_concurrent_writers_stays_consistent() {
     let out = dir.join("final_w.nt");
     let cli = bin()
         .args(["summarize", final_path.to_str().unwrap(), "--kind", "w"])
-        .args(["--threads", "2", "--out", out.to_str().unwrap()])
+        .args(["--out", out.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -723,7 +723,7 @@ fn cli_serve_and_client_roundtrip() {
     // SUMMARIZE body goes to stdout: compare against the single-shot CLI.
     let out_file = dir.join("weak.nt");
     let cli = bin()
-        .args(["summarize", path_str, "--kind", "w", "--threads", "1"])
+        .args(["summarize", path_str, "--kind", "w"])
         .args(["--out", out_file.to_str().unwrap()])
         .output()
         .unwrap();
