@@ -39,7 +39,11 @@ fn bench_summarize_all(c: &mut Criterion) {
     group.bench_function("shared_context", |b| {
         b.iter(|| {
             let ctx = SummaryContext::new(&g);
-            black_box(ctx.summarize_all())
+            let all: Vec<_> = SummaryKind::ALL
+                .iter()
+                .map(|&kind| ctx.summarize(kind))
+                .collect();
+            black_box(all)
         })
     });
     group.finish();

@@ -14,7 +14,7 @@
 
 use rdf_schema::saturate;
 use rdfsum_core::fixtures::{figure10_graph, figure5_graph, figure8_graph};
-use rdfsum_core::{summarize, SummaryContext, SummaryKind};
+use rdfsum_core::{summarize, SummaryKind};
 use rdfsum_experiments::{completeness_check, completeness_checks, summary_isomorphic};
 use rdfsum_workloads::LubmConfig;
 use std::time::Instant;
@@ -66,7 +66,7 @@ fn main() {
     let direct = summarize(&saturate(&lubm), SummaryKind::Weak);
     let t_direct = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let w = SummaryContext::new(&lubm).weak_summary();
+    let w = summarize(&lubm, SummaryKind::Weak);
     let shortcut = summarize(&saturate(&w.graph), SummaryKind::Weak);
     let t_shortcut = t0.elapsed().as_secs_f64();
     println!(

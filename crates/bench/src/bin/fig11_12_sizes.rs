@@ -76,6 +76,6 @@ fn main() {
         println!("  speedup: {:.2}x", indep_total / shared_total.max(1e-9));
     }
 
-    println!("\n=== CSV (archive in EXPERIMENTS.md) ===");
+    println!("\n=== CSV (one row per scale and summary) ===");
     print!("{}", render_csv(&rows));
 }

@@ -219,7 +219,8 @@ pub fn render_times(rows: &[SweepRow]) -> String {
     out
 }
 
-/// CSV form of a sweep (all metrics), for archiving in EXPERIMENTS.md.
+/// CSV form of a sweep (all metrics), one row per (scale, summary), for
+/// archiving a run next to the figures it reproduces.
 pub fn render_csv(rows: &[SweepRow]) -> String {
     let mut out = String::from(
         "products,triples,input_nodes,summary,data_nodes,class_nodes,all_nodes,data_edges,type_edges,all_edges,seconds\n",

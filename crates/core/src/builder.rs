@@ -1,4 +1,5 @@
-//! One-stop summarization entry points.
+//! One-shot summarization entry points over a throwaway
+//! [`SummaryContext`].
 
 use crate::context::SummaryContext;
 use crate::summary::{Summary, SummaryKind};
@@ -30,7 +31,11 @@ pub fn summarize(g: &Graph, kind: SummaryKind) -> Summary {
 /// scanned once, and the numbering, property cliques (both scopes) and
 /// class sets are reused by every build.
 pub fn summarize_all(g: &Graph) -> Vec<Summary> {
-    SummaryContext::new(g).summarize_all()
+    let ctx = SummaryContext::new(g);
+    SummaryKind::ALL
+        .iter()
+        .map(|&kind| ctx.summarize(kind))
+        .collect()
 }
 
 #[cfg(test)]

@@ -24,8 +24,9 @@
 //!   summaries);
 //! * [`CliqueScope::UntypedOnly`] — only untyped resources generate
 //!   relatedness; used by the typed summaries, where "only untyped data
-//!   nodes may be merged" (§6.1, footnote 3). See DESIGN.md §2 for why this
-//!   is the semantics that reproduces Figure 7.
+//!   nodes may be merged" (§6.1, footnote 3). Of the readings of
+//!   Definition 13, it is the only one that reproduces Figure 7 (see
+//!   [`crate::typed`]).
 
 use crate::unionfind::UnionFind;
 use rdf_model::{Graph, TermId, NO_DENSE_ID};

@@ -32,12 +32,12 @@
 //! scanned itself, or one its caller keeps — derives the [`Cliques`] of a
 //! scope on first use ([`Substrate::cliques`]: clones of the union–finds
 //! and first-property tables, resolved to clique ids) and runs partition →
-//! quotient. The classic free functions ([`crate::weak::weak_summary`] &
-//! friends) are thin wrappers over a throwaway context; anything building
-//! two or more summaries of the same graph shares one — that is what
-//! [`crate::builder::summarize_all`], the CLI `summarize --all` path and
-//! the experiment binaries do — and the [`crate::service`] keeps one
-//! substrate per resident graph for all its builds.
+//! quotient. [`SummaryContext::summarize`] is the one way a summary is
+//! built: [`crate::builder::summarize`] runs it over a throwaway context;
+//! anything building two or more summaries of the same graph shares one —
+//! that is what [`crate::builder::summarize_all`], the CLI `summarize
+//! --all` path and the experiment binaries do — and the [`crate::service`]
+//! keeps one substrate per resident graph for all its builds.
 //!
 //! # One resumable pass
 //!
@@ -98,7 +98,6 @@ use crate::equivalence::{strong_partition, weak_classes, CliqueClasses, Partitio
 use crate::naming::Namer;
 use crate::quotient::{quotient_summary_planned, ClassKeys, DataPlan, QuotientMap};
 use crate::summary::{Summary, SummaryKind};
-use crate::typed::TypedSemantics;
 use crate::unionfind::UnionFind;
 use crate::weak::class_property_sets;
 use rdf_model::{DenseIdMap, FxHashMap, Graph, Term, TermId, NO_DENSE_ID};
@@ -524,7 +523,7 @@ fn link(first: &mut u32, p: u32, all: &mut UnionFind, untyped: Option<&mut Union
 /// let g = rdfsum_core::fixtures::sample_graph();
 /// let ctx = SummaryContext::new(&g);
 /// // Cliques are computed once and shared by all four builds.
-/// let all = ctx.summarize_all();
+/// let all: Vec<_> = SummaryKind::ALL.iter().map(|&k| ctx.summarize(k)).collect();
 /// assert_eq!(all.len(), 4);
 /// assert_eq!(all[0].graph.data().len(), 6); // Prop. 4 for W
 /// ```
@@ -607,12 +606,8 @@ impl<'g> SummaryContext<'g> {
         &self.substrate.class_sets
     }
 
-    /// The weak summary W_G (Definition 11) from the shared substrate.
-    pub fn weak_summary(&self) -> Summary {
-        self.weak_summary_impl(false).0
-    }
-
-    fn weak_summary_impl(&self, force_unpacked: bool) -> (Summary, QuotientMap) {
+    /// The weak summary W_G (Definition 11).
+    fn weak(&self) -> (Summary, QuotientMap) {
         let cliques = self.cliques(CliqueScope::AllNodes);
         let (partition, classes) = weak_classes(cliques, &self.nodes);
         let summary = crate::weak::build_weak(
@@ -621,7 +616,6 @@ impl<'g> SummaryContext<'g> {
             &partition,
             &classes,
             self.data_properties(),
-            force_unpacked,
         );
         let keys = self.weak_keys(cliques, &classes, |c| c);
         let map = self.quotient_map(
@@ -634,12 +628,8 @@ impl<'g> SummaryContext<'g> {
         (summary, map)
     }
 
-    /// The strong summary S_G (Definition 15) from the shared substrate.
-    pub fn strong_summary(&self) -> Summary {
-        self.strong_summary_impl(false).0
-    }
-
-    fn strong_summary_impl(&self, force_unpacked: bool) -> (Summary, QuotientMap) {
+    /// The strong summary S_G (Definition 15).
+    fn strong(&self) -> (Summary, QuotientMap) {
         let cliques = self.cliques(CliqueScope::AllNodes);
         let partition = strong_partition(cliques, &self.nodes);
         let mut namer = Namer::new(self.g.dict());
@@ -649,7 +639,6 @@ impl<'g> SummaryContext<'g> {
             &partition,
             |_, members| signature_term(&mut namer, cliques, members[0]),
             DataPlan::Scan,
-            force_unpacked,
         );
         let firsts = (0..).zip(&partition.classes).map(|(c, m)| (m[0], c));
         let keys = self.strong_keys(cliques, firsts);
@@ -663,33 +652,12 @@ impl<'g> SummaryContext<'g> {
         (summary, map)
     }
 
-    /// The typed weak summary TW_G (Definition 14), default semantics.
-    pub fn typed_weak_summary(&self) -> Summary {
-        self.typed_summary(SummaryKind::TypedWeak, TypedSemantics::default())
-    }
-
-    /// The typed strong summary TS_G (Definition 17), default semantics.
-    pub fn typed_strong_summary(&self) -> Summary {
-        self.typed_summary(SummaryKind::TypedStrong, TypedSemantics::default())
-    }
-
-    /// A typed summary under explicit semantics (see [`TypedSemantics`]).
-    pub fn typed_summary(&self, kind: SummaryKind, semantics: TypedSemantics) -> Summary {
-        self.typed_summary_impl(kind, semantics, false).0
-    }
-
-    fn typed_summary_impl(
-        &self,
-        kind: SummaryKind,
-        semantics: TypedSemantics,
-        force_unpacked: bool,
-    ) -> (Summary, QuotientMap) {
-        debug_assert!(matches!(
-            kind,
-            SummaryKind::TypedWeak | SummaryKind::TypedStrong
-        ));
+    /// The typed weak summary TW_G (Definition 14) or the typed strong
+    /// one TS_G (Definition 17), over the cliques only untyped resources
+    /// generate (the Figure 7 reading of Definition 13, see [`crate::typed`]).
+    fn typed(&self, kind: SummaryKind) -> (Summary, QuotientMap) {
         let strong = kind == SummaryKind::TypedStrong;
-        let cliques = self.cliques(semantics.scope());
+        let cliques = self.cliques(CliqueScope::UntypedOnly);
         let cs = self.class_sets();
         let untyped: Vec<TermId> = self
             .nodes
@@ -725,7 +693,6 @@ impl<'g> SummaryContext<'g> {
                 }
             },
             DataPlan::Scan,
-            force_unpacked,
         );
         // Typed classes are keyed by their class set; untyped ones by the
         // untyped partition's keys, lifted to the combined classes.
@@ -744,26 +711,26 @@ impl<'g> SummaryContext<'g> {
                 self.strong_keys(cliques, firsts.filter(|&(n, _)| cs.set_id(n).is_none()))
             }
         };
-        let scope = Some(semantics.scope());
+        let scope = Some(CliqueScope::UntypedOnly);
         let map = self.quotient_map(&summary, &partition, scope, keys, Some(by_set));
         (summary, map)
     }
 
     /// The type-based summary T_G (Definition 12).
-    pub fn type_summary(&self) -> Summary {
-        self.type_summary_impl(false).0
-    }
-
-    fn type_summary_impl(&self, force_unpacked: bool) -> (Summary, QuotientMap) {
+    fn type_based(&self) -> (Summary, QuotientMap) {
         let cs = self.class_sets();
-        #[derive(Hash, PartialEq, Eq)]
-        enum Key {
-            Typed(u32),
-            Untyped(TermId),
-        }
-        let partition = Partition::group_by(&self.nodes, |n| match cs.set_id(n) {
-            Some(id) => Key::Typed(id),
-            None => Key::Untyped(n),
+        // Class-set ids first, then one key per untyped node, the i-th at
+        // `n_sets + i`: dense, so the grouping is hash-free.
+        let n_sets = cs.len();
+        let mut untyped = n_sets;
+        let partition = Partition::group_by_dense(&self.nodes, n_sets + self.nodes.len(), |n| {
+            match cs.set_id(n) {
+                Some(id) => id as usize,
+                None => {
+                    untyped += 1;
+                    untyped - 1
+                }
+            }
         });
         let mut fresh = 0usize;
         let mut namer = Namer::new(self.g.dict());
@@ -782,9 +749,8 @@ impl<'g> SummaryContext<'g> {
                 }
             },
             DataPlan::Scan,
-            force_unpacked,
         );
-        let mut by_set = vec![NO_DENSE_ID; cs.len()];
+        let mut by_set = vec![NO_DENSE_ID; n_sets];
         for (c, members) in (0..).zip(&partition.classes) {
             if let Some(id) = cs.set_id(members[0]) {
                 by_set[id as usize] = c;
@@ -872,7 +838,8 @@ impl<'g> SummaryContext<'g> {
         )
     }
 
-    /// Builds the summary of the given kind from the shared substrate.
+    /// Builds the summary of the given kind from the shared substrate —
+    /// the one way a summary is built.
     pub fn summarize(&self, kind: SummaryKind) -> Summary {
         self.summarize_mapped(kind).0
     }
@@ -882,12 +849,10 @@ impl<'g> SummaryContext<'g> {
     /// bisimulation is no clique or type quotient and has none.
     pub(crate) fn summarize_mapped(&self, kind: SummaryKind) -> (Summary, Option<QuotientMap>) {
         let (summary, map) = match kind {
-            SummaryKind::Weak => self.weak_summary_impl(false),
-            SummaryKind::Strong => self.strong_summary_impl(false),
-            SummaryKind::TypedWeak | SummaryKind::TypedStrong => {
-                self.typed_summary_impl(kind, TypedSemantics::default(), false)
-            }
-            SummaryKind::TypeBased => self.type_summary_impl(false),
+            SummaryKind::Weak => self.weak(),
+            SummaryKind::Strong => self.strong(),
+            SummaryKind::TypedWeak | SummaryKind::TypedStrong => self.typed(kind),
+            SummaryKind::TypeBased => self.type_based(),
             SummaryKind::Bisimulation => {
                 let summary =
                     crate::bisim::bisim_summary(self.g, crate::bisim::BisimDepth::Bounded(2));
@@ -895,35 +860,6 @@ impl<'g> SummaryContext<'g> {
             }
         };
         (summary, Some(map))
-    }
-
-    /// [`SummaryContext::summarize`] with the quotient forced onto the
-    /// non-packable (hash-dedup) emission path — the verification seam
-    /// asserting packed and fallback emission agree triple for triple
-    /// without needing a >2M-term dictionary. For the weak summary this
-    /// also drops the Prop-4 derived-edge plan and re-scans D_G, so the
-    /// seam cross-checks the derived edges against the full scan. Prefer
-    /// [`SummaryContext::summarize`], which auto-selects.
-    pub fn summarize_forced_unpacked(&self, kind: SummaryKind) -> Summary {
-        match kind {
-            SummaryKind::Weak => self.weak_summary_impl(true).0,
-            SummaryKind::Strong => self.strong_summary_impl(true).0,
-            SummaryKind::TypedWeak | SummaryKind::TypedStrong => {
-                self.typed_summary_impl(kind, TypedSemantics::default(), true)
-                    .0
-            }
-            SummaryKind::TypeBased => self.type_summary_impl(true).0,
-            SummaryKind::Bisimulation => self.summarize(kind),
-        }
-    }
-
-    /// Builds all four principal summaries in the paper's order
-    /// (W, S, TW, TS), sharing cliques and class sets across the builds.
-    pub fn summarize_all(&self) -> Vec<Summary> {
-        SummaryKind::ALL
-            .iter()
-            .map(|&k| self.summarize(k))
-            .collect()
     }
 }
 
@@ -1051,21 +987,20 @@ mod tests {
         }
     }
 
+    /// One context shared by every build gives what a throwaway context
+    /// per build gives — the shared cliques and class sets change nothing.
     #[test]
     fn summarize_all_matches_free_functions() {
         let g = sample_graph();
         let ctx = SummaryContext::new(&g);
-        let all = ctx.summarize_all();
-        let free = [
-            crate::weak::weak_summary(&g),
-            crate::strong::strong_summary(&g),
-            crate::typed::typed_weak_summary(&g),
-            crate::typed::typed_strong_summary(&g),
-        ];
-        for (shared, free) in all.iter().zip(&free) {
+        let all: Vec<Summary> = crate::persist::ALL_KINDS
+            .iter()
+            .map(|&kind| ctx.summarize(kind))
+            .collect();
+        for shared in &all {
             assert_eq!(
                 rdf_io::write_graph(&shared.graph),
-                rdf_io::write_graph(&free.graph),
+                rdf_io::write_graph(&crate::summarize(&g, shared.kind).graph),
                 "{}",
                 shared.kind
             );
@@ -1074,7 +1009,7 @@ mod tests {
         assert_eq!(all[1].n_summary_nodes(), 9); // Figure 9
         assert_eq!(all[2].n_summary_nodes(), 9); // Figure 7
         assert_eq!(all[3].n_summary_nodes(), 11);
-        assert_eq!(ctx.type_summary().n_summary_nodes(), 14); // Figure 6
+        assert_eq!(all[4].n_summary_nodes(), 14); // Figure 6
     }
 
     /// Everything a substrate answers with, in comparable form: numberings,

@@ -5,7 +5,8 @@
 //! transitively), **strong** equivalence ≡S (same source clique *and* same
 //! target clique), and **type** equivalence ≡T (same non-empty set of
 //! classes). Each relation partitions the data nodes of G; the quotient by
-//! that partition is the summary.
+//! that partition is the summary. ≡T needs no function here: the
+//! [`crate::context::SummaryContext`] groups by its interned class sets.
 //!
 //! A [`Partition`] stores its node → class assignment as a `Vec`-indexed
 //! array keyed by the dense dictionary id (the dense-pipeline layout), so
@@ -238,23 +239,6 @@ pub fn class_sets(g: &Graph) -> FxHashMap<TermId, Vec<TermId>> {
     sets
 }
 
-/// ≡T over all data nodes (Definition 8): typed nodes grouped by identical
-/// class sets; each untyped node is its own class.
-pub fn type_partition(g: &Graph) -> Partition {
-    let sets = class_sets(g);
-    let nodes = data_nodes_ordered(g);
-    // Key: Some(class set) for typed, unique key per untyped node.
-    #[derive(Hash, PartialEq, Eq)]
-    enum Key {
-        Typed(Vec<TermId>),
-        Untyped(TermId),
-    }
-    Partition::group_by(&nodes, |n| match sets.get(&n) {
-        Some(cs) => Key::Typed(cs.clone()),
-        None => Key::Untyped(n),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,17 +315,18 @@ mod tests {
     }
 
     /// ≡T groups r5 and r6 (both typed {Spec}); r1, r2 singletons; every
-    /// untyped node is its own class.
+    /// untyped node is its own class — read off T_G's representatives.
     #[test]
     fn type_classes_of_sample() {
         let g = sample_graph();
-        let p = type_partition(&g);
-        assert!(p.check_invariants());
-        assert_eq!(p.class_of(exid(&g, "r5")), p.class_of(exid(&g, "r6")));
-        assert_ne!(p.class_of(exid(&g, "r1")), p.class_of(exid(&g, "r2")));
-        assert_ne!(p.class_of(exid(&g, "t1")), p.class_of(exid(&g, "t2")));
+        let t = crate::summarize(&g, crate::SummaryKind::TypeBased);
+        let rep = |n: &str| t.representative(exid(&g, n)).unwrap();
+        assert_eq!(rep("r5"), rep("r6"));
+        assert_ne!(rep("r1"), rep("r2"));
+        assert_ne!(rep("t1"), rep("t2"));
         // 15 data nodes; r5+r6 merge ⇒ 14 classes.
-        assert_eq!(p.len(), 14);
+        assert_eq!(t.n_summary_nodes(), 14);
+        assert_eq!(t.n_represented(), 15);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The paper's example graphs, reconstructed exactly.
 //!
 //! These fixtures back the "golden" tests that pin our implementation to the
-//! paper's figures and tables (see DESIGN.md §3 for the reconstruction
-//! argument):
+//! paper's figures and tables. Each graph is read off its figure, and the
+//! tests check it against what the paper states about it:
 //!
 //! * [`sample_graph`] — Figure 2, the running example (checked against
 //!   Table 1, the §3.1 property distances, the §3.2 equivalence classes,

@@ -44,9 +44,9 @@
 //!
 //! A [`context::SummaryContext`] is the per-build view: it borrows the
 //! graph and a substrate, derives the cliques of a scope on first use and
-//! runs partition → quotient. The classic free functions
-//! (`weak_summary(g)` & friends) are thin wrappers over a throwaway
-//! context; [`summarize_all`] and the CLI / experiment binaries share one
+//! runs partition → quotient. [`SummaryContext::summarize`] is the one way
+//! every summary is built: [`summarize`] runs it over a throwaway context,
+//! and [`summarize_all`] and the CLI / experiment binaries share one
 //! context across builds.
 //!
 //! The sweep is **resumable**: absorbing the tail an insert batch appended
@@ -94,7 +94,7 @@
 //!
 //! // Building several summaries? Share the substrate:
 //! let ctx = SummaryContext::new(&g);
-//! let (s, tw) = (ctx.summarize(SummaryKind::Strong), ctx.typed_weak_summary());
+//! let (s, tw) = (ctx.summarize(SummaryKind::Strong), ctx.summarize(SummaryKind::TypedWeak));
 //! assert_eq!(s.n_summary_nodes(), 9);
 //! assert_eq!(tw.n_summary_nodes(), 9);
 //! ```
@@ -133,16 +133,12 @@ pub use service::{
     LoadedGraph, QueryOutcome, ServiceError, ServiceStats, SummaryArtifact, SummaryService,
     UpdateOutcome,
 };
-pub use strong::strong_summary;
 pub use summary::{Summary, SummaryKind, SummaryStats};
-pub use typed::{type_summary, typed_strong_summary, typed_weak_summary, TypedSemantics};
-pub use weak::weak_summary;
 
 #[cfg(test)]
 mod proptests {
     use super::{
-        fixtures::fragment_graph, strong_summary, summarize, typed_strong_summary,
-        typed_weak_summary, weak_summary, CliqueScope, Substrate, SummaryContext, SummaryKind,
+        fixtures::fragment_graph, summarize, CliqueScope, Substrate, SummaryContext, SummaryKind,
     };
     use proptest::prelude::*;
     use rdf_model::{vocab, Graph};
@@ -296,7 +292,7 @@ mod proptests {
         /// Proposition 4 on random graphs: |D_W|_e = |D_G|⁰_p.
         #[test]
         fn prop4_unique_data_properties(g in arb_graph()) {
-            let s = weak_summary(&g);
+            let s = summarize(&g, SummaryKind::Weak);
             prop_assert!(crate::weak::check_unique_data_properties(&g, &s));
         }
 
@@ -416,11 +412,12 @@ mod proptests {
         /// Strong refines weak; typed strong refines typed weak.
         #[test]
         fn refinement_chains(g in arb_graph()) {
-            let w = weak_summary(&g);
-            let s = strong_summary(&g);
+            let ctx = SummaryContext::new(&g);
+            let w = ctx.summarize(SummaryKind::Weak);
+            let s = ctx.summarize(SummaryKind::Strong);
             prop_assert!(s.n_summary_nodes() >= w.n_summary_nodes());
-            let tw = typed_weak_summary(&g);
-            let ts = typed_strong_summary(&g);
+            let tw = ctx.summarize(SummaryKind::TypedWeak);
+            let ts = ctx.summarize(SummaryKind::TypedStrong);
             prop_assert!(ts.n_summary_nodes() >= tw.n_summary_nodes());
             // Member-level refinement: strong classes sit inside weak ones.
             for t in g.data() {
@@ -440,15 +437,21 @@ mod proptests {
 }
 
 /// The checks that outlived the deleted worker-count seam, kept under the
-/// module name they have always run under: a context built on the calling
-/// thread gives the weak summary and the untyped-scope cliques the free
-/// functions give.
+/// module name they have always run under: the weak summary a context
+/// emits through its Proposition 4 edge plan equals the generic quotient
+/// (Definition 9) that scans D_G, and the context's untyped-scope cliques
+/// equal a direct computation.
 #[cfg(test)]
 mod parallel {
     mod tests {
         use crate::cliques::{CliqueScope, Cliques};
         use crate::context::SummaryContext;
+        use crate::equivalence::{data_nodes_ordered, weak_partition};
         use crate::fixtures::{figure5_graph, sample_graph};
+        use crate::naming::Namer;
+        use crate::quotient::quotient_summary;
+        use crate::weak::class_property_sets;
+        use crate::SummaryKind;
         use rdf_io::write_graph;
         use rdf_model::Graph;
 
@@ -461,10 +464,16 @@ mod parallel {
         #[test]
         fn parallel_weak_equals_sequential_weak() {
             for g in [sample_graph(), figure5_graph()] {
-                let ctx = SummaryContext::new(&g).weak_summary();
-                let free = crate::weak::weak_summary(&g);
-                assert_eq!(canonical(&ctx.graph), canonical(&free.graph));
-                assert!(crate::weak::check_unique_data_properties(&g, &ctx));
+                let planned = SummaryContext::new(&g).summarize(SummaryKind::Weak);
+                let cliques = Cliques::compute(&g, CliqueScope::AllNodes);
+                let partition = weak_partition(&cliques, &data_nodes_ordered(&g));
+                let mut namer = Namer::new(g.dict());
+                let scanned = quotient_summary(&g, SummaryKind::Weak, &partition, |_, members| {
+                    let (tc, sc) = class_property_sets(&cliques, members);
+                    namer.n_term(&tc, &sc)
+                });
+                assert_eq!(canonical(&planned.graph), canonical(&scanned.graph));
+                assert!(crate::weak::check_unique_data_properties(&g, &planned));
             }
         }
 

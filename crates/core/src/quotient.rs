@@ -50,7 +50,7 @@ pub fn quotient_summary(
     partition: &Partition,
     class_term: impl FnMut(usize, &[TermId]) -> Term,
 ) -> Summary {
-    quotient_summary_planned(g, kind, partition, class_term, DataPlan::Scan, false)
+    quotient_summary_planned(g, kind, partition, class_term, DataPlan::Scan)
 }
 
 /// How the quotient's data component is derived.
@@ -115,18 +115,13 @@ fn emit_packed(
     run
 }
 
-/// The full-control quotient constructor: emission plan for the data
-/// component plus a switch forcing the non-packable (hash-dedup) emission
-/// path — the seam the packed-vs-fallback equivalence tests drive
-/// directly, since exceeding the 21-bit id bound organically needs a
-/// >2M-term dictionary.
+/// [`quotient_summary`] with an emission plan for the data component.
 pub(crate) fn quotient_summary_planned(
     g: &Graph,
     kind: SummaryKind,
     partition: &Partition,
     mut class_term: impl FnMut(usize, &[TermId]) -> Term,
     data_plan: DataPlan<'_>,
-    force_unpacked: bool,
 ) -> Summary {
     let mut h = Graph::new();
 
@@ -179,7 +174,7 @@ pub(crate) fn quotient_summary_planned(
     // `append_distinct` asks for, so H never grows a hash set. Past the
     // bound, hash dedup through the graph's own set is the only path there
     // is — there the set *is* the mechanism.
-    let packable = !force_unpacked && packs(class_node.len(), g.dict().len());
+    let packable = packs(class_node.len(), g.dict().len());
     // DAT: quotient of data triples.
     match data_plan {
         DataPlan::Edges(edges) => {
@@ -608,6 +603,7 @@ pub fn verify_quotient(g: &Graph, summary: &Summary) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::SummaryContext;
     use crate::equivalence::{data_nodes_ordered, Partition};
     use crate::fixtures::sample_graph;
 
@@ -667,80 +663,14 @@ mod tests {
         assert!(!verify_quotient(&g, &s));
     }
 
-    /// The forced non-packable path (graph-set hash dedup) emits exactly
-    /// the triples of the packed sort-dedup path, for every summary kind
-    /// the dense pipeline builds.
-    #[test]
-    fn forced_unpacked_matches_packed_on_all_kinds() {
-        let g = sample_graph();
-        let ctx = crate::context::SummaryContext::new(&g);
-        for kind in [
-            SummaryKind::Weak,
-            SummaryKind::Strong,
-            SummaryKind::TypedWeak,
-            SummaryKind::TypedStrong,
-            SummaryKind::TypeBased,
-        ] {
-            let packed = ctx.summarize(kind);
-            let unpacked = ctx.summarize_forced_unpacked(kind);
-            let canon = |s: &Summary| {
-                let mut v: Vec<String> = rdf_io::write_graph(&s.graph)
-                    .lines()
-                    .map(String::from)
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(canon(&packed), canon(&unpacked), "{kind}");
-        }
-    }
-
-    /// A dictionary pushed past the 21-bit pack bound must route through
-    /// the hash-fallback path organically and still produce the same
-    /// triples as the packed path does for the same logical graph.
+    /// A dictionary pushed past the 21-bit pack bound routes every
+    /// quotient through the hash-dedup emission organically, and still
+    /// emits the triples the packed path emits for the same graph: the
+    /// generic operator, and the five clique and type kinds of a context,
+    /// on the paper's sample graph and on BSBM (padded after the fact, so
+    /// every term keeps its id).
     #[test]
     fn id_bound_overflow_takes_hash_fallback() {
-        // Two copies of the same logical graph; one padded with >2^21
-        // dictionary entries so id_bound >= 2^21.
-        let build = |pad: usize| {
-            let mut g = rdf_model::Graph::new();
-            for i in 0..pad {
-                g.dict_mut().encode(Term::iri(format!("urn:pad:{i}")));
-            }
-            for i in 0..40u32 {
-                g.add_iri_triple(
-                    &format!("urn:n:{}", i % 8),
-                    &format!("urn:p:{}", i % 3),
-                    &format!("urn:n:{}", (i + 1) % 8),
-                );
-                // Duplicated quotient triples so the dedup paths do work.
-                g.add_iri_triple(
-                    &format!("urn:n:{}", (i + 4) % 8),
-                    &format!("urn:p:{}", i % 3),
-                    &format!("urn:n:{}", (i + 5) % 8),
-                );
-            }
-            g.add_iri_triple("urn:n:0", rdf_model::vocab::RDF_TYPE, "urn:C:a");
-            g.add_iri_triple("urn:n:1", rdf_model::vocab::RDF_TYPE, "urn:C:a");
-            g
-        };
-        let small = build(0);
-        let big = build(1 << 21);
-        assert!(
-            big.dict().len() >= (1 << 21),
-            "padding must overflow the pack bound"
-        );
-        let summarize = |g: &rdf_model::Graph| {
-            let nodes = data_nodes_ordered(g);
-            let p = Partition::group_by(&nodes, |n| n.0 % 4);
-            quotient_summary(g, SummaryKind::Weak, &p, |i, _| {
-                Term::iri(format!("urn:q:{i}"))
-            })
-        };
-        let packed = summarize(&small);
-        let fallback = summarize(&big);
-        assert!(verify_quotient(&big, &fallback));
-        // Triple-for-triple equality of the rendered graphs.
         let canon = |s: &Summary| {
             let mut v: Vec<String> = rdf_io::write_graph(&s.graph)
                 .lines()
@@ -749,6 +679,32 @@ mod tests {
             v.sort();
             v
         };
-        assert_eq!(canon(&packed), canon(&fallback));
+        let by_residue = |g: &Graph| {
+            let p = Partition::group_by(&data_nodes_ordered(g), |n| n.0 % 4);
+            quotient_summary(g, SummaryKind::Weak, &p, |i, _| {
+                Term::iri(format!("urn:q:{i}"))
+            })
+        };
+        let bsbm =
+            rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(12));
+        for small in [sample_graph(), bsbm] {
+            let mut big = small.clone();
+            for i in 0..1 << 21 {
+                big.dict_mut().encode(Term::iri(format!("urn:pad:{i}")));
+            }
+            assert!(
+                !packs(0, big.dict().len()),
+                "padding overflows the pack bound"
+            );
+            let fallback = by_residue(&big);
+            assert!(verify_quotient(&big, &fallback));
+            assert_eq!(canon(&by_residue(&small)), canon(&fallback));
+            let (packed, padded) = (SummaryContext::new(&small), SummaryContext::new(&big));
+            for kind in &crate::persist::ALL_KINDS[..5] {
+                let fallback = padded.summarize(*kind);
+                assert!(verify_quotient(&big, &fallback), "{kind}");
+                assert_eq!(canon(&packed.summarize(*kind)), canon(&fallback), "{kind}");
+            }
+        }
     }
 }

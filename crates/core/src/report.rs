@@ -90,12 +90,13 @@ pub fn render_report(summary: &Summary, source: &rdf_model::Graph, opts: &Report
 mod tests {
     use super::*;
     use crate::fixtures::{sample_graph, sample_prefixes};
-    use crate::weak::weak_summary;
+    use crate::summarize;
+    use crate::summary::SummaryKind;
 
     #[test]
     fn report_contains_labels_and_counts() {
         let g = sample_graph();
-        let w = weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         let report = render_report(
             &w,
             &g,
@@ -114,7 +115,7 @@ mod tests {
     #[test]
     fn report_without_examples() {
         let g = sample_graph();
-        let w = weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         let report = render_report(&w, &g, &ReportOptions::default());
         assert!(!report.contains("e.g."));
     }

@@ -7,19 +7,11 @@
 //!
 //! Unlike the weak summary, S_G may carry several edges with the same
 //! property label (§5.1), since the sources of a property may be split
-//! across several (TC, SC) pairs.
+//! across several (TC, SC) pairs. It is built by
+//! [`crate::context::SummaryContext::summarize`].
 
-use crate::context::SummaryContext;
 use crate::summary::Summary;
 use rdf_model::Graph;
-
-/// Builds the strong summary of `g` (batch, clique-based).
-///
-/// Thin wrapper over a throwaway [`SummaryContext`]; to build several
-/// summaries of the same graph, create one context and reuse it.
-pub fn strong_summary(g: &Graph) -> Summary {
-    SummaryContext::new(g).strong_summary()
-}
 
 /// Upper bounds from §5.1: the strong summary has at most
 /// `min(|D_G|_n, (|D_G|⁰_e)²)` data nodes. Returns `true` when they hold.
@@ -45,6 +37,8 @@ mod tests {
     use crate::fixtures::{exid, sample_graph};
     use crate::naming::display_label;
     use crate::quotient::verify_quotient;
+    use crate::summarize;
+    use crate::summary::SummaryKind;
     use rdf_model::{Term, TermId};
 
     fn label_of(s: &Summary, g: &Graph, local: &str) -> String {
@@ -56,14 +50,17 @@ mod tests {
     #[test]
     fn figure9_strong_summary() {
         let g = sample_graph();
-        let s = strong_summary(&g);
+        let s = summarize(&g, SummaryKind::Strong);
         assert!(verify_quotient(&g, &s));
         // Classes: {r1,r2,r3,r5} {r4} {a1} {a2} {t1..4} {e1} {e2} {c1} {r6}.
         assert_eq!(s.n_summary_nodes(), 9);
         let st = s.stats();
         assert_eq!(st.class_nodes, 3);
         assert_eq!(st.all_nodes, 12);
-        // Data edges (see DESIGN.md §3): 9.
+        // Data edges: 9 — author and title leave {r1,r2,r3,r5} and {r4}
+        // (4); editor leaves {r1,r2,r3,r5} for {e1} and for {e2}, comment
+        // for {c1} (3); reviewed from {a1} and published from {e1} enter
+        // {r4} (2).
         assert_eq!(st.data_edges, 9);
         assert_eq!(st.type_edges, 4);
     }
@@ -73,7 +70,7 @@ mod tests {
     #[test]
     fn figure9_split_and_duplicate_labels() {
         let g = sample_graph();
-        let s = strong_summary(&g);
+        let s = summarize(&g, SummaryKind::Strong);
         let n_atec = s.representative(exid(&g, "r1")).unwrap();
         let n_atec_rp = s.representative(exid(&g, "r4")).unwrap();
         assert_ne!(n_atec, n_atec_rp);
@@ -97,7 +94,7 @@ mod tests {
     #[test]
     fn figure9_example_nodes() {
         let g = sample_graph();
-        let s = strong_summary(&g);
+        let s = summarize(&g, SummaryKind::Strong);
         for r in ["r2", "r3", "r5"] {
             assert_eq!(
                 s.representative(exid(&g, "r1")),
@@ -127,7 +124,7 @@ mod tests {
     #[test]
     fn figure9_type_edges() {
         let g = sample_graph();
-        let s = strong_summary(&g);
+        let s = summarize(&g, SummaryKind::Strong);
         let h = &s.graph;
         let tau = h.rdf_type();
         let big = s.representative(exid(&g, "r1")).unwrap();
@@ -147,14 +144,14 @@ mod tests {
     #[test]
     fn size_bounds_hold() {
         let g = sample_graph();
-        let s = strong_summary(&g);
+        let s = summarize(&g, SummaryKind::Strong);
         assert!(check_size_bounds(&g, &s));
     }
 
     #[test]
     fn strong_of_empty_graph() {
         let g = Graph::new();
-        let s = strong_summary(&g);
+        let s = summarize(&g, SummaryKind::Strong);
         assert!(s.graph.is_empty());
     }
 
@@ -169,12 +166,12 @@ mod tests {
         g.add_iri_triple("x", "p", "v1");
         g.add_iri_triple("y", "p", "v2");
         g.add_iri_triple("w", "r", "x");
-        let s = strong_summary(&g);
+        let s = summarize(&g, SummaryKind::Strong);
         let x = g.dict().lookup(&Term::iri("x")).unwrap();
         let y = g.dict().lookup(&Term::iri("y")).unwrap();
         assert_ne!(s.representative(x), s.representative(y));
         // The weak summary would merge them.
-        let w = crate::weak::weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         assert_eq!(w.representative(x), w.representative(y));
     }
 }

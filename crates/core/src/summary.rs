@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn new_matches_from_quotient_on_the_sample_weak_partition() {
         let g = crate::fixtures::sample_graph();
-        let dense = crate::weak::weak_summary(&g);
+        let dense = crate::summarize(&g, SummaryKind::Weak);
         let node_map: FxHashMap<TermId, TermId> = (0..g.dict().len() as u32)
             .map(TermId)
             .filter_map(|n| dense.representative(n).map(|h| (n, h)))

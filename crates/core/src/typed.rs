@@ -7,80 +7,32 @@
 //!   summarized weakly *among themselves*.
 //! * **TS_G** (Definition 17) is `US_{T_G}`, the strong counterpart.
 //!
-//! ### Semantics of ≡UW / ≡US (see DESIGN.md §2)
+//! ### Semantics of ≡UW / ≡US
 //!
 //! The paper's Definition 13 is ambiguous about which co-occurrences
 //! generate property relatedness for untyped nodes. We follow the paper's
 //! *implementation* (§6.1, footnote 3): property relatedness is generated
-//! only by **untyped** resources, and typed resources never merge. This is
-//! the unique reading that reproduces Figure 7 (9 nodes, 12 data edges).
-//! The literal reading of Definition 13 (cliques over all of T_G) is also
-//! available as [`TypedSemantics::LiteralDefinition13`] for comparison —
-//! it merges untyped nodes connected through typed ones.
+//! only by **untyped** resources ([`crate::CliqueScope::UntypedOnly`]), and
+//! typed resources never merge. This is the unique reading that reproduces
+//! Figure 7 (9 nodes, 12 data edges). The literal reading of Definition 13
+//! (cliques over all of T_G) merges untyped nodes connected through typed
+//! ones; the oracle `rdfsum_experiments::reference_summary_with` builds it
+//! under [`crate::CliqueScope::AllNodes`] for comparison.
 //!
 //! We build TW/TS in one pass over G rather than materializing T_G first:
 //! quotients compose, so the combined partition (typed by class set,
 //! untyped by ≡UW/≡US) yields exactly `UW_{T_G}` / `US_{T_G}` — and avoids
 //! the fresh-URI nondeterminism of `C(∅)` nodes in the intermediate T_G.
-
-use crate::cliques::CliqueScope;
-use crate::context::SummaryContext;
-use crate::summary::{Summary, SummaryKind};
-use rdf_model::Graph;
-
-/// Which reading of Definition 13 the typed summaries use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TypedSemantics {
-    /// The paper's implementation semantics (§6.1): relatedness generated
-    /// only by untyped resources. Reproduces Figure 7. **Default.**
-    #[default]
-    ImplementationFigure7,
-    /// Definition 13 read literally: weak/strong equivalence computed from
-    /// *all* co-occurrences, then restricted to untyped nodes.
-    LiteralDefinition13,
-}
-
-impl TypedSemantics {
-    pub(crate) fn scope(self) -> CliqueScope {
-        match self {
-            TypedSemantics::ImplementationFigure7 => CliqueScope::UntypedOnly,
-            TypedSemantics::LiteralDefinition13 => CliqueScope::AllNodes,
-        }
-    }
-}
-
-/// The type-based summary T_G (Definition 12): typed resources grouped by
-/// class set, untyped resources copied (each gets a fresh `C(∅)` URI).
-pub fn type_summary(g: &Graph) -> Summary {
-    SummaryContext::new(g).type_summary()
-}
-
-/// The typed weak summary TW_G (Definition 14) under the given semantics.
-pub fn typed_weak_summary_with(g: &Graph, semantics: TypedSemantics) -> Summary {
-    SummaryContext::new(g).typed_summary(SummaryKind::TypedWeak, semantics)
-}
-
-/// The typed weak summary TW_G with the default (Figure 7) semantics.
-pub fn typed_weak_summary(g: &Graph) -> Summary {
-    typed_weak_summary_with(g, TypedSemantics::default())
-}
-
-/// The typed strong summary TS_G (Definition 17) under the given semantics.
-pub fn typed_strong_summary_with(g: &Graph, semantics: TypedSemantics) -> Summary {
-    SummaryContext::new(g).typed_summary(SummaryKind::TypedStrong, semantics)
-}
-
-/// The typed strong summary TS_G with the default (Figure 7) semantics.
-pub fn typed_strong_summary(g: &Graph) -> Summary {
-    typed_strong_summary_with(g, TypedSemantics::default())
-}
+//! All three are built by [`crate::context::SummaryContext::summarize`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fixtures::{exid, sample_graph};
     use crate::naming::display_label;
     use crate::quotient::verify_quotient;
+    use crate::summarize;
+    use crate::summary::{Summary, SummaryKind};
+    use rdf_model::Graph;
 
     fn label_of(s: &Summary, g: &Graph, local: &str) -> String {
         let h_node = s.representative(exid(g, local)).unwrap();
@@ -92,7 +44,7 @@ mod tests {
     #[test]
     fn figure6_type_summary() {
         let g = sample_graph();
-        let s = type_summary(&g);
+        let s = summarize(&g, SummaryKind::TypeBased);
         assert!(verify_quotient(&g, &s));
         assert_eq!(
             s.representative(exid(&g, "r5")),
@@ -113,7 +65,7 @@ mod tests {
     #[test]
     fn figure7_typed_weak_summary() {
         let g = sample_graph();
-        let s = typed_weak_summary(&g);
+        let s = summarize(&g, SummaryKind::TypedWeak);
         assert!(verify_quotient(&g, &s));
         let st = s.stats();
         // C{Book}, C{Journal}, C{Spec}, N_{e,c}, N^{r,p}_{a,t}, N^a_r, N^t,
@@ -129,7 +81,7 @@ mod tests {
     #[test]
     fn figure7_structure() {
         let g = sample_graph();
-        let s = typed_weak_summary(&g);
+        let s = summarize(&g, SummaryKind::TypedWeak);
         // r3 and r4 are NOT merged (unlike the weak summary).
         assert_ne!(
             s.representative(exid(&g, "r3")),
@@ -165,14 +117,14 @@ mod tests {
     }
 
     /// TS refines TW: a1/a2 and e1/e2 split because their source cliques
-    /// differ (see DESIGN.md §2, ambiguity #2 — the paper's claim that TS
-    /// and TW coincide on this example does not hold under consistent
-    /// definitions).
+    /// differ (a1 has the out-property `reviewed`, a2 none; e1 has
+    /// `published`, e2 none). The paper's claim that TS and TW coincide on
+    /// this example does not hold under consistent definitions.
     #[test]
     fn typed_strong_refines_typed_weak() {
         let g = sample_graph();
-        let tw = typed_weak_summary(&g);
-        let ts = typed_strong_summary(&g);
+        let tw = summarize(&g, SummaryKind::TypedWeak);
+        let ts = summarize(&g, SummaryKind::TypedStrong);
         assert!(verify_quotient(&g, &ts));
         assert_eq!(tw.n_summary_nodes(), 9);
         assert_eq!(ts.n_summary_nodes(), 11);
@@ -198,21 +150,6 @@ mod tests {
         }
     }
 
-    /// Under the literal Definition 13 semantics, r3 and r4 merge (they
-    /// share the global source clique {a,t,e,c}) — demonstrating why that
-    /// reading contradicts Figure 7.
-    #[test]
-    fn literal_semantics_merges_r3_r4() {
-        let g = sample_graph();
-        let s = typed_weak_summary_with(&g, TypedSemantics::LiteralDefinition13);
-        assert_eq!(
-            s.representative(exid(&g, "r3")),
-            s.representative(exid(&g, "r4"))
-        );
-        let fig7 = typed_weak_summary(&g);
-        assert!(s.n_summary_nodes() < fig7.n_summary_nodes());
-    }
-
     #[test]
     fn typed_summaries_of_untyped_graph_equal_untyped_ones() {
         // With no types at all, TW collapses to W and TS to S (same
@@ -221,12 +158,12 @@ mod tests {
         g.add_iri_triple("x", "p", "y");
         g.add_iri_triple("z", "p", "w");
         g.add_iri_triple("x", "q", "v");
-        let tw = typed_weak_summary(&g);
-        let w = crate::weak::weak_summary(&g);
+        let tw = summarize(&g, SummaryKind::TypedWeak);
+        let w = summarize(&g, SummaryKind::Weak);
         assert_eq!(tw.graph.data().len(), w.graph.data().len());
         assert_eq!(tw.n_summary_nodes(), w.n_summary_nodes());
-        let ts = typed_strong_summary(&g);
-        let st = crate::strong::strong_summary(&g);
+        let ts = summarize(&g, SummaryKind::TypedStrong);
+        let st = summarize(&g, SummaryKind::Strong);
         assert_eq!(ts.graph.data().len(), st.graph.data().len());
         assert_eq!(ts.n_summary_nodes(), st.n_summary_nodes());
     }
@@ -237,7 +174,7 @@ mod tests {
         g.add_iri_triple("x", "p", "y");
         g.add_iri_triple("x", rdf_model::vocab::RDF_TYPE, "A");
         g.add_iri_triple("y", rdf_model::vocab::RDF_TYPE, "A");
-        let tw = typed_weak_summary(&g);
+        let tw = summarize(&g, SummaryKind::TypedWeak);
         // x and y share the class set {A} ⇒ one node with a self-loop.
         assert_eq!(tw.n_summary_nodes(), 1);
         assert_eq!(tw.graph.data().len(), 1);

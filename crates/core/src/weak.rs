@@ -11,7 +11,6 @@
 //! re-scanning `D_G` for emission.
 
 use crate::cliques::Cliques;
-use crate::context::SummaryContext;
 use crate::equivalence::{CliqueClasses, Partition};
 use crate::naming::Namer;
 use crate::quotient::{quotient_summary_planned, DataPlan};
@@ -50,15 +49,14 @@ pub(crate) fn class_property_sets(
 /// with its clique → class tables ([`crate::equivalence::weak_classes`]):
 /// per-property data edges (Proposition 4), per-class union naming sets —
 /// all in `O(#properties)` beyond the quotient's type emission. The
-/// [`SummaryContext`] builder passes its cached cliques. `props` are the
-/// distinct data properties in first-seen order.
+/// [`crate::context::SummaryContext`] passes its cached cliques. `props`
+/// are the distinct data properties in first-seen order.
 pub(crate) fn build_weak(
     g: &Graph,
     cliques: &Cliques,
     partition: &Partition,
     classes: &CliqueClasses,
     props: &[TermId],
-    force_unpacked: bool,
 ) -> Summary {
     // Proposition 4: all sources of a property are weakly equivalent and
     // so are all its targets, so W_G's data component is exactly one edge
@@ -96,32 +94,14 @@ pub(crate) fn build_weak(
         set.sort_unstable();
         set.dedup();
     }
-    // The forced-unpacked seam deliberately drops the Prop-4 edge plan and
-    // re-derives the data component by scanning D_G through the hash
-    // fallback — so the packed-vs-fallback test doubles as a
-    // derived-edges-vs-full-scan cross-check.
-    let plan = if force_unpacked {
-        DataPlan::Scan
-    } else {
-        DataPlan::Edges(&edges)
-    };
     let mut namer = Namer::new(g.dict());
     quotient_summary_planned(
         g,
         SummaryKind::Weak,
         partition,
         |i, _| namer.n_term(&tc_sets[i], &sc_sets[i]),
-        plan,
-        force_unpacked,
+        DataPlan::Edges(&edges),
     )
-}
-
-/// Builds the weak summary of `g` (batch, clique-based).
-///
-/// Thin wrapper over a throwaway [`SummaryContext`]; to build several
-/// summaries of the same graph, create one context and reuse it.
-pub fn weak_summary(g: &Graph) -> Summary {
-    SummaryContext::new(g).weak_summary()
 }
 
 /// Proposition 4: each data property of G appears exactly once in W_G.
@@ -141,6 +121,7 @@ mod tests {
     use crate::fixtures::{exid, sample_graph, sample_prefixes};
     use crate::naming::display_label;
     use crate::quotient::verify_quotient;
+    use crate::summarize;
     use rdf_model::Term;
 
     fn label_of(s: &Summary, g: &Graph, local: &str) -> String {
@@ -152,7 +133,7 @@ mod tests {
     #[test]
     fn figure4_weak_summary() {
         let g = sample_graph();
-        let s = weak_summary(&g);
+        let s = summarize(&g, SummaryKind::Weak);
         assert!(verify_quotient(&g, &s));
         let st = s.stats();
         // Nodes: N^{r,p}_{a,t,e,c}, N^a_r, N^t, N^e_p, N^c, Nτ + 3 classes.
@@ -170,7 +151,7 @@ mod tests {
     #[test]
     fn figure4_node_labels() {
         let g = sample_graph();
-        let s = weak_summary(&g);
+        let s = summarize(&g, SummaryKind::Weak);
         assert_eq!(
             label_of(&s, &g, "r1"),
             "N[in=published,reviewed][out=author,comment,editor,title]"
@@ -188,7 +169,7 @@ mod tests {
     #[test]
     fn figure4_edges() {
         let g = sample_graph();
-        let s = weak_summary(&g);
+        let s = summarize(&g, SummaryKind::Weak);
         let h = &s.graph;
         let big = s.representative(exid(&g, "r1")).unwrap();
         let nra = s.representative(exid(&g, "a1")).unwrap();
@@ -219,14 +200,14 @@ mod tests {
     #[test]
     fn proposition4_unique_data_properties() {
         let g = sample_graph();
-        let s = weak_summary(&g);
+        let s = summarize(&g, SummaryKind::Weak);
         assert!(check_unique_data_properties(&g, &s));
     }
 
     #[test]
     fn weak_of_empty_graph() {
         let g = Graph::new();
-        let s = weak_summary(&g);
+        let s = summarize(&g, SummaryKind::Weak);
         assert!(s.graph.is_empty());
         assert_eq!(s.n_summary_nodes(), 0);
     }
@@ -240,7 +221,7 @@ mod tests {
         g.add_iri_triple("y", "p", "v2");
         g.add_iri_triple("x", rdf_model::vocab::RDF_TYPE, "A");
         g.add_iri_triple("y", rdf_model::vocab::RDF_TYPE, "B");
-        let s = weak_summary(&g);
+        let s = summarize(&g, SummaryKind::Weak);
         assert_eq!(s.graph.types().len(), 2);
         assert_eq!(s.graph.data().len(), 1);
         let x = g.dict().lookup(&Term::iri("x")).unwrap();
@@ -253,7 +234,7 @@ mod tests {
         // Sanity: the summary is a plain RDF graph, so the generic DOT
         // exporter applies to it.
         let g = sample_graph();
-        let s = weak_summary(&g);
+        let s = summarize(&g, SummaryKind::Weak);
         let dot = rdf_io::to_dot(
             &s.graph,
             &rdf_io::DotOptions {

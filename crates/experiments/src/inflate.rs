@@ -18,7 +18,7 @@
 
 use rdf_model::{FxHashMap, Graph, SplitMix64, Term, TermId};
 use rdfsum_core::naming::SUMMARY_NS;
-use rdfsum_core::summary::Summary;
+use rdfsum_core::summary::{Summary, SummaryKind};
 
 /// Options for [`inflate`].
 #[derive(Clone, Debug)]
@@ -129,7 +129,7 @@ pub fn is_inflated_resource(uri: &str) -> bool {
 /// through inflation? (`W(inflate(H)) ≅ H`.)
 pub fn reproduces_through_inflation(summary: &Summary, cfg: &InflateConfig) -> bool {
     let g = inflate(summary, cfg);
-    let again = rdfsum_core::weak::weak_summary(&g);
+    let again = rdfsum_core::summarize(&g, SummaryKind::Weak);
     crate::iso::summary_isomorphic(&again.graph, &summary.graph)
 }
 
@@ -145,19 +145,19 @@ pub fn no_summary_uris_leaked(g: &Graph) -> bool {
 mod tests {
     use super::*;
     use rdfsum_core::fixtures::sample_graph;
-    use rdfsum_core::weak::weak_summary;
+    use rdfsum_core::summarize;
 
     #[test]
     fn inflating_the_sample_weak_summary_reproduces_it() {
         let g = sample_graph();
-        let w = weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         assert!(reproduces_through_inflation(&w, &InflateConfig::default()));
     }
 
     #[test]
     fn inflated_graph_is_larger_and_clean() {
         let g = sample_graph();
-        let w = weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         let big = inflate(&w, &InflateConfig::default());
         assert!(big.len() > w.graph.len() * 2);
         assert!(no_summary_uris_leaked(&big));
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn single_copy_inflation_is_summary_renaming() {
         let g = sample_graph();
-        let w = weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         let cfg = InflateConfig {
             copies_per_node: 1,
             edges_per_edge: 1,
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn inflation_is_deterministic() {
         let g = sample_graph();
-        let w = weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         let a = inflate(&w, &InflateConfig::default());
         let b = inflate(&w, &InflateConfig::default());
         assert_eq!(rdf_io::write_graph(&a), rdf_io::write_graph(&b));
@@ -195,7 +195,7 @@ mod tests {
         use rdf_query::{compile, Evaluator};
         use rdf_store::TripleStore;
         let g = sample_graph();
-        let w = weak_summary(&g);
+        let w = summarize(&g, SummaryKind::Weak);
         let member = inflate(&w, &InflateConfig::default());
         // A query that matches the summary:
         let q = rdf_query::parse_query(

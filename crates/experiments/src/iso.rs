@@ -256,7 +256,7 @@ mod tests {
     use super::*;
     use rdfsum_core::fixtures::sample_graph;
     use rdfsum_core::naming::SUMMARY_NS;
-    use rdfsum_core::weak::weak_summary;
+    use rdfsum_core::{summarize, SummaryKind};
 
     fn mint(local: &str) -> String {
         format!("{SUMMARY_NS}{local}")
@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn summary_is_isomorphic_to_itself() {
-        let s = weak_summary(&sample_graph());
+        let s = summarize(&sample_graph(), SummaryKind::Weak);
         assert!(summary_isomorphic(&s.graph, &s.graph));
     }
 
@@ -349,8 +349,8 @@ mod tests {
         // C(∅) mints fresh URIs, so two runs differ textually but must be
         // isomorphic.
         let g = sample_graph();
-        let a = rdfsum_core::typed::type_summary(&g);
-        let b = rdfsum_core::typed::type_summary(&g);
+        let a = summarize(&g, SummaryKind::TypeBased);
+        let b = summarize(&g, SummaryKind::TypeBased);
         assert!(summary_isomorphic(&a.graph, &b.graph));
     }
 }

@@ -47,7 +47,7 @@ mod proptests {
     use proptest::prelude::*;
     use rdf_model::Graph;
     use rdfsum_core::fixtures::fragment_graph;
-    use rdfsum_core::{summarize, typed_weak_summary, weak_summary, SummaryContext, SummaryKind};
+    use rdfsum_core::{summarize, SummaryContext, SummaryKind};
 
     fn arb_graph() -> impl Strategy<Value = Graph> {
         (
@@ -81,10 +81,10 @@ mod proptests {
         /// Streaming and batch weak builders agree on random graphs.
         #[test]
         fn streaming_equals_batch(g in arb_graph()) {
-            let a = weak_summary(&g);
+            let a = summarize(&g, SummaryKind::Weak);
             let b = streaming_weak_summary(&g);
             prop_assert!(summary_isomorphic(&a.graph, &b.graph));
-            let tw_a = typed_weak_summary(&g);
+            let tw_a = summarize(&g, SummaryKind::TypedWeak);
             let tw_b = streaming_typed_weak_summary(&g);
             prop_assert!(summary_isomorphic(&tw_a.graph, &tw_b.graph));
         }
@@ -128,7 +128,7 @@ mod proptests {
         /// re-summarizing reproduces it (Prop. 3's accuracy, constructive).
         #[test]
         fn inflation_roundtrip(g in arb_graph(), seed in 0u64..100) {
-            let w = weak_summary(&g);
+            let w = summarize(&g, SummaryKind::Weak);
             let cfg = crate::inflate::InflateConfig { seed, ..Default::default() };
             prop_assert!(crate::inflate::reproduces_through_inflation(&w, &cfg));
         }

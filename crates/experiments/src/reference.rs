@@ -15,7 +15,6 @@ use rdf_model::{FxHashMap, FxHashSet, Graph, Term, TermId, Triple};
 use rdfsum_core::cliques::CliqueScope;
 use rdfsum_core::naming::{c_uri, n_uri};
 use rdfsum_core::summary::{Summary, SummaryKind};
-use rdfsum_core::typed::TypedSemantics;
 
 /// Clique structure with the original hash-map node assignments.
 struct RefCliques {
@@ -312,11 +311,7 @@ fn ref_type_based(g: &Graph) -> Summary {
     )
 }
 
-fn ref_typed(g: &Graph, kind: SummaryKind, semantics: TypedSemantics) -> Summary {
-    let scope = match semantics {
-        TypedSemantics::ImplementationFigure7 => CliqueScope::UntypedOnly,
-        TypedSemantics::LiteralDefinition13 => CliqueScope::AllNodes,
-    };
+fn ref_typed(g: &Graph, kind: SummaryKind, scope: CliqueScope) -> Summary {
     let strong_naming = kind == SummaryKind::TypedStrong;
     let cliques = RefCliques::compute(g, scope);
     let sets = ref_class_sets(g);
@@ -362,16 +357,18 @@ fn ref_typed(g: &Graph, kind: SummaryKind, semantics: TypedSemantics) -> Summary
     })
 }
 
-/// Builds the summary of `g` the pre-refactor way, with the paper-default
-/// typed semantics. Supports the five clique/type summaries; the
-/// bisimulation baseline has no reference variant and delegates to
-/// [`rdfsum_core::bisim::bisim_summary`].
+/// Builds the summary of `g` the pre-refactor way, with the typed kinds'
+/// cliques generated by untyped resources only (the Figure 7 reading of
+/// Definition 13, which the production builders use). Supports the five
+/// clique/type summaries; the bisimulation baseline has no reference
+/// variant and delegates to [`rdfsum_core::bisim::bisim_summary`].
 pub fn reference_summary(g: &Graph, kind: SummaryKind) -> Summary {
     match kind {
         SummaryKind::Weak => ref_weak(g),
         SummaryKind::Strong => ref_strong(g),
-        SummaryKind::TypedWeak => ref_typed(g, kind, TypedSemantics::default()),
-        SummaryKind::TypedStrong => ref_typed(g, kind, TypedSemantics::default()),
+        SummaryKind::TypedWeak | SummaryKind::TypedStrong => {
+            ref_typed(g, kind, CliqueScope::UntypedOnly)
+        }
         SummaryKind::TypeBased => ref_type_based(g),
         SummaryKind::Bisimulation => {
             rdfsum_core::bisim::bisim_summary(g, rdfsum_core::bisim::BisimDepth::Bounded(2))
@@ -379,11 +376,13 @@ pub fn reference_summary(g: &Graph, kind: SummaryKind) -> Summary {
     }
 }
 
-/// [`reference_summary`] with explicit typed semantics (affects the typed
-/// kinds only).
-pub fn reference_summary_with(g: &Graph, kind: SummaryKind, semantics: TypedSemantics) -> Summary {
+/// [`reference_summary`] with the typed kinds' cliques computed under
+/// `scope` (the other kinds ignore it): [`CliqueScope::UntypedOnly`] is
+/// the Figure 7 reading of Definition 13, [`CliqueScope::AllNodes`] the
+/// literal one, where relatedness comes from every co-occurrence.
+pub fn reference_summary_with(g: &Graph, kind: SummaryKind, scope: CliqueScope) -> Summary {
     match kind {
-        SummaryKind::TypedWeak | SummaryKind::TypedStrong => ref_typed(g, kind, semantics),
+        SummaryKind::TypedWeak | SummaryKind::TypedStrong => ref_typed(g, kind, scope),
         _ => reference_summary(g, kind),
     }
 }
@@ -391,7 +390,7 @@ pub fn reference_summary_with(g: &Graph, kind: SummaryKind, semantics: TypedSema
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfsum_core::fixtures::sample_graph;
+    use rdfsum_core::fixtures::{exid, sample_graph};
 
     /// The oracle reproduces the paper's headline figures on its own.
     #[test]
@@ -417,5 +416,20 @@ mod tests {
             reference_summary(&g, SummaryKind::TypeBased).n_summary_nodes(),
             14
         );
+    }
+
+    /// Under the literal Definition 13 semantics, r3 and r4 merge (they
+    /// share the global source clique {a,t,e,c}) — demonstrating why that
+    /// reading contradicts Figure 7.
+    #[test]
+    fn literal_semantics_merges_r3_r4() {
+        let g = sample_graph();
+        let s = reference_summary_with(&g, SummaryKind::TypedWeak, CliqueScope::AllNodes);
+        assert_eq!(
+            s.representative(exid(&g, "r3")),
+            s.representative(exid(&g, "r4"))
+        );
+        let fig7 = rdfsum_core::summarize(&g, SummaryKind::TypedWeak);
+        assert!(s.n_summary_nodes() < fig7.n_summary_nodes());
     }
 }

@@ -292,8 +292,7 @@ mod tests {
     use super::*;
     use rdf_io::write_graph;
     use rdfsum_core::fixtures::sample_graph;
-    use rdfsum_core::typed::typed_weak_summary;
-    use rdfsum_core::weak::weak_summary;
+    use rdfsum_core::summarize;
 
     /// The streaming and batch weak builders produce the *same* summary
     /// (same URIs, same triples) — the naming is property-set-derived in
@@ -301,7 +300,7 @@ mod tests {
     #[test]
     fn streaming_equals_batch_weak_on_sample() {
         let g = sample_graph();
-        let a = weak_summary(&g);
+        let a = summarize(&g, SummaryKind::Weak);
         let b = streaming_weak_summary(&g);
         let mut la: Vec<String> = write_graph(&a.graph).lines().map(String::from).collect();
         let mut lb: Vec<String> = write_graph(&b.graph).lines().map(String::from).collect();
@@ -313,7 +312,7 @@ mod tests {
     #[test]
     fn streaming_equals_batch_typed_weak_on_sample() {
         let g = sample_graph();
-        let a = typed_weak_summary(&g);
+        let a = summarize(&g, SummaryKind::TypedWeak);
         let b = streaming_typed_weak_summary(&g);
         let mut la: Vec<String> = write_graph(&a.graph).lines().map(String::from).collect();
         let mut lb: Vec<String> = write_graph(&b.graph).lines().map(String::from).collect();

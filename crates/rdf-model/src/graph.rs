@@ -20,9 +20,9 @@
 //!
 //! * **A hash set of the rows**, probed row by row. It is a *derived*
 //!   structure: the first [`Graph::insert`] / [`Graph::insert_ref`] /
-//!   [`Graph::insert_encoded`], [`Graph::contains`], [`Graph::remove_encoded`]
-//!   or [`Graph::remove_encoded_batch`] on a graph that lacks it builds it
-//!   from the tables, and every later operation keeps it in step. The CLI's
+//!   [`Graph::insert_encoded`] or [`Graph::contains`] on a graph that lacks
+//!   it builds it from the tables, and every later operation keeps it in
+//!   step. The CLI's
 //!   `saturate`, the generators, the hash-dedup quotient emission and the
 //!   test suites build and edit graphs this way.
 //! * **A sort**. Rows that come in bulk — a parsed file, a decoded snapshot
@@ -284,42 +284,14 @@ impl Graph {
         }
     }
 
-    /// Removes an already-encoded triple, if present. Returns the component
-    /// it was removed from, or `None` when the graph did not contain it.
-    ///
-    /// Insertion order of the surviving triples is preserved (the component
-    /// vector is compacted in place), so a rebuild of any order-dependent
-    /// derived structure — summaries, their substrate — from the mutated
-    /// graph equals a fresh load of the same surviving triples in the same
-    /// order. Dictionary entries are never reclaimed: term ids stay dense
-    /// and stable across deletions.
-    pub fn remove_encoded(&mut self, t: Triple) -> Option<Component> {
-        if !self.seen_mut().remove(&t) {
-            return None;
-        }
-        let comp = self.wk.component_of(t.p);
-        let v = self.table_mut(comp);
-        let pos = v.iter().position(|&x| x == t).expect("seen implies stored");
-        v.remove(pos);
-        Some(comp)
-    }
-
-    /// Removes a batch of already-encoded triples, returning those that
-    /// were genuinely present (duplicates in `triples` count once), in the
-    /// order given. Each affected component is compacted in one pass, so a
-    /// batch of `d` deletions costs `O(|G| log d)` rather than `d` vector
-    /// splices.
-    pub fn remove_encoded_batch(&mut self, triples: &[Triple]) -> Vec<Triple> {
-        let seen = self.seen_mut();
-        let removed: Vec<Triple> = triples.iter().copied().filter(|t| seen.remove(t)).collect();
-        self.compact_without(&removed);
-        removed
-    }
-
     /// Removes rows the caller has proved **present and pairwise distinct**
     /// — the mirror image of [`Graph::append_distinct`]: the touched
     /// components are compacted in one pass each, survivors keep their
     /// order, and no hash set is built (one that exists forgets the rows).
+    /// A rebuild of any order-dependent derived structure — summaries,
+    /// their substrate — from the shrunk graph therefore equals a fresh
+    /// load of the surviving rows. Dictionary entries are never reclaimed:
+    /// term ids stay dense and stable across deletions.
     pub fn remove_present(&mut self, rows: &[Triple]) {
         if let Some(seen) = self.seen.get_mut() {
             for t in rows {
@@ -784,11 +756,9 @@ mod tests {
         let t1 = g.add_iri_triple("a", "p", "b");
         let t2 = g.add_iri_triple("c", "q", "d");
         let t3 = g.add_iri_triple("e", "r", "f");
-        assert_eq!(g.remove_encoded(t2), Some(Component::Data));
+        g.remove_present(&[t2]);
         assert_eq!(g.data(), &[t1, t3]);
         assert!(!g.contains(t2));
-        // Removing an absent triple is a no-op.
-        assert_eq!(g.remove_encoded(t2), None);
         // Re-insertion lands at the end, like a fresh triple.
         g.insert_encoded(t2);
         assert_eq!(g.data(), &[t1, t3, t2]);
@@ -801,9 +771,7 @@ mod tests {
         let ty = g.add_iri_triple("a", vocab::RDF_TYPE, "C");
         let sc = g.add_iri_triple("C", vocab::RDFS_SUBCLASSOF, "D");
         let d2 = g.add_iri_triple("c", "q", "d");
-        let absent = Triple::new(d1.s, d1.p, d1.s);
-        let removed = g.remove_encoded_batch(&[ty, d1, absent, d1]);
-        assert_eq!(removed, vec![ty, d1]);
+        g.remove_present(&[ty, d1]);
         assert_eq!(g.data(), &[d2]);
         assert!(g.types().is_empty());
         assert_eq!(g.schema(), &[sc]);

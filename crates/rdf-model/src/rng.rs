@@ -2,8 +2,8 @@
 //!
 //! The workload generators and the query sampler need reproducible streams:
 //! the same seed must generate bit-identical datasets on every platform and
-//! toolchain version, so that EXPERIMENTS.md numbers can be regenerated
-//! exactly. We therefore use a self-contained SplitMix64 (Steele et al.,
+//! toolchain version, so that every number measured on generated data can
+//! be regenerated exactly from its seed. We therefore use a self-contained SplitMix64 (Steele et al.,
 //! "Fast splittable pseudorandom number generators", OOPSLA 2014) instead of
 //! an external crate whose stream may change between releases.
 //!

@@ -290,8 +290,6 @@ impl TripleStore {
     /// [`FingerprintState`]; afterwards this is O(1), and the batch
     /// mutation APIs ([`TripleStore::insert_batch`] /
     /// [`TripleStore::delete_batch`]) keep the state fresh in O(delta).
-    /// Raw mutation via [`TripleStore::graph_mut`] drops the state, so the
-    /// next call rescans.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut slot = self.fingerprint_state().lock().unwrap();
         if slot.is_none() {

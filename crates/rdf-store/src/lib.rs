@@ -100,8 +100,6 @@ mod proptests {
         AppendDistinct(Vec<usize>),
         Insert(usize),
         Contains(usize),
-        Remove(usize),
-        RemoveBatch(Vec<usize>),
         RemovePresent(Vec<usize>),
         Clone,
         ThroughAStore,
@@ -115,8 +113,6 @@ mod proptests {
             one().prop_map(GraphOp::Insert),
             one().prop_map(GraphOp::Insert),
             one().prop_map(GraphOp::Contains),
-            one().prop_map(GraphOp::Remove),
-            some().prop_map(GraphOp::RemoveBatch),
             some().prop_map(GraphOp::RemovePresent),
             (0u8..1).prop_map(|_| GraphOp::Clone),
             (0u8..1).prop_map(|_| GraphOp::ThroughAStore),
@@ -127,9 +123,8 @@ mod proptests {
         /// The set contract on both sides of the hash set's materialisation.
         /// Random interleavings of every way to change or ask a graph —
         /// bulk append and bulk removal (the model plays the caller and
-        /// supplies the proof), `insert_encoded`, `contains`,
-        /// `remove_encoded`, `remove_encoded_batch`, `clone`, and a trip
-        /// through a store and back — against three `Vec`s and a
+        /// supplies the proof), `insert_encoded`, `contains`, `clone`, and
+        /// a trip through a store and back — against three `Vec`s and a
         /// `BTreeSet`: file order, `len`, membership and every return value
         /// agree after each step, starting from a bulk-built graph (no hash
         /// set yet) and from an `insert`-built one. The hash set exists
@@ -221,22 +216,6 @@ mod proptests {
                     }
                     GraphOp::Contains(i) => {
                         prop_assert_eq!(g.contains(universe[i]), set.contains(&universe[i]));
-                        has_set = true;
-                    }
-                    GraphOp::Remove(i) => {
-                        let t = universe[i];
-                        let was_there = set.remove(&t);
-                        model[table(t)].retain(|&u| u != t);
-                        prop_assert_eq!(g.remove_encoded(t), was_there.then(|| wk.component_of(t.p)));
-                        has_set = true;
-                    }
-                    GraphOp::RemoveBatch(picks) => {
-                        let batch: Vec<Triple> = picks.iter().map(|&i| universe[i]).collect();
-                        let gone: Vec<Triple> = batch.iter().copied().filter(|t| set.remove(t)).collect();
-                        for table in &mut model {
-                            table.retain(|t| !gone.contains(t));
-                        }
-                        prop_assert_eq!(g.remove_encoded_batch(&batch), gone);
                         has_set = true;
                     }
                     GraphOp::RemovePresent(picks) => {

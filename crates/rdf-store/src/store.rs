@@ -42,13 +42,10 @@ pub struct BatchOutcome {
 
 /// A read-optimized triple store over an RDF graph.
 ///
-/// The store is built once from a graph. Mutate it either through the
+/// The store is built once from a graph and mutated only through the
 /// delta-aware batch APIs ([`TripleStore::insert_batch`] /
 /// [`TripleStore::delete_batch`]), which keep the three permutation
-/// indices and the content fingerprint fresh in O(delta + merge), or
-/// through raw [`TripleStore::graph_mut`] access followed by
-/// [`TripleStore::refresh`] (load-then-query, the paper's off-line usage
-/// pattern — a full index build and fingerprint rescan).
+/// indices and the content fingerprint fresh in O(delta + merge).
 #[derive(Debug)]
 pub struct TripleStore {
     graph: Graph,
@@ -57,7 +54,7 @@ pub struct TripleStore {
     osp: SortedIndex,
     /// Lazily populated incremental fingerprint state (lane sums + the
     /// per-term digest cache). Owned by this store, so it is reclaimed
-    /// when the store is dropped/evicted; cleared by raw graph mutation.
+    /// when the store is dropped/evicted.
     fingerprint: Mutex<Option<FingerprintState>>,
 }
 
@@ -138,12 +135,6 @@ impl TripleStore {
     /// [`TripleStore::fingerprint`], maintained by the batch APIs).
     pub(crate) fn fingerprint_state(&self) -> &Mutex<Option<FingerprintState>> {
         &self.fingerprint
-    }
-
-    /// Drops the cached fingerprint state; the next
-    /// [`TripleStore::fingerprint`] call rescans from scratch.
-    fn invalidate_fingerprint(&mut self) {
-        *self.fingerprint.lock().unwrap() = None;
     }
 
     /// Inserts a batch of term triples, keeping the permutation indices and
@@ -248,24 +239,9 @@ impl TripleStore {
         &self.graph
     }
 
-    /// Mutable access to the underlying graph. Call [`Self::refresh`]
-    /// afterwards to rebuild indices. Drops the incremental fingerprint
-    /// state (and its per-term digest cache) — raw mutation is invisible to
-    /// the lane sums, so the next [`TripleStore::fingerprint`] rescans.
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        self.invalidate_fingerprint();
-        &mut self.graph
-    }
-
     /// Consumes the store, returning the graph.
     pub fn into_graph(self) -> Graph {
         self.graph
-    }
-
-    /// Rebuilds the indices after graph mutation.
-    pub fn refresh(&mut self) {
-        self.invalidate_fingerprint();
-        [self.spo, self.pos, self.osp] = build_indices(&self.graph.components(), 1);
     }
 
     /// The SPO permutation index (triples grouped by subject).
@@ -539,19 +515,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn refresh_after_mutation() {
-        let mut st = store();
-        assert_eq!(st.len(), 5);
-        st.graph_mut().add_iri_triple("z", "p", "w");
-        // Not yet visible to indices…
-        assert_eq!(st.len(), 5);
-        st.refresh();
-        assert_eq!(st.len(), 6);
-        let p = id(&st, "p");
-        assert_eq!(st.count(TriplePattern::new(None, Some(p), None)), 4);
-    }
-
     fn iri3(s: &str, p: &str, o: &str) -> (rdf_model::Term, rdf_model::Term, rdf_model::Term) {
         (
             rdf_model::Term::iri(s),
@@ -632,23 +595,6 @@ mod tests {
         assert!(del.applied.is_empty());
         assert_eq!(del.fingerprint, fp);
         assert_eq!(st.len(), 5);
-    }
-
-    #[test]
-    fn raw_mutation_invalidates_fingerprint_state() {
-        let mut st = store();
-        let fp0 = st.fingerprint();
-        assert!(st.digest_cache_len() > 0);
-        st.graph_mut().add_iri_triple("z", "p", "w");
-        // State dropped: the digest cache is gone until the next rescan.
-        assert_eq!(st.digest_cache_len(), 0);
-        st.refresh();
-        let fp1 = st.fingerprint();
-        assert_ne!(fp0, fp1);
-        // …and the rescan agrees with the batch-maintained path.
-        let mut st2 = store();
-        let out = st2.insert_batch(&[iri3("z", "p", "w")]).unwrap();
-        assert_eq!(out.fingerprint, fp1);
     }
 
     #[test]

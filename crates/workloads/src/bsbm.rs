@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation (§7) summarizes Berlin SPARQL Benchmark (BSBM)
 //! datasets of 10–100 M triples. The official BSBM generator is a Java
-//! tool; this module reproduces the *schema structure* that drives summary
-//! sizes (see DESIGN.md §5, substitution 3):
+//! tool that is not part of this repository; in its place this module
+//! reproduces the *schema structure* that drives summary sizes:
 //!
 //! * an e-commerce universe of products, producers, product features,
 //!   vendors, offers, reviews and reviewers;

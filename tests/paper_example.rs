@@ -72,7 +72,9 @@ fn figure9_strong() {
     let s = summarize(&g, SummaryKind::Strong);
     assert_eq!(s.n_summary_nodes(), 9);
     assert_eq!(s.stats().data_edges, 9);
-    // …but split in TS (see DESIGN.md §2, ambiguity #2).
+    // …but split in TS: a1 has the out-property `reviewed` and a2 none,
+    // so their source cliques differ (the paper's claim that TS and TW
+    // coincide here does not hold under consistent definitions).
     let ts = summarize(&g, SummaryKind::TypedStrong);
     assert_ne!(
         ts.representative(exid(&g, "a1")),
