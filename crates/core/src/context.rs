@@ -64,26 +64,64 @@
 //!
 //! That last case, and its sibling — a resource whose class set is already
 //! interned gains a class — are the shapes a prefix's answer does not
-//! extend to; so is any delete. `absorb` refuses them with [`Stale`], the
-//! keeper drops the value, and the next use scans from zero: one
-//! mechanism, nothing patched, and the byte-identity suites compare every
-//! absorbed substrate with a scanned one.
+//! extend to. `absorb` refuses them with [`Stale`], the keeper drops the
+//! value, and the next use scans from zero: nothing half-absorbed is ever
+//! used, and the byte-identity suites compare every absorbed substrate
+//! with a scanned one.
 //!
-//! # What an absorb reports
+//! # Retracting
+//!
+//! A delete batch runs the other way: [`Substrate::retract`] takes the
+//! removed rows out of a substrate that covered the graph before them.
+//! Union–find has no un-union, so a retract changes nothing a scan of the
+//! shrunk graph would number, relate or intern differently, and refuses
+//! ([`Stale`]) whatever could:
+//!
+//! * *First-seen numbering.* Every endpoint of a removed row either
+//!   vanishes — no row of D_G names it and it is no τ-subject — or keeps
+//!   the first row it had on each side; no property loses its first row.
+//!   A vanished node leaves `nodes` / `typed`, survivors keep their
+//!   relative order and their first properties. The first row of a side
+//!   is the node's first property (already kept) and the row's other end,
+//!   kept beside it; a property keeps the endpoints of its first row.
+//! * *Relatedness.* Each removed row linked its property to its
+//!   endpoints' first properties — in both scopes for an untyped endpoint,
+//!   in the all-nodes one for a typed one. Every such link needs a
+//!   surviving witness of the same union: a row of the same property whose
+//!   endpoint on that side has the same first property, or a row of that
+//!   first property whose endpoint's first is the removed row's property
+//!   (and untyped, if the link was in the untyped scope). Witnesses are
+//!   searched in the store's indices and the search stops at the first
+//!   hit: the endpoint's own other rows of the property, then the
+//!   property's rows, then the first property's. No count is kept. (A link
+//!   whose pair has no witness left may still be implied by others; the
+//!   retract refuses it all the same.)
+//! * *Class sets.* A removed type row's subject must vanish, and it must
+//!   not be the first member of its class set (set ids are numbered by
+//!   first members, and a surviving first member keeps the set non-empty).
+//!
+//! A retract checks everything before it changes anything; the keeper
+//! still takes the value out of its cell for the call and puts it back
+//! only on `Ok`.
+//!
+//! # What an absorb or a retract reports
 //!
 //! An `Ok` absorb returns its [`Delta`]: the data nodes and typed
 //! resources it numbered, whether it numbered a property, whether a link
 //! joined two cliques of either scope, and whether a node numbered before
-//! met its first property on a side — and the stamp of the state it
-//! absorbed into (the scan's epoch and the rows absorbed so far). Every
-//! summary a view builds comes with a quotient map of its partition
-//! (`crate::quotient::QuotientMap`), stamped with the substrate it was
-//! read from; the service offers each cached artifact's map the delta
-//! of an insert batch, and the map either extends the artifact — the
-//! batch only added members to existing classes along existing edges, so
-//! the summary is as it was — or refuses, and the artifact is rebuilt from
-//! the substrate like any cache miss. A delta from another substrate, or
-//! from another state of this one, is always refused.
+//! met its first property on a side; an `Ok` retract returns the data
+//! nodes that vanished, with the keys they had. Both carry the stamp of the
+//! state they changed (the scan's epoch and the steps taken since), and
+//! both advance it. Every summary a view builds comes with a quotient map
+//! of its partition (`crate::quotient::QuotientMap`), stamped with the
+//! substrate it was read from; the service offers each cached artifact's
+//! map the delta of a batch, and the map either carries the artifact — an
+//! insert only added members to existing classes along existing edges, a
+//! delete only took members that were not the first of their class and
+//! left every summary triple a witness, so the summary is as it was — or
+//! refuses, and the artifact is rebuilt from the substrate like any cache
+//! miss. A delta from another substrate, or from another state of this
+//! one, is always refused.
 //!
 //! The pass runs on the calling thread. It replaced a two-table-per-shard
 //! scan, an absorb/remap fold, a stitched entry list, two CSR fills and a
@@ -100,7 +138,8 @@ use crate::quotient::{quotient_summary_planned, ClassKeys, DataPlan, QuotientMap
 use crate::summary::{Summary, SummaryKind};
 use crate::unionfind::UnionFind;
 use crate::weak::class_property_sets;
-use rdf_model::{DenseIdMap, FxHashMap, Graph, Term, TermId, NO_DENSE_ID};
+use rdf_model::{Component, DenseIdMap, FxHashMap, Graph, Term, TermId, Triple, NO_DENSE_ID};
+use rdf_store::TripleStore;
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -142,29 +181,31 @@ impl ClassSets {
     }
 }
 
-/// [`Substrate::absorb`]'s refusal: the graph's tables are not an
-/// extension the absorbed prefix's answer carries over to. The substrate
-/// may be half-updated and must be dropped; [`Substrate::scan`] builds the
-/// current one.
+/// The refusal of [`Substrate::absorb`] or [`Substrate::retract`]: the
+/// graph's tables are not an extension the absorbed prefix's answer
+/// carries over to, or the rows a delete took are ones a substrate cannot
+/// give back (a first-seen number, a first property, a link or a class set
+/// would change). An absorb's substrate may be half-updated; either way
+/// the keeper drops it, and [`Substrate::scan`] builds the current one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stale;
 
-/// Which substrate, grown how far: the scan that started it (an epoch no
-/// other scan shares) and the rows absorbed since. A quotient map built
-/// from a substrate keeps its stamp, and extends only with a [`Delta`]
-/// taken from that very state.
+/// Which substrate, in which state: the scan that started it (an epoch no
+/// other scan shares) and the absorbs and retracts applied since. A
+/// quotient map built from a substrate keeps its stamp, and carries only a
+/// [`Delta`] taken from that very state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Stamp {
     epoch: u64,
-    types: usize,
-    data: usize,
+    step: u64,
 }
 
-/// What one `Ok` [`Substrate::absorb`] changed — the report an artifact's
-/// quotient map is offered when an `UPDATE` carries it.
+/// What one `Ok` [`Substrate::absorb`] or [`Substrate::retract`] changed —
+/// the report an artifact's quotient map is offered when an `UPDATE`
+/// carries it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Delta {
-    /// The state the rows were absorbed into.
+    /// The state the rows were absorbed into or retracted from.
     from: Stamp,
     /// The data nodes and typed resources the absorb numbered, as ranges
     /// of the substrate's first-seen lists.
@@ -177,12 +218,27 @@ pub struct Delta {
     /// Did a node numbered before — a data node, or a typed-only resource
     /// — meet its first property on a side?
     gave_first: bool,
+    /// The data nodes a retract removed, by term id, with the keys they
+    /// had (an absorb removes none).
+    gone: Vec<(TermId, NodeKeys)>,
 }
 
 impl Delta {
-    /// The substrate state the rows were absorbed into.
+    /// The substrate state the rows were absorbed into or retracted from.
     pub(crate) fn from(&self) -> Stamp {
         self.from
+    }
+
+    /// The data nodes the retract removed, ascending, with their keys
+    /// before it.
+    pub(crate) fn gone(&self) -> &[(TermId, NodeKeys)] {
+        &self.gone
+    }
+
+    /// The keys `node` had before the retract, if the retract removed it.
+    pub(crate) fn keys_before(&self, node: TermId) -> Option<NodeKeys> {
+        let i = self.gone.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(self.gone[i].1)
     }
 
     /// The data nodes first seen by this absorb, in numbering order.
@@ -217,7 +273,7 @@ impl Delta {
 
 /// A node's keys in the substrate: the dense ids of its first outgoing and
 /// incoming property, and its class set.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct NodeKeys {
     pub(crate) first_out: Option<u32>,
     pub(crate) first_in: Option<u32>,
@@ -240,7 +296,9 @@ pub struct Substrate {
     /// Tells this scan's substrate apart from every other one (see
     /// [`Stamp`]).
     epoch: u64,
-    /// How much of `g.types()` / `g.data()` has been absorbed.
+    /// Absorbs and retracts applied since the scan started.
+    step: u64,
+    /// How much of `g.types()` / `g.data()` is covered.
     types_seen: usize,
     data_seen: usize,
     /// The subjects and objects of D_G, in first-seen order.
@@ -249,15 +307,23 @@ pub struct Substrate {
     typed: Vec<TermId>,
     /// The data properties, numbered in first-seen order.
     props: DenseIdMap,
+    /// Dense property id → the subject and object of its first row.
+    prop_first: Vec<(TermId, TermId)>,
     /// Term-indexed: the dense id of the first property seen leaving
     /// (entering) the node, [`NO_DENSE_ID`] if none has.
     first_out: Vec<u32>,
     first_in: Vec<u32>,
+    /// Term-indexed: the other end of that first row — its object
+    /// (subject) — which with the property names the row.
+    first_out_to: Vec<u32>,
+    first_in_from: Vec<u32>,
     all: Relatedness,
     untyped: Relatedness,
     class_sets: ClassSets,
     /// Canonical class set → its id in `class_sets.sets`.
     set_ids: FxHashMap<Vec<TermId>, u32>,
+    /// Class-set id → the first typed resource interned with it.
+    set_first: Vec<TermId>,
 }
 
 impl Substrate {
@@ -275,18 +341,17 @@ impl Substrate {
         substrate
     }
 
-    /// This substrate and how far it has grown.
+    /// This substrate and its state.
     pub(crate) fn stamp(&self) -> Stamp {
         Stamp {
             epoch: self.epoch,
-            types: self.types_seen,
-            data: self.data_seen,
+            step: self.step,
         }
     }
 
-    /// Has this substrate absorbed exactly the rows `g` holds? (True of
-    /// what [`Substrate::scan`] returns and after every `Ok` absorb, until
-    /// the graph changes again.)
+    /// Does this substrate cover exactly as many rows as `g` holds? (True
+    /// of what [`Substrate::scan`] returns and after every `Ok` absorb or
+    /// retract, until the graph changes again.)
     pub fn covers(&self, g: &Graph) -> bool {
         (self.types_seen, self.data_seen) == (g.types().len(), g.data().len())
     }
@@ -320,9 +385,15 @@ impl Substrate {
         let cliques_before = (cliques(&self.all), cliques(&self.untyped));
         // The slot tables keep pace with the dictionary.
         let n_terms = g.dict().len();
-        self.first_out.resize(n_terms, NO_DENSE_ID);
-        self.first_in.resize(n_terms, NO_DENSE_ID);
-        self.class_sets.set_of_node.resize(n_terms, NO_DENSE_ID);
+        for table in [
+            &mut self.first_out,
+            &mut self.first_in,
+            &mut self.first_out_to,
+            &mut self.first_in_from,
+            &mut self.class_sets.set_of_node,
+        ] {
+            table.resize(n_terms, NO_DENSE_ID);
+        }
         self.props.grow(n_terms);
 
         // Asked of the tables as they stand, before any row of the tail
@@ -375,6 +446,7 @@ impl Substrate {
                     let id = self.class_sets.sets.len() as u32;
                     self.class_sets.sets.push(set.clone());
                     self.set_ids.insert(set, id);
+                    self.set_first.push(node);
                     id
                 }
             };
@@ -392,6 +464,7 @@ impl Substrate {
                     uf.src.push();
                     uf.tgt.push();
                 }
+                self.prop_first.push((t.s, t.o));
             }
             let (s, o) = (t.s.index(), t.o.index());
             if self.first_out[s] == NO_DENSE_ID && self.first_in[s] == NO_DENSE_ID {
@@ -399,8 +472,8 @@ impl Substrate {
             }
             let links_untyped = set_of_node[s] == NO_DENSE_ID;
             link(
-                &mut self.first_out[s],
-                p,
+                (&mut self.first_out[s], &mut self.first_out_to[s]),
+                (p, t.o),
                 &mut self.all.src,
                 links_untyped.then_some(&mut self.untyped.src),
             );
@@ -409,13 +482,14 @@ impl Substrate {
             }
             let links_untyped = set_of_node[o] == NO_DENSE_ID;
             link(
-                &mut self.first_in[o],
-                p,
+                (&mut self.first_in[o], &mut self.first_in_from[o]),
+                (p, t.s),
                 &mut self.all.tgt,
                 links_untyped.then_some(&mut self.untyped.tgt),
             );
         }
         self.data_seen = data.len();
+        self.step += 1;
 
         // Each new property added one singleton clique per side; fewer
         // cliques than that means a link joined two.
@@ -429,6 +503,182 @@ impl Substrate {
             merged_all: joined(&self.all, cliques_before.0),
             merged_untyped: joined(&self.untyped, cliques_before.1),
             gave_first,
+            gone: Vec::new(),
+        })
+    }
+
+    /// Retracts `removed` — the rows a delete batch just took out of
+    /// `store`'s graph, each once — leaving the substrate a scan of the
+    /// shrunk graph would build, and reports the data nodes that vanished
+    /// with the keys they had ([`Delta`]). Or it reports that the rows
+    /// cannot be retracted (see [Retracting](self#retracting)), changing
+    /// nothing:
+    ///
+    /// * the substrate did not cover the graph the rows left;
+    /// * a removed row was its property's first, or the first row on a side
+    ///   of an endpoint that is still a data node;
+    /// * a removed type row's subject is still a data node, or was the
+    ///   first member of its class set;
+    /// * a link a removed row witnessed has no surviving witness.
+    pub fn retract(&mut self, store: &TripleStore, removed: &[Triple]) -> Result<Delta, Stale> {
+        let g = store.graph();
+        let of = |c: Component| removed.iter().filter(|&&t| g.component_of(t) == c).count();
+        let before = (
+            g.types().len() + of(Component::Type),
+            g.data().len() + of(Component::Data),
+        );
+        if (self.types_seen, self.data_seen) != before {
+            return Err(Stale);
+        }
+        // Still a data node of `g`: named by a data triple, or typed.
+        let lives = |n: TermId| {
+            let from = store.spo().range1(n.0);
+            let to = store.osp().range1(n.0);
+            from.iter().any(|&t| g.component_of(t) != Component::Schema)
+                || to.iter().any(|&t| g.component_of(t) == Component::Data)
+        };
+        let mut ends: Vec<TermId> = removed
+            .iter()
+            .flat_map(|&t| match g.component_of(t) {
+                Component::Data => [Some(t.s), Some(t.o)],
+                Component::Type => [Some(t.s), None],
+                Component::Schema => [None, None],
+            })
+            .flatten()
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        let gone: Vec<(TermId, NodeKeys)> = ends
+            .into_iter()
+            .filter(|&n| !lives(n))
+            .map(|n| (n, self.keys_of(n)))
+            .collect();
+        let vanished = |n: TermId| gone.binary_search_by_key(&n, |&(m, _)| m).is_ok();
+        for &t in removed {
+            let keeps = match g.component_of(t) {
+                Component::Schema => true,
+                Component::Type => vanished(t.s),
+                Component::Data => {
+                    let Some(p) = self.props.get(t.p) else {
+                        return Err(Stale);
+                    };
+                    let (s, o) = (t.s.index(), t.o.index());
+                    let first_out = self.first_out[s] == p && self.first_out_to[s] == t.o.0;
+                    let first_in = self.first_in[o] == p && self.first_in_from[o] == t.s.0;
+                    self.prop_first[p as usize] != (t.s, t.o)
+                        && (vanished(t.s) || !first_out)
+                        && (vanished(t.o) || !first_in)
+                        && self.witnessed(store, t, p, true)
+                        && self.witnessed(store, t, p, false)
+                }
+            };
+            if !keeps {
+                return Err(Stale);
+            }
+        }
+        let first_of_set = |&(n, keys): &(TermId, NodeKeys)| {
+            keys.set
+                .is_some_and(|set| self.set_first[set as usize] == n)
+        };
+        if gone.iter().any(first_of_set) {
+            return Err(Stale);
+        }
+
+        let from = self.stamp();
+        for &(n, _) in &gone {
+            for table in [
+                &mut self.first_out,
+                &mut self.first_in,
+                &mut self.first_out_to,
+                &mut self.first_in_from,
+                &mut self.class_sets.set_of_node,
+            ] {
+                table[n.index()] = NO_DENSE_ID;
+            }
+        }
+        let count = |side: fn(&NodeKeys) -> bool| gone.iter().filter(|(_, k)| side(k)).count();
+        let (first_out, first_in) = (&self.first_out, &self.first_in);
+        drop_vanished(
+            &mut self.nodes,
+            count(|k| k.first_out.is_some() || k.first_in.is_some()),
+            |n| first_out[n.index()] != NO_DENSE_ID || first_in[n.index()] != NO_DENSE_ID,
+        );
+        let set_of_node = &self.class_sets.set_of_node;
+        drop_vanished(&mut self.typed, count(|k| k.set.is_some()), |n| {
+            set_of_node[n.index()] != NO_DENSE_ID
+        });
+        (self.types_seen, self.data_seen) = (g.types().len(), g.data().len());
+        self.step += 1;
+        Ok(Delta {
+            from,
+            data_nodes: self.nodes.len()..self.nodes.len(),
+            typed: self.typed.len()..self.typed.len(),
+            added_property: false,
+            merged_all: false,
+            merged_untyped: false,
+            gave_first: false,
+            gone,
+        })
+    }
+
+    /// Does a row left in `store` still witness the link that removed
+    /// data row `t` (property `p`, dense) made on one side — its subject's
+    /// (`out`) or its object's: `p` related to that endpoint's first
+    /// property `f`, in the all-nodes scope and, for an untyped endpoint,
+    /// in the untyped-only one? A witness is a row of `p` whose endpoint on
+    /// that side has first property `f`, or a row of `f` whose endpoint has
+    /// first property `p` — the same union — and is untyped, if the link
+    /// was. The endpoint's own other rows of `p` are tried first. A row of
+    /// the endpoint's first property links nothing.
+    fn witnessed(&self, store: &TripleStore, t: Triple, p: u32, out: bool) -> bool {
+        let (end, first, own) = if out {
+            (t.s, &self.first_out, store.spo().range2(t.s.0, t.p.0))
+        } else {
+            (t.o, &self.first_in, store.pos().range2(t.p.0, t.o.0))
+        };
+        let f = first[end.index()];
+        if f == p {
+            return true;
+        }
+        let untyped = |n: TermId| self.class_sets.set_of_node[n.index()] == NO_DENSE_ID;
+        let scoped = untyped(end);
+        let links = |rows: &[Triple], first_is: u32| {
+            rows.iter().any(|w| {
+                let n = if out { w.s } else { w.o };
+                first[n.index()] == first_is && (!scoped || untyped(n))
+            })
+        };
+        let f_rows = store.pos().range1(self.props.items()[f as usize].0);
+        links(own, f) || links(store.pos().range1(t.p.0), f) || links(f_rows, p)
+    }
+
+    /// Does a node still join the source clique of dense property `out` to
+    /// the target clique of `inn` under `scope` — a row of `out`'s
+    /// property left in `store` whose subject's first incoming property is
+    /// in `inn`'s target clique (and which is untyped, in the untyped-only
+    /// scope)? What a weak partition needs of a vanished node that had
+    /// both sides.
+    pub(crate) fn joins(
+        &self,
+        store: &TripleStore,
+        scope: CliqueScope,
+        out: u32,
+        inn: u32,
+    ) -> bool {
+        let related = match scope {
+            CliqueScope::AllNodes => &self.all,
+            CliqueScope::UntypedOnly => &self.untyped,
+        };
+        let root = related.tgt.find_const(inn as usize);
+        let p = self.props.items()[out as usize];
+        store.pos().range1(p.0).iter().any(|w| {
+            let (first_in, set) = (
+                self.first_in[w.s.index()],
+                self.class_sets.set_of_node[w.s.index()],
+            );
+            first_in != NO_DENSE_ID
+                && related.tgt.find_const(first_in as usize) == root
+                && (scope == CliqueScope::AllNodes || set == NO_DENSE_ID)
         })
     }
 
@@ -495,17 +745,37 @@ impl Substrate {
 
 /// Relates property `p` to the first property of one side of a node —
 /// in the all-nodes scope, and in the untyped-only one when the node
-/// generates relatedness there — or, on the node's first row, records it.
+/// generates relatedness there — or, on the node's first row on that
+/// side, records `p` and the row's other end.
 #[inline]
-fn link(first: &mut u32, p: u32, all: &mut UnionFind, untyped: Option<&mut UnionFind>) {
+fn link(
+    (first, first_end): (&mut u32, &mut u32),
+    (p, end): (u32, TermId),
+    all: &mut UnionFind,
+    untyped: Option<&mut UnionFind>,
+) {
     if *first == NO_DENSE_ID {
-        *first = p;
+        (*first, *first_end) = (p, end.0);
     } else if *first != p {
         all.union(*first as usize, p as usize);
         if let Some(untyped) = untyped {
             untyped.union(*first as usize, p as usize);
         }
     }
+}
+
+/// Removes the `count` entries of a first-seen list that are no longer
+/// `live`, keeping the order of the rest. Scans back from the tail, where
+/// the rows an `UPDATE` inserted put their nodes, and compacts only the
+/// stretch past the earliest one.
+fn drop_vanished(list: &mut Vec<TermId>, count: usize, live: impl Fn(TermId) -> bool) {
+    let (mut left, mut from) = (count, list.len());
+    while left > 0 {
+        from -= 1;
+        left -= usize::from(!live(list[from]));
+    }
+    let tail: Vec<TermId> = list.drain(from..).filter(|&n| live(n)).collect();
+    list.extend(tail);
 }
 
 /// The shared build pipeline for all five summaries of one graph: a
@@ -1024,15 +1294,23 @@ mod tests {
                 .collect();
             (cq.source_cliques, cq.target_cliques, per_term)
         });
+        // The first rows a later retract asks about, per live slot.
+        let first_rows = |first: &[u32], end: &[u32]| -> Vec<(u32, u32)> {
+            first.iter().zip(end).map(|(&p, &e)| (p, e)).collect()
+        };
         (
             (sub.types_seen, sub.data_seen),
             sub.data_nodes(),
             sub.typed.clone(),
-            sub.props.items().to_vec(),
-            (sub.first_out.clone(), sub.first_in.clone()),
+            (sub.props.items().to_vec(), sub.prop_first.clone()),
+            (
+                first_rows(&sub.first_out, &sub.first_out_to),
+                first_rows(&sub.first_in, &sub.first_in_from),
+            ),
             (
                 sub.class_sets.set_of_node.clone(),
                 sub.class_sets.sets.clone(),
+                sub.set_first.clone(),
             ),
             cliques,
         )
@@ -1176,6 +1454,98 @@ mod tests {
             assert!(!sub.covers(&g));
             assert_eq!(sub.absorb(&g), Err(Stale));
         }
+    }
+
+    /// A retracted substrate is a scan of the shrunk graph, or the retract
+    /// refuses — never a third thing. Generated delete batches on the
+    /// paper's three fixtures and BSBM: one or two rows, every row that
+    /// names a node, a copy of a node inserted (and absorbed) then deleted
+    /// whole, or only a row of another property it was given, each
+    /// retracted from whatever the step before left (a fresh scan after a
+    /// refusal). The nodes a retract reports gone are the data nodes the
+    /// batch took.
+    #[test]
+    fn retract_equals_a_scan_or_refuses() {
+        use crate::fixtures::{book_graph, figure5_graph};
+        let bsbm =
+            rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(900));
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut pick = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let (mut retracted, mut refused) = (0, 0);
+        for full in [sample_graph(), figure5_graph(), book_graph(), bsbm] {
+            let mut store = TripleStore::new(full.clone());
+            let mut sub = Substrate::scan(store.graph());
+            for step in 0..48 {
+                if store.graph().data().len() < 4 {
+                    // Deleted down to nothing: start over.
+                    store = TripleStore::new(full.clone());
+                    sub = Substrate::scan(store.graph());
+                }
+                let g = store.graph();
+                let term = |id: TermId| g.dict().decode(id).to_term();
+                let terms = |t: Triple| (term(t.s), term(t.p), term(t.o));
+                let rows: Vec<Triple> = g.data().iter().chain(g.types()).copied().collect();
+                let nodes = sub.data_nodes();
+                let node = nodes[pick(nodes.len())];
+                let names = |t: &Triple| {
+                    t.s == node || (g.component_of(*t) == Component::Data && t.o == node)
+                };
+                let batch: Vec<_> = match step % 5 {
+                    0 => vec![terms(rows[pick(rows.len())])],
+                    1 => rows.iter().copied().filter(names).map(terms).collect(),
+                    // A copy of the node's rows, inserted and absorbed; then
+                    // deleted whole, or — given one more row, of another
+                    // property, whose link to the copy's first property it
+                    // alone may witness — that row alone.
+                    copy @ (2 | 3) => {
+                        let name = Term::iri(format!("urn:copy:{step}"));
+                        let mut own: Vec<_> = rows
+                            .iter()
+                            .filter(|t| t.s == node)
+                            .map(|&t| (name.clone(), term(t.p), term(t.o)))
+                            .collect();
+                        let other = g.data()[pick(g.data().len())];
+                        own.push((name, term(other.p), term(other.o)));
+                        store.insert_batch(&own).unwrap();
+                        if sub.absorb(store.graph()).is_err() {
+                            sub = Substrate::scan(store.graph());
+                        }
+                        if copy == 3 {
+                            own.drain(..own.len() - 1);
+                        }
+                        own
+                    }
+                    _ => (0..2).map(|_| terms(rows[pick(rows.len())])).collect(),
+                };
+                let before = sub.data_nodes();
+                let out = store.delete_batch(&batch);
+                let after = Substrate::scan(store.graph());
+                match sub.retract(&store, &out.applied) {
+                    Ok(delta) => {
+                        retracted += 1;
+                        assert_eq!(observable(&sub), observable(&after), "step {step}");
+                        let live: std::collections::HashSet<TermId> =
+                            after.data_nodes().into_iter().collect();
+                        let mut gone: Vec<TermId> =
+                            before.into_iter().filter(|n| !live.contains(n)).collect();
+                        gone.sort_unstable();
+                        let reported: Vec<TermId> = delta.gone().iter().map(|&(n, _)| n).collect();
+                        assert_eq!(reported, gone, "step {step}");
+                        assert_ne!(delta.from(), sub.stamp(), "a retract moves the stamp");
+                    }
+                    Err(Stale) => {
+                        refused += 1;
+                        sub = after;
+                    }
+                }
+            }
+        }
+        assert!(retracted > 20 && refused > 20, "{retracted} / {refused}");
     }
 
     /// A context refuses a substrate that is behind its graph.

@@ -18,10 +18,12 @@
 //! [`Term::Iri`]s.
 //!
 //! A summary the service builds keeps a `QuotientMap` beside it: the
-//! class key → H node tables of its partition and one extent count per H
-//! node. An insert batch that provably changes neither the classes nor the
-//! triples they span extends the map — only extent counts move — instead
-//! of rebuilding the summary (`QuotientMap::extend`).
+//! class key → H node tables of its partition, one extent count and the
+//! first member per H node. A batch that provably changes neither the
+//! classes nor the triples they span carries the map — only extent counts
+//! move — instead of rebuilding the summary: an insert extends it
+//! (`QuotientMap::extend`), a delete retracts from it
+//! (`QuotientMap::retract`).
 
 use crate::cliques::CliqueScope;
 use crate::context::{Delta, NodeKeys, Stamp, Substrate};
@@ -348,16 +350,18 @@ impl ClassKeys {
     }
 }
 
-/// Why an `UPDATE`'s carry rebuilt a kind instead of extending it
-/// ([`QuotientMap::extend`]).
+/// Why an `UPDATE`'s carry rebuilt a kind instead of carrying its map
+/// ([`QuotientMap::extend`], [`QuotientMap::retract`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Refusal {
-    /// The batch deleted rows, or was absorbed into another substrate — or
+    /// The kept substrate could not carry the batch (a delete it could not
+    /// retract, a late type), or the batch changed another substrate — or
     /// another state of it — than the map was read from.
     Stale,
     /// The batch changes the partition or the summary: a new property,
     /// joined cliques or classes, a new class or quotient triple, a schema
-    /// row.
+    /// row; a class emptied or lost its first member, a weak class lost
+    /// the node that joined it, a quotient triple lost its last witness.
     Structural,
     /// The artifact keeps no map: it was read from the persist dir, or it
     /// is no clique or type quotient (`fb`).
@@ -365,17 +369,17 @@ pub(crate) enum Refusal {
 }
 
 /// What a built summary keeps of the partition it quotients by, so that
-/// an `UPDATE` can offer it an insert batch instead of rebuilding it: the
-/// class key → H node tables the partition computed ([`ClassKeys`], and
-/// class set → H node for the kinds that group typed nodes by class set),
-/// one extent count per H node, and the [`Stamp`] of the substrate the
-/// keys were read from.
+/// an `UPDATE` can offer it a batch instead of rebuilding it: the class
+/// key → H node tables the partition computed ([`ClassKeys`], and class
+/// set → H node for the kinds that group typed nodes by class set), one
+/// extent count and the first member per H node, and the [`Stamp`] of the
+/// substrate the keys were read from.
 ///
 /// A quotient is fixed by its classes and the triples they span
-/// (Definitions 4 and 9). [`QuotientMap::extend`] accepts a batch only
-/// when it provably changes neither, so the summary graph — and every byte
-/// written from it — is the one a rebuild would produce, and only the
-/// extent counts move.
+/// (Definitions 4 and 9). [`QuotientMap::extend`] and
+/// [`QuotientMap::retract`] accept a batch only when it provably changes
+/// neither, so the summary graph — and every byte written from it — is
+/// the one a rebuild would produce, and only the extent counts move.
 #[derive(Clone, Debug)]
 pub(crate) struct QuotientMap {
     stamp: Stamp,
@@ -388,6 +392,9 @@ pub(crate) struct QuotientMap {
     by_set: Option<Vec<u32>>,
     /// H id → the G nodes the node represents (0 for constants).
     extent: Vec<u32>,
+    /// H id → the term id of the class's first member, whose place in the
+    /// numbering orders the H nodes ([`NO_DENSE_ID`] for constants).
+    first: Vec<u32>,
     n_classes: usize,
     /// Whether the build packed its emission (see [`packs`]).
     packed: bool,
@@ -418,12 +425,18 @@ impl QuotientMap {
             NO_DENSE_ID => NO_DENSE_ID,
             c => node[c as usize],
         };
+        let extent = summary.extent_sizes();
+        let mut first = vec![NO_DENSE_ID; extent.len()];
+        for (&h, members) in node.iter().zip(&partition.classes) {
+            first[h as usize] = members[0].0;
+        }
         QuotientMap {
             stamp: substrate.stamp(),
             scope,
             keys: keys.map_classes(to_node),
             by_set: by_set.map(|table| table.into_iter().map(to_node).collect()),
-            extent: summary.extent_sizes(),
+            extent,
+            first,
             n_classes: partition.len(),
             packed: packs(partition.len(), n_g_terms),
         }
@@ -518,6 +531,92 @@ impl QuotientMap {
             }
         }
         Ok(next)
+    }
+
+    /// The map of the summary after a delete batch — `rows`, the triples
+    /// it removed from `store`'s graph, which `substrate` retracted as
+    /// `delta` — when the summary stays what it is: only the extents of
+    /// the classes the vanished nodes leave move. Refuses ([`Refusal`])
+    /// when the delta is not from the substrate state the map was read
+    /// from, or when the batch could change the summary:
+    ///
+    /// * a vanished node has no class of the map's keys (T_G's untyped
+    ///   nodes, each a class of its own, keep none);
+    /// * a class loses its first member (H node order and names follow the
+    ///   first members) — which a class that empties does too;
+    /// * in a weak partition, a vanished node that joined a source clique
+    ///   to a target clique leaves that join without another node;
+    /// * a removed row is a schema row, or its quotient triple — `(class(s),
+    ///   p, class(o))` or `(class(s), τ, c)` — has no witness left among
+    ///   the rows of `p` (of `(τ, c)`).
+    ///
+    /// The substrate has already refused any retract that changes a
+    /// clique, a class set or a first-seen number; with every class keeping
+    /// its first member, no class and no H node moves.
+    pub(crate) fn retract(
+        &self,
+        substrate: &Substrate,
+        delta: &Delta,
+        rows: &[Triple],
+        store: &TripleStore,
+    ) -> Result<QuotientMap, Refusal> {
+        if delta.from() != self.stamp {
+            return Err(Refusal::Stale);
+        }
+        let mut next = self.clone();
+        next.stamp = substrate.stamp();
+        for &(n, keys) in delta.gone() {
+            let c = self.class_of(keys).ok_or(Refusal::Structural)? as usize;
+            if self.first[c] == n.0 || !self.keeps_join(substrate, store, keys) {
+                return Err(Refusal::Structural);
+            }
+            next.extent[c] -= 1;
+        }
+        let g = store.graph();
+        let class = |n: TermId| {
+            let keys = delta.keys_before(n).unwrap_or_else(|| substrate.keys_of(n));
+            self.class_of(keys).ok_or(Refusal::Structural)
+        };
+        let of_survivor = |n: TermId| self.class_of(substrate.keys_of(n));
+        for &t in rows {
+            let witnessed = match g.component_of(t) {
+                Component::Data => {
+                    let (s, o) = (Some(class(t.s)?), Some(class(t.o)?));
+                    let own = store.spo().range2(t.s.0, t.p.0);
+                    let shared = store.pos().range2(t.p.0, t.o.0);
+                    own.iter()
+                        .chain(shared)
+                        .chain(store.pos().range1(t.p.0))
+                        .any(|w| of_survivor(w.s) == s && of_survivor(w.o) == o)
+                }
+                Component::Type => {
+                    let s = Some(class(t.s)?);
+                    let typed = store.pos().range2(g.rdf_type().0, t.o.0);
+                    typed.iter().any(|w| of_survivor(w.s) == s)
+                }
+                Component::Schema => false,
+            };
+            if !witnessed {
+                return Err(Refusal::Structural);
+            }
+        }
+        Ok(next)
+    }
+
+    /// Does a weak partition keep the join a vanished node with `keys`
+    /// made between its source and its target clique — or did the node
+    /// make none (it had one side, or its class is its class set's)?
+    fn keeps_join(&self, substrate: &Substrate, store: &TripleStore, keys: NodeKeys) -> bool {
+        let (ClassKeys::Weak { .. }, Some(scope)) = (&self.keys, self.scope) else {
+            return true;
+        };
+        if self.by_set.is_some() && keys.set.is_some() {
+            return true;
+        }
+        match (keys.first_out, keys.first_in) {
+            (Some(out), Some(inn)) => substrate.joins(store, scope, out, inn),
+            _ => true,
+        }
     }
 }
 

@@ -41,7 +41,7 @@
 //! kind pair.
 
 use crate::cardinality::{SummaryCardinality, SummaryEstimator};
-use crate::context::{Delta, Stale, Substrate, SummaryContext};
+use crate::context::{Delta, Substrate, SummaryContext};
 use crate::quotient::{QuotientMap, Refusal};
 use crate::summary::{Summary, SummaryKind};
 use rdf_io::writer::push_term;
@@ -135,18 +135,23 @@ pub struct ServiceStats {
     pub persist_writes: u64,
     /// Substrates scanned from zero: a resident graph's first build, and
     /// the first build after a batch its kept substrate could not carry
-    /// (a delete; a resource typed after its data was linked). Persist
-    /// hits never scan.
+    /// (a delete that would move a first-seen number, a first property, a
+    /// clique or a class set; a resource typed after its data was linked).
+    /// Persist hits never scan.
     pub substrate_scans: u64,
-    /// `UPDATE` batches a kept substrate absorbed in place.
+    /// Insert `UPDATE` batches a kept substrate absorbed in place.
     pub substrate_absorbs: u64,
-    /// Carries refused because the batch deleted, or the substrate it was
-    /// absorbed into is not the one the map was read from (it went stale,
-    /// or another resident graph's substrate built the artifact).
+    /// Delete `UPDATE` batches a kept substrate retracted in place.
+    pub substrate_retracts: u64,
+    /// Carries refused because the kept substrate could not carry the
+    /// batch (an unretractable delete, a late type), or the substrate
+    /// state the batch changed is not the one the map was read from
+    /// (another resident graph's substrate built the artifact).
     pub refused_stale: u64,
     /// Carries refused because the batch changes the summary: a new
     /// property, joined cliques or classes, a new class or edge, a schema
-    /// row.
+    /// row; a class a delete empties or takes the first member of, a weak
+    /// join or a summary edge it leaves without a witness.
     pub refused_structural: u64,
     /// Carries refused because the artifact keeps no map (a persist hit,
     /// or `fb`).
@@ -312,8 +317,8 @@ const PRUNE_CACHE_CAP: usize = 65_536;
 /// `graphs` map mutex, then one entry's `RwLock`, then the
 /// `cache`/`prune_verdicts` mutexes. Only `UPDATE` takes a gate or an
 /// entry's lock exclusively, and it holds the lock exclusively for the
-/// store merge, the substrate's absorb, the fingerprint switch and the
-/// claim of the carried cache slots only; it then downgrades
+/// store merge, the substrate's absorb or retract, the fingerprint switch
+/// and the claim of the carried cache slots only; it then downgrades
 /// (atomically — no second writer can slip in) and rebuilds those
 /// summaries under the *shared* lock, beside the readers. No path
 /// acquires the map mutex while holding an entry lock, none locks two
@@ -348,6 +353,7 @@ pub struct SummaryService {
     persist_writes: AtomicU64,
     substrate_scans: AtomicU64,
     substrate_absorbs: AtomicU64,
+    substrate_retracts: AtomicU64,
     refused_stale: AtomicU64,
     refused_structural: AtomicU64,
     refused_no_map: AtomicU64,
@@ -467,6 +473,7 @@ impl SummaryService {
             persist_writes: AtomicU64::new(0),
             substrate_scans: AtomicU64::new(0),
             substrate_absorbs: AtomicU64::new(0),
+            substrate_retracts: AtomicU64::new(0),
             refused_stale: AtomicU64::new(0),
             refused_structural: AtomicU64::new(0),
             refused_no_map: AtomicU64::new(0),
@@ -772,34 +779,39 @@ impl SummaryService {
     ///
     /// The store absorbs the batch in O(delta · log n) plus one in-place
     /// shift per index (incremental fingerprint, no index rebuild; see
-    /// [`TripleStore::insert_batch`]), and the graph's kept [`Substrate`]
-    /// absorbs the rows it appended ([`ServiceStats::substrate_absorbs`]),
-    /// reporting what they changed ([`crate::context::Delta`]) — or, when
-    /// the batch is one no prefix carries over (a delete; a resource typed
-    /// after its data was linked), is dropped, and the first build after
-    /// it scans the new content ([`ServiceStats::substrate_scans`]).
+    /// [`TripleStore::insert_batch`]). The graph's kept [`Substrate`]
+    /// follows it: it absorbs the rows an insert appended
+    /// ([`ServiceStats::substrate_absorbs`]) or retracts the rows a delete
+    /// removed ([`ServiceStats::substrate_retracts`]), reporting what
+    /// changed ([`crate::context::Delta`]) — or, when the batch is one it
+    /// cannot carry (a delete that would move a first-seen number, a first
+    /// property, a clique or a class set; a resource typed after its data
+    /// was linked), is dropped, and the first build after it scans the new
+    /// content ([`ServiceStats::substrate_scans`]).
     ///
     /// Every summary kind cached for the *old* fingerprint is then
     /// re-established under the new one, unless the new content's slot is
     /// already present (the content is shared with another resident name
-    /// that got there first). The carry of one kind extends or declines:
+    /// that got there first). The carry of one kind patches or declines:
     /// it first offers the delta and the applied rows to the old
-    /// artifact's quotient map, which **extends** the artifact when the
-    /// batch provably leaves its summary as it was — only new members of
-    /// existing classes along existing edges; the new artifact shares the
-    /// old one's body and summary graph, with moved extent counts and the
-    /// statistics re-derived from them ([`ServiceStats::patches`],
-    /// `patched`). Otherwise it is **rebuilt** exactly as a cache miss
-    /// builds it, from the kept substrate, and the refusal is counted by
-    /// reason ([`ServiceStats::refused_stale`] — a delete, or a substrate
-    /// that is not the map's; [`ServiceStats::refused_structural`];
+    /// artifact's quotient map, which **carries** the artifact when the
+    /// batch provably leaves its summary as it was — an insert that only
+    /// adds members to existing classes along existing edges, a delete
+    /// that only takes members no class needs and leaves every summary
+    /// edge a witness; the new artifact shares the old one's body and
+    /// summary graph, with moved extent counts and the statistics
+    /// re-derived from them ([`ServiceStats::patches`], `patched`).
+    /// Otherwise it is **rebuilt** exactly as a cache miss builds it, from
+    /// the kept substrate, and the refusal is counted by reason
+    /// ([`ServiceStats::refused_stale`] — the substrate could not carry
+    /// the batch, or is not the map's; [`ServiceStats::refused_structural`];
     /// [`ServiceStats::refused_no_map`] — a persisted artifact, or `fb`).
     /// A rebuild counts in both `builds` and `patch_fallbacks`, keeping
     /// `builds == patch_fallbacks + misses`.
     ///
     /// **What a concurrent reader observes.** Writers to one graph queue
     /// on its gate, out of the readers' way. The graph's lock is held
-    /// exclusively for the store merge and the substrate's absorb only;
+    /// exclusively for the store merge and the substrate's step only;
     /// within that section the fingerprint switches and every carried
     /// kind's slot is claimed as in-flight under the new fingerprint. The
     /// lock is then downgraded and the kinds are re-established under the
@@ -848,25 +860,31 @@ impl SummaryService {
         let fingerprint = batch.fingerprint;
         entry.fingerprint = fingerprint;
         // The kept substrate follows the store, now that the merge can no
-        // longer fail: it absorbs the appended rows in place, or — the
-        // batch being one it cannot carry — leaves the cell empty for the
-        // carry below, or the next miss, to scan the new content into.
-        // Readers are still locked out, so none meets it half-absorbed.
+        // longer fail: it absorbs the appended rows or retracts the removed
+        // ones in place, or — the batch being one it cannot carry — leaves
+        // the cell empty for the carry below, or the next miss, to scan the
+        // new content into. Readers are still locked out, so none meets it
+        // half-changed; a retract works on the value out of its cell and
+        // puts it back only when it succeeds.
         let GraphEntry {
             store, substrate, ..
         } = &mut *entry;
         let mut delta = None;
-        if let Some(kept) = substrate.get_mut() {
-            match kept.absorb(store.graph()) {
-                Ok(absorbed) => {
-                    self.substrate_absorbs.fetch_add(1, Ordering::Relaxed);
-                    delta = Some(absorbed);
-                }
-                Err(Stale) => drop(substrate.take()),
+        if let Some(mut kept) = substrate.take() {
+            let (stepped, counter) = if insert {
+                (kept.absorb(store.graph()), &self.substrate_absorbs)
+            } else {
+                (
+                    kept.retract(store, &batch.applied),
+                    &self.substrate_retracts,
+                )
+            };
+            if let Ok(stepped) = stepped {
+                counter.fetch_add(1, Ordering::Relaxed);
+                delta = Some(stepped);
+                let _ = substrate.set(kept);
             }
         }
-        // A delete's rows are nothing a map could extend an artifact by.
-        let delta = delta.filter(|_| insert);
         // Claim, while still exclusive, the new-fingerprint slot of every
         // kind Ready under the old one, taking the old artifact and its
         // map along: a reader admitted after the downgrade finds the slots
@@ -902,14 +920,20 @@ impl SummaryService {
         let mut context: Option<SummaryContext<'_>> = None;
         for (claim, old, map) in claims {
             let kind = claim.key.1;
-            let extended =
-                Self::extend(&entry, &old, map.as_deref(), delta.as_ref(), &batch.applied);
+            let patch = Self::patch(
+                &entry,
+                &old,
+                map.as_deref(),
+                delta.as_ref(),
+                insert,
+                &batch.applied,
+            );
             #[cfg(test)]
             self.run_carry_hook(kind);
             // Publishing re-keys the on-disk slot along with the in-memory
             // line (the old fingerprint's files go with
             // `drop_fingerprint_lines`).
-            match extended {
+            match patch {
                 Ok((artifact, map)) => {
                     self.patches.fetch_add(1, Ordering::Relaxed);
                     patched += 1;
@@ -948,15 +972,17 @@ impl SummaryService {
     }
 
     /// The artifact `old` becomes under `entry`'s new content when its
-    /// map extends by the batch — `rows` applied, `delta` absorbed (`None`
-    /// for a delete, or when no kept substrate absorbed it) — and the
-    /// extended map; or why it cannot. The body and the summary graph are
-    /// `old`'s: the batch left them as they were.
-    fn extend(
+    /// map carries the batch — `rows` inserted (`insert`) or removed,
+    /// `delta` the kept substrate's absorb or retract of them (`None` when
+    /// it could not carry them) — and the carried map; or why it cannot.
+    /// The body and the summary graph are `old`'s: the batch left them as
+    /// they were.
+    fn patch(
         entry: &GraphEntry,
         old: &SummaryArtifact,
         map: Option<&QuotientMap>,
         delta: Option<&Delta>,
+        insert: bool,
         rows: &[Triple],
     ) -> Result<(SummaryArtifact, QuotientMap), Refusal> {
         let map = map.ok_or(Refusal::NoMap)?;
@@ -964,7 +990,11 @@ impl SummaryService {
             return Err(Refusal::Stale);
         };
         let g = entry.store.graph();
-        let next = map.extend(substrate, delta, rows, g, &old.summary_store)?;
+        let next = if insert {
+            map.extend(substrate, delta, rows, g, &old.summary_store)?
+        } else {
+            map.retract(substrate, delta, rows, &entry.store)?
+        };
         let h = old.summary_store.graph();
         let artifact = SummaryArtifact {
             kind: old.kind,
@@ -1267,6 +1297,7 @@ impl SummaryService {
             persist_writes: self.persist_writes.load(Ordering::Relaxed),
             substrate_scans: self.substrate_scans.load(Ordering::Relaxed),
             substrate_absorbs: self.substrate_absorbs.load(Ordering::Relaxed),
+            substrate_retracts: self.substrate_retracts.load(Ordering::Relaxed),
             refused_stale,
             refused_structural,
             refused_no_map,
@@ -2167,9 +2198,10 @@ mod tests {
     /// and `tw` warm, extend both quotient maps every time — 100 patches,
     /// not one build, one substrate scan — and every carried artifact is
     /// the one a cold build of the model serves, statistics
-    /// included. A delete then rebuilds both from a new scan, whose maps
-    /// extend in their turn; the two shapes of "late" data decide per
-    /// kind.
+    /// included. The writer's delete of a whole offer is retracted from
+    /// the substrate and from both maps; a delete of an offer's first row
+    /// alone is not, and rebuilds both from a new scan, whose maps extend
+    /// in their turn; the two shapes of "late" data decide per kind.
     #[test]
     fn insert_batches_extend_the_kept_substrate() {
         const KINDS: [SummaryKind; 2] = [SummaryKind::Weak, SummaryKind::TypedWeak];
@@ -2230,14 +2262,23 @@ mod tests {
             check(&model, &format!("insert {i}"));
         }
         assert_eq!(counts(&svc), (2, 100, 1, 50));
-        // A delete rebuilds both, from a new scan.
+        // A whole offer goes: both maps shrink by it, nothing is built.
         let gone = offer_batch(PRODUCTS, 0);
         let out = svc.update("g", false, &gone).unwrap();
-        assert_eq!((out.applied, out.patched, out.rebuilt), (8, 0, 2));
+        assert_eq!((out.applied, out.patched, out.rebuilt), (8, 2, 0));
         model.delete_batch(&gone);
-        check(&model, "delete");
-        assert_eq!(counts(&svc), (4, 100, 2, 50));
+        check(&model, "whole-offer delete");
+        assert_eq!(counts(&svc), (2, 102, 1, 50));
+        // An offer that stays loses its first row: its first property
+        // would move, so both rebuild, from a new scan.
+        let first_row = [offer_batch(PRODUCTS, 1).swap_remove(1)];
+        let out = svc.update("g", false, &first_row).unwrap();
+        assert_eq!((out.applied, out.patched, out.rebuilt), (1, 0, 2));
+        model.delete_batch(&first_row);
+        check(&model, "first-row delete");
+        assert_eq!(counts(&svc), (4, 102, 2, 50));
         assert_eq!(svc.stats().refused_stale, 2);
+        assert_eq!(svc.stats().substrate_retracts, 1);
         // The maps of the rebuild extend in their turn.
         let batch = offer_batch(PRODUCTS, 50);
         let out = svc.update("g", true, &batch).unwrap();

@@ -13,11 +13,12 @@
 //! kinds; `builds == patch_fallbacks + misses` must hold, every fallback
 //! counted under one refusal reason; a `QUERY` naming no kind must answer
 //! what the un-pruned evaluator answers on the model; and every batch that
-//! changed the graph must be accounted for by the kept substrate —
-//! absorbed in place (`substrate_absorbs`), or dropped and scanned anew by
-//! the carry (`substrate_scans`). The generated sequences take the patched
-//! path and every refusal reason; [`each_shape_takes_its_path`] pins which
-//! one each shape of batch takes.
+//! changed the graph must be accounted for by the kept substrate — an
+//! insert absorbed in place (`substrate_absorbs`), a delete retracted in
+//! place (`substrate_retracts`), or either dropped and scanned anew by the
+//! carry (`substrate_scans`). The generated sequences take the patched
+//! path for inserts and deletes and every refusal reason;
+//! [`each_shape_takes_its_path`] pins which one each shape of batch takes.
 //!
 //! Cases are a pure function of the test's name and the case index (the
 //! workspace's proptest stand-in seeds from them) and the case budgets are
@@ -25,7 +26,7 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use rdf_model::{vocab, Component, Graph, PrefixMap, Term};
+use rdf_model::{vocab, Graph, PrefixMap, Term};
 use rdf_store::TripleStore;
 use rdfsum_core::persist::{artifact_file_name, encode_artifact, ALL_KINDS};
 use rdfsum_core::{fixtures, QueryOutcome, ServiceStats, SummaryArtifact, SummaryService};
@@ -36,11 +37,12 @@ use std::sync::OnceLock;
 
 type TermTriple = (Term, Term, Term);
 
-/// One generated triple: a shape (see [`triple`]) and three small indices
-/// into that shape's term pools. The pools hold five terms at most, so a
-/// sequence keeps meeting its own triples and nodes again: duplicates
-/// inside a batch, inserts of present triples, deletes of absent ones,
-/// re-adds of deleted ones, typed-only nodes that gain data later.
+/// One generated statement group: a shape (see [`triples`]) and three
+/// small indices into that shape's term pools. The pools hold five terms
+/// at most, so a sequence keeps meeting its own triples and nodes again:
+/// duplicates inside a batch, inserts of present triples, deletes of
+/// absent ones, re-adds of deleted ones, typed-only nodes that gain data
+/// later, whole copies of a node inserted and deleted again.
 type Spec = (u8, usize, usize, usize);
 
 /// One generated `UPDATE`: the verb (`0` deletes, anything else inserts),
@@ -48,12 +50,32 @@ type Spec = (u8, usize, usize, usize);
 type Batch = (u8, Vec<Spec>, bool);
 
 fn arb_batches(max: usize) -> impl Strategy<Value = Vec<Batch>> {
-    let spec = (0u8..9, 0usize..5, 0usize..5, 0usize..3);
+    let spec = (0u8..10, 0usize..5, 0usize..5, 0usize..3);
     let batch = (0u8..4, proptest::collection::vec(spec, 1..8), any::<bool>());
     proptest::collection::vec(batch, 1..max)
 }
 
-/// The term triple `spec` stands for over the loaded graph `base`.
+/// The term triples `spec` stands for over the loaded graph `base`.
+fn triples(base: &Graph, spec: Spec) -> Vec<TermTriple> {
+    let (shape, a, b, _) = spec;
+    if shape != 9 {
+        return vec![triple(base, spec)];
+    }
+    // A fresh node with every row a loaded subject has, in their order —
+    // an offer of the `explore_update` writer on BSBM: inserted, a new
+    // member of existing classes; deleted whole, the writer's delete.
+    let s = base.data()[a * base.data().len() / 5].s;
+    let term = |id| base.dict().decode(id).to_term();
+    let copy = Term::iri(format!("urn:u:copy{b}"));
+    base.types()
+        .iter()
+        .chain(base.data())
+        .filter(|t| t.s == s)
+        .map(|t| (copy.clone(), term(t.p), term(t.o)))
+        .collect()
+}
+
+/// The term triple a one-triple `spec` stands for over `base`.
 fn triple(base: &Graph, (shape, a, b, c): Spec) -> TermTriple {
     let fresh = |pool: &str, i: usize| Term::iri(format!("urn:u:{pool}{i}"));
     // Five data triples of the loaded graph, spread over it.
@@ -177,9 +199,11 @@ struct Paths {
     no_map: u64,
     /// Insert batches the substrate absorbed in place.
     absorbed: u64,
+    /// Delete batches the substrate retracted in place.
+    retracted: u64,
     /// Insert batches the substrate refused (the carry scanned).
     refused: u64,
-    /// Delete batches that changed the graph (the carry scanned).
+    /// Delete batches the substrate refused (the carry scanned).
     deleted: u64,
 }
 
@@ -190,6 +214,7 @@ impl Paths {
         self.structural += other.structural;
         self.no_map += other.no_map;
         self.absorbed += other.absorbed;
+        self.retracted += other.retracted;
         self.refused += other.refused;
         self.deleted += other.deleted;
     }
@@ -249,7 +274,7 @@ fn check_sequence(
     let loaded_row = format!("q(?p, ?o) :- {loaded_subject} ?p ?o");
     let mut paths = Paths::default();
     for (step, (verb, specs, repeat)) in batches.iter().enumerate() {
-        let mut batch: Vec<TermTriple> = specs.iter().map(|&s| triple(base, s)).collect();
+        let mut batch: Vec<TermTriple> = specs.iter().flat_map(|&s| triples(base, s)).collect();
         if *repeat {
             batch.push(batch[0].clone());
         }
@@ -325,20 +350,22 @@ fn check_sequence(
             since(|s| s.refused_no_map),
         );
         // Since the warm-up every batch that changed the graph was
-        // absorbed by the kept substrate, or emptied its cell — a delete
-        // always, a schema-only one excepted: the substrate reads no
-        // schema row — and the first rebuild after that scanned.
+        // absorbed (an insert) or retracted (a delete) by the kept
+        // substrate, or emptied its cell, and the first rebuild after that
+        // scanned.
         if out.applied > 0 {
-            if since(|s| s.substrate_absorbs) > paths.absorbed {
-                let wk = model.graph().well_known();
-                let schema_only = |t: &rdf_model::Triple| wk.component_of(t.p) == Component::Schema;
-                prop_assert!(kept, "step {}: absorbed without a substrate", step);
-                prop_assert!(
-                    insert || expect.applied.iter().all(schema_only),
-                    "step {}: absorbed a delete",
+            let absorbed = since(|s| s.substrate_absorbs) - paths.absorbed;
+            let retracted = since(|s| s.substrate_retracts) - paths.retracted;
+            if absorbed + retracted > 0 {
+                prop_assert!(kept, "step {}: stepped without a substrate", step);
+                prop_assert_eq!(
+                    (absorbed, retracted),
+                    if insert { (1, 0) } else { (0, 1) },
+                    "step {}: a batch the other way",
                     step
                 );
-                paths.absorbed += 1;
+                paths.absorbed += absorbed;
+                paths.retracted += retracted;
             } else if kept {
                 kept = false;
                 if insert {
@@ -352,8 +379,11 @@ fn check_sequence(
             }
         }
         prop_assert_eq!(
-            since(|s| s.substrate_absorbs),
-            paths.absorbed,
+            (
+                since(|s| s.substrate_absorbs),
+                since(|s| s.substrate_retracts)
+            ),
+            (paths.absorbed, paths.retracted),
             "step {}",
             step
         );
@@ -390,7 +420,8 @@ proptest! {
         }
         prop_assert!(
             [total.patched, total.stale, total.structural, total.no_map].iter().all(|&n| n > 0)
-                && total.absorbed > 0 && total.refused > 0 && total.deleted > 0,
+                && total.absorbed > 0 && total.refused > 0
+                && total.retracted > 0 && total.deleted > 0,
             "a path no sequence took: {:?}",
             total
         );
@@ -400,20 +431,29 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// On a BSBM graph past 65 536 data triples (the floor builds once
-    /// split across workers above), at two index workers; the cold service
-    /// it is compared with sorts on one.
+    /// On a BSBM graph past 65 536 data triples, at two index workers;
+    /// the cold service it is compared with sorts on one. After the
+    /// generated batches, two copies of loaded nodes are inserted and
+    /// deleted whole, the way the `explore_update` writer inserts and
+    /// deletes offers: the deletes retract, and patch, at scale.
     #[test]
     fn carried_summaries_match_cold_builds_above_the_shard_floor(batches in arb_batches(4)) {
         let setup = Setup { twin: false, persist: false };
-        check_sequence(bsbm_graph(), 2, &batches, setup, usize::MAX)?;
+        let copies = [(1, 0), (3, 1)];
+        let mut batches = batches;
+        for verb in [1, 0] {
+            batches.extend(copies.map(|(a, b)| (verb, vec![(9, a, b, 0)], false)));
+        }
+        let paths = check_sequence(bsbm_graph(), 2, &batches, setup, usize::MAX)?;
+        prop_assert!(paths.retracted > 0 && paths.patched > 0, "{:?}", paths);
     }
 }
 
-/// Each shape of batch a carry meets, on the paper's Figure 2 graph with
-/// the five clique and type kinds warm: which kinds the maps extend by it
-/// and why the others rebuild — `(patched, stale, structural)` — and every
-/// carried body a cold build's.
+/// Each shape of batch a carry meets, on the paper's Figure 2 graph (plus
+/// the few rows a delete shape needs in place first) with the five clique
+/// and type kinds warm: which kinds the maps carry by it and why the
+/// others rebuild — `(patched, stale, structural)` — and every carried
+/// body a cold build's.
 #[test]
 fn each_shape_takes_its_path() {
     const FIVE: [rdfsum_core::SummaryKind; 5] = {
@@ -488,8 +528,117 @@ fn each_shape_takes_its_path() {
             true,
             (0, 0, 5),
         ),
-        ("delete", vec![row("r1", "title", "t1")], false, (0, 5, 0)),
     ];
+    // Deletes, each over the sample graph grown by the rows before it.
+    type DeleteCase = (
+        &'static str,
+        Vec<TermTriple>,
+        Vec<TermTriple>,
+        (usize, usize, usize),
+    );
+    let deletes: Vec<DeleteCase> = vec![
+        // `n2` goes whole; `n1` keeps its {Spec} set, its class and the
+        // `cites` edge into the Book class.
+        (
+            "delete: a whole node with a shared shape",
+            vec![
+                typed("n1", "Spec"),
+                typed("n2", "Spec"),
+                row("n1", "cites", "r1"),
+                row("n2", "cites", "r1"),
+            ],
+            vec![typed("n2", "Spec"), row("n2", "cites", "r1")],
+            (5, 0, 0),
+        ),
+        // `r1` keeps its first row (`author`), `t5` goes; T keeps `t5` a
+        // class of its own, which the delete empties.
+        (
+            "delete: a row the node's first properties do not need",
+            vec![row("r1", "title", "t5")],
+            vec![row("r1", "title", "t5")],
+            (4, 0, 1),
+        ),
+        // `e1` is first seen on this row, and stays (it publishes `r4`).
+        (
+            "delete: a survivor's first occurrence",
+            vec![],
+            vec![row("r2", "editor", "e1")],
+            (0, 5, 0),
+        ),
+        // `n1` alone relates `q` to `title`: their source clique splits.
+        (
+            "delete: a link's last witness",
+            vec![
+                row("n2", "q", "x2"),
+                row("n1", "title", "t9"),
+                row("n1", "q", "x1"),
+            ],
+            vec![row("n1", "q", "x1")],
+            (0, 5, 0),
+        ),
+        (
+            "delete: a property's last row",
+            vec![],
+            vec![row("r3", "comment", "c1")],
+            (0, 5, 0),
+        ),
+        // `title` is first seen on this row.
+        (
+            "delete: a property's first row",
+            vec![],
+            vec![row("r1", "title", "t1")],
+            (0, 5, 0),
+        ),
+        // `n1` is alone in its strong class, and the one node joining the
+        // weak classes of the authors and the editors.
+        (
+            "delete: a class's last member",
+            vec![row("r1", "author", "n1"), row("n1", "published", "n9")],
+            vec![row("r1", "author", "n1"), row("n1", "published", "n9")],
+            (0, 0, 5),
+        ),
+        // `r6` is the one {Spec} node among the typed-only ones, W's and
+        // S's class of nodes without a clique: that class's τ edge to Spec
+        // goes. The typed kinds key `r6` by {Spec}, whose first member is
+        // `r5`.
+        (
+            "delete: a summary edge's last witness",
+            vec![],
+            vec![typed("r6", "Spec")],
+            (3, 0, 2),
+        ),
+        // `y` is typed {New} after `x` (the set's first member), but named
+        // by D_G before it, and before `w`: the first member of the {New}
+        // class of the typed kinds, whose H node would move behind `w`'s.
+        // W and S key `y` by its cliques, in the class of `r1`.
+        (
+            "delete: a class's first member",
+            vec![
+                typed("x", "New"),
+                typed("y", "New"),
+                row("y", "title", "t8"),
+                row("w", "rating", "q"),
+                row("x", "title", "t9"),
+            ],
+            vec![typed("y", "New"), row("y", "title", "t8")],
+            (2, 0, 3),
+        ),
+        // `r1` keeps its data: its class set would change.
+        (
+            "delete: a type row of a node that stays",
+            vec![],
+            vec![typed("r1", "Book")],
+            (0, 5, 0),
+        ),
+    ];
+    let cases = cases
+        .into_iter()
+        .map(|(what, batch, insert, expect)| (what, vec![], batch, insert, expect))
+        .chain(
+            deletes
+                .into_iter()
+                .map(|(what, setup, batch, expect)| (what, setup, batch, false, expect)),
+        );
     let mut base = fixtures::sample_graph();
     base.add_iri_triple(
         &format!("{}o1", fixtures::EX),
@@ -518,9 +667,13 @@ fn each_shape_takes_its_path() {
             );
         }
     };
-    for (what, batch, insert, expect) in cases {
+    for (what, setup, batch, insert, expect) in cases {
+        let mut grown = base.clone();
+        for (s, p, o) in setup {
+            grown.insert(s, p, o).unwrap();
+        }
         let svc = SummaryService::new(1);
-        svc.load_graph("g", base.clone());
+        svc.load_graph("g", grown.clone());
         for kind in FIVE {
             svc.summarize("g", kind).unwrap();
         }
@@ -533,7 +686,7 @@ fn each_shape_takes_its_path() {
             "{what}"
         );
         assert_eq!(outcome(&svc, &before), expect, "{what}");
-        let mut model = TripleStore::new(base.clone());
+        let mut model = TripleStore::new(grown);
         if insert {
             model.insert_batch(&batch).unwrap();
         } else {

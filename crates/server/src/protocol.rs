@@ -37,34 +37,42 @@
 //! `OK update fp=<new> applied=<n> patched=<p> rebuilt=<r>` — `applied`
 //! counts triples that actually changed the graph; `patched + rebuilt`
 //! are the warm cached summaries of the old fingerprint carried to the
-//! new one. A *patched* summary's quotient map extended by the batch: an
-//! insert that only adds members to existing classes along existing
-//! edges leaves the summary as it was, so its body carries over and only
-//! its statistics move. A *rebuilt* one was built anew from the graph's
-//! kept substrate, as a cache miss builds it.
+//! new one. A *patched* summary's quotient map carried the batch, which
+//! left the summary as it was, so its body carries over and only its
+//! statistics move: an insert that only adds members to existing classes
+//! along existing edges, or a delete that only takes nodes whose classes
+//! keep their first member and every summary edge a witness (the
+//! `explore_update` writer's whole-offer deletes). A *rebuilt* one was
+//! built anew from the graph's kept substrate, as a cache miss builds it.
 //!
 //! The `STATS` success line is `OK stats graphs= cached= hits= misses=
 //! builds= queries= pruned= prune_hits= evictions= cache_bytes= updates=
 //! patches= patch_fallbacks= persist_hits= persist_writes=
 //! substrate_scans= substrate_absorbs= refused_stale= refused_structural=
-//! refused_no_map= bytes=<n>`, in that order (new counters are only ever
-//! appended before `bytes=`); the body lists the resident graphs, one
-//! `<fingerprint> <triples> <name>` line each. `patches` and
-//! `patch_fallbacks` count the carried summaries patched and rebuilt; each
-//! rebuild also counts in `builds` and in one `refused_*` reason — *stale*:
-//! the batch deleted, or the kept substrate it was absorbed into is not
-//! the one the summary's map was read from; *structural*: the batch adds
-//! a property, joins cliques or classes, makes a new class or summary
-//! edge, or touches the schema; *no map*: the summary was read from the
-//! persist dir, or is `fb` — so `builds == patch_fallbacks + misses`
-//! always holds. `substrate_scans` counts full scans of a resident graph's
-//! rows for its summarization substrate: one by the graph's first build,
-//! and one by the first build after an `UPDATE` the kept substrate could
-//! not carry — any batch that deletes a data or type triple, or that types
-//! a resource whose data triples were already linked as untyped.
-//! `substrate_absorbs` counts the other batches: those whose appended rows
-//! extended the kept substrate in place. A cache miss answered from the
-//! persist dir scans nothing.
+//! refused_no_map= substrate_retracts= bytes=<n>`, in that order (new
+//! counters are only ever appended before `bytes=`); the body lists the
+//! resident graphs, one `<fingerprint> <triples> <name>` line each.
+//! `patches` and `patch_fallbacks` count the carried summaries patched and
+//! rebuilt; each rebuild also counts in `builds` and in one `refused_*`
+//! reason — *stale*: the kept substrate could not carry the batch (see
+//! below), or the substrate state the batch changed is not the one the
+//! summary's map was read from; *structural*: the batch adds a property,
+//! joins cliques or classes, makes a new class or summary edge, touches
+//! the schema, or deletes a class's last or first member, the one node
+//! joining a weak class, or a summary edge's last witness; *no map*: the
+//! summary was read from the persist dir, or is `fb` — so `builds ==
+//! patch_fallbacks + misses` always holds. `substrate_scans` counts full
+//! scans of a resident graph's rows for its summarization substrate: one
+//! by the graph's first build, and one by the first build after an
+//! `UPDATE` the kept substrate could not carry — a delete that takes a
+//! property's first row, the first row on a side of a node that stays, a
+//! type row of a node that stays, the first member of a class set, or the
+//! last witness of a link between two properties; an insert that types a
+//! resource whose data triples were already linked as untyped.
+//! `substrate_absorbs` counts the inserts whose appended rows extended the
+//! kept substrate in place, `substrate_retracts` the deletes whose removed
+//! rows it gave back in place. A cache miss answered from the persist dir
+//! scans nothing.
 //!
 //! A response is one status line, optionally followed by a length-framed
 //! binary body:

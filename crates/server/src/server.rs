@@ -170,7 +170,7 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
                 body.push_str(&format!("{fp} {triples} {name}\n"));
             }
             let fields = format!(
-                "stats graphs={} cached={} hits={} misses={} builds={} queries={} pruned={} prune_hits={} evictions={} cache_bytes={} updates={} patches={} patch_fallbacks={} persist_hits={} persist_writes={} substrate_scans={} substrate_absorbs={} refused_stale={} refused_structural={} refused_no_map={}",
+                "stats graphs={} cached={} hits={} misses={} builds={} queries={} pruned={} prune_hits={} evictions={} cache_bytes={} updates={} patches={} patch_fallbacks={} persist_hits={} persist_writes={} substrate_scans={} substrate_absorbs={} refused_stale={} refused_structural={} refused_no_map={} substrate_retracts={}",
                 st.graphs,
                 st.cached_summaries,
                 st.hits,
@@ -190,7 +190,8 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
                 st.substrate_absorbs,
                 st.refused_stale,
                 st.refused_structural,
-                st.refused_no_map
+                st.refused_no_map,
+                st.substrate_retracts
             );
             write_ok_body(w, &fields, body.as_bytes());
         }

@@ -290,6 +290,40 @@ impl Bencher {
         self.mean_ns = total.as_secs_f64() * 1e9 / iters as f64;
         self.iters = iters;
     }
+
+    /// Like [`iter`](Bencher::iter), for a body that times only part of
+    /// each iteration: `routine(n)` runs `n` iterations and returns the
+    /// time they took. Calibrated on the returned times.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        let (sample_size, warm_up, measurement) = match self.config {
+            BenchMode::Once => {
+                black_box(routine(1));
+                self.iters = 1;
+                return;
+            }
+            BenchMode::Measure {
+                sample_size,
+                warm_up,
+                measurement,
+            } => (sample_size, warm_up, measurement),
+        };
+        let warm_start = Instant::now();
+        let (mut warm_timed, mut warm_calls) = (Duration::ZERO, 0u64);
+        while warm_calls == 0 || warm_start.elapsed() < warm_up {
+            warm_timed += routine(1);
+            warm_calls += 1;
+        }
+        let per_call = warm_timed.as_secs_f64().max(1e-9) / warm_calls as f64;
+        let sample_budget = measurement.as_secs_f64() / sample_size as f64;
+        let calls = ((sample_budget / per_call) as u64).clamp(1, u64::MAX);
+        let mut total = Duration::ZERO;
+        for _ in 0..sample_size {
+            total += routine(calls);
+        }
+        let iters = calls * sample_size as u64;
+        self.mean_ns = total.as_secs_f64() * 1e9 / iters as f64;
+        self.iters = iters;
+    }
 }
 
 fn format_ns(ns: f64) -> String {

@@ -168,12 +168,15 @@
 //! patched=<p> rebuilt=<r>`. Cached summaries follow the fingerprint
 //! transition: every kind that was warm for the old content is carried to
 //! the new one. Each built artifact keeps its *quotient map* — the class
-//! key → summary node tables of its partition, one extent count per
-//! summary node — and the carry first offers it the batch: an insert that
-//! only adds members to existing classes along existing edges cannot
-//! change a quotient (Definitions 4 and 9), so the map extends, the body
-//! carries over and only the extent-derived statistics move (`patched`
-//! counts these). Any other batch — a delete, a new property, joined
+//! key → summary node tables of its partition, one extent count and the
+//! first member per summary node — and the carry first offers it the
+//! batch: an insert that only adds members to existing classes along
+//! existing edges, or a delete that only takes members no class needs
+//! (not its last, not its first) and leaves every summary edge a witness,
+//! cannot change a quotient (Definitions 4 and 9), so the map carries it,
+//! the body carries over and only the extent-derived statistics move
+//! (`patched` counts these). Any other batch — a delete that would move a
+//! clique, a class set or a first-seen number, a new property, joined
 //! cliques, a new class or summary edge, a schema row — or an artifact
 //! without a map (read from the persist dir, or `fb`) is rebuilt exactly
 //! as a cache miss would build it, all of one batch from one shared
@@ -183,8 +186,9 @@
 //! What a **concurrent reader** observes: writers to one graph queue
 //! among themselves, out of the readers' way, and an `UPDATE` holds the
 //! graph exclusively for the store merge only (in-place index merges
-//! and the kept substrate's absorb of the appended rows, about a
-//! millisecond for a small batch at 2 × 10⁵ triples). It
+//! and the kept substrate's absorb of the appended rows or retract of the
+//! removed ones, about a millisecond for a small batch at 2 × 10⁵
+//! triples). It
 //! then re-establishes the cached kinds beside the readers, in the order
 //! `QUERY` prefers them (`w` before `tw` before `s` …). So a reader sees
 //! the new content at once; a `QUERY` waits only for the one kind it
@@ -197,10 +201,12 @@
 //! `refused_structural`, `refused_no_map`) — and the invariant `builds ==
 //! patch_fallbacks + misses` holds at all times: every build is either a
 //! plain cache miss or one kind an update rebuilt. Builds share one
-//! substrate per resident graph: `substrate_absorbs` counts the batches
-//! that extended it in place, `substrate_scans` the times it was scanned
-//! from the graph's rows (a graph's first build; the first build after a
-//! delete, or after a resource is typed once its data is linked). The
+//! substrate per resident graph: `substrate_absorbs` and
+//! `substrate_retracts` count the inserts and deletes that changed it in
+//! place, `substrate_scans` the times it was scanned from the graph's rows
+//! (a graph's first build; the first build after a delete that would move
+//! a first-seen number, a first property, a clique or a class set, or
+//! after a resource is typed once its data is linked). The
 //! repository benchmark's `explore_update` workload and the `server`
 //! suite's concurrent-writers test exercise this path under load.
 //!
