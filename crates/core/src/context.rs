@@ -1263,7 +1263,7 @@ mod tests {
     fn summarize_all_matches_free_functions() {
         let g = sample_graph();
         let ctx = SummaryContext::new(&g);
-        let all: Vec<Summary> = crate::persist::ALL_KINDS
+        let all: Vec<Summary> = SummaryKind::EVERY
             .iter()
             .map(|&kind| ctx.summarize(kind))
             .collect();

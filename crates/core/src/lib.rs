@@ -52,16 +52,18 @@
 //! The sweep is **resumable**: absorbing the tail an insert batch appended
 //! to the graph's tables leaves exactly the substrate a scan of the whole
 //! graph builds, so the [`service`] keeps one substrate per resident graph
-//! — every cache miss and every `UPDATE` carry builds from it — and scans
-//! again only after a change no prefix carries over (a delete; a resource
-//! typed after its data was linked). All six summaries come out
-//! triple-for-triple, naming-identical whether the substrate was scanned
-//! or absorbed. An absorb reports what it changed,
-//! and each clique or type summary the service builds keeps the *quotient
-//! map* of its partition ([`quotient`]): an insert batch that only adds
-//! members to existing classes along existing edges extends the map, and
-//! the summary — byte for byte what a rebuild would give — is carried
-//! without building.
+//! — every cache miss and every `UPDATE` carry builds from it. A delete
+//! batch is *retracted* from it the same way, unless it would move a
+//! first-seen number, a first property, a clique or a class set; only such
+//! a delete, or a resource typed after its data was linked, makes the next
+//! build scan again. All six summaries come out triple-for-triple,
+//! naming-identical whether the substrate was scanned, absorbed or
+//! retracted. An absorb or retract reports what it changed, and each
+//! clique or type summary the service builds keeps the *quotient map* of
+//! its partition ([`quotient`]): an insert batch that only adds members to
+//! existing classes along existing edges extends the map, a delete that
+//! only takes members no class needs shrinks it, and the summary — byte
+//! for byte what a rebuild would give — is carried without building.
 //!
 //! ## Symbolic minted names
 //!
@@ -104,6 +106,7 @@
 
 pub mod bisim;
 pub mod builder;
+mod cache;
 pub mod cardinality;
 pub mod cliques;
 pub mod context;
@@ -112,6 +115,7 @@ pub mod executor;
 pub mod fixtures;
 pub mod naming;
 pub mod persist;
+mod query;
 pub mod quotient;
 pub mod report;
 pub mod service;
@@ -119,6 +123,7 @@ pub mod strong;
 pub mod summary;
 pub mod typed;
 pub mod unionfind;
+mod update;
 pub mod weak;
 
 pub use bisim::{bisim_partition, bisim_summary, BisimDepth};
@@ -340,7 +345,7 @@ mod proptests {
                 for n in terms() {
                     prop_assert_eq!(a.set_id(n), b.set_id(n));
                 }
-                for kind in crate::persist::ALL_KINDS {
+                for kind in SummaryKind::EVERY {
                     prop_assert!(
                         rdf_io::write_graph(&pieced.summarize(kind).graph)
                             == rdf_io::write_graph(&scanned.summarize(kind).graph),
@@ -370,7 +375,7 @@ mod proptests {
             for (g, rows) in &cases {
                 let mut store = TripleStore::new(g.clone());
                 let mut kept = Substrate::scan(store.graph());
-                let built: Vec<_> = crate::persist::ALL_KINDS[..5]
+                let built: Vec<_> = SummaryKind::EVERY[..5]
                     .iter()
                     .map(|&kind| {
                         let ctx = SummaryContext::over(store.graph(), &kept);

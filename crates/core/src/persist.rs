@@ -35,14 +35,18 @@
 //! content fingerprint matches, i.e. for identical content).
 //!
 //! Everything here is `Option`-shaped on the read side: `None` means
-//! "treat as a miss", never an error.
+//! "treat as a miss", never an error. [`PersistDir`] names the files.
 
+use crate::cache::Key;
 use crate::cardinality::{PropertyCard, SummaryCardinality};
 use crate::service::SummaryArtifact;
 use crate::summary::SummaryKind;
-use rdf_model::{FxHashMap, TermId, TermRef};
+use rdf_model::{FxHashMap, Graph, TermId, TermRef};
 use rdf_store::codec::{put_str, put_varint, stamp, stamped_body, Reader};
 use rdf_store::{snapshot, Fingerprint, TripleStore};
+use std::fs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic header bytes of a persisted summary artifact.
 pub const MAGIC: &[u8; 8] = b"RDFSUMA1";
@@ -50,15 +54,8 @@ pub const MAGIC: &[u8; 8] = b"RDFSUMA1";
 /// Artifact format version.
 pub const VERSION: u16 = 1;
 
-/// Every summary kind, for invalidation sweeps over a persist dir.
-pub const ALL_KINDS: [SummaryKind; 6] = [
-    SummaryKind::Weak,
-    SummaryKind::Strong,
-    SummaryKind::TypedWeak,
-    SummaryKind::TypedStrong,
-    SummaryKind::TypeBased,
-    SummaryKind::Bisimulation,
-];
+/// The extension of an artifact file.
+const EXTENSION: &str = "sum";
 
 /// Stable one-byte code for a summary kind.
 fn kind_code(kind: SummaryKind) -> u8 {
@@ -72,23 +69,80 @@ fn kind_code(kind: SummaryKind) -> u8 {
     }
 }
 
-/// Lower-cased paper notation — the `<kind>` part of the file name
-/// (matches the server protocol's kind tokens).
-pub fn kind_token(kind: SummaryKind) -> String {
-    kind.notation().to_ascii_lowercase()
+/// The artifact's file name inside a persist dir:
+/// `<fingerprint-hex>-<kind token>.sum`.
+pub fn artifact_file_name(fingerprint: Fingerprint, kind: SummaryKind) -> String {
+    format!("{fingerprint}-{}.{EXTENSION}", kind.token())
 }
 
-/// The artifact's file name inside a persist dir:
-/// `<fingerprint-hex>-<kind>.sum`.
-pub fn artifact_file_name(fingerprint: Fingerprint, kind: SummaryKind) -> String {
-    format!("{fingerprint}-{}.sum", kind_token(kind))
+/// A warm-restart persist dir: the service writes every artifact it
+/// builds here and probes it on a cache miss. Every failure is silent —
+/// persistence is an optimization, never a request error.
+pub(crate) struct PersistDir {
+    pub(crate) dir: PathBuf,
+    /// Uniquifies temp-file names for the write-then-rename protocol.
+    seq: AtomicU64,
+}
+
+impl PersistDir {
+    /// Opens `dir`, creating it if absent.
+    pub(crate) fn new(dir: PathBuf) -> Self {
+        let _ = fs::create_dir_all(&dir);
+        PersistDir {
+            dir,
+            seq: AtomicU64::new(0),
+        }
+    }
+
+    /// The persisted artifact of slot `(fingerprint, kind)` of `g`. `None`
+    /// — missing file, damage of any kind, a slot mismatch — means "plain
+    /// miss".
+    pub(crate) fn probe(&self, g: &Graph, (fingerprint, kind): Key) -> Option<SummaryArtifact> {
+        let raw = fs::read(self.dir.join(artifact_file_name(fingerprint, kind))).ok()?;
+        decode_artifact(&raw, g, fingerprint, kind)
+    }
+
+    /// Writes `artifact` via write-to-temp + atomic rename, so a
+    /// concurrent probe (or a crash mid-write) never sees a half-written
+    /// file. Returns whether the file landed.
+    pub(crate) fn write(&self, artifact: &SummaryArtifact, g: &Graph) -> bool {
+        let Some(bytes) = encode_artifact(artifact, g) else {
+            return false;
+        };
+        let name = artifact_file_name(artifact.fingerprint, artifact.kind);
+        let (pid, seq) = (std::process::id(), self.seq.fetch_add(1, Ordering::Relaxed));
+        let tmp = self.dir.join(format!(".{name}.{pid}.{seq}.tmp"));
+        let landed =
+            fs::write(&tmp, &bytes).is_ok() && fs::rename(&tmp, self.dir.join(name)).is_ok();
+        if !landed {
+            let _ = fs::remove_file(&tmp);
+        }
+        landed
+    }
+
+    /// Unlinks every slot of `fingerprint`.
+    pub(crate) fn unlink(&self, fingerprint: Fingerprint) {
+        for kind in SummaryKind::EVERY {
+            let _ = fs::remove_file(self.dir.join(artifact_file_name(fingerprint, kind)));
+        }
+    }
+
+    /// Unlinks every artifact in the directory.
+    pub(crate) fn sweep(&self) {
+        for entry in fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.extension().is_some_and(|e| e == EXTENSION) {
+                let _ = fs::remove_file(path);
+            }
+        }
+    }
 }
 
 /// Serializes an artifact for `g` — the graph whose dictionary the
 /// cardinality figures are keyed by. Returns `None` when a cardinality
 /// key does not render as an IRI (cannot happen for artifacts the
 /// service builds; checked rather than trusted).
-pub fn encode_artifact(artifact: &SummaryArtifact, g: &rdf_model::Graph) -> Option<Vec<u8>> {
+pub fn encode_artifact(artifact: &SummaryArtifact, g: &Graph) -> Option<Vec<u8>> {
     let snap = snapshot::encode(artifact.summary_store.graph());
     let iri_of = |id: TermId| -> Option<&str> { g.dict().decode(id).as_iri() };
     let mut props: Vec<(&str, PropertyCard)> = artifact
@@ -140,7 +194,7 @@ pub fn encode_artifact(artifact: &SummaryArtifact, g: &rdf_model::Graph) -> Opti
 /// a plain cache miss.
 pub fn decode_artifact(
     raw: &[u8],
-    g: &rdf_model::Graph,
+    g: &Graph,
     fingerprint: Fingerprint,
     kind: SummaryKind,
 ) -> Option<SummaryArtifact> {
@@ -241,7 +295,7 @@ mod tests {
 
     #[test]
     fn artifact_roundtrips_byte_identically() {
-        for kind in ALL_KINDS {
+        for kind in SummaryKind::EVERY {
             let (original, back) = roundtrip(kind);
             assert_eq!(original.ntriples, back.ntriples, "{kind:?} bytes differ");
             assert_eq!(original.summary_nodes, back.summary_nodes);
@@ -338,7 +392,7 @@ mod tests {
     #[test]
     fn file_names_are_slot_unique() {
         let fp = Fingerprint { hi: 7, lo: 9 };
-        let names: Vec<String> = ALL_KINDS
+        let names: Vec<String> = SummaryKind::EVERY
             .iter()
             .map(|&k| artifact_file_name(fp, k))
             .collect();
@@ -348,5 +402,41 @@ mod tests {
         assert_eq!(dedup.len(), names.len());
         assert!(names.iter().all(|n| n.ends_with(".sum")));
         assert_eq!(names[0], format!("{fp}-w.sum"));
+    }
+
+    /// The directory's entries, sorted.
+    fn listing(dir: &std::path::Path) -> Vec<String> {
+        let entries = fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name());
+        let mut names: Vec<String> = entries.map(|n| n.into_string().unwrap()).collect();
+        names.sort();
+        names
+    }
+
+    /// Writes leave exactly their slot files (no temp file behind), and a
+    /// sweep unlinks every artifact in the directory — a stray one of
+    /// content no graph holds included — and nothing else.
+    #[test]
+    fn sweep_leaves_no_artifact() {
+        let dir = std::env::temp_dir().join(format!("rdfsum_sweep_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let persist = PersistDir::new(dir.clone());
+        let (svc, w) = built(SummaryKind::Weak);
+        let (tw, _) = svc.summarize("g", SummaryKind::TypedWeak).unwrap();
+        let g = fixtures::book_graph();
+        assert!(persist.write(&w, &g) && persist.write(&tw, &g));
+        let stray = artifact_file_name(Fingerprint { hi: 1, lo: 2 }, SummaryKind::Weak);
+        fs::write(dir.join(&stray), b"left by an earlier lifetime").unwrap();
+        fs::write(dir.join("notes.txt"), b"not an artifact").unwrap();
+        let mut expect = vec![
+            artifact_file_name(w.fingerprint, SummaryKind::Weak),
+            artifact_file_name(w.fingerprint, SummaryKind::TypedWeak),
+            stray,
+            "notes.txt".to_string(),
+        ];
+        expect.sort();
+        assert_eq!(listing(&dir), expect);
+        persist.sweep();
+        assert_eq!(listing(&dir), ["notes.txt"]);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

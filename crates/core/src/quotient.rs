@@ -799,7 +799,7 @@ mod tests {
             assert!(verify_quotient(&big, &fallback));
             assert_eq!(canon(&by_residue(&small)), canon(&fallback));
             let (packed, padded) = (SummaryContext::new(&small), SummaryContext::new(&big));
-            for kind in &crate::persist::ALL_KINDS[..5] {
+            for kind in &SummaryKind::EVERY[..5] {
                 let fallback = padded.summarize(*kind);
                 assert!(verify_quotient(&big, &fallback), "{kind}");
                 assert_eq!(canon(&packed.summarize(*kind)), canon(&fallback), "{kind}");

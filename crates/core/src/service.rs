@@ -3,56 +3,41 @@
 //!
 //! The paper's usage model is *build once, query many times*: a summary is
 //! constructed off-line and then serves an arbitrary number of requests.
-//! The single-shot CLI rebuilds everything per invocation; the
-//! [`SummaryService`] is the long-running counterpart behind the
-//! `rdfsummary serve` TCP front-end. It owns
-//!
-//! * **warm stores** — loaded graphs kept resident as indexed
-//!   [`TripleStore`]s, keyed by a caller-chosen name (the server uses the
-//!   file path), indexed by [`TripleStore::with_threads`];
-//! * a **summary cache** keyed by `(content fingerprint, kind)` — the
-//!   [`rdf_store::Fingerprint`] digest is load-order independent, so two
-//!   loads of the same data (different files, different triple order)
-//!   share one cache line, and re-loading a file never invalidates
-//!   correct entries;
-//! * a **single-flight build gate**: when several clients request the
-//!   same missing `(fingerprint, kind)` concurrently, exactly one thread
-//!   builds while the rest wait on a condvar and then share the result.
-//!   The [`SummaryService::builds`] counter is the test seam pinning that
-//!   guarantee;
-//! * an optional **byte budget** on the cache
-//!   ([`SummaryService::with_cache_bytes`]): when the resident artifacts'
-//!   serialized size exceeds it, least-recently-used Ready entries are
-//!   evicted (never in-flight builds). The default is unbounded,
-//!   preserving the historical behavior;
-//! * a **prune-verdict cache** on the query path: the
-//!   [`rdf_query::empty_on_summary`] verdict depends only on the graph's
-//!   content fingerprint, the summary kind, and the query's *relaxed
-//!   shape* ([`rdf_query::prune_shape_key`]), so it is memoized under that
-//!   key. A hot provably-empty pattern answers without touching the
-//!   summary at all — and, because the key is content-addressed, the
-//!   memo stays sound across LRU eviction and identical-content reloads.
+//! [`SummaryService`] is the long-running counterpart of the single-shot
+//! CLI, behind the `rdfsummary serve` TCP front-end. It owns **warm
+//! stores** — loaded graphs kept resident as indexed [`TripleStore`]s,
+//! keyed by a caller-chosen name (the server uses the file path) — and a
+//! **summary cache** keyed by `(content fingerprint, kind)`: the
+//! [`rdf_store::Fingerprint`] digest is load-order independent, so two
+//! loads of the same data share one cache line, and re-loading a file
+//! never invalidates correct entries. The cache fills single-flight under
+//! an optional byte budget, beside the query path's prune-verdict memo
+//! (`cache.rs`); an optional persist dir ([`crate::persist`]) warms a
+//! restarted service; `update.rs` and `query.rs` hold the `UPDATE` carry
+//! and the `QUERY` path.
 //!
 //! Cached artifacts hold the summary's serialized N-Triples bytes,
-//! produced by the *same build path and serializer the single-shot CLI
-//! uses* (`summarize --kind K --out FILE`), so a cache hit answers with
-//! bytes identical to what the CLI would write for the same graph — the
-//! invariant the root `tests/server.rs` suite asserts on every fixture ×
-//! kind pair.
+//! produced by the same build path and serializer as the CLI's
+//! `summarize --kind K --out FILE`, so a cache hit answers with the bytes
+//! the CLI would write for the same graph — the invariant the root
+//! `tests/server.rs` suite asserts on every fixture × kind pair.
 
-use crate::cardinality::{SummaryCardinality, SummaryEstimator};
-use crate::context::{Delta, Substrate, SummaryContext};
-use crate::quotient::{QuotientMap, Refusal};
+use crate::cache::{Claim, SummaryCache};
+use crate::cardinality::SummaryCardinality;
+use crate::context::{Substrate, SummaryContext};
+use crate::persist::PersistDir;
+use crate::quotient::QuotientMap;
 use crate::summary::{Summary, SummaryKind};
-use rdf_io::writer::push_term;
-use rdf_model::{Graph, PrefixMap, Term, Triple};
-use rdf_query::{explain_with, parse_query, ControlFlow, Evaluator};
+use rdf_model::Graph;
 use rdf_store::{Fingerprint, TripleStore};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+
+pub use crate::query::QueryOutcome;
+pub use crate::update::UpdateOutcome;
 
 /// One cached summary: the serialized output plus its headline figures,
 /// and the query-serving companions (the summary as an indexed store for
@@ -182,140 +167,60 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Outcome of [`SummaryService::query`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryOutcome {
-    /// Head variable names, in projection order (empty for ASK queries).
-    pub columns: Vec<String>,
-    /// The answer in the `QUERY` wire format, every line LF-terminated.
-    /// A query with a head: the TAB-joined column names, then one line
-    /// per distinct answer row in join order, its cells TAB-separated
-    /// terms in N-Triples syntax (escaped by [`rdf_io::writer::push_term`],
-    /// so no cell holds a raw TAB or LF). An ASK query: `true` or `false`.
-    pub body: String,
-    /// Answer rows in `body` (0 for ASK queries — see [`QueryOutcome::ask`]).
-    pub row_count: usize,
-    /// Did the query have at least one embedding?
-    pub ask: bool,
-    /// True when the summary proved emptiness and graph evaluation was
-    /// skipped entirely (empty-on-summary ⇒ empty-on-graph).
-    pub pruned: bool,
-    /// True when the summary consulted for pruning came from the cache.
-    pub cache_hit: bool,
-    /// The summary kind consulted for pruning and join planning.
-    pub kind: SummaryKind,
-    /// True when the row limit cut off the enumeration.
-    pub truncated: bool,
-}
-
-impl QueryOutcome {
-    /// The answer rows of `body`, each split into its cells (still in
-    /// N-Triples syntax). Empty for ASK queries.
-    pub fn rows(&self) -> impl Iterator<Item = Vec<&str>> {
-        self.body.lines().skip(1).map(|l| l.split('\t').collect())
-    }
-}
-
-/// Outcome of [`SummaryService::update`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UpdateOutcome {
-    /// Content fingerprint before the batch.
-    pub previous: Fingerprint,
-    /// Content fingerprint after the batch (equals `previous` when the
-    /// batch was a no-op — every triple already present/absent).
-    pub fingerprint: Fingerprint,
-    /// Triples genuinely inserted/removed.
-    pub applied: usize,
-    /// Cached summaries carried to the new fingerprint by extending their
-    /// quotient maps: the batch left them as they were.
-    pub patched: usize,
-    /// Cached summaries carried to the new fingerprint by a rebuild from
-    /// the graph's kept substrate, their maps having refused the batch.
-    pub rebuilt: usize,
-}
-
 /// A resident graph's content: the warm store, its precomputed
 /// fingerprint, and — from the first build on — the substrate every
 /// summary of it is built from. A filled cell always covers `store`'s
 /// graph: `UPDATE` extends or empties it in the same exclusive section
 /// that changes the store.
-struct GraphEntry {
-    store: TripleStore,
-    fingerprint: Fingerprint,
-    substrate: OnceLock<Substrate>,
+pub(crate) struct GraphEntry {
+    pub(crate) store: TripleStore,
+    pub(crate) fingerprint: Fingerprint,
+    pub(crate) substrate: OnceLock<Substrate>,
 }
 
 /// One name's binding in the service: the content behind its reader/writer
 /// lock, and the gate that admits one `UPDATE` at a time.
-struct ResidentGraph {
+pub(crate) struct ResidentGraph {
     /// Serialises writers *before* they touch `entry`. `std`'s `RwLock`
     /// prefers writers: a second writer queued on it would turn away every
     /// new reader for as long as the first writer's shared-mode carry
     /// holds its read guard. Queued here instead, it is invisible to
     /// readers. Guards no data, so a poisoned gate is simply re-entered.
-    writer_gate: Mutex<()>,
-    entry: RwLock<GraphEntry>,
+    pub(crate) writer_gate: Mutex<()>,
+    pub(crate) entry: RwLock<GraphEntry>,
 }
 
-/// Cache slot state for one `(fingerprint, kind)` key.
-enum Slot {
-    /// Some thread is building; waiters sleep on the service condvar.
-    Building,
-    /// The finished artifact plus its budget accounting.
-    Ready {
-        artifact: Arc<SummaryArtifact>,
-        /// The quotient map an `UPDATE` offers its batch to; `None` for an
-        /// artifact read from the persist dir, and for `fb`.
-        map: Option<Arc<QuotientMap>>,
-        /// Budget cost of this entry: the serialized N-Triples size — the
-        /// dominant, directly comparable share of an artifact's footprint
-        /// (the indexed store and statistics scale with it).
-        bytes: usize,
-        /// Lamport stamp of the last hit; the LRU victim is the minimum.
-        last_used: u64,
-    },
-}
-
-/// The summary cache behind one mutex: the slots plus the LRU clock and
-/// the running byte total the eviction policy needs.
+/// The service's event counters; [`ServiceStats`] documents each one.
 #[derive(Default)]
-struct CacheState {
-    slots: HashMap<(Fingerprint, SummaryKind), Slot>,
-    /// Monotone hit counter backing the `last_used` stamps.
-    clock: u64,
-    /// Sum of the `bytes` of all Ready slots.
-    total_bytes: usize,
+pub(crate) struct Counters {
+    pub(crate) builds: AtomicU64,
+    pub(crate) hits: AtomicU64,
+    pub(crate) misses: AtomicU64,
+    pub(crate) queries: AtomicU64,
+    pub(crate) pruned: AtomicU64,
+    pub(crate) prune_hits: AtomicU64,
+    pub(crate) updates: AtomicU64,
+    pub(crate) patches: AtomicU64,
+    pub(crate) persist_hits: AtomicU64,
+    pub(crate) persist_writes: AtomicU64,
+    pub(crate) substrate_scans: AtomicU64,
+    pub(crate) substrate_absorbs: AtomicU64,
+    pub(crate) substrate_retracts: AtomicU64,
+    pub(crate) refused_stale: AtomicU64,
+    pub(crate) refused_structural: AtomicU64,
+    pub(crate) refused_no_map: AtomicU64,
 }
 
-impl CacheState {
-    /// Recomputes `total_bytes` after a bulk `retain` on the slots.
-    fn resync_total(&mut self) {
-        self.total_bytes = self
-            .slots
-            .values()
-            .map(|s| match s {
-                Slot::Ready { bytes, .. } => *bytes,
-                Slot::Building => 0,
-            })
-            .sum();
-    }
+/// Counts one event.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
-
-/// Key of one memoized pruning verdict: content fingerprint + summary
-/// kind + the query's relaxed shape. Content-addressed, so entries never
-/// go stale — they are dropped only to bound memory.
-type PruneKey = (Fingerprint, SummaryKind, String);
-
-/// Entry cap on the prune-verdict memo; when full, the map is cleared
-/// (verdicts cost one summary ASK to recompute, so a rare full reset is
-/// cheaper than per-entry LRU bookkeeping on the hot path).
-const PRUNE_CACHE_CAP: usize = 65_536;
 
 /// The long-running summarization service. See the module docs.
 ///
 /// Lock order (outer to inner): one graph's `writer_gate`, then the
-/// `graphs` map mutex, then one entry's `RwLock`, then the
-/// `cache`/`prune_verdicts` mutexes. Only `UPDATE` takes a gate or an
+/// `graphs` map mutex, then one entry's `RwLock`, then the cache's
+/// slot and prune-verdict mutexes. Only `UPDATE` takes a gate or an
 /// entry's lock exclusively, and it holds the lock exclusively for the
 /// store merge, the substrate's absorb or retract, the fingerprint switch
 /// and the claim of the carried cache slots only; it then downgrades
@@ -329,111 +234,20 @@ pub struct SummaryService {
     /// The workers a load's index sorts run on.
     threads: usize,
     graphs: Mutex<HashMap<String, Arc<ResidentGraph>>>,
-    cache: Mutex<CacheState>,
-    /// Byte budget for Ready cache entries; `None` = unbounded.
-    cache_budget: Option<usize>,
-    /// Warm-restart persistence: artifacts are written here and probed on
-    /// cache misses (see [`crate::persist`]). `None` = memory-only.
-    persist_dir: Option<PathBuf>,
-    /// Uniquifies temp-file names for the write-then-rename protocol.
-    persist_seq: AtomicU64,
-    /// Signaled whenever a Building slot resolves (or is abandoned).
-    slot_done: Condvar,
-    prune_verdicts: Mutex<HashMap<PruneKey, bool>>,
-    builds: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    queries: AtomicU64,
-    pruned: AtomicU64,
-    prune_hits: AtomicU64,
-    evictions: AtomicU64,
-    updates: AtomicU64,
-    patches: AtomicU64,
-    persist_hits: AtomicU64,
-    persist_writes: AtomicU64,
-    substrate_scans: AtomicU64,
-    substrate_absorbs: AtomicU64,
-    substrate_retracts: AtomicU64,
-    refused_stale: AtomicU64,
-    refused_structural: AtomicU64,
-    refused_no_map: AtomicU64,
+    pub(crate) cache: SummaryCache,
+    /// Warm-restart persistence; `None` = memory-only.
+    persist: Option<PersistDir>,
+    pub(crate) counters: Counters,
     /// Test seam: called under the shared lock as each carried kind of an
     /// `UPDATE` is re-established — after its map extended or refused,
     /// before the artifact is published or rebuilt (to park or unwind a
     /// carry).
     #[cfg(test)]
-    carry_hook: Mutex<Option<CarryHook>>,
+    pub(crate) carry_hook: Mutex<Option<CarryHook>>,
 }
 
 #[cfg(test)]
-type CarryHook = Arc<dyn Fn(SummaryKind) + Send + Sync>;
-
-/// The fixed order in which kinds are preferred for pruning a `QUERY`
-/// that named none — and therefore the order an `UPDATE` re-establishes
-/// the cached kinds in, so the query-facing one is ready first.
-const PREFERENCE: [SummaryKind; 6] = [
-    SummaryKind::Weak,
-    SummaryKind::TypedWeak,
-    SummaryKind::Strong,
-    SummaryKind::TypedStrong,
-    SummaryKind::TypeBased,
-    SummaryKind::Bisimulation,
-];
-
-/// One claimed `Building` slot. Dropping it un-installed — the build
-/// unwound — removes the marker, so waiters retry (one of them becomes
-/// the new builder) instead of sleeping forever.
-struct BuildGuard<'a> {
-    service: &'a SummaryService,
-    key: (Fingerprint, SummaryKind),
-    armed: bool,
-}
-
-/// One kind an `UPDATE` carries: its claimed new-fingerprint slot, and
-/// the old fingerprint's artifact and map.
-type Carry<'a> = (
-    BuildGuard<'a>,
-    Arc<SummaryArtifact>,
-    Option<Arc<QuotientMap>>,
-);
-
-impl BuildGuard<'_> {
-    /// Replaces the claimed marker with the finished artifact and its map
-    /// and wakes the slot's waiters.
-    fn install(mut self, artifact: &Arc<SummaryArtifact>, map: Option<QuotientMap>) {
-        let mut cache = self.service.cache.lock().unwrap();
-        let bytes = artifact.ntriples.len();
-        cache.clock += 1;
-        let stamp = cache.clock;
-        cache.slots.insert(
-            self.key,
-            Slot::Ready {
-                artifact: Arc::clone(artifact),
-                map: map.map(Arc::new),
-                bytes,
-                last_used: stamp,
-            },
-        );
-        cache.total_bytes += bytes;
-        self.service.enforce_budget(&mut cache);
-        drop(cache);
-        self.armed = false;
-        self.service.slot_done.notify_all();
-    }
-}
-
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut cache = self.service.cache.lock().unwrap();
-            if matches!(cache.slots.get(&self.key), Some(Slot::Building)) {
-                cache.slots.remove(&self.key);
-            }
-            drop(cache);
-            self.service.slot_done.notify_all();
-        }
-    }
-}
+pub(crate) type CarryHook = Arc<dyn Fn(SummaryKind) + Send + Sync>;
 
 impl SummaryService {
     /// Creates a service whose loads sort their indices on up to `threads`
@@ -453,32 +267,12 @@ impl SummaryService {
     pub fn with_cache_bytes(threads: usize, cache_bytes: Option<usize>) -> Self {
         SummaryService {
             threads: threads.max(1),
-            graphs: Mutex::new(HashMap::new()),
-            cache: Mutex::new(CacheState::default()),
-            cache_budget: cache_bytes,
-            persist_dir: None,
-            persist_seq: AtomicU64::new(0),
-            slot_done: Condvar::new(),
-            prune_verdicts: Mutex::new(HashMap::new()),
-            builds: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            pruned: AtomicU64::new(0),
-            prune_hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            patches: AtomicU64::new(0),
-            persist_hits: AtomicU64::new(0),
-            persist_writes: AtomicU64::new(0),
-            substrate_scans: AtomicU64::new(0),
-            substrate_absorbs: AtomicU64::new(0),
-            substrate_retracts: AtomicU64::new(0),
-            refused_stale: AtomicU64::new(0),
-            refused_structural: AtomicU64::new(0),
-            refused_no_map: AtomicU64::new(0),
+            graphs: Mutex::default(),
+            cache: SummaryCache::new(cache_bytes),
+            persist: None,
+            counters: Counters::default(),
             #[cfg(test)]
-            carry_hook: Mutex::new(None),
+            carry_hook: Mutex::default(),
         }
     }
 
@@ -491,20 +285,18 @@ impl SummaryService {
     /// `EVICT` and `UPDATE` invalidation unlink the on-disk slots along
     /// with the in-memory lines. The directory is created if absent.
     pub fn with_persist_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        let _ = std::fs::create_dir_all(&dir);
-        self.persist_dir = Some(dir);
+        self.persist = Some(PersistDir::new(dir.into()));
         self
     }
 
     /// The persist dir, when warm-restart persistence is enabled.
     pub fn persist_dir(&self) -> Option<&Path> {
-        self.persist_dir.as_deref()
+        self.persist.as_ref().map(|p| p.dir.as_path())
     }
 
     /// The configured cache byte budget (`None` = unbounded).
     pub fn cache_budget(&self) -> Option<usize> {
-        self.cache_budget
+        self.cache.budget
     }
 
     /// The configured worker count of the index sorts.
@@ -590,7 +382,7 @@ impl SummaryService {
     }
 
     /// The binding of `name`, if a graph is loaded under it.
-    fn resident(&self, name: &str) -> Result<Arc<ResidentGraph>, ServiceError> {
+    pub(crate) fn resident(&self, name: &str) -> Result<Arc<ResidentGraph>, ServiceError> {
         self.graphs
             .lock()
             .unwrap()
@@ -603,126 +395,44 @@ impl SummaryService {
     /// query path uses this so the summary it prunes with is guaranteed
     /// to describe the *same* content snapshot it evaluates against, even
     /// if a concurrent `LOAD` rebinds the name in between.
-    fn summarize_entry(
+    pub(crate) fn summarize_entry(
         &self,
         entry: &GraphEntry,
         kind: SummaryKind,
     ) -> (Arc<SummaryArtifact>, bool) {
         let key = (entry.fingerprint, kind);
-        {
-            let mut cache = self.cache.lock().unwrap();
-            loop {
-                cache.clock += 1;
-                let stamp = cache.clock;
-                match cache.slots.get_mut(&key) {
-                    Some(Slot::Ready {
-                        artifact,
-                        last_used,
-                        ..
-                    }) => {
-                        *last_used = stamp;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return (Arc::clone(artifact), true);
-                    }
-                    Some(Slot::Building) => {
-                        cache = self.slot_done.wait(cache).unwrap();
-                    }
-                    None => {
-                        cache.slots.insert(key, Slot::Building);
-                        break;
-                    }
-                }
+        let claim = match self.cache.get_or_claim(key) {
+            Ok(artifact) => {
+                bump(&self.counters.hits);
+                return (artifact, true);
             }
-        }
-        // This thread won the build; everyone else for this key now waits.
-        let guard = BuildGuard {
-            service: self,
-            key,
-            armed: true,
+            // This thread won the build; everyone else for this key waits.
+            Err(claim) => claim,
         };
         // Warm-restart seam: a persisted artifact for this exact slot is
-        // served as a cache hit — no build, `builds()` untouched. A probe
-        // failure of any sort is just a miss.
-        if let Some(artifact) = self.probe_persisted(entry, kind) {
+        // served as a cache hit — no build, `builds()` untouched.
+        let probe = |p: &PersistDir| p.probe(entry.store.graph(), key);
+        if let Some(artifact) = self.persist.as_ref().and_then(probe) {
             let artifact = Arc::new(artifact);
-            guard.install(&artifact, None);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.persist_hits.fetch_add(1, Ordering::Relaxed);
+            claim.install(&artifact, None);
+            bump(&self.counters.hits);
+            bump(&self.counters.persist_hits);
             return (artifact, true);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.misses);
         // The context is a temporary of this statement: its cliques are
         // freed before the summary is serialized and indexed.
         let (summary, map) = self.build_summary(&self.context(entry), kind);
         let artifact = Self::package(entry, kind, summary);
-        (self.publish(entry, guard, artifact, map), false)
-    }
-
-    /// Probes the persist dir for this slot's artifact. `None` — missing
-    /// file, damage of any kind, a slot mismatch — means "plain miss".
-    fn probe_persisted(&self, entry: &GraphEntry, kind: SummaryKind) -> Option<SummaryArtifact> {
-        let dir = self.persist_dir.as_ref()?;
-        let path = dir.join(crate::persist::artifact_file_name(entry.fingerprint, kind));
-        let raw = std::fs::read(path).ok()?;
-        crate::persist::decode_artifact(&raw, entry.store.graph(), entry.fingerprint, kind)
-    }
-
-    /// Writes `artifact` to the persist dir via write-to-temp + atomic
-    /// rename, so a concurrent probe (or a crash mid-write) never sees a
-    /// half-written file. Failures are silent: persistence is an
-    /// optimization, never a request error.
-    fn persist_artifact(&self, artifact: &SummaryArtifact, g: &Graph) {
-        let Some(dir) = self.persist_dir.as_ref() else {
-            return;
-        };
-        let Some(bytes) = crate::persist::encode_artifact(artifact, g) else {
-            return;
-        };
-        let name = crate::persist::artifact_file_name(artifact.fingerprint, artifact.kind);
-        let seq = self.persist_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
-        if std::fs::write(&tmp, &bytes).is_ok() && std::fs::rename(&tmp, dir.join(name)).is_ok() {
-            self.persist_writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
-
-    /// Evicts least-recently-used Ready entries until the cache fits the
-    /// byte budget. In-flight `Building` slots are never touched (their
-    /// single-flight waiters must still find them); the freshly inserted
-    /// entry has the newest stamp, so it goes last — meaning an artifact
-    /// larger than the entire budget is evicted right back out, i.e.
-    /// returned to the caller but not retained.
-    fn enforce_budget(&self, cache: &mut CacheState) {
-        let Some(budget) = self.cache_budget else {
-            return;
-        };
-        while cache.total_bytes > budget {
-            let victim = cache
-                .slots
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_used, .. } => Some((*last_used, *k)),
-                    Slot::Building => None,
-                })
-                .min_by_key(|&(last_used, _)| last_used);
-            let Some((_, key)) = victim else {
-                return; // only Building slots left: nothing evictable
-            };
-            if let Some(Slot::Ready { bytes, .. }) = cache.slots.remove(&key) {
-                cache.total_bytes -= bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        (self.publish(entry, claim, artifact, map), false)
     }
 
     /// The build view over `entry`'s kept substrate, which the first caller
     /// scans (concurrent ones wait for it, then share it).
-    fn context<'e>(&self, entry: &'e GraphEntry) -> SummaryContext<'e> {
+    pub(crate) fn context<'e>(&self, entry: &'e GraphEntry) -> SummaryContext<'e> {
         let g = entry.store.graph();
         let substrate = entry.substrate.get_or_init(|| {
-            self.substrate_scans.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.substrate_scans);
             Substrate::scan(g)
         });
         SummaryContext::over(g, substrate)
@@ -730,12 +440,12 @@ impl SummaryService {
 
     /// One real summary build — a cache miss's, or one carried kind's of
     /// an `UPDATE` — with its quotient map.
-    fn build_summary(
+    pub(crate) fn build_summary(
         &self,
         context: &SummaryContext<'_>,
         kind: SummaryKind,
     ) -> (Summary, Option<QuotientMap>) {
-        self.builds.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.builds);
         context.summarize_mapped(kind)
     }
 
@@ -743,21 +453,28 @@ impl SummaryService {
     /// extended one's: install it and its map in the claimed slot — waking
     /// the slot's waiters — and only then write it to the persist dir, so
     /// no waiter sits out the file write.
-    fn publish(
+    pub(crate) fn publish(
         &self,
         entry: &GraphEntry,
-        guard: BuildGuard<'_>,
+        claim: Claim<'_>,
         artifact: SummaryArtifact,
         map: Option<QuotientMap>,
     ) -> Arc<SummaryArtifact> {
         let artifact = Arc::new(artifact);
-        guard.install(&artifact, map);
-        self.persist_artifact(&artifact, entry.store.graph());
+        claim.install(&artifact, map);
+        let write = |p: &PersistDir| p.write(&artifact, entry.store.graph());
+        if self.persist.as_ref().is_some_and(write) {
+            bump(&self.counters.persist_writes);
+        }
         artifact
     }
 
     /// Serializes `summary` and derives its query-serving companions.
-    fn package(entry: &GraphEntry, kind: SummaryKind, summary: Summary) -> SummaryArtifact {
+    pub(crate) fn package(
+        entry: &GraphEntry,
+        kind: SummaryKind,
+        summary: Summary,
+    ) -> SummaryArtifact {
         let stats = summary.stats();
         let cardinality = SummaryCardinality::new(&entry.store, &summary);
         let ntriples = rdf_io::write_graph(&summary.graph);
@@ -773,396 +490,6 @@ impl SummaryService {
         }
     }
 
-    /// Applies an `UPDATE` batch to the graph loaded as `name` —
-    /// `insert == true` adds triples, `false` removes them — and carries
-    /// the cached summaries across the fingerprint transition.
-    ///
-    /// The store absorbs the batch in O(delta · log n) plus one in-place
-    /// shift per index (incremental fingerprint, no index rebuild; see
-    /// [`TripleStore::insert_batch`]). The graph's kept [`Substrate`]
-    /// follows it: it absorbs the rows an insert appended
-    /// ([`ServiceStats::substrate_absorbs`]) or retracts the rows a delete
-    /// removed ([`ServiceStats::substrate_retracts`]), reporting what
-    /// changed ([`crate::context::Delta`]) — or, when the batch is one it
-    /// cannot carry (a delete that would move a first-seen number, a first
-    /// property, a clique or a class set; a resource typed after its data
-    /// was linked), is dropped, and the first build after it scans the new
-    /// content ([`ServiceStats::substrate_scans`]).
-    ///
-    /// Every summary kind cached for the *old* fingerprint is then
-    /// re-established under the new one, unless the new content's slot is
-    /// already present (the content is shared with another resident name
-    /// that got there first). The carry of one kind patches or declines:
-    /// it first offers the delta and the applied rows to the old
-    /// artifact's quotient map, which **carries** the artifact when the
-    /// batch provably leaves its summary as it was — an insert that only
-    /// adds members to existing classes along existing edges, a delete
-    /// that only takes members no class needs and leaves every summary
-    /// edge a witness; the new artifact shares the old one's body and
-    /// summary graph, with moved extent counts and the statistics
-    /// re-derived from them ([`ServiceStats::patches`], `patched`).
-    /// Otherwise it is **rebuilt** exactly as a cache miss builds it, from
-    /// the kept substrate, and the refusal is counted by reason
-    /// ([`ServiceStats::refused_stale`] — the substrate could not carry
-    /// the batch, or is not the map's; [`ServiceStats::refused_structural`];
-    /// [`ServiceStats::refused_no_map`] — a persisted artifact, or `fb`).
-    /// A rebuild counts in both `builds` and `patch_fallbacks`, keeping
-    /// `builds == patch_fallbacks + misses`.
-    ///
-    /// **What a concurrent reader observes.** Writers to one graph queue
-    /// on its gate, out of the readers' way. The graph's lock is held
-    /// exclusively for the store merge and the substrate's step only;
-    /// within that section the fingerprint switches and every carried
-    /// kind's slot is claimed as in-flight under the new fingerprint. The
-    /// lock is then downgraded and the kinds are re-established under the
-    /// *shared* lock, the kind `QUERY` prefers first, each waking its
-    /// waiters as it lands. So a reader sees the new content at once; a
-    /// `QUERY` that names no kind waits for its preferred kind only (never
-    /// answers un-pruned or from the old summary), and `SUMMARIZE k` waits
-    /// for `k`. The call returns once every carried kind is installed.
-    ///
-    /// Old-fingerprint cache lines and memoized prune verdicts are then
-    /// dropped unless another resident graph still has that content.
-    /// Insert batches are atomic: one malformed triple rejects the whole
-    /// batch with [`ServiceError::BadUpdate`] and no state changes.
-    pub fn update(
-        &self,
-        name: &str,
-        insert: bool,
-        triples: &[(Term, Term, Term)],
-    ) -> Result<UpdateOutcome, ServiceError> {
-        let graph = self.resident(name)?;
-        let _writer = graph
-            .writer_gate
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut entry = graph.entry.write().unwrap();
-        let previous = entry.fingerprint;
-        let batch = if insert {
-            entry
-                .store
-                .insert_batch(triples)
-                .map_err(|e| ServiceError::BadUpdate(e.to_string()))?
-        } else {
-            entry.store.delete_batch(triples)
-        };
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        if batch.applied.is_empty() {
-            // No-op batch: content, fingerprint, and cache are untouched.
-            return Ok(UpdateOutcome {
-                previous,
-                fingerprint: previous,
-                applied: 0,
-                patched: 0,
-                rebuilt: 0,
-            });
-        }
-        let fingerprint = batch.fingerprint;
-        entry.fingerprint = fingerprint;
-        // The kept substrate follows the store, now that the merge can no
-        // longer fail: it absorbs the appended rows or retracts the removed
-        // ones in place, or — the batch being one it cannot carry — leaves
-        // the cell empty for the carry below, or the next miss, to scan the
-        // new content into. Readers are still locked out, so none meets it
-        // half-changed; a retract works on the value out of its cell and
-        // puts it back only when it succeeds.
-        let GraphEntry {
-            store, substrate, ..
-        } = &mut *entry;
-        let mut delta = None;
-        if let Some(mut kept) = substrate.take() {
-            let (stepped, counter) = if insert {
-                (kept.absorb(store.graph()), &self.substrate_absorbs)
-            } else {
-                (
-                    kept.retract(store, &batch.applied),
-                    &self.substrate_retracts,
-                )
-            };
-            if let Ok(stepped) = stepped {
-                counter.fetch_add(1, Ordering::Relaxed);
-                delta = Some(stepped);
-                let _ = substrate.set(kept);
-            }
-        }
-        // Claim, while still exclusive, the new-fingerprint slot of every
-        // kind Ready under the old one, taking the old artifact and its
-        // map along: a reader admitted after the downgrade finds the slots
-        // in flight and waits instead of building.
-        let claims: Vec<Carry<'_>> = {
-            let mut cache = self.cache.lock().unwrap();
-            PREFERENCE
-                .into_iter()
-                .filter_map(|kind| {
-                    let key = (fingerprint, kind);
-                    let (old, map) = match cache.slots.get(&(previous, kind)) {
-                        Some(Slot::Ready { artifact, map, .. })
-                            if !cache.slots.contains_key(&key) =>
-                        {
-                            (Arc::clone(artifact), map.clone())
-                        }
-                        _ => return None,
-                    };
-                    cache.slots.insert(key, Slot::Building);
-                    let claim = BuildGuard {
-                        service: self,
-                        key,
-                        armed: true,
-                    };
-                    Some((claim, old, map))
-                })
-                .collect()
-        };
-        let entry = RwLockWriteGuard::downgrade(entry);
-        let (mut patched, mut rebuilt) = (0, 0);
-        // Viewed (and, after a dropped substrate, scanned) by the first
-        // rebuilt kind, shared by the rest.
-        let mut context: Option<SummaryContext<'_>> = None;
-        for (claim, old, map) in claims {
-            let kind = claim.key.1;
-            let patch = Self::patch(
-                &entry,
-                &old,
-                map.as_deref(),
-                delta.as_ref(),
-                insert,
-                &batch.applied,
-            );
-            #[cfg(test)]
-            self.run_carry_hook(kind);
-            // Publishing re-keys the on-disk slot along with the in-memory
-            // line (the old fingerprint's files go with
-            // `drop_fingerprint_lines`).
-            match patch {
-                Ok((artifact, map)) => {
-                    self.patches.fetch_add(1, Ordering::Relaxed);
-                    patched += 1;
-                    self.publish(&entry, claim, artifact, Some(map));
-                }
-                Err(refusal) => {
-                    match refusal {
-                        Refusal::Stale => &self.refused_stale,
-                        Refusal::Structural => &self.refused_structural,
-                        Refusal::NoMap => &self.refused_no_map,
-                    }
-                    .fetch_add(1, Ordering::Relaxed);
-                    rebuilt += 1;
-                    let context = context.get_or_insert_with(|| self.context(&entry));
-                    let (summary, map) = self.build_summary(context, kind);
-                    let artifact = Self::package(&entry, kind, summary);
-                    self.publish(&entry, claim, artifact, map);
-                }
-            }
-        }
-        // Release the entry (and the context borrowing it) before the
-        // sharing scan: fingerprint_shared read-locks every entry,
-        // including this one.
-        drop(context);
-        drop(entry);
-        if !self.fingerprint_shared(previous) {
-            self.drop_fingerprint_lines(previous);
-        }
-        Ok(UpdateOutcome {
-            previous,
-            fingerprint,
-            applied: batch.applied.len(),
-            patched,
-            rebuilt,
-        })
-    }
-
-    /// The artifact `old` becomes under `entry`'s new content when its
-    /// map carries the batch — `rows` inserted (`insert`) or removed,
-    /// `delta` the kept substrate's absorb or retract of them (`None` when
-    /// it could not carry them) — and the carried map; or why it cannot.
-    /// The body and the summary graph are `old`'s: the batch left them as
-    /// they were.
-    fn patch(
-        entry: &GraphEntry,
-        old: &SummaryArtifact,
-        map: Option<&QuotientMap>,
-        delta: Option<&Delta>,
-        insert: bool,
-        rows: &[Triple],
-    ) -> Result<(SummaryArtifact, QuotientMap), Refusal> {
-        let map = map.ok_or(Refusal::NoMap)?;
-        let (Some(delta), Some(substrate)) = (delta, entry.substrate.get()) else {
-            return Err(Refusal::Stale);
-        };
-        let g = entry.store.graph();
-        let next = if insert {
-            map.extend(substrate, delta, rows, g, &old.summary_store)?
-        } else {
-            map.retract(substrate, delta, rows, &entry.store)?
-        };
-        let h = old.summary_store.graph();
-        let artifact = SummaryArtifact {
-            kind: old.kind,
-            fingerprint: entry.fingerprint,
-            ntriples: old.ntriples.clone(),
-            summary_nodes: old.summary_nodes,
-            summary_edges: old.summary_edges,
-            input_triples: g.len(),
-            summary_store: old.summary_store.clone(),
-            cardinality: SummaryCardinality::from_extents(
-                &entry.store,
-                old.kind,
-                h,
-                next.extents(),
-            ),
-        };
-        Ok((artifact, next))
-    }
-
-    /// Runs the installed carry hook, if any (outside its mutex, so a
-    /// hook may park or panic).
-    #[cfg(test)]
-    fn run_carry_hook(&self, kind: SummaryKind) {
-        let hook = self.carry_hook.lock().unwrap().clone();
-        if let Some(hook) = hook {
-            hook(kind);
-        }
-    }
-
-    /// Evaluates a BGP query (paper notation, e.g. `q(?x) :- ?x <p> ?y`)
-    /// against the warm store loaded as `name`, with **summary-based
-    /// pruning**: the query is first checked against a summary of the
-    /// graph ([`rdf_query::empty_on_summary`] — sound for every quotient
-    /// kind), and when the summary proves emptiness the graph join is
-    /// skipped entirely. Otherwise the join runs in the order of a static
-    /// plan whose cardinality estimates come from the same summary
-    /// ([`SummaryEstimator`]).
-    ///
-    /// `kind` picks the summary to consult; `None` prefers whatever is
-    /// already cached for the graph's fingerprint (so pruning never costs
-    /// a rebuild when *any* kind is warm), falling back to
-    /// [`SummaryKind::Weak`] — the smallest summary — on a cold cache.
-    /// `limit` caps the number of distinct rows enumerated.
-    ///
-    /// The pruning verdict is memoized per `(fingerprint, kind, relaxed
-    /// shape)`: a repeated provably-empty pattern short-circuits before
-    /// the summary lookup, and a repeated don't-know pattern skips the
-    /// summary ASK and goes straight to the graph join.
-    pub fn query(
-        &self,
-        name: &str,
-        text: &str,
-        kind: Option<SummaryKind>,
-        limit: usize,
-    ) -> Result<QueryOutcome, ServiceError> {
-        let graph = self.resident(name)?;
-        // Hold the read lock for the whole evaluation: the summary pruned
-        // with and the store joined against stay one content snapshot,
-        // even under concurrent UPDATEs.
-        let entry = graph.entry.read().unwrap();
-        let spec = parse_query(text, &PrefixMap::with_defaults())
-            .map_err(|e| ServiceError::BadQuery(e.to_string()))?;
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let kind = kind.unwrap_or_else(|| self.preferred_kind(entry.fingerprint));
-        let store = &entry.store;
-        let q = rdf_query::compile(&spec, store.graph())
-            .map_err(|e| ServiceError::BadQuery(e.to_string()))?;
-        // Starts out as what a query without answers reports: the header
-        // line alone, or the ASK verdict.
-        let mut out = QueryOutcome {
-            columns: spec.head.clone(),
-            body: if spec.is_boolean() {
-                String::from("false\n")
-            } else {
-                spec.head.join("\t") + "\n"
-            },
-            row_count: 0,
-            ask: false,
-            pruned: false,
-            cache_hit: true,
-            kind,
-            truncated: false,
-        };
-        // Consult the prune-verdict memo before the summary cache: a
-        // known-empty shape answers without materializing any artifact.
-        let prune_key: PruneKey = (entry.fingerprint, kind, rdf_query::prune_shape_key(&spec));
-        let memoized = self.prune_verdicts.lock().unwrap().get(&prune_key).copied();
-        if memoized.is_some() {
-            self.prune_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if memoized == Some(true) {
-            self.pruned.fetch_add(1, Ordering::Relaxed);
-            out.pruned = true;
-            return Ok(out);
-        }
-        let (artifact, cache_hit) = self.summarize_entry(&entry, kind);
-        (out.cache_hit, out.kind) = (cache_hit, artifact.kind);
-        let empty = memoized.unwrap_or_else(|| {
-            let verdict = rdf_query::empty_on_summary(&artifact.summary_store, &spec);
-            // An empty body never prunes and its shape key is the
-            // degenerate empty string — not worth a memo slot.
-            if !spec.body.is_empty() {
-                let mut memo = self.prune_verdicts.lock().unwrap();
-                if memo.len() >= PRUNE_CACHE_CAP && !memo.contains_key(&prune_key) {
-                    memo.clear();
-                }
-                memo.insert(prune_key, verdict);
-            }
-            verdict
-        });
-        if empty {
-            self.pruned.fetch_add(1, Ordering::Relaxed);
-            out.pruned = true;
-            return Ok(out);
-        }
-        let estimator = SummaryEstimator::new(store, &artifact.cardinality);
-        let order = explain_with(&q, &estimator).order();
-        let ev = Evaluator::new(store);
-        if spec.is_boolean() {
-            out.ask = ev.ask_ordered(&q, &order);
-            out.body = format!("{}\n", out.ask);
-            return Ok(out);
-        }
-        // Each accepted row goes straight from the index to the wire
-        // body. A row arriving past the limit proves the cut and is not
-        // rendered: an answer set of *exactly* `limit` rows is complete,
-        // not truncated. (`usize::MAX` is never reached; never cut.)
-        let dict = store.graph().dict();
-        ev.for_each_row(&q, &order, |row| {
-            if out.row_count == limit {
-                out.truncated = true;
-                return ControlFlow::Stop;
-            }
-            for (i, &id) in row.iter().enumerate() {
-                if i > 0 {
-                    out.body.push('\t');
-                }
-                push_term(&mut out.body, dict.decode(id));
-            }
-            out.body.push('\n');
-            out.row_count += 1;
-            ControlFlow::Continue
-        });
-        out.ask = out.row_count > 0;
-        Ok(out)
-    }
-
-    /// The summary kind to consult when the caller expressed no
-    /// preference: an already-cached Ready kind for this fingerprint,
-    /// else a kind in flight for it (an `UPDATE` carrying it over, or
-    /// another request building it — waiting for that build beats
-    /// starting a second one inline), each in the fixed [`PREFERENCE`]
-    /// order so the choice is deterministic; else [`SummaryKind::Weak`].
-    fn preferred_kind(&self, fingerprint: Fingerprint) -> SummaryKind {
-        let cache = self.cache.lock().unwrap();
-        let first = |ready: bool| {
-            PREFERENCE.into_iter().find(|&k| {
-                cache
-                    .slots
-                    .get(&(fingerprint, k))
-                    .is_some_and(|slot| matches!(slot, Slot::Ready { .. }) == ready)
-            })
-        };
-        first(true)
-            .or_else(|| first(false))
-            .unwrap_or(SummaryKind::Weak)
-    }
-
     /// Drops the graph loaded as `name`. Ready cache entries for its
     /// fingerprint are dropped too, unless another resident graph shares
     /// the content; in-flight builds are left to finish (their artifacts
@@ -1172,69 +499,32 @@ impl SummaryService {
     pub fn evict(&self, name: &str) -> Option<usize> {
         let graph = self.graphs.lock().unwrap().remove(name)?;
         let fingerprint = graph.entry.read().unwrap().fingerprint;
-        if self.fingerprint_shared(fingerprint) {
-            return Some(0);
-        }
-        Some(self.drop_fingerprint_lines(fingerprint))
+        Some(self.release(fingerprint))
     }
 
-    /// Is `fingerprint` the content of any currently resident graph?
-    fn fingerprint_shared(&self, fingerprint: Fingerprint) -> bool {
-        self.graphs
-            .lock()
-            .unwrap()
-            .values()
-            .any(|e| e.entry.read().unwrap().fingerprint == fingerprint)
-    }
-
-    /// Drops every Ready cache line and memoized prune verdict keyed by
-    /// `fingerprint` (in-flight builds are left to finish — their waiters
-    /// must still find the Building marker). Returns the number of cache
-    /// entries dropped. Memoized verdicts would stay *correct*
-    /// (content-addressed), but an unreferenced fingerprint's lines are
-    /// dead weight.
-    fn drop_fingerprint_lines(&self, fingerprint: Fingerprint) -> usize {
-        if let Some(dir) = self.persist_dir.as_ref() {
-            for kind in crate::persist::ALL_KINDS {
-                let _ = std::fs::remove_file(
-                    dir.join(crate::persist::artifact_file_name(fingerprint, kind)),
-                );
-            }
+    /// Drops everything keyed by `fingerprint` — Ready cache lines,
+    /// memoized prune verdicts, persisted slots — unless a resident graph
+    /// still has that content. Returns the number of cache lines dropped.
+    /// Read-locks every entry: the caller holds none.
+    pub(crate) fn release(&self, fingerprint: Fingerprint) -> usize {
+        let holds = |e: &Arc<ResidentGraph>| e.entry.read().unwrap().fingerprint == fingerprint;
+        if self.graphs.lock().unwrap().values().any(holds) {
+            return 0;
         }
-        self.prune_verdicts
-            .lock()
-            .unwrap()
-            .retain(|(fp, _, _), _| *fp != fingerprint);
-        let mut cache = self.cache.lock().unwrap();
-        let before = cache.slots.len();
-        cache
-            .slots
-            .retain(|(fp, _), slot| *fp != fingerprint || matches!(slot, Slot::Building));
-        let dropped = before - cache.slots.len();
-        cache.resync_total();
-        dropped
+        if let Some(persist) = &self.persist {
+            persist.unlink(fingerprint);
+        }
+        self.cache.drop_fingerprint(fingerprint)
     }
 
     /// Drops every resident graph and every Ready cache entry. Returns
     /// `(graphs dropped, cache entries dropped)`.
     pub fn evict_all(&self) -> (usize, usize) {
-        let graphs = {
-            let mut map = self.graphs.lock().unwrap();
-            let n = map.len();
-            map.clear();
-            n
-        };
+        let graphs = std::mem::take(&mut *self.graphs.lock().unwrap()).len();
         // No graph survives, so no persisted slot can ever be probed
         // again under its fingerprint — sweep them all.
-        if let Some(dir) = self.persist_dir.as_ref() {
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for ent in entries.flatten() {
-                    let path = ent.path();
-                    if path.extension().is_some_and(|e| e == "sum") {
-                        let _ = std::fs::remove_file(path);
-                    }
-                }
-            }
+        if let Some(persist) = &self.persist {
+            persist.sweep();
         }
         (graphs, self.clear_cache())
     }
@@ -1244,13 +534,7 @@ impl SummaryService {
     /// single-flight for in-flight requests. The prune-verdict memo is
     /// cleared too, so "cold" means cold for the query path as well.
     pub fn clear_cache(&self) -> usize {
-        self.prune_verdicts.lock().unwrap().clear();
-        let mut cache = self.cache.lock().unwrap();
-        let before = cache.slots.len();
-        cache.slots.retain(|_, slot| matches!(slot, Slot::Building));
-        let dropped = before - cache.slots.len();
-        cache.resync_total();
-        dropped
+        self.cache.clear()
     }
 
     /// Number of summary builds performed so far — the single-flight test
@@ -1258,49 +542,38 @@ impl SummaryService {
     /// `(fingerprint, kind)` pairs ever requested, however many threads
     /// raced on them.
     pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
+        self.counters.builds.load(Ordering::Relaxed)
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> ServiceStats {
         let graphs = self.graphs.lock().unwrap().len();
-        let (cached_summaries, cache_bytes) = {
-            let cache = self.cache.lock().unwrap();
-            let ready = cache
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count();
-            (ready, cache.total_bytes)
-        };
-        let [refused_stale, refused_structural, refused_no_map] = [
-            &self.refused_stale,
-            &self.refused_structural,
-            &self.refused_no_map,
-        ]
-        .map(|count| count.load(Ordering::Relaxed));
+        let (cached_summaries, cache_bytes, evictions) = self.cache.figures();
+        let c = &self.counters;
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let refused = [&c.refused_stale, &c.refused_structural, &c.refused_no_map].map(get);
         ServiceStats {
             graphs,
             cached_summaries,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            prune_hits: self.prune_hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: get(&c.hits),
+            misses: get(&c.misses),
+            builds: get(&c.builds),
+            queries: get(&c.queries),
+            pruned: get(&c.pruned),
+            prune_hits: get(&c.prune_hits),
+            evictions,
             cache_bytes,
-            updates: self.updates.load(Ordering::Relaxed),
-            patches: self.patches.load(Ordering::Relaxed),
-            patch_fallbacks: refused_stale + refused_structural + refused_no_map,
-            persist_hits: self.persist_hits.load(Ordering::Relaxed),
-            persist_writes: self.persist_writes.load(Ordering::Relaxed),
-            substrate_scans: self.substrate_scans.load(Ordering::Relaxed),
-            substrate_absorbs: self.substrate_absorbs.load(Ordering::Relaxed),
-            substrate_retracts: self.substrate_retracts.load(Ordering::Relaxed),
-            refused_stale,
-            refused_structural,
-            refused_no_map,
+            updates: get(&c.updates),
+            patches: get(&c.patches),
+            patch_fallbacks: refused.iter().sum(),
+            persist_hits: get(&c.persist_hits),
+            persist_writes: get(&c.persist_writes),
+            substrate_scans: get(&c.substrate_scans),
+            substrate_absorbs: get(&c.substrate_absorbs),
+            substrate_retracts: get(&c.substrate_retracts),
+            refused_stale: refused[0],
+            refused_structural: refused[1],
+            refused_no_map: refused[2],
         }
     }
 }
@@ -1308,7 +581,9 @@ impl SummaryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Slot;
     use crate::fixtures;
+    use rdf_model::{PrefixMap, Term};
 
     #[test]
     fn cache_hits_share_one_artifact() {
@@ -1989,7 +1264,10 @@ mod tests {
             // see the new content, and its `tw` slot is in flight.
             let (fingerprint, _) = svc.graph_info("g").unwrap();
             assert_ne!(fingerprint, loaded.fingerprint);
-            assert_eq!(svc.preferred_kind(fingerprint), SummaryKind::TypedWeak);
+            assert_eq!(
+                svc.cache.preferred_kind(fingerprint),
+                SummaryKind::TypedWeak
+            );
             let reader = scope.spawn(|| {
                 svc.query("g", "q(?x, ?y) :- ?x <urn:u:p> ?y", None, usize::MAX)
                     .unwrap()
@@ -2012,13 +1290,8 @@ mod tests {
         let svc = SummaryService::new(1);
         let fp = svc.load_graph("g", fixtures::sample_graph()).fingerprint;
         svc.summarize("g", SummaryKind::TypedStrong).unwrap();
-        let in_flight = (fp, SummaryKind::Weak);
-        svc.cache
-            .lock()
-            .unwrap()
-            .slots
-            .insert(in_flight, Slot::Building);
-        assert_eq!(svc.preferred_kind(fp), SummaryKind::TypedStrong);
+        let _in_flight = svc.cache.get_or_claim((fp, SummaryKind::Weak)).unwrap_err();
+        assert_eq!(svc.cache.preferred_kind(fp), SummaryKind::TypedStrong);
     }
 
     /// A carry that unwinds releases every slot it had claimed and both
@@ -2056,7 +1329,7 @@ mod tests {
         };
         assert_eq!(counts(&svc), (1, 1, 1), "`w` was patched, `s` was not");
         {
-            let cache = svc.cache.lock().unwrap();
+            let cache = svc.cache.state.lock().unwrap();
             assert!(
                 cache
                     .slots
@@ -2087,7 +1360,7 @@ mod tests {
 
     /// The clique/type kinds — what `build_restart` builds per lifetime.
     const FIVE_KINDS: [SummaryKind; 5] = {
-        let [w, s, tw, ts, t, _fb] = crate::persist::ALL_KINDS;
+        let [w, tw, s, ts, t, _fb] = SummaryKind::EVERY;
         [w, s, tw, ts, t]
     };
 
@@ -2799,7 +2072,7 @@ mod tests {
                     "resident graph after {what}"
                 );
             }
-            for slot in svc.cache.lock().unwrap().slots.values() {
+            for slot in svc.cache.state.lock().unwrap().slots.values() {
                 if let Slot::Ready { artifact, .. } = slot {
                     let h = artifact.summary_store.graph();
                     assert!(!h.has_hash_set(), "{} summary after {what}", artifact.kind);
@@ -2902,20 +2175,19 @@ mod tests {
     fn evict_all_sweeps_the_persist_dir() {
         let dir = persist_dir("evict_all");
         let svc = SummaryService::new(1).with_persist_dir(&dir);
-        svc.load_graph("g", fixtures::sample_graph());
-        svc.load_graph("h", fixtures::book_graph());
+        let g = svc.load_graph("g", fixtures::sample_graph()).fingerprint;
+        let h = svc.load_graph("h", fixtures::book_graph()).fingerprint;
         svc.summarize("g", SummaryKind::Weak).unwrap();
         svc.summarize("h", SummaryKind::TypedWeak).unwrap();
-        let n_sum = |dir: &std::path::Path| {
-            std::fs::read_dir(dir)
-                .unwrap()
-                .flatten()
-                .filter(|e| e.path().extension().is_some_and(|x| x == "sum"))
-                .count()
-        };
-        assert_eq!(n_sum(&dir), 2);
+        // A slot of content no graph holds, left by an earlier lifetime.
+        let stray = Fingerprint { hi: 1, lo: 2 };
+        let files = [(g, SummaryKind::Weak), (h, SummaryKind::TypedWeak)]
+            .map(|(fp, kind)| dir.join(crate::persist::artifact_file_name(fp, kind)));
+        let stray = dir.join(crate::persist::artifact_file_name(stray, SummaryKind::Weak));
+        std::fs::copy(&files[0], &stray).unwrap();
+        assert!(files.iter().chain([&stray]).all(|f| f.exists()));
         svc.evict_all();
-        assert_eq!(n_sum(&dir), 0);
+        assert!(!files.iter().chain([&stray]).any(|f| f.exists()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -37,6 +37,34 @@ impl SummaryKind {
         SummaryKind::TypedStrong,
     ];
 
+    /// Every summary kind, in the service's preference order: the kind a
+    /// `QUERY` that names none is pruned with is the first one cached, and
+    /// an `UPDATE` carries the cached kinds over in this order, so the
+    /// query-facing one is ready first. The five clique and type kinds
+    /// come first, the `FB` baseline last.
+    pub const EVERY: [SummaryKind; 6] = [
+        SummaryKind::Weak,
+        SummaryKind::TypedWeak,
+        SummaryKind::Strong,
+        SummaryKind::TypedStrong,
+        SummaryKind::TypeBased,
+        SummaryKind::Bisimulation,
+    ];
+
+    /// The kind's token: the CLI's `--kind` and the protocol's
+    /// `SUMMARIZE` operand, and the `<kind>` of a persisted artifact's
+    /// file name.
+    pub fn token(self) -> &'static str {
+        match self {
+            SummaryKind::Weak => "w",
+            SummaryKind::Strong => "s",
+            SummaryKind::TypedWeak => "tw",
+            SummaryKind::TypedStrong => "ts",
+            SummaryKind::TypeBased => "t",
+            SummaryKind::Bisimulation => "fb",
+        }
+    }
+
     /// The paper's notation for this summary.
     pub fn notation(self) -> &'static str {
         match self {

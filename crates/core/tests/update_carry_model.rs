@@ -28,8 +28,10 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use rdf_model::{vocab, Graph, PrefixMap, Term};
 use rdf_store::TripleStore;
-use rdfsum_core::persist::{artifact_file_name, encode_artifact, ALL_KINDS};
-use rdfsum_core::{fixtures, QueryOutcome, ServiceStats, SummaryArtifact, SummaryService};
+use rdfsum_core::persist::{artifact_file_name, encode_artifact};
+use rdfsum_core::{
+    fixtures, QueryOutcome, ServiceStats, SummaryArtifact, SummaryKind, SummaryService,
+};
 use rdfsum_workloads::BsbmConfig;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -256,9 +258,9 @@ fn check_sequence(
     svc.load_graph("g", base.clone());
     if setup.twin {
         svc.load_graph("twin", base.clone());
-        svc.summarize("twin", ALL_KINDS[0]).unwrap();
+        svc.summarize("twin", SummaryKind::EVERY[0]).unwrap();
     }
-    for kind in ALL_KINDS {
+    for kind in SummaryKind::EVERY {
         svc.summarize("g", kind).unwrap();
     }
     let warm = svc.stats();
@@ -293,12 +295,12 @@ fn check_sequence(
         let carried = if out.applied == 0 || back {
             0
         } else {
-            ALL_KINDS.len()
+            SummaryKind::EVERY.len()
         };
         prop_assert_eq!(out.patched + out.rebuilt, carried, "step {}", step);
         let cold = SummaryService::new(1);
         cold.load_graph("g", model.graph().clone());
-        for kind in ALL_KINDS {
+        for kind in SummaryKind::EVERY {
             let (artifact, hit) = svc.summarize("g", kind).unwrap();
             prop_assert!(hit, "step {}: {} went cold", step, kind);
             prop_assert_eq!(artifact.fingerprint, expect.fingerprint);
@@ -457,7 +459,7 @@ proptest! {
 #[test]
 fn each_shape_takes_its_path() {
     const FIVE: [rdfsum_core::SummaryKind; 5] = {
-        let [w, s, tw, ts, t, _fb] = ALL_KINDS;
+        let [w, tw, s, ts, t, _fb] = SummaryKind::EVERY;
         [w, s, tw, ts, t]
     };
     let ex = |local: &str| Term::iri(format!("{}{local}", fixtures::EX));

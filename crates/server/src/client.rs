@@ -119,10 +119,7 @@ impl Client {
 
     /// `SUMMARIZE <kind> <graph>`.
     pub fn summarize(&mut self, kind: SummaryKind, graph: &str) -> io::Result<Response> {
-        self.request(&format!(
-            "SUMMARIZE {} {graph}",
-            crate::protocol::kind_token(kind)
-        ))
+        self.request(&format!("SUMMARIZE {} {graph}", kind.token()))
     }
 
     /// `STATS`.

@@ -21,8 +21,9 @@
 //!     of ready connections is served with zero handoffs, which on a
 //!     loaded box is worth several context switches per request;
 //!   - `LOAD`, `SUMMARIZE` and `UPDATE` — the verbs that can take
-//!     seconds (cold builds, or an update, which rebuilds every warm
-//!     summary) — are handed to the **executor**, a fixed pool of
+//!     seconds (cold builds; an update, whose carry rebuilds each warm
+//!     summary its quotient map cannot carry) — are handed to the
+//!     **executor**, a fixed pool of
 //!     [`rdfsum_core::Executor`] workers, so a cold build can never
 //!     stall keep-alive traffic on other connections. An inline `QUERY`
 //!     on a graph an `UPDATE` is working on does block this thread, but
@@ -531,8 +532,9 @@ fn pump(c: &mut Conn, token: u64, ctx: &LoopCtx) -> bool {
 }
 
 /// Extracts and submits as many buffered requests as the one-in-flight
-/// rule allows; classifies framing violations exactly like the threaded
-/// engine's `read_frame`.
+/// rule allows. A line over [`MAX_REQUEST_BYTES`] answers `ERR` and closes
+/// (after draining the rest of an unterminated one); a malformed line
+/// answers `ERR`, and closes only when the error is fatal.
 fn advance(c: &mut Conn, token: u64, ctx: &LoopCtx) {
     while !c.busy
         && !c.close_after_flush
@@ -638,8 +640,8 @@ fn queue_err(c: &mut Conn, err: &ProtocolError) {
 
 /// Which verbs go to the executor instead of running on the event
 /// thread: the ones that can take seconds cold (graph parse, summary
-/// build, and `UPDATE`'s summary re-keying, a full rebuild per cached
-/// kind). Everything else — including warm
+/// build, and `UPDATE`'s carry, which rebuilds every cached kind whose
+/// quotient map refuses the batch). Everything else — including warm
 /// `QUERY` — is μs-scale and runs inline, where batching keeps the hot
 /// path free of handoffs.
 fn offloads(req: &crate::protocol::Request) -> bool {

@@ -17,7 +17,7 @@
 //! thread multiplexes every connection with buffered partial reads and
 //! resumable partial writes, answering μs-scale verbs inline while a
 //! bounded executor of `workers` threads absorbs the seconds-scale ones
-//! (`LOAD`, cold `SUMMARIZE`) — so `workers` caps concurrent *heavy*
+//! (`LOAD`, cold `SUMMARIZE`, `UPDATE`) — so `workers` caps concurrent *heavy*
 //! request execution, not connections, and thousands of idle keep-alive
 //! clients hold in O(connections) memory with no busy-spin.
 //! [`client::Client`] is the matching scripting client

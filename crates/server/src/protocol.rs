@@ -251,18 +251,6 @@ pub fn parse_kind(s: &str) -> Option<SummaryKind> {
     }
 }
 
-/// The short protocol token for a kind (`SUMMARIZE`'s first operand).
-pub fn kind_token(kind: SummaryKind) -> &'static str {
-    match kind {
-        SummaryKind::Weak => "w",
-        SummaryKind::Strong => "s",
-        SummaryKind::TypedWeak => "tw",
-        SummaryKind::TypedStrong => "ts",
-        SummaryKind::TypeBased => "t",
-        SummaryKind::Bisimulation => "fb",
-    }
-}
-
 /// Parses one raw request line (terminator already stripped or absent).
 ///
 /// Total: every possible byte string yields `Ok` or a typed error.
@@ -432,15 +420,8 @@ mod tests {
 
     #[test]
     fn kind_tokens_roundtrip() {
-        for kind in [
-            SummaryKind::Weak,
-            SummaryKind::Strong,
-            SummaryKind::TypedWeak,
-            SummaryKind::TypedStrong,
-            SummaryKind::TypeBased,
-            SummaryKind::Bisimulation,
-        ] {
-            assert_eq!(parse_kind(kind_token(kind)), Some(kind));
+        for kind in SummaryKind::EVERY {
+            assert_eq!(parse_kind(kind.token()), Some(kind));
         }
         assert_eq!(parse_kind("x"), None);
     }

@@ -136,7 +136,7 @@ pub(crate) fn dispatch(service: &SummaryService, req: Request, w: &mut Vec<u8>) 
                         out.row_count,
                         u8::from(out.pruned),
                         u8::from(out.cache_hit),
-                        crate::protocol::kind_token(out.kind),
+                        out.kind.token(),
                         u8::from(out.truncated)
                     );
                     write_ok_body(w, &fields, out.body.as_bytes());
