@@ -4,9 +4,8 @@
 //! ## Shape
 //!
 //! A single **event thread** owns every socket. It blocks in
-//! [`polling::Poller::wait`] — persistent registrations over `epoll` on
-//! Linux (O(ready) wakeups) or persistent `poll(2)` slots elsewhere;
-//! identical observable semantics either way — covering the nonblocking
+//! [`polling::Poller::wait`] — persistent `poll(2)` slots, one syscall
+//! over every registered fd per wait (O(fds)) — covering the nonblocking
 //! listener, a loopback wake socket, and every connection that currently
 //! wants I/O; each readiness event advances that connection's state
 //! machine:
@@ -43,9 +42,9 @@
 //! busy connection's socket is simply not polled for reads — natural
 //! backpressure that also bounds every buffer: the read buffer by the
 //! frame cap plus one chunk, the queue by one job per connection. An idle
-//! keep-alive connection costs one registered fd and an empty state
-//! struct — no thread, no busy-spin — so thousands of them hold in
-//! O(connections) memory.
+//! keep-alive connection costs one poll slot and an empty state struct —
+//! no thread, no busy-spin — so thousands of them hold in O(connections)
+//! memory.
 //!
 //! A fatal framing error answers `ERR`, then drains the rest of an
 //! oversized line (bounded) so the `ERR` survives the close. Shutdown
@@ -54,7 +53,7 @@
 //! a grace period, then force-close.
 
 use crate::protocol::{is_fatal, parse_request, ProtocolError, MAX_REQUEST_BYTES};
-use polling::{Backend, Event, Poller, POLLIN, POLLOUT};
+use polling::{Event, Poller, POLLIN, POLLOUT};
 use rdfsum_core::{Executor, SummaryService};
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
@@ -130,7 +129,7 @@ struct Conn {
     /// The peer half-closed; buffered complete lines are still served.
     saw_eof: bool,
     /// The interest set last synced into the [`Poller`] — registrations
-    /// persist across iterations, so only changes issue a syscall.
+    /// persist across iterations, so only changes touch its slot.
     registered: i16,
 }
 
@@ -197,24 +196,15 @@ pub(crate) struct EventEngine {
     pub(crate) thread: Option<JoinHandle<()>>,
 }
 
-/// Starts the event loop thread over an already-bound listener.
-/// `workers` is the executor width — how many requests may execute
-/// concurrently, *not* a connection limit. `backend` picks the readiness
-/// backend explicitly (`None` = platform default); the dual-backend
-/// stress suites force it.
+/// Starts the event loop thread over an already-bound listener, waiting
+/// on persistent `poll(2)` slots. `workers` is the executor width — how
+/// many requests may execute concurrently, *not* a connection limit.
 pub(crate) fn start(
     listener: TcpListener,
     service: Arc<SummaryService>,
     workers: usize,
     stop: Arc<AtomicBool>,
-    backend: Option<Backend>,
 ) -> io::Result<EventEngine> {
-    // Fail in the caller, not the detached thread, when the backend is
-    // unavailable (e.g. requesting epoll off-Linux).
-    let poller = match backend {
-        Some(b) => Poller::with_backend(b)?,
-        None => Poller::new()?,
-    };
     listener.set_nonblocking(true)?;
     // Loopback wake pair: std-only, no pipe(2) FFI needed.
     let rendezvous = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
@@ -235,7 +225,7 @@ pub(crate) fn start(
     };
     let thread = std::thread::Builder::new()
         .name("rdfsum-event-loop".into())
-        .spawn(move || run(listener, rx, ctx, stop, poller))?;
+        .spawn(move || run(listener, rx, ctx, stop))?;
     Ok(EventEngine {
         waker,
         thread: Some(thread),
@@ -249,62 +239,35 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
 /// The readiness loop. Returns when shutdown completes.
-fn run(
-    listener: TcpListener,
-    wake_rx: TcpStream,
-    ctx: LoopCtx,
-    stop: Arc<AtomicBool>,
-    mut poller: Poller,
-) {
+fn run(listener: TcpListener, wake_rx: TcpStream, ctx: LoopCtx, stop: Arc<AtomicBool>) {
+    let mut poller = Poller::new();
+    poller.interest(listener.as_raw_fd(), LISTENER_TOKEN, true, false);
+    poller.interest(wake_rx.as_raw_fd(), WAKER_TOKEN, true, false);
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = 0u64;
     let mut deadline: Option<Instant> = None;
     let mut events: Vec<Event> = Vec::new();
 
-    // Permanent registrations. A poller that cannot even register the
-    // listener cannot serve; bail (the process-level spawn already
-    // verified the backend constructs).
-    if let Some(l) = &listener {
-        if poller
-            .interest(l.as_raw_fd(), LISTENER_TOKEN, true, false)
-            .is_err()
-        {
-            return;
-        }
-    }
-    if poller
-        .interest(wake_rx.as_raw_fd(), WAKER_TOKEN, true, false)
-        .is_err()
-    {
-        return;
-    }
-
     loop {
         if stop.load(Ordering::SeqCst) && deadline.is_none() {
             deadline = Some(Instant::now() + SHUTDOWN_GRACE);
             if let Some(l) = listener.take() {
-                let _ = poller.remove(l.as_raw_fd()); // stop accepting
+                poller.remove(l.as_raw_fd()); // stop accepting
             }
             // Idle and error-path connections drop now; busy or
             // partially-flushed ones get the grace period.
             conns.retain(|_, c| {
                 let keep = (c.busy || !c.flushed()) && c.draining.is_none();
                 if !keep {
-                    let _ = poller.remove(c.stream.as_raw_fd());
+                    poller.remove(c.stream.as_raw_fd());
                 }
                 keep
             });
             // Survivors stop reading under shutdown; re-sync their
             // narrowed interest.
-            let doomed: Vec<u64> = conns
-                .iter_mut()
-                .filter_map(|(&token, c)| {
-                    (!sync_interest(&mut poller, token, c, true)).then_some(token)
-                })
-                .collect();
-            for token in doomed {
-                drop_conn(&mut poller, &mut conns, token);
+            for (&token, c) in conns.iter_mut() {
+                sync_interest(&mut poller, token, c, true);
             }
         }
         if let Some(d) = deadline {
@@ -349,8 +312,10 @@ fn run(
                 // readiness event.
                 alive = pump(c, comp.token, &ctx);
             }
-            if !alive || c.done() || !sync_interest(&mut poller, comp.token, c, shutting_down) {
+            if !alive || c.done() {
                 drop_conn(&mut poller, &mut conns, comp.token);
+            } else {
+                sync_interest(&mut poller, comp.token, c, shutting_down);
             }
         }
 
@@ -388,8 +353,10 @@ fn run(
                             alive = flush_out(c);
                         }
                     }
-                    if !alive || c.done() || !sync_interest(&mut poller, token, c, shutting_down) {
+                    if !alive || c.done() {
                         drop_conn(&mut poller, &mut conns, token);
+                    } else {
+                        sync_interest(&mut poller, token, c, shutting_down);
                     }
                 }
             }
@@ -402,26 +369,19 @@ fn run(
     drop(ctx);
 }
 
-/// Syncs a connection's current interest into the poller, issuing a
-/// syscall only when it changed since the last sync. Returns false when
-/// the poller rejected the registration (the connection must drop).
-fn sync_interest(poller: &mut Poller, token: u64, c: &mut Conn, shutting_down: bool) -> bool {
+/// Syncs a connection's current interest into its poll slot when it
+/// changed since the last sync.
+fn sync_interest(poller: &mut Poller, token: u64, c: &mut Conn, shutting_down: bool) {
     let want = c.interest(shutting_down);
-    if want == c.registered {
-        return true;
-    }
-    let ok = poller
-        .interest(
+    if want != c.registered {
+        poller.interest(
             c.stream.as_raw_fd(),
             token,
             want & POLLIN != 0,
             want & POLLOUT != 0,
-        )
-        .is_ok();
-    if ok {
+        );
         c.registered = want;
     }
-    ok
 }
 
 /// Removes a connection from the poller bookkeeping *before* its socket
@@ -429,7 +389,7 @@ fn sync_interest(poller: &mut Poller, token: u64, c: &mut Conn, shutting_down: b
 /// registration must never alias the next accepted connection.
 fn drop_conn(poller: &mut Poller, conns: &mut HashMap<u64, Conn>, token: u64) {
     if let Some(c) = conns.remove(&token) {
-        let _ = poller.remove(c.stream.as_raw_fd());
+        poller.remove(c.stream.as_raw_fd());
     }
 }
 
@@ -468,9 +428,7 @@ fn accept_ready(
                 let token = *next_token;
                 *next_token += 1;
                 let mut conn = Conn::new(stream);
-                if !sync_interest(poller, token, &mut conn, false) {
-                    continue; // unregisterable socket: drop it
-                }
+                sync_interest(poller, token, &mut conn, false);
                 conns.insert(token, conn);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,

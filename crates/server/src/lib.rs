@@ -9,8 +9,8 @@
 //! once, query many times* — turned into a serving subsystem.
 //!
 //! The crate is std-only and hermetic: [`std::net::TcpListener`], a
-//! readiness loop over `epoll` on Linux and `poll(2)` elsewhere (via the
-//! workspace `polling` shim — the only place FFI lives), and a
+//! readiness loop over persistent `poll(2)` slots, O(fds) per wait (via
+//! the workspace `polling` shim — the only place FFI lives), and a
 //! line-delimited request protocol (see [`protocol`] for the grammar).
 //! [`server::spawn`] runs the event-driven engine in-process (the CLI's
 //! `rdfsummary serve`, and the integration tests' harness): one event
@@ -45,6 +45,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, Response};
-pub use polling::Backend as PollerBackend;
 pub use protocol::{parse_kind, parse_request, ProtocolError, Request, MAX_REQUEST_BYTES};
-pub use server::{load_graph_file, spawn, spawn_with_backend, ServerHandle, QUERY_ROW_LIMIT};
+pub use server::{load_graph_file, spawn, ServerHandle, QUERY_ROW_LIMIT};

@@ -1,8 +1,8 @@
 //! The TCP server: listener setup and request dispatch.
 //!
 //! [`spawn`] starts the event engine (see [`crate::event`]): a single
-//! readiness loop (`epoll` on Linux, `poll(2)` elsewhere) multiplexes
-//! every connection. Microsecond-scale verbs (`PING`, `STATS`, `QUERY`,
+//! readiness loop over persistent `poll(2)` slots multiplexes every
+//! connection. Microsecond-scale verbs (`PING`, `STATS`, `QUERY`,
 //! `EVICT`, `QUIT`) dispatch inline on the event thread; the
 //! seconds-scale ones (`LOAD`, cold `SUMMARIZE`, `UPDATE` — whose summary
 //! re-keying can rebuild) run on a bounded executor of `workers` threads
@@ -235,31 +235,20 @@ impl ServerHandle {
 }
 
 /// Binds `addr` and starts the event-driven engine: one readiness loop
-/// multiplexing every connection, and `workers` executor threads running
-/// request dispatch. `workers` bounds concurrent request *execution*, not
-/// the number of connections — idle keep-alive clients are effectively
-/// unlimited.
+/// over persistent `poll(2)` slots multiplexing every connection, and
+/// `workers` executor threads running request dispatch. `workers` bounds
+/// concurrent request *execution*, not the number of connections — idle
+/// keep-alive clients are limited only by the process's descriptor limit,
+/// and each costs one slot in every wait.
 pub fn spawn(
     addr: impl ToSocketAddrs,
     service: Arc<SummaryService>,
     workers: usize,
 ) -> io::Result<ServerHandle> {
-    spawn_with_backend(addr, service, workers, None)
-}
-
-/// [`spawn`] with an explicit readiness backend. `None` is the platform
-/// default (`epoll` on Linux, `poll(2)` elsewhere); the dual-backend
-/// stress suites pass `Some(..)` to cover both on one host.
-pub fn spawn_with_backend(
-    addr: impl ToSocketAddrs,
-    service: Arc<SummaryService>,
-    workers: usize,
-    backend: Option<polling::Backend>,
-) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let engine = crate::event::start(listener, service, workers, Arc::clone(&stop), backend)?;
+    let engine = crate::event::start(listener, service, workers, Arc::clone(&stop))?;
     Ok(ServerHandle {
         addr: local,
         stop,

@@ -211,11 +211,11 @@
 //! suite's concurrent-writers test exercise this path under load.
 //!
 //! The server is **event-driven**: one thread multiplexes every
-//! connection over a readiness loop — `epoll` on Linux, `poll(2)`
-//! elsewhere (the workspace `polling` shim) — with buffered partial-line
-//! reads and resumable partial writes,
-//! so thousands of idle keep-alive clients cost one fd and a small state
-//! struct each — no thread per connection, no busy-spin. Microsecond
+//! connection over a readiness loop on persistent `poll(2)` slots (the
+//! workspace `polling` shim; one syscall over every registered fd per
+//! wait) with buffered partial-line reads and resumable partial writes,
+//! so thousands of idle keep-alive clients cost one poll slot and a small
+//! state struct each — no thread per connection, no busy-spin. Microsecond
 //! verbs (`PING`, `STATS`, `QUERY`, `EVICT`, `QUIT`) are answered inline
 //! on the event thread; the seconds-scale ones (`LOAD`, cold
 //! `SUMMARIZE`, `UPDATE`) are handed to a bounded executor so a cold
