@@ -127,7 +127,7 @@
 //! scan, an absorb/remap fold, a stitched entry list, two CSR fills and a
 //! CSR sweep per scope, and beat the two-shard build of that pipeline
 //! 4.5× at 200 k and 400 k triples. So do the stages past it — partition,
-//! the quotient's packed emission, the summary's extent table: split
+//! the quotient's sort-dedup emission, the summary's extent table: split
 //! across two workers they won no served workload, so a context carries
 //! no worker count (both sizings are in CHANGES.md).
 
@@ -1097,15 +1097,7 @@ impl<'g> SummaryContext<'g> {
         keys: ClassKeys,
         by_set: Option<Vec<u32>>,
     ) -> QuotientMap {
-        QuotientMap::new(
-            &self.substrate,
-            scope,
-            keys,
-            by_set,
-            partition,
-            summary,
-            self.g.dict().len(),
-        )
+        QuotientMap::new(&self.substrate, scope, keys, by_set, partition, summary)
     }
 
     /// Builds the summary of the given kind from the shared substrate —

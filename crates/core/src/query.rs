@@ -4,7 +4,7 @@
 use crate::cardinality::SummaryEstimator;
 use crate::service::{bump, ServiceError, SummaryService};
 use crate::summary::SummaryKind;
-use rdf_io::writer::push_term;
+use rdf_io::writer::push_row;
 use rdf_model::PrefixMap;
 use rdf_query::{explain_with, parse_query, ControlFlow, Evaluator};
 
@@ -16,7 +16,7 @@ pub struct QueryOutcome {
     /// The answer in the `QUERY` wire format, every line LF-terminated.
     /// A query with a head: the TAB-joined column names, then one line
     /// per distinct answer row in join order, its cells TAB-separated
-    /// terms in N-Triples syntax (escaped by [`rdf_io::writer::push_term`],
+    /// terms in N-Triples syntax (rendered by [`rdf_io::writer::push_row`],
     /// so no cell holds a raw TAB or LF). An ASK query: `true` or `false`.
     pub body: String,
     /// Answer rows in `body` (0 for ASK queries — see [`QueryOutcome::ask`]).
@@ -143,12 +143,7 @@ impl SummaryService {
                 out.truncated = true;
                 return ControlFlow::Stop;
             }
-            for (i, &id) in row.iter().enumerate() {
-                if i > 0 {
-                    out.body.push('\t');
-                }
-                push_term(&mut out.body, dict.decode(id));
-            }
+            push_row(&mut out.body, row.iter().map(|&id| dict.decode(id)));
             out.body.push('\n');
             out.row_count += 1;
             ControlFlow::Continue

@@ -17,6 +17,14 @@
 //! this construction; tests and ad-hoc callers may return plain
 //! [`Term::Iri`]s.
 //!
+//! H is emitted one way at every size: the schema copied verbatim, then
+//! each data and type row quotiented to an H triple, packed into an
+//! integer that sorts in (s, p, o) order, sorted, deduplicated and
+//! appended. The key is a `u64` while every H id fits 21 bits and a
+//! `u128` past that; the sort proves H a set, so H builds no hash set, and
+//! its triples — every byte written from them — do not depend on the size
+//! of G's dictionary.
+//!
 //! A summary the service builds keeps a `QuotientMap` beside it: the
 //! class key → H node tables of its partition, one extent count and the
 //! first member per H node. A batch that provably changes neither the
@@ -69,17 +77,6 @@ pub(crate) enum DataPlan<'a> {
     Edges(&'a [(u32, TermId, u32)]),
 }
 
-/// Bits per H id in a packed key: a whole H triple fits one `u64`.
-const PACK_BITS: u32 = 21;
-const MASK: u64 = (1 << PACK_BITS) - 1;
-
-/// Does a quotient of `n_classes` classes over a graph of `n_g_terms`
-/// terms pack its triples — do all its H ids fit [`PACK_BITS`]? (See the
-/// bound in [`quotient_summary_planned`].)
-fn packs(n_classes: usize, n_g_terms: usize) -> bool {
-    n_classes + n_g_terms + 8 < (1usize << PACK_BITS)
-}
-
 /// The H id of the G constant `id` (a property, class URI or schema term —
 /// terms that keep their identity), through the term-indexed cache `xfer`.
 fn transfer(id: TermId, g: &Graph, h: &mut Graph, xfer: &mut [u32]) -> TermId {
@@ -92,29 +89,42 @@ fn transfer(id: TermId, g: &Graph, h: &mut Graph, xfer: &mut [u32]) -> TermId {
     hid
 }
 
-/// The packed emission of one component (D_G or T_G) of the quotient:
-/// the distinct `key(t, c)` over `triples`, ascending, where `c` is the
-/// H id of `constant(t)`, the term of `t` that keeps its identity.
+/// An H triple packed into one integer whose order is the triple's
+/// (s, p, o) order: its three ids side by side, `BITS` bits each.
+trait PackedTriple: Copy + Ord {
+    const BITS: u32;
+    fn pack(t: Triple) -> Self;
+    fn unpack(self) -> Triple;
+}
+
+macro_rules! packed_triple {
+    ($int:ty, $bits:expr) => {
+        impl PackedTriple for $int {
+            const BITS: u32 = $bits;
+            fn pack(t: Triple) -> Self {
+                let id = |id: TermId| <$int>::from(id.0);
+                (id(t.s) << (2 * $bits)) | (id(t.p) << $bits) | id(t.o)
+            }
+            fn unpack(self) -> Triple {
+                let id = |shift: u32| TermId(((self >> shift) & ((1 << $bits) - 1)) as u32);
+                Triple::new(id(2 * $bits), id($bits), id(0))
+            }
+        }
+    };
+}
+packed_triple!(u64, 21);
+packed_triple!(u128, 32);
+
+/// Appends the distinct triples of `rows` to `h` in (s, p, o) order.
 ///
-/// The keys are collected at `|triples|` and deduplicated in place; the
-/// run is handed back shrunk to its distinct keys, since it lives on
-/// while the caller appends them to `h`.
-fn emit_packed(
-    g: &Graph,
-    h: &mut Graph,
-    xfer: &mut [u32],
-    triples: &[Triple],
-    constant: impl Fn(&Triple) -> TermId,
-    key: impl Fn(&Triple, u64) -> u64,
-) -> Vec<u64> {
-    let mut run: Vec<u64> = triples
-        .iter()
-        .map(|t| key(t, transfer(constant(t), g, h, xfer).0 as u64))
-        .collect();
-    run.sort_unstable();
-    run.dedup();
-    run.shrink_to_fit();
-    run
+/// The keys are collected at `|rows|` and deduplicated in place; the run
+/// is shrunk to its distinct keys, since it lives on while `h` grows by
+/// them.
+fn append_sorted<K: PackedTriple>(h: &mut Graph, mut keys: Vec<K>) {
+    keys.sort_unstable();
+    keys.dedup();
+    keys.shrink_to_fit();
+    h.append_distinct(keys.into_iter().map(K::unpack));
 }
 
 /// [`quotient_summary`] with an emission plan for the data component.
@@ -149,14 +159,6 @@ pub(crate) fn quotient_summary_planned(
     // (properties, class URIs, schema terms): term-indexed, dense.
     let mut xfer: Vec<u32> = vec![NO_DENSE_ID; g.dict().len()];
 
-    // rd: G data node → H node, via the partition's dense class array.
-    let map = |id: TermId| -> TermId {
-        let c = partition
-            .class_of(id)
-            .expect("partition must cover every data node");
-        class_node[c]
-    };
-
     // SCH: schema copied verbatim — distinct in G, and `transfer` is
     // injective, so distinct in H.
     for t in g.schema() {
@@ -168,91 +170,58 @@ pub(crate) fn quotient_summary_planned(
     // Every H id stays below `class_node.len() + g.dict().len() + 8` —
     // minted class-node ids are the first `class_node.len()` H ids,
     // transferred G constants (at most one H id per G term) and the
-    // well-known properties account for the rest — so when that fits 21
-    // bits ([`packs`]), a whole H triple packs into one u64 and the
-    // massive duplication of quotiented triples is eliminated by a sort
-    // instead of 25k+ hash probes;
-    // the keys come out strictly ascending, which is all the proof
-    // `append_distinct` asks for, so H never grows a hash set. Past the
-    // bound, hash dedup through the graph's own set is the only path there
-    // is — there the set *is* the mechanism.
-    let packable = packs(class_node.len(), g.dict().len());
-    // DAT: quotient of data triples.
-    match data_plan {
-        DataPlan::Edges(edges) => {
-            // One known edge per class pair and property: translate, sort
-            // by H ids (matching the packed path's ascending emission
-            // order exactly), append. No per-triple work at all.
-            let mut out: Vec<(u32, u32, u32)> = edges
-                .iter()
-                .map(|&(s, p, o)| {
-                    let hp = transfer(p, g, &mut h, &mut xfer);
-                    (class_node[s as usize].0, hp.0, class_node[o as usize].0)
-                })
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            h.append_distinct(
-                out.into_iter()
-                    .map(|(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o))),
-            );
-        }
-        DataPlan::Scan if packable => {
-            let keys = emit_packed(
-                g,
-                &mut h,
-                &mut xfer,
-                g.data(),
-                |t| t.p,
-                |t, p| {
-                    let (s, o) = (map(t.s).0 as u64, map(t.o).0 as u64);
-                    (s << (2 * PACK_BITS)) | (p << PACK_BITS) | o
-                },
-            );
-            h.append_distinct(keys.into_iter().map(|k| {
-                Triple::new(
-                    TermId((k >> (2 * PACK_BITS)) as u32),
-                    TermId(((k >> PACK_BITS) & MASK) as u32),
-                    TermId((k & MASK) as u32),
-                )
-            }));
-        }
-        DataPlan::Scan => {
-            for t in g.data() {
-                let s = map(t.s);
-                let p = transfer(t.p, g, &mut h, &mut xfer);
-                let o = map(t.o);
-                h.insert_encoded(Triple::new(s, p, o));
-            }
-        }
-    }
-    // TYP: quotient of type triples; classes keep their URIs.
-    let tau = h.rdf_type();
-    if packable {
-        let keys = emit_packed(
-            g,
-            &mut h,
-            &mut xfer,
-            g.types(),
-            |t| t.o,
-            |t, c| ((map(t.s).0 as u64) << PACK_BITS) | c,
-        );
-        h.append_distinct(keys.into_iter().map(|k| {
-            Triple::new(
-                TermId((k >> PACK_BITS) as u32),
-                tau,
-                TermId((k & MASK) as u32),
-            )
-        }));
+    // well-known properties account for the rest — so while that fits 21
+    // bits a whole H triple packs into a u64, and past it into a u128.
+    let emit = if class_node.len() + g.dict().len() + 8 < 1 << <u64 as PackedTriple>::BITS {
+        emit_data_and_types::<u64>
     } else {
-        for t in g.types() {
-            let s = map(t.s);
-            let c = transfer(t.o, g, &mut h, &mut xfer);
-            h.insert_encoded(Triple::new(s, tau, c));
-        }
-    }
+        emit_data_and_types::<u128>
+    };
+    emit(g, &mut h, &mut xfer, partition, &class_node, data_plan);
 
     Summary::from_quotient(kind, h, partition, &class_node, g.dict().len())
+}
+
+/// DAT and TYP of the quotient: every data and type row of `g`, or the
+/// known data edges of `data_plan`, quotiented to an H triple and packed
+/// into a `K`, then sorted, deduplicated and appended to `h`.
+fn emit_data_and_types<K: PackedTriple>(
+    g: &Graph,
+    h: &mut Graph,
+    xfer: &mut [u32],
+    partition: &Partition,
+    class_node: &[TermId],
+    data_plan: DataPlan<'_>,
+) {
+    // rd: G data node → H node, via the partition's dense class array.
+    let map = |id: TermId| -> TermId {
+        let c = partition
+            .class_of(id)
+            .expect("partition must cover every data node");
+        class_node[c]
+    };
+    let node = |c: u32| class_node[c as usize];
+    let data: Vec<K> = match data_plan {
+        // One known edge per class pair and property: no per-triple work.
+        DataPlan::Edges(edges) => edges
+            .iter()
+            .map(|&(s, p, o)| K::pack(Triple::new(node(s), transfer(p, g, h, xfer), node(o))))
+            .collect(),
+        DataPlan::Scan => g
+            .data()
+            .iter()
+            .map(|t| K::pack(Triple::new(map(t.s), transfer(t.p, g, h, xfer), map(t.o))))
+            .collect(),
+    };
+    append_sorted(h, data);
+    // TYP: classes keep their URIs.
+    let tau = h.rdf_type();
+    let types: Vec<K> = g
+        .types()
+        .iter()
+        .map(|t| K::pack(Triple::new(map(t.s), tau, transfer(t.o, g, h, xfer))))
+        .collect();
+    append_sorted(h, types);
 }
 
 /// How a node finds its class in a [`QuotientMap`]: by the keys its
@@ -395,15 +364,12 @@ pub(crate) struct QuotientMap {
     /// H id → the term id of the class's first member, whose place in the
     /// numbering orders the H nodes ([`NO_DENSE_ID`] for constants).
     first: Vec<u32>,
-    n_classes: usize,
-    /// Whether the build packed its emission (see [`packs`]).
-    packed: bool,
 }
 
 impl QuotientMap {
-    /// The map of `summary`, the quotient by `partition` of a graph of
-    /// `n_g_terms` terms that `substrate` covers; `keys` and `by_set`
-    /// index the partition's classes.
+    /// The map of `summary`, the quotient by `partition` of a graph that
+    /// `substrate` covers; `keys` and `by_set` index the partition's
+    /// classes.
     pub(crate) fn new(
         substrate: &Substrate,
         scope: Option<CliqueScope>,
@@ -411,7 +377,6 @@ impl QuotientMap {
         by_set: Option<Vec<u32>>,
         partition: &Partition,
         summary: &Summary,
-        n_g_terms: usize,
     ) -> Self {
         let node: Vec<u32> = partition
             .classes
@@ -437,8 +402,6 @@ impl QuotientMap {
             by_set: by_set.map(|table| table.into_iter().map(to_node).collect()),
             extent,
             first,
-            n_classes: partition.len(),
-            packed: packs(partition.len(), n_g_terms),
         }
     }
 
@@ -470,8 +433,7 @@ impl QuotientMap {
     ///   class key moves);
     /// * a new node has no class of the partition (for a weak one: its two
     ///   sides name two classes, which it would join);
-    /// * a row is a schema row, or quotients onto a triple `h` lacks;
-    /// * the dictionary outgrew the packed emission the build used.
+    /// * a row is a schema row, or quotients onto a triple `h` lacks.
     ///
     /// New nodes are numbered after the old ones of their part — data
     /// nodes, then typed-only resources — so no class's first member, and
@@ -494,7 +456,6 @@ impl QuotientMap {
         if delta.added_property()
             || delta.gave_first_property()
             || self.scope.is_some_and(|scope| delta.merged(scope))
-            || packs(self.n_classes, g.dict().len()) != self.packed
         {
             return Err(Refusal::Structural);
         }
@@ -762,48 +723,135 @@ mod tests {
         assert!(!verify_quotient(&g, &s));
     }
 
-    /// A dictionary pushed past the 21-bit pack bound routes every
-    /// quotient through the hash-dedup emission organically, and still
-    /// emits the triples the packed path emits for the same graph: the
-    /// generic operator, and the five clique and type kinds of a context,
-    /// on the paper's sample graph and on BSBM (padded after the fact, so
-    /// every term keeps its id).
+    /// `g` with `1 << 21` unused terms appended to its dictionary: every
+    /// term keeps its id, and a quotient of it packs its triples into the
+    /// wide key.
+    fn padded(mut g: Graph) -> Graph {
+        for i in 0..1 << 21 {
+            g.dict_mut().encode(Term::iri(format!("urn:pad:{i}")));
+        }
+        g
+    }
+
+    /// A dictionary pushed past the 21-bit bound of the narrow key changes
+    /// no byte of a quotient: the generic operator, and the five clique
+    /// and type kinds of a context, write exactly the bytes they write
+    /// for the unpadded graph, on the paper's sample graph and on BSBM —
+    /// and H is proved a set by its sort, never by a hash set. (The name
+    /// is the one this check has always run under; there is no fallback.)
     #[test]
     fn id_bound_overflow_takes_hash_fallback() {
-        let canon = |s: &Summary| {
-            let mut v: Vec<String> = rdf_io::write_graph(&s.graph)
-                .lines()
-                .map(String::from)
-                .collect();
-            v.sort();
-            v
-        };
         let by_residue = |g: &Graph| {
             let p = Partition::group_by(&data_nodes_ordered(g), |n| n.0 % 4);
             quotient_summary(g, SummaryKind::Weak, &p, |i, _| {
                 Term::iri(format!("urn:q:{i}"))
             })
         };
+        // The bytes of `wide`, a quotient of `big`, once it is checked to
+        // hold no hash set — which `verify_quotient`'s probes then build.
+        let bytes = |big: &Graph, wide: &Summary, what: &str| {
+            assert!(!wide.graph.has_hash_set(), "{what}");
+            assert!(verify_quotient(big, wide), "{what}");
+            rdf_io::write_graph(&wide.graph)
+        };
         let bsbm =
             rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(12));
         for small in [sample_graph(), bsbm] {
-            let mut big = small.clone();
-            for i in 0..1 << 21 {
-                big.dict_mut().encode(Term::iri(format!("urn:pad:{i}")));
-            }
-            assert!(
-                !packs(0, big.dict().len()),
-                "padding overflows the pack bound"
+            let big = padded(small.clone());
+            let wide = by_residue(&big);
+            let narrow = by_residue(&small);
+            assert!(!narrow.graph.has_hash_set());
+            assert_eq!(
+                rdf_io::write_graph(&narrow.graph),
+                bytes(&big, &wide, "by_residue")
             );
-            let fallback = by_residue(&big);
-            assert!(verify_quotient(&big, &fallback));
-            assert_eq!(canon(&by_residue(&small)), canon(&fallback));
-            let (packed, padded) = (SummaryContext::new(&small), SummaryContext::new(&big));
-            for kind in &SummaryKind::EVERY[..5] {
-                let fallback = padded.summarize(*kind);
-                assert!(verify_quotient(&big, &fallback), "{kind}");
-                assert_eq!(canon(&packed.summarize(*kind)), canon(&fallback), "{kind}");
+            let (narrow, wide) = (SummaryContext::new(&small), SummaryContext::new(&big));
+            for &kind in &SummaryKind::EVERY[..5] {
+                let narrow = narrow.summarize(kind);
+                assert!(!narrow.graph.has_hash_set(), "{kind}");
+                assert_eq!(
+                    rdf_io::write_graph(&narrow.graph),
+                    bytes(&big, &wide.summarize(kind), &kind.to_string()),
+                    "{kind}"
+                );
             }
         }
+    }
+
+    /// A quotient map built below the narrow key's bound carries an
+    /// insert batch absorbed after the dictionary has grown past it: the
+    /// emission does not depend on the dictionary's size, so neither does
+    /// the carry. The batch is a BSBM offer shaped like the benchmark
+    /// writer's, which the four clique kinds carry (T refuses it: the
+    /// offer's literals are untyped, each a class of its own); every kind
+    /// answers as it does on the unpadded graph, and every carried body is
+    /// a cold rebuild's.
+    #[test]
+    fn maps_carry_across_the_id_bound() {
+        use crate::context::Substrate;
+        use rdf_model::vocab::{RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER};
+        use rdf_store::TripleStore;
+        use rdfsum_workloads::bsbm::{BSBM_NS, INST_NS};
+        let v = |local: &str| Term::iri(format!("{BSBM_NS}{local}"));
+        let offer = Term::iri(format!("{INST_NS}Offer10000000"));
+        let batch: Vec<(Term, Term, Term)> = [
+            (Term::iri(RDF_TYPE), v("Offer")),
+            (v("product"), Term::iri(format!("{INST_NS}Product7"))),
+            (v("vendor"), Term::iri(format!("{INST_NS}Vendor0"))),
+            (v("price"), Term::typed_literal("17.05", XSD_DECIMAL)),
+            (v("validFrom"), Term::typed_literal("2015-01-03", XSD_DATE)),
+            (v("validTo"), Term::typed_literal("2015-06-03", XSD_DATE)),
+            (v("deliveryDays"), Term::typed_literal("8", XSD_INTEGER)),
+            (
+                v("offerWebpage"),
+                Term::literal("http://vendor.example.org/o"),
+            ),
+        ]
+        .into_iter()
+        .map(|(p, o)| (offer.clone(), p, o))
+        .collect();
+        let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(12));
+        let carried = |pad: bool| {
+            let kept = Substrate::scan(&g);
+            let built: Vec<_> = SummaryKind::EVERY[..5]
+                .iter()
+                .map(|&kind| {
+                    let (summary, map) = SummaryContext::over(&g, &kept).summarize_mapped(kind);
+                    (
+                        kind,
+                        TripleStore::new(summary.graph),
+                        map.expect("a quotient map"),
+                    )
+                })
+                .collect();
+            let mut kept = kept;
+            let grown = if pad { padded(g.clone()) } else { g.clone() };
+            let mut store = TripleStore::new(grown);
+            let applied = store.insert_batch(&batch).unwrap().applied;
+            let delta = kept.absorb(store.graph()).expect("an offer absorbs");
+            let cold = SummaryContext::new(store.graph());
+            built
+                .iter()
+                .map(|(kind, h, map)| {
+                    let next = map.extend(&kept, &delta, &applied, store.graph(), h);
+                    if let Ok(next) = &next {
+                        let summary = cold.summarize(*kind);
+                        assert_eq!(
+                            rdf_io::write_graph(h.graph()),
+                            rdf_io::write_graph(&summary.graph),
+                            "{kind}"
+                        );
+                        assert_eq!(next.extents(), summary.extent_sizes(), "{kind}");
+                    }
+                    (*kind, next.map(|_| ()))
+                })
+                .collect::<Vec<_>>()
+        };
+        let wide = carried(true);
+        for (kind, carried) in &wide {
+            let clique_kind = *kind != SummaryKind::TypeBased;
+            assert_eq!(carried.is_ok(), clique_kind, "{kind}: {wide:?}");
+        }
+        assert_eq!(wide, carried(false));
     }
 }

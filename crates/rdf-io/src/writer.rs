@@ -8,14 +8,15 @@
 //!
 //! # Appenders
 //!
-//! The writer is a set of appenders onto one `String`: [`push_term`] and
-//! [`push_triple`] write into the caller's buffer and allocate nothing of
-//! their own. Every character that needs an escape is ASCII, so escaping
-//! scans bytes and copies each clean run with one `push_str`; a term with
-//! nothing to escape is a single copy. [`write_graph`] sizes its buffer
-//! before the first triple (one length per dictionary term, summed over the
-//! triples), so a document is one allocation however large;
-//! [`write_term`] / [`write_triple`] / [`save_path`] are thin wrappers.
+//! The writer is a set of appenders onto one `String`: [`push_term`],
+//! [`push_row`] and [`push_triple`] write into the caller's buffer and
+//! allocate nothing of their own. Every character that needs an escape is
+//! ASCII, so escaping scans bytes and copies each clean run with one
+//! `push_str`; a term with nothing to escape is a single copy.
+//! [`write_graph`] sizes its buffer before the first triple (one length per
+//! dictionary term, summed over the triples), so a document is one
+//! allocation however large; [`write_term`] / [`write_triple`] /
+//! [`save_path`] are thin wrappers.
 
 use crate::ntriples::{byte_set, IRI_SPECIAL};
 use rdf_model::{Graph, LiteralKindRef, Term, TermRef, Triple};
@@ -114,6 +115,18 @@ pub fn push_term(out: &mut String, term: TermRef<'_>) {
                 }
             }
         }
+    }
+}
+
+/// Appends one query answer row: its terms in N-Triples syntax,
+/// TAB-separated (no newline). Escaping keeps a literal's TAB, LF and CR
+/// from splitting or ending the row.
+pub fn push_row<'a>(out: &mut String, terms: impl IntoIterator<Item = TermRef<'a>>) {
+    for (i, term) in terms.into_iter().enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        push_term(out, term);
     }
 }
 

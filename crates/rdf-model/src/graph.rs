@@ -22,9 +22,8 @@
 //!   structure: the first [`Graph::insert`] / [`Graph::insert_ref`] /
 //!   [`Graph::insert_encoded`] or [`Graph::contains`] on a graph that lacks
 //!   it builds it from the tables, and every later operation keeps it in
-//!   step. The CLI's
-//!   `saturate`, the generators, the hash-dedup quotient emission and the
-//!   test suites build and edit graphs this way.
+//!   step. The CLI's `saturate`, the generators and the test suites build
+//!   and edit graphs this way.
 //! * **A sort**. Rows that come in bulk — a parsed file, a decoded snapshot
 //!   — are appended to an [`UnprovedRows`] without a probe, and the SPO
 //!   counting sort ([`crate::sorted_dedup`]) that drops repeats proves them

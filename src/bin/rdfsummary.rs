@@ -362,8 +362,7 @@ fn cmd_query(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Fai
         for q in &union {
             let cq = compile(q, store.graph()).map_err(|e| format!("compile: {e}"))?;
             for row in ev.select(&cq).decode(&store) {
-                let cells: Vec<String> = row.iter().map(|t| t.to_string()).collect();
-                seen.insert(cells.join("\t"));
+                seen.insert(render_row(&row));
             }
         }
         if seen.is_empty() {
@@ -391,11 +390,17 @@ fn cmd_query(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Fai
     }
     writeln!(stdout, "{}", rs.columns.join("\t"))?;
     for row in rs.decode(&store) {
-        let cells: Vec<String> = row.iter().map(|t| t.to_string()).collect();
-        writeln!(stdout, "{}", cells.join("\t"))?;
+        writeln!(stdout, "{}", render_row(&row))?;
     }
     writeln!(stdout, "({} answers, limit {limit})", rs.len())?;
     Ok(())
+}
+
+/// One answer row as the served `QUERY` body renders it.
+fn render_row(row: &[TermRef<'_>]) -> String {
+    let mut line = String::new();
+    rdfsummary::rdf_io::writer::push_row(&mut line, row.iter().copied());
+    line
 }
 
 fn cmd_generate(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {

@@ -245,11 +245,12 @@
 //! a header line of the TAB-joined column names, then one line per
 //! distinct answer row; for an ASK (`q() :- …`), the single line `true`
 //! or `false`. A row's cells are TAB-separated terms in N-Triples
-//! syntax, escaped by the one N-Triples writer
-//! ([`rdf_io::writer::push_term`]): a literal's TAB, LF, CR, `"` and `\`
-//! arrive as `\t \n \r \" \\`, so the body always splits into `rows=` + 1
-//! lines of as many cells as columns, and each cell parses back with
-//! [`rdf_io`] to the stored term. Rows come in **join order** — the
+//! syntax, rendered by the one N-Triples writer
+//! ([`rdf_io::writer::push_row`], as the CLI's `query` rows are): a
+//! literal's TAB, LF, CR, `"` and `\` arrive as `\t \n \r \" \\`, so the
+//! body always splits into `rows=` + 1 lines of as many cells as
+//! columns, and each cell parses back with [`rdf_io`] to the stored
+//! term. Rows come in **join order** — the
 //! static plan's pattern order, each pattern's matches in index order —
 //! which is deterministic for a given content and summary kind but is
 //! not a sort. At most 10 000 rows are sent: `truncated=1` says an

@@ -281,3 +281,53 @@ fn serve_rejects_unknown_arguments() {
         assert!(stderr.contains(named), "{stderr}");
     }
 }
+
+/// A literal holding TAB, `"` and `\` renders in a CLI `query` row as the
+/// served `QUERY` renders it — escaped N-Triples, so the TAB never splits
+/// the row into an extra cell — with and without `--reformulate`.
+#[test]
+fn query_rows_render_as_served_query() {
+    use std::io::BufRead;
+    let dir = workdir();
+    let path = dir.join("escaped.nt");
+    std::fs::write(
+        &path,
+        "<http://x/a> <http://x/label> \"tab\\there \\\"q\\\" back\\\\slash\" .\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    let query = "q(?x, ?y) :- ?x <http://x/label> ?y";
+    let expected = "<http://x/a>\t\"tab\\there \\\"q\\\" back\\\\slash\"";
+
+    let mut serve = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first_line = String::new();
+    std::io::BufReader::new(serve.stdout.as_mut().unwrap())
+        .read_line(&mut first_line)
+        .unwrap();
+    let addr = first_line.split_whitespace().nth(2).unwrap().to_string();
+    let client = |args: &[&str]| bin().arg("client").arg(&addr).args(args).output().unwrap();
+    assert!(client(&["LOAD", path]).status.success());
+    let served = client(&["QUERY", path, query]);
+    serve.kill().unwrap();
+    serve.wait().unwrap();
+    assert!(served.status.success());
+    let served = String::from_utf8(served.stdout).unwrap();
+    assert_eq!(served, format!("x\ty\n{expected}\n"));
+
+    for extra in [&[][..], &["--reformulate"][..]] {
+        let out = bin()
+            .args(["query", path, query])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let row = text.lines().nth(1).unwrap();
+        assert_eq!(row, expected, "{extra:?}: {text}");
+        assert_eq!(Some(row), served.lines().nth(1), "{extra:?}");
+    }
+}
