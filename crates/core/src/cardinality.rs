@@ -344,6 +344,43 @@ mod tests {
         assert_eq!(rs.len(), ev.select(&q).len());
     }
 
+    /// A join pulls a pattern ahead of a smaller unrelated one: after
+    /// `seed` binds ?y, `fan` costs ~1 per binding (50 triples over the 50
+    /// subjects its summary node represents) even though its raw count
+    /// (50) exceeds `other`'s (10).
+    #[test]
+    fn bound_slots_shrink_estimates() {
+        let mut g = Graph::new();
+        g.add_iri_triple("hub", "seed", "y0");
+        for i in 0..50 {
+            g.add_iri_triple(&format!("y{i}"), "fan", &format!("z{i}"));
+        }
+        for i in 0..10 {
+            g.add_iri_triple(&format!("u{i}"), "other", &format!("w{i}"));
+        }
+        let summary = builder::summarize(&g, SummaryKind::Weak);
+        let store = TripleStore::new(g);
+        let card = SummaryCardinality::new(&store, &summary);
+        let spec = QuerySpec::new(
+            ["z"],
+            [
+                (v("x"), iri("seed"), v("y")),
+                (v("y"), iri("fan"), v("z")),
+                (v("u"), iri("other"), v("w")),
+            ],
+        );
+        let q = compile(&spec, store.graph()).unwrap();
+        let plan = explain_with(&q, &SummaryEstimator::new(&store, &card));
+        assert_eq!(
+            plan.order(),
+            [0, 1, 2],
+            "bound ?y pulls `fan` before `other`"
+        );
+        assert_eq!(plan.steps[1].estimated_matches, 1);
+        assert_eq!(plan.steps[2].estimated_matches, 10);
+        assert!(!plan.provably_empty);
+    }
+
     #[test]
     fn zero_estimates_only_for_true_emptiness() {
         let g = library();

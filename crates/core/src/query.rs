@@ -6,7 +6,7 @@ use crate::service::{bump, ServiceError, SummaryService};
 use crate::summary::SummaryKind;
 use rdf_io::writer::push_row;
 use rdf_model::PrefixMap;
-use rdf_query::{explain_with, parse_query, ControlFlow, Evaluator};
+use rdf_query::{explain_with, parse_query, ControlFlow, Evaluator, Plan};
 
 /// Outcome of [`SummaryService::query`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,6 +32,9 @@ pub struct QueryOutcome {
     pub kind: SummaryKind,
     /// True when the row limit cut off the enumeration.
     pub truncated: bool,
+    /// The join plan the graph was evaluated in, its estimates read off
+    /// the `kind` summary; `None` when the query was pruned.
+    pub plan: Option<Plan>,
 }
 
 impl QueryOutcome {
@@ -96,6 +99,7 @@ impl SummaryService {
             cache_hit: true,
             kind,
             truncated: false,
+            plan: None,
         };
         // Consult the prune-verdict memo before the summary cache: a
         // known-empty shape answers without materializing any artifact.
@@ -126,7 +130,9 @@ impl SummaryService {
             return Ok(out);
         }
         let estimator = SummaryEstimator::new(store, &artifact.cardinality);
-        let order = explain_with(&q, &estimator).order();
+        let plan = explain_with(&q, &estimator);
+        let order = plan.order();
+        out.plan = Some(plan);
         let ev = Evaluator::new(store);
         if spec.is_boolean() {
             out.ask = ev.ask_ordered(&q, &order);

@@ -13,7 +13,8 @@
 //! The same `QuerySpec` can be compiled against a graph and against its
 //! summary — exactly what the representativeness experiments need.
 
-use rdf_model::{FxHashMap, Graph, Term, TermId};
+use rdf_io::writer::escape_literal;
+use rdf_model::{FxHashMap, Graph, LiteralKindRef, Term, TermId, TermRef};
 use std::fmt;
 
 /// A term position in a surface triple pattern: a named variable or a
@@ -44,10 +45,22 @@ impl SpecTerm {
 }
 
 impl fmt::Display for SpecTerm {
+    /// Writes the term in the query syntax [`crate::parse_query`] reads
+    /// back: a literal's lexical form escaped as N-Triples escapes it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecTerm::Var(v) => write!(f, "?{v}"),
-            SpecTerm::Const(t) => write!(f, "{t}"),
+            SpecTerm::Const(t) => match t.as_term_ref() {
+                TermRef::Literal { lexical, kind } => {
+                    write!(f, "\"{}\"", escape_literal(lexical))?;
+                    match kind {
+                        LiteralKindRef::Simple => Ok(()),
+                        LiteralKindRef::Lang(tag) => write!(f, "@{tag}"),
+                        LiteralKindRef::Typed(dt) => write!(f, "^^<{dt}>"),
+                    }
+                }
+                other => write!(f, "{other}"),
+            },
         }
     }
 }

@@ -11,9 +11,12 @@
 //! * RBGP validation ([`validate_rbgp`], Definition 3) — the fragment for
 //!   which summaries are representative and accurate;
 //! * a paper-notation query [`parser`];
-//! * static [`plan`]s with pluggable cardinality estimation
-//!   ([`JoinEstimator`]) whose order can drive the evaluator
-//!   ([`Evaluator::ask_ordered`]);
+//! * static [`plan`]s ([`explain_with`]) over a caller's cardinality
+//!   estimator ([`JoinEstimator`]; `rdfsum-core`'s summary-derived one is
+//!   what the served `QUERY` and the CLI `query` plan with), whose order
+//!   drives the evaluator ([`Evaluator::for_each_row`],
+//!   [`Evaluator::ask_ordered`]); the evaluator's own dynamic order stays
+//!   as the oracle the planned order is checked against;
 //! * summary-based emptiness pruning ([`empty_on_summary`]): empty on the
 //!   summary ⇒ empty on the graph, sound for every quotient kind;
 //! * a [`workload`] sampler producing RBGP queries guaranteed non-empty on
@@ -37,7 +40,7 @@ pub use bgp::{
 };
 pub use eval::{ControlFlow, Evaluator, ResultSet, Row};
 pub use parser::{parse_query, QueryParseError};
-pub use plan::{explain, explain_with, JoinEstimator, Plan, PlanStep, StoreEstimator};
+pub use plan::{explain_with, JoinEstimator, Plan, PlanStep};
 pub use prune::{empty_on_summary, prune_shape_key, relax_for_summary};
 pub use rbgp::{is_rbgp, validate_rbgp, RbgpViolation};
 pub use reformulate::{ask_via_reformulation, reformulate, ReformulateConfig, ReformulateError};

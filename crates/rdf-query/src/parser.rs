@@ -10,7 +10,9 @@
 //!   or as a bare word (taken as the IRI verbatim — convenient in tests);
 //! * `a` in the property position abbreviates `rdf:type` (SPARQL style,
 //!   standing in for the paper's τ);
-//! * literals use N-Triples syntax (`"v"`, `"v"@en`, `"v"^^<dt>`);
+//! * literals use N-Triples syntax (`"v"`, `"v"@en`, `"v"^^<dt>`), with
+//!   the escapes N-Triples output writes (`\t \b \n \r \f \" \\`), so a
+//!   literal cell of a served answer row pastes back into a query;
 //! * triple patterns are separated by commas; the head lists distinguished
 //!   variables (empty head = boolean query).
 
@@ -131,7 +133,10 @@ impl<'a> P<'a> {
                     self.pos += 1;
                     match self.peek() {
                         Some('n') => lex.push('\n'),
+                        Some('r') => lex.push('\r'),
                         Some('t') => lex.push('\t'),
+                        Some('b') => lex.push('\u{8}'),
+                        Some('f') => lex.push('\u{c}'),
                         Some('"') => lex.push('"'),
                         Some('\\') => lex.push('\\'),
                         Some(c) => return Err(self.err(format!("bad escape `\\{c}`"))),
@@ -269,6 +274,7 @@ pub fn parse_query(input: &str, prefixes: &PrefixMap) -> Result<QuerySpec, Query
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(s: &str) -> QuerySpec {
         parse_query(s, &PrefixMap::with_defaults()).unwrap()
@@ -356,11 +362,36 @@ mod tests {
         assert!(e.is_err());
     }
 
-    #[test]
-    fn display_then_reparse() {
-        let q = parse("q(?x) :- ?x <http://x/p> ?y, ?x a <http://x/Book>");
-        let printed = q.to_string();
-        let q2 = parse(&printed);
-        assert_eq!(q, q2);
+    /// A literal's text: every character N-Triples output escapes, the
+    /// query's own punctuation and multi-byte characters.
+    const LEXICAL: &str = "[a-c \t\u{8}\n\r\u{c}\"\\\\<>,?@^:é日😀-]{0,12}";
+
+    proptest! {
+        /// `parse_query(spec.to_string()) == spec`: on a fixed query, and
+        /// on generated literals — plain, language-tagged and typed — in
+        /// subject and object position.
+        #[test]
+        fn display_then_reparse(
+            lexical in proptest::string::string_regex(LEXICAL).unwrap(),
+            tag in "[a-z]{1,3}-[a-z0-9]{1,4}",
+            datatype in "[a-z:/#.é]{1,8}",
+            kind in 0u8..3,
+        ) {
+            let q = parse("q(?x) :- ?x <http://x/p> ?y, ?x a <http://x/Book>");
+            prop_assert_eq!(parse(&q.to_string()), q);
+            let literal = SpecTerm::Const(match kind {
+                0 => Term::literal(lexical),
+                1 => Term::lang_literal(lexical, tag),
+                _ => Term::typed_literal(lexical, datatype),
+            });
+            let spec = QuerySpec::new(
+                ["x"],
+                [
+                    (SpecTerm::var("x"), SpecTerm::iri("http://x/p"), literal.clone()),
+                    (literal, SpecTerm::iri(vocab::RDF_TYPE), SpecTerm::var("x")),
+                ],
+            );
+            prop_assert_eq!(parse(&spec.to_string()), spec);
+        }
     }
 }

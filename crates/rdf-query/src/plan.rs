@@ -1,20 +1,17 @@
-//! Query plans and `EXPLAIN` output.
+//! Static query plans.
 //!
-//! The evaluator orders patterns greedily by exact match counts under the
-//! current partial binding. [`explain`] runs the same selection *statically*
-//! and reports the chosen order with per-step cardinality estimates — the
-//! tool for understanding why a query is fast or slow, and for tests that
-//! pin the planner's behavior. The estimates come from a pluggable
-//! [`JoinEstimator`]: the default [`StoreEstimator`] divides exact counts
-//! by the number of distinct values the already-bound slots take (so a
-//! step whose variables were bound earlier is no longer charged its full
-//! unbound count), and `rdfsum-core` provides a summary-derived estimator
-//! in the spirit of Stefanoni et al. that reads the same statistics off
-//! the (tiny) summary instead of scanning the graph.
+//! The evaluator's own dynamic order picks patterns greedily by exact
+//! match counts under the current partial binding. [`explain_with`] runs a
+//! greedy selection *statically*, before any binding exists, and reports
+//! the chosen order with per-step cardinality estimates; its
+//! [`Plan::order`] drives [`crate::Evaluator::for_each_row`] and
+//! [`crate::Evaluator::ask_ordered`]. The estimates come from a
+//! [`JoinEstimator`]. The one in the tree is `rdfsum-core`'s
+//! `SummaryEstimator`, which in the spirit of Stefanoni et al. reads the
+//! per-binding divisors off the (tiny) summary: it is what the served
+//! `QUERY` plans with, and what the CLI's `query --explain` prints.
 
-use crate::bgp::{Atom, CompiledPattern, CompiledQuery};
-use rdf_model::TermId;
-use rdf_store::{TriplePattern, TripleStore};
+use crate::bgp::{CompiledPattern, CompiledQuery};
 use std::fmt;
 
 /// One step of a query plan.
@@ -23,9 +20,8 @@ pub struct PlanStep {
     /// Index of the body pattern chosen at this step.
     pub pattern_index: usize,
     /// Estimated matches *per binding* of the variables bound by earlier
-    /// steps: the count of the pattern's constant-only form divided by the
-    /// number of distinct values its bound slots take (uniformity
-    /// assumption). With no bound slots this is the exact unbound count.
+    /// steps, as the [`JoinEstimator`] reports it (0 only for a pattern
+    /// that provably matches nothing).
     pub estimated_matches: usize,
     /// Variables newly bound by this step.
     pub binds: Vec<String>,
@@ -89,60 +85,9 @@ pub trait JoinEstimator {
     fn estimate(&self, p: &CompiledPattern, bound: &[bool]) -> Option<usize>;
 }
 
-/// The default estimator: exact counts from the data store itself.
-///
-/// The base figure is the exact count of the pattern's constant-only form
-/// ([`TripleStore::count`], two binary searches). When some slots hold
-/// variables bound by earlier steps, the matches are scanned once and the
-/// count is divided by the number of distinct values those slots take —
-/// the per-binding expectation under a uniformity assumption, and never 0
-/// when the unbound form matches at all (so `provably_empty` stays sound).
-pub struct StoreEstimator<'a> {
-    store: &'a TripleStore,
-}
-
-impl<'a> StoreEstimator<'a> {
-    /// Creates an estimator over `store`.
-    pub fn new(store: &'a TripleStore) -> Self {
-        StoreEstimator { store }
-    }
-}
-
-impl JoinEstimator for StoreEstimator<'_> {
-    fn estimate(&self, p: &CompiledPattern, bound: &[bool]) -> Option<usize> {
-        let slot = |a: Atom| match a {
-            Atom::Const(None) => None, // unmatchable
-            Atom::Const(Some(c)) => Some(Some(c)),
-            Atom::Var(_) => Some(None),
-        };
-        let tp = TriplePattern::new(slot(p.s)?, slot(p.p)?, slot(p.o)?);
-        let total = self.store.count(tp);
-        let is_bound = |a: Atom| matches!(a, Atom::Var(v) if bound[v]);
-        let (bs, bp, bo) = (is_bound(p.s), is_bound(p.p), is_bound(p.o));
-        if total == 0 || !(bs || bp || bo) {
-            return Some(total);
-        }
-        let mut keys: Vec<(Option<TermId>, Option<TermId>, Option<TermId>)> = self
-            .store
-            .scan(tp)
-            .iter()
-            .map(|t| (bs.then_some(t.s), bp.then_some(t.p), bo.then_some(t.o)))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        // keys is non-empty because total > 0, and the result is ≥ 1.
-        Some(total.div_ceil(keys.len()))
-    }
-}
-
-/// Produces the static greedy plan the evaluator would start from, using
-/// the default [`StoreEstimator`].
-pub fn explain(store: &TripleStore, q: &CompiledQuery) -> Plan {
-    explain_with(q, &StoreEstimator::new(store))
-}
-
-/// Like [`explain`] with a caller-chosen [`JoinEstimator`] (e.g. a
-/// summary-derived one).
+/// Produces the static greedy plan: at each step the unused pattern with
+/// the lowest per-binding estimate from `estimator` (ties: more bound
+/// variables, then the lowest index).
 pub fn explain_with(q: &CompiledQuery, estimator: &dyn JoinEstimator) -> Plan {
     let n = q.body.len();
     let mut used = vec![false; n];
@@ -192,8 +137,32 @@ pub fn explain_with(q: &CompiledQuery, estimator: &dyn JoinEstimator) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp::{compile, QuerySpec, SpecTerm};
+    use crate::bgp::{compile, Atom, QuerySpec, SpecTerm};
     use rdf_model::Graph;
+    use rdf_store::{TriplePattern, TripleStore};
+
+    /// A test estimator, so only the planner's own logic is under test:
+    /// the exact count of the pattern's constant-only form, and at most 1
+    /// per binding once any of its variables is bound (every join taken
+    /// as a key lookup).
+    struct Lookups<'a>(&'a TripleStore);
+
+    impl JoinEstimator for Lookups<'_> {
+        fn estimate(&self, p: &CompiledPattern, bound: &[bool]) -> Option<usize> {
+            let slot = |a: Atom| match a {
+                Atom::Const(c) => c.map(Some),
+                Atom::Var(_) => Some(None),
+            };
+            let total = self
+                .0
+                .count(TriplePattern::new(slot(p.s)?, slot(p.p)?, slot(p.o)?));
+            Some(if p.vars().any(|v| bound[v]) {
+                total.min(1)
+            } else {
+                total
+            })
+        }
+    }
 
     fn store() -> TripleStore {
         let mut g = Graph::new();
@@ -209,6 +178,12 @@ mod tests {
         SpecTerm::var(n)
     }
 
+    fn plan(st: &TripleStore, spec: &QuerySpec) -> (CompiledQuery, Plan) {
+        let q = compile(spec, st.graph()).unwrap();
+        let plan = explain_with(&q, &Lookups(st));
+        (q, plan)
+    }
+
     #[test]
     fn selective_pattern_goes_first() {
         let st = store();
@@ -219,62 +194,14 @@ mod tests {
                 (v("a"), SpecTerm::iri("rare"), v("c")),
             ],
         );
-        let q = compile(&spec, st.graph()).unwrap();
-        let plan = explain(&st, &q);
+        let (_, plan) = plan(&st, &spec);
         assert_eq!(plan.steps[0].pattern_index, 1, "rare first");
         assert_eq!(plan.steps[0].estimated_matches, 1);
-        // Step 2 joins on the now-bound ?a: 100 triples over 100 distinct
-        // subjects → 1 expected match per binding (not the raw 100).
+        // Step 2 joins on the now-bound ?a: it is charged the estimator's
+        // per-binding figure, not the raw 100.
         assert_eq!(plan.steps[1].estimated_matches, 1);
         assert!(!plan.provably_empty);
         assert!(plan.steps[0].binds.contains(&"a".to_string()));
-    }
-
-    #[test]
-    fn bound_slots_shrink_estimates() {
-        // A case where the old unbound-form estimate ordered the joins
-        // differently from the evaluator's runtime greedy choice: after
-        // `seed` binds ?y, `fan` costs ~1 per binding even though its raw
-        // count (50) exceeds `other`'s (10).
-        let mut g = Graph::new();
-        g.add_iri_triple("hub", "seed", "y0");
-        for i in 0..50 {
-            g.add_iri_triple(&format!("y{i}"), "fan", &format!("z{i}"));
-        }
-        for i in 0..10 {
-            g.add_iri_triple(&format!("u{i}"), "other", &format!("w{i}"));
-        }
-        let st = TripleStore::new(g);
-        let spec = QuerySpec::new(
-            ["z"],
-            [
-                (v("x"), SpecTerm::iri("seed"), v("y")),
-                (v("y"), SpecTerm::iri("fan"), v("z")),
-                (v("u"), SpecTerm::iri("other"), v("w")),
-            ],
-        );
-        let q = compile(&spec, st.graph()).unwrap();
-        let plan = explain(&st, &q);
-        let order: Vec<usize> = plan.order();
-        assert_eq!(order, vec![0, 1, 2], "bound ?y pulls `fan` before `other`");
-        assert_eq!(plan.steps[1].estimated_matches, 1);
-        assert_eq!(plan.steps[2].estimated_matches, 10);
-        assert!(!plan.provably_empty);
-    }
-
-    #[test]
-    fn bound_estimate_never_zero_when_matches_exist() {
-        let st = store();
-        let est = StoreEstimator::new(&st);
-        let spec = QuerySpec::new(
-            Vec::<String>::new(),
-            [(v("a"), SpecTerm::iri("common"), v("b"))],
-        );
-        let q = compile(&spec, st.graph()).unwrap();
-        // Both variables bound: the divisor equals the match count, and
-        // the estimate floors at 1 — zero is reserved for true emptiness.
-        let bound = vec![true; q.n_vars()];
-        assert_eq!(est.estimate(&q.body[0], &bound), Some(1));
     }
 
     #[test]
@@ -287,8 +214,7 @@ mod tests {
                 (v("a"), SpecTerm::iri("rare"), v("c")),
             ],
         );
-        let q = compile(&spec, st.graph()).unwrap();
-        let plan = explain(&st, &q);
+        let (q, plan) = plan(&st, &spec);
         let ev = crate::Evaluator::new(&st);
         let fixed = ev.select_limit_ordered(&q, &plan.order(), usize::MAX);
         let dynamic = ev.select(&q);
@@ -306,17 +232,14 @@ mod tests {
             Vec::<String>::new(),
             [(v("a"), SpecTerm::iri("nonexistent"), v("b"))],
         );
-        let q = compile(&spec, st.graph()).unwrap();
-        let plan = explain(&st, &q);
-        assert!(plan.provably_empty);
+        assert!(plan(&st, &spec).1.provably_empty);
     }
 
     #[test]
     fn display_is_readable() {
         let st = store();
         let spec = QuerySpec::new(["a"], [(v("a"), SpecTerm::iri("rare"), v("b"))]);
-        let q = compile(&spec, st.graph()).unwrap();
-        let text = explain(&st, &q).to_string();
+        let text = plan(&st, &spec).1.to_string();
         assert!(text.contains("PLAN:"));
         assert!(text.contains("pattern #0"));
     }
@@ -332,9 +255,7 @@ mod tests {
                 (v("c"), SpecTerm::iri("rare"), v("d")),
             ],
         );
-        let q = compile(&spec, st.graph()).unwrap();
-        let plan = explain(&st, &q);
-        let mut idxs: Vec<usize> = plan.steps.iter().map(|s| s.pattern_index).collect();
+        let mut idxs = plan(&st, &spec).1.order();
         idxs.sort_unstable();
         assert_eq!(idxs, vec![0, 1, 2]);
     }

@@ -8,7 +8,8 @@
 //! on two kinds of input — strings of arbitrary characters; and valid
 //! queries (prefixed names, `a`, lang and typed literals, escapes) cut
 //! short and spliced with unterminated `<` or `"`, multi-byte
-//! characters, `\r`, tabs and query punctuation.
+//! characters, `\r`, tabs and query punctuation. Every query accepted
+//! also displays as text that parses back to itself.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -89,23 +90,35 @@ fn graph() -> Graph {
     g
 }
 
-/// Parses and compiles `text` without panicking.
+/// Parses and compiles `text` without panicking; a query it accepts
+/// displays as text that parses back to the same query.
 fn check(text: &str, g: &Graph) -> Result<(), proptest::TestCaseError> {
+    let prefixes = PrefixMap::with_defaults();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        parse_query(text, &PrefixMap::with_defaults()).map(|spec| compile(&spec, g).is_ok())
+        parse_query(text, &prefixes).map(|spec| (compile(&spec, g).is_ok(), spec))
     }));
     prop_assert!(outcome.is_ok(), "panicked on {:?}", text);
+    if let Ok(Ok((_, spec))) = outcome {
+        prop_assert_eq!(parse_query(&spec.to_string(), &prefixes), Ok(spec));
+    }
     Ok(())
 }
 
 /// The unmutated queries are valid: each parses and compiles, so the
-/// mutated ones sit one edit or a few away from valid input.
+/// mutated ones sit one edit or a few away from valid input; and each
+/// displays as text that parses back to itself.
 #[test]
 fn seed_queries_parse_and_compile() {
     let g = graph();
+    let prefixes = PrefixMap::with_defaults();
     for text in QUERIES {
-        let spec = parse_query(text, &PrefixMap::with_defaults()).expect(text);
+        let spec = parse_query(text, &prefixes).expect(text);
         compile(&spec, &g).expect(text);
+        assert_eq!(
+            parse_query(&spec.to_string(), &prefixes),
+            Ok(spec),
+            "{text}"
+        );
     }
 }
 

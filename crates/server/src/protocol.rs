@@ -111,10 +111,11 @@
 //! or, for a boolean (ASK) query, the single line `true` or `false`. A
 //! cell is a term in N-Triples syntax as the N-Triples writer escapes it
 //! (`rdf_io::writer::push_term` — the same rendering `SUMMARIZE` bodies
-//! use): TAB, LF, CR, `"` and `\` inside a literal arrive as `\t`, `\n`,
-//! `\r`, `\"`, `\\`, so no cell holds a raw TAB or LF. The body
-//! therefore has exactly `rows + 1` lines of as many cells as the
-//! header, and a cell parses back to the stored term with `rdf_io`.
+//! use): TAB, BS, LF, CR, FF, `"` and `\` inside a literal arrive as
+//! `\t`, `\b`, `\n`, `\r`, `\f`, `\"`, `\\`, so no cell holds a raw TAB or
+//! LF. The body therefore has exactly `rows + 1` lines of as many cells
+//! as the header, a cell parses back to the stored term with `rdf_io`,
+//! and a literal cell pastes back into a `QUERY` as the same literal.
 //! Rows are in join order (the plan's pattern order, each pattern's
 //! matches in index order): deterministic for a given content and
 //! summary kind, not sorted; a truncated answer holds the first

@@ -1,11 +1,11 @@
 //! `rdfsummary` — command-line interface to the summarization library.
 //!
 //! ```text
-//! rdfsummary stats      <graph>
+//! rdfsummary stats      <graph> [--profile]
 //! rdfsummary summarize  <graph> [--kind w|s|tw|ts|t|fb] [--all] [--out FILE] [--dot FILE] [--report]
 //! rdfsummary saturate   <graph> [--out FILE]
 //! rdfsummary check      <graph>
-//! rdfsummary query      <graph> QUERY [--saturate] [--limit N]
+//! rdfsummary query      <graph> QUERY [--saturate] [--limit N] [--explain] [--reformulate]
 //! rdfsummary generate   bsbm|lubm --scale N [--out FILE]
 //! rdfsummary snapshot   <graph.nt> --out FILE.snap
 //! rdfsummary serve      [--addr HOST:PORT] [--threads N] [--workers N]
@@ -71,8 +71,9 @@ USAGE:
                          [--all]  build W+S+TW+TS via one shared context
   rdfsummary saturate   <graph> [--out FILE]            compute G∞
   rdfsummary check      <graph>                         verify formal properties
-  rdfsummary query      <graph> QUERY [--saturate]      evaluate a BGP query
-                         [--reformulate] [--limit N] [--explain]
+  rdfsummary query      <graph> QUERY [--saturate]      answer a BGP query as
+                         [--limit N] [--explain]         a served QUERY does
+                         [--reformulate]  instead: union of its rewritings
   rdfsummary generate   bsbm|lubm --scale N [--out FILE] synthesize a dataset
   rdfsummary snapshot   <graph> --out FILE.snap         binary snapshot
   rdfsummary serve      [--addr HOST:PORT] [--threads N] [--workers N]
@@ -93,7 +94,8 @@ USAGE:
                          QUIT); body goes to stdout, status to stderr.
                          QUERY evaluates a BGP on the warm store with
                          summary-based emptiness pruning; UPDATE applies
-                         an N-Triples batch and rebuilds warm summaries
+                         an N-Triples batch and patches the warm summaries
+                         it can carry (rebuilding the rest)
 
 <graph> is an N-Triples file (.nt) or a binary snapshot (.snap).
 QUERY uses the paper notation, e.g. \"q(?x) :- ?x a <http://…/Book>, ?x <http://…/author> ?y\""
@@ -328,24 +330,47 @@ fn cmd_check(path: &str, stdout: &mut Stdout) -> Result<(), Failure> {
     Ok(())
 }
 
+/// `query`: the served `QUERY`, in process. The graph is loaded into a
+/// one-graph [`rdfsum_core::SummaryService`], so the query is pruned by and
+/// planned on its summary as `serve` answers it, and the body printed is
+/// the served body. `--reformulate` instead prints the union of the
+/// query's reformulations over the explicit triples (the G∞ oracle).
 fn cmd_query(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {
-    let query_text = rest
-        .iter()
-        .find(|a| !a.starts_with("--") && a.contains(":-"))
-        .ok_or("missing query (expected `q(?x) :- …`)")?;
-    let limit: usize = flag_value(rest, "--limit")
-        .map(|v| v.parse().map_err(|_| "bad --limit"))
-        .transpose()?
-        .unwrap_or(20);
+    // `--limit` takes a value and the other flags stand alone; the one
+    // argument that is no flag is the query text. Anything else would be
+    // dropped without a word, so it is refused by name.
+    let (mut query_text, mut limit) = (None, 20);
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--saturate" | "--reformulate" | "--explain" => {}
+            "--limit" => {
+                let v = args.next().ok_or("query: missing value for `--limit`")?;
+                limit = v.parse().map_err(|_| "bad --limit")?;
+            }
+            flag if flag.starts_with("--") => {
+                return Err(format!("query: unknown argument `{flag}`").into());
+            }
+            text if query_text.is_none() => query_text = Some(text),
+            extra => return Err(format!("query: unexpected argument `{extra}`").into()),
+        }
+    }
+    let query_text = query_text.ok_or("missing query (expected `q(?x) :- …`)")?;
+    let reformulated = has_flag(rest, "--reformulate");
+    // The union is printed whole and unplanned: refuse what it would drop.
+    let mut dropped = ["--limit", "--explain"].into_iter();
+    if let Some(flag) = dropped.find(|f| reformulated && has_flag(rest, f)) {
+        return Err(format!("query --reformulate cannot be combined with {flag}").into());
+    }
     let mut g = load(path)?;
     if has_flag(rest, "--saturate") {
         g = saturate(&g);
     }
-    let spec = parse_query(query_text, &PrefixMap::with_defaults())
-        .map_err(|e| format!("query syntax: {e}"))?;
-    let store = TripleStore::new(g);
-    if has_flag(rest, "--reformulate") {
+    if reformulated {
         // Complete answers over the explicit triples, via query rewriting.
+        let spec = parse_query(query_text, &PrefixMap::with_defaults())
+            .map_err(|e| format!("query syntax: {e}"))?;
+        let store = TripleStore::new(g);
         let union = rdfsummary::rdf_query::reformulate(
             &spec,
             store.graph(),
@@ -362,7 +387,9 @@ fn cmd_query(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Fai
         for q in &union {
             let cq = compile(q, store.graph()).map_err(|e| format!("compile: {e}"))?;
             for row in ev.select(&cq).decode(&store) {
-                seen.insert(render_row(&row));
+                let mut line = String::new();
+                rdfsummary::rdf_io::writer::push_row(&mut line, row.iter().copied());
+                seen.insert(line);
             }
         }
         if seen.is_empty() {
@@ -375,32 +402,30 @@ fn cmd_query(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(), Fai
         }
         return Ok(());
     }
-    let compiled = compile(&spec, store.graph()).map_err(|e| format!("compile: {e}"))?;
+    let service = rdfsum_core::SummaryService::new(1);
+    service.load_graph(path, g);
+    let out = service
+        .query(path, query_text, None, limit)
+        .map_err(|e| e.to_string())?;
     if has_flag(rest, "--explain") {
+        let plan = out.plan.as_ref().map_or_else(
+            || "yes (empty on the summary, so empty on the graph; no plan)\n".into(),
+            |plan| format!("no\n{plan}"),
+        );
         write!(
             stdout,
-            "{}",
-            rdfsummary::rdf_query::explain(&store, &compiled)
+            "consulted summary: {}\npruned: {plan}",
+            out.kind.notation()
         )?;
     }
-    let rs = Evaluator::new(&store).select_limit(&compiled, limit);
-    if rs.is_empty() {
-        writeln!(stdout, "no answers")?;
-        return Ok(());
+    stdout.write_all(out.body.as_bytes())?;
+    // An ASK query (no columns) answers `true` or `false`, no trailer.
+    match (out.columns.is_empty(), out.row_count) {
+        (true, _) => {}
+        (false, 0) if !out.truncated => writeln!(stdout, "no answers")?,
+        (false, n) => writeln!(stdout, "({n} answers, limit {limit})")?,
     }
-    writeln!(stdout, "{}", rs.columns.join("\t"))?;
-    for row in rs.decode(&store) {
-        writeln!(stdout, "{}", render_row(&row))?;
-    }
-    writeln!(stdout, "({} answers, limit {limit})", rs.len())?;
     Ok(())
-}
-
-/// One answer row as the served `QUERY` body renders it.
-fn render_row(row: &[TermRef<'_>]) -> String {
-    let mut line = String::new();
-    rdfsummary::rdf_io::writer::push_row(&mut line, row.iter().copied());
-    line
 }
 
 fn cmd_generate(rest: &[String], stdout: &mut Stdout) -> Result<(), Failure> {

@@ -246,11 +246,11 @@
 //! distinct answer row; for an ASK (`q() :- …`), the single line `true`
 //! or `false`. A row's cells are TAB-separated terms in N-Triples
 //! syntax, rendered by the one N-Triples writer
-//! ([`rdf_io::writer::push_row`], as the CLI's `query` rows are): a
-//! literal's TAB, LF, CR, `"` and `\` arrive as `\t \n \r \" \\`, so the
-//! body always splits into `rows=` + 1 lines of as many cells as
-//! columns, and each cell parses back with [`rdf_io`] to the stored
-//! term. Rows come in **join order** — the
+//! ([`rdf_io::writer::push_row`]): a literal's TAB, BS, LF, CR, FF, `"`
+//! and `\` arrive as `\t \b \n \r \f \" \\`, so the body always splits
+//! into `rows=` + 1 lines of as many cells as columns, each cell parses
+//! back with [`rdf_io`] to the stored term, and a literal cell pastes back
+//! into a query as that literal. Rows come in **join order** — the
 //! static plan's pattern order, each pattern's matches in index order —
 //! which is deterministic for a given content and summary kind but is
 //! not a sort. At most 10 000 rows are sent: `truncated=1` says an
@@ -261,6 +261,17 @@
 //! ids to the service, which renders them straight into the body
 //! ([`rdfsum_core::QueryOutcome::body`]); the server appends status line
 //! and body to the connection's buffer with one growth.
+//!
+//! The CLI's `rdfsummary query` *is* this path: it loads the file into an
+//! in-process [`rdfsum_core::SummaryService`] and calls the same
+//! [`rdfsum_core::SummaryService::query`], so it prints the served body
+//! byte for byte (pruned and planned on the same summary, rows in the same
+//! join order), then a `(N answers, limit L)` or `no answers` trailer for
+//! a query with a head; its `--limit` cuts that one join order. `--explain`
+//! prints the kind consulted, whether it pruned the query, and the plan
+//! the join ran in ([`rdfsum_core::QueryOutcome::plan`]). Only
+//! `--reformulate` (complete answers under RDFS entailment by query
+//! rewriting) evaluates elsewhere, with the evaluator's dynamic order.
 //!
 //! **Warm restarts.** `--persist-dir DIR` makes the summary cache survive
 //! the process: every built (or update-carried) artifact is also written

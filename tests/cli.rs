@@ -282,12 +282,85 @@ fn serve_rejects_unknown_arguments() {
     }
 }
 
-/// A literal holding TAB, `"` and `\` renders in a CLI `query` row as the
-/// served `QUERY` renders it — escaped N-Triples, so the TAB never splits
-/// the row into an extra cell — with and without `--reformulate`.
+/// A `serve` child on a free port, killed when dropped.
+struct Server {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl Server {
+    fn spawn() -> Server {
+        use std::io::BufRead;
+        let mut child = bin()
+            .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first_line = String::new();
+        std::io::BufReader::new(child.stdout.as_mut().unwrap())
+            .read_line(&mut first_line)
+            .unwrap();
+        let addr = first_line.split_whitespace().nth(2).unwrap().to_string();
+        Server { child, addr }
+    }
+
+    /// One `client` request: its status line (stderr) and body (stdout).
+    fn request(&self, words: &[&str]) -> (String, String) {
+        let out = bin()
+            .arg("client")
+            .arg(&self.addr)
+            .args(words)
+            .output()
+            .unwrap();
+        let status = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{words:?}: {status}");
+        (status, String::from_utf8(out.stdout).unwrap())
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// `rdfsummary query <path> <text> <extra…>`'s stdout; the run must succeed.
+fn cli_query(path: &str, text: &str, extra: &[&str]) -> String {
+    let out = bin()
+        .args(["query", path, text])
+        .args(extra)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{text} {extra:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A BSBM graph on disk as `name` (one per test: tests run in parallel),
+/// and the graph itself.
+fn bsbm_file(dir: &std::path::Path, name: &str) -> (PathBuf, rdfsummary::rdf_model::Graph) {
+    let path = dir.join(name);
+    let g = rdfsummary::rdfsum_workloads::generate_bsbm(
+        &rdfsummary::rdfsum_workloads::BsbmConfig::with_products(50),
+    );
+    rdfsummary::rdf_io::save_path(&g, &path).unwrap();
+    (path, g)
+}
+
+/// The CLI `query` is the served `QUERY`: over a real `serve` child, a
+/// literal holding TAB, `"` and `\` renders in a CLI row as the served row
+/// does (escaped N-Triples, so the TAB never splits the row, with and
+/// without `--reformulate`); and on a BSBM graph, for sampled non-empty
+/// queries, an ASK query and queries the weak summary prunes, the CLI
+/// prints the served body byte for byte, then its trailer; under
+/// `--limit k` it prints the first `k` served rows.
 #[test]
 fn query_rows_render_as_served_query() {
-    use std::io::BufRead;
+    use rdfsummary::rdf_query::{sample_rbgp_queries, WorkloadConfig};
     let dir = workdir();
     let path = dir.join("escaped.nt");
     std::fs::write(
@@ -298,36 +371,128 @@ fn query_rows_render_as_served_query() {
     let path = path.to_str().unwrap();
     let query = "q(?x, ?y) :- ?x <http://x/label> ?y";
     let expected = "<http://x/a>\t\"tab\\there \\\"q\\\" back\\\\slash\"";
+    let (bsbm, g) = bsbm_file(&dir, "differential.nt");
+    let bsbm = bsbm.to_str().unwrap();
 
-    let mut serve = bin()
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut first_line = String::new();
-    std::io::BufReader::new(serve.stdout.as_mut().unwrap())
-        .read_line(&mut first_line)
-        .unwrap();
-    let addr = first_line.split_whitespace().nth(2).unwrap().to_string();
-    let client = |args: &[&str]| bin().arg("client").arg(&addr).args(args).output().unwrap();
-    assert!(client(&["LOAD", path]).status.success());
-    let served = client(&["QUERY", path, query]);
-    serve.kill().unwrap();
-    serve.wait().unwrap();
-    assert!(served.status.success());
-    let served = String::from_utf8(served.stdout).unwrap();
+    let server = Server::spawn();
+    server.request(&["LOAD", path]);
+    server.request(&["LOAD", bsbm]);
+    let (_, served) = server.request(&["QUERY", path, query]);
     assert_eq!(served, format!("x\ty\n{expected}\n"));
-
     for extra in [&[][..], &["--reformulate"][..]] {
-        let out = bin()
-            .args(["query", path, query])
-            .args(extra)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{extra:?}");
-        let text = String::from_utf8(out.stdout).unwrap();
+        let text = cli_query(path, query, extra);
         let row = text.lines().nth(1).unwrap();
         assert_eq!(row, expected, "{extra:?}: {text}");
         assert_eq!(Some(row), served.lines().nth(1), "{extra:?}");
+    }
+
+    let store = rdfsummary::rdf_store::TripleStore::new(g);
+    let sampled = sample_rbgp_queries(
+        &store,
+        &WorkloadConfig {
+            queries: 12,
+            seed: 36,
+            ..WorkloadConfig::default()
+        },
+    );
+    let label = "<http://www.w3.org/2000/01/rdf-schema#label>";
+    let ask = format!("q() :- ?x {label} ?y");
+    let pruned = [
+        "q() :- ?x <http://nowhere.invalid/nope> ?y".to_string(),
+        format!("q(?x, ?z) :- ?x {label} ?y, ?y {label} ?z"),
+    ];
+    let queries = sampled
+        .iter()
+        .map(|spec| (spec.to_string(), false))
+        .chain([(ask, false)])
+        .chain(pruned.map(|text| (text, true)));
+    let limit = rdfsummary::rdfsum_server::QUERY_ROW_LIMIT.to_string();
+    for (text, prunes) in queries {
+        let (status, served) = server.request(&["QUERY", bsbm, &text]);
+        assert_eq!(status.contains("pruned=1"), prunes, "{text}: {status}");
+        assert!(status.contains("truncated=0"), "{text}: {status}");
+        let rows = served.lines().count().saturating_sub(1);
+        let trailer = match (text.starts_with("q()"), rows) {
+            (true, _) => String::new(),
+            (false, 0) => "no answers\n".to_string(),
+            (false, n) => format!("({n} answers, limit {limit})\n"),
+        };
+        let cli = cli_query(bsbm, &text, &["--limit", &limit]);
+        assert_eq!(cli, served + &trailer, "{text}");
+    }
+
+    let cut = format!("q(?x, ?y) :- ?x {label} ?y");
+    let (_, served) = server.request(&["QUERY", bsbm, &cut]);
+    assert!(served.lines().count() > 6, "{served}");
+    let first: String = served.lines().take(6).map(|l| format!("{l}\n")).collect();
+    let cli = cli_query(bsbm, &cut, &["--limit", "5"]);
+    assert_eq!(cli, first + "(5 answers, limit 5)\n");
+}
+
+/// `query --explain` prints the summary the served path consulted, then
+/// either the served plan — the one `SummaryService::query` reports — or,
+/// for a query that summary prunes, the prune and no plan.
+#[test]
+fn query_explain_prints_the_served_plan() {
+    let dir = workdir();
+    let (path, g) = bsbm_file(&dir, "explain.nt");
+    let path = path.to_str().unwrap();
+    let planned = "q(?p, ?l) :- ?p a <http://bsbm.example.org/instances/ProductType1>, \
+                   ?p <http://www.w3.org/2000/01/rdf-schema#label> ?l";
+    let service = rdfsummary::rdfsum_core::SummaryService::new(1);
+    service.load_graph(path, g);
+    let served = service.query(path, planned, None, 20).unwrap();
+    let plan = served.plan.expect("a query that is not pruned has a plan");
+    assert_eq!(plan.steps.len(), 2);
+    let text = cli_query(path, planned, &["--explain"]);
+    let expected = format!("consulted summary: W\npruned: no\n{plan}{}", served.body);
+    assert!(text.starts_with(&expected), "{text}");
+
+    let pruned = "q(?x) :- ?x <http://nowhere.invalid/nope> ?y";
+    let text = cli_query(path, pruned, &["--explain"]);
+    assert_eq!(
+        text,
+        "consulted summary: W\n\
+         pruned: yes (empty on the summary, so empty on the graph; no plan)\n\
+         x\nno answers\n"
+    );
+}
+
+/// `query` refuses what it would otherwise drop without a word — an
+/// unknown flag, a flag without its value, a second query text, and the
+/// flags `--reformulate` has no use for — by name, with a non-zero exit
+/// and nothing on stdout.
+#[test]
+fn query_rejects_bad_arguments() {
+    let dir = workdir();
+    let file = sample_file(&dir);
+    let query = "q(?x) :- ?x ?p ?y";
+    for (args, named) in [
+        (&["--limt", "3"][..], "unknown argument `--limt`"),
+        (&["--limit"][..], "missing value for `--limit`"),
+        (
+            &["--limit", "3", "extra"][..],
+            "unexpected argument `extra`",
+        ),
+        (
+            &["--reformulate", "--limit", "3", "--explain"][..],
+            "cannot be combined with --limit",
+        ),
+        (
+            &["--reformulate", "--explain"][..],
+            "cannot be combined with --explain",
+        ),
+    ] {
+        let out = bin()
+            .arg("query")
+            .arg(&file)
+            .arg(query)
+            .args(args)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
 }
