@@ -15,7 +15,7 @@ use rdf_model::{Term, TermId};
 use rdfsum_core::equivalence::strong_partition;
 use rdfsum_core::naming::{n_uri, Namer};
 use rdfsum_core::quotient::quotient_summary;
-use rdfsum_core::{CliqueScope, Cliques, SummaryContext, SummaryKind};
+use rdfsum_core::{CliqueScope, Cliques, SummaryContext};
 use rdfsum_workloads::BsbmConfig;
 use std::hint::black_box;
 use std::time::Duration;
@@ -46,15 +46,10 @@ fn bench_h_graph(c: &mut Criterion) {
             |b, (g, partition)| {
                 b.iter(|| {
                     let mut namer = Namer::new(g.dict());
-                    black_box(quotient_summary(
-                        g,
-                        SummaryKind::Strong,
-                        partition,
-                        |_, m| {
-                            let (tc, sc) = signature_sets(cliques, m[0]);
-                            namer.n_term(tc, sc)
-                        },
-                    ))
+                    black_box(quotient_summary(g, partition, |_, m| {
+                        let (tc, sc) = signature_sets(cliques, m[0]);
+                        namer.n_term(tc, sc)
+                    }))
                 })
             },
         );
@@ -63,15 +58,10 @@ fn bench_h_graph(c: &mut Criterion) {
             &(&g, &partition),
             |b, (g, partition)| {
                 b.iter(|| {
-                    black_box(quotient_summary(
-                        g,
-                        SummaryKind::Strong,
-                        partition,
-                        |_, m| {
-                            let (tc, sc) = signature_sets(cliques, m[0]);
-                            Term::iri(n_uri(g.dict(), tc, sc))
-                        },
-                    ))
+                    black_box(quotient_summary(g, partition, |_, m| {
+                        let (tc, sc) = signature_sets(cliques, m[0]);
+                        Term::iri(n_uri(g.dict(), tc, sc))
+                    }))
                 })
             },
         );

@@ -12,7 +12,8 @@
 //! ```
 
 use rdfsum_bench::{row, scales_from_args};
-use rdfsum_core::{bisim_summary, summarize, BisimDepth, SummaryKind};
+use rdfsum_core::{summarize, SummaryKind};
+use rdfsum_experiments::{bisim_summary, BisimDepth};
 use rdfsum_workloads::BsbmConfig;
 
 fn main() {

@@ -47,7 +47,14 @@ mod tests {
     fn dispatch_produces_right_kinds() {
         let g = sample_graph();
         let all = summarize_all(&g);
-        let kinds: Vec<SummaryKind> = all.iter().map(|s| s.kind).collect();
-        assert_eq!(kinds, SummaryKind::ALL.to_vec());
+        assert_eq!(all.len(), SummaryKind::ALL.len());
+        for (shared, kind) in all.iter().zip(SummaryKind::ALL) {
+            let alone = summarize(&g, kind);
+            assert_eq!(
+                rdf_io::write_graph(&shared.graph),
+                rdf_io::write_graph(&alone.graph),
+                "{kind}"
+            );
+        }
     }
 }

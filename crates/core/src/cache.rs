@@ -40,8 +40,9 @@ pub(crate) enum Slot {
     /// The finished artifact plus its budget accounting.
     Ready {
         artifact: Arc<SummaryArtifact>,
-        /// The quotient map an `UPDATE` offers its batch to; `None` for an
-        /// artifact read from the persist dir, and for `fb`.
+        /// The quotient map an `UPDATE` offers its batch to; `None` only
+        /// for an artifact read from the persist dir (every build keeps
+        /// its map).
         map: Option<Arc<QuotientMap>>,
         /// Budget cost of this entry: the serialized N-Triples size — the
         /// dominant, directly comparable share of an artifact's footprint
@@ -307,12 +308,7 @@ mod tests {
             summary_edges: 0,
             input_triples: 0,
             summary_store: TripleStore::new(rdf_model::Graph::new()),
-            cardinality: SummaryCardinality::from_parts(
-                key.1,
-                Default::default(),
-                Default::default(),
-                0,
-            ),
+            cardinality: SummaryCardinality::from_parts(Default::default(), Default::default(), 0),
         })
     }
 
@@ -332,7 +328,7 @@ mod tests {
         ) {
             let cache = SummaryCache::new(Some(BUDGET));
             let fingerprint = |i: usize| Fingerprint { hi: 1, lo: (i % 3) as u64 };
-            let key_of = |i: usize| (fingerprint(i), SummaryKind::EVERY[i % 6]);
+            let key_of = |i: usize| (fingerprint(i), SummaryKind::EVERY[i % SummaryKind::EVERY.len()]);
             let mut model: HashMap<Key, Model> = HashMap::new();
             let (mut clock, mut evictions) = (0u64, 0u64);
             let mut claims: Vec<Claim<'_>> = Vec::new();

@@ -22,7 +22,7 @@
 //! emptiness and [`rdf_query::Plan::provably_empty`] stays sound; only
 //! the bound-slot *divisors* come from the summary.
 
-use crate::summary::{Summary, SummaryKind};
+use crate::summary::Summary;
 use rdf_model::{FxHashMap, FxHashSet, Graph, TermId};
 use rdf_query::{Atom, CompiledPattern, JoinEstimator};
 use rdf_store::{TriplePattern, TripleStore};
@@ -43,7 +43,6 @@ pub struct PropertyCard {
 /// Summary-derived statistics for one `(graph, summary)` pair.
 #[derive(Clone, Debug)]
 pub struct SummaryCardinality {
-    kind: SummaryKind,
     props: FxHashMap<TermId, PropertyCard>,
     /// `G` class id → estimated instance count (extent sizes of the
     /// summary nodes typed with the class).
@@ -56,20 +55,15 @@ impl SummaryCardinality {
     /// Builds the statistics: one pass over the summary's edges plus one
     /// exact [`TripleStore::count`] per distinct property.
     pub fn new(store: &TripleStore, summary: &Summary) -> Self {
-        Self::from_extents(store, summary.kind, &summary.graph, &summary.extent_sizes())
+        Self::from_extents(store, &summary.graph, &summary.extent_sizes())
     }
 
-    /// The statistics of the `kind` summary `h` of `store`'s graph, whose
+    /// The statistics of the summary `h` of `store`'s graph, whose
     /// H node `n` represents `extent[n]` G nodes (none past the table) —
     /// [`SummaryCardinality::new`]'s one body, and how an artifact whose
     /// summary an `UPDATE` left as it was re-derives them from the moved
     /// extent counts.
-    pub(crate) fn from_extents(
-        store: &TripleStore,
-        kind: SummaryKind,
-        h: &Graph,
-        extent: &[u32],
-    ) -> Self {
+    pub(crate) fn from_extents(store: &TripleStore, h: &Graph, extent: &[u32]) -> Self {
         let g = store.graph();
         // H term → G term (properties, classes, and schema nodes keep
         // their URIs through summarization, so the lookup succeeds for
@@ -128,16 +122,10 @@ impl SummaryCardinality {
             .map(|(c, nodes)| (c, nodes.iter().map(|&n| weight(n)).sum()))
             .collect();
         SummaryCardinality {
-            kind,
             props,
             classes,
             n_data_nodes: extent.iter().map(|&e| e as usize).sum(),
         }
-    }
-
-    /// The summary kind the statistics were derived from.
-    pub fn kind(&self) -> SummaryKind {
-        self.kind
     }
 
     /// Per-property figures, if the property occurs in the graph.
@@ -164,13 +152,11 @@ impl SummaryCardinality {
     /// [`Self::iter_properties`]/[`Self::iter_classes`] decomposition,
     /// used by the summary-artifact persistence codec.
     pub fn from_parts(
-        kind: SummaryKind,
         props: FxHashMap<TermId, PropertyCard>,
         classes: FxHashMap<TermId, usize>,
         n_data_nodes: usize,
     ) -> Self {
         SummaryCardinality {
-            kind,
             props,
             classes,
             n_data_nodes,
@@ -253,6 +239,7 @@ impl JoinEstimator for SummaryEstimator<'_> {
 mod tests {
     use super::*;
     use crate::builder;
+    use crate::summary::SummaryKind;
     use rdf_model::{vocab, Graph};
     use rdf_query::{compile, explain_with, QuerySpec, SpecTerm};
 
@@ -295,7 +282,6 @@ mod tests {
             .unwrap();
         assert!(card.class_instances(book).unwrap() >= 20);
         assert!(card.n_data_nodes() > 0);
-        assert_eq!(card.kind(), SummaryKind::Weak);
     }
 
     #[test]

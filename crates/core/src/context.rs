@@ -905,7 +905,6 @@ impl<'g> SummaryContext<'g> {
         let mut namer = Namer::new(self.g.dict());
         let summary = quotient_summary_planned(
             self.g,
-            SummaryKind::Strong,
             &partition,
             |_, members| signature_term(&mut namer, cliques, members[0]),
             DataPlan::Scan,
@@ -952,7 +951,6 @@ impl<'g> SummaryContext<'g> {
         let mut namer = Namer::new(self.g.dict());
         let summary = quotient_summary_planned(
             self.g,
-            kind,
             &partition,
             |_, members| match cs.set_id(members[0]) {
                 Some(id) => namer.c_term(cs.set(id)),
@@ -1006,7 +1004,6 @@ impl<'g> SummaryContext<'g> {
         let mut namer = Namer::new(self.g.dict());
         let summary = quotient_summary_planned(
             self.g,
-            SummaryKind::TypeBased,
             &partition,
             |_, members| match cs.set_id(members[0]) {
                 Some(id) => namer.c_term(cs.set(id)),
@@ -1107,21 +1104,14 @@ impl<'g> SummaryContext<'g> {
     }
 
     /// [`SummaryContext::summarize`] with the summary's quotient map beside
-    /// it — what the service keeps with every artifact it builds. The
-    /// bisimulation is no clique or type quotient and has none.
-    pub(crate) fn summarize_mapped(&self, kind: SummaryKind) -> (Summary, Option<QuotientMap>) {
-        let (summary, map) = match kind {
+    /// it — what the service keeps with every artifact it builds.
+    pub(crate) fn summarize_mapped(&self, kind: SummaryKind) -> (Summary, QuotientMap) {
+        match kind {
             SummaryKind::Weak => self.weak(),
             SummaryKind::Strong => self.strong(),
             SummaryKind::TypedWeak | SummaryKind::TypedStrong => self.typed(kind),
             SummaryKind::TypeBased => self.type_based(),
-            SummaryKind::Bisimulation => {
-                let summary =
-                    crate::bisim::bisim_summary(self.g, crate::bisim::BisimDepth::Bounded(2));
-                return (summary, None);
-            }
-        };
-        (summary, Some(map))
+        }
     }
 }
 
@@ -1259,12 +1249,11 @@ mod tests {
             .iter()
             .map(|&kind| ctx.summarize(kind))
             .collect();
-        for shared in &all {
+        for (shared, kind) in all.iter().zip(SummaryKind::EVERY) {
             assert_eq!(
                 rdf_io::write_graph(&shared.graph),
-                rdf_io::write_graph(&crate::summarize(&g, shared.kind).graph),
-                "{}",
-                shared.kind
+                rdf_io::write_graph(&crate::summarize(&g, kind).graph),
+                "{kind}"
             );
         }
         assert_eq!(all[0].graph.data().len(), 6); // Figure 4 / Prop. 4

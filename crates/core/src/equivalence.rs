@@ -224,7 +224,8 @@ pub fn strong_partition(cliques: &Cliques, nodes: &[TermId]) -> Partition {
 ///
 /// The dense pipeline interns these once per graph — see
 /// [`crate::context::SummaryContext::class_sets`]; this hash-map form is
-/// kept for callers without a context (e.g. the bisimulation baseline).
+/// kept for callers without a context (`rdfsum-experiments`' streaming
+/// builders and bisimulation).
 pub fn class_sets(g: &Graph) -> FxHashMap<TermId, Vec<TermId>> {
     let mut sets: FxHashMap<TermId, Vec<TermId>> = FxHashMap::default();
     for t in g.types() {

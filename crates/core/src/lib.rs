@@ -6,7 +6,8 @@
 //! `H_G` that is orders of magnitude smaller yet RBGP-*representative*
 //! (queries with answers on `G∞` have answers on `H∞_G`) and *accurate*.
 //!
-//! Six summaries are served, all quotient graphs (Definition 9):
+//! Five summaries are served, all quotient graphs (Definition 9), each
+//! built with its quotient map:
 //!
 //! | summary | equivalence | module |
 //! |---------|-------------|--------|
@@ -15,7 +16,6 @@
 //! | `TW_G` typed weak   | class sets first, ≡UW on untyped nodes          | [`typed`] |
 //! | `TS_G` typed strong | class sets first, ≡US on untyped nodes          | [`typed`] |
 //! | `T_G`  type-based   | identical class sets (Definition 12)            | [`typed`] |
-//! | `FB`   bisimulation | forward–backward bisimilarity (§8 baseline)     | [`bisim`] |
 //!
 //! Supporting machinery: property [`cliques`] (Definition 5), node
 //! [`equivalence`] partitions, the generic [`quotient`] operator,
@@ -30,7 +30,7 @@
 //!
 //! ## The shared substrate: [`Substrate`] and [`SummaryContext`]
 //!
-//! All six summaries are built from one shared substrate, the product of
+//! All five summaries are built from one shared substrate, the product of
 //! one sweep over the graph ([`context::Substrate::absorb`]):
 //!
 //! * a **first-seen numbering** of the data nodes and data properties
@@ -56,14 +56,14 @@
 //! batch is *retracted* from it the same way, unless it would move a
 //! first-seen number, a first property, a clique or a class set; only such
 //! a delete, or a resource typed after its data was linked, makes the next
-//! build scan again. All six summaries come out triple-for-triple,
+//! build scan again. All five summaries come out triple-for-triple,
 //! naming-identical whether the substrate was scanned, absorbed or
 //! retracted. An absorb or retract reports what it changed, and each
-//! clique or type summary the service builds keeps the *quotient map* of
-//! its partition ([`quotient`]): an insert batch that only adds members to
-//! existing classes along existing edges extends the map, a delete that
-//! only takes members no class needs shrinks it, and the summary — byte
-//! for byte what a rebuild would give — is carried without building.
+//! summary the service builds keeps the *quotient map* of its partition
+//! ([`quotient`]): an insert batch that only adds members to existing
+//! classes along existing edges extends the map, a delete that only takes
+//! members no class needs shrinks it, and the summary — byte for byte
+//! what a rebuild would give — is carried without building.
 //!
 //! ## Symbolic minted names
 //!
@@ -104,7 +104,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bisim;
 pub mod builder;
 mod cache;
 pub mod cardinality;
@@ -126,7 +125,6 @@ pub mod unionfind;
 mod update;
 pub mod weak;
 
-pub use bisim::{bisim_partition, bisim_summary, BisimDepth};
 pub use builder::{summarize, summarize_all};
 pub use cardinality::{PropertyCard, SummaryCardinality, SummaryEstimator};
 pub use cliques::{CliqueId, CliqueScope, Cliques};
@@ -304,7 +302,7 @@ mod proptests {
         /// Absorbing a graph in tail pieces — type and data rows arriving
         /// in random proportions, the dictionary growing between pieces —
         /// leaves the substrate one scan builds: numbering, both scopes'
-        /// cliques, class sets, and all six summaries byte for byte. A
+        /// cliques, class sets, and all five summaries byte for byte. A
         /// piece `absorb` refuses is handled as the service handles it
         /// (drop, scan); a schedule that brings every type row first has
         /// nothing to refuse.
@@ -358,7 +356,7 @@ mod proptests {
         /// A quotient map that extends by an insert batch describes what a
         /// cold build of the grown graph makes: the same summary graph,
         /// byte for byte, and the same extent counts — for all five
-        /// clique and type kinds, on random graphs and batches over their
+        /// kinds, on random graphs and batches over their
         /// vocabulary (new and old nodes, new classes, a fresh property, a
         /// schema row). All 64 cases are one generated case, so that the
         /// extending path is checked to be taken at all.
@@ -375,12 +373,12 @@ mod proptests {
             for (g, rows) in &cases {
                 let mut store = TripleStore::new(g.clone());
                 let mut kept = Substrate::scan(store.graph());
-                let built: Vec<_> = SummaryKind::EVERY[..5]
+                let built: Vec<_> = SummaryKind::EVERY
                     .iter()
                     .map(|&kind| {
                         let ctx = SummaryContext::over(store.graph(), &kept);
                         let (summary, map) = ctx.summarize_mapped(kind);
-                        (kind, TripleStore::new(summary.graph), map.expect("a quotient map"))
+                        (kind, TripleStore::new(summary.graph), map)
                     })
                     .collect();
                 let iri = |s: String| Term::iri(format!("http://x/{s}"));
@@ -473,7 +471,7 @@ mod parallel {
                 let cliques = Cliques::compute(&g, CliqueScope::AllNodes);
                 let partition = weak_partition(&cliques, &data_nodes_ordered(&g));
                 let mut namer = Namer::new(g.dict());
-                let scanned = quotient_summary(&g, SummaryKind::Weak, &partition, |_, members| {
+                let scanned = quotient_summary(&g, &partition, |_, members| {
                     let (tc, sc) = class_property_sets(&cliques, members);
                     namer.n_term(&tc, &sc)
                 });

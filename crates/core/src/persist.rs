@@ -65,7 +65,6 @@ fn kind_code(kind: SummaryKind) -> u8 {
         SummaryKind::TypedWeak => 2,
         SummaryKind::TypedStrong => 3,
         SummaryKind::TypeBased => 4,
-        SummaryKind::Bisimulation => 5,
     }
 }
 
@@ -262,7 +261,7 @@ pub fn decode_artifact(
         summary_edges,
         input_triples,
         summary_store,
-        cardinality: SummaryCardinality::from_parts(kind, props, classes, n_data_nodes),
+        cardinality: SummaryCardinality::from_parts(props, classes, n_data_nodes),
     })
 }
 

@@ -36,7 +36,7 @@
 use crate::cliques::CliqueScope;
 use crate::context::{Delta, NodeKeys, Stamp, Substrate};
 use crate::equivalence::Partition;
-use crate::summary::{Summary, SummaryKind};
+use crate::summary::Summary;
 use rdf_model::{Component, FxHashMap, Graph, Term, TermId, Triple, NO_DENSE_ID};
 use rdf_store::TripleStore;
 
@@ -56,11 +56,10 @@ use rdf_store::TripleStore;
 /// Panics when the partition misses a data node.
 pub fn quotient_summary(
     g: &Graph,
-    kind: SummaryKind,
     partition: &Partition,
     class_term: impl FnMut(usize, &[TermId]) -> Term,
 ) -> Summary {
-    quotient_summary_planned(g, kind, partition, class_term, DataPlan::Scan)
+    quotient_summary_planned(g, partition, class_term, DataPlan::Scan)
 }
 
 /// How the quotient's data component is derived.
@@ -130,7 +129,6 @@ fn append_sorted<K: PackedTriple>(h: &mut Graph, mut keys: Vec<K>) {
 /// [`quotient_summary`] with an emission plan for the data component.
 pub(crate) fn quotient_summary_planned(
     g: &Graph,
-    kind: SummaryKind,
     partition: &Partition,
     mut class_term: impl FnMut(usize, &[TermId]) -> Term,
     data_plan: DataPlan<'_>,
@@ -179,7 +177,7 @@ pub(crate) fn quotient_summary_planned(
     };
     emit(g, &mut h, &mut xfer, partition, &class_node, data_plan);
 
-    Summary::from_quotient(kind, h, partition, &class_node, g.dict().len())
+    Summary::from_quotient(h, partition, &class_node, g.dict().len())
 }
 
 /// DAT and TYP of the quotient: every data and type row of `g`, or the
@@ -332,8 +330,7 @@ pub(crate) enum Refusal {
     /// row; a class emptied or lost its first member, a weak class lost
     /// the node that joined it, a quotient triple lost its last witness.
     Structural,
-    /// The artifact keeps no map: it was read from the persist dir, or it
-    /// is no clique or type quotient (`fb`).
+    /// The artifact keeps no map: it was read from the persist dir.
     NoMap,
 }
 
@@ -666,6 +663,7 @@ mod tests {
     use crate::context::SummaryContext;
     use crate::equivalence::{data_nodes_ordered, Partition};
     use crate::fixtures::sample_graph;
+    use crate::summary::SummaryKind;
 
     /// The identity partition gives a summary isomorphic to G itself.
     #[test]
@@ -673,9 +671,7 @@ mod tests {
         let g = sample_graph();
         let nodes = data_nodes_ordered(&g);
         let p = Partition::group_by(&nodes, |n| n);
-        let s = quotient_summary(&g, SummaryKind::Weak, &p, |i, _| {
-            Term::iri(format!("urn:q:{i}"))
-        });
+        let s = quotient_summary(&g, &p, |i, _| Term::iri(format!("urn:q:{i}")));
         assert_eq!(s.graph.data().len(), g.data().len());
         assert_eq!(s.graph.types().len(), g.types().len());
         assert!(verify_quotient(&g, &s));
@@ -688,7 +684,7 @@ mod tests {
         let g = sample_graph();
         let nodes = data_nodes_ordered(&g);
         let p = Partition::group_by(&nodes, |_| 0u8);
-        let s = quotient_summary(&g, SummaryKind::Weak, &p, |_, _| Term::iri("urn:q:all"));
+        let s = quotient_summary(&g, &p, |_, _| Term::iri("urn:q:all"));
         // One node; self-loops for the 6 distinct properties.
         assert_eq!(s.graph.data().len(), 6);
         // 3 distinct classes → 3 τ edges.
@@ -701,9 +697,7 @@ mod tests {
         let g = crate::fixtures::figure5_graph();
         let nodes = data_nodes_ordered(&g);
         let p = Partition::group_by(&nodes, |n| n);
-        let s = quotient_summary(&g, SummaryKind::Weak, &p, |i, _| {
-            Term::iri(format!("urn:q:{i}"))
-        });
+        let s = quotient_summary(&g, &p, |i, _| Term::iri(format!("urn:q:{i}")));
         assert_eq!(s.graph.schema().len(), 2);
         assert!(verify_quotient(&g, &s));
     }
@@ -713,9 +707,7 @@ mod tests {
         let g = sample_graph();
         let nodes = data_nodes_ordered(&g);
         let p = Partition::group_by(&nodes, |n| n);
-        let mut s = quotient_summary(&g, SummaryKind::Weak, &p, |i, _| {
-            Term::iri(format!("urn:q:{i}"))
-        });
+        let mut s = quotient_summary(&g, &p, |i, _| Term::iri(format!("urn:q:{i}")));
         // Sabotage: add an unjustified edge to H.
         let a = s.graph.dict_mut().encode(Term::iri("urn:q:0"));
         let b = s.graph.dict_mut().encode(Term::iri("urn:fake:prop"));
@@ -743,9 +735,7 @@ mod tests {
     fn id_bound_overflow_takes_hash_fallback() {
         let by_residue = |g: &Graph| {
             let p = Partition::group_by(&data_nodes_ordered(g), |n| n.0 % 4);
-            quotient_summary(g, SummaryKind::Weak, &p, |i, _| {
-                Term::iri(format!("urn:q:{i}"))
-            })
+            quotient_summary(g, &p, |i, _| Term::iri(format!("urn:q:{i}")))
         };
         // The bytes of `wide`, a quotient of `big`, once it is checked to
         // hold no hash set — which `verify_quotient`'s probes then build.
@@ -766,7 +756,7 @@ mod tests {
                 bytes(&big, &wide, "by_residue")
             );
             let (narrow, wide) = (SummaryContext::new(&small), SummaryContext::new(&big));
-            for &kind in &SummaryKind::EVERY[..5] {
+            for kind in SummaryKind::EVERY {
                 let narrow = narrow.summarize(kind);
                 assert!(!narrow.graph.has_hash_set(), "{kind}");
                 assert_eq!(
@@ -813,15 +803,11 @@ mod tests {
         let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(12));
         let carried = |pad: bool| {
             let kept = Substrate::scan(&g);
-            let built: Vec<_> = SummaryKind::EVERY[..5]
+            let built: Vec<_> = SummaryKind::EVERY
                 .iter()
                 .map(|&kind| {
                     let (summary, map) = SummaryContext::over(&g, &kept).summarize_mapped(kind);
-                    (
-                        kind,
-                        TripleStore::new(summary.graph),
-                        map.expect("a quotient map"),
-                    )
+                    (kind, TripleStore::new(summary.graph), map)
                 })
                 .collect();
             let mut kept = kept;

@@ -2,7 +2,7 @@
 //! case of the paper's introduction.
 
 use crate::naming::display_label;
-use crate::summary::Summary;
+use crate::summary::{Summary, SummaryKind};
 use rdf_model::{PrefixMap, TermId, TermRef};
 use std::fmt::Write as _;
 
@@ -25,14 +25,19 @@ fn short(prefixes: &PrefixMap, term: TermRef<'_>) -> String {
 
 /// Renders a text report of a summary: per-node extents (with optional
 /// example members decoded from the source graph) and the edge list.
-pub fn render_report(summary: &Summary, source: &rdf_model::Graph, opts: &ReportOptions) -> String {
+pub fn render_report(
+    summary: &Summary,
+    kind: SummaryKind,
+    source: &rdf_model::Graph,
+    opts: &ReportOptions,
+) -> String {
     let h = &summary.graph;
     let mut out = String::new();
     let st = summary.stats();
     let _ = writeln!(
         out,
         "{} summary: {} nodes ({} data, {} class) / {} edges ({} data, {} type, {} schema)",
-        summary.kind,
+        kind,
         st.all_nodes,
         st.data_nodes,
         st.class_nodes,
@@ -91,7 +96,6 @@ mod tests {
     use super::*;
     use crate::fixtures::{sample_graph, sample_prefixes};
     use crate::summarize;
-    use crate::summary::SummaryKind;
 
     #[test]
     fn report_contains_labels_and_counts() {
@@ -99,6 +103,7 @@ mod tests {
         let w = summarize(&g, SummaryKind::Weak);
         let report = render_report(
             &w,
+            SummaryKind::Weak,
             &g,
             &ReportOptions {
                 prefixes: sample_prefixes(),
@@ -116,7 +121,7 @@ mod tests {
     fn report_without_examples() {
         let g = sample_graph();
         let w = summarize(&g, SummaryKind::Weak);
-        let report = render_report(&w, &g, &ReportOptions::default());
+        let report = render_report(&w, SummaryKind::Weak, &g, &ReportOptions::default());
         assert!(!report.contains("e.g."));
     }
 }

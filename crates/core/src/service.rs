@@ -138,8 +138,8 @@ pub struct ServiceStats {
     /// row; a class a delete empties or takes the first member of, a weak
     /// join or a summary edge it leaves without a witness.
     pub refused_structural: u64,
-    /// Carries refused because the artifact keeps no map (a persist hit,
-    /// or `fb`).
+    /// Carries refused because the artifact keeps no map: it was read
+    /// from the persist dir (every build keeps its map).
     pub refused_no_map: u64,
 }
 
@@ -444,7 +444,7 @@ impl SummaryService {
         &self,
         context: &SummaryContext<'_>,
         kind: SummaryKind,
-    ) -> (Summary, Option<QuotientMap>) {
+    ) -> (Summary, QuotientMap) {
         bump(&self.counters.builds);
         context.summarize_mapped(kind)
     }
@@ -458,10 +458,10 @@ impl SummaryService {
         entry: &GraphEntry,
         claim: Claim<'_>,
         artifact: SummaryArtifact,
-        map: Option<QuotientMap>,
+        map: QuotientMap,
     ) -> Arc<SummaryArtifact> {
         let artifact = Arc::new(artifact);
-        claim.install(&artifact, map);
+        claim.install(&artifact, Some(map));
         let write = |p: &PersistDir| p.write(&artifact, entry.store.graph());
         if self.persist.as_ref().is_some_and(write) {
             bump(&self.counters.persist_writes);
@@ -1358,9 +1358,10 @@ mod tests {
         assert_eq!(stats.builds, stats.patch_fallbacks + stats.misses);
     }
 
-    /// The clique/type kinds — what `build_restart` builds per lifetime.
+    /// The five kinds in the paper's order — what `build_restart` builds
+    /// per lifetime.
     const FIVE_KINDS: [SummaryKind; 5] = {
-        let [w, tw, s, ts, t, _fb] = SummaryKind::EVERY;
+        let [w, tw, s, ts, t] = SummaryKind::EVERY;
         [w, s, tw, ts, t]
     };
 

@@ -9,7 +9,9 @@
 
 use rdf_model::{FxHashMap, Graph, GraphStats, TermId, NO_DENSE_ID};
 
-/// Which of the paper's summaries a [`Summary`] is.
+/// Which of the paper's quotient summaries to build: the five kinds the
+/// service serves, each with a quotient map. A [`Summary`] does not record
+/// its kind — whoever built it holds it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SummaryKind {
     /// W_G — weak summary (Definition 11).
@@ -23,9 +25,6 @@ pub enum SummaryKind {
     /// T_G — type-based summary (Definition 12), a building block of the
     /// typed summaries that is also useful on its own.
     TypeBased,
-    /// A forward–backward bisimulation quotient — the related-work
-    /// baseline of §8, for size comparisons (see [`crate::bisim`]).
-    Bisimulation,
 }
 
 impl SummaryKind {
@@ -40,15 +39,13 @@ impl SummaryKind {
     /// Every summary kind, in the service's preference order: the kind a
     /// `QUERY` that names none is pruned with is the first one cached, and
     /// an `UPDATE` carries the cached kinds over in this order, so the
-    /// query-facing one is ready first. The five clique and type kinds
-    /// come first, the `FB` baseline last.
-    pub const EVERY: [SummaryKind; 6] = [
+    /// query-facing one is ready first.
+    pub const EVERY: [SummaryKind; 5] = [
         SummaryKind::Weak,
         SummaryKind::TypedWeak,
         SummaryKind::Strong,
         SummaryKind::TypedStrong,
         SummaryKind::TypeBased,
-        SummaryKind::Bisimulation,
     ];
 
     /// The kind's token: the CLI's `--kind` and the protocol's
@@ -61,7 +58,6 @@ impl SummaryKind {
             SummaryKind::TypedWeak => "tw",
             SummaryKind::TypedStrong => "ts",
             SummaryKind::TypeBased => "t",
-            SummaryKind::Bisimulation => "fb",
         }
     }
 
@@ -73,7 +69,6 @@ impl SummaryKind {
             SummaryKind::TypedWeak => "TW",
             SummaryKind::TypedStrong => "TS",
             SummaryKind::TypeBased => "T",
-            SummaryKind::Bisimulation => "FB",
         }
     }
 }
@@ -131,8 +126,6 @@ impl SummaryStats {
 /// into the thousands.
 #[derive(Clone, Debug)]
 pub struct Summary {
-    /// Which summary this is.
-    pub kind: SummaryKind,
     /// The summary RDF graph (its own dictionary).
     pub graph: Graph,
     /// `rd`: G-term-indexed → H node id, [`NO_DENSE_ID`] if unrepresented.
@@ -152,7 +145,7 @@ impl Summary {
     /// accumulate `rd` incrementally — `rdfsum-experiments`' streaming
     /// algorithms and reference oracle; the served path is the quotient's
     /// dense `from_quotient`.
-    pub fn new(kind: SummaryKind, graph: Graph, node_map: FxHashMap<TermId, TermId>) -> Self {
+    pub fn new(graph: Graph, node_map: FxHashMap<TermId, TermId>) -> Self {
         let n_g_terms = node_map.keys().map(|k| k.index() + 1).max().unwrap_or(0);
         let mut node_of = vec![NO_DENSE_ID; n_g_terms];
         let mut pairs: Vec<(u32, TermId)> = Vec::with_capacity(node_map.len());
@@ -160,14 +153,13 @@ impl Summary {
             node_of[gn.index()] = hn.0;
             pairs.push((hn.0, gn));
         }
-        Self::finish(kind, graph, node_of, &pairs)
+        Self::finish(graph, node_of, &pairs)
     }
 
     /// Creates a summary straight from a partition and its class → H node
     /// assignment: the dense fast path used by the quotient operator (no
     /// per-node hashing).
     pub(crate) fn from_quotient(
-        kind: SummaryKind,
         graph: Graph,
         partition: &crate::equivalence::Partition,
         class_node: &[TermId],
@@ -182,14 +174,14 @@ impl Summary {
                 pairs.push((hn.0, n));
             }
         }
-        Self::finish(kind, graph, node_of, &pairs)
+        Self::finish(graph, node_of, &pairs)
     }
 
     /// Builds the CSR extent table from `(H id, G node)` pairs: a count per
     /// row, its prefix sum, one cursor scatter of the members and a sort of
     /// each row. Each G node maps to exactly one H node (`node_of` is a
     /// function), so the rows need sorting but never deduplication.
-    fn finish(kind: SummaryKind, graph: Graph, node_of: Vec<u32>, pairs: &[(u32, TermId)]) -> Self {
+    fn finish(graph: Graph, node_of: Vec<u32>, pairs: &[(u32, TermId)]) -> Self {
         let n_h = graph.dict().len();
         let mut extent_offsets = vec![0u32; n_h + 1];
         for &(h, _) in pairs {
@@ -210,7 +202,6 @@ impl Summary {
             extent_members[row[0] as usize..row[1] as usize].sort_unstable();
         }
         Summary {
-            kind,
             graph,
             node_of,
             extent_offsets,
@@ -302,7 +293,7 @@ mod tests {
         node_map.insert(TermId(10), TermId(0));
         node_map.insert(TermId(11), TermId(0));
         node_map.insert(TermId(12), TermId(1));
-        let s = Summary::new(SummaryKind::Weak, Graph::new(), node_map);
+        let s = Summary::new(Graph::new(), node_map);
         assert_eq!(s.representative(TermId(10)), Some(TermId(0)));
         assert_eq!(s.extent(TermId(0)), &[TermId(10), TermId(11)]);
         assert_eq!(s.extent(TermId(1)), &[TermId(12)]);
@@ -323,7 +314,7 @@ mod tests {
             .filter_map(|n| dense.representative(n).map(|h| (n, h)))
             .collect();
         assert_eq!(node_map.len(), dense.n_represented());
-        let hashed = Summary::new(SummaryKind::Weak, dense.graph.clone(), node_map);
+        let hashed = Summary::new(dense.graph.clone(), node_map);
         assert_eq!(hashed.n_summary_nodes(), dense.n_summary_nodes());
         for n in (0..g.dict().len() as u32 + 1).map(TermId) {
             assert_eq!(hashed.representative(n), dense.representative(n));
@@ -342,7 +333,7 @@ mod tests {
 
     #[test]
     fn compression_ratio() {
-        let s = Summary::new(SummaryKind::Weak, Graph::new(), FxHashMap::default());
+        let s = Summary::new(Graph::new(), FxHashMap::default());
         assert_eq!(s.compression_ratio(0), 0.0);
         assert_eq!(s.compression_ratio(100), 0.0);
     }

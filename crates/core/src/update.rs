@@ -138,7 +138,7 @@ impl SummaryService {
                 Ok((artifact, map)) => {
                     bump(&self.counters.patches);
                     outcome.patched += 1;
-                    self.publish(&entry, claim, artifact, Some(map));
+                    self.publish(&entry, claim, artifact, map);
                 }
                 Err(refusal) => {
                     bump(match refusal {
@@ -195,12 +195,7 @@ impl SummaryService {
             summary_edges: old.summary_edges,
             input_triples: g.len(),
             summary_store: old.summary_store.clone(),
-            cardinality: SummaryCardinality::from_extents(
-                &entry.store,
-                old.kind,
-                h,
-                next.extents(),
-            ),
+            cardinality: SummaryCardinality::from_extents(&entry.store, h, next.extents()),
         };
         Ok((artifact, next))
     }

@@ -14,7 +14,7 @@ use crate::cliques::Cliques;
 use crate::equivalence::{CliqueClasses, Partition};
 use crate::naming::Namer;
 use crate::quotient::{quotient_summary_planned, DataPlan};
-use crate::summary::{Summary, SummaryKind};
+use crate::summary::Summary;
 use rdf_model::{Graph, TermId, NO_DENSE_ID};
 
 /// Collects the union of target-clique and source-clique property sets over
@@ -97,7 +97,6 @@ pub(crate) fn build_weak(
     let mut namer = Namer::new(g.dict());
     quotient_summary_planned(
         g,
-        SummaryKind::Weak,
         partition,
         |i, _| namer.n_term(&tc_sets[i], &sc_sets[i]),
         DataPlan::Edges(&edges),
@@ -122,6 +121,7 @@ mod tests {
     use crate::naming::display_label;
     use crate::quotient::verify_quotient;
     use crate::summarize;
+    use crate::summary::SummaryKind;
     use rdf_model::Term;
 
     fn label_of(s: &Summary, g: &Graph, local: &str) -> String {

@@ -25,7 +25,6 @@ fn cross_position_variable_prune_soundness() {
         SummaryKind::TypedWeak,
         SummaryKind::TypedStrong,
         SummaryKind::TypeBased,
-        SummaryKind::Bisimulation,
     ] {
         let summary = builder::summarize(&g, kind);
         let h = TripleStore::new(summary.graph);

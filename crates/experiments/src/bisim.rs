@@ -18,12 +18,17 @@
 //! `baselines` in `rdfsum-bench` prints the size comparison on BSBM data:
 //! bisimulation keeps far more nodes than the weak summary
 //! (`bisim_blows_up_relative_to_weak` pins more than ten times as many).
+//!
+//! It is not served: it has no quotient map, and on the measured families
+//! it prunes a query the five served kinds miss only where its H has as
+//! many triples as G (the `bisim_pruning_ledger` test, on BSBM, LUBM and
+//! random graphs).
 
-use crate::equivalence::{class_sets, data_nodes_ordered, Partition};
-use crate::naming::SUMMARY_NS;
-use crate::quotient::quotient_summary;
-use crate::summary::{Summary, SummaryKind};
 use rdf_model::{FxHashMap, Graph, TermId};
+use rdfsum_core::equivalence::{class_sets, data_nodes_ordered, Partition};
+use rdfsum_core::naming::SUMMARY_NS;
+use rdfsum_core::quotient::quotient_summary;
+use rdfsum_core::Summary;
 use std::hash::{BuildHasher, Hash};
 
 /// Bisimulation depth: a bounded number of refinement rounds, or the full
@@ -113,7 +118,7 @@ pub fn bisim_summary(g: &Graph, depth: BisimDepth) -> Summary {
     };
     // Name nodes by their (stable, content-derived) color via the first
     // member's class, padded with a dense index for readability.
-    quotient_summary(g, SummaryKind::Bisimulation, &partition, |i, _| {
+    quotient_summary(g, &partition, |i, _| {
         rdf_model::Term::iri(format!("{SUMMARY_NS}bisim?k={tag}&c={i}"))
     })
 }
@@ -121,8 +126,9 @@ pub fn bisim_summary(g: &Graph, depth: BisimDepth) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{exid, sample_graph};
-    use crate::quotient::verify_quotient;
+    use rdfsum_core::fixtures::{exid, sample_graph};
+    use rdfsum_core::quotient::verify_quotient;
+    use rdfsum_core::SummaryKind;
 
     #[test]
     fn depth0_groups_by_class_set() {
@@ -194,7 +200,7 @@ mod tests {
         // The §8 claim, on a heterogeneous graph: bisimulation keeps far
         // more nodes than the weak summary.
         let g = rdfsum_workloads::generate_bsbm(&rdfsum_workloads::BsbmConfig::with_products(40));
-        let w = crate::summarize(&g, SummaryKind::Weak);
+        let w = rdfsum_core::summarize(&g, SummaryKind::Weak);
         let b = bisim_summary(&g, BisimDepth::Bounded(2));
         assert!(
             b.n_summary_nodes() > 10 * w.n_summary_nodes(),
@@ -211,7 +217,7 @@ mod tests {
         let g = rdfsum_workloads::chain(8);
         let full = bisim_partition(&g, BisimDepth::Full);
         assert_eq!(full.len(), 9, "every chain node is its own class");
-        let w = crate::summarize(&g, SummaryKind::Weak);
+        let w = rdfsum_core::summarize(&g, SummaryKind::Weak);
         assert!(w.n_summary_nodes() < 9);
     }
 }

@@ -16,10 +16,12 @@
 //! | [`iso`] | summary equality up to minted-node renaming, the `=` of Props. 2 and 5–10 |
 //! | [`checks`] | Prop. 1 (representativeness), Props. 2/6/9 (fixpoint), Props. 5/8 and 7/10 (completeness and its counter-examples) |
 //! | [`mod@reference`] | the hash-map builders of every kind, kept as the golden-equivalence oracle of the dense pipeline |
+//! | [`bisim`] | §8's related-work baseline: forward–backward bisimulation quotients (`FB`), for size and pruning comparisons |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bisim;
 pub mod checks;
 pub mod distance;
 pub mod inflate;
@@ -28,6 +30,7 @@ pub mod reference;
 pub mod saturated_cliques;
 pub mod streaming;
 
+pub use bisim::{bisim_partition, bisim_summary, BisimDepth};
 pub use checks::{
     can_prune, check_representativeness, completeness_check, completeness_checks, fixpoint_holds,
     CompletenessCheck, RepresentativenessReport,

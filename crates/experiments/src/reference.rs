@@ -214,7 +214,6 @@ fn ref_class_property_sets(cliques: &RefCliques, members: &[TermId]) -> (Vec<Ter
 /// The original hash-map quotient construction.
 fn ref_quotient(
     g: &Graph,
-    kind: SummaryKind,
     partition: &RefPartition,
     mut class_uri: impl FnMut(usize, &[TermId]) -> String,
 ) -> Summary {
@@ -255,14 +254,14 @@ fn ref_quotient(
         let c = transfer(t.o, g, &mut h);
         h.insert_encoded(Triple::new(s, tau, c));
     }
-    Summary::new(kind, h, node_map)
+    Summary::new(h, node_map)
 }
 
 fn ref_weak(g: &Graph) -> Summary {
     let cliques = RefCliques::compute(g, CliqueScope::AllNodes);
     let nodes = ref_data_nodes_ordered(g);
     let partition = ref_weak_partition(&cliques, &nodes);
-    ref_quotient(g, SummaryKind::Weak, &partition, |_, members| {
+    ref_quotient(g, &partition, |_, members| {
         let (tc, sc) = ref_class_property_sets(&cliques, members);
         n_uri(g.dict(), &tc, &sc)
     })
@@ -272,7 +271,7 @@ fn ref_strong(g: &Graph) -> Summary {
     let cliques = RefCliques::compute(g, CliqueScope::AllNodes);
     let nodes = ref_data_nodes_ordered(g);
     let partition = ref_strong_partition(&cliques, &nodes);
-    ref_quotient(g, SummaryKind::Strong, &partition, |_, members| {
+    ref_quotient(g, &partition, |_, members| {
         let (tc, sc) = (cliques.tc(members[0]), cliques.sc(members[0]));
         let tc_props = tc
             .map(|i| cliques.target_cliques[i].to_vec())
@@ -297,18 +296,13 @@ fn ref_type_based(g: &Graph) -> Summary {
         None => Key::Untyped(n),
     });
     let mut fresh = 0usize;
-    ref_quotient(
-        g,
-        SummaryKind::TypeBased,
-        &partition,
-        |_, members| match sets.get(&members[0]) {
-            Some(cs) => c_uri(g.dict(), cs),
-            None => {
-                fresh += 1;
-                format!("{}c?fresh={}", rdfsum_core::naming::SUMMARY_NS, fresh)
-            }
-        },
-    )
+    ref_quotient(g, &partition, |_, members| match sets.get(&members[0]) {
+        Some(cs) => c_uri(g.dict(), cs),
+        None => {
+            fresh += 1;
+            format!("{}c?fresh={}", rdfsum_core::naming::SUMMARY_NS, fresh)
+        }
+    })
 }
 
 fn ref_typed(g: &Graph, kind: SummaryKind, scope: CliqueScope) -> Summary {
@@ -335,23 +329,21 @@ fn ref_typed(g: &Graph, kind: SummaryKind, scope: CliqueScope) -> Summary {
         Some(cs) => Key::Typed(cs.clone()),
         None => Key::Untyped(untyped_partition.class_of[&n]),
     });
-    ref_quotient(g, kind, &partition, |_, members| {
-        match sets.get(&members[0]) {
-            Some(cs) => c_uri(g.dict(), cs),
-            None => {
-                if strong_naming {
-                    let (tc, sc) = (cliques.tc(members[0]), cliques.sc(members[0]));
-                    let tc_props = tc
-                        .map(|i| cliques.target_cliques[i].to_vec())
-                        .unwrap_or_default();
-                    let sc_props = sc
-                        .map(|i| cliques.source_cliques[i].to_vec())
-                        .unwrap_or_default();
-                    n_uri(g.dict(), &tc_props, &sc_props)
-                } else {
-                    let (tc, sc) = ref_class_property_sets(&cliques, members);
-                    n_uri(g.dict(), &tc, &sc)
-                }
+    ref_quotient(g, &partition, |_, members| match sets.get(&members[0]) {
+        Some(cs) => c_uri(g.dict(), cs),
+        None => {
+            if strong_naming {
+                let (tc, sc) = (cliques.tc(members[0]), cliques.sc(members[0]));
+                let tc_props = tc
+                    .map(|i| cliques.target_cliques[i].to_vec())
+                    .unwrap_or_default();
+                let sc_props = sc
+                    .map(|i| cliques.source_cliques[i].to_vec())
+                    .unwrap_or_default();
+                n_uri(g.dict(), &tc_props, &sc_props)
+            } else {
+                let (tc, sc) = ref_class_property_sets(&cliques, members);
+                n_uri(g.dict(), &tc, &sc)
             }
         }
     })
@@ -359,9 +351,7 @@ fn ref_typed(g: &Graph, kind: SummaryKind, scope: CliqueScope) -> Summary {
 
 /// Builds the summary of `g` the pre-refactor way, with the typed kinds'
 /// cliques generated by untyped resources only (the Figure 7 reading of
-/// Definition 13, which the production builders use). Supports the five
-/// clique/type summaries; the bisimulation baseline has no reference
-/// variant and delegates to [`rdfsum_core::bisim::bisim_summary`].
+/// Definition 13, which the production builders use).
 pub fn reference_summary(g: &Graph, kind: SummaryKind) -> Summary {
     match kind {
         SummaryKind::Weak => ref_weak(g),
@@ -370,9 +360,6 @@ pub fn reference_summary(g: &Graph, kind: SummaryKind) -> Summary {
             ref_typed(g, kind, CliqueScope::UntypedOnly)
         }
         SummaryKind::TypeBased => ref_type_based(g),
-        SummaryKind::Bisimulation => {
-            rdfsum_core::bisim::bisim_summary(g, rdfsum_core::bisim::BisimDepth::Bounded(2))
-        }
     }
 }
 

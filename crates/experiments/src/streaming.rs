@@ -24,7 +24,7 @@
 
 use rdf_model::{FxHashMap, Graph, Term, TermId, Triple};
 use rdfsum_core::naming::Namer;
-use rdfsum_core::summary::{Summary, SummaryKind};
+use rdfsum_core::summary::Summary;
 use rdfsum_core::unionfind::UnionFind;
 
 /// Internal: mutable summarization state shared by the streaming builders.
@@ -130,7 +130,6 @@ pub fn streaming_weak_summary(g: &Graph) -> Summary {
 
     assemble(
         g,
-        SummaryKind::Weak,
         st,
         &dp_src,
         &dp_targ,
@@ -183,7 +182,6 @@ pub fn streaming_typed_weak_summary(g: &Graph) -> Summary {
 
     assemble(
         g,
-        SummaryKind::TypedWeak,
         st,
         &dp_src,
         &dp_targ,
@@ -199,7 +197,6 @@ pub fn streaming_typed_weak_summary(g: &Graph) -> Summary {
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     g: &Graph,
-    kind: SummaryKind,
     mut st: Stream,
     dp_src: &FxHashMap<TermId, usize>,
     dp_targ: &FxHashMap<TermId, usize>,
@@ -284,7 +281,7 @@ fn assemble(
         .iter()
         .map(|(&r, &d)| (r, h_node[&st.uf.find_const(d)]))
         .collect();
-    Summary::new(kind, h, node_map)
+    Summary::new(h, node_map)
 }
 
 #[cfg(test)]
@@ -293,6 +290,7 @@ mod tests {
     use rdf_io::write_graph;
     use rdfsum_core::fixtures::sample_graph;
     use rdfsum_core::summarize;
+    use rdfsum_core::SummaryKind;
 
     /// The streaming and batch weak builders produce the *same* summary
     /// (same URIs, same triples) — the naming is property-set-derived in

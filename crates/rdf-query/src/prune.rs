@@ -155,8 +155,9 @@ fn has_cross_position_variable(spec: &QuerySpec) -> bool {
 /// can be skipped); `false` means "don't know — evaluate".
 ///
 /// `summary` must be the store of a quotient summary of the graph the
-/// caller wants to prune for (any kind: W/S/TW/TS/T/FB), built over the
-/// same explicit triples the query will run on.
+/// caller wants to prune for (a served W/S/TW/TS/T summary, or any other
+/// quotient, such as the bisimulation baseline), built over the same
+/// explicit triples the query will run on.
 pub fn empty_on_summary(summary: &TripleStore, spec: &QuerySpec) -> bool {
     if spec.body.is_empty() || has_cross_position_variable(spec) {
         return false;

@@ -9,7 +9,7 @@
 //! ```text
 //! PING                         liveness probe
 //! LOAD <path>                  make <path> resident (N-Triples or .snap)
-//! SUMMARIZE <kind> <graph>     kind ∈ {w, s, tw, ts, t, fb}; <graph> is
+//! SUMMARIZE <kind> <graph>     kind ∈ {w, s, tw, ts, t}; <graph> is
 //!                              the name it was loaded under (its path)
 //! STATS                        service counters + resident graph listing
 //! QUERY <graph> <query>        evaluate a BGP query on a resident graph
@@ -60,11 +60,11 @@
 //! joins cliques or classes, makes a new class or summary edge, touches
 //! the schema, or deletes a class's last or first member, the one node
 //! joining a weak class, or a summary edge's last witness; *no map*: the
-//! summary was read from the persist dir, or is `fb` — so `builds ==
-//! patch_fallbacks + misses` always holds. `substrate_scans` counts full
-//! scans of a resident graph's rows for its summarization substrate: one
-//! by the graph's first build, and one by the first build after an
-//! `UPDATE` the kept substrate could not carry — a delete that takes a
+//! summary was read from the persist dir (every build keeps its map) — so
+//! `builds == patch_fallbacks + misses` always holds. `substrate_scans`
+//! counts full scans of a resident graph's rows for its summarization
+//! substrate: one by the graph's first build, and one by the first build
+//! after an `UPDATE` the kept substrate could not carry — a delete that takes a
 //! property's first row, the first row on a side of a node that stays, a
 //! type row of a node that stays, the first member of a class set, or the
 //! last witness of a link between two properties; an insert that types a
@@ -228,7 +228,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::UnknownVerb(v) => write!(f, "unknown verb `{v}`"),
             ProtocolError::Usage(u) => write!(f, "usage: {u}"),
             ProtocolError::BadKind(k) => {
-                write!(f, "unknown summary kind `{k}` (want w, s, tw, ts, t or fb)")
+                write!(f, "unknown summary kind `{k}` (want w, s, tw, ts or t)")
             }
         }
     }
@@ -238,8 +238,7 @@ impl std::error::Error for ProtocolError {}
 
 /// Parses a summary-kind token — the one vocabulary shared by the CLI's
 /// `--kind` flag and the protocol's `SUMMARIZE` verb (the CLI imports
-/// this function, so the two surfaces cannot drift apart). `fb` is the
-/// §8 bisimulation baseline, available for size comparisons.
+/// this function, so the two surfaces cannot drift apart).
 pub fn parse_kind(s: &str) -> Option<SummaryKind> {
     match s.to_ascii_lowercase().as_str() {
         "w" | "weak" => Some(SummaryKind::Weak),
@@ -247,7 +246,6 @@ pub fn parse_kind(s: &str) -> Option<SummaryKind> {
         "tw" | "typed-weak" => Some(SummaryKind::TypedWeak),
         "ts" | "typed-strong" => Some(SummaryKind::TypedStrong),
         "t" | "type" | "type-based" => Some(SummaryKind::TypeBased),
-        "fb" | "bisim" | "bisimulation" => Some(SummaryKind::Bisimulation),
         _ => None,
     }
 }

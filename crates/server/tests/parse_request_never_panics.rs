@@ -32,8 +32,9 @@ const VERBS: [&str; 9] = [
 /// Tokens one edit away from a verb: each must come back as an error.
 const NEAR_VERBS: [&str; 6] = ["PIN", "PINGS", "SUMMARISE", "QUERYX", "EVICTED", "UP"];
 
-/// Operand tokens: kinds (known and not), graph names, `UPDATE` ops,
-/// query and payload fragments, and the `EVICT` wildcard.
+/// Operand tokens: kinds (known and not — `fb`, the bisimulation, is no
+/// served kind), graph names, `UPDATE` ops, query and payload fragments,
+/// and the `EVICT` wildcard.
 const OPERANDS: [&str; 16] = [
     "w",
     "TW",

@@ -32,11 +32,11 @@ fn main() {
     );
 
     // Build the four summaries of the paper.
-    for summary in summarize_all(&graph) {
+    for (summary, kind) in summarize_all(&graph).iter().zip(SummaryKind::ALL) {
         let st = summary.stats();
         println!(
             "{:>2} summary: {:>2} nodes ({} data + {} class), {:>2} edges ({} data + {} type + {} schema)",
-            summary.kind,
+            kind,
             st.all_nodes,
             st.data_nodes,
             st.class_nodes,

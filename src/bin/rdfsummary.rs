@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rdfsummary stats      <graph> [--profile]
-//! rdfsummary summarize  <graph> [--kind w|s|tw|ts|t|fb] [--all] [--out FILE] [--dot FILE] [--report]
+//! rdfsummary summarize  <graph> [--kind w|s|tw|ts|t] [--all] [--out FILE] [--dot FILE] [--report]
 //! rdfsummary saturate   <graph> [--out FILE]
 //! rdfsummary check      <graph>
 //! rdfsummary query      <graph> QUERY [--saturate] [--limit N] [--explain] [--reformulate]
@@ -66,7 +66,7 @@ fn usage(stdout: &mut Stdout) -> Result<(), Failure> {
 
 USAGE:
   rdfsummary stats      <graph> [--profile]             graph statistics
-  rdfsummary summarize  <graph> [--kind w|s|tw|ts|t|fb]    build a summary
+  rdfsummary summarize  <graph> [--kind w|s|tw|ts|t]       build a summary
                          [--out FILE] [--dot FILE] [--turtle FILE] [--report]
                          [--all]  build W+S+TW+TS via one shared context
   rdfsummary saturate   <graph> [--out FILE]            compute G∞
@@ -275,6 +275,7 @@ fn cmd_summarize(path: &str, rest: &[String], stdout: &mut Stdout) -> Result<(),
             "\n{}",
             render_report(
                 &s,
+                kind,
                 &g,
                 &ReportOptions {
                     prefixes: PrefixMap::with_defaults(),

@@ -178,7 +178,7 @@
 //! (`patched` counts these). Any other batch — a delete that would move a
 //! clique, a class set or a first-seen number, a new property, joined
 //! cliques, a new class or summary edge, a schema row — or an artifact
-//! without a map (read from the persist dir, or `fb`) is rebuilt exactly
+//! without a map (one read from the persist dir) is rebuilt exactly
 //! as a cache miss would build it, all of one batch from one shared
 //! substrate (`rebuilt` counts these). A kind the new content already has
 //! cached (shared with another resident name) is skipped before any work.
@@ -336,8 +336,7 @@ mod tests {
     fn prelude_is_usable() {
         let g = rdfsum_core::fixtures::sample_graph();
         let all = summarize_all(&g);
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[0].kind, SummaryKind::Weak);
+        assert_eq!(all.len(), SummaryKind::ALL.len());
         let _stats: SummaryStats = all[0].stats();
     }
 }

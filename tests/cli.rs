@@ -70,6 +70,20 @@ fn summarize_with_outputs() {
     assert!(std::fs::read_to_string(&out_dot)
         .unwrap()
         .starts_with("digraph"));
+
+    // The bisimulation is no summary kind of the CLI: refused, nothing
+    // written.
+    let out_fb = dir.join("fb.nt");
+    let out = bin()
+        .args(["summarize", file.to_str().unwrap()])
+        .args(["--kind", "fb"])
+        .args(["--out", out_fb.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown summary kind `fb`"), "{err}");
+    assert!(!out_fb.exists());
 }
 
 #[test]

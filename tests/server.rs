@@ -75,7 +75,7 @@ fn start(threads: usize, workers: usize) -> (ServerHandle, Arc<SummaryService>) 
 /// first occurrence. A BSBM file with repeats of every shape — adjacent,
 /// ten thousand lines apart, in the data, type and schema tables, the
 /// file's first triple again as its last line — reads as the file without
-/// them through every way in: `LOAD` over the wire (fingerprint, all six
+/// them through every way in: `LOAD` over the wire (fingerprint, all five
 /// summary bodies), the CLI (`snapshot` bytes, `summarize --out` bytes)
 /// and `parse_graph` (tables, dictionary, fingerprint).
 #[test]
@@ -137,11 +137,7 @@ fn repeated_lines_load_as_their_first_occurrences() {
     let (clean_snap, _) = snap_of(&clean_nt, "clean.snap");
     let (repeated_snap, repeated_snap_path) = snap_of(&repeated_nt, "repeated.snap");
     assert_eq!(repeated_snap, clean_snap);
-    let six = FIVE_KINDS
-        .into_iter()
-        .chain([(SummaryKind::Bisimulation, "fb")]);
-
-    // The wire: LOAD of each file, then all six kinds.
+    // The wire: LOAD of each file, then all five kinds.
     let (handle, _service) = start(2, 2);
     let mut client = Client::connect(handle.addr()).unwrap();
     for nt in [&clean_nt, &repeated_nt] {
@@ -153,7 +149,7 @@ fn repeated_lines_load_as_their_first_occurrences() {
             Some(clean.len().to_string().as_str())
         );
     }
-    for (kind, tok) in six {
+    for (kind, tok) in FIVE_KINDS {
         let out = dir.join(format!("{tok}.nt"));
         let want = cli(
             &["summarize", clean_nt.to_str().unwrap(), "--kind", tok],
@@ -172,6 +168,22 @@ fn repeated_lines_load_as_their_first_occurrences() {
             "{tok} served"
         );
     }
+    // The bisimulation is no served kind: refused by name, on a
+    // connection that stays usable.
+    let graph = repeated_nt.to_str().unwrap();
+    let refused = client.request(&format!("SUMMARIZE fb {graph}")).unwrap();
+    assert!(!refused.is_ok(), "{}", refused.status);
+    assert!(
+        refused.status.starts_with("ERR ") && refused.status.contains("(want w, s, tw, ts or t)"),
+        "{}",
+        refused.status
+    );
+    let again = client.summarize(SummaryKind::Weak, graph).unwrap();
+    assert!(
+        again.is_ok() && again.field("cached") == Some("1"),
+        "{}",
+        again.status
+    );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
